@@ -70,7 +70,7 @@ void EngineShard::BuildVolatileComponents() {
 
 void EngineShard::UpdateLogLiveGauge() {
   const Lsn end = log_->end_lsn();
-  const Lsn first = disk_->first_retained_lsn();
+  const Lsn first = log_->first_retained_lsn();
   obs_->registry.GetGauge(log_live_gauge_name_)
       ->Set(end >= first ? static_cast<int64_t>(end - first + 1) : 0);
 }
@@ -348,7 +348,7 @@ Result<uint64_t> EngineShard::ArchiveLog(Lsn retain_from) {
     }
   }
   if (retain_from != kInvalidLsn) safe = std::min(safe, retain_from);
-  const uint64_t archived = disk_->ArchiveLogPrefix(safe);
+  const uint64_t archived = log_->ArchivePrefix(safe);
   stats_.archived_records += archived;
   UpdateLogLiveGauge();
   return archived;

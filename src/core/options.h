@@ -207,17 +207,11 @@ struct Options {
   /// redo/undo lazily, gated per object by the loser-scope index.
   RecoveryMode recovery_mode = RecoveryMode::kFull;
 
-  /// Merge analysis and redo into a single forward sweep (the variant the
-  /// paper builds on, §3.3). When false, recovery runs the classic
-  /// three-pass ARIES layout: analysis, then redo, then undo — same end
-  /// state, one extra sweep.
-  bool merged_forward_pass = true;
-
-  /// Worker threads for restart recovery. 1 (the default) keeps the serial
-  /// layouts exactly as before. With more threads, recovery runs a serial
-  /// analysis pass that collects a redo plan, replays it page-partitioned
-  /// on a worker pool, and dispatches independent loser-scope cluster
-  /// groups to workers for the undo pass.
+  /// Worker threads for restart recovery. At 1 (the default) kFull restart
+  /// applies redo inside the paper's single merged forward sweep (§3.3).
+  /// With more threads the sweep only collects a redo plan, which replays
+  /// page-partitioned on a worker pool. Either way the undo pass dispatches
+  /// independent loser-scope cluster groups to a pool of this many workers.
   size_t recovery_threads = 1;
 
   /// Simulated seek stall, in nanoseconds, charged to each *random*

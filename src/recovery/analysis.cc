@@ -59,16 +59,9 @@ void TransferScopes(ForwardPassResult* result, const LogRecord& rec,
 }
 
 obs::RecoveryPassKind PassKindOf(ForwardPassKind kind) {
-  switch (kind) {
-    case ForwardPassKind::kAnalysisOnly:
-    case ForwardPassKind::kAnalysisCollectRedo:
-      return obs::RecoveryPassKind::kAnalysis;
-    case ForwardPassKind::kRedoOnly:
-      return obs::RecoveryPassKind::kRedo;
-    case ForwardPassKind::kMerged:
-      break;
-  }
-  return obs::RecoveryPassKind::kMergedForward;
+  return kind == ForwardPassKind::kMerged
+             ? obs::RecoveryPassKind::kMergedForward
+             : obs::RecoveryPassKind::kAnalysis;
 }
 
 // Spends one unit of the injected redo-fault budget before a page
@@ -90,12 +83,8 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
   const coord::Resolution* resolution = opts.resolution;
   table::TableHeap* heap = opts.heap;
   const AnalysisHooks* hooks = opts.hooks;
-  const bool collect_redo = kind == ForwardPassKind::kAnalysisCollectRedo;
-  const bool do_redo = kind == ForwardPassKind::kMerged ||
-                       kind == ForwardPassKind::kRedoOnly;
   // Both redo flavors need the scan to reach back to the redo point.
-  const bool redo_bounds = do_redo || collect_redo;
-  const bool do_analysis = kind != ForwardPassKind::kRedoOnly;
+  const bool redo_bounds = kind != ForwardPassKind::kAnalysisOnly;
   ForwardPassResult result;
 
   Lsn analysis_from = kFirstLsn;
@@ -155,74 +144,90 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
   uint64_t pass_records = 0;
   const uint64_t redos_before = stats->recovery_redos;
 
+  // Repeats history for one page or table record past the redo point:
+  // applied now (kMerged) or collected into the redo plan, keyed by its page
+  // or table redo bucket (kAnalysisCollectRedo).
+  const auto redo = [&](const LogRecord& rec) -> Status {
+    if (!redo_bounds || rec.lsn < redo_from) return Status::OK();
+    const bool table_record = IsTableWrite(rec.type) ||
+                              rec.type == LogRecordType::kTableClr;
+    if (kind == ForwardPassKind::kAnalysisCollectRedo) {
+      result.redo_plan.push_back(
+          RedoItem{rec, table_record ? table::RedoBucketOf(rec.object)
+                                     : PageOf(rec.object)});
+      return Status::OK();
+    }
+    ARIESRH_RETURN_IF_ERROR(SpendRedoBudget(redo_budget));
+    bool applied = false;
+    ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(
+        pool, rec, /*check_page_lsn=*/true, &applied, heap));
+    if (applied) ++stats->recovery_redos;
+    return Status::OK();
+  };
+
   for (Lsn lsn = scan_from; lsn <= scan_to; ++lsn) {
     ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, log->Read(lsn));
     ++stats->recovery_forward_records;
     ++pass_records;
-    const bool analyze = do_analysis && lsn >= analysis_from;
+    const bool analyze = lsn >= analysis_from;
     // Verdicts for the observation hooks (kDelegate fold only).
     bool delegate_applied = false;
     bool delegate_voided = false;
 
     switch (rec.type) {
-      case LogRecordType::kUpdate: {
-        if (do_redo && lsn >= redo_from) {
-          ARIESRH_RETURN_IF_ERROR(SpendRedoBudget(redo_budget));
-          bool applied = false;
-          ARIESRH_RETURN_IF_ERROR(
-              ApplyRecordToPage(pool, rec, /*check_page_lsn=*/true, &applied));
-          if (applied) ++stats->recovery_redos;
-        } else if (collect_redo && lsn >= redo_from) {
-          result.redo_plan.push_back(RedoItem{rec, PageOf(rec.object)});
-        }
+      case LogRecordType::kUpdate:
+      case LogRecordType::kTableInsert:
+      case LogRecordType::kTableUpdate:
+      case LogRecordType::kTableDelete: {
+        ARIESRH_RETURN_IF_ERROR(redo(rec));
         if (analyze) {
           TxnAnalysis& info = Touch(&result, rec.txn_id, lsn);
           // A window update the snapshot already reflects must not re-adjust
           // scopes: the seeded Ob_List accounts for it (and possibly for a
           // later delegation that moved it away).
           if (mode == DelegationMode::kRH && !reflected(rec.txn_id, lsn)) {
-            // ADJUST SCOPES, as in normal processing (Section 3.6.1).
+            // ADJUST SCOPES, as in normal processing (Section 3.6.1); a
+            // table write's object is its rid. Every table write is
+            // exclusive (Set-like), so its scope is marked accordingly for
+            // delegation-spec checks.
             ObjectEntry& entry = info.ob_list[rec.object];
             entry.ExtendOrOpen(rec.txn_id, lsn);
-            if (rec.kind == UpdateKind::kSet) entry.has_set_update = true;
+            if (rec.type != LogRecordType::kUpdate ||
+                rec.kind == UpdateKind::kSet) {
+              entry.has_set_update = true;
+            }
           }
         }
         break;
       }
-      case LogRecordType::kClr: {
-        if (do_redo && lsn >= redo_from) {
-          ARIESRH_RETURN_IF_ERROR(SpendRedoBudget(redo_budget));
-          bool applied = false;
-          ARIESRH_RETURN_IF_ERROR(
-              ApplyRecordToPage(pool, rec, /*check_page_lsn=*/true, &applied));
-          if (applied) ++stats->recovery_redos;
-        } else if (collect_redo && lsn >= redo_from) {
-          result.redo_plan.push_back(RedoItem{rec, PageOf(rec.object)});
-        }
+      case LogRecordType::kClr:
+      case LogRecordType::kTableClr:
+        ARIESRH_RETURN_IF_ERROR(redo(rec));
         if (analyze) {
           Touch(&result, rec.txn_id, lsn);
           result.compensated.insert(rec.compensated_lsn);
         }
         break;
-      }
       case LogRecordType::kBegin:
         if (analyze) Touch(&result, rec.txn_id, lsn);
         break;
       case LogRecordType::kCommit:
+      case LogRecordType::kEnd:
         // Termination flags apply unconditionally, never via the reflected
         // check: the snapshot records only *active* transactions, so it can
         // never testify that a commit was observed — skipping a window
         // COMMIT would wrongly undo a committed transaction on restart.
         if (analyze) {
           TxnAnalysis& info = Touch(&result, rec.txn_id, lsn);
-          info.committed = true;
-          // Last observable moment of the winner's resolved responsibility:
-          // the scopes it answers for at commit.
+          (rec.type == LogRecordType::kCommit ? info.committed : info.ended) =
+              true;
+          // Last observable moment of the transaction's resolved
+          // responsibility: the scopes it answers for as it terminates.
           if (hooks != nullptr && hooks->on_resolve) {
             hooks->on_resolve(rec, info);
           }
-          // A winner's responsibilities are resolved; its scopes must not
-          // feed the loser sweep.
+          // Its responsibilities are resolved; its scopes must not feed the
+          // loser sweep.
           info.ob_list.clear();
         }
         break;
@@ -236,16 +241,6 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
           TxnAnalysis& info = Touch(&result, rec.txn_id, lsn);
           info.prepared = true;
           info.prepared_csn = rec.csn;
-        }
-        break;
-      case LogRecordType::kEnd:
-        if (analyze) {
-          TxnAnalysis& info = Touch(&result, rec.txn_id, lsn);
-          info.ended = true;
-          if (hooks != nullptr && hooks->on_resolve) {
-            hooks->on_resolve(rec, info);
-          }
-          info.ob_list.clear();
         }
         break;
       case LogRecordType::kDelegate:
@@ -298,49 +293,6 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
           }
         }
         break;
-      case LogRecordType::kTableInsert:
-      case LogRecordType::kTableUpdate:
-      case LogRecordType::kTableDelete: {
-        if (do_redo && lsn >= redo_from) {
-          ARIESRH_RETURN_IF_ERROR(SpendRedoBudget(redo_budget));
-          bool applied = false;
-          ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(
-              pool, rec, /*check_page_lsn=*/true, &applied, heap));
-          if (applied) ++stats->recovery_redos;
-        } else if (collect_redo && lsn >= redo_from) {
-          result.redo_plan.push_back(
-              RedoItem{rec, table::RedoBucketOf(rec.object)});
-        }
-        if (analyze) {
-          TxnAnalysis& info = Touch(&result, rec.txn_id, lsn);
-          if (mode == DelegationMode::kRH && !reflected(rec.txn_id, lsn)) {
-            // ADJUST SCOPES keyed by record identity: the rid in `object`.
-            // Every table write is exclusive (Set-like), so the scope is
-            // marked accordingly for delegation-spec checks.
-            ObjectEntry& entry = info.ob_list[rec.object];
-            entry.ExtendOrOpen(rec.txn_id, lsn);
-            entry.has_set_update = true;
-          }
-        }
-        break;
-      }
-      case LogRecordType::kTableClr: {
-        if (do_redo && lsn >= redo_from) {
-          ARIESRH_RETURN_IF_ERROR(SpendRedoBudget(redo_budget));
-          bool applied = false;
-          ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(
-              pool, rec, /*check_page_lsn=*/true, &applied, heap));
-          if (applied) ++stats->recovery_redos;
-        } else if (collect_redo && lsn >= redo_from) {
-          result.redo_plan.push_back(
-              RedoItem{rec, table::RedoBucketOf(rec.object)});
-        }
-        if (analyze) {
-          Touch(&result, rec.txn_id, lsn);
-          result.compensated.insert(rec.compensated_lsn);
-        }
-        break;
-      }
       case LogRecordType::kCkptBegin:
       case LogRecordType::kCkptEnd:
         // The anchor checkpoint's own BEGIN/END bracket the re-scanned
@@ -357,6 +309,23 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
             static_cast<uint64_t>(pass_kind), pass_records,
             stats->recovery_redos - redos_before);
   return result;
+}
+
+uint64_t ResolveInDoubt(
+    ForwardPassResult* fwd, const coord::Resolution* resolution,
+    const std::function<void(TxnId, TxnAnalysis*)>& on_commit) {
+  uint64_t committed = 0;
+  for (auto& [txn, info] : fwd->txns) {
+    if (!info.InDoubt() || resolution == nullptr ||
+        !resolution->IsCommitted(info.prepared_csn)) {
+      continue;
+    }
+    if (on_commit) on_commit(txn, &info);
+    info.committed = true;
+    info.ob_list.clear();
+    ++committed;
+  }
+  return committed;
 }
 
 }  // namespace ariesrh

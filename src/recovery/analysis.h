@@ -12,6 +12,7 @@
 #ifndef ARIESRH_RECOVERY_ANALYSIS_H_
 #define ARIESRH_RECOVERY_ANALYSIS_H_
 
+#include <functional>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -44,7 +45,7 @@ struct TxnAnalysis {
 
   bool IsLoser() const { return !committed && !ended; }
   /// In doubt: voted in a 2PC round whose fate only the coordinator log
-  /// knows. RecoveryManager resolves these before the undo pass.
+  /// knows. ResolveInDoubt settles these before the undo pass.
   bool InDoubt() const { return prepared && !committed && !ended; }
 };
 
@@ -64,18 +65,15 @@ struct ForwardPassResult {
   std::vector<RedoItem> redo_plan;
 };
 
-/// What a forward sweep does. The paper's presentation (and ARIES/RH's
-/// default) merges analysis and redo into one sweep (§3.3: "ARIES/RH
-/// relies on a single forward pass"); the classic three-pass ARIES variant
-/// runs analysis first and redo second — supported here so the two layouts
-/// can be compared (they must produce identical states).
+/// What a forward sweep does. Restart always rebuilds the tables in one
+/// sweep (§3.3: "ARIES/RH relies on a single forward pass"); the kind only
+/// says what happens to the redo work that sweep discovers.
 enum class ForwardPassKind {
-  kMerged,        ///< analysis + redo in one sweep
+  kMerged,        ///< analysis + redo applied inline, one sweep
   kAnalysisOnly,  ///< rebuild tables/scopes, do not touch pages
-  kRedoOnly,      ///< repeat history, no table changes
   /// Rebuild tables/scopes AND record every redo-eligible (LSN, page) pair
-  /// into ForwardPassResult::redo_plan without touching pages — the serial
-  /// front half of parallel restart: the plan feeds PartitionedRedo.
+  /// into ForwardPassResult::redo_plan without touching pages — the input to
+  /// PartitionedRedo (parallel restart) and OnDemandRedo (instant restart).
   kAnalysisCollectRedo,
 };
 
@@ -105,7 +103,7 @@ struct AnalysisHooks {
 /// log inspection) do not keep growing the positional signature.
 struct ForwardPassOptions {
   ForwardPassKind kind = ForwardPassKind::kMerged;
-  /// Test-only crash injection for the redo-bearing kinds.
+  /// Test-only crash injection for kMerged's page applications.
   RecoveryFaultBudget* redo_budget = nullptr;
   /// Coordinator verdicts for csn-stamped DELEGATE legs (see ForwardPass).
   const coord::Resolution* resolution = nullptr;
@@ -123,8 +121,8 @@ struct ForwardPassOptions {
 /// nullptr to scan from the log head. In kLazyRewrite mode the
 /// analysis-bearing pass also physically applies each DELEGATE record via
 /// chain surgery (the baseline the paper contrasts with RH).
-/// `redo_budget` (test-only) injects a crash in the redo-bearing kinds
-/// after that many page applications.
+/// `redo_budget` (test-only) injects a crash in kMerged after that many page
+/// applications.
 /// `resolution` (sharded engines) carries the coordinator's committed-csn
 /// set: a csn-stamped DELEGATE record whose csn is not committed is one leg
 /// of a cross-shard transfer that never reached its commit point — the pass
@@ -138,24 +136,17 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
                                       BufferPool* pool, Stats* stats,
                                       const CheckpointData* ckpt,
                                       Lsn ckpt_end_lsn,
-                                      const ForwardPassOptions& opts);
+                                      const ForwardPassOptions& opts = {});
 
-/// Positional convenience overload (the historical signature): forwards to
-/// the ForwardPassOptions form with no scan cut and no hooks.
-inline Result<ForwardPassResult> ForwardPass(
-    DelegationMode mode, LogManager* log, BufferPool* pool, Stats* stats,
-    const CheckpointData* ckpt, Lsn ckpt_end_lsn,
-    ForwardPassKind kind = ForwardPassKind::kMerged,
-    RecoveryFaultBudget* redo_budget = nullptr,
-    const coord::Resolution* resolution = nullptr,
-    table::TableHeap* heap = nullptr) {
-  ForwardPassOptions opts;
-  opts.kind = kind;
-  opts.redo_budget = redo_budget;
-  opts.resolution = resolution;
-  opts.heap = heap;
-  return ForwardPass(mode, log, pool, stats, ckpt, ckpt_end_lsn, opts);
-}
+/// In-doubt resolution (2PC) over a forward pass's result: a prepared
+/// transaction whose csn `resolution` committed becomes a winner —
+/// `on_commit` (optional) sees it first, Ob_List intact — and its undo
+/// targets drop. Every other prepared transaction stays a loser: presumed
+/// abort, exactly what a null `resolution` means. Returns how many were
+/// committed.
+uint64_t ResolveInDoubt(
+    ForwardPassResult* fwd, const coord::Resolution* resolution,
+    const std::function<void(TxnId, TxnAnalysis*)>& on_commit = nullptr);
 
 }  // namespace ariesrh
 

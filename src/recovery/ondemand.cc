@@ -4,7 +4,6 @@
 
 #include "obs/clock.h"
 #include "obs/trace.h"
-#include "recovery/parallel.h"
 #include "wal/log_record.h"
 
 namespace ariesrh {
@@ -26,54 +25,12 @@ OnDemandRedo::OnDemandRedo(std::vector<RedoItem> plan, Stats* stats,
   }
 }
 
-Lsn OnDemandRedo::DrainPage(PageId id, Page* page) {
-  if (remaining_.load(std::memory_order_acquire) == 0) return kInvalidLsn;
-  std::vector<LogRecord> recs;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return kInvalidLsn;
-    recs = std::move(it->second);
-    pending_.erase(it);
-  }
-  remaining_.fetch_sub(1, std::memory_order_release);
-  if (remaining_external_ != nullptr) {
-    remaining_external_->fetch_sub(1, std::memory_order_relaxed);
-  }
-
-  // Replay the page's log suffix, exactly what PartitionedRedo would have
-  // applied: page-LSN checked, in the plan's (increasing-LSN) order. The
-  // caller holds the pool latch, so the application is atomic with the
-  // fetch; the first applied LSN is the frame's rec_lsn for the DPT.
-  Lsn rec_lsn = kInvalidLsn;
-  uint64_t applied = 0;
-  for (const LogRecord& rec : recs) {
-    if (page->page_lsn() >= rec.lsn) continue;
-    const uint32_t slot = SlotOf(rec.object);
-    if (rec.kind == UpdateKind::kSet) {
-      page->Set(slot, rec.after);
-    } else {
-      page->Add(slot, rec.after);
-    }
-    page->set_page_lsn(std::max(page->page_lsn(), rec.lsn));
-    if (rec_lsn == kInvalidLsn) rec_lsn = rec.lsn;
-    ++applied;
-  }
-
-  pages_drained_.fetch_add(1, std::memory_order_relaxed);
-  records_applied_.fetch_add(applied, std::memory_order_relaxed);
-  ++stats_->ondemand_redo_pages;
-  stats_->ondemand_redo_records += applied;
-  stats_->recovery_redos += applied;
-  return rec_lsn;
-}
-
-std::vector<LogRecord> OnDemandRedo::TakeBucket(PageId bucket_id) {
+std::vector<LogRecord> OnDemandRedo::Take(PageId id) {
   if (remaining_.load(std::memory_order_acquire) == 0) return {};
   std::vector<LogRecord> recs;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = pending_.find(bucket_id);
+    auto it = pending_.find(id);
     if (it == pending_.end()) return {};
     recs = std::move(it->second);
     pending_.erase(it);
@@ -82,13 +39,39 @@ std::vector<LogRecord> OnDemandRedo::TakeBucket(PageId bucket_id) {
   if (remaining_external_ != nullptr) {
     remaining_external_->fetch_sub(1, std::memory_order_relaxed);
   }
+  return recs;
+}
+
+void OnDemandRedo::CountDrained(uint64_t applied) {
+  records_applied_.fetch_add(applied, std::memory_order_relaxed);
+  ++stats_->ondemand_redo_pages;
+  stats_->ondemand_redo_records += applied;
+  stats_->recovery_redos += applied;
+}
+
+Lsn OnDemandRedo::DrainPage(PageId id, Page* page) {
+  const std::vector<LogRecord> recs = Take(id);
+  if (recs.empty()) return kInvalidLsn;
+  // Replay the page's log suffix, exactly what PartitionedRedo would have
+  // applied: page-LSN checked, in the plan's (increasing-LSN) order. The
+  // caller holds the pool latch, so the application is atomic with the
+  // fetch; the first applied LSN is the frame's rec_lsn for the DPT.
+  Lsn rec_lsn = kInvalidLsn;
+  uint64_t applied = 0;
+  for (const LogRecord& rec : recs) {
+    if (!ApplyToPage(rec, page, /*check_page_lsn=*/true)) continue;
+    if (rec_lsn == kInvalidLsn) rec_lsn = rec.lsn;
+    ++applied;
+  }
+  CountDrained(applied);
+  return rec_lsn;
+}
+
+std::vector<LogRecord> OnDemandRedo::TakeBucket(PageId bucket_id) {
+  std::vector<LogRecord> recs = Take(bucket_id);
   // State-based logical replay applies every record (idempotence is per-key
   // LSN order, not a page-LSN check), so the whole bucket counts as applied.
-  pages_drained_.fetch_add(1, std::memory_order_relaxed);
-  records_applied_.fetch_add(recs.size(), std::memory_order_relaxed);
-  ++stats_->ondemand_redo_pages;
-  stats_->ondemand_redo_records += recs.size();
-  stats_->recovery_redos += recs.size();
+  if (!recs.empty()) CountDrained(recs.size());
   return recs;
 }
 
@@ -107,12 +90,11 @@ std::vector<PageId> OnDemandRedo::PendingPlainPages() const {
 // RecoveryGate
 // ---------------------------------------------------------------------------
 
-void RecoveryGate::Arm(
-    const std::vector<std::vector<ScopeUndoTarget>>& groups) {
+void RecoveryGate::Arm(const std::vector<UndoGroup>& groups) {
   std::lock_guard<std::mutex> lock(mu_);
   resolved_.assign(groups.size(), 0);
   for (size_t g = 0; g < groups.size(); ++g) {
-    for (const ScopeUndoTarget& target : groups[g]) {
+    for (const ScopeUndoTarget& target : groups[g].targets) {
       std::vector<size_t>& covering = by_object_[target.object];
       if (covering.empty() || covering.back() != g) covering.push_back(g);
     }
@@ -256,12 +238,12 @@ InstantRestart::InstantRestart(const Options& options, SimulatedDisk* disk,
                                table::TableHeap* heap,
                                obs::Gauge* backlog_gauge)
     : options_(options),
-      disk_(disk),
       log_(log),
       pool_(pool),
       stats_(stats),
       heap_(heap),
-      backlog_gauge_(backlog_gauge) {}
+      backlog_gauge_(backlog_gauge),
+      recovery_(options_, disk, log, pool, stats, heap) {}
 
 InstantRestart::~InstantRestart() {
   Cancel(Status::Aborted("instant restart torn down"));
@@ -274,94 +256,21 @@ Status InstantRestart::Start(const coord::Resolution* resolution,
   handle_ = std::move(handle);
   on_complete_ = std::move(on_complete);
 
-  CheckpointData ckpt;
-  Lsn ckpt_end_lsn = 0;
+  // The restart plan, with redo collected but not applied: the only
+  // restart work the open waits for.
   ARIESRH_ASSIGN_OR_RETURN(
-      ckpt_end_lsn,
-      RecoveryManager::LocateCheckpoint(options_, disk_, log_, &ckpt));
-  const CheckpointData* ckpt_ptr = ckpt_end_lsn != 0 ? &ckpt : nullptr;
-  outcome_.checkpoint_used = ckpt_end_lsn;
-  outcome_.threads_used =
-      static_cast<uint32_t>(std::max<size_t>(1, options_.recovery_threads));
-
-  // The analysis sweep: rebuild the transaction table and the scope index,
-  // collect (but do not apply) the redo plan. This is the only restart work
-  // the open waits for.
-  const uint64_t analysis_start = obs::MonotonicNanos();
-  ARIESRH_ASSIGN_OR_RETURN(
-      fwd_, ForwardPass(options_.delegation_mode, log_, pool_, stats_,
-                        ckpt_ptr, ckpt_end_lsn,
-                        ForwardPassKind::kAnalysisCollectRedo,
-                        /*redo_budget=*/nullptr, resolution, heap_));
-  outcome_.analysis_ns = obs::MonotonicNanos() - analysis_start;
-  outcome_.records_analyzed = fwd_.records_scanned;
-  if (obs::MetricsRegistry* registry = stats_->registry()) {
-    registry->GetHistogram("ariesrh_recovery_analysis_ns")
-        ->Observe(outcome_.analysis_ns);
-  }
-
-  // Resolve in-doubt (prepared) transactions before anything opens — same
-  // rules as the blocking path (presumed abort without a verdict).
-  for (auto& [txn, info] : fwd_.txns) {
-    if (!info.InDoubt()) continue;
-    if (resolution != nullptr && resolution->IsCommitted(info.prepared_csn)) {
-      info.last_lsn = log_->Append(LogRecord::MakeCommit(txn, info.last_lsn));
-      info.committed = true;
-      info.ob_list.clear();
-      ++outcome_.in_doubt_committed;
-    } else {
-      ++outcome_.in_doubt_aborted;
-    }
-  }
-
-  // Build the undo work: every loser scope, partitioned into independently
-  // sweepable cluster groups (each loser lives in exactly one group).
-  std::unordered_map<TxnId, Lsn> bc_heads;
-  std::vector<ScopeUndoTarget> targets;
-  std::unordered_set<TxnId> backgrounded;
-  for (auto& [txn, info] : fwd_.txns) {
-    if (!info.IsLoser()) continue;
-    bc_heads[txn] = info.last_lsn;
-    for (const auto& [ob, entry] : info.ob_list) {
-      for (const Scope& scope : entry.scopes) {
-        targets.push_back(ScopeUndoTarget{txn, ob, scope});
-        backgrounded.insert(txn);
-      }
-    }
-  }
-  groups_ = PartitionUndoClusters(targets);
-  outcome_.clusters_swept = groups_.size();
-  group_heads_.assign(groups_.size(), {});
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    for (const ScopeUndoTarget& target : groups_[g]) {
-      group_heads_[g][target.responsible] = bc_heads.at(target.responsible);
-    }
-  }
-
-  // Transactions analysis alone fully resolves get END records up front:
-  // winners, and losers with nothing to undo. Losers with scopes get theirs
-  // when their cluster group's background sweep completes.
-  for (auto& [txn, info] : fwd_.txns) {
-    if (info.committed) {
-      ++outcome_.winners;
-      if (!info.ended) log_->Append(LogRecord::MakeEnd(txn, info.last_lsn));
-    } else if (!info.ended) {
-      ++outcome_.losers;
-      if (backgrounded.count(txn) == 0) {
-        log_->Append(LogRecord::MakeEnd(txn, bc_heads.at(txn)));
-      }
-    }
-  }
+      plan_, recovery_.BuildPlan(resolution,
+                                 ForwardPassKind::kAnalysisCollectRedo));
 
   // Arm the lazy machinery before the engine opens: the redo index feeds
   // the pool's (and heap's) fetch path, the gate feeds the transaction
   // entry points.
   ondemand_ = std::make_unique<OnDemandRedo>(
-      std::move(fwd_.redo_plan), stats_,
+      std::move(plan_.fwd.redo_plan), stats_,
       handle_ != nullptr ? handle_->redo_pages_cell() : nullptr);
-  gate_.Arm(groups_);
+  gate_.Arm(plan_.groups);
   if (handle_ != nullptr) {
-    handle_->AddUndoBacklog(static_cast<int64_t>(groups_.size()));
+    handle_->AddUndoBacklog(static_cast<int64_t>(plan_.groups.size()));
   }
   SetBacklogGauge();
 
@@ -375,8 +284,7 @@ Status InstantRestart::Start(const coord::Resolution* resolution,
     });
   }
 
-  *next_txn_id = fwd_.max_txn_id + 1;
-  outcome_.next_txn_id = fwd_.max_txn_id + 1;
+  *next_txn_id = plan_.outcome.next_txn_id;
 
   // The analysis-time appends (in-doubt COMMITs, up-front ENDs) go stable
   // before the open, so a crash right after it re-resolves identically.
@@ -387,66 +295,19 @@ Status InstantRestart::Start(const coord::Resolution* resolution,
 }
 
 void InstantRestart::BackgroundPass() {
-  Status status = RunBackgroundUndo();
+  // Each completed group lifts the gate for every object it covered.
+  Status status = recovery_.Undo(&plan_, [this](size_t g) -> Status {
+    gate_.MarkResolved(g);
+    if (handle_ != nullptr) handle_->AddUndoBacklog(-1);
+    SetBacklogGauge();
+    if (cancel_.load(std::memory_order_acquire)) {
+      return Status::Aborted("instant restart cancelled");
+    }
+    return Status::OK();
+  });
   if (status.ok()) status = DrainRemainingRedo();
   if (status.ok()) status = log_->FlushAll();
   Finish(std::move(status));
-}
-
-Status InstantRestart::RunBackgroundUndo() {
-  ++stats_->recovery_passes;
-  obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassBegin,
-            static_cast<uint64_t>(obs::RecoveryPassKind::kUndo), kFirstLsn,
-            fwd_.scan_end);
-  const uint64_t examined_before = stats_->recovery_backward_examined;
-  const uint64_t skipped_before = stats_->recovery_backward_skipped;
-  const uint64_t undos_before = stats_->recovery_undos;
-  const uint64_t undo_start = obs::MonotonicNanos();
-
-  RecoveryFaultBudget budget(options_.faults.crash_after_undo_steps);
-  RecoveryFaultBudget* budget_ptr =
-      options_.faults.crash_after_undo_steps > 0 ? &budget : nullptr;
-  const size_t threads = std::max<size_t>(1, options_.recovery_threads);
-
-  Status status =
-      RunOnWorkers(threads, groups_.size(), [&](size_t g) -> Status {
-        if (cancel_.load(std::memory_order_acquire)) {
-          return Status::Aborted("instant restart cancelled");
-        }
-        // Each group's sweep starts at its own newest scope end, exactly as
-        // the blocking parallel undo does.
-        Lsn group_from = kFirstLsn;
-        for (const ScopeUndoTarget& target : groups_[g]) {
-          group_from = std::max(group_from, target.scope.last);
-        }
-        ARIESRH_RETURN_IF_ERROR(
-            ScopeSweepUndo(groups_[g], fwd_.compensated, group_from, log_,
-                           pool_, stats_, &group_heads_[g], budget_ptr,
-                           heap_));
-        // The group's losers are fully rolled back: END them and lift the
-        // gate for every object the group covered.
-        for (const auto& [txn, head] : group_heads_[g]) {
-          log_->Append(LogRecord::MakeEnd(txn, head));
-        }
-        gate_.MarkResolved(g);
-        if (handle_ != nullptr) handle_->AddUndoBacklog(-1);
-        SetBacklogGauge();
-        return Status::OK();
-      });
-
-  outcome_.undo_ns = obs::MonotonicNanos() - undo_start;
-  outcome_.records_undone = stats_->recovery_undos - undos_before;
-  outcome_.records_skipped =
-      stats_->recovery_backward_skipped - skipped_before;
-  if (obs::MetricsRegistry* registry = stats_->registry()) {
-    registry->GetHistogram("ariesrh_recovery_undo_ns")
-        ->Observe(outcome_.undo_ns);
-  }
-  obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassEnd,
-            static_cast<uint64_t>(obs::RecoveryPassKind::kUndo),
-            stats_->recovery_backward_examined - examined_before,
-            stats_->recovery_undos - undos_before);
-  return status;
 }
 
 Status InstantRestart::DrainRemainingRedo() {
@@ -463,8 +324,8 @@ Status InstantRestart::DrainRemainingRedo() {
   if (heap_ != nullptr) {
     ARIESRH_RETURN_IF_ERROR(heap_->DrainPending());
   }
-  outcome_.redo_ns = obs::MonotonicNanos() - drain_start;
-  outcome_.records_redone = ondemand_->records_applied();
+  plan_.outcome.redo_ns = obs::MonotonicNanos() - drain_start;
+  plan_.outcome.records_redone = ondemand_->records_applied();
   return Status::OK();
 }
 
@@ -472,26 +333,21 @@ void InstantRestart::Finish(Status status) {
   std::function<void()> on_complete;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    status_ = std::move(status);
+    status_ = status;
     on_complete = std::move(on_complete_);
     done_.store(true, std::memory_order_release);
   }
   cv_.notify_all();
-  Status terminal;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    terminal = status_;
-  }
-  if (!terminal.ok()) {
+  if (!status.ok()) {
     // Wake every blocked transaction with the failure; the shard stays
     // half-recovered until SimulateCrash()+Recover().
-    gate_.Close(terminal);
-    if (handle_ != nullptr) handle_->ShardFailed(terminal);
+    gate_.Close(status);
+    if (handle_ != nullptr) handle_->ShardFailed(status);
     return;
   }
   if (backlog_gauge_ != nullptr) backlog_gauge_->Set(0);
   if (on_complete) on_complete();
-  if (handle_ != nullptr) handle_->ShardDone(outcome_);
+  if (handle_ != nullptr) handle_->ShardDone(plan_.outcome);
 }
 
 Status InstantRestart::WaitForObject(ObjectId ob) {

@@ -2,22 +2,22 @@
 // business right after the analysis sweep, and the two expensive restart
 // passes run lazily (docs/INSTANT_RESTART.md).
 //
-//   * Redo on demand: analysis collects the parsed redo plan
-//     (ForwardPassKind::kAnalysisCollectRedo) and OnDemandRedo indexes it
-//     per page. The buffer pool consults the index on every fetch and
-//     replays that page's log suffix before anyone sees the frame; logical
-//     table records are indexed per heap bucket and drained by the table
-//     heap the same way. A page nobody touches is paid for only by the
+//   * Redo on demand: the shared restart plan (RecoveryManager::BuildPlan)
+//     collects the parsed redo plan and OnDemandRedo indexes it per page.
+//     The buffer pool consults the index on every fetch and replays that
+//     page's log suffix before anyone sees the frame; logical table
+//     records are indexed per heap bucket and drained by the table heap
+//     the same way. A page nobody touches is paid for only by the
 //     background drain at the very end.
 //
-//   * Undo in the background: loser-scope cluster groups
-//     (PartitionUndoClusters) are swept by a worker pool while the engine
-//     serves new transactions. The scope index is what makes this safe —
-//     RecoveryGate blocks exactly the transactions whose footprints
-//     intersect a still-unresolved loser cluster; everything else proceeds
-//     immediately. This is the RH-native advantage: page-chain schemes need
-//     per-page recovery bits, RH already knows every object a loser still
-//     covers.
+//   * Undo in the background: the plan's loser-scope cluster groups go to
+//     the undo executor kFull uses (UndoGroups), on a background thread
+//     while the engine serves new transactions. The scope index is what
+//     makes this safe — RecoveryGate blocks exactly the transactions whose
+//     footprints intersect a still-unresolved loser cluster; everything
+//     else proceeds immediately. This is the RH-native advantage:
+//     page-chain schemes need per-page recovery bits, RH already knows
+//     every object a loser still covers.
 //
 // RecoveryHandle is the caller's view of the whole restart: progress,
 // per-pass stats, Await(), and the terminal Outcome — under kFull it is
@@ -35,7 +35,6 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -45,7 +44,6 @@
 #include "recovery/analysis.h"
 #include "recovery/recovery_manager.h"
 #include "recovery/redo.h"
-#include "recovery/undo_rh.h"
 #include "storage/buffer_pool.h"
 #include "storage/simulated_disk.h"
 #include "table/table_heap.h"
@@ -83,23 +81,21 @@ class OnDemandRedo {
   /// fetches each to trigger DrainPage.
   std::vector<PageId> PendingPlainPages() const;
 
-  size_t pages_remaining() const {
-    return remaining_.load(std::memory_order_acquire);
-  }
-  uint64_t pages_drained() const {
-    return pages_drained_.load(std::memory_order_relaxed);
-  }
   uint64_t records_applied() const {
     return records_applied_.load(std::memory_order_relaxed);
   }
 
  private:
+  /// Removes and returns `id`'s pending records; empty when none are.
+  std::vector<LogRecord> Take(PageId id);
+  /// Progress accounting for one drained page or bucket.
+  void CountDrained(uint64_t applied);
+
   Stats* stats_;
   std::atomic<int64_t>* remaining_external_;
   mutable std::mutex mu_;
   std::unordered_map<PageId, std::vector<LogRecord>> pending_;
   std::atomic<size_t> remaining_{0};
-  std::atomic<uint64_t> pages_drained_{0};
   std::atomic<uint64_t> records_applied_{0};
 };
 
@@ -109,7 +105,7 @@ class OnDemandRedo {
 class RecoveryGate {
  public:
   /// Indexes the cluster groups' objects. Call once, before any waiter.
-  void Arm(const std::vector<std::vector<ScopeUndoTarget>>& groups);
+  void Arm(const std::vector<UndoGroup>& groups);
 
   /// Blocks until every group covering `ob` is resolved. Returns the close
   /// status if the gate was closed (failed/cancelled restart) first.
@@ -200,11 +196,11 @@ class RecoveryHandle {
   std::atomic<int64_t> redo_pages_{0};
 };
 
-/// One shard's instant restart: the synchronous front half (analysis,
-/// in-doubt resolution, winner ENDs, arming the redo index and the gate)
-/// and the background half (incremental cluster undo, then the final redo
-/// drain). Owned by the EngineShard between BeginInstantRestart and the
-/// next SimulateCrash.
+/// One shard's instant restart: the synchronous front half (the shared
+/// restart plan, then arming the redo index and the gate) and the
+/// background half (the shared undo executor, lifting the gate group by
+/// group, then the final redo drain). Owned by the EngineShard between
+/// BeginInstantRestart and the next SimulateCrash.
 class InstantRestart {
  public:
   /// `backlog_gauge` (optional) is the shard's "ariesrh_undo_backlog"
@@ -243,27 +239,21 @@ class InstantRestart {
   /// still pending, learns of the failure.
   void Cancel(const Status& reason);
 
-  OnDemandRedo* ondemand() { return ondemand_.get(); }
-
  private:
   void BackgroundPass();
-  Status RunBackgroundUndo();
   Status DrainRemainingRedo();
   void Finish(Status status);
   void SetBacklogGauge();
 
   const Options options_;
-  SimulatedDisk* disk_;
   LogManager* log_;
   BufferPool* pool_;
   Stats* stats_;
   table::TableHeap* heap_;
   obs::Gauge* backlog_gauge_;
 
-  ForwardPassResult fwd_;
-  std::vector<std::vector<ScopeUndoTarget>> groups_;
-  std::vector<std::unordered_map<TxnId, Lsn>> group_heads_;
-  RecoveryManager::Outcome outcome_;
+  RecoveryManager recovery_;
+  RecoveryManager::Plan plan_;
 
   std::unique_ptr<OnDemandRedo> ondemand_;
   RecoveryGate gate_;

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_set>
 
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "recovery/parallel.h"
-#include "recovery/redo.h"
 #include "recovery/undo_conventional.h"
-#include "recovery/undo_rh.h"
 #include "wal/log_record.h"
 
 namespace ariesrh {
@@ -97,262 +96,225 @@ Result<Lsn> RecoveryManager::LocateCheckpoint(const Options& options,
   return ckpt_end_lsn;
 }
 
-Result<RecoveryManager::Outcome> RecoveryManager::Recover(
-    const coord::Resolution* resolution) {
+std::vector<UndoGroup> BuildUndoGroups(const ForwardPassResult& fwd,
+                                       const Options& options) {
+  const bool scopes = options.delegation_mode == DelegationMode::kRH;
+  std::vector<ScopeUndoTarget> targets;
+  std::unordered_map<TxnId, Lsn> heads;
+  for (const auto& [txn, info] : fwd.txns) {
+    if (!info.IsLoser()) continue;
+    if (!scopes) {
+      // Conventional ARIES: follow the loser's backward chain. Correct for
+      // kDisabled (no delegation) and for the eager / lazy-rewrite baselines
+      // (history has been physically rewritten by now, and fwd.txns carries
+      // the chain heads the lazy surgery moved).
+      heads[txn] = info.last_lsn;
+      continue;
+    }
+    // Undo the *loser updates* — via loser scope clusters (Figure 8).
+    for (const auto& [ob, entry] : info.ob_list) {
+      for (const Scope& scope : entry.scopes) {
+        targets.push_back(ScopeUndoTarget{txn, ob, scope});
+        heads[txn] = info.last_lsn;
+      }
+    }
+  }
+  std::vector<UndoGroup> groups;
+  if (heads.empty()) return groups;
+  if (!scopes || options.undo_strategy == UndoStrategy::kFullScan) {
+    // Chain undo is a single global max-LSN walk, and the full-scan
+    // ablation a single sequential scan of every record: one group each.
+    groups.push_back(UndoGroup{std::move(targets), std::move(heads)});
+    return groups;
+  }
+  for (std::vector<ScopeUndoTarget>& cluster : PartitionUndoClusters(targets)) {
+    UndoGroup& group = groups.emplace_back();
+    for (const ScopeUndoTarget& target : cluster) {
+      group.heads[target.responsible] = heads.at(target.responsible);
+    }
+    group.targets = std::move(cluster);
+  }
+  return groups;
+}
+
+Status UndoGroups(const Options& options, const ForwardPassResult& fwd,
+                  std::vector<UndoGroup>* groups, size_t threads,
+                  LogManager* log, Stats* stats, UndoSink* sink,
+                  const std::function<Status(size_t)>& on_group_done) {
+  const bool chains = options.delegation_mode != DelegationMode::kRH;
+  const bool full_scan = options.undo_strategy == UndoStrategy::kFullScan;
+  if (!chains && !full_scan) {
+    // One sweep conceptually runs from the end of the log; whichever worker
+    // sweeps a cluster, the gaps around it stay unread.
+    std::vector<ScopeUndoTarget> all;
+    for (const UndoGroup& group : *groups) {
+      all.insert(all.end(), group.targets.begin(), group.targets.end());
+    }
+    CreditClusterSkips(all, fwd.scan_end, stats);
+  }
+  return RunOnWorkers(threads, groups->size(), [&](size_t g) -> Status {
+    UndoGroup& group = (*groups)[g];
+    if (chains) {
+      ARIESRH_RETURN_IF_ERROR(ChainUndo(log, stats, sink, &group.heads));
+    } else if (full_scan) {
+      ARIESRH_RETURN_IF_ERROR(FullScanUndo(group.targets, fwd.compensated,
+                                           fwd.scan_end, log, stats, sink,
+                                           &group.heads));
+    } else {
+      ARIESRH_RETURN_IF_ERROR(SweepLoserClusters(
+          group.targets, fwd.compensated, log, stats, sink, &group.heads));
+    }
+    // Rollback of the group's losers is complete.
+    for (const auto& [txn, head] : group.heads) sink->End(txn, head);
+    return on_group_done ? on_group_done(g) : Status::OK();
+  });
+}
+
+Result<RecoveryManager::Plan> RecoveryManager::BuildPlan(
+    const coord::Resolution* resolution, ForwardPassKind kind,
+    RecoveryFaultBudget* redo_budget) {
+  Plan plan;
+  Outcome& outcome = plan.outcome;
   CheckpointData ckpt;
   Lsn ckpt_end_lsn = 0;
   ARIESRH_ASSIGN_OR_RETURN(ckpt_end_lsn,
                            LocateCheckpoint(options_, disk_, log_, &ckpt));
-  const CheckpointData* ckpt_ptr = ckpt_end_lsn != 0 ? &ckpt : nullptr;
-
-  const size_t threads = std::max<size_t>(1, options_.recovery_threads);
-  Outcome outcome;
   outcome.checkpoint_used = ckpt_end_lsn;
-  outcome.threads_used = static_cast<uint32_t>(threads);
+  outcome.threads_used =
+      static_cast<uint32_t>(std::max<size_t>(1, options_.recovery_threads));
+  outcome.merged_forward_pass = kind == ForwardPassKind::kMerged;
 
-  // Test-only crash injection, shared across workers.
-  RecoveryFaultBudget redo_budget(options_.faults.crash_after_redo_records);
-  RecoveryFaultBudget* redo_budget_ptr =
-      options_.faults.crash_after_redo_records > 0 ? &redo_budget : nullptr;
+  // Forward work: rebuild the transaction table and the delegation state,
+  // and repeat history (inline) or collect the redo plan.
+  const uint64_t start = obs::MonotonicNanos();
+  const uint64_t redos_before = stats_->recovery_redos;
+  ForwardPassOptions opts;
+  opts.kind = kind;
+  opts.redo_budget = redo_budget;
+  opts.resolution = resolution;
+  opts.heap = heap_;
+  ARIESRH_ASSIGN_OR_RETURN(
+      plan.fwd, ForwardPass(options_.delegation_mode, log_, pool_, stats_,
+                            ckpt_end_lsn != 0 ? &ckpt : nullptr, ckpt_end_lsn,
+                            opts));
+  outcome.analysis_ns = obs::MonotonicNanos() - start;
+  outcome.records_analyzed = plan.fwd.records_scanned;
+  outcome.records_redone = stats_->recovery_redos - redos_before;
+  outcome.next_txn_id = plan.fwd.max_txn_id + 1;
+  ObservePass(stats_, "ariesrh_recovery_analysis_ns", outcome.analysis_ns);
 
-  // Forward work: repeat history and rebuild the delegation state.
-  ForwardPassResult fwd;
-  if (threads > 1) {
-    // Parallel layout: one serial analysis sweep collects the redo plan
-    // (analysis is inherently sequential — scope transfers depend on log
-    // order), then the plan replays page-partitioned on the worker pool.
-    const uint64_t analysis_start = obs::MonotonicNanos();
-    ARIESRH_ASSIGN_OR_RETURN(
-        fwd, ForwardPass(options_.delegation_mode, log_, pool_, stats_,
-                         ckpt_ptr, ckpt_end_lsn,
-                         ForwardPassKind::kAnalysisCollectRedo,
-                         /*redo_budget=*/nullptr, resolution, heap_));
-    outcome.analysis_ns = obs::MonotonicNanos() - analysis_start;
-    outcome.records_analyzed = fwd.records_scanned;
-    ObservePass(stats_, "ariesrh_recovery_analysis_ns", outcome.analysis_ns);
+  // Resolve in-doubt (prepared) transactions before undo; a committed one
+  // gets the COMMIT record its crash interrupted.
+  outcome.in_doubt_committed = ResolveInDoubt(
+      &plan.fwd, resolution, [this](TxnId txn, TxnAnalysis* info) {
+        info->last_lsn =
+            log_->Append(LogRecord::MakeCommit(txn, info->last_lsn));
+      });
 
-    ++stats_->recovery_passes;
-    obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassBegin,
-              static_cast<uint64_t>(obs::RecoveryPassKind::kRedo),
-              fwd.redo_plan.size(), threads);
-    const uint64_t redo_start = obs::MonotonicNanos();
-    uint64_t applied = 0;
-    Status redo_status =
-        PartitionedRedo(fwd.redo_plan, threads, pool_, stats_,
-                        redo_budget_ptr, &applied, heap_);
-    outcome.redo_ns = obs::MonotonicNanos() - redo_start;
-    outcome.records_redone = applied;
-    ObservePass(stats_, "ariesrh_recovery_redo_ns", outcome.redo_ns);
-    obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassEnd,
-              static_cast<uint64_t>(obs::RecoveryPassKind::kRedo),
-              fwd.redo_plan.size(), applied);
-    ARIESRH_RETURN_IF_ERROR(redo_status);
-  } else if (options_.merged_forward_pass) {
-    const uint64_t start = obs::MonotonicNanos();
-    const uint64_t redos_before = stats_->recovery_redos;
-    ARIESRH_ASSIGN_OR_RETURN(
-        fwd, ForwardPass(options_.delegation_mode, log_, pool_, stats_,
-                         ckpt_ptr, ckpt_end_lsn, ForwardPassKind::kMerged,
-                         redo_budget_ptr, resolution, heap_));
-    outcome.analysis_ns = obs::MonotonicNanos() - start;
-    outcome.merged_forward_pass = true;
-    outcome.records_analyzed = fwd.records_scanned;
-    outcome.records_redone = stats_->recovery_redos - redos_before;
-    ObservePass(stats_, "ariesrh_recovery_analysis_ns", outcome.analysis_ns);
-  } else {
-    const uint64_t analysis_start = obs::MonotonicNanos();
-    ARIESRH_ASSIGN_OR_RETURN(
-        fwd,
-        ForwardPass(options_.delegation_mode, log_, pool_, stats_, ckpt_ptr,
-                    ckpt_end_lsn, ForwardPassKind::kAnalysisOnly,
-                    /*redo_budget=*/nullptr, resolution, heap_));
-    outcome.analysis_ns = obs::MonotonicNanos() - analysis_start;
-    outcome.records_analyzed = fwd.records_scanned;
-    ObservePass(stats_, "ariesrh_recovery_analysis_ns", outcome.analysis_ns);
+  plan.groups = BuildUndoGroups(plan.fwd, options_);
+  outcome.clusters_swept = plan.groups.size();
 
-    const uint64_t redo_start = obs::MonotonicNanos();
-    const uint64_t redos_before = stats_->recovery_redos;
-    ARIESRH_RETURN_IF_ERROR(
-        ForwardPass(options_.delegation_mode, log_, pool_, stats_, ckpt_ptr,
-                    ckpt_end_lsn, ForwardPassKind::kRedoOnly, redo_budget_ptr,
-                    /*resolution=*/nullptr, heap_)
-            .status());
-    outcome.redo_ns = obs::MonotonicNanos() - redo_start;
-    outcome.records_redone = stats_->recovery_redos - redos_before;
-    ObservePass(stats_, "ariesrh_recovery_redo_ns", outcome.redo_ns);
+  // Every transaction analysis alone resolves gets its END record now, so a
+  // crash during a later run does not reconsider it: winners, and losers
+  // with nothing to undo. Grouped losers end when their group's sweep does.
+  std::unordered_set<TxnId> grouped;
+  for (const UndoGroup& group : plan.groups) {
+    for (const auto& [txn, head] : group.heads) grouped.insert(txn);
   }
-
-  // Resolve in-doubt (prepared) transactions before undo. A csn the
-  // coordinator committed makes the transaction a winner — append the
-  // COMMIT record its crash interrupted and drop its undo targets. Every
-  // other prepared transaction stays a loser: presumed abort, identical to
-  // having no coordinator verdict at all.
-  for (auto& [txn, info] : fwd.txns) {
-    if (!info.InDoubt()) continue;
-    if (resolution != nullptr && resolution->IsCommitted(info.prepared_csn)) {
-      info.last_lsn =
-          log_->Append(LogRecord::MakeCommit(txn, info.last_lsn));
-      info.committed = true;
-      info.ob_list.clear();
-      ++outcome.in_doubt_committed;
-    } else {
-      ++outcome.in_doubt_aborted;
-    }
-  }
-
-  // Backward pass: undo the loser updates.
-  std::vector<TxnId> resolved;
-  ARIESRH_RETURN_IF_ERROR(UndoLosers(fwd, &resolved, &outcome));
-
-  // Every resolved transaction gets an END record so a crash during a later
-  // run does not reconsider it.
-  for (const auto& [txn, info] : fwd.txns) {
+  for (const auto& [txn, info] : plan.fwd.txns) {
     if (info.committed) {
       ++outcome.winners;
-      if (!info.ended) {
-        log_->Append(LogRecord::MakeEnd(txn, info.last_lsn));
-      }
+      if (!info.ended) log_->Append(LogRecord::MakeEnd(txn, info.last_lsn));
     } else if (!info.ended) {
       ++outcome.losers;
+      if (info.InDoubt()) ++outcome.in_doubt_aborted;  // presumed abort
+      if (!grouped.contains(txn)) {
+        log_->Append(LogRecord::MakeEnd(txn, info.last_lsn));
+      }
     }
   }
-  ARIESRH_RETURN_IF_ERROR(log_->FlushAll());
-
-  outcome.next_txn_id = fwd.max_txn_id + 1;
-  return outcome;
+  return plan;
 }
 
-Status RecoveryManager::UndoLosers(const ForwardPassResult& fwd,
-                                   std::vector<TxnId>* resolved,
-                                   Outcome* outcome) {
+Status RecoveryManager::Undo(
+    Plan* plan, const std::function<Status(size_t)>& on_group_done) {
   ++stats_->recovery_passes;
-
   obs::Histogram* pass_ns = nullptr;
   if (obs::MetricsRegistry* registry = stats_->registry()) {
     pass_ns = registry->GetHistogram("ariesrh_recovery_pass_ns");
   }
   obs::ScopedLatencyTimer pass_timer(pass_ns);
   obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassBegin,
-            static_cast<uint64_t>(obs::RecoveryPassKind::kUndo),
-            kFirstLsn, fwd.scan_end);
+            static_cast<uint64_t>(obs::RecoveryPassKind::kUndo), kFirstLsn,
+            plan->fwd.scan_end);
   const uint64_t examined_before = stats_->recovery_backward_examined;
   const uint64_t skipped_before = stats_->recovery_backward_skipped;
   const uint64_t undos_before = stats_->recovery_undos;
   const uint64_t undo_start = obs::MonotonicNanos();
 
   // Test-only: simulate a crash in the middle of the undo pass. The budget
-  // is shared across workers when the undo runs parallel.
+  // is shared across workers.
   RecoveryFaultBudget budget(options_.faults.crash_after_undo_steps);
-  RecoveryFaultBudget* budget_ptr =
-      options_.faults.crash_after_undo_steps > 0 ? &budget : nullptr;
+  LoggingUndoSink sink(
+      log_, pool_, stats_, heap_,
+      options_.faults.crash_after_undo_steps > 0 ? &budget : nullptr);
+  const Status status = UndoGroups(
+      options_, plan->fwd, &plan->groups,
+      std::max<size_t>(1, options_.recovery_threads), log_, stats_, &sink,
+      on_group_done);
 
-  const size_t threads = std::max<size_t>(1, options_.recovery_threads);
-
-  // CLRs written during undo chain onto each loser's backward chain.
-  std::unordered_map<TxnId, Lsn> bc_heads;
-  std::vector<TxnId> losers;
-  for (const auto& [txn, info] : fwd.txns) {
-    if (info.IsLoser()) {
-      losers.push_back(txn);
-      bc_heads[txn] = info.last_lsn;
-    }
-  }
-  std::sort(losers.begin(), losers.end());
-
-  Status undo_status = Status::OK();
-  if (options_.delegation_mode == DelegationMode::kRH) {
-    // Undo the *loser updates* — via loser scope clusters (Figure 8).
-    std::vector<ScopeUndoTarget> targets;
-    for (TxnId txn : losers) {
-      const TxnAnalysis& info = fwd.txns.at(txn);
-      for (const auto& [ob, entry] : info.ob_list) {
-        for (const Scope& scope : entry.scopes) {
-          targets.push_back(ScopeUndoTarget{txn, ob, scope});
-        }
-      }
-    }
-    if (options_.undo_strategy == UndoStrategy::kFullScan) {
-      // Ablation baseline: inherently a single sequential scan of every
-      // record — parallelizing it would defeat its purpose, so it always
-      // runs serial.
-      outcome->clusters_swept = targets.empty() ? 0 : 1;
-      undo_status =
-          FullScanUndo(targets, fwd.compensated, fwd.scan_end, log_, pool_,
-                       stats_, &bc_heads, budget_ptr, heap_);
-    } else {
-      const std::vector<std::vector<ScopeUndoTarget>> groups =
-          PartitionUndoClusters(targets);
-      outcome->clusters_swept = groups.size();
-      if (threads <= 1 || groups.size() <= 1) {
-        undo_status =
-            ScopeSweepUndo(targets, fwd.compensated, fwd.scan_end, log_,
-                           pool_, stats_, &bc_heads, budget_ptr, heap_);
-      } else {
-        // Parallel undo: one sweep per independent cluster group. Each
-        // responsible transaction lives in exactly one group (the partition
-        // merges on shared responsibility), so per-group chain-head maps
-        // never conflict and merge back trivially.
-        std::vector<std::unordered_map<TxnId, Lsn>> group_heads(
-            groups.size());
-        for (size_t g = 0; g < groups.size(); ++g) {
-          for (const ScopeUndoTarget& target : groups[g]) {
-            group_heads[g][target.responsible] =
-                bc_heads.at(target.responsible);
-          }
-        }
-        undo_status =
-            RunOnWorkers(threads, groups.size(), [&](size_t g) -> Status {
-              // Start each group's sweep at its own newest scope end; the
-              // gap from the log end down to it is skipped regardless of
-              // which worker sweeps it.
-              Lsn group_from = kFirstLsn;
-              for (const ScopeUndoTarget& target : groups[g]) {
-                group_from = std::max(group_from, target.scope.last);
-              }
-              return ScopeSweepUndo(groups[g], fwd.compensated, group_from,
-                                    log_, pool_, stats_, &group_heads[g],
-                                    budget_ptr, heap_);
-            });
-        // Merge updated chain heads back (even on failure: the CLRs that
-        // were written are durable work the END records must reflect).
-        for (const auto& heads : group_heads) {
-          for (const auto& [txn, head] : heads) bc_heads[txn] = head;
-        }
-      }
-    }
-  } else {
-    // Conventional ARIES: follow loser backward chains. Correct for
-    // kDisabled (no delegation) and for the eager / lazy-rewrite baselines
-    // (history has been physically rewritten by now). The chain walk is a
-    // single global max-LSN iteration, so it stays serial.
-    std::unordered_map<TxnId, Lsn> loser_heads;
-    for (TxnId txn : losers) {
-      // In lazy-rewrite mode the forward pass's surgery may have moved the
-      // chain heads; fwd.txns reflects that (delegate records touch both).
-      loser_heads[txn] = fwd.txns.at(txn).last_lsn;
-    }
-    outcome->clusters_swept = loser_heads.empty() ? 0 : 1;
-    undo_status = ChainUndo(loser_heads, log_, pool_, stats_, &bc_heads,
-                            budget_ptr, heap_);
-  }
-
-  outcome->undo_ns = obs::MonotonicNanos() - undo_start;
-  outcome->records_undone = stats_->recovery_undos - undos_before;
-  outcome->records_skipped =
+  Outcome& outcome = plan->outcome;
+  outcome.undo_ns = obs::MonotonicNanos() - undo_start;
+  outcome.records_undone = stats_->recovery_undos - undos_before;
+  outcome.records_skipped =
       stats_->recovery_backward_skipped - skipped_before;
-  ObservePass(stats_, "ariesrh_recovery_undo_ns", outcome->undo_ns);
-  ARIESRH_RETURN_IF_ERROR(undo_status);
-
-  // Rollback complete: write END records.
-  for (TxnId txn : losers) {
-    log_->Append(LogRecord::MakeEnd(txn, bc_heads[txn]));
-    resolved->push_back(txn);
-  }
+  ObservePass(stats_, "ariesrh_recovery_undo_ns", outcome.undo_ns);
   obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassEnd,
             static_cast<uint64_t>(obs::RecoveryPassKind::kUndo),
             stats_->recovery_backward_examined - examined_before,
-            stats_->recovery_undos - undos_before);
-  return Status::OK();
+            outcome.records_undone);
+  return status;
+}
+
+Result<RecoveryManager::Outcome> RecoveryManager::Recover(
+    const coord::Resolution* resolution) {
+  const size_t threads = std::max<size_t>(1, options_.recovery_threads);
+  // Test-only crash injection, shared across redo workers.
+  RecoveryFaultBudget redo_budget(options_.faults.crash_after_redo_records);
+  RecoveryFaultBudget* redo_budget_ptr =
+      options_.faults.crash_after_redo_records > 0 ? &redo_budget : nullptr;
+
+  // One thread repeats history inside the paper's single merged sweep; more
+  // threads collect the redo plan there (analysis is inherently sequential —
+  // scope transfers depend on log order) and replay it page-partitioned.
+  ARIESRH_ASSIGN_OR_RETURN(
+      Plan plan,
+      BuildPlan(resolution,
+                threads > 1 ? ForwardPassKind::kAnalysisCollectRedo
+                            : ForwardPassKind::kMerged,
+                redo_budget_ptr));
+  if (threads > 1) {
+    const std::vector<RedoItem>& redo_plan = plan.fwd.redo_plan;
+    ++stats_->recovery_passes;
+    obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassBegin,
+              static_cast<uint64_t>(obs::RecoveryPassKind::kRedo),
+              redo_plan.size(), threads);
+    const uint64_t redo_start = obs::MonotonicNanos();
+    uint64_t applied = 0;
+    Status redo_status = PartitionedRedo(redo_plan, threads, pool_, stats_,
+                                         redo_budget_ptr, &applied, heap_);
+    plan.outcome.redo_ns = obs::MonotonicNanos() - redo_start;
+    plan.outcome.records_redone = applied;
+    ObservePass(stats_, "ariesrh_recovery_redo_ns", plan.outcome.redo_ns);
+    obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassEnd,
+              static_cast<uint64_t>(obs::RecoveryPassKind::kRedo),
+              redo_plan.size(), applied);
+    ARIESRH_RETURN_IF_ERROR(redo_status);
+  }
+
+  ARIESRH_RETURN_IF_ERROR(Undo(&plan));
+  ARIESRH_RETURN_IF_ERROR(log_->FlushAll());
+  return plan.outcome;
 }
 
 }  // namespace ariesrh

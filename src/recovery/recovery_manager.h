@@ -1,22 +1,30 @@
-// Restart recovery orchestration: torn-tail truncation, checkpoint lookup,
-// the forward (analysis + redo) work, and the mode-appropriate backward
-// (undo) pass, ending with END records for every resolved loser.
+// Restart recovery: one pipeline, scheduled two ways.
 //
-// With Options::recovery_threads > 1 the pipeline is parallel: a serial
-// analysis sweep collects a redo plan, PartitionedRedo replays it bucketed
-// by page on a worker pool, and the undo pass dispatches independent
-// loser-scope cluster groups (PartitionUndoClusters) to workers. Serial
-// recovery (threads == 1) keeps the classic layouts byte-for-byte.
+// Both restart modes build the same RecoveryManager::Plan: checkpoint
+// lookup, one forward sweep (analysis, with redo applied inline or collected
+// into a redo plan), in-doubt resolution, the losers' undo groups, and END
+// records for everything analysis alone resolves. Both then run the same
+// undo executor (UndoGroups) over the plan's groups on a worker pool. kFull
+// (Recover) applies redo first — inside the merged sweep at one thread,
+// page-partitioned on the pool above that — and runs the executor before
+// returning; kInstant (InstantRestart, ondemand.h) arms on-demand redo and
+// the recovery gate and runs the executor in the background. Time travel
+// (reenact/) runs the same executor at a cut through a sink that logs
+// nothing.
 
 #ifndef ARIESRH_RECOVERY_RECOVERY_MANAGER_H_
 #define ARIESRH_RECOVERY_RECOVERY_MANAGER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/options.h"
 #include "recovery/analysis.h"
+#include "recovery/redo.h"
+#include "recovery/undo_rh.h"
 #include "storage/buffer_pool.h"
 #include "storage/simulated_disk.h"
 #include "table/table_heap.h"
@@ -27,9 +35,38 @@
 
 namespace ariesrh {
 
+/// One independently sweepable unit of loser undo: the loser scopes it
+/// covers (kRH) and the backward-chain heads of the losers it rolls back.
+/// Each loser lives in exactly one group, so groups never share a chain.
+struct UndoGroup {
+  std::vector<ScopeUndoTarget> targets;  ///< empty under chain undo
+  std::unordered_map<TxnId, Lsn> heads;  ///< in/out: CLRs chain onto these
+};
+
+/// Splits the losers in `fwd` into undo groups. Under kRH every loser scope
+/// is a target: kScopeClusters partitions them (PartitionUndoClusters), the
+/// kFullScan ablation keeps them in one group. The other modes undo by
+/// chain: one group holding every loser's chain head. A loser with nothing
+/// to undo belongs to no group.
+std::vector<UndoGroup> BuildUndoGroups(const ForwardPassResult& fwd,
+                                       const Options& options);
+
+/// The undo executor. Sweeps every group on up to `threads` workers —
+/// SweepLoserClusters under kRH scope clusters, FullScanUndo under the
+/// kFullScan ablation, ChainUndo otherwise — reading `log` and compensating
+/// through `sink`. When a group's sweep completes its losers end
+/// (UndoSink::End) and `on_group_done(g)` (optional) runs; a failing
+/// callback stops the pass. Skips are credited once, over every group, so
+/// examined plus skipped records span the whole sweep range at any thread
+/// count. Returns the first failure.
+Status UndoGroups(const Options& options, const ForwardPassResult& fwd,
+                  std::vector<UndoGroup>* groups, size_t threads,
+                  LogManager* log, Stats* stats, UndoSink* sink,
+                  const std::function<Status(size_t)>& on_group_done = nullptr);
+
 /// Drives restart recovery. Construct against the post-crash components
-/// (fresh log manager and buffer pool over the surviving disk) and call
-/// Recover() once.
+/// (fresh log manager and buffer pool over the surviving disk), then either
+/// call Recover() once (kFull) or drive BuildPlan()/Undo() (kInstant).
 class RecoveryManager {
  public:
   /// `heap` (optional) is the shard's table heap; logical table records
@@ -71,9 +108,17 @@ class RecoveryManager {
     std::string ToString() const;
   };
 
-  /// Runs the full restart sequence. Idempotent under crashes during
-  /// recovery: re-running after a partial recovery converges to the same
-  /// state (CLRs and the compensated set prevent double undo).
+  /// What the restart front half leaves for redo and undo.
+  struct Plan {
+    ForwardPassResult fwd;
+    std::vector<UndoGroup> groups;
+    Outcome outcome;  ///< filled in as the restart proceeds
+  };
+
+  /// kFull: BuildPlan, redo, Undo, flush — the whole restart before it
+  /// returns. Idempotent under crashes during recovery: re-running after a
+  /// partial recovery converges to the same state (CLRs and the compensated
+  /// set prevent double undo).
   ///
   /// `resolution` (sharded engines) carries the coordinator's durable
   /// verdicts: a prepared transaction whose csn is committed there gets a
@@ -81,6 +126,22 @@ class RecoveryManager {
   /// transaction rolls back (presumed abort — the same thing nullptr
   /// does, which is also the unsharded engine's path).
   Result<Outcome> Recover(const coord::Resolution* resolution = nullptr);
+
+  /// The restart front half both modes share: checkpoint lookup, the
+  /// forward sweep, in-doubt resolution (see Recover), the undo groups, and
+  /// END records for winners and for losers with nothing to undo. `kind` is
+  /// kMerged (redo applied inline, drawing on `redo_budget`) or
+  /// kAnalysisCollectRedo (redo left in fwd.redo_plan). Appends but does not
+  /// flush.
+  Result<Plan> BuildPlan(const coord::Resolution* resolution,
+                         ForwardPassKind kind,
+                         RecoveryFaultBudget* redo_budget = nullptr);
+
+  /// The undo pass: UndoGroups over `plan`'s groups on recovery_threads
+  /// workers through the logging sink (armed with the crash_after_undo_steps
+  /// budget), wrapped in the pass's trace pair, timers and Outcome fields.
+  Status Undo(Plan* plan,
+              const std::function<Status(size_t)>& on_group_done = nullptr);
 
   /// Scans backward from the stable log's end dropping records whose CRC
   /// fails (torn tail). Called before constructing the log manager.
@@ -90,16 +151,12 @@ class RecoveryManager {
   /// record and deserializes it into `out`. Returns the CKPT_END LSN, or 0
   /// when recovery must start from the log head (`out` is then untouched) —
   /// always 0 for the history-rewriting baselines, whose checkpoints would
-  /// be stale (see Recover). Shared by the blocking path and instant
-  /// restart's analysis front half.
+  /// be stale. Shared by restart and reenactment.
   static Result<Lsn> LocateCheckpoint(const Options& options,
                                       SimulatedDisk* disk, LogManager* log,
                                       CheckpointData* out);
 
  private:
-  Status UndoLosers(const ForwardPassResult& fwd, std::vector<TxnId>* resolved,
-                    Outcome* outcome);
-
   const Options& options_;
   SimulatedDisk* disk_;
   LogManager* log_;

@@ -21,72 +21,94 @@ Status ApplyRecordToPage(BufferPool* pool, const LogRecord& rec,
   }
   assert(rec.type == LogRecordType::kUpdate ||
          rec.type == LogRecordType::kClr);
-  const PageId page_id = PageOf(rec.object);
-  return pool->WithPage(page_id, [&](Page* page) -> Lsn {
-    if (check_page_lsn && page->page_lsn() >= rec.lsn) {
-      return kInvalidLsn;  // the page already reflects this record
-    }
+  return pool->WithPage(PageOf(rec.object), [&](Page* page) -> Lsn {
+    if (!ApplyToPage(rec, page, check_page_lsn)) return kInvalidLsn;
     if (applied != nullptr) *applied = true;
-    const uint32_t slot = SlotOf(rec.object);
-    if (rec.kind == UpdateKind::kSet) {
-      page->Set(slot, rec.after);
-    } else {
-      page->Add(slot, rec.after);
-    }
-    // CLRs from concurrent per-cluster undo sweeps can reach one page out of
-    // LSN order (their slots differ, so the values commute); the page LSN
-    // must still cover every applied record for the WAL rule on eviction.
-    page->set_page_lsn(std::max(page->page_lsn(), rec.lsn));
     return rec.lsn;
   });
 }
 
-Status UndoUpdate(LogManager* log, BufferPool* pool, Stats* stats,
-                  const LogRecord& update_rec, TxnId responsible,
-                  std::unordered_map<TxnId, Lsn>* bc_heads,
-                  table::TableHeap* heap) {
+bool ApplyToPage(const LogRecord& rec, Page* page, bool check_page_lsn) {
+  if (check_page_lsn && page->page_lsn() >= rec.lsn) {
+    return false;  // the page already reflects this record
+  }
+  const uint32_t slot = SlotOf(rec.object);
+  if (rec.kind == UpdateKind::kSet) {
+    page->Set(slot, rec.after);
+  } else {
+    page->Add(slot, rec.after);
+  }
+  // CLRs from concurrent per-cluster undo sweeps can reach one page out of
+  // LSN order (their slots differ, so the values commute); the page LSN
+  // must still cover every applied record for the WAL rule on eviction.
+  page->set_page_lsn(std::max(page->page_lsn(), rec.lsn));
+  return true;
+}
+
+namespace {
+
+// The compensation for one update, chained after `prev` on `responsible`'s
+// backward chain. It carries the inverse action so it can be (re)applied
+// through the same path as an update: a Set is undone by restoring the
+// before image, an Add by the negated delta, a table insert by removing the
+// key, and a table update or delete by reinstating the before image.
+LogRecord CompensationFor(const LogRecord& update_rec, TxnId responsible,
+                          Lsn prev) {
   if (IsTableWrite(update_rec.type)) {
-    if (heap == nullptr) {
-      return Status::IllegalState("table undo without a table heap");
-    }
-    auto table_head = bc_heads->find(responsible);
-    const Lsn table_prev =
-        table_head == bc_heads->end() ? kInvalidLsn : table_head->second;
-    // The compensating action: an insert is undone by removing the key,
-    // an update or delete by reinstating the before image.
-    const bool remove = update_rec.type == LogRecordType::kTableInsert;
-    LogRecord clr = LogRecord::MakeTableClr(
-        responsible, table_prev, update_rec.object, update_rec.key, remove,
+    return LogRecord::MakeTableClr(
+        responsible, prev, update_rec.object, update_rec.key,
+        /*remove=*/update_rec.type == LogRecordType::kTableInsert,
         update_rec.before_image,
         /*compensated=*/update_rec.lsn, /*undo_next=*/update_rec.prev_lsn);
-    const Lsn clr_lsn = log->Append(clr);
-    (*bc_heads)[responsible] = clr_lsn;
-    clr.lsn = clr_lsn;
-    ARIESRH_RETURN_IF_ERROR(heap->ApplyLogical(clr));
-    ++stats->recovery_undos;
-    return Status::OK();
   }
   assert(update_rec.type == LogRecordType::kUpdate);
-  // The compensation carries the inverse action in its `after` field so it
-  // can be (re)applied through the same path as an update: a Set is undone
-  // by restoring the before image, an Add by the negated delta.
-  const int64_t restore =
-      update_rec.kind == UpdateKind::kSet ? update_rec.before
-                                          : -update_rec.after;
-  auto head = bc_heads->find(responsible);
-  const Lsn prev = head == bc_heads->end() ? kInvalidLsn : head->second;
-  LogRecord clr = LogRecord::MakeClr(
+  const int64_t restore = update_rec.kind == UpdateKind::kSet
+                              ? update_rec.before
+                              : -update_rec.after;
+  return LogRecord::MakeClr(
       responsible, prev, update_rec.object, update_rec.kind,
       /*restore_before=*/update_rec.after, /*restore_after=*/restore,
       /*compensated=*/update_rec.lsn, /*undo_next=*/update_rec.prev_lsn);
-  const Lsn clr_lsn = log->Append(clr);
-  (*bc_heads)[responsible] = clr_lsn;
+}
 
-  clr.lsn = clr_lsn;
-  ARIESRH_RETURN_IF_ERROR(
-      ApplyRecordToPage(pool, clr, /*check_page_lsn=*/false));
-  ++stats->recovery_undos;
+}  // namespace
+
+Status LoggingUndoSink::Undo(const LogRecord& update_rec, TxnId responsible,
+                             std::unordered_map<TxnId, Lsn>* heads) {
+  if (undo_budget_ != nullptr && !undo_budget_->Spend()) {
+    // Model the crash point: whatever undo work was logged becomes durable
+    // up to here, then the system dies.
+    ARIESRH_RETURN_IF_ERROR(log_->FlushAll());
+    return Status::IOError("injected crash during recovery undo");
+  }
+  if (IsTableWrite(update_rec.type) && heap_ == nullptr) {
+    return Status::IllegalState("table undo without a table heap");
+  }
+  auto head = heads->find(responsible);
+  LogRecord clr = CompensationFor(
+      update_rec, responsible,
+      head == heads->end() ? kInvalidLsn : head->second);
+  clr.lsn = log_->Append(clr);
+  (*heads)[responsible] = clr.lsn;
+  ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(pool_, clr,
+                                            /*check_page_lsn=*/false,
+                                            /*applied=*/nullptr, heap_));
+  ++stats_->recovery_undos;
   return Status::OK();
+}
+
+void LoggingUndoSink::End(TxnId txn, Lsn head) {
+  log_->Append(LogRecord::MakeEnd(txn, head));
+}
+
+Status ScratchUndoSink::Undo(const LogRecord& update_rec, TxnId responsible,
+                             std::unordered_map<TxnId, Lsn>*) {
+  // Nothing is appended, so the compensation borrows the update's own LSN:
+  // it marks the frame dirty for extraction without moving the page LSN.
+  LogRecord clr = CompensationFor(update_rec, responsible, kInvalidLsn);
+  clr.lsn = update_rec.lsn;
+  return ApplyRecordToPage(pool_, clr, /*check_page_lsn=*/false,
+                           /*applied=*/nullptr, heap_);
 }
 
 Status PartitionedRedo(const std::vector<RedoItem>& plan, size_t threads,
@@ -116,11 +138,8 @@ Status PartitionedRedo(const std::vector<RedoItem>& plan, size_t threads,
   std::atomic<uint64_t> total_applied{0};
   Status status =
       RunOnWorkers(threads, buckets.size(), [&](size_t b) -> Status {
-        uint64_t bucket_applied = 0;
         for (size_t i : buckets[b]) {
           if (redo_budget != nullptr && !redo_budget->Spend()) {
-            total_applied.fetch_add(bucket_applied,
-                                    std::memory_order_relaxed);
             return Status::IOError("injected crash during recovery redo");
           }
           bool did = false;
@@ -128,10 +147,9 @@ Status PartitionedRedo(const std::vector<RedoItem>& plan, size_t threads,
               pool, plan[i].rec, /*check_page_lsn=*/true, &did, heap));
           if (did) {
             ++stats->recovery_redos;
-            ++bucket_applied;
+            total_applied.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        total_applied.fetch_add(bucket_applied, std::memory_order_relaxed);
         return Status::OK();
       });
   if (applied != nullptr) {

@@ -1,5 +1,6 @@
 // Page application helpers shared by normal processing, the redo pass, and
-// both undo algorithms — plus the partitioned parallel redo pass.
+// every undo algorithm (through the undo sinks) — plus the partitioned
+// parallel redo pass.
 
 #ifndef ARIESRH_RECOVERY_REDO_H_
 #define ARIESRH_RECOVERY_REDO_H_
@@ -18,6 +19,12 @@
 
 namespace ariesrh {
 
+/// Applies an UPDATE or CLR record's action to `page` (latched by the
+/// caller) and advances its page LSN to cover the record. With
+/// `check_page_lsn` (redo) nothing happens when the page already reflects
+/// the record. Returns whether the record was applied.
+bool ApplyToPage(const LogRecord& rec, Page* page, bool check_page_lsn);
+
 /// Applies an UPDATE or CLR record to its page, or a logical table record
 /// to the table heap.
 ///
@@ -35,16 +42,69 @@ Status ApplyRecordToPage(BufferPool* pool, const LogRecord& rec,
                          bool check_page_lsn, bool* applied = nullptr,
                          table::TableHeap* heap = nullptr);
 
-/// Undoes one update record on behalf of `responsible`: writes a CLR chained
-/// into `responsible`'s backward chain (tracked in `bc_heads`) and applies
-/// the compensation to the page — or, for a logical table write, writes a
-/// TBL_CLR carrying the compensating action (remove for an insert, restore
-/// the before image otherwise) and applies it to `heap`. Used by
-/// normal-processing abort and by both recovery undo algorithms.
-Status UndoUpdate(LogManager* log, BufferPool* pool, Stats* stats,
-                  const LogRecord& update_rec, TxnId responsible,
-                  std::unordered_map<TxnId, Lsn>* bc_heads,
-                  table::TableHeap* heap = nullptr);
+/// Where a backward pass sends its compensations. ScopeSweepUndo,
+/// FullScanUndo and ChainUndo decide *which* updates roll back; the sink
+/// decides what rolling one back means.
+class UndoSink {
+ public:
+  virtual ~UndoSink() = default;
+
+  /// Compensates `update_rec` (an UPDATE or a logical table write) on behalf
+  /// of `responsible`, whose backward-chain head `heads` tracks (in/out).
+  virtual Status Undo(const LogRecord& update_rec, TxnId responsible,
+                      std::unordered_map<TxnId, Lsn>* heads) = 0;
+
+  /// `txn` is fully rolled back; its backward chain ends at `head`.
+  virtual void End(TxnId txn, Lsn head) = 0;
+};
+
+/// The sink of normal-processing abort and restart: each compensation is a
+/// CLR chained into the responsible transaction's backward chain and then
+/// applied to the page — or, for a logical table write, a TBL_CLR carrying
+/// the compensating action (remove for an insert, restore the before image
+/// otherwise) applied to `heap`. End appends the END record.
+/// `undo_budget` (optional, test-only) injects a crash: when it is exhausted
+/// before an undo, the sink flushes the log and fails with IOError, modeling
+/// a failure in the middle of the undo pass. The budget is thread-safe, so
+/// concurrent cluster sweeps draw from one global crash point.
+class LoggingUndoSink final : public UndoSink {
+ public:
+  LoggingUndoSink(LogManager* log, BufferPool* pool, Stats* stats,
+                  table::TableHeap* heap = nullptr,
+                  RecoveryFaultBudget* undo_budget = nullptr)
+      : log_(log),
+        pool_(pool),
+        stats_(stats),
+        heap_(heap),
+        undo_budget_(undo_budget) {}
+
+  Status Undo(const LogRecord& update_rec, TxnId responsible,
+              std::unordered_map<TxnId, Lsn>* heads) override;
+  void End(TxnId txn, Lsn head) override;
+
+ private:
+  LogManager* log_;
+  BufferPool* pool_;
+  Stats* stats_;
+  table::TableHeap* heap_;
+  RecoveryFaultBudget* undo_budget_;
+};
+
+/// The time-travel sink: applies each compensation to scratch components
+/// and logs nothing — the source log is read-only by design.
+class ScratchUndoSink final : public UndoSink {
+ public:
+  ScratchUndoSink(BufferPool* pool, table::TableHeap* heap)
+      : pool_(pool), heap_(heap) {}
+
+  Status Undo(const LogRecord& update_rec, TxnId responsible,
+              std::unordered_map<TxnId, Lsn>* heads) override;
+  void End(TxnId, Lsn) override {}
+
+ private:
+  BufferPool* pool_;
+  table::TableHeap* heap_;
+};
 
 /// One unit of redo work discovered by the forward scan: the parsed record
 /// and the page it touches. The scan emits items in increasing LSN order,

@@ -3,19 +3,15 @@
 #include <queue>
 #include <vector>
 
-#include "recovery/redo.h"
-
 namespace ariesrh {
 
-Status ChainUndo(const std::unordered_map<TxnId, Lsn>& loser_heads,
-                 LogManager* log, BufferPool* pool, Stats* stats,
-                 std::unordered_map<TxnId, Lsn>* bc_heads,
-                 RecoveryFaultBudget* undo_budget, table::TableHeap* heap) {
+Status ChainUndo(LogManager* log, Stats* stats, UndoSink* sink,
+                 std::unordered_map<TxnId, Lsn>* heads) {
   // Outstanding (next LSN to undo, owner); always process the maximum LSN
   // next so log accesses are monotonically decreasing.
   using Entry = std::pair<Lsn, TxnId>;
   std::priority_queue<Entry> todo;
-  for (const auto& [txn, head] : loser_heads) {
+  for (const auto& [txn, head] : *heads) {
     if (head != kInvalidLsn) todo.emplace(head, txn);
   }
 
@@ -31,12 +27,7 @@ Status ChainUndo(const std::unordered_map<TxnId, Lsn>& loser_heads,
       case LogRecordType::kTableInsert:
       case LogRecordType::kTableUpdate:
       case LogRecordType::kTableDelete:
-        if (undo_budget != nullptr && !undo_budget->Spend()) {
-          ARIESRH_RETURN_IF_ERROR(log->FlushAll());
-          return Status::IOError("injected crash during recovery undo");
-        }
-        ARIESRH_RETURN_IF_ERROR(
-            UndoUpdate(log, pool, stats, rec, txn, bc_heads, heap));
+        ARIESRH_RETURN_IF_ERROR(sink->Undo(rec, txn, heads));
         next = rec.prev_lsn;
         break;
       case LogRecordType::kClr:

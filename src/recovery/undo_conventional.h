@@ -12,9 +12,7 @@
 
 #include <unordered_map>
 
-#include "recovery/parallel.h"
-#include "storage/buffer_pool.h"
-#include "table/table_heap.h"
+#include "recovery/redo.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -22,19 +20,13 @@
 
 namespace ariesrh {
 
-/// Undoes all updates on the backward chains headed by `loser_heads`
-/// (txn -> chain head LSN). Writes CLRs chained through `bc_heads` (in/out).
-/// DELEGATE records encountered on a chain are traversed through the side
-/// (tor/tee) belonging to the chain's owner.
-/// `undo_budget` (optional, test-only) injects a crash after that many
-/// undos, as in ScopeSweepUndo.
-/// `heap` (optional) receives the compensating actions for logical table
-/// records found on the chains.
-Status ChainUndo(const std::unordered_map<TxnId, Lsn>& loser_heads,
-                 LogManager* log, BufferPool* pool, Stats* stats,
-                 std::unordered_map<TxnId, Lsn>* bc_heads,
-                 RecoveryFaultBudget* undo_budget = nullptr,
-                 table::TableHeap* heap = nullptr);
+/// Undoes all updates on the backward chains headed by `heads` (txn -> chain
+/// head LSN, in/out), handing each to `sink` on behalf of the chain's owner;
+/// the sink's CLRs advance the heads. DELEGATE records encountered on a
+/// chain are traversed through the side (tor/tee) belonging to the chain's
+/// owner.
+Status ChainUndo(LogManager* log, Stats* stats, UndoSink* sink,
+                 std::unordered_map<TxnId, Lsn>* heads);
 
 }  // namespace ariesrh
 

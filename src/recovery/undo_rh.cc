@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "obs/trace.h"
-#include "recovery/redo.h"
 
 namespace ariesrh {
 
@@ -22,25 +21,40 @@ struct ByRightEndDesc {
   }
 };
 
-// Spends one unit of the injected-fault budget before an undo; returns the
-// injected-crash error when exhausted.
-Status SpendUndoBudget(RecoveryFaultBudget* undo_budget, LogManager* log) {
-  if (undo_budget == nullptr || undo_budget->Spend()) return Status::OK();
-  // Model the crash point: whatever undo work was logged becomes durable
-  // up to here, then the system dies.
-  ARIESRH_RETURN_IF_ERROR(log->FlushAll());
-  return Status::IOError("injected crash during recovery undo");
-}
-
 }  // namespace
 
-Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
-                      const std::unordered_set<Lsn>& compensated,
-                      Lsn sweep_from, LogManager* log, BufferPool* pool,
-                      Stats* stats,
-                      std::unordered_map<TxnId, Lsn>* bc_heads,
-                      RecoveryFaultBudget* undo_budget,
-                      table::TableHeap* heap) {
+void CreditClusterSkips(const std::vector<ScopeUndoTarget>& targets,
+                        Lsn sweep_from, Stats* stats) {
+  // Clusters are the maximal runs of overlapping scopes; walk them newest
+  // first, exactly as the sweep meets them.
+  std::vector<std::pair<Lsn, Lsn>> scopes;  // (last, first)
+  scopes.reserve(targets.size());
+  for (const ScopeUndoTarget& target : targets) {
+    scopes.emplace_back(target.scope.last, target.scope.first);
+  }
+  std::sort(scopes.rbegin(), scopes.rend());
+  Lsn above = sweep_from;   // newest record not yet accounted for
+  Lsn floor = kInvalidLsn;  // oldest record of the cluster above (none yet)
+  for (const auto& [last, first] : scopes) {
+    if (last >= floor) {  // overlaps the cluster above: the same cluster
+      floor = std::min(floor, first);
+      continue;
+    }
+    // A new cluster starts at `last`; everything above it stays unread.
+    if (floor != kInvalidLsn) above = floor - 1;
+    if (above > last) {
+      stats->recovery_backward_skipped += above - last;
+      obs::Emit(stats->trace(), obs::TraceEventType::kUndoClusterSkip, above,
+                last, above - last);
+    }
+    floor = first;
+  }
+}
+
+Status SweepLoserClusters(const std::vector<ScopeUndoTarget>& targets,
+                          const std::unordered_set<Lsn>& compensated,
+                          LogManager* log, Stats* stats, UndoSink* sink,
+                          std::unordered_map<TxnId, Lsn>* heads) {
   if (targets.empty()) return Status::OK();
 
   // LsrScopes: constructed once, depleted in reverse scope order — a
@@ -64,12 +78,6 @@ Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
       cluster_starts(left_end_before);
 
   Lsn k = lsr_scopes.top().scope.last;
-  if (sweep_from > k) {
-    stats->recovery_backward_skipped += sweep_from - k;
-    obs::Emit(stats->trace(), obs::TraceEventType::kUndoClusterSkip,
-              sweep_from, k, sweep_from - k);
-  }
-
   while (true) {
     // (alpha-1) Admit every loser scope whose right end is the current
     // record into the cluster.
@@ -92,9 +100,8 @@ Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
         const ScopeUndoTarget& target = it->second;
         if (target.object == rec.object &&
             target.scope.Covers(rec.txn_id, rec.lsn)) {
-          ARIESRH_RETURN_IF_ERROR(SpendUndoBudget(undo_budget, log));
-          ARIESRH_RETURN_IF_ERROR(UndoUpdate(
-              log, pool, stats, rec, target.responsible, bc_heads, heap));
+          ARIESRH_RETURN_IF_ERROR(
+              sink->Undo(rec, target.responsible, heads));
           break;  // an update is covered by at most one scope
         }
       }
@@ -121,11 +128,6 @@ Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
       if (lsr_scopes.empty()) break;
       const Lsn next = lsr_scopes.top().scope.last;
       assert(next < k && "sweep must be monotonically decreasing");
-      stats->recovery_backward_skipped += (k - next) - 1;
-      if (k - next > 1) {
-        obs::Emit(stats->trace(), obs::TraceEventType::kUndoClusterSkip, k,
-                  next, (k - next) - 1);
-      }
       k = next;
     } else {
       assert(k > 0);
@@ -135,12 +137,18 @@ Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
   return Status::OK();
 }
 
+Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
+                      const std::unordered_set<Lsn>& compensated,
+                      Lsn sweep_from, LogManager* log, Stats* stats,
+                      UndoSink* sink, std::unordered_map<TxnId, Lsn>* heads) {
+  CreditClusterSkips(targets, sweep_from, stats);
+  return SweepLoserClusters(targets, compensated, log, stats, sink, heads);
+}
+
 Status FullScanUndo(const std::vector<ScopeUndoTarget>& targets,
                     const std::unordered_set<Lsn>& compensated,
-                    Lsn sweep_from, LogManager* log, BufferPool* pool,
-                    Stats* stats, std::unordered_map<TxnId, Lsn>* bc_heads,
-                    RecoveryFaultBudget* undo_budget,
-                    table::TableHeap* heap) {
+                    Lsn sweep_from, LogManager* log, Stats* stats,
+                    UndoSink* sink, std::unordered_map<TxnId, Lsn>* heads) {
   if (targets.empty()) return Status::OK();
 
   std::unordered_multimap<TxnId, const ScopeUndoTarget*> by_invoker;
@@ -163,10 +171,7 @@ Status FullScanUndo(const std::vector<ScopeUndoTarget>& targets,
       const ScopeUndoTarget& target = *it->second;
       if (target.object == rec.object &&
           target.scope.Covers(rec.txn_id, rec.lsn)) {
-        ARIESRH_RETURN_IF_ERROR(SpendUndoBudget(undo_budget, log));
-        ARIESRH_RETURN_IF_ERROR(UndoUpdate(log, pool, stats, rec,
-                                           target.responsible, bc_heads,
-                                           heap));
+        ARIESRH_RETURN_IF_ERROR(sink->Undo(rec, target.responsible, heads));
         break;
       }
     }

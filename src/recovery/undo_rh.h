@@ -7,9 +7,10 @@
 // cluster each record is examined exactly once, in strictly decreasing LSN
 // order (the property that preserves ARIES's sequential-log efficiencies).
 //
-// The same routine implements normal-processing abort (the "cluster" is then
-// just the aborting transaction's own scopes) and the recovery undo pass
-// (clusters span every loser's scopes).
+// The same sweep serves normal-processing abort (the "cluster" is then just
+// the aborting transaction's own scopes), restart's undo pass (clusters span
+// every loser's scopes, one sweep per independent group) and time travel,
+// which compensates through an UndoSink that logs nothing.
 
 #ifndef ARIESRH_RECOVERY_UNDO_RH_H_
 #define ARIESRH_RECOVERY_UNDO_RH_H_
@@ -18,9 +19,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "recovery/parallel.h"
-#include "storage/buffer_pool.h"
-#include "table/table_heap.h"
+#include "recovery/redo.h"
 #include "txn/scope.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -37,43 +36,45 @@ struct ScopeUndoTarget {
   Scope scope;
 };
 
-/// Sweeps the log backwards undoing every update covered by `targets`,
-/// skipping records whose LSN appears in `compensated` (already undone
-/// before a crash — rebuilt by the forward pass from CLRs). CLRs are written
-/// on behalf of each scope's responsible transaction and chained through
-/// `bc_heads` (in/out: pass current chain heads, receive updated ones).
-///
-/// `sweep_from` is where the backward sweep conceptually starts (the end of
-/// the log during recovery); the gap down to the first cluster and the gaps
-/// between clusters are credited to `stats->recovery_backward_skipped`.
-///
-/// `undo_budget` (optional, test-only) injects a crash: when it is
-/// exhausted before an undo, the function flushes the log and fails with
-/// IOError, modeling a failure in the middle of the undo pass. The budget
-/// is shared (and thread-safe), so concurrent cluster sweeps draw from one
-/// global crash point.
-///
-/// `heap` (optional) is the table heap logical table writes compensate
-/// against; required only when the swept scopes can cover table records.
+/// Credits `stats->recovery_backward_skipped` with every record a cluster
+/// sweep over `targets` leaves unread: the gap from `sweep_from` (the newest
+/// record the pass could have read — the end of the log during recovery)
+/// down to the first cluster, and the gaps between clusters. Each credited
+/// gap is also a kUndoClusterSkip trace event. Over one pass, examined plus
+/// skipped records then equal `sweep_from - oldest scope start + 1`, however
+/// the targets are later split into sweeps.
+void CreditClusterSkips(const std::vector<ScopeUndoTarget>& targets,
+                        Lsn sweep_from, Stats* stats);
+
+/// Sweeps the log backwards through the clusters of overlapping `targets`,
+/// handing every covered update to `sink` on behalf of the scope's
+/// responsible transaction, skipping records whose LSN appears in
+/// `compensated` (already undone before a crash — rebuilt by the forward
+/// pass from CLRs). `heads` carries the responsible transactions' backward
+/// chain heads (in/out). Reads `log`; credits no skips (CreditClusterSkips
+/// does, once per pass).
+Status SweepLoserClusters(const std::vector<ScopeUndoTarget>& targets,
+                          const std::unordered_set<Lsn>& compensated,
+                          LogManager* log, Stats* stats, UndoSink* sink,
+                          std::unordered_map<TxnId, Lsn>* heads);
+
+/// One whole cluster-sweep pass: CreditClusterSkips from `sweep_from`, then
+/// SweepLoserClusters over the same targets.
 Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
                       const std::unordered_set<Lsn>& compensated,
-                      Lsn sweep_from, LogManager* log, BufferPool* pool,
-                      Stats* stats,
-                      std::unordered_map<TxnId, Lsn>* bc_heads,
-                      RecoveryFaultBudget* undo_budget = nullptr,
-                      table::TableHeap* heap = nullptr);
+                      Lsn sweep_from, LogManager* log, Stats* stats,
+                      UndoSink* sink, std::unordered_map<TxnId, Lsn>* heads);
 
 /// Ablation baseline for the backward pass (Section 3.6.2's rejected
 /// alternative): scan EVERY record from `sweep_from` down to the oldest
 /// loser scope, matching each against the loser scopes. Produces the same
-/// CLRs in the same order as ScopeSweepUndo but examines every record in
-/// between, including all the winner updates the cluster sweep skips.
+/// compensations in the same order as ScopeSweepUndo but examines every
+/// record in between, including all the winner updates the cluster sweep
+/// skips.
 Status FullScanUndo(const std::vector<ScopeUndoTarget>& targets,
                     const std::unordered_set<Lsn>& compensated,
-                    Lsn sweep_from, LogManager* log, BufferPool* pool,
-                    Stats* stats, std::unordered_map<TxnId, Lsn>* bc_heads,
-                    RecoveryFaultBudget* undo_budget = nullptr,
-                    table::TableHeap* heap = nullptr);
+                    Lsn sweep_from, LogManager* log, Stats* stats,
+                    UndoSink* sink, std::unordered_map<TxnId, Lsn>* heads);
 
 /// Partitions loser scopes into groups that can be undone concurrently,
 /// one ScopeSweepUndo per group. Two scopes land in the same group when any

@@ -89,25 +89,17 @@ OwnershipIndex OwnershipCollector::Finish(ForwardPassResult* fwd,
   idx.spans = std::move(spans_);
   idx.hops = std::move(hops_);
 
-  // In-doubt resolution, mirroring RecoveryManager::Recover: a prepared
-  // transaction whose csn the coordinator committed is a winner — its spans
-  // freeze as committed and its Ob_List drops so a subsequent undo step
-  // never targets it. Every other prepared transaction stays a loser
-  // (presumed abort).
-  for (auto& [txn, info] : fwd->txns) {
-    if (!info.InDoubt()) continue;
-    if (resolution == nullptr || !resolution->IsCommitted(info.prepared_csn)) {
-      continue;
-    }
-    for (const auto& [ob, entry] : info.ob_list) {
+  // In-doubt resolution, exactly as restart does it: a committed one's
+  // spans freeze as committed before its Ob_List drops, so a subsequent undo
+  // step never targets it.
+  ResolveInDoubt(fwd, resolution, [&idx](TxnId txn, TxnAnalysis* info) {
+    for (const auto& [ob, entry] : info->ob_list) {
       for (const Scope& scope : entry.scopes) {
         idx.spans.push_back({ob, scope, txn, /*owner_committed=*/true,
                              /*owner_terminated=*/true, kInvalidLsn});
       }
     }
-    info.committed = true;
-    info.ob_list.clear();
-  }
+  });
 
   // Transactions still open at the cut: snapshot their live Ob_Lists. Were
   // the cut a crash point, these are exactly the loser scopes undo sweeps.

@@ -1,14 +1,13 @@
 #include "reenact/reenact.h"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <tuple>
 
 #include "core/database.h"
 #include "core/engine_shard.h"
+#include "obs/clock.h"
 #include "recovery/recovery_manager.h"
-#include "recovery/redo.h"
 #include "storage/page.h"
 #include "table/heap_page.h"
 #include "wal/log_record.h"
@@ -23,11 +22,27 @@ namespace {
 /// test histories fully resident.
 constexpr size_t kScratchPoolFrames = 256;
 
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+/// Flushes `pool` and `heap` to `disk` and merges every non-zero cell and
+/// table record into `out` — the one extraction StateAt and the oracle's
+/// CaptureCommittedState share, so their images compare byte-for-byte.
+Status ExtractInto(BufferPool* pool, table::TableHeap* heap,
+                   SimulatedDisk* disk, StateImage* out) {
+  ARIESRH_RETURN_IF_ERROR(pool->FlushAll());
+  ARIESRH_RETURN_IF_ERROR(heap->FlushAll());
+  for (PageId id : disk->StablePageIds()) {
+    if (id >= table::kHeapPageBase) continue;  // heap pages go through Scan
+    ARIESRH_ASSIGN_OR_RETURN(std::string image, disk->ReadPage(id));
+    ARIESRH_ASSIGN_OR_RETURN(Page page, Page::Deserialize(image));
+    for (uint32_t slot = 0; slot < kObjectsPerPage; ++slot) {
+      const int64_t value = page.Get(slot);
+      if (value == 0) continue;  // zero == never written (canonical absence)
+      out->objects[static_cast<ObjectId>(id) * kObjectsPerPage + slot] = value;
+    }
+  }
+  for (const auto& [key, value] : heap->Scan("", 0)) {
+    out->records[key] = value;
+  }
+  return Status::OK();
 }
 
 /// True for record types that change database state when replayed forward.
@@ -376,128 +391,48 @@ Result<Reenactor::ShardFold> Reenactor::FoldShard(size_t shard, Lsn cut,
                   src.anchored ? src.ckpt_end_lsn : 0, opts));
   fold.ownership = collector.Finish(&fold.fwd, &resolution_, cut);
   for (TransferHop& hop : fold.ownership.hops) hop.shard = shard;
-  return fold;
-}
+  if (!materialize) return fold;
 
-Status Reenactor::UndoLosersAtCut(const ShardSource& src, ShardFold* fold) {
-  // Find how far back the loser rollback must reach. Under kRH a loser
-  // answers for every scope in its Ob_List (delegated-in updates included,
-  // possibly older than its own first record); under kDisabled there are no
-  // scopes and each loser's own chain bounds its work.
+  // Roll back every transaction open at the cut. Under kRH a loser answers
+  // for every scope in its Ob_List (delegated-in updates included, possibly
+  // older than its own first record); chain undo reaches back to each
+  // loser's first record. Either bound must lie in the retained log.
+  std::vector<UndoGroup> groups = BuildUndoGroups(fold.fwd, options_);
   Lsn stop = kInvalidLsn;
-  bool any = false;
-  if (options_.delegation_mode == DelegationMode::kRH) {
-    for (const auto& [txn, info] : fold->fwd.txns) {
-      if (!info.IsLoser()) continue;
-      for (const auto& [ob, entry] : info.ob_list) {
-        for (const Scope& scope : entry.scopes) {
-          any = true;
-          stop = std::min(stop, scope.first);
-        }
-      }
+  for (const UndoGroup& group : groups) {
+    for (const ScopeUndoTarget& target : group.targets) {
+      stop = std::min(stop, target.scope.first);
     }
-  } else {
-    for (const auto& [txn, info] : fold->fwd.txns) {
-      if (!info.IsLoser() || info.first_lsn == kInvalidLsn) continue;
-      any = true;
-      stop = std::min(stop, info.first_lsn);
+    if (!group.targets.empty()) continue;
+    for (const auto& [txn, head] : group.heads) {
+      stop = std::min(stop, fold.fwd.txns.at(txn).first_lsn);
     }
   }
-  if (!any) return Status::OK();
-  if (stop < src.first_retained) {
+  if (stop != kInvalidLsn && stop < src.first_retained) {
     return Status::OutOfRange(
         "rolling back transactions open at the cut needs LSN " +
         std::to_string(stop) + ", archived before the retained head LSN " +
         std::to_string(src.first_retained));
   }
-
-  // Backward sweep applying inverses directly — no CLRs are logged; the
-  // source log is read-only by design. `stop >= kFirstLsn == 1`, so the
-  // unsigned decrement never wraps.
-  for (Lsn lsn = fold->cut; lsn >= stop; --lsn) {
-    if (fold->fwd.compensated.contains(lsn)) continue;
-    ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, src.log->Read(lsn));
-    const bool plain = rec.type == LogRecordType::kUpdate;
-    const bool table_write = IsTableWrite(rec.type);
-    if (!plain && !table_write) continue;  // CLRs are never themselves undone
-
-    bool undo = false;
-    if (options_.delegation_mode == DelegationMode::kRH) {
-      // The update rolls back iff a loser's scope covers it — delegation
-      // may have moved it away from (or onto) its invoker.
-      for (const auto& [txn, info] : fold->fwd.txns) {
-        if (!info.IsLoser()) continue;
-        const auto* entry = info.ob_list.find(rec.object);
-        if (entry == info.ob_list.end()) continue;
-        for (const Scope& scope : entry->second.scopes) {
-          if (scope.Covers(rec.txn_id, lsn)) {
-            undo = true;
-            break;
-          }
-        }
-        if (undo) break;
-      }
-    } else {
-      auto it = fold->fwd.txns.find(rec.txn_id);
-      undo = it != fold->fwd.txns.end() && it->second.IsLoser();
-    }
-    if (!undo) continue;
-
-    if (plain) {
-      ARIESRH_RETURN_IF_ERROR(
-          fold->pool->WithPage(PageOf(rec.object), [&rec, lsn](Page* page) {
-            if (rec.kind == UpdateKind::kSet) {
-              page->Set(SlotOf(rec.object), rec.before);
-            } else {
-              page->Add(SlotOf(rec.object), -rec.after);
-            }
-            return lsn;  // marks the frame dirty so extraction flushes it
-          }));
-    } else {
-      // Synthesize the compensating action in memory only, and route it
-      // through the same logical-replay entry point recovery undo uses.
-      LogRecord clr = LogRecord::MakeTableClr(
-          rec.txn_id, kInvalidLsn, rec.object, rec.key,
-          /*remove=*/rec.type == LogRecordType::kTableInsert, rec.before_image,
-          /*compensated=*/lsn, kInvalidLsn);
-      clr.lsn = lsn;
-      ARIESRH_RETURN_IF_ERROR(fold->heap->ApplyLogical(clr));
-    }
-  }
-  return Status::OK();
-}
-
-Status Reenactor::ExtractState(ShardFold* fold, StateImage* out) const {
-  ARIESRH_RETURN_IF_ERROR(fold->pool->FlushAll());
-  ARIESRH_RETURN_IF_ERROR(fold->heap->FlushAll());
-  for (PageId id : fold->disk->StablePageIds()) {
-    if (id >= table::kHeapPageBase) continue;  // heap pages go through Scan
-    ARIESRH_ASSIGN_OR_RETURN(std::string image, fold->disk->ReadPage(id));
-    ARIESRH_ASSIGN_OR_RETURN(Page page, Page::Deserialize(image));
-    for (uint32_t slot = 0; slot < kObjectsPerPage; ++slot) {
-      const int64_t value = page.Get(slot);
-      if (value == 0) continue;  // zero == never written (canonical absence)
-      out->objects[static_cast<ObjectId>(id) * kObjectsPerPage + slot] = value;
-    }
-  }
-  for (const auto& [key, value] : fold->heap->Scan("", 0)) {
-    out->records[key] = value;
-  }
-  return Status::OK();
+  ScratchUndoSink sink(fold.pool.get(), fold.heap.get());
+  ARIESRH_RETURN_IF_ERROR(UndoGroups(options_, fold.fwd, &groups,
+                                     /*threads=*/1, src.log, fold.stats.get(),
+                                     &sink));
+  return fold;
 }
 
 // --- Reenactor: queries ---
 
 Result<StateImage> Reenactor::StateAt(Lsn cut) {
-  const uint64_t start_ns = NowNs();
+  const uint64_t start_ns = obs::MonotonicNanos();
   StateImage img;
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
     Lsn eff = cut;
     ARIESRH_RETURN_IF_ERROR(ClampCut(shard, &eff));
     ARIESRH_ASSIGN_OR_RETURN(ShardFold fold,
                              FoldShard(shard, eff, /*materialize=*/true));
-    ARIESRH_RETURN_IF_ERROR(UndoLosersAtCut(*shards_[shard], &fold));
-    ARIESRH_RETURN_IF_ERROR(ExtractState(&fold, &img));
+    ARIESRH_RETURN_IF_ERROR(
+        ExtractInto(fold.pool.get(), fold.heap.get(), fold.disk.get(), &img));
     img.cuts.push_back(eff);
   }
   ObserveQuery(start_ns);
@@ -515,7 +450,7 @@ Result<ResponsibilityAnswer> Reenactor::ResponsibleForKey(
 
 Result<ResponsibilityAnswer> Reenactor::ResolveResponsibility(
     ObjectId ob, const std::string* key, Lsn cut) {
-  const uint64_t start_ns = NowNs();
+  const uint64_t start_ns = obs::MonotonicNanos();
   ResponsibilityAnswer ans;
   ans.object = ob;
   if (key != nullptr) ans.key = *key;
@@ -616,7 +551,7 @@ Result<std::vector<TransferHop>> Reenactor::PeerLegs(
 }
 
 Result<std::vector<TransferHop>> Reenactor::ChainFor(ObjectId ob) {
-  const uint64_t start_ns = NowNs();
+  const uint64_t start_ns = obs::MonotonicNanos();
   const size_t home = ShardOf(ob);
   Lsn eff = kInvalidLsn;
   ARIESRH_RETURN_IF_ERROR(ClampCut(home, &eff));
@@ -643,7 +578,7 @@ Result<std::vector<TransferHop>> Reenactor::TransferChainKey(
 }
 
 Result<ReplayResult> Reenactor::ReplayTxn(TxnId txn, Lsn cut) {
-  const uint64_t start_ns = NowNs();
+  const uint64_t start_ns = obs::MonotonicNanos();
   if (txn == kInvalidTxn) return Status::InvalidArgument("invalid txn id");
   ReplayResult out;
   out.txn = txn;
@@ -684,7 +619,6 @@ Result<ReplayResult> Reenactor::ReplayTxn(TxnId txn, Lsn cut) {
     ARIESRH_RETURN_IF_ERROR(ClampCut(shard, &base_cut));
     ARIESRH_ASSIGN_OR_RETURN(ShardFold fold,
                              FoldShard(shard, base_cut, /*materialize=*/true));
-    ARIESRH_RETURN_IF_ERROR(UndoLosersAtCut(src, &fold));
 
     std::set<ObjectId> touched_objects;
     std::set<std::string> touched_keys;
@@ -733,7 +667,7 @@ void Reenactor::ObserveQuery(uint64_t start_ns) const {
   if (registry_ == nullptr) return;
   registry_->GetCounter("ariesrh_reenact_queries")->Inc();
   registry_->GetHistogram("ariesrh_reenact_replay_ns")
-      ->Observe(NowNs() - start_ns);
+      ->Observe(obs::MonotonicNanos() - start_ns);
 }
 
 // --- the oracle's side of the comparison ---
@@ -746,22 +680,9 @@ Result<StateImage> CaptureCommittedState(Database* db) {
   StateImage img;
   for (size_t s = 0; s < db->num_shards(); ++s) {
     EngineShard* shard = db->shard(s);
-    ARIESRH_RETURN_IF_ERROR(shard->buffer_pool()->FlushAll());
-    ARIESRH_RETURN_IF_ERROR(shard->table_heap()->FlushAll());
-    for (PageId id : shard->disk()->StablePageIds()) {
-      if (id >= table::kHeapPageBase) continue;
-      ARIESRH_ASSIGN_OR_RETURN(std::string image, shard->disk()->ReadPage(id));
-      ARIESRH_ASSIGN_OR_RETURN(Page page, Page::Deserialize(image));
-      for (uint32_t slot = 0; slot < kObjectsPerPage; ++slot) {
-        const int64_t value = page.Get(slot);
-        if (value == 0) continue;
-        img.objects[static_cast<ObjectId>(id) * kObjectsPerPage + slot] =
-            value;
-      }
-    }
-    for (const auto& [key, value] : shard->table_heap()->Scan("", 0)) {
-      img.records[key] = value;
-    }
+    ARIESRH_RETURN_IF_ERROR(ExtractInto(shard->buffer_pool(),
+                                        shard->table_heap(), shard->disk(),
+                                        &img));
     img.cuts.push_back(shard->log_manager()->flushed_lsn());
   }
   return img;

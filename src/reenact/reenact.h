@@ -241,22 +241,16 @@ class Reenactor {
   /// with kOutOfRange below the earliest replayable cut.
   Status ClampCut(size_t shard, Lsn* cut) const;
 
-  /// Replays shard `shard` up to `cut`. With `materialize`, runs the
-  /// merged forward pass into scratch components; otherwise analysis only.
-  /// `track_ob` / `track_key` (optional) collect that object's / key's
-  /// write history into ShardFold::tracked.
+  /// Replays shard `shard` up to `cut`; analysis only unless
+  /// `materialize`. A materializing fold is a restart at the cut in scratch
+  /// components: the merged forward pass, then every transaction
+  /// uncommitted at the cut rolled back by restart's own undo executor
+  /// through a sink that logs nothing (the source log is read-only here by
+  /// design). `track_ob` / `track_key` (optional) collect that object's /
+  /// key's write history into ShardFold::tracked.
   Result<ShardFold> FoldShard(size_t shard, Lsn cut, bool materialize,
                               ObjectId track_ob = kInvalidObject,
                               const std::string* track_key = nullptr);
-
-  /// Rolls back every transaction uncommitted at the cut, in the scratch
-  /// components — applying inverses directly, logging nothing (the source
-  /// log is read-only here by design).
-  Status UndoLosersAtCut(const ShardSource& src, ShardFold* fold);
-
-  /// Flushes the fold's scratch components and merges the resulting pages
-  /// and records into `out`.
-  Status ExtractState(ShardFold* fold, StateImage* out) const;
 
   Result<ResponsibilityAnswer> ResolveResponsibility(ObjectId ob,
                                                      const std::string* key,

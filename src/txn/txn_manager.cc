@@ -608,6 +608,7 @@ Status TxnManager::RollbackTo(TxnId txn, Lsn savepoint) {
   }
 
   std::unordered_map<TxnId, Lsn> bc_heads = {{tx->id, tx->last_lsn}};
+  LoggingUndoSink sink(log_, pool_, stats_, heap_);
   const bool scope_undo =
       options_.delegation_mode == DelegationMode::kRH ||
       options_.delegation_mode == DelegationMode::kLazyRewrite;
@@ -626,9 +627,8 @@ Status TxnManager::RollbackTo(TxnId txn, Lsn savepoint) {
       }
     }
     ARIESRH_RETURN_IF_ERROR(ScopeSweepUndo(targets, /*compensated=*/{},
-                                           sweep_from, log_, pool_, stats_,
-                                           &bc_heads, /*undo_budget=*/nullptr,
-                                           heap_));
+                                           sweep_from, log_, stats_, &sink,
+                                           &bc_heads));
     // ...and the stored scopes shrink to what is still live.
     for (auto entry_it = tx->ob_list.begin();
          entry_it != tx->ob_list.end();) {
@@ -653,8 +653,7 @@ Status TxnManager::RollbackTo(TxnId txn, Lsn savepoint) {
         case LogRecordType::kTableInsert:
         case LogRecordType::kTableUpdate:
         case LogRecordType::kTableDelete:
-          ARIESRH_RETURN_IF_ERROR(
-              UndoUpdate(log_, pool_, stats_, rec, tx->id, &bc_heads, heap_));
+          ARIESRH_RETURN_IF_ERROR(sink.Undo(rec, tx->id, &bc_heads));
           cur = rec.prev_lsn;
           break;
         case LogRecordType::kClr:
@@ -1026,6 +1025,7 @@ Status TxnManager::ApplyCrossShardDelegation(
 
 Status TxnManager::RollBack(Transaction* tx) {
   std::unordered_map<TxnId, Lsn> bc_heads = {{tx->id, tx->last_lsn}};
+  LoggingUndoSink sink(log_, pool_, stats_, heap_);
   // kRH and kLazyRewrite abort via the scope sweep; kDisabled has no scopes
   // and kEager keeps its chains physically correct, so both use chain undo.
   const bool scope_undo =
@@ -1043,16 +1043,13 @@ Status TxnManager::RollBack(Transaction* tx) {
         sweep_from = std::max(sweep_from, scope.last);
       }
     }
-    ARIESRH_RETURN_IF_ERROR(ScopeSweepUndo(
-        targets, /*compensated=*/{}, sweep_from, log_, pool_, stats_,
-        &bc_heads, /*undo_budget=*/nullptr, heap_));
+    ARIESRH_RETURN_IF_ERROR(ScopeSweepUndo(targets, /*compensated=*/{},
+                                           sweep_from, log_, stats_, &sink,
+                                           &bc_heads));
   } else {
     // Conventional ARIES rollback: walk the backward chain. (Eager-mode
     // chains are physically correct, so this also serves kEager.)
-    std::unordered_map<TxnId, Lsn> loser_heads = {{tx->id, tx->last_lsn}};
-    ARIESRH_RETURN_IF_ERROR(ChainUndo(loser_heads, log_, pool_, stats_,
-                                      &bc_heads, /*undo_budget=*/nullptr,
-                                      heap_));
+    ARIESRH_RETURN_IF_ERROR(ChainUndo(log_, stats_, &sink, &bc_heads));
   }
   tx->last_lsn = bc_heads[tx->id];
   return Status::OK();

@@ -67,15 +67,15 @@ Status LogManager::Flush(Lsn lsn) {
   // LSN was covered by the force it queued behind returns immediately.
   std::unique_lock force_lock(force_mu_);
   obs::ScopedLatencyTimer timer(flush_ns_);
-  std::vector<std::string> batch;
   uint64_t stall_ns = 0;
-  {
+  while (true) {
+    std::vector<std::string> batch;
     std::unique_lock lock(mu_);
     const Lsn flushed = flushed_lsn_.load(std::memory_order_relaxed);
     // Clamp instead of asserting: a group-commit request can race with
     // DiscardTail, leaving a stale target beyond the (new) end of log.
     lsn = std::min(lsn, end_lsn());
-    if (lsn == kInvalidLsn || lsn <= flushed) return Status::OK();
+    if (lsn == kInvalidLsn || lsn <= flushed) break;
     // Stop at the first unfilled slot: a concurrent appender still owns it
     // and the durable log must stay a contiguous prefix.
     Lsn durable = flushed;
@@ -86,11 +86,20 @@ Status LogManager::Flush(Lsn lsn) {
       tail_.pop_front();
     }
     if (!batch.empty()) {
-      disk_->AppendLogRecords(batch, &stall_ns);
+      uint64_t force_stall_ns = 0;
+      disk_->AppendLogRecords(batch, &force_stall_ns);
+      stall_ns += force_stall_ns;
       flushed_lsn_.store(durable, std::memory_order_release);
       obs::Emit(stats_->trace(), obs::TraceEventType::kLogFlush, durable,
                 batch.size());
     }
+    if (durable >= lsn) break;
+    // A hole below `lsn`: its appender has reserved the slot but not yet
+    // filled it. Returning now would report `lsn` durable when it is not
+    // (a commit acked and then lost to a crash), so let the appender —
+    // which needs only mu_ — finish, then force the rest.
+    lock.unlock();
+    std::this_thread::yield();
   }
   // The simulated force stall is the device being busy: pay it holding only
   // the force mutex, so concurrent appenders (and readers) keep running —
@@ -274,6 +283,19 @@ Status LogManager::Rewrite(Lsn lsn, LogRecord rec) {
     return Status::OK();
   }
   return disk_->RewriteLogRecord(lsn, rec.Serialize());
+}
+
+uint64_t LogManager::ArchivePrefix(Lsn keep_from) {
+  // The prefix drop edits the same stable-log vector a force appends to, so
+  // it takes the force channel and then the exclusive lock, like a force.
+  std::unique_lock force_lock(force_mu_);
+  std::unique_lock lock(mu_);
+  return disk_->ArchiveLogPrefix(keep_from);
+}
+
+Lsn LogManager::first_retained_lsn() const {
+  std::shared_lock lock(mu_);
+  return disk_->first_retained_lsn();
 }
 
 void LogManager::DiscardTail() {

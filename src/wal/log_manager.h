@@ -135,7 +135,12 @@ class LogManager {
   /// were archived); kFirstLsn until the prefix is ever archived. Lets log
   /// consumers (dumps, reenactment) bound their scans instead of probing
   /// the archived prefix record by record.
-  Lsn first_retained_lsn() const { return disk_->first_retained_lsn(); }
+  Lsn first_retained_lsn() const;
+
+  /// Drops the stable log's records before `keep_from` (see
+  /// SimulatedDisk::ArchiveLogPrefix); returns how many were dropped. Safe
+  /// against concurrent appends, forces and reads.
+  uint64_t ArchivePrefix(Lsn keep_from);
 
   /// Crash: discards the volatile tail. The durable prefix is untouched.
   /// Safe against an in-flight Flush (serializes after it) and wakes any

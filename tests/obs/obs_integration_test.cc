@@ -124,8 +124,10 @@ TEST(ObsIntegrationTest, MergedRecoveryEmitsOnePassPairEach) {
 }
 
 TEST(ObsIntegrationTest, ThreePassRecoveryEmitsAnalysisRedoUndoPairs) {
+  // Parallel restart splits the forward sweep: analysis collects the redo
+  // plan, a separate redo pass replays it, then the undo pass runs.
   Options options;
-  options.merged_forward_pass = false;
+  options.recovery_threads = 2;
   Database db(options);
   RunWorkloadAndCrash(&db);
   ASSERT_TRUE(db.Recover().ok());
@@ -135,7 +137,7 @@ TEST(ObsIntegrationTest, ThreePassRecoveryEmitsAnalysisRedoUndoPairs) {
     EXPECT_EQ(begin, end);
     ++count[begin];
   }
-  // Classic three-pass layout: exactly one pair per pass per restart.
+  // Three passes: exactly one pair per pass per restart.
   EXPECT_EQ(count[obs::RecoveryPassKind::kAnalysis], 1);
   EXPECT_EQ(count[obs::RecoveryPassKind::kRedo], 1);
   EXPECT_EQ(count[obs::RecoveryPassKind::kUndo], 1);

@@ -19,7 +19,8 @@ class RecoveryComponentsTest : public ::testing::Test {
   RecoveryComponentsTest()
       : disk_(&stats_),
         log_(&disk_, &stats_),
-        pool_(&disk_, 16, [this](Lsn lsn) { return log_.Flush(lsn); }) {}
+        pool_(&disk_, 16, [this](Lsn lsn) { return log_.Flush(lsn); }),
+        sink_(&log_, &pool_, &stats_) {}
 
   // Appends a record maintaining the per-txn chain by hand.
   Lsn Append(LogRecord rec) {
@@ -77,6 +78,7 @@ class RecoveryComponentsTest : public ::testing::Test {
   SimulatedDisk disk_;
   LogManager log_;
   BufferPool pool_;
+  LoggingUndoSink sink_;
   std::unordered_map<TxnId, Lsn> heads_;
 };
 
@@ -177,8 +179,8 @@ TEST_F(RecoveryComponentsTest, ScopeSweepUndoRestoresValues) {
       {1, 6, Scope{1, u2, u2, true}},
   };
   std::unordered_map<TxnId, Lsn> bc_heads = {{1, heads_[1]}};
-  ASSERT_TRUE(ScopeSweepUndo(targets, {}, log_.end_lsn(), &log_, &pool_,
-                             &stats_, &bc_heads)
+  ASSERT_TRUE(ScopeSweepUndo(targets, {}, log_.end_lsn(), &log_, &stats_,
+                             &sink_, &bc_heads)
                   .ok());
   EXPECT_EQ(CellValue(5), 0);
   EXPECT_EQ(CellValue(6), 0);
@@ -198,8 +200,8 @@ TEST_F(RecoveryComponentsTest, ScopeSweepSkipsCompensated) {
   // Page currently shows 10; a compensated undo must NOT run again.
   std::vector<ScopeUndoTarget> targets = {{1, 5, Scope{1, u1, u1, true}}};
   std::unordered_map<TxnId, Lsn> bc_heads = {{1, heads_[1]}};
-  ASSERT_TRUE(ScopeSweepUndo(targets, {u1}, log_.end_lsn(), &log_, &pool_,
-                             &stats_, &bc_heads)
+  ASSERT_TRUE(ScopeSweepUndo(targets, {u1}, log_.end_lsn(), &log_, &stats_,
+                             &sink_, &bc_heads)
                   .ok());
   EXPECT_EQ(CellValue(5), 10);  // untouched
   EXPECT_EQ(stats_.recovery_undos, 0u);
@@ -208,7 +210,7 @@ TEST_F(RecoveryComponentsTest, ScopeSweepSkipsCompensated) {
 TEST_F(RecoveryComponentsTest, ScopeSweepEmptyTargetsIsNoOp) {
   std::unordered_map<TxnId, Lsn> bc_heads;
   EXPECT_TRUE(
-      ScopeSweepUndo({}, {}, 0, &log_, &pool_, &stats_, &bc_heads).ok());
+      ScopeSweepUndo({}, {}, 0, &log_, &stats_, &sink_, &bc_heads).ok());
 }
 
 TEST_F(RecoveryComponentsTest, ScopeSweepCountsSkips) {
@@ -228,8 +230,8 @@ TEST_F(RecoveryComponentsTest, ScopeSweepCountsSkips) {
   };
   std::unordered_map<TxnId, Lsn> bc_heads = {{1, u1}, {3, u3}};
   const uint64_t examined_before = stats_.recovery_backward_examined;
-  ASSERT_TRUE(ScopeSweepUndo(targets, {}, log_.end_lsn(), &log_, &pool_,
-                             &stats_, &bc_heads)
+  ASSERT_TRUE(ScopeSweepUndo(targets, {}, log_.end_lsn(), &log_, &stats_,
+                             &sink_, &bc_heads)
                   .ok());
   EXPECT_EQ(stats_.recovery_backward_examined - examined_before, 2u);
   EXPECT_GT(stats_.recovery_backward_skipped, 50u);
@@ -247,8 +249,8 @@ TEST_F(RecoveryComponentsTest, FullScanUndoMatchesSweepButExaminesAll) {
   std::vector<ScopeUndoTarget> targets = {{1, 5, Scope{1, u1, u1, true}}};
   std::unordered_map<TxnId, Lsn> bc_heads = {{1, u1}};
   const uint64_t examined_before = stats_.recovery_backward_examined;
-  ASSERT_TRUE(FullScanUndo(targets, {}, log_.end_lsn(), &log_, &pool_,
-                           &stats_, &bc_heads)
+  ASSERT_TRUE(FullScanUndo(targets, {}, log_.end_lsn(), &log_, &stats_,
+                           &sink_, &bc_heads)
                   .ok());
   EXPECT_EQ(CellValue(5), 0);
   EXPECT_GT(stats_.recovery_backward_examined - examined_before, 30u);
@@ -267,11 +269,9 @@ TEST_F(RecoveryComponentsTest, ChainUndoFollowsUndoNext) {
   Result<ForwardPassResult> fwd = RunForwardPass(DelegationMode::kDisabled);
   ASSERT_TRUE(fwd.ok());
   // Page state after redo: 5=10, 6=0 (CLR redone).
-  std::unordered_map<TxnId, Lsn> loser_heads = {{1, heads_[1]}};
-  std::unordered_map<TxnId, Lsn> bc_heads = loser_heads;
+  std::unordered_map<TxnId, Lsn> bc_heads = {{1, heads_[1]}};
   const uint64_t undos_before = stats_.recovery_undos;
-  ASSERT_TRUE(
-      ChainUndo(loser_heads, &log_, &pool_, &stats_, &bc_heads).ok());
+  ASSERT_TRUE(ChainUndo(&log_, &stats_, &sink_, &bc_heads).ok());
   EXPECT_EQ(stats_.recovery_undos - undos_before, 1u);  // only u1
   EXPECT_EQ(CellValue(5), 0);
   EXPECT_EQ(CellValue(6), 0);

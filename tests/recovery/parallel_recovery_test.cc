@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/database.h"
+#include "obs/trace.h"
 #include "recovery/undo_rh.h"
 
 namespace ariesrh {
@@ -220,6 +223,85 @@ TEST_P(ParallelCrashMatrixTest, InterruptedParallelRecoveryConverges) {
     ASSERT_TRUE(value.ok());
     EXPECT_EQ(*value, serial.values.at(ob)) << "object " << ob;
   }
+  std::remove(path.c_str());
+}
+
+// A history whose losers sit in separate LSN windows with committed traffic
+// between them, so the undo pass faces several cluster groups and gaps to
+// skip. Returns the oldest loser update's LSN.
+Lsn BuildGappedLoserHistory(Database* db) {
+  Lsn oldest_loser_update = kInvalidLsn;
+  for (int p = 0; p < 4; ++p) {
+    for (int i = 0; i < 20; ++i) {
+      TxnId winner = *db->Begin();
+      EXPECT_TRUE(db->Add(winner, PhaseObject(p, i % 8), 1).ok());
+      EXPECT_TRUE(db->Commit(winner).ok());
+    }
+    TxnId loser = *db->Begin();
+    for (int j = 0; j < 3; ++j) {
+      EXPECT_TRUE(
+          db->Add(loser, PhaseObject(p, 2 * kObjectsPerPage + j), 1).ok());
+      oldest_loser_update =
+          std::min(oldest_loser_update, db->log_manager()->end_lsn());
+    }
+  }
+  EXPECT_TRUE(db->log_manager()->FlushAll().ok());
+  return oldest_loser_update;
+}
+
+// The skip counter counts exactly the records the backward pass leaves
+// unread, however the pass is split into cluster groups: examined plus
+// skipped spans the log end down to the oldest loser scope, and the
+// kUndoClusterSkip trace events add up to the skipped count.
+class SkipAccountingTest
+    : public ::testing::TestWithParam<std::tuple<RecoveryMode, size_t>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndThreads, SkipAccountingTest,
+    ::testing::Combine(::testing::Values(RecoveryMode::kFull,
+                                         RecoveryMode::kInstant),
+                       ::testing::Values(1u, 2u, 4u)),
+    [](const auto& info) {
+      return std::string(RecoveryModeName(std::get<0>(info.param))) + "_t" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST_P(SkipAccountingTest, ExaminedPlusSkippedSpansTheSweep) {
+  const auto [mode, threads] = GetParam();
+  const std::string path = TempPath(
+      "skip_accounting_" + std::string(RecoveryModeName(mode)) +
+      std::to_string(threads));
+  Lsn oldest = kInvalidLsn;
+  Lsn scan_end = 0;
+  {
+    Database db;
+    oldest = BuildGappedLoserHistory(&db);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    scan_end = db.log_manager()->flushed_lsn();
+    ASSERT_TRUE(db.SaveTo(path).ok());
+  }
+
+  Options options;
+  options.recovery_mode = mode;
+  options.recovery_threads = threads;
+  Result<Database::OpenResult> opened = Database::Open(options, path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Result<RecoveryManager::Outcome> outcome = opened->recovery->Await();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->losers, 4u);
+  EXPECT_EQ(outcome->clusters_swept, 4u);
+
+  const Stats stats = opened->db->stats();
+  EXPECT_GT(stats.recovery_backward_skipped, 0u);
+  EXPECT_EQ(outcome->records_skipped, stats.recovery_backward_skipped.value());
+  EXPECT_EQ(stats.recovery_backward_examined.value() +
+                stats.recovery_backward_skipped.value(),
+            scan_end - oldest + 1);
+  uint64_t traced = 0;
+  for (const obs::TraceEvent& event : opened->db->trace()->Snapshot()) {
+    if (event.type == obs::TraceEventType::kUndoClusterSkip) traced += event.c;
+  }
+  EXPECT_EQ(traced, stats.recovery_backward_skipped.value());
   std::remove(path.c_str());
 }
 

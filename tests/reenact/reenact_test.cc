@@ -101,6 +101,76 @@ TEST(ReenactStateTest, UncommittedWorkIsRolledBackAtTheCut) {
   ASSERT_TRUE(db.Abort(open).ok());
 }
 
+// kDisabled has no scopes: losers at the cut roll back along their
+// backward chains, the same chain undo restart runs — so StateAt and
+// ReplayTxn's begin state must equal what a crash at the cut recovers to.
+TEST(ReenactStateTest, DisabledModeRollsBackOpenTransactionsLikeRestart) {
+  Options options;
+  options.delegation_mode = DelegationMode::kDisabled;
+  Database db(options);
+  TxnId base = *db.Begin();
+  ASSERT_TRUE(db.Set(base, 1, 10).ok());
+  ASSERT_TRUE(db.Add(base, 2, 5).ok());
+  ASSERT_TRUE(db.TablePut(base, "k", "base").ok());
+  ASSERT_TRUE(db.Commit(base).ok());
+  TxnId open = *db.Begin();  // still open at every cut below
+  ASSERT_TRUE(db.Set(open, 1, 99).ok());
+  ASSERT_TRUE(db.Add(open, 2, 3).ok());
+  ASSERT_TRUE(db.TablePut(open, "k", "open").ok());
+  TxnId later = *db.Begin();  // begins while `open` is in flight
+  ASSERT_TRUE(db.Add(later, 2, 4).ok());
+  ASSERT_TRUE(db.TablePut(later, "z", "later").ok());
+  ASSERT_TRUE(db.Commit(later).ok());
+  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+
+  Result<StateImage> reenacted = db.ReenactStateAt();
+  ASSERT_TRUE(reenacted.ok()) << reenacted.status().ToString();
+  // `later`'s begin state has `open`'s Add rolled back: 5, not 8.
+  Result<ReplayResult> replay = db.ReenactReplayTxn(later);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  ASSERT_TRUE(replay->objects.count(2));
+  EXPECT_EQ(replay->objects.at(2).first, 5);
+  EXPECT_EQ(replay->objects.at(2).second, 9);
+
+  db.SimulateCrash();
+  ASSERT_TRUE(db.Recover().ok());
+  Result<StateImage> restarted = reenact::CaptureCommittedState(&db);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  EXPECT_EQ(reenacted->Serialize(), restarted->Serialize());
+  EXPECT_EQ(reenacted->ValueOf(1), 10);
+  EXPECT_EQ(reenacted->ValueOf(2), 9);
+  ASSERT_TRUE(reenacted->RecordOf("k").has_value());
+  EXPECT_EQ(*reenacted->RecordOf("k"), "base");
+}
+
+// Time travel undoes losers with restart's cluster sweep: between an early
+// and a late loser, the winner middle is never read. The source log's reads
+// are the forward fold's one read per record plus the two single-record
+// clusters.
+TEST(ReenactStateTest, StateAtSkipsTheWinnerMiddle) {
+  Database db;  // kRH
+  TxnId early_loser = *db.Begin();
+  ASSERT_TRUE(db.Add(early_loser, 1, 5).ok());
+  for (int i = 0; i < 100; ++i) {
+    TxnId winner = *db.Begin();
+    ASSERT_TRUE(db.Add(winner, 2, 1).ok());
+    ASSERT_TRUE(db.Commit(winner).ok());
+  }
+  TxnId late_loser = *db.Begin();
+  ASSERT_TRUE(db.Add(late_loser, 3, 7).ok());
+  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  const Lsn tail = db.log_manager()->flushed_lsn();
+
+  const Stats before = db.stats();
+  Result<StateImage> state = db.ReenactStateAt();
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  const Stats delta = db.stats().Delta(before);
+  EXPECT_LE(delta.log_seq_reads + delta.log_random_reads, tail + 4);
+  EXPECT_EQ(state->ValueOf(1), 0);
+  EXPECT_EQ(state->ValueOf(2), 100);
+  EXPECT_EQ(state->ValueOf(3), 0);
+}
+
 TEST(ReenactStateTest, QueriesBumpTheMetrics) {
   Database db;
   TxnId t = *db.Begin();
