@@ -33,7 +33,9 @@ inline uint64_t NumCpus() {
 /// with console output as usual AND writes the full google-benchmark JSON
 /// report (timings + per-row counters) to BENCH_<name>.json in the working
 /// directory, so experiment tables can be collected without re-running.
-/// The report's context section carries num_cpus_host (see NumCpus).
+/// The report's context section carries num_cpus_host (see NumCpus) and
+/// engine_build_type, the CMAKE_BUILD_TYPE the engine was compiled with
+/// (library_build_type describes google-benchmark's own build).
 inline int BenchMain(const char* name, int argc, char** argv) {
   // Default --benchmark_out to BENCH_<name>.json; an explicit flag wins.
   std::string out_flag = std::string("--benchmark_out=BENCH_") + name + ".json";
@@ -53,6 +55,7 @@ inline int BenchMain(const char* name, int argc, char** argv) {
     return 1;
   }
   benchmark::AddCustomContext("num_cpus_host", std::to_string(NumCpus()));
+  benchmark::AddCustomContext("engine_build_type", ARIESRH_ENGINE_BUILD_TYPE);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

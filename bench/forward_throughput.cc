@@ -54,12 +54,10 @@ void RunForwardThroughput(benchmark::State& state, bool daemon) {
     Options options;
     options.force_commits = true;
     options.group_commit = true;
-    // Adaptive window: a lone committer forces immediately (no sampled
-    // inter-arrival gap), while concurrent committers stretch the window
-    // just far enough to coalesce the in-flight burst into one force.
+    // Device-paced flusher: it forces as soon as the device is free, so a
+    // lone committer forces immediately and concurrent committers batch
+    // into whatever queued during the previous force.
     options.group_commit_policy = GroupCommitPolicy::kAdaptive;
-    options.group_commit_target_batch =
-        workers > 2 ? workers : 2;  // batch what the workers can supply
     options.early_lock_release = true;
     options.sim_log_force_ns = kForceStallNs;
     if (daemon) {

@@ -135,21 +135,32 @@ void CoordinatorLog::Append(const CoordRecord& record) {
 }
 
 Status CoordinatorLog::Force() {
-  bool wrote = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const CoordRecord& rec : volatile_) {
-      stable_.push_back(rec.Serialize());
-      wrote = true;
-    }
-    volatile_.clear();
-  }
-  if (wrote) {
+  std::unique_lock lock(mu_);
+  // Every record this caller appended is now either still volatile (taken
+  // by this force) or already carried by a concurrent one: either way it
+  // sits below `written_` once the batch below is moved.
+  const uint64_t begin = written_;
+  for (const CoordRecord& rec : volatile_) stable_.push_back(rec.Serialize());
+  written_ += volatile_.size();
+  volatile_.clear();
+  const uint64_t target = written_;
+  if (target > begin) {
+    // Pay this batch's device stall outside the lock so forces overlap;
+    // its records count as durable only once the stall ends.
+    in_flight_.insert(begin);
+    lock.unlock();
     if (forces_ != nullptr) forces_->Inc();
     if (force_stall_ns_ > 0) {
       std::this_thread::sleep_for(std::chrono::nanoseconds(force_stall_ns_));
     }
+    lock.lock();
+    in_flight_.erase(begin);
+    durable_ = in_flight_.empty() ? written_ : *in_flight_.begin();
+    durable_cv_.notify_all();
   }
+  // A record another force carried is acked only once that force's stall
+  // ends, never on sight in stable_.
+  durable_cv_.wait(lock, [&] { return durable_ >= target; });
   return Status::OK();
 }
 

@@ -21,8 +21,10 @@
 #define ARIESRH_COORD_COORDINATOR_LOG_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -102,7 +104,9 @@ class CoordinatorLog {
   void Append(const CoordRecord& record);
 
   /// Makes every appended record durable. A COMMIT record's Force is the
-  /// commit point of its round.
+  /// commit point of its round. Concurrent forces overlap their stalls, and
+  /// each returns only once every force carrying a record appended before
+  /// the call has paid its stall.
   Status Force();
 
   /// Crash: discards the volatile tail; the durable prefix survives.
@@ -135,6 +139,13 @@ class CoordinatorLog {
   mutable std::mutex mu_;
   std::vector<std::string> stable_;    ///< durable serialized images
   std::vector<CoordRecord> volatile_;  ///< appended, not yet forced
+  /// Forced-record counts: written_ records have been moved to stable_ by
+  /// Force, the first durable_ of them have paid their force stall, and
+  /// in_flight_ holds the first record of each force still stalling.
+  uint64_t written_ = 0;
+  uint64_t durable_ = 0;
+  std::set<uint64_t> in_flight_;
+  std::condition_variable durable_cv_;
   std::atomic<uint64_t> next_csn_{1};
   uint64_t force_stall_ns_ = 0;
 

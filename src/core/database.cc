@@ -346,20 +346,23 @@ Status Database::CrossShardDelegate(
   ARIESRH_RETURN_IF_ERROR(ProtocolPoint("xdel:before-coord-prepare"));
   coord_->Append(open);
 
-  // Apply the legs. Each ApplyCrossShardDelegation forces its shard's log:
-  // every csn-stamped DELEGATE must be durable before the coordinator may
-  // reach its commit point, or a committed csn could reference a lost leg.
-  // From the first application on, any stop leaves volatile state
+  // Apply the legs, then force them in one concurrent round: every
+  // csn-stamped DELEGATE must be durable before the coordinator may reach
+  // its commit point, or a committed csn could reference a lost leg. From
+  // the first application on, any stop leaves volatile state
   // half-transferred — poison until SimulateCrash()+Recover() (recovery
   // voids the undecided csn on every shard, restoring atomicity).
+  std::vector<std::pair<size_t, Lsn>> legs;
+  legs.reserve(parts.size());
   for (size_t i = 0; i < parts.size(); ++i) {
     const size_t s = parts[i];
     ARIESRH_RETURN_IF_ERROR(PoisonOnError(
         ProtocolPoint("xdel:before-apply:" + std::to_string(s))));
-    ARIESRH_RETURN_IF_ERROR(
-        PoisonOnError(shards_[s]->txn_manager()->ApplyCrossShardDelegation(
-            guards[i], by_shard.at(s), csn)));
+    legs.emplace_back(s, shards_[s]->txn_manager()->ApplyCrossShardDelegation(
+                             guards[i], by_shard.at(s), csn));
   }
+  ARIESRH_RETURN_IF_ERROR(PoisonOnError(ProtocolPoint("xdel:legs-appended")));
+  ARIESRH_RETURN_IF_ERROR(PoisonOnError(ForceShardLogs(legs)));
 
   ARIESRH_RETURN_IF_ERROR(PoisonOnError(ProtocolPoint("xdel:before-decision")));
   coord::CoordRecord decision = open;
@@ -518,6 +521,23 @@ void Database::ObserveFirstCommit() {
                 restart_epoch_ns_.load(std::memory_order_relaxed));
 }
 
+Status Database::ForceShardLogs(
+    const std::vector<std::pair<size_t, Lsn>>& legs) {
+  // Request every force before awaiting any: each shard's flusher starts
+  // its force at once, so the round costs about one device force, not one
+  // per shard. Without group commit each await is a direct force in turn.
+  std::vector<LogManager::FlushTicket> tickets;
+  tickets.reserve(legs.size());
+  for (const auto& [s, lsn] : legs) {
+    tickets.push_back(shards_[s]->log_manager()->RequestFlush(lsn));
+  }
+  for (size_t i = 0; i < legs.size(); ++i) {
+    ARIESRH_RETURN_IF_ERROR(
+        shards_[legs[i].first]->log_manager()->AwaitFlush(tickets[i]));
+  }
+  return Status::OK();
+}
+
 Status Database::TwoPhaseCommit(TxnId txn, const std::vector<size_t>& parts) {
   const uint64_t commit_requested = obs::MonotonicNanos();
   const uint64_t csn = coord_->NextCsn();
@@ -531,16 +551,24 @@ Status Database::TwoPhaseCommit(TxnId txn, const std::vector<size_t>& parts) {
   // abort); only the COMMIT's force below decides anything.
   coord_->Append(open);
 
-  // Phase 1: every shard force-logs its csn-stamped PREPARE vote. From the
-  // first vote on, a stop leaves the transaction prepared somewhere —
-  // poison; restart resolves it from the coordinator log (here: no durable
-  // COMMIT, so presumed abort).
+  // Phase 1: every shard appends its csn-stamped PREPARE vote, then one
+  // concurrent round forces them all. From the first vote on, a stop leaves
+  // the transaction prepared somewhere — poison; restart resolves it from
+  // the coordinator log (here: no durable COMMIT, so presumed abort).
+  std::vector<std::pair<size_t, Lsn>> votes;
+  votes.reserve(parts.size());
   for (size_t s : parts) {
     ARIESRH_RETURN_IF_ERROR(PoisonOnError(
         ProtocolPoint("2pc:before-prepare:" + std::to_string(s))));
-    ARIESRH_RETURN_IF_ERROR(
-        PoisonOnError(shards_[s]->txn_manager()->Prepare(txn, csn)));
+    Result<Lsn> vote = shards_[s]->txn_manager()->Prepare(txn, csn);
+    ARIESRH_RETURN_IF_ERROR(PoisonOnError(vote.status()));
+    votes.emplace_back(s, *vote);
   }
+  ARIESRH_RETURN_IF_ERROR(PoisonOnError(ProtocolPoint("2pc:votes-appended")));
+  ARIESRH_RETURN_IF_ERROR(PoisonOnError(ForceShardLogs(votes)));
+  const uint64_t votes_durable = obs::MonotonicNanos();
+  obs_.registry.GetHistogram("ariesrh_2pc_prepare_ns")
+      ->Observe(votes_durable - commit_requested);
 
   ARIESRH_RETURN_IF_ERROR(PoisonOnError(ProtocolPoint("2pc:before-decision")));
   coord::CoordRecord decision = open;
@@ -550,9 +578,12 @@ Status Database::TwoPhaseCommit(TxnId txn, const std::vector<size_t>& parts) {
   // committed even if every shard's own COMMIT record is still volatile.
   ARIESRH_RETURN_IF_ERROR(PoisonOnError(coord_->Force()));
   // Durable ack: the user-visible commit latency ends here, not after the
-  // lazy phase 2 below.
+  // lazy phase 2 below. The two phase histograms split it exactly.
+  const uint64_t acked = obs::MonotonicNanos();
+  obs_.registry.GetHistogram("ariesrh_2pc_coord_force_ns")
+      ->Observe(acked - votes_durable);
   obs_.registry.GetHistogram("ariesrh_commit_latency_ns")
-      ->Observe(obs::MonotonicNanos() - commit_requested);
+      ->Observe(acked - commit_requested);
   ARIESRH_RETURN_IF_ERROR(PoisonOnError(ProtocolPoint("2pc:after-decision")));
 
   // Phase 2: deliberately lazy — the shard COMMIT/END records ride out with
@@ -563,6 +594,8 @@ Status Database::TwoPhaseCommit(TxnId txn, const std::vector<size_t>& parts) {
     ARIESRH_RETURN_IF_ERROR(
         PoisonOnError(shards_[s]->txn_manager()->FinishCommit(txn)));
   }
+  obs_.registry.GetHistogram("ariesrh_2pc_finish_ns")
+      ->Observe(obs::MonotonicNanos() - acked);
   return Status::OK();
 }
 

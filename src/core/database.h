@@ -379,9 +379,10 @@ class Database {
   void set_checkpoint_test_hooks(CheckpointTestHooks hooks);
 
   /// Test-only interception inside the cross-shard protocols. Called at
-  /// named points — "2pc:before-prepare:<shard>", "2pc:before-decision",
-  /// "2pc:after-decision", "2pc:before-finish:<shard>",
-  /// "xdel:before-coord-prepare", "xdel:before-apply:<shard>",
+  /// named points — "2pc:before-prepare:<shard>", "2pc:votes-appended",
+  /// "2pc:before-decision", "2pc:after-decision",
+  /// "2pc:before-finish:<shard>", "xdel:before-coord-prepare",
+  /// "xdel:before-apply:<shard>", "xdel:legs-appended",
   /// "xdel:before-decision", "xdel:after-decision" — a returned error stops
   /// the protocol there, modelling a crash at that point (the crash-matrix
   /// tests then SimulateCrash + Recover). A mid-protocol stop leaves the
@@ -437,6 +438,10 @@ class Database {
   Status CrossShardDelegate(TxnId from, TxnId to, TxnRoute* to_route,
                             const std::map<size_t, std::vector<ObjectId>>&
                                 by_shard);
+  /// Makes each (shard, lsn) leg durable in one round: requests a force on
+  /// every listed shard log before awaiting any (LogManager::RequestFlush /
+  /// AwaitFlush). The cross-shard protocols' vote and leg forces.
+  Status ForceShardLogs(const std::vector<std::pair<size_t, Lsn>>& legs);
   /// Two-phase commit across `parts`. Caller holds the route mutex.
   Status TwoPhaseCommit(TxnId txn, const std::vector<size_t>& parts);
   /// Feeds the time-to-first-commit histogram once per restart (the instant

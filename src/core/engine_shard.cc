@@ -50,9 +50,7 @@ void EngineShard::BuildVolatileComponents() {
   // it down with the log manager and Recover() builds a fresh one.
   if (options_.group_commit) {
     LogManager::GroupCommitConfig gc;
-    gc.window_us = options_.group_commit_window_us;
-    gc.adaptive = options_.group_commit_policy == GroupCommitPolicy::kAdaptive;
-    gc.max_window_us = options_.group_commit_max_window_us;
+    gc.window_us = options_.group_commit_window_us;  // 0 under kAdaptive
     gc.target_batch = options_.group_commit_target_batch;
     log_->StartGroupCommit(gc);
   }

@@ -100,15 +100,8 @@ Status Options::Validate() const {
     }
     if (group_commit_window_us > 0) {
       return Status::InvalidArgument(
-          "group_commit_window_us is the fixed-window knob; under the "
-          "adaptive policy the flusher sizes the window itself (cap it with "
-          "group_commit_max_window_us)");
-    }
-    if (group_commit_target_batch < 2) {
-      return Status::InvalidArgument(
-          "group_commit_target_batch must be at least 2 under the adaptive "
-          "policy; a target of 1 means no coalescing — use the fixed policy "
-          "with window 0");
+          "group_commit_window_us is the fixed-window knob; the adaptive "
+          "policy forces as soon as the device is free");
     }
   }
   if (early_lock_release && !force_commits) {

@@ -63,15 +63,14 @@ enum class RecoveryMode {
 
 const char* RecoveryModeName(RecoveryMode mode);
 
-/// How the group-commit flusher picks its coalescing window
-/// (docs/GROUP_COMMIT.md).
+/// When the group-commit flusher forces (docs/GROUP_COMMIT.md).
 enum class GroupCommitPolicy {
-  /// Fixed window: group_commit_window_us, every batch.
+  /// Fixed window: after a request the flusher waits group_commit_window_us
+  /// (or until group_commit_target_batch requests queue) before forcing.
   kFixed,
-  /// Adaptive window: the flusher tracks commit inter-arrival times (EWMA)
-  /// and waits just long enough for ~group_commit_target_batch committers to
-  /// pile on, capped at group_commit_max_window_us. Under a lone committer
-  /// the window collapses to zero — single-threaded latency is untouched.
+  /// Device-paced: the flusher forces the moment the device is free; a
+  /// batch is whatever queued during the previous force. No timer, so a
+  /// lone committer pays one force and N concurrent ones share ~1.
   kAdaptive,
 };
 
@@ -143,17 +142,12 @@ struct Options {
   /// meaningful with group_commit and the kFixed policy.
   uint64_t group_commit_window_us = 0;
 
-  /// Window policy (see GroupCommitPolicy). kAdaptive sizes the wait from
-  /// observed arrival rate instead of group_commit_window_us; the two are
-  /// mutually exclusive (set the window only under kFixed).
+  /// Force policy (see GroupCommitPolicy). Set the window only under
+  /// kFixed; kAdaptive has none.
   GroupCommitPolicy group_commit_policy = GroupCommitPolicy::kFixed;
 
-  /// kAdaptive only: hard cap on the adaptive window, in microseconds.
-  uint64_t group_commit_max_window_us = 1000;
-
-  /// kAdaptive only: the batch size the adaptive window aims for. The
-  /// flusher also forces as soon as this many requests are queued — under
-  /// either policy — rather than sleeping out the window.
+  /// kFixed only: the flusher forces as soon as this many requests are
+  /// queued rather than sleeping out the window (0 disables the early wake).
   uint64_t group_commit_target_batch = 8;
 
   /// Early lock release (docs/GROUP_COMMIT.md): a committing transaction

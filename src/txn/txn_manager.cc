@@ -879,7 +879,7 @@ Status TxnManager::Abort(TxnId txn) {
   return Status::OK();
 }
 
-Status TxnManager::Prepare(TxnId txn, uint64_t csn) {
+Result<Lsn> TxnManager::Prepare(TxnId txn, uint64_t csn) {
   ARIESRH_ASSIGN_OR_RETURN(Transaction * tx, FindActive(txn));
   Lsn prepare_lsn = kInvalidLsn;
   {
@@ -893,13 +893,7 @@ Status TxnManager::Prepare(TxnId txn, uint64_t csn) {
     tx->prepared_csn = csn;
     tx->state = TxnState::kPrepared;
   }
-  // The vote must be durable before the coordinator may decide commit: a
-  // committed csn with a lost PREPARE record would presume-abort a round
-  // the coordinator committed. Outside the latch, like Commit's wait.
-  if (options_.group_commit) {
-    return log_->FlushWait(prepare_lsn);
-  }
-  return log_->Flush(prepare_lsn);
+  return prepare_lsn;
 }
 
 Status TxnManager::FinishCommit(TxnId txn) {
@@ -987,7 +981,7 @@ Status TxnManager::CheckDelegatable(const DelegationGuard& guard,
   return Status::OK();
 }
 
-Status TxnManager::ApplyCrossShardDelegation(
+Lsn TxnManager::ApplyCrossShardDelegation(
     const DelegationGuard& guard, const std::vector<ObjectId>& objects,
     uint64_t csn) {
   Transaction* tor = guard.tor_;
@@ -1017,10 +1011,7 @@ Status TxnManager::ApplyCrossShardDelegation(
   }
   tor->touched_by_delegation = true;
   tee->touched_by_delegation = true;
-  // This leg must be durable before the coordinator's commit point: a
-  // committed csn referencing a lost shard record would be a half-applied
-  // transfer.
-  return log_->Flush(lsn);
+  return lsn;
 }
 
 Status TxnManager::RollBack(Transaction* tx) {

@@ -203,13 +203,15 @@ class TxnManager {
 
   // --- Two-phase commit participant role (sharded engines only) ---
 
-  /// Phase 1 vote: writes a csn-stamped PREPARE record and forces the log,
-  /// moving the transaction to kPrepared. From here no further work is
-  /// accepted (FindActive rejects kPrepared); the transaction's fate belongs
-  /// to the coordinator and arrives via FinishCommit or AbortPrepared.
-  /// Locks are retained — a prepared transaction's writes stay protected
-  /// until the round resolves.
-  Status Prepare(TxnId txn, uint64_t csn);
+  /// Phase 1 vote: appends a csn-stamped PREPARE record and returns its
+  /// LSN, moving the transaction to kPrepared. The vote is not durable yet:
+  /// the caller must force the log past the LSN (the facade forces every
+  /// participant's vote in one concurrent round) before the coordinator may
+  /// decide commit. From here no further work is accepted (FindActive
+  /// rejects kPrepared); the transaction's fate belongs to the coordinator
+  /// and arrives via FinishCommit or AbortPrepared. Locks are retained — a
+  /// prepared transaction's writes stay protected until the round resolves.
+  Result<Lsn> Prepare(TxnId txn, uint64_t csn);
 
   /// Phase 2 commit of a prepared transaction: COMMIT + END records,
   /// release locks. Deliberately does NOT force the log — the round's
@@ -260,12 +262,13 @@ class TxnManager {
 
   /// Applies this shard's leg of a cross-shard transfer under the guard:
   /// appends the csn-stamped DELEGATE record, moves the scopes and locks,
-  /// and forces the log — the leg must be durable before the coordinator
-  /// may reach its commit point, else a committed csn could reference a
-  /// lost shard record (a half-applied transfer). kRH only.
-  Status ApplyCrossShardDelegation(const DelegationGuard& guard,
-                                   const std::vector<ObjectId>& objects,
-                                   uint64_t csn);
+  /// and returns the record's LSN. The caller must force the log past it
+  /// before the coordinator reaches its commit point, else a committed csn
+  /// could reference a lost shard record (a half-applied transfer). kRH
+  /// only.
+  Lsn ApplyCrossShardDelegation(const DelegationGuard& guard,
+                                const std::vector<ObjectId>& objects,
+                                uint64_t csn);
 
   /// Looks up a live or terminated-this-session transaction. The pointer
   /// stays valid until ReapTerminated (std::map node stability).

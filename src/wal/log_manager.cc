@@ -26,7 +26,8 @@ LogManager::LogManager(SimulatedDisk* disk, Stats* stats)
     : disk_(disk),
       stats_(stats),
       next_lsn_(disk->stable_end_lsn() + 1),
-      flushed_lsn_(disk->stable_end_lsn()) {
+      flushed_lsn_(disk->stable_end_lsn()),
+      forced_lsn_(disk->stable_end_lsn()) {
   if (obs::MetricsRegistry* registry = stats->registry()) {
     flush_ns_ = registry->GetHistogram("ariesrh_log_flush_ns");
     batch_size_ = registry->GetHistogram("ariesrh_group_commit_batch",
@@ -63,8 +64,13 @@ Lsn LogManager::Append(LogRecord rec) {
 }
 
 Status LogManager::Flush(Lsn lsn) {
+  // Already durable and its force's stall over: do not queue behind an
+  // unrelated force. The group-commit flusher keeps the device busy, and a
+  // page eviction waits here holding the buffer-pool latch.
+  if (lsn <= forced_lsn_.load(std::memory_order_acquire)) return Status::OK();
   // One force at a time: force_mu_ is the "device channel". A caller whose
-  // LSN was covered by the force it queued behind returns immediately.
+  // LSN was covered by the force it queued behind returns once that force's
+  // stall is over.
   std::unique_lock force_lock(force_mu_);
   obs::ScopedLatencyTimer timer(flush_ns_);
   uint64_t stall_ns = 0;
@@ -107,51 +113,59 @@ Status LogManager::Flush(Lsn lsn) {
   if (stall_ns > 0) {
     std::this_thread::sleep_for(std::chrono::nanoseconds(stall_ns));
   }
+  forced_lsn_.store(flushed_lsn_.load(std::memory_order_relaxed),
+                    std::memory_order_release);
   return Status::OK();
 }
 
 Status LogManager::FlushAll() { return Flush(end_lsn()); }
 
-Status LogManager::FlushWait(Lsn lsn) {
-  if (!flusher_running_.load(std::memory_order_acquire)) {
-    return Flush(lsn);
+LogManager::FlushTicket LogManager::RequestFlush(Lsn lsn) {
+  std::unique_lock lock(flush_mu_);
+  FlushTicket ticket{lsn, discard_floors_.size(), 0};
+  // A stopping flusher takes no new requests: the ticket falls back to a
+  // direct force instead of failing a commit nothing is crashing.
+  if (!flusher_running_.load(std::memory_order_acquire) || stop_flusher_) {
+    return ticket;
+  }
+  ticket.epoch = flusher_epoch_;
+  if (lsn > acked_lsn_) {
+    requested_lsn_ = std::max(requested_lsn_, lsn);
+    ++pending_requests_;
+    flush_cv_.notify_one();
+  }
+  return ticket;
+}
+
+bool LogManager::LostToDiscard(const FlushTicket& ticket) const {
+  return ticket.generation < discard_floors_.size() &&
+         ticket.lsn > discard_floors_[ticket.generation];
+}
+
+Status LogManager::AwaitFlush(const FlushTicket& ticket) {
+  const Status discarded = Status::IllegalState(
+      "log tail discarded before the record became durable");
+  if (ticket.epoch == 0) {
+    const Status status = Flush(ticket.lsn);
+    std::unique_lock lock(flush_mu_);
+    return LostToDiscard(ticket) ? discarded : status;
   }
   std::unique_lock lock(flush_mu_);
-  if (lsn <= acked_lsn_) return flusher_status_;
-  const uint64_t generation = tail_generation_;
-  requested_lsn_ = std::max(requested_lsn_, lsn);
-  if (track_arrivals_) {
-    const uint64_t now_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-    // Sample only intra-burst gaps — this request joining ones already
-    // pending. A lone committer (nothing pending when it arrives) leaves
-    // the EWMA alone, so the adaptive window stays 0 for it.
-    if (pending_requests_ > 0 && last_arrival_ns_ > 0 &&
-        now_ns > last_arrival_ns_) {
-      const uint64_t gap = now_ns - last_arrival_ns_;
-      ewma_interarrival_ns_ =
-          ewma_interarrival_ns_ == 0
-              ? gap
-              : ewma_interarrival_ns_ - ewma_interarrival_ns_ / 8 + gap / 8;
-    }
-    last_arrival_ns_ = now_ns;
-  }
-  ++pending_requests_;
   if (queue_depth_ != nullptr) queue_depth_->Add(1);
-  flush_cv_.notify_one();
   acked_cv_.wait(lock, [&] {
-    return acked_lsn_ >= lsn || stop_flusher_ ||
-           tail_generation_ != generation || !flusher_status_.ok();
+    return acked_lsn_ >= ticket.lsn ||
+           discard_floors_.size() != ticket.generation || stop_flusher_ ||
+           flusher_epoch_ != ticket.epoch || !flusher_status_.ok();
   });
   if (queue_depth_ != nullptr) queue_depth_->Add(-1);
-  if (!flusher_status_.ok()) return flusher_status_;
-  if (acked_lsn_ >= lsn) return Status::OK();
-  if (tail_generation_ != generation) {
-    return Status::IllegalState(
-        "log tail discarded before the commit record became durable");
+  // A discard resets acked_lsn_ and lets LSNs be reused, so it decides first.
+  if (discard_floors_.size() != ticket.generation) {
+    return LostToDiscard(ticket) ? discarded : Status::OK();
   }
+  if (flusher_epoch_ == ticket.epoch && !flusher_status_.ok()) {
+    return flusher_status_;
+  }
+  if (acked_lsn_ >= ticket.lsn) return Status::OK();
   return Status::IllegalState("log flusher stopped during commit flush");
 }
 
@@ -163,9 +177,7 @@ void LogManager::StartGroupCommit(const GroupCommitConfig& config) {
   acked_lsn_ = flushed_lsn();
   requested_lsn_ = acked_lsn_;
   pending_requests_ = 0;
-  track_arrivals_ = config.adaptive;
-  last_arrival_ns_ = 0;
-  ewma_interarrival_ns_ = 0;
+  ++flusher_epoch_;
   flusher_running_.store(true, std::memory_order_release);
   flusher_ = std::thread([this, config] { FlusherLoop(config); });
 }
@@ -182,14 +194,6 @@ void LogManager::StopGroupCommit() {
   flusher_running_.store(false, std::memory_order_release);
 }
 
-uint64_t LogManager::AdaptiveWindowUs(const GroupCommitConfig& config) const {
-  if (ewma_interarrival_ns_ == 0) return 0;  // no concurrent traffic seen yet
-  if (config.target_batch <= pending_requests_) return 0;  // batch is full
-  const uint64_t missing = config.target_batch - pending_requests_;
-  const uint64_t window_us = missing * ewma_interarrival_ns_ / 1000;
-  return std::min(window_us, config.max_window_us);
-}
-
 void LogManager::FlusherLoop(GroupCommitConfig config) {
   std::unique_lock lock(flush_mu_);
   while (true) {
@@ -197,16 +201,15 @@ void LogManager::FlusherLoop(GroupCommitConfig config) {
       return stop_flusher_ || requested_lsn_ > acked_lsn_;
     });
     if (stop_flusher_) break;
-    const uint64_t window_us =
-        config.adaptive ? AdaptiveWindowUs(config) : config.window_us;
-    if (window_us > 0) {
+    if (config.window_us > 0) {
       // Coalescing window: give concurrent committers a beat to pile on.
       // Requests arriving during the force itself batch into the next one
       // regardless, so the window only matters for sparse commit traffic.
       // Wake early the moment a full batch is queued — sleeping out the
       // rest of the window would only add latency to a force that cannot
       // coalesce further.
-      flush_cv_.wait_for(lock, std::chrono::microseconds(window_us), [&] {
+      const auto window = std::chrono::microseconds(config.window_us);
+      flush_cv_.wait_for(lock, window, [&] {
         return stop_flusher_ || (config.target_batch > 0 &&
                                  pending_requests_ >= config.target_batch);
       });
@@ -308,9 +311,9 @@ void LogManager::DiscardTail() {
     next_lsn_.store(flushed_lsn_.load(std::memory_order_relaxed) + 1,
                     std::memory_order_release);
   }
-  // Wake committers parked on records that just ceased to exist.
+  // Fail the tickets of records that just ceased to exist.
   std::unique_lock lock(flush_mu_);
-  ++tail_generation_;
+  discard_floors_.push_back(flushed_lsn());
   requested_lsn_ = std::min(requested_lsn_, flushed_lsn());
   acked_lsn_ = std::max(acked_lsn_, flushed_lsn());
   acked_cv_.notify_all();

@@ -17,13 +17,14 @@
 // outside the tail lock so appenders keep running while the device is busy.
 //
 // Group commit: StartGroupCommit spawns a dedicated flusher thread that owns
-// all commit-driven forces. A committer appends its COMMIT record, calls
-// FlushWait, and parks; the flusher coalesces every pending request into one
-// batched force (waiting up to the configured window for stragglers), then
-// wakes the whole batch. N committers therefore pay ~1 device force instead
-// of N, and a commit is still durable before FlushWait returns — the WAL
-// rule and the durability contract are unchanged, only the force count
-// drops. See docs/GROUP_COMMIT.md for the protocol walkthrough.
+// all commit-driven forces. A committer appends its COMMIT record, requests a
+// flush (RequestFlush), and parks on the ticket (AwaitFlush); the flusher
+// coalesces every pending request into one batched force, then wakes the
+// whole batch. N committers therefore pay ~1 device force instead of N, and
+// a commit is still durable before AwaitFlush returns — the WAL rule and the
+// durability contract are unchanged, only the force count drops. Splitting
+// request from await lets one caller have forces in flight on several logs
+// at once (the cross-shard vote round). See docs/GROUP_COMMIT.md.
 
 #ifndef ARIESRH_WAL_LOG_MANAGER_H_
 #define ARIESRH_WAL_LOG_MANAGER_H_
@@ -50,19 +51,21 @@ class LogManager {
  public:
   /// Group-commit flusher configuration (see docs/GROUP_COMMIT.md).
   struct GroupCommitConfig {
-    /// Fixed coalescing window in microseconds; 0 forces immediately.
-    /// Ignored when `adaptive` is set.
+    /// Fixed coalescing window in microseconds; 0 forces as soon as the
+    /// device is free (a batch is whatever queued during the last force).
     uint64_t window_us = 0;
-    /// Adaptive windowing: the flusher sizes the window from an EWMA of
-    /// commit inter-arrival times — long enough for ~`target_batch`
-    /// committers to pile on, capped at `max_window_us`, zero when no
-    /// concurrent commit traffic has been observed.
-    bool adaptive = false;
-    uint64_t max_window_us = 1000;
-    /// Full-batch early wake (both policies): once this many requests are
-    /// queued the flusher forces immediately instead of sleeping out the
-    /// rest of the window. 0 disables the early wake.
+    /// Full-batch early wake: once this many requests are queued the
+    /// flusher forces immediately instead of sleeping out the rest of the
+    /// window. 0 disables the early wake.
     uint64_t target_batch = 8;
+  };
+
+  /// A flush request in flight: RequestFlush hands it out, AwaitFlush
+  /// redeems it.
+  struct FlushTicket {
+    Lsn lsn = kInvalidLsn;
+    uint64_t generation = 0;  ///< tail generation at request time
+    uint64_t epoch = 0;       ///< flusher run it was queued on; 0 = none
   };
 
   /// Attaches to a disk; the durable prefix (if any) defines the next LSN.
@@ -79,18 +82,25 @@ class LogManager {
   /// Makes the log durable up to and including `lsn` (no-op if already
   /// durable). Implements both commit forcing and the WAL rule. Concurrent
   /// forces serialize; a caller whose LSN was covered by another thread's
-  /// force returns without touching the device.
+  /// force returns without touching the device, once that force's stall is
+  /// over — at once if it already was.
   Status Flush(Lsn lsn);
 
   /// Flushes the entire tail.
   Status FlushAll();
 
-  /// Group-commit flush: with the flusher running, enqueues a request for
-  /// `lsn` and parks until a batched force covers it; without a flusher this
-  /// degrades to a direct Flush. Returns only once the record is durable
-  /// (or the tail was discarded / the flusher stopped underneath the wait,
-  /// which reports IllegalState — the crash path).
-  Status FlushWait(Lsn lsn);
+  /// Group-commit flush, first half: with the flusher running, queues a
+  /// request for `lsn` and returns at once; without one the ticket defers a
+  /// direct Flush to AwaitFlush.
+  FlushTicket RequestFlush(Lsn lsn);
+
+  /// Second half: returns once the ticket's record is durable, or
+  /// IllegalState if the tail was discarded or the flusher stopped before a
+  /// force covered it (the crash path). OK iff the record is durable.
+  Status AwaitFlush(const FlushTicket& ticket);
+
+  /// RequestFlush and AwaitFlush in a row: the commit path's durability wait.
+  Status FlushWait(Lsn lsn) { return AwaitFlush(RequestFlush(lsn)); }
 
   /// Spawns the dedicated flusher thread (idempotent).
   void StartGroupCommit(const GroupCommitConfig& config);
@@ -143,8 +153,8 @@ class LogManager {
   uint64_t ArchivePrefix(Lsn keep_from);
 
   /// Crash: discards the volatile tail. The durable prefix is untouched.
-  /// Safe against an in-flight Flush (serializes after it) and wakes any
-  /// parked FlushWait committers whose records were discarded.
+  /// Safe against an in-flight Flush (serializes after it) and fails every
+  /// outstanding ticket whose record was discarded.
   void DiscardTail();
 
  private:
@@ -156,16 +166,15 @@ class LogManager {
 
   void FlusherLoop(GroupCommitConfig config);
 
-  /// Adaptive window for the batch being assembled, in microseconds
-  /// (flush_mu_ held): enough of the observed inter-arrival gap for
-  /// `target_batch` total requests, capped; 0 with no arrival history.
-  uint64_t AdaptiveWindowUs(const GroupCommitConfig& config) const;
+  /// True when a DiscardTail since the ticket's request dropped its record
+  /// before any force covered it (flush_mu_ held).
+  bool LostToDiscard(const FlushTicket& ticket) const;
 
   SimulatedDisk* disk_;
   Stats* stats_;
   obs::Histogram* flush_ns_ = nullptr;   ///< null when Stats is unattached
   obs::Histogram* batch_size_ = nullptr; ///< group-commit batch sizes
-  obs::Gauge* queue_depth_ = nullptr;    ///< committers parked in FlushWait
+  obs::Gauge* queue_depth_ = nullptr;    ///< committers parked in AwaitFlush
 
   /// Serializes physical forces (and DiscardTail). Ordered before mu_; the
   /// simulated device stall is paid holding only this, so appenders and
@@ -174,6 +183,8 @@ class LogManager {
   mutable std::shared_mutex mu_;  ///< guards tail_ and the disk's log
   std::atomic<Lsn> next_lsn_;
   std::atomic<Lsn> flushed_lsn_;
+  /// flushed_lsn_ as of the last force whose device stall has ended.
+  std::atomic<Lsn> forced_lsn_;
   std::deque<TailEntry> tail_;  // records (flushed_lsn_, next_lsn_)
 
   // --- group-commit flusher state (guarded by flush_mu_) ---
@@ -183,14 +194,11 @@ class LogManager {
   Lsn requested_lsn_ = 0;             ///< highest LSN any committer wants
   Lsn acked_lsn_ = 0;                 ///< highest LSN a batched force covered
   uint64_t pending_requests_ = 0;     ///< requests since the last force
-  uint64_t tail_generation_ = 0;      ///< bumped by DiscardTail
-  /// Adaptive policy only: arrival-rate tracking for AdaptiveWindowUs.
-  /// The EWMA samples only *intra-burst* gaps (a request arriving while
-  /// others are already pending), so a lone committer — no concurrency to
-  /// coalesce with — never opens a window and keeps immediate-force latency.
-  bool track_arrivals_ = false;
-  uint64_t last_arrival_ns_ = 0;      ///< steady-clock stamp of last request
-  uint64_t ewma_interarrival_ns_ = 0; ///< 0 until the first intra-burst gap
+  /// flushed_lsn() at each DiscardTail; its size is the tail generation. A
+  /// record requested in generation g survived iff its LSN is at most
+  /// discard_floors_[g] — later LSNs were discarded and may be reused.
+  std::vector<Lsn> discard_floors_;
+  uint64_t flusher_epoch_ = 0;        ///< bumped by StartGroupCommit
   bool stop_flusher_ = false;
   Status flusher_status_ = Status::OK();
   std::atomic<bool> flusher_running_{false};

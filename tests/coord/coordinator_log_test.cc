@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "obs/metrics.h"
 
 namespace ariesrh::coord {
@@ -83,6 +87,40 @@ TEST(CoordinatorLogTest, UnforcedTailDiesWithTheCrash) {
   ASSERT_EQ(stable.size(), 1u);
   EXPECT_EQ(stable[0].csn, 1u);
   EXPECT_EQ(log.stable_size(), 1u);
+}
+
+TEST(CoordinatorLogTest, ConcurrentForcesBothWaitOutTheStall) {
+  constexpr uint64_t kStallNs = 20'000'000;  // 20 ms per force
+  CoordinatorLog log(/*registry=*/nullptr, kStallNs);
+  std::atomic<bool> go{false};
+  std::atomic<int> appended{0};
+  std::chrono::steady_clock::time_point start;
+  uint64_t elapsed_ns[2] = {0, 0};
+  auto committer = [&](int i) {
+    CoordRecord rec = SampleRecord();
+    rec.csn = static_cast<uint64_t>(i + 1);
+    log.Append(rec);
+    appended.fetch_add(1);
+    while (!go.load()) std::this_thread::yield();
+    ASSERT_TRUE(log.Force().ok());
+    elapsed_ns[i] = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  };
+  std::thread a(committer, 0);
+  std::thread b(committer, 1);
+  while (appended.load() < 2) std::this_thread::yield();
+  // Both records are appended before either force starts, so the first
+  // force carries both. The second caller finds its record already in
+  // stable_ and must still wait until that force's stall has ended.
+  start = std::chrono::steady_clock::now();
+  go.store(true);
+  a.join();
+  b.join();
+  EXPECT_GE(elapsed_ns[0], kStallNs);
+  EXPECT_GE(elapsed_ns[1], kStallNs);
+  EXPECT_EQ(log.stable_size(), 2u);
 }
 
 TEST(CoordinatorLogTest, ResolutionIsPresumedAbort) {

@@ -16,12 +16,22 @@
 namespace ariesrh {
 namespace {
 
-Options ShardedOptions(size_t shards,
-                       RecoveryMode mode = RecoveryMode::kFull) {
-  Options options;
-  options.num_shards = shards;
-  options.recovery_mode = mode;
-  return options;
+/// Every matrix runs under both ways a shard forces its votes and legs:
+/// direct forces one shard after another (the default options), and the
+/// device-paced group-commit flusher, where one round overlaps the forces.
+std::vector<Options> MatrixOptions(size_t shards, RecoveryMode mode) {
+  Options direct;
+  direct.num_shards = shards;
+  direct.recovery_mode = mode;
+  Options flusher = direct;
+  flusher.group_commit = true;
+  flusher.group_commit_policy = GroupCommitPolicy::kAdaptive;
+  return {direct, flusher};
+}
+
+std::string Describe(const Options& options) {
+  return std::string("shards=") + std::to_string(options.num_shards) +
+         (options.group_commit ? " flusher" : " direct");
 }
 
 ObjectId ObOnShard(const Database& db, size_t shard, ObjectId from = 1) {
@@ -74,6 +84,9 @@ class ShardedCrashMatrixTest
  protected:
   size_t shard_count() const { return std::get<0>(GetParam()); }
   RecoveryMode mode() const { return std::get<1>(GetParam()); }
+  std::vector<Options> option_sets() const {
+    return MatrixOptions(shard_count(), mode());
+  }
 };
 
 // --- two-phase commit ---
@@ -90,6 +103,7 @@ std::vector<TwoPcPoint> TwoPcMatrix(size_t shards) {
   for (size_t s = 0; s < shards; ++s) {
     points.push_back({"2pc:before-prepare:" + std::to_string(s), false});
   }
+  points.push_back({"2pc:votes-appended", false});
   points.push_back({"2pc:before-decision", false});
   points.push_back({"2pc:after-decision", true});
   for (size_t s = 0; s < shards; ++s) {
@@ -99,64 +113,68 @@ std::vector<TwoPcPoint> TwoPcMatrix(size_t shards) {
 }
 
 TEST_P(ShardedCrashMatrixTest, TwoPhaseCommitIsAtomicAtEveryCrashPoint) {
-  const size_t shards = shard_count();
-  for (const TwoPcPoint& pt : TwoPcMatrix(shards)) {
-    Database db(ShardedOptions(shards, mode()));
-    const std::vector<ObjectId> obs = OnePerShard(db);
-    // A committed backdrop value distinguishes "undone" from "never ran".
-    TxnId setup = *db.Begin();
-    for (ObjectId ob : obs) ASSERT_TRUE(db.Set(setup, ob, 100).ok());
-    ASSERT_TRUE(db.Commit(setup).ok());
-    ASSERT_TRUE(db.Sync().ok());
+  for (const Options& options : option_sets()) {
+    for (const TwoPcPoint& pt : TwoPcMatrix(options.num_shards)) {
+      Database db(options);
+      const std::vector<ObjectId> obs = OnePerShard(db);
+      // A committed backdrop value distinguishes "undone" from "never ran".
+      TxnId setup = *db.Begin();
+      for (ObjectId ob : obs) ASSERT_TRUE(db.Set(setup, ob, 100).ok());
+      ASSERT_TRUE(db.Commit(setup).ok());
+      ASSERT_TRUE(db.Sync().ok());
 
-    TxnId t = *db.Begin();
-    for (ObjectId ob : obs) ASSERT_TRUE(db.Set(t, ob, 7).ok());
-    RunToCrashPoint(&db, pt.point, [&] { return db.Commit(t); });
+      TxnId t = *db.Begin();
+      for (ObjectId ob : obs) ASSERT_TRUE(db.Set(t, ob, 7).ok());
+      RunToCrashPoint(&db, pt.point, [&] { return db.Commit(t); });
 
-    const int64_t expected = pt.committed ? 7 : 100;
-    for (ObjectId ob : obs) {
-      EXPECT_EQ(*db.ReadCommitted(ob), expected)
-          << "shards=" << shards << " point=" << pt.point << " ob=" << ob;
+      const int64_t expected = pt.committed ? 7 : 100;
+      for (ObjectId ob : obs) {
+        EXPECT_EQ(*db.ReadCommitted(ob), expected)
+            << Describe(options) << " point=" << pt.point << " ob=" << ob;
+      }
     }
   }
 }
 
 TEST_P(ShardedCrashMatrixTest, InDoubtCountsMatchTheDecisionPoint) {
   const size_t shards = shard_count();
-  // Crash after the decision, before any second-phase record: every shard
-  // is in doubt and every one must resolve committed.
-  Database db(ShardedOptions(shards, mode()));
-  const std::vector<ObjectId> obs = OnePerShard(db);
-  TxnId t = *db.Begin();
-  for (ObjectId ob : obs) ASSERT_TRUE(db.Set(t, ob, 7).ok());
-  bool fired = false;
-  db.set_protocol_test_hook([&](const std::string& at) {
-    if (at == "2pc:after-decision") {
-      fired = true;
-      return Status::IOError("crash");
-    }
-    return Status::OK();
-  });
-  EXPECT_FALSE(db.Commit(t).ok());
-  db.set_protocol_test_hook(nullptr);
-  ASSERT_TRUE(fired);
-  db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(outcome->in_doubt_committed, shards);
-  EXPECT_EQ(outcome->in_doubt_aborted, 0u);
+  for (const Options& options : option_sets()) {
+    SCOPED_TRACE(Describe(options));
+    // Crash after the decision, before any second-phase record: every shard
+    // is in doubt and every one must resolve committed.
+    Database db(options);
+    const std::vector<ObjectId> obs = OnePerShard(db);
+    TxnId t = *db.Begin();
+    for (ObjectId ob : obs) ASSERT_TRUE(db.Set(t, ob, 7).ok());
+    bool fired = false;
+    db.set_protocol_test_hook([&](const std::string& at) {
+      if (at == "2pc:after-decision") {
+        fired = true;
+        return Status::IOError("crash");
+      }
+      return Status::OK();
+    });
+    EXPECT_FALSE(db.Commit(t).ok());
+    db.set_protocol_test_hook(nullptr);
+    ASSERT_TRUE(fired);
+    db.SimulateCrash();
+    Result<RecoveryManager::Outcome> outcome = db.Recover();
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome->in_doubt_committed, shards);
+    EXPECT_EQ(outcome->in_doubt_aborted, 0u);
 
-  // And the mirror image: crash before the decision leaves every prepared
-  // shard to presumed abort.
-  Database db2(ShardedOptions(shards, mode()));
-  const std::vector<ObjectId> obs2 = OnePerShard(db2);
-  TxnId t2 = *db2.Begin();
-  for (ObjectId ob : obs2) ASSERT_TRUE(db2.Set(t2, ob, 7).ok());
-  const RecoveryManager::Outcome aborted = RunToCrashPoint(
-      &db2, "2pc:before-decision", [&] { return db2.Commit(t2); });
-  EXPECT_EQ(aborted.in_doubt_committed, 0u);
-  EXPECT_EQ(aborted.in_doubt_aborted, shards);
-  for (ObjectId ob : obs2) EXPECT_EQ(*db2.ReadCommitted(ob), 0);
+    // And the mirror image: crash before the decision leaves every prepared
+    // shard to presumed abort.
+    Database db2(options);
+    const std::vector<ObjectId> obs2 = OnePerShard(db2);
+    TxnId t2 = *db2.Begin();
+    for (ObjectId ob : obs2) ASSERT_TRUE(db2.Set(t2, ob, 7).ok());
+    const RecoveryManager::Outcome aborted = RunToCrashPoint(
+        &db2, "2pc:before-decision", [&] { return db2.Commit(t2); });
+    EXPECT_EQ(aborted.in_doubt_committed, 0u);
+    EXPECT_EQ(aborted.in_doubt_aborted, shards);
+    for (ObjectId ob : obs2) EXPECT_EQ(*db2.ReadCommitted(ob), 0);
+  }
 }
 
 // --- cross-shard delegation ---
@@ -167,30 +185,32 @@ TEST_P(ShardedCrashMatrixTest, InDoubtCountsMatchTheDecisionPoint) {
 /// applied (after). The matrix asserts that totality: no half-transferred
 /// scope may rescue or strand an update on any shard.
 TEST_P(ShardedCrashMatrixTest, DelegationCrashLeavesNoHalfTransfer) {
-  const size_t shards = shard_count();
   std::vector<std::string> points = {"xdel:before-coord-prepare",
+                                     "xdel:legs-appended",
                                      "xdel:before-decision",
                                      "xdel:after-decision"};
-  for (size_t s = 0; s < shards; ++s) {
+  for (size_t s = 0; s < shard_count(); ++s) {
     points.push_back("xdel:before-apply:" + std::to_string(s));
   }
-  for (const std::string& point : points) {
-    Database db(ShardedOptions(shards, mode()));
-    const std::vector<ObjectId> obs = OnePerShard(db);
-    TxnId setup = *db.Begin();
-    for (ObjectId ob : obs) ASSERT_TRUE(db.Set(setup, ob, 100).ok());
-    ASSERT_TRUE(db.Commit(setup).ok());
-    ASSERT_TRUE(db.Sync().ok());
+  for (const Options& options : option_sets()) {
+    for (const std::string& point : points) {
+      Database db(options);
+      const std::vector<ObjectId> obs = OnePerShard(db);
+      TxnId setup = *db.Begin();
+      for (ObjectId ob : obs) ASSERT_TRUE(db.Set(setup, ob, 100).ok());
+      ASSERT_TRUE(db.Commit(setup).ok());
+      ASSERT_TRUE(db.Sync().ok());
 
-    TxnId tor = *db.Begin();
-    TxnId tee = *db.Begin();
-    for (ObjectId ob : obs) ASSERT_TRUE(db.Add(tor, ob, 1).ok());
-    RunToCrashPoint(&db, point, [&] {
-      return db.Delegate(tor, tee, DelegationSpec::All());
-    });
-    for (ObjectId ob : obs) {
-      EXPECT_EQ(*db.ReadCommitted(ob), 100)
-          << "shards=" << shards << " point=" << point << " ob=" << ob;
+      TxnId tor = *db.Begin();
+      TxnId tee = *db.Begin();
+      for (ObjectId ob : obs) ASSERT_TRUE(db.Add(tor, ob, 1).ok());
+      RunToCrashPoint(&db, point, [&] {
+        return db.Delegate(tor, tee, DelegationSpec::All());
+      });
+      for (ObjectId ob : obs) {
+        EXPECT_EQ(*db.ReadCommitted(ob), 100)
+            << Describe(options) << " point=" << point << " ob=" << ob;
+      }
     }
   }
 }
@@ -201,32 +221,34 @@ TEST_P(ShardedCrashMatrixTest, DelegationCrashLeavesNoHalfTransfer) {
 /// delegation round's verdict decides whose transaction the scopes died
 /// or lived with.)
 TEST_P(ShardedCrashMatrixTest, DelegationDecisionGatesTheHandover) {
-  const size_t shards = shard_count();
-  // Committed handover: transfer completes, tee commits, crash. All the
-  // delegated updates belong to the committed tee and must survive.
-  Database db(ShardedOptions(shards, mode()));
-  const std::vector<ObjectId> obs = OnePerShard(db);
-  TxnId tor = *db.Begin();
-  TxnId tee = *db.Begin();
-  for (ObjectId ob : obs) ASSERT_TRUE(db.Set(tor, ob, 9).ok());
-  ASSERT_TRUE(db.Delegate(tor, tee, DelegationSpec::All()).ok());
-  ASSERT_TRUE(db.Commit(tee).ok());
-  db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
-  for (ObjectId ob : obs) EXPECT_EQ(*db.ReadCommitted(ob), 9);
+  for (const Options& options : option_sets()) {
+    SCOPED_TRACE(Describe(options));
+    // Committed handover: transfer completes, tee commits, crash. All the
+    // delegated updates belong to the committed tee and must survive.
+    Database db(options);
+    const std::vector<ObjectId> obs = OnePerShard(db);
+    TxnId tor = *db.Begin();
+    TxnId tee = *db.Begin();
+    for (ObjectId ob : obs) ASSERT_TRUE(db.Set(tor, ob, 9).ok());
+    ASSERT_TRUE(db.Delegate(tor, tee, DelegationSpec::All()).ok());
+    ASSERT_TRUE(db.Commit(tee).ok());
+    db.SimulateCrash();
+    ASSERT_TRUE(db.Recover().ok());
+    for (ObjectId ob : obs) EXPECT_EQ(*db.ReadCommitted(ob), 9);
 
-  // Voided handover: the coordinator COMMIT never became durable, so even
-  // a tee that then "commits" (it holds nothing yet — the legs are applied
-  // only in volatile state on some shards) cannot keep the updates.
-  Database db2(ShardedOptions(shards, mode()));
-  const std::vector<ObjectId> obs2 = OnePerShard(db2);
-  TxnId tor2 = *db2.Begin();
-  TxnId tee2 = *db2.Begin();
-  for (ObjectId ob : obs2) ASSERT_TRUE(db2.Set(tor2, ob, 9).ok());
-  RunToCrashPoint(&db2, "xdel:before-decision", [&] {
-    return db2.Delegate(tor2, tee2, DelegationSpec::All());
-  });
-  for (ObjectId ob : obs2) EXPECT_EQ(*db2.ReadCommitted(ob), 0);
+    // Voided handover: the coordinator COMMIT never became durable, so even
+    // a tee that then "commits" (it holds nothing yet — the legs are applied
+    // only in volatile state on some shards) cannot keep the updates.
+    Database db2(options);
+    const std::vector<ObjectId> obs2 = OnePerShard(db2);
+    TxnId tor2 = *db2.Begin();
+    TxnId tee2 = *db2.Begin();
+    for (ObjectId ob : obs2) ASSERT_TRUE(db2.Set(tor2, ob, 9).ok());
+    RunToCrashPoint(&db2, "xdel:before-decision", [&] {
+      return db2.Delegate(tor2, tee2, DelegationSpec::All());
+    });
+    for (ObjectId ob : obs2) EXPECT_EQ(*db2.ReadCommitted(ob), 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

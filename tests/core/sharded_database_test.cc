@@ -403,6 +403,51 @@ TEST(ShardedDatabaseTest, PerShardMetricsCarryShardLabels) {
             nullptr);
 }
 
+TEST(ShardedDatabaseTest, TwoPhaseCommitPhasesSumToCommitLatency) {
+  Options options = ShardedOptions(2);
+  options.group_commit = true;
+  options.group_commit_policy = GroupCommitPolicy::kAdaptive;
+  options.sim_log_force_ns = 200'000;
+  Database db(options);
+  const ObjectId a = ObOnShard(db, 0);
+  const ObjectId b = ObOnShard(db, 1);
+  constexpr uint64_t kCommits = 20;
+  for (uint64_t i = 0; i < kCommits; ++i) {
+    TxnId t = *db.Begin();
+    ASSERT_TRUE(db.Set(t, a, static_cast<int64_t>(i)).ok());
+    ASSERT_TRUE(db.Set(t, b, static_cast<int64_t>(i)).ok());
+    ASSERT_TRUE(db.Commit(t).ok());
+  }
+  obs::MetricsRegistry* registry = db.metrics();
+  const obs::Histogram* total =
+      registry->FindHistogram("ariesrh_commit_latency_ns");
+  const obs::Histogram* prepare =
+      registry->FindHistogram("ariesrh_2pc_prepare_ns");
+  const obs::Histogram* coord_force =
+      registry->FindHistogram("ariesrh_2pc_coord_force_ns");
+  const obs::Histogram* finish =
+      registry->FindHistogram("ariesrh_2pc_finish_ns");
+  ASSERT_NE(total, nullptr);
+  ASSERT_NE(prepare, nullptr);
+  ASSERT_NE(coord_force, nullptr);
+  ASSERT_NE(finish, nullptr);
+  // Every commit here is a 2PC round, so each histogram saw each commit.
+  EXPECT_EQ(total->Count(), kCommits);
+  EXPECT_EQ(prepare->Count(), kCommits);
+  EXPECT_EQ(coord_force->Count(), kCommits);
+  EXPECT_EQ(finish->Count(), kCommits);
+  // The vote round and the coordinator force are the whole acked latency.
+  const double whole = static_cast<double>(total->GetSnapshot().sum);
+  const double parts = static_cast<double>(prepare->GetSnapshot().sum +
+                                           coord_force->GetSnapshot().sum);
+  EXPECT_GT(whole, 0.0);
+  EXPECT_NEAR(parts, whole, whole * 0.10);
+  // Each round pays at least one shard force and the coordinator force.
+  EXPECT_GE(prepare->GetSnapshot().sum, kCommits * options.sim_log_force_ns);
+  EXPECT_GE(coord_force->GetSnapshot().sum,
+            kCommits * options.sim_log_force_ns);
+}
+
 TEST(ShardedDatabaseTest, FacadeAtOneShardMatchesBareEngineShardOutcome) {
   // The same history through the facade (num_shards = 1) and through a
   // bare EngineShard must produce identical recovery outcomes.

@@ -1,5 +1,5 @@
 // Observational equivalence for early lock release across the sharded
-// engine: an ELR + adaptive-group-commit database must expose exactly the
+// engine: an ELR + device-paced group-commit database must expose exactly the
 // same committed state as a plain force-commit database after running the
 // same workload and crashing — across {2, 4} shards and both recovery
 // modes. Also pins the 2PC soundness rule: a prepared shard keeps its
@@ -33,7 +33,6 @@ Options ElrAdaptiveOptions(size_t shards, RecoveryMode mode) {
   Options options = BaseOptions(shards, mode);
   options.group_commit = true;
   options.group_commit_policy = GroupCommitPolicy::kAdaptive;
-  options.group_commit_target_batch = kWorkers;
   options.early_lock_release = true;
   return options;
 }

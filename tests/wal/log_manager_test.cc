@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 namespace ariesrh {
 namespace {
 
@@ -113,6 +116,29 @@ TEST_F(LogManagerTest, ReattachResumesAfterDurablePrefix) {
   EXPECT_EQ(reborn.flushed_lsn(), 2u);
   EXPECT_EQ(reborn.Append(LogRecord::MakeBegin(5)), 3u);
   EXPECT_EQ(reborn.Read(1)->txn_id, 1u);
+}
+
+TEST(LogManagerForceTest, ForcedLsnDoesNotQueueBehindAnotherForce) {
+  constexpr uint64_t kStallNs = 20'000'000;  // 20 ms per force
+  Stats stats;
+  SimulatedDisk disk(&stats);
+  disk.set_log_force_stall_ns(kStallNs);
+  LogManager log(&disk, &stats);
+  const Lsn first = log.Append(LogRecord::MakeBegin(1));
+  ASSERT_TRUE(log.Flush(first).ok());
+  const Lsn second = log.Append(LogRecord::MakeBegin(2));
+  std::thread forcer([&] { EXPECT_TRUE(log.Flush(second).ok()); });
+  while (log.flushed_lsn() < second) std::this_thread::yield();
+  // `second` is written but its force is still stalling: a flush of it must
+  // wait the stall out, while `first`, forced earlier, returns at once.
+  auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(log.Flush(first).ok());
+  const auto first_wait = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(log.Flush(second).ok());
+  const auto second_wait = std::chrono::steady_clock::now() - start;
+  forcer.join();
+  EXPECT_LT(first_wait, std::chrono::milliseconds(10));
+  EXPECT_GT(second_wait, std::chrono::milliseconds(10));
 }
 
 TEST_F(LogManagerTest, GroupFlushBatchesRecords) {
