@@ -145,16 +145,17 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
   const uint64_t redos_before = stats->recovery_redos;
 
   // Repeats history for one page or table record past the redo point:
-  // applied now (kMerged) or collected into the redo plan, keyed by its page
-  // or table redo bucket (kAnalysisCollectRedo).
+  // applied now (kMerged), or, under kAnalysisCollectRedo, keyed by its page
+  // or table redo bucket into `collect_page` — the record moves into the
+  // plan there once the analysis fold is done with it.
+  PageId collect_page = kInvalidPage;
   const auto redo = [&](const LogRecord& rec) -> Status {
     if (!redo_bounds || rec.lsn < redo_from) return Status::OK();
-    const bool table_record = IsTableWrite(rec.type) ||
-                              rec.type == LogRecordType::kTableClr;
     if (kind == ForwardPassKind::kAnalysisCollectRedo) {
-      result.redo_plan.push_back(
-          RedoItem{rec, table_record ? table::RedoBucketOf(rec.object)
-                                     : PageOf(rec.object)});
+      const bool table_record = IsTableWrite(rec.type) ||
+                                rec.type == LogRecordType::kTableClr;
+      collect_page = table_record ? table::RedoBucketOf(rec.object)
+                                  : PageOf(rec.object);
       return Status::OK();
     }
     ARIESRH_RETURN_IF_ERROR(SpendRedoBudget(redo_budget));
@@ -302,6 +303,12 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
     }
     if (analyze && hooks != nullptr && hooks->on_record) {
       hooks->on_record(rec, delegate_applied, delegate_voided);
+    }
+    if (collect_page != kInvalidPage) {
+      // The scan runs in LSN order, so each page's records stay in it.
+      result.redo_plan.pages[collect_page].push_back(std::move(rec));
+      ++result.redo_plan.records;
+      collect_page = kInvalidPage;
     }
   }
   result.records_scanned = pass_records;

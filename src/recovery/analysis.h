@@ -60,9 +60,9 @@ struct ForwardPassResult {
   Lsn scan_end = 0;
   /// Records examined by this sweep (for the recovery Outcome).
   uint64_t records_scanned = 0;
-  /// Redo work discovered but not applied (kAnalysisCollectRedo only), in
-  /// increasing LSN order — the input to PartitionedRedo.
-  std::vector<RedoItem> redo_plan;
+  /// Redo work discovered but not applied (kAnalysisCollectRedo only), keyed
+  /// by page — the input to PartitionedRedo and OnDemandRedo.
+  RedoPlan redo_plan;
 };
 
 /// What a forward sweep does. Restart always rebuilds the tables in one
@@ -71,9 +71,10 @@ struct ForwardPassResult {
 enum class ForwardPassKind {
   kMerged,        ///< analysis + redo applied inline, one sweep
   kAnalysisOnly,  ///< rebuild tables/scopes, do not touch pages
-  /// Rebuild tables/scopes AND record every redo-eligible (LSN, page) pair
-  /// into ForwardPassResult::redo_plan without touching pages — the input to
-  /// PartitionedRedo (parallel restart) and OnDemandRedo (instant restart).
+  /// Rebuild tables/scopes AND move every redo-eligible record into
+  /// ForwardPassResult::redo_plan under its page without touching pages —
+  /// the input to PartitionedRedo (parallel restart) and OnDemandRedo
+  /// (instant restart).
   kAnalysisCollectRedo,
 };
 

@@ -12,12 +12,11 @@ namespace ariesrh {
 // OnDemandRedo
 // ---------------------------------------------------------------------------
 
-OnDemandRedo::OnDemandRedo(std::vector<RedoItem> plan, Stats* stats,
+OnDemandRedo::OnDemandRedo(RedoPlan plan, Stats* stats,
                            std::atomic<int64_t>* remaining_external)
-    : stats_(stats), remaining_external_(remaining_external) {
-  for (RedoItem& item : plan) {
-    pending_[item.page].push_back(std::move(item.rec));
-  }
+    : stats_(stats),
+      remaining_external_(remaining_external),
+      pending_(std::move(plan.pages)) {
   remaining_.store(pending_.size(), std::memory_order_release);
   if (remaining_external_ != nullptr) {
     remaining_external_->fetch_add(static_cast<int64_t>(pending_.size()),

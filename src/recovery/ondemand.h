@@ -3,8 +3,8 @@
 // passes run lazily (docs/INSTANT_RESTART.md).
 //
 //   * Redo on demand: the shared restart plan (RecoveryManager::BuildPlan)
-//     collects the parsed redo plan and OnDemandRedo indexes it per page.
-//     The buffer pool consults the index on every fetch and replays that
+//     collects the parsed redo plan keyed by page, and OnDemandRedo adopts
+//     it as its pending index. The buffer pool consults the index on every fetch and replays that
 //     page's log suffix before anyone sees the frame; logical table
 //     records are indexed per heap bucket and drained by the table heap
 //     the same way. A page nobody touches is paid for only by the
@@ -59,10 +59,10 @@ namespace ariesrh {
 /// index costs fetches nothing.
 class OnDemandRedo {
  public:
-  /// `plan` is the analysis sweep's redo plan in increasing LSN order.
+  /// Adopts the analysis sweep's page-keyed redo plan as the pending index.
   /// `remaining_external` (optional) is a progress cell (e.g. the
   /// RecoveryHandle's) decremented once per drained page/bucket.
-  OnDemandRedo(std::vector<RedoItem> plan, Stats* stats,
+  OnDemandRedo(RedoPlan plan, Stats* stats,
                std::atomic<int64_t>* remaining_external = nullptr);
 
   /// Replays `id`'s pending plain-page records onto `page` (page-LSN

@@ -294,11 +294,11 @@ Result<RecoveryManager::Outcome> RecoveryManager::Recover(
                             : ForwardPassKind::kMerged,
                 redo_budget_ptr));
   if (threads > 1) {
-    const std::vector<RedoItem>& redo_plan = plan.fwd.redo_plan;
+    const RedoPlan& redo_plan = plan.fwd.redo_plan;
     ++stats_->recovery_passes;
     obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassBegin,
               static_cast<uint64_t>(obs::RecoveryPassKind::kRedo),
-              redo_plan.size(), threads);
+              redo_plan.records, threads);
     const uint64_t redo_start = obs::MonotonicNanos();
     uint64_t applied = 0;
     Status redo_status = PartitionedRedo(redo_plan, threads, pool_, stats_,
@@ -308,7 +308,7 @@ Result<RecoveryManager::Outcome> RecoveryManager::Recover(
     ObservePass(stats_, "ariesrh_recovery_redo_ns", plan.outcome.redo_ns);
     obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassEnd,
               static_cast<uint64_t>(obs::RecoveryPassKind::kRedo),
-              redo_plan.size(), applied);
+              redo_plan.records, applied);
     ARIESRH_RETURN_IF_ERROR(redo_status);
   }
 

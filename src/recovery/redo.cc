@@ -111,40 +111,28 @@ Status ScratchUndoSink::Undo(const LogRecord& update_rec, TxnId responsible,
                            /*applied=*/nullptr, heap_);
 }
 
-Status PartitionedRedo(const std::vector<RedoItem>& plan, size_t threads,
-                       BufferPool* pool, Stats* stats,
-                       RecoveryFaultBudget* redo_budget, uint64_t* applied,
-                       table::TableHeap* heap) {
+Status PartitionedRedo(const RedoPlan& plan, size_t threads, BufferPool* pool,
+                       Stats* stats, RecoveryFaultBudget* redo_budget,
+                       uint64_t* applied, table::TableHeap* heap) {
   if (applied != nullptr) *applied = 0;
-  if (plan.empty()) return Status::OK();
-
-  // Bucket by page, keeping the plan's (increasing-LSN) order inside each
-  // bucket; one bucket is one work unit, so per-page order is preserved no
-  // matter how workers interleave.
-  std::unordered_map<PageId, std::vector<size_t>> by_page;
-  for (size_t i = 0; i < plan.size(); ++i) {
-    by_page[plan[i].page].push_back(i);
-  }
-  std::vector<std::vector<size_t>> buckets;
-  buckets.reserve(by_page.size());
-  for (auto& [page, items] : by_page) buckets.push_back(std::move(items));
-  // Largest buckets first: the work queue then back-fills small buckets
-  // behind the stragglers.
-  std::sort(buckets.begin(), buckets.end(),
-            [](const std::vector<size_t>& a, const std::vector<size_t>& b) {
-              return a.size() > b.size();
-            });
+  // Largest pages first: the work queue then back-fills small pages behind
+  // the stragglers.
+  std::vector<const std::vector<LogRecord>*> pages;
+  pages.reserve(plan.pages.size());
+  for (const auto& [page, recs] : plan.pages) pages.push_back(&recs);
+  std::sort(pages.begin(), pages.end(),
+            [](const auto* a, const auto* b) { return a->size() > b->size(); });
 
   std::atomic<uint64_t> total_applied{0};
   Status status =
-      RunOnWorkers(threads, buckets.size(), [&](size_t b) -> Status {
-        for (size_t i : buckets[b]) {
+      RunOnWorkers(threads, pages.size(), [&](size_t p) -> Status {
+        for (const LogRecord& rec : *pages[p]) {
           if (redo_budget != nullptr && !redo_budget->Spend()) {
             return Status::IOError("injected crash during recovery redo");
           }
           bool did = false;
           ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(
-              pool, plan[i].rec, /*check_page_lsn=*/true, &did, heap));
+              pool, rec, /*check_page_lsn=*/true, &did, heap));
           if (did) {
             ++stats->recovery_redos;
             total_applied.fetch_add(1, std::memory_order_relaxed);

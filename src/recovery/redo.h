@@ -106,30 +106,28 @@ class ScratchUndoSink final : public UndoSink {
   table::TableHeap* heap_;
 };
 
-/// One unit of redo work discovered by the forward scan: the parsed record
-/// and the page it touches. The scan emits items in increasing LSN order,
-/// so any stable partition of a plan by page preserves per-page LSN order.
-/// Carrying the parsed record means redo workers never touch the log — the
-/// collecting scan already paid for the read and the decode. The plan is
-/// bounded by the log suffix past the last checkpoint, like the scan itself.
-struct RedoItem {
-  LogRecord rec;
-  PageId page = kInvalidPage;
+/// The redo work a collecting forward sweep discovered, keyed by the page
+/// each record touches — or, for a logical table record, by its rid's redo
+/// bucket (RedoBucketOf), which keeps every record of one key in one unit.
+/// Within a page the records are in increasing LSN order, the only order
+/// redo needs: each record touches exactly one page and the page-LSN check
+/// (state-based per-key order for table records) makes application
+/// idempotent. Carrying the parsed records means redo never touches the log
+/// again — the collecting sweep already paid for the read and the decode.
+/// The plan is bounded by the log suffix past the last checkpoint, like the
+/// sweep itself.
+struct RedoPlan {
+  std::unordered_map<PageId, std::vector<LogRecord>> pages;
+  uint64_t records = 0;  ///< total over every page
 };
 
-/// Partitioned parallel redo: buckets `plan` by page and replays each
-/// bucket's records (in the plan's LSN order) on up to `threads` workers.
-/// Pages are independent under redo — each record touches exactly one page
-/// and the page-LSN check makes application idempotent — so per-page order
-/// is the only order that matters. `redo_budget` (optional, test-only)
-/// injects a crash after that many applications. Returns the number of
-/// records actually applied through `applied` (optional). Table records are
-/// bucketed by their rid's redo bucket (RedoBucketOf) instead of a physical
-/// page, which keeps every record of one key in one work unit — the order
-/// guarantee logical replay needs.
-Status PartitionedRedo(const std::vector<RedoItem>& plan, size_t threads,
-                       BufferPool* pool, Stats* stats,
-                       RecoveryFaultBudget* redo_budget = nullptr,
+/// Partitioned parallel redo: replays `plan`'s pages on up to `threads`
+/// workers, one page per work unit, each page's records in plan order.
+/// `redo_budget` (optional, test-only) injects a crash after that many
+/// applications. Returns the number of records actually applied through
+/// `applied` (optional).
+Status PartitionedRedo(const RedoPlan& plan, size_t threads, BufferPool* pool,
+                       Stats* stats, RecoveryFaultBudget* redo_budget = nullptr,
                        uint64_t* applied = nullptr,
                        table::TableHeap* heap = nullptr);
 

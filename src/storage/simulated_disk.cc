@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstddef>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "util/coding.h"
@@ -157,11 +156,15 @@ Status SimulatedDisk::SaveTo(const std::string& path) const {
 
 Result<SimulatedDisk> SimulatedDisk::LoadFrom(const std::string& path,
                                               Stats* stats) {
-  std::ifstream file(path, std::ios::binary);
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
   if (!file) return Status::IOError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string data = buffer.str();
+  // One read into a buffer sized from the file.
+  std::string data(static_cast<size_t>(std::max<std::streamoff>(
+                       0, file.tellg())),
+                   '\0');
+  file.seekg(0);
+  file.read(data.data(), static_cast<std::streamsize>(data.size()));
+  data.resize(static_cast<size_t>(file.gcount()));
   if (data.size() < 9 || data.compare(0, 4, "ARRH") != 0) {
     return Status::Corruption("not a saved disk image: " + path);
   }

@@ -1,6 +1,7 @@
 #include "table/table_heap.h"
 
 #include <algorithm>
+#include <thread>
 
 namespace ariesrh::table {
 
@@ -22,7 +23,7 @@ Result<Lsn> TableHeap::WithRecord(
     const std::string& key,
     const std::function<Result<Lsn>(const std::optional<std::string>&,
                                     RecordMutation*)>& fn) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::unique_lock<std::mutex> lock = LatchForAccess();
   ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(BucketOfRid(TableRid(key))));
   std::optional<std::string> current;
   if (auto it = index_.find(key); it != index_.end()) {
@@ -44,7 +45,7 @@ Result<Lsn> TableHeap::WithRecord(
 }
 
 std::optional<std::string> TableHeap::Read(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::unique_lock<std::mutex> lock = LatchForAccess();
   // Best-effort drain (a failure here surfaces on the next write path).
   const_cast<TableHeap*>(this)
       ->DrainBucketLocked(BucketOfRid(TableRid(key)))
@@ -57,7 +58,7 @@ std::optional<std::string> TableHeap::Read(const std::string& key) const {
 
 std::vector<std::pair<std::string, std::string>> TableHeap::Scan(
     const std::string& start_key, size_t limit) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::unique_lock<std::mutex> lock = LatchForAccess();
   if (redo_resolve_) {
     for (size_t b = 0; b < kTableBuckets; ++b) {
       const_cast<TableHeap*>(this)->DrainBucketLocked(b).ok();
@@ -74,7 +75,7 @@ std::vector<std::pair<std::string, std::string>> TableHeap::Scan(
 }
 
 Status TableHeap::ApplyLogical(const LogRecord& rec) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::unique_lock<std::mutex> lock = LatchForAccess();
   // Instant restart: a CLR (or any out-of-band replay) must land after the
   // key's pending forward records — state-based idempotence is per-key LSN
   // order, so the bucket drains first.
@@ -111,12 +112,33 @@ void TableHeap::set_redo_resolve(BucketResolveFn resolve) {
   redo_resolve_ = std::move(resolve);
 }
 
-Status TableHeap::DrainPending() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t b = 0; b < kTableBuckets; ++b) {
-    ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(b));
+std::unique_lock<std::mutex> TableHeap::LatchForAccess() const {
+  if (!draining_.load(std::memory_order_acquire)) {
+    return std::unique_lock<std::mutex>(mu_);
   }
-  return Status::OK();
+  // A drain is running: queue for the hand-off it makes between buckets.
+  latch_queued_.fetch_add(1, std::memory_order_acq_rel);
+  std::unique_lock<std::mutex> lock(mu_);
+  latch_granted_.fetch_add(1, std::memory_order_acq_rel);
+  return lock;
+}
+
+Status TableHeap::DrainPending() {
+  draining_.store(true, std::memory_order_release);
+  Status status = Status::OK();
+  for (size_t b = 0; b < kTableBuckets && status.ok(); ++b) {
+    // Accesses already queued on the latch go before the next bucket, so a
+    // foreground caller waits for at most the bucket in progress; later
+    // arrivals do not extend the wait.
+    const uint64_t queued = latch_queued_.load(std::memory_order_acquire);
+    while (latch_granted_.load(std::memory_order_acquire) < queued) {
+      std::this_thread::yield();
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    status = DrainBucketLocked(b);
+  }
+  draining_.store(false, std::memory_order_release);
+  return status;
 }
 
 Status TableHeap::FlushAll() {

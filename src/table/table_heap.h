@@ -28,6 +28,7 @@
 #define ARIESRH_TABLE_TABLE_HEAP_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -164,7 +165,10 @@ class TableHeap {
   void set_redo_resolve(BucketResolveFn resolve);
 
   /// Drains every bucket's pending records (instant restart's final
-  /// background sweep). A no-op without a resolve hook.
+  /// background sweep). A no-op without a resolve hook. The heap latch is
+  /// taken one bucket at a time, and record accesses queued on it go first
+  /// between buckets: a foreground caller waits for at most one bucket's
+  /// drain. Each bucket drains atomically, so per-key LSN order holds.
   Status DrainPending();
 
   size_t record_count() const {
@@ -178,6 +182,10 @@ class TableHeap {
     uint32_t slot = 0;
   };
 
+  /// The heap latch for a record access (WithRecord, Read, Scan,
+  /// ApplyLogical); while DrainPending runs the caller queues for its
+  /// between-bucket hand-off.
+  std::unique_lock<std::mutex> LatchForAccess() const;
   Status ApplyLogicalLocked(const LogRecord& rec);
   Status DrainBucketLocked(size_t bucket);
   Status UpsertLocked(const std::string& key, const std::string& value,
@@ -196,6 +204,11 @@ class TableHeap {
   BucketResolveFn redo_resolve_;
 
   mutable std::mutex mu_;
+  /// DrainPending's hand-off: record accesses that queued on mu_ during a
+  /// drain, and how many of them have been granted it.
+  std::atomic<bool> draining_{false};
+  mutable std::atomic<uint64_t> latch_queued_{0};
+  mutable std::atomic<uint64_t> latch_granted_{0};
   std::map<PageId, HeapPage> frames_;
   std::map<PageId, Lsn> dirty_;  // page -> rec_lsn
   std::map<std::string, RecordLocation> index_;

@@ -1,5 +1,10 @@
 // CRC-32C (Castagnoli) checksums guard every log record and page image
 // against torn writes on the simulated stable storage.
+//
+// Extend runs on the SSE4.2 crc32 instruction, 8 bytes at a time, where the
+// host has it (checked once at run time) and on a byte-at-a-time table
+// otherwise. Both compute the same polynomial, so every checksum is
+// identical on every host.
 
 #ifndef ARIESRH_UTIL_CRC32C_H_
 #define ARIESRH_UTIL_CRC32C_H_
@@ -27,6 +32,17 @@ inline uint32_t Unmask(uint32_t masked) {
   uint32_t rot = masked - 0xa282ead8u;
   return (rot << 15) | (rot >> 17);
 }
+
+namespace internal {
+
+/// The portable table routine Extend falls back to. Exposed so tests and
+/// benchmarks cover it on hosts where Extend takes the hardware path.
+uint32_t ExtendPortable(uint32_t init, const char* data, size_t n);
+
+/// Whether Extend runs on the SSE4.2 crc32 instruction on this host.
+bool HardwareAccelerated();
+
+}  // namespace internal
 
 }  // namespace ariesrh::crc32c
 
