@@ -11,14 +11,25 @@
 //   * BM_ForwardPassCollect/<kind>: the restart analysis sweep with redo
 //     collected into the page-keyed plan (kAnalysisCollectRedo), in ns per
 //     record, over physical UPDATE records or logical TBL_* records.
+//   * BM_CheckpointWriteBack/<dirty heap pages>: one Checkpoint() whose
+//     penultimate-checkpoint write-back finds that many heap pages dirty
+//     since before the previous checkpoint, in ns per page written.
+//   * BM_TableHeapBootstrap/<keys>: a restart's heap load — every stable
+//     heap page read, checked and indexed — for a table of that many keys
+//     with kv_durable's 100-byte values.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "recovery/analysis.h"
+#include "table/heap_page.h"
+#include "table/table_heap.h"
 #include "util/crc32c.h"
 #include "wal/log_record.h"
 
@@ -142,6 +153,106 @@ void BM_ForwardPassCollect(benchmark::State& state) {
 BENCHMARK(BM_ForwardPassCollect)
     ->Arg(0)
     ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+// kv_durable's record shape: 9-byte keys, 100-byte values.
+std::string HeapKey(int i) {
+  char key[16];
+  snprintf(key, sizeof(key), "key%06d", i);
+  return key;
+}
+
+/// Commits `keys` puts of `value` in batches, one transaction per batch.
+void PutKeys(Database* db, const std::vector<std::string>& keys,
+             const std::string& value) {
+  constexpr size_t kBatch = 1000;
+  for (size_t base = 0; base < keys.size(); base += kBatch) {
+    const TxnId txn = CheckResult(db->Begin(), "Begin");
+    for (size_t i = base; i < std::min(keys.size(), base + kBatch); ++i) {
+      Check(db->TablePut(txn, keys[i], value), "TablePut");
+    }
+    Check(db->Commit(txn), "Commit");
+  }
+}
+
+void BM_CheckpointWriteBack(benchmark::State& state) {
+  const size_t pages = static_cast<size_t>(state.range(0));
+  const std::string value(100, 'v');
+  // Inserted in order with no deletes, each bucket chain fills its pages
+  // front to back; the first key placed on each page dirties that page.
+  std::array<size_t, table::kTableBuckets> chain_pages{};
+  std::array<size_t, table::kTableBuckets> page_bytes{};
+  std::vector<std::string> keys, one_per_page;
+  for (int i = 0; one_per_page.size() < pages; ++i) {
+    const std::string key = HeapKey(i);
+    keys.push_back(key);
+    const size_t b = table::BucketOfRid(table::TableRid(key));
+    const size_t bytes = key.size() + value.size();
+    if (chain_pages[b] == 0 ||
+        page_bytes[b] + bytes > table::HeapPage::kPayloadCapacity) {
+      ++chain_pages[b];
+      page_bytes[b] = 0;
+      one_per_page.push_back(key);
+    }
+    page_bytes[b] += bytes;
+  }
+  Database db;
+  PutKeys(&db, keys, value);
+  // The second checkpoint writes the load back: every page starts clean.
+  Check(db.Checkpoint(), "Checkpoint");
+  Check(db.Checkpoint(), "Checkpoint");
+  uint64_t written = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    // Dirty every page again, then anchor a checkpoint after those writes:
+    // the timed checkpoint finds them all dirty since before its
+    // predecessor's CKPT_BEGIN.
+    PutKeys(&db, one_per_page, value);
+    Check(db.Checkpoint(), "Checkpoint(anchor)");
+    const uint64_t before = db.stats().checkpoint_pages_written;
+    state.ResumeTiming();
+    Check(db.Checkpoint(), "Checkpoint");
+    written = db.stats().checkpoint_pages_written - before;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(written));
+  state.counters["pages_written"] =
+      benchmark::Counter(static_cast<double>(written));
+  state.counters["ns_per_page"] = benchmark::Counter(
+      static_cast<double>(written) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  AddCpuCounter(state);
+}
+BENCHMARK(BM_CheckpointWriteBack)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_TableHeapBootstrap(benchmark::State& state) {
+  const int keys = static_cast<int>(state.range(0));
+  std::vector<std::string> names;
+  for (int i = 0; i < keys; ++i) names.push_back(HeapKey(i));
+  Database db;
+  PutKeys(&db, names, std::string(100, 'v'));
+  Check(db.Sync(), "Sync");
+  Check(db.shard(0)->table_heap()->FlushAll(), "FlushAll");
+  Stats stats;
+  table::TableHeap heap(db.disk(), &stats, /*wal_flush=*/nullptr);
+  for (auto _ : state) {
+    Check(heap.Bootstrap(), "Bootstrap");
+  }
+  if (heap.record_count() != static_cast<size_t>(keys)) {
+    state.SkipWithError("bootstrap lost records");
+    return;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * keys);
+  AddCpuCounter(state);
+}
+BENCHMARK(BM_TableHeapBootstrap)
+    ->Arg(5000)
+    ->Arg(25000)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -634,8 +634,7 @@ Status Database::Abort(TxnId txn) {
 bool Database::IsActive(TxnId txn) {
   if (!init_status_.ok() || crashed_ || shards_.empty()) return false;
   if (shards_.size() == 1) {
-    const Transaction* tx = shards_[0]->txn_manager()->Find(txn);
-    return tx != nullptr && tx->state == TxnState::kActive;
+    return shards_[0]->txn_manager()->IsActive(txn);
   }
   std::lock_guard lock(routes_mu_);
   auto it = routes_.find(txn);

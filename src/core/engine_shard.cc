@@ -33,6 +33,10 @@ EngineShard::EngineShard(const Options& options, obs::Observability* obs,
 EngineShard::~EngineShard() = default;
 
 void EngineShard::BuildVolatileComponents() {
+  // A (re)built shard learns its penultimate-checkpoint bound from the
+  // master record again: a restart, an image load and a backup restore all
+  // come through here.
+  last_ckpt_begin_ = kInvalidLsn;
   log_ = std::make_unique<LogManager>(disk_.get(), &stats_);
   pool_ = std::make_unique<BufferPool>(
       disk_.get(), options_.buffer_pool_pages,
@@ -192,6 +196,28 @@ Status EngineShard::Checkpoint() {
   const Lsn begin_lsn = log_->Append(std::move(begin));
   if (ckpt_hooks_.after_begin) ckpt_hooks_.after_begin();
 
+  // The penultimate-checkpoint rule: a page dirty since before the previous
+  // checkpoint's CKPT_BEGIN goes out now, so the dirty page table below —
+  // and with it the redo point — never reaches back past that checkpoint.
+  // Pages dirtied more recently stay in the cache (NO-FORCE). Making the log
+  // durable through its current end first covers, under the WAL rule, every
+  // page not updated since, so the latched write-backs below rarely force;
+  // under group commit that wait rides the flusher's next batch instead of
+  // adding a force. Heap chains go one bucket per latch hold. The first
+  // checkpoint has no predecessor, so nothing is older.
+  ARIESRH_ASSIGN_OR_RETURN(const Lsn older_than, PreviousCheckpointBegin());
+  if (older_than != kFirstLsn) {
+    uint64_t written = 0;
+    Status wrote = log_->FlushWait(log_->end_lsn());
+    if (wrote.ok()) wrote = pool_->FlushOlderThan(older_than, &written);
+    if (wrote.ok()) {
+      wrote = heap_->WriteBackOlderThan(
+          older_than, ckpt_hooks_.after_bucket_written, &written);
+    }
+    stats_.checkpoint_pages_written += written;  // what reached the disk
+    ARIESRH_RETURN_IF_ERROR(wrote);
+  }
+
   CheckpointData data;
   data.ckpt_begin_lsn = begin_lsn;
   data.next_txn_id = txn_manager_->next_txn_id();
@@ -201,11 +227,10 @@ Status EngineShard::Checkpoint() {
   // reconciles against this snapshot. Prepared (in-doubt) transactions are
   // snapshotted too — their fate is the coordinator's, not recovery's, so
   // losing them from a checkpoint would silently presume-abort a round the
-  // coordinator may have committed.
-  for (const auto& [id, tx] : txn_manager_->SnapshotTransactions()) {
-    if (tx.state != TxnState::kActive && tx.state != TxnState::kPrepared) {
-      continue;
-    }
+  // coordinator may have committed. Under the same fence the snapshot reaps
+  // the terminated transactions whose END is durable.
+  for (const auto& [id, tx] :
+       txn_manager_->CheckpointSnapshot(log_->flushed_lsn())) {
     CheckpointData::TxnSnapshot snap;
     snap.id = id;
     snap.first_lsn = tx.first_lsn;
@@ -228,11 +253,25 @@ Status EngineShard::Checkpoint() {
   const Lsn end_lsn = log_->Append(std::move(end));
   ARIESRH_RETURN_IF_ERROR(log_->Flush(end_lsn));
   disk_->SetMasterRecord(end_lsn);
+  last_ckpt_begin_ = begin_lsn;
   ++stats_.checkpoints_taken;
   UpdateLogLiveGauge();
   obs::Emit(&obs_->trace, obs::TraceEventType::kCheckpoint, end_lsn,
             data.active_txns.size(), data.dirty_pages.size());
   return Status::OK();
+}
+
+Result<Lsn> EngineShard::PreviousCheckpointBegin() {
+  if (last_ckpt_begin_ != kInvalidLsn) return last_ckpt_begin_;
+  CheckpointData ckpt;
+  ARIESRH_ASSIGN_OR_RETURN(
+      const Lsn master,
+      RecoveryManager::LocateCheckpoint(options_, disk_.get(), log_.get(),
+                                        &ckpt));
+  if (master == 0) return kFirstLsn;  // no checkpoint: nothing is older
+  // A legacy payload has no CKPT_BEGIN; its CKPT_END bounds the window.
+  last_ckpt_begin_ = ckpt.ckpt_begin_lsn != 0 ? ckpt.ckpt_begin_lsn : master;
+  return last_ckpt_begin_;
 }
 
 Status EngineShard::SaveTo(const std::string& path) {
@@ -394,12 +433,6 @@ Result<RecoveryManager::Outcome> EngineShard::Recover(
                            recovery.Recover(resolution));
   txn_manager_->SetNextTxnId(outcome.next_txn_id);
   crashed_ = false;
-
-  if (options_.checkpoint_after_recovery) {
-    ARIESRH_RETURN_IF_ERROR(pool_->FlushAll());
-    ARIESRH_RETURN_IF_ERROR(heap_->FlushAll());
-    ARIESRH_RETURN_IF_ERROR(Checkpoint());
-  }
   if (daemon_ != nullptr) daemon_->Start();
   return outcome;
 }
@@ -428,17 +461,8 @@ Status EngineShard::BeginInstantRestart(const coord::Resolution* resolution,
   Status started = instant_->Start(
       resolution, std::move(handle), &next_txn_id, [this] {
         // Runs on the background thread once both lazy passes drained; the
-        // shard is fully recovered, so the post-restart housekeeping the
-        // blocking path does inline happens here. Checkpoint errors cannot
-        // surface to a caller anymore — the handle already carries the
-        // restart's outcome — so they are advisory, exactly like a failed
-        // daemon checkpoint.
-        if (options_.checkpoint_after_recovery) {
-          Status flushed = pool_->FlushAll();
-          if (flushed.ok()) flushed = heap_->FlushAll();
-          if (flushed.ok()) flushed = Checkpoint();
-          (void)flushed;
-        }
+        // shard is fully recovered, so the daemon the blocking path starts
+        // inline starts here.
         if (daemon_ != nullptr) daemon_->Start();
       });
   if (!started.ok()) {

@@ -88,7 +88,13 @@ class EngineShard {
   /// Takes a fuzzy checkpoint (see Database::Checkpoint for the contract).
   /// Prepared (in-doubt) transactions are part of the snapshot, carrying
   /// their csn, so a restart that lands on this checkpoint still consults
-  /// the coordinator about them.
+  /// the coordinator about them. Between CKPT_BEGIN and the dirty-page-table
+  /// snapshot it applies ARIES' penultimate-checkpoint rule: every pool page
+  /// and every heap bucket chain dirty since before the previous
+  /// checkpoint's CKPT_BEGIN is written back, so the redo point trails at
+  /// most one checkpoint behind and ArchiveLog can drop what lies before
+  /// it. The same snapshot reaps the terminated transactions nothing needs
+  /// any more (TxnManager::CheckpointSnapshot).
   Status Checkpoint();
 
   /// Persists the shard's stable state (pages + durable log + master
@@ -197,6 +203,11 @@ class EngineShard {
     std::function<void()> after_begin;
     /// After the table snapshot, before the CKPT_END append.
     std::function<void()> after_snapshot;
+    /// Inside the write-back, after heap bucket `b`'s chain had its turn
+    /// (written or not due); a checkpoint without a predecessor writes
+    /// nothing back and never calls it. An error stops the checkpoint there,
+    /// before CKPT_END: the crash point "after bucket b of kTableBuckets".
+    std::function<Status(size_t b)> after_bucket_written;
   };
   void set_checkpoint_test_hooks(CheckpointTestHooks hooks) {
     ckpt_hooks_ = std::move(hooks);
@@ -208,6 +219,12 @@ class EngineShard {
 
  private:
   void BuildVolatileComponents();
+  /// The penultimate-checkpoint bound for the next checkpoint: the
+  /// CKPT_BEGIN of the last completed one. Known in memory once this shard
+  /// took a checkpoint; after a restart (or an image load) it is seeded from
+  /// the master record. kFirstLsn, which no recovery LSN is below, when
+  /// there is no checkpoint yet.
+  Result<Lsn> PreviousCheckpointBegin();
   /// Refreshes the live-log gauge (end of log minus archived prefix):
   /// "ariesrh_log_live_records", suffixed "_shard<i>" when sharded.
   void UpdateLogLiveGauge();
@@ -232,6 +249,10 @@ class EngineShard {
   std::mutex admin_mu_;
   obs::Histogram* checkpoint_ns_ = nullptr;
   CheckpointTestHooks ckpt_hooks_;
+  /// CKPT_BEGIN of the last checkpoint this shard completed since it was
+  /// built or restarted; kInvalidLsn = not known yet (seed from the master
+  /// record). Guarded by admin_mu_.
+  Lsn last_ckpt_begin_ = kInvalidLsn;
   /// Live between BeginInstantRestart and the next SimulateCrash; its
   /// background thread touches log_/pool_/heap_, so it is declared after
   /// them (destroyed — and joined — first).

@@ -171,11 +171,6 @@ struct Options {
   /// on, or restrict such objects to commuting Adds.
   bool transfer_locks_on_delegate = true;
 
-  /// Take a fuzzy checkpoint automatically when recovery completes, so the
-  /// next crash recovers from the post-recovery state instead of the log
-  /// head.
-  bool checkpoint_after_recovery = false;
-
   /// Background checkpoint daemon: when either interval is non-zero the
   /// Database owns a thread that takes fuzzy checkpoints concurrently with
   /// the workload — after this many log records have been appended since

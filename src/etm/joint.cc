@@ -32,8 +32,7 @@ Status JointTransaction::CommitAll() {
 }
 
 Status JointTransaction::AbortAll() {
-  const Transaction* anchor = db_->txn_manager()->Find(anchor_);
-  if (anchor != nullptr && anchor->state == TxnState::kActive) {
+  if (db_->txn_manager()->IsActive(anchor_)) {
     return db_->Abort(anchor_);  // cascades into live members
   }
   return Status::OK();
@@ -42,8 +41,7 @@ Status JointTransaction::AbortAll() {
 size_t JointTransaction::live_members() const {
   size_t live = 0;
   for (TxnId member : members_) {
-    const Transaction* tx = db_->txn_manager()->Find(member);
-    if (tx != nullptr && tx->state == TxnState::kActive) ++live;
+    if (db_->txn_manager()->IsActive(member)) ++live;
   }
   return live;
 }

@@ -34,8 +34,7 @@ Status OpenNestedTransaction::Commit() {
 }
 
 Status OpenNestedTransaction::Abort() {
-  const Transaction* tx = db_->txn_manager()->Find(parent_);
-  if (tx != nullptr && tx->state == TxnState::kActive) {
+  if (db_->txn_manager()->IsActive(parent_)) {
     ARIESRH_RETURN_IF_ERROR(db_->Abort(parent_));
   }
   Status first_failure;

@@ -82,11 +82,12 @@ void BufferPool::MarkDirtyLocked(PageId id, Lsn rec_lsn) {
   }
 }
 
-Status BufferPool::FlushAll() {
+Status BufferPool::FlushOlderThan(Lsn older_than, uint64_t* written) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [id, frame] : frames_) {
-    if (frame.dirty) {
+    if (frame.dirty && frame.rec_lsn < older_than) {
       ARIESRH_RETURN_IF_ERROR(WriteBack(id, &frame));
+      if (written != nullptr) ++*written;
     }
   }
   return Status::OK();

@@ -72,8 +72,15 @@ class BufferPool {
   /// update that dirtied it) for the dirty page table.
   void MarkDirty(PageId id, Lsn rec_lsn);
 
-  /// Writes all dirty pages to disk (used by checkpoints and tests).
-  Status FlushAll();
+  /// Writes all dirty pages to disk (backups and tests).
+  Status FlushAll() { return FlushOlderThan(kInvalidLsn); }
+
+  /// Writes every dirty page whose recovery LSN is below `older_than` (WAL
+  /// rule enforced per page), under one pool-latch hold. Checkpoints pass
+  /// the previous checkpoint's CKPT_BEGIN (the penultimate-checkpoint rule);
+  /// kInvalidLsn, the largest LSN, writes every dirty page. Returns the
+  /// number of pages written through `written` when given.
+  Status FlushOlderThan(Lsn older_than, uint64_t* written = nullptr);
 
   /// Writes one dirty page to disk if cached and dirty.
   Status FlushPage(PageId id);

@@ -12,12 +12,16 @@
 namespace ariesrh {
 
 Status SimulatedDisk::WritePage(PageId id, std::string image) {
-  pages_[id] = std::move(image);
+  {
+    std::lock_guard lock(pages_mu_);
+    pages_[id] = std::move(image);
+  }
   ++stats_->page_writes;
   return Status::OK();
 }
 
 Result<std::string> SimulatedDisk::ReadPage(PageId id) const {
+  std::lock_guard lock(pages_mu_);
   auto it = pages_.find(id);
   if (it == pages_.end()) {
     return Status::NotFound("page " + std::to_string(id) + " not on disk");
@@ -28,8 +32,11 @@ Result<std::string> SimulatedDisk::ReadPage(PageId id) const {
 
 std::vector<PageId> SimulatedDisk::StablePageIds() const {
   std::vector<PageId> ids;
-  ids.reserve(pages_.size());
-  for (const auto& [id, image] : pages_) ids.push_back(id);
+  {
+    std::lock_guard lock(pages_mu_);
+    ids.reserve(pages_.size());
+    for (const auto& [id, image] : pages_) ids.push_back(id);
+  }
   std::sort(ids.begin(), ids.end());
   return ids;
 }
@@ -135,10 +142,13 @@ Status SimulatedDisk::SaveTo(const std::string& path) const {
   PutVarint64(&out, 1);  // format version
   PutVarint64(&out, master_record_);
   PutVarint64(&out, base_lsn_);
-  PutVarint64(&out, pages_.size());
-  for (const auto& [id, image] : pages_) {
-    PutVarint64(&out, id);
-    PutLengthPrefixed(&out, image);
+  {
+    std::lock_guard lock(pages_mu_);
+    PutVarint64(&out, pages_.size());
+    for (const auto& [id, image] : pages_) {
+      PutVarint64(&out, id);
+      PutLengthPrefixed(&out, image);
+    }
   }
   PutVarint64(&out, records_.size());
   for (const std::string& rec : records_) {

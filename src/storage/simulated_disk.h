@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -30,10 +31,14 @@
 namespace ariesrh {
 
 /// Stable pages + stable log with access accounting. Not thread-safe in
-/// general; the one exception is ReadLogRecord, which parallel recovery
-/// invokes concurrently (under the log manager's shared lock) — its
-/// sequential/random classification cursor is atomic so concurrent readers
-/// only perturb the access-pattern accounting, never the data.
+/// general; the exceptions are
+///   - the page calls, which share one mutex: the buffer pool and the table
+///     heap write pages back under their own latches, and a checkpoint's
+///     heap write-back runs beside the pool's evictions and misses;
+///   - ReadLogRecord, which parallel recovery invokes concurrently (under
+///     the log manager's shared lock) — its sequential/random
+///     classification cursor is atomic so concurrent readers only perturb
+///     the access-pattern accounting, never the data.
 class SimulatedDisk {
  public:
   /// `stats` must outlive the disk; counters are shared with the engine.
@@ -73,7 +78,10 @@ class SimulatedDisk {
   /// Reads a page image; NotFound if the page was never written.
   Result<std::string> ReadPage(PageId id) const;
 
-  bool HasPage(PageId id) const { return pages_.contains(id); }
+  bool HasPage(PageId id) const {
+    std::lock_guard lock(pages_mu_);
+    return pages_.contains(id);
+  }
 
   /// Ids of every page ever written (for snapshot loading).
   std::vector<PageId> StablePageIds() const;
@@ -81,17 +89,22 @@ class SimulatedDisk {
   /// Snapshot of all stable page images (for backups). Not counted as page
   /// I/O: backups stream the device, not the database path.
   std::unordered_map<PageId, std::string> ClonePages() const {
+    std::lock_guard lock(pages_mu_);
     return pages_;
   }
 
   /// Replaces the stable pages wholesale (restore from backup).
   void RestorePages(std::unordered_map<PageId, std::string> pages) {
+    std::lock_guard lock(pages_mu_);
     pages_ = std::move(pages);
   }
 
   /// Media failure: the stable pages are lost; the (separately stored) log
   /// survives.
-  void ClearPages() { pages_.clear(); }
+  void ClearPages() {
+    std::lock_guard lock(pages_mu_);
+    pages_.clear();
+  }
 
   // --- persistence ---
 
@@ -192,6 +205,8 @@ class SimulatedDisk {
   Lsn master_record_ = 0;
   Lsn base_lsn_ = 0;  ///< number of archived records (LSNs <= this are gone)
   Stats* stats_;
+  /// Guards pages_. Not moved: a disk is moved only while nothing uses it.
+  mutable std::mutex pages_mu_;
   std::unordered_map<PageId, std::string> pages_;
   std::vector<std::string> records_;
   uint64_t log_random_read_stall_ns_ = 0;

@@ -113,18 +113,20 @@ void TableHeap::set_redo_resolve(BucketResolveFn resolve) {
 }
 
 std::unique_lock<std::mutex> TableHeap::LatchForAccess() const {
-  if (!draining_.load(std::memory_order_acquire)) {
+  if (walkers_.load(std::memory_order_acquire) == 0) {
     return std::unique_lock<std::mutex>(mu_);
   }
-  // A drain is running: queue for the hand-off it makes between buckets.
+  // A bucket walk is running: queue for the hand-off it makes between
+  // buckets.
   latch_queued_.fetch_add(1, std::memory_order_acq_rel);
   std::unique_lock<std::mutex> lock(mu_);
   latch_granted_.fetch_add(1, std::memory_order_acq_rel);
   return lock;
 }
 
-Status TableHeap::DrainPending() {
-  draining_.store(true, std::memory_order_release);
+Status TableHeap::ForEachBucket(const std::function<Status(size_t)>& fn,
+                                const std::function<Status(size_t)>& after) {
+  walkers_.fetch_add(1, std::memory_order_acq_rel);
   Status status = Status::OK();
   for (size_t b = 0; b < kTableBuckets && status.ok(); ++b) {
     // Accesses already queued on the latch go before the next bucket, so a
@@ -134,25 +136,54 @@ Status TableHeap::DrainPending() {
     while (latch_granted_.load(std::memory_order_acquire) < queued) {
       std::this_thread::yield();
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    status = DrainBucketLocked(b);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      status = fn(b);
+    }
+    if (status.ok() && after) status = after(b);
   }
-  draining_.store(false, std::memory_order_release);
+  walkers_.fetch_sub(1, std::memory_order_acq_rel);
   return status;
 }
 
-Status TableHeap::FlushAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [page_id, rec_lsn] : dirty_) {
-    const HeapPage& page = frames_.at(page_id);
-    // WAL rule: the log must cover the page's newest applied record before
-    // the page image becomes stable.
-    if (wal_flush_ && page.page_lsn() != 0) {
-      ARIESRH_RETURN_IF_ERROR(wal_flush_(page.page_lsn()));
-    }
-    ARIESRH_RETURN_IF_ERROR(disk_->WritePage(page_id, page.Serialize()));
+Status TableHeap::DrainPending() {
+  return ForEachBucket([this](size_t b) { return DrainBucketLocked(b); });
+}
+
+Status TableHeap::WriteBackOlderThan(
+    Lsn older_than, const std::function<Status(size_t bucket)>& after_bucket,
+    uint64_t* written) {
+  return ForEachBucket(
+      [&](size_t b) { return WriteBackChainLocked(b, older_than, written); },
+      after_bucket);
+}
+
+Status TableHeap::WriteBackChainLocked(size_t bucket, Lsn older_than,
+                                       uint64_t* written) {
+  // The chain goes out whole or not at all: a record relocated within it
+  // left one page and joined another, and only writing both keeps the key
+  // stable on exactly one page.
+  bool due = false;
+  Lsn newest = 0;
+  for (PageId id : buckets_[bucket]) {
+    const auto it = dirty_.find(id);
+    if (it == dirty_.end()) continue;
+    due = due || it->second < older_than;
+    newest = std::max(newest, frames_.at(id).page_lsn());
   }
-  dirty_.clear();
+  if (!due) return Status::OK();
+  // WAL rule: the log must cover the chain's newest applied record before
+  // any of its page images becomes stable.
+  if (wal_flush_ && newest != 0) {
+    ARIESRH_RETURN_IF_ERROR(wal_flush_(newest));
+  }
+  for (PageId id : buckets_[bucket]) {
+    const auto it = dirty_.find(id);
+    if (it == dirty_.end()) continue;
+    ARIESRH_RETURN_IF_ERROR(disk_->WritePage(id, frames_.at(id).Serialize()));
+    dirty_.erase(it);
+    if (written != nullptr) ++*written;
+  }
   return Status::OK();
 }
 

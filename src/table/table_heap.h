@@ -22,7 +22,9 @@
 // Heap pages live in the SimulatedDisk under kHeapPageBase, carry page LSNs,
 // and obey the WAL rule on write-back, so checkpoints fold the heap's dirty
 // pages into the dirty page table and RedoStart reaches every unflushed
-// table write.
+// table write. Write-back goes one whole bucket chain at a time: a key that
+// relocates between two pages of its chain is never stable on both (nor on
+// neither), so Bootstrap always reads a consistent image.
 
 #ifndef ARIESRH_TABLE_TABLE_HEAP_H_
 #define ARIESRH_TABLE_TABLE_HEAP_H_
@@ -141,9 +143,22 @@ class TableHeap {
   /// workers on different buckets.
   Status ApplyLogical(const LogRecord& rec);
 
-  /// Writes every dirty heap page to the stable store (WAL rule enforced
-  /// per page) and clears the dirty table.
-  Status FlushAll();
+  /// Writes every dirty heap page to the stable store (WAL rule enforced)
+  /// and clears the dirty table, one bucket chain per latch hold.
+  Status FlushAll() { return WriteBackOlderThan(kInvalidLsn); }
+
+  /// The checkpoint's write-back: every bucket chain holding a dirty page
+  /// whose rec_lsn is below `older_than` is written whole — all of its
+  /// dirty pages, under one hold of the heap latch, after one log flush
+  /// through the newest of their page LSNs (the WAL rule). Chains go one at
+  /// a time with DrainPending's hand-off, so a foreground record access
+  /// waits for at most one chain. `after_bucket(b)`, when set, runs after
+  /// bucket b's turn without the latch; an error from it stops the
+  /// write-back there (a test's crash point). `written` counts pages.
+  Status WriteBackOlderThan(
+      Lsn older_than,
+      const std::function<Status(size_t bucket)>& after_bucket = {},
+      uint64_t* written = nullptr);
 
   /// Dirty heap pages -> recovery LSN (first LSN that dirtied each since it
   /// was last clean). Checkpoints merge this into the engine's dirty page
@@ -156,6 +171,7 @@ class TableHeap {
 
   /// Restart: loads every stable heap page and rebuilds the key index by
   /// scanning slot directories. Called before recovery replays the log.
+  /// Fails with Corruption when a key is stable on two pages.
   Status Bootstrap();
 
   /// Installs (or clears, with an empty function) the instant-restart
@@ -183,11 +199,20 @@ class TableHeap {
   };
 
   /// The heap latch for a record access (WithRecord, Read, Scan,
-  /// ApplyLogical); while DrainPending runs the caller queues for its
+  /// ApplyLogical); while a bucket walk runs the caller queues for its
   /// between-bucket hand-off.
   std::unique_lock<std::mutex> LatchForAccess() const;
+  /// A bucket walk (DrainPending, write-back): runs `fn(b)` for every
+  /// bucket in turn, each under its own hold of the heap latch, and lets the
+  /// record accesses that queued meanwhile go before the next bucket.
+  /// `after(b)`, when set, runs between buckets without the latch. Stops at
+  /// the first error.
+  Status ForEachBucket(const std::function<Status(size_t)>& fn,
+                       const std::function<Status(size_t)>& after = {});
   Status ApplyLogicalLocked(const LogRecord& rec);
   Status DrainBucketLocked(size_t bucket);
+  Status WriteBackChainLocked(size_t bucket, Lsn older_than,
+                              uint64_t* written);
   Status UpsertLocked(const std::string& key, const std::string& value,
                       Lsn lsn);
   Status RemoveLocked(const std::string& key, Lsn lsn);
@@ -204,9 +229,10 @@ class TableHeap {
   BucketResolveFn redo_resolve_;
 
   mutable std::mutex mu_;
-  /// DrainPending's hand-off: record accesses that queued on mu_ during a
-  /// drain, and how many of them have been granted it.
-  std::atomic<bool> draining_{false};
+  /// The bucket walks' hand-off: how many walks run, the record accesses
+  /// that queued on mu_ during one, and how many of them have been granted
+  /// it.
+  std::atomic<int> walkers_{0};
   mutable std::atomic<uint64_t> latch_queued_{0};
   mutable std::atomic<uint64_t> latch_granted_{0};
   std::map<PageId, HeapPage> frames_;

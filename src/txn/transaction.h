@@ -90,6 +90,13 @@ struct Transaction {
   /// parked waiting for the log force.
   bool terminating = false;
 
+  /// LSN of the COMMIT record once Commit appended it (under `latch`);
+  /// kInvalidLsn before. Under group commit the transaction stays kActive
+  /// until that record is durable, but its fate is already in the log: a
+  /// checkpoint snapshot must not seed it as active, or a restart from that
+  /// checkpoint — whose analysis starts after the COMMIT — would undo it.
+  Lsn commit_lsn = kInvalidLsn;
+
   /// Guards ob_list / last_lsn against cross-transaction observers. Lock
   /// order for two transactions (delegation): ascending TxnId.
   mutable TxnLatch latch;
@@ -122,6 +129,7 @@ struct Transaction {
     touched_by_delegation = other.touched_by_delegation;
     prepared_csn = other.prepared_csn;
     terminating = other.terminating;
+    commit_lsn = other.commit_lsn;
   }
 };
 

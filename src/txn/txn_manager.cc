@@ -53,9 +53,9 @@ Status TxnManager::AcquireLock(TxnId txn, ObjectId ob, LockMode mode) {
 
 Result<TxnId> TxnManager::Begin() {
   const TxnId id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  Transaction tx;
-  tx.id = id;
-  tx.first_lsn = tx.last_lsn = log_->Append(LogRecord::MakeBegin(id));
+  auto tx = std::make_shared<Transaction>();
+  tx->id = id;
+  tx->first_lsn = tx->last_lsn = log_->Append(LogRecord::MakeBegin(id));
   {
     std::unique_lock table_lock(table_mu_);
     txns_.emplace(id, std::move(tx));
@@ -79,9 +79,9 @@ Result<TxnId> TxnManager::BeginWithId(TxnId id) {
                                   " already exists on this shard");
     }
   }
-  Transaction tx;
-  tx.id = id;
-  tx.first_lsn = tx.last_lsn = log_->Append(LogRecord::MakeBegin(id));
+  auto tx = std::make_shared<Transaction>();
+  tx->id = id;
+  tx->first_lsn = tx->last_lsn = log_->Append(LogRecord::MakeBegin(id));
   {
     std::unique_lock table_lock(table_mu_);
     txns_.emplace(id, std::move(tx));
@@ -91,46 +91,74 @@ Result<TxnId> TxnManager::BeginWithId(TxnId id) {
   return id;
 }
 
-Result<Transaction*> TxnManager::FindActive(TxnId txn) {
+Result<std::shared_ptr<Transaction>> TxnManager::FindActive(TxnId txn) {
   std::shared_lock table_lock(table_mu_);
   auto it = txns_.find(txn);
   if (it == txns_.end()) {
     return Status::NotFound("transaction " + std::to_string(txn) +
                             " does not exist");
   }
-  if (it->second.state != TxnState::kActive) {
+  if (it->second->state != TxnState::kActive) {
     return Status::IllegalState("transaction " + std::to_string(txn) +
-                                " is " + TxnStateName(it->second.state));
+                                " is " + TxnStateName(it->second->state));
   }
-  // The pointer outlives the table lock: std::map nodes are stable and only
-  // ReapTerminated (quiesced by contract) erases.
-  return &it->second;
+  // The reference outlives the table lock: another session may terminate
+  // the transaction and a checkpoint reap it meanwhile, and the caller's
+  // latch and state re-checks must still land on live memory.
+  return it->second;
 }
 
-Result<Transaction*> TxnManager::FindPrepared(TxnId txn) {
+Result<std::shared_ptr<Transaction>> TxnManager::FindPrepared(TxnId txn) {
   std::shared_lock table_lock(table_mu_);
   auto it = txns_.find(txn);
   if (it == txns_.end()) {
     return Status::NotFound("transaction " + std::to_string(txn) +
                             " does not exist");
   }
-  if (it->second.state != TxnState::kPrepared) {
+  if (it->second->state != TxnState::kPrepared) {
     return Status::IllegalState("transaction " + std::to_string(txn) +
-                                " is " + TxnStateName(it->second.state) +
+                                " is " + TxnStateName(it->second->state) +
                                 ", not prepared");
   }
-  return &it->second;
+  return it->second;
 }
 
 const Transaction* TxnManager::Find(TxnId txn) const {
   std::shared_lock table_lock(table_mu_);
   auto it = txns_.find(txn);
-  return it == txns_.end() ? nullptr : &it->second;
+  return it == txns_.end() ? nullptr : it->second.get();
+}
+
+std::optional<TxnState> TxnManager::StateOf(TxnId txn) const {
+  std::shared_lock table_lock(table_mu_);
+  auto it = txns_.find(txn);
+  if (it != txns_.end()) return it->second->state.load();
+  if (reaped_aborted_.contains(txn)) return TxnState::kAborted;
+  // Every id from first_txn_id_ on was begun here, so one missing from the
+  // table and not aborted is a reaped committed transaction. Older ids
+  // (from before a restart) and ids never handed out are unknown.
+  if (txn >= first_txn_id_ && txn < next_txn_id()) return TxnState::kCommitted;
+  return std::nullopt;
+}
+
+bool TxnManager::IsActive(TxnId txn) const {
+  return StateOf(txn) == TxnState::kActive;
+}
+
+void TxnManager::SetNextTxnId(TxnId next) {
+  std::unique_lock table_lock(table_mu_);
+  next_txn_id_.store(next, std::memory_order_relaxed);
+  first_txn_id_ = next;
 }
 
 std::vector<ObjectId> TxnManager::ObjectsOf(TxnId txn) const {
-  const Transaction* tx = Find(txn);
-  if (tx == nullptr) return {};
+  std::shared_ptr<const Transaction> tx;
+  {
+    std::shared_lock table_lock(table_mu_);
+    auto it = txns_.find(txn);
+    if (it == txns_.end()) return {};
+    tx = it->second;
+  }
   std::lock_guard latch(tx->latch);
   std::vector<ObjectId> objects;
   objects.reserve(tx->ob_list.size());
@@ -161,7 +189,7 @@ Status TxnManager::Add(TxnId txn, ObjectId ob, int64_t delta) {
 
 Status TxnManager::DoUpdate(TxnId txn, ObjectId ob, UpdateKind kind,
                             LockMode lock_mode, int64_t value_or_delta) {
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tx, FindActive(txn));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tx, FindActive(txn));
   ARIESRH_RETURN_IF_ERROR(AcquireLock(txn, ob, lock_mode));
 
   // The latch spans read-chain-head .. adjust-scopes so a concurrent
@@ -234,7 +262,7 @@ Status TxnManager::DoTableWrite(
                                     const std::optional<std::string>&,
                                     table::RecordMutation*)>& fn,
     const std::string& key) {
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tx, FindActive(txn));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tx, FindActive(txn));
   ARIESRH_RETURN_IF_ERROR(
       AcquireLock(txn, TableLockIdOf(rid), LockMode::kExclusive));
 
@@ -249,7 +277,7 @@ Status TxnManager::DoTableWrite(
       lsn, heap_->WithRecord(
                key, [&](const std::optional<std::string>& current,
                         table::RecordMutation* mut) -> Result<Lsn> {
-                 return fn(tx, current, mut);
+                 return fn(tx.get(), current, mut);
                }));
   tx->last_lsn = lsn;
 
@@ -391,8 +419,8 @@ Status TxnManager::Delegate(TxnId from, TxnId to,
   if (objects.empty()) {
     return Status::InvalidArgument("empty delegation");
   }
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tor, FindActive(from));
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tee, FindActive(to));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tor, FindActive(from));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tee, FindActive(to));
 
   // The fence makes the two-party transfer atomic w.r.t. a concurrent
   // fuzzy-checkpoint snapshot: the snapshot must not copy the delegator
@@ -481,8 +509,8 @@ Status TxnManager::DelegateOperations(TxnId from, TxnId to, ObjectId ob,
   if (first == kInvalidLsn || last == kInvalidLsn || first > last) {
     return Status::InvalidArgument("malformed delegation range");
   }
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tor, FindActive(from));
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tee, FindActive(to));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tor, FindActive(from));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tee, FindActive(to));
 
   // Same snapshot-atomicity fence as the object-list path above.
   std::shared_lock fence(ckpt_fence_);
@@ -538,7 +566,7 @@ Status TxnManager::DelegateOperations(TxnId from, TxnId to, ObjectId ob,
 }
 
 Status TxnManager::DelegateAll(TxnId from, TxnId to) {
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tor, FindActive(from));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tor, FindActive(from));
   std::vector<ObjectId> objects;
   {
     std::lock_guard latch(tor->latch);
@@ -561,13 +589,14 @@ Status TxnManager::Permit(TxnId owner, TxnId grantee, ObjectId ob) {
 Status TxnManager::FormDependency(DependencyType type, TxnId dependent,
                                   TxnId on) {
   ARIESRH_RETURN_IF_ERROR(FindActive(dependent).status());
-  const Transaction* target = Find(on);
-  if (target == nullptr) {
+  // A reaped target still reads as what it ended as.
+  const std::optional<TxnState> target = StateOf(on);
+  if (!target.has_value()) {
     return Status::NotFound("dependency target does not exist");
   }
   // Forming a dependency on an already-terminated transaction resolves
   // immediately.
-  const TxnState on_state = target->state;
+  const TxnState on_state = *target;
   if (on_state == TxnState::kCommitted) {
     return Status::OK();
   }
@@ -583,13 +612,13 @@ Status TxnManager::FormDependency(DependencyType type, TxnId dependent,
 }
 
 Result<Lsn> TxnManager::Savepoint(TxnId txn) {
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tx, FindActive(txn));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tx, FindActive(txn));
   std::lock_guard latch(tx->latch);
   return tx->last_lsn;
 }
 
 Status TxnManager::RollbackTo(TxnId txn, Lsn savepoint) {
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tx, FindActive(txn));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tx, FindActive(txn));
   // The latch spans the whole rollback: scopes and the chain head are in
   // flux, so delegations and snapshots must wait it out.
   std::lock_guard latch(tx->latch);
@@ -679,7 +708,7 @@ Status TxnManager::RollbackTo(TxnId txn, Lsn savepoint) {
 
 Status TxnManager::Commit(TxnId txn) {
   const auto commit_requested = std::chrono::steady_clock::now();
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tx, FindActive(txn));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tx, FindActive(txn));
 
   std::vector<DependencyGraph::Prerequisite> prerequisites;
   {
@@ -687,9 +716,8 @@ Status TxnManager::Commit(TxnId txn) {
     prerequisites = deps_.CommitPrerequisites(txn);
   }
   for (const DependencyGraph::Prerequisite& p : prerequisites) {
-    const Transaction* target = Find(p.on);
     const TxnState on_state =
-        target == nullptr ? TxnState::kCommitted : TxnState(target->state);
+        StateOf(p.on).value_or(TxnState::kCommitted);
     if (p.type == DependencyType::kCommitDurable) {
       // ELR edge: the dependency being mid-commit (still kActive, parked in
       // its durability wait) is the expected state — it does NOT block.
@@ -734,7 +762,7 @@ Status TxnManager::Commit(TxnId txn) {
     }
     tx->terminating = true;  // from here no delegation may touch the chain
     commit_lsn = log_->Append(LogRecord::MakeCommit(txn, tx->last_lsn));
-    tx->last_lsn = commit_lsn;
+    tx->last_lsn = tx->commit_lsn = commit_lsn;
   }
   // Early lock release: the COMMIT record is appended, so this
   // transaction's fate is sealed in the log order — any acquirer of these
@@ -774,7 +802,7 @@ Status TxnManager::Commit(TxnId txn) {
       // The locks are already released and others may have built on them:
       // abort here and cascade (volatile only — the log is in its crash
       // state).
-      return FailEarlyReleasedCommit(tx, durable);
+      return FailEarlyReleasedCommit(tx.get(), durable);
     }
     return durable;
   }
@@ -824,8 +852,7 @@ Status TxnManager::FailEarlyReleasedCommit(Transaction* tx,
     deps_.RemoveTxn(tx->id);
   }
   for (TxnId dependent : dependents) {
-    const Transaction* dep = Find(dependent);
-    if (dep == nullptr || dep->state != TxnState::kActive) continue;
+    if (!IsActive(dependent)) continue;
     // Best effort: a clean cascade abort (with CLRs) if the log still
     // accepts writes. If it fails — records discarded underneath the
     // rollback, or the dependent is itself parked in a failing commit —
@@ -838,7 +865,7 @@ Status TxnManager::FailEarlyReleasedCommit(Transaction* tx,
 }
 
 Status TxnManager::Abort(TxnId txn) {
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tx, FindActive(txn));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tx, FindActive(txn));
 
   {
     std::lock_guard latch(tx->latch);
@@ -850,7 +877,7 @@ Status TxnManager::Abort(TxnId txn) {
     // ABORT record marks rollback-in-progress, then undo, then END — all
     // under the latch: the chain head and scopes are in flux throughout.
     tx->last_lsn = log_->Append(LogRecord::MakeAbort(txn, tx->last_lsn));
-    ARIESRH_RETURN_IF_ERROR(RollBack(tx));
+    ARIESRH_RETURN_IF_ERROR(RollBack(tx.get()));
     tx->last_lsn = log_->Append(LogRecord::MakeEnd(txn, tx->last_lsn));
     tx->state = TxnState::kAborted;
     tx->ob_list.clear();
@@ -867,8 +894,7 @@ Status TxnManager::Abort(TxnId txn) {
     deps_.RemoveTxn(txn);
   }
   for (TxnId dependent : dependents) {
-    const Transaction* dep = Find(dependent);
-    if (dep == nullptr || dep->state != TxnState::kActive) continue;
+    if (!IsActive(dependent)) continue;
     const Status status = Abort(dependent);
     // A cascade target that a concurrent session is already terminating is
     // not our problem to finish.
@@ -880,7 +906,7 @@ Status TxnManager::Abort(TxnId txn) {
 }
 
 Result<Lsn> TxnManager::Prepare(TxnId txn, uint64_t csn) {
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tx, FindActive(txn));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tx, FindActive(txn));
   Lsn prepare_lsn = kInvalidLsn;
   {
     std::lock_guard latch(tx->latch);
@@ -897,7 +923,7 @@ Result<Lsn> TxnManager::Prepare(TxnId txn, uint64_t csn) {
 }
 
 Status TxnManager::FinishCommit(TxnId txn) {
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tx, FindPrepared(txn));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tx, FindPrepared(txn));
   obs::ScopedLatencyTimer timer(commit_ns_);
   Lsn commit_lsn = kInvalidLsn;
   {
@@ -923,12 +949,12 @@ Status TxnManager::FinishCommit(TxnId txn) {
 }
 
 Status TxnManager::AbortPrepared(TxnId txn) {
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tx, FindPrepared(txn));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tx, FindPrepared(txn));
   {
     std::lock_guard latch(tx->latch);
     tx->terminating = true;
     tx->last_lsn = log_->Append(LogRecord::MakeAbort(txn, tx->last_lsn));
-    ARIESRH_RETURN_IF_ERROR(RollBack(tx));
+    ARIESRH_RETURN_IF_ERROR(RollBack(tx.get()));
     tx->last_lsn = log_->Append(LogRecord::MakeEnd(txn, tx->last_lsn));
     tx->state = TxnState::kAborted;
     tx->prepared_csn = 0;
@@ -950,8 +976,8 @@ Result<TxnManager::DelegationGuard> TxnManager::GuardDelegation(TxnId from,
   if (from == to) {
     return Status::InvalidArgument("cannot delegate to self");
   }
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tor, FindActive(from));
-  ARIESRH_ASSIGN_OR_RETURN(Transaction * tee, FindActive(to));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tor, FindActive(from));
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tee, FindActive(to));
 
   DelegationGuard guard;
   guard.tor_ = tor;
@@ -960,8 +986,8 @@ Result<TxnManager::DelegationGuard> TxnManager::GuardDelegation(TxnId from,
   // ascending TxnId order (scoped_lock's deadlock avoidance cannot persist
   // beyond a scope; a fixed order can).
   guard.fence_ = std::shared_lock(ckpt_fence_);
-  Transaction* first = tor->id < tee->id ? tor : tee;
-  Transaction* second = tor->id < tee->id ? tee : tor;
+  Transaction* first = tor->id < tee->id ? tor.get() : tee.get();
+  Transaction* second = tor->id < tee->id ? tee.get() : tor.get();
   guard.first_ = std::unique_lock(first->latch);
   guard.second_ = std::unique_lock(second->latch);
   ARIESRH_RETURN_IF_ERROR(CheckDelegationParties(*tor, *tee));
@@ -984,8 +1010,8 @@ Status TxnManager::CheckDelegatable(const DelegationGuard& guard,
 Lsn TxnManager::ApplyCrossShardDelegation(
     const DelegationGuard& guard, const std::vector<ObjectId>& objects,
     uint64_t csn) {
-  Transaction* tor = guard.tor_;
-  Transaction* tee = guard.tee_;
+  Transaction* tor = guard.tor_.get();
+  Transaction* tee = guard.tee_.get();
   LogRecord rec = LogRecord::MakeDelegate(tor->id, tee->id, tor->last_lsn,
                                           tee->last_lsn, objects);
   rec.csn = csn;
@@ -1050,10 +1076,10 @@ Result<TxnId> TxnManager::ResponsibleTxn(TxnId invoker, ObjectId ob,
                                          Lsn lsn) const {
   std::shared_lock table_lock(table_mu_);
   for (const auto& [id, tx] : txns_) {
-    if (tx.state != TxnState::kActive) continue;
-    std::lock_guard latch(tx.latch);
-    auto entry = tx.ob_list.find(ob);
-    if (entry == tx.ob_list.end()) continue;
+    if (tx->state != TxnState::kActive) continue;
+    std::lock_guard latch(tx->latch);
+    auto entry = tx->ob_list.find(ob);
+    if (entry == tx->ob_list.end()) continue;
     for (const Scope& scope : entry->second.scopes) {
       if (scope.Covers(invoker, lsn)) return id;
     }
@@ -1070,21 +1096,49 @@ std::map<TxnId, Transaction> TxnManager::SnapshotTransactions() const {
   std::unique_lock fence(ckpt_fence_);
   std::shared_lock table_lock(table_mu_);
   for (const auto& [id, tx] : txns_) {
-    std::lock_guard latch(tx.latch);
-    snapshot.emplace(id, tx);  // Transaction's copy is a plain field copy
+    std::lock_guard latch(tx->latch);
+    snapshot.emplace(id, *tx);  // Transaction's copy is a plain field copy
   }
   return snapshot;
 }
 
-void TxnManager::ReapTerminated() {
+std::map<TxnId, Transaction> TxnManager::CheckpointSnapshot(Lsn durable_lsn) {
+  std::map<TxnId, Transaction> live;
+  // SnapshotTransactions' fence, plus the table lock exclusively for the
+  // reap. A session still holding a reaped control block keeps it alive
+  // through its own reference.
+  std::unique_lock fence(ckpt_fence_);
   std::unique_lock table_lock(table_mu_);
+  uint64_t reaped = 0;
   for (auto it = txns_.begin(); it != txns_.end();) {
-    // Prepared transactions are live (in doubt), not terminated.
-    const TxnState state = it->second.state;
-    it = (state == TxnState::kActive || state == TxnState::kPrepared)
-             ? std::next(it)
-             : txns_.erase(it);
+    const Transaction& tx = *it->second;
+    bool reapable = false;
+    {
+      std::lock_guard latch(tx.latch);
+      const TxnState state = tx.state;
+      // Prepared transactions are live (in doubt), not terminated.
+      reapable = (state == TxnState::kCommitted ||
+                  state == TxnState::kAborted) &&
+                 tx.ob_list.empty() && tx.prepared_csn == 0 &&
+                 tx.last_lsn <= durable_lsn;
+      // A committer parked for its force has its COMMIT in the log already:
+      // restart must read it as committed, whichever side of CKPT_BEGIN the
+      // record fell (the window re-scan finds it if it is after).
+      const bool live_txn = (state == TxnState::kActive &&
+                             tx.commit_lsn == kInvalidLsn) ||
+                            state == TxnState::kPrepared;
+      if (live_txn) live.emplace(it->first, tx);
+    }
+    if (!reapable) {
+      ++it;
+      continue;
+    }
+    if (tx.state == TxnState::kAborted) reaped_aborted_.insert(it->first);
+    it = txns_.erase(it);
+    ++reaped;
   }
+  stats_->txns_reaped += reaped;
+  return live;
 }
 
 }  // namespace ariesrh

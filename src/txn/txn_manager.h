@@ -20,8 +20,9 @@
 // real engine's connection layer provides — all calls on behalf of ONE
 // transaction come from one session at a time. Different transactions may be
 // driven concurrently (the worker-pool scheduler does exactly that):
-//   - the transaction table is guarded by a shared mutex; std::map node
-//     stability keeps Transaction* valid across unrelated inserts,
+//   - the transaction table is guarded by a shared mutex and holds each
+//     control block by shared_ptr; a lookup hands out a reference, so the
+//     block outlives a checkpoint's reap while any session still uses it,
 //   - each control block carries a latch for the fields cross-transaction
 //     observers touch (ob_list scope moves during delegation, last_lsn chain
 //     splices, checkpoint snapshots, ResponsibleTxn sweeps),
@@ -30,8 +31,8 @@
 //   - Commit parks in LogManager::FlushWait *outside* the latch (group
 //     commit), flagging the block `terminating` first so no delegation can
 //     splice into the chain behind the COMMIT record.
-// ReapTerminated is the exception: it invalidates pointers and requires all
-// sessions quiesced (it is an administrative sweep, not a data-path call).
+//   - checkpoints reap terminated transactions (CheckpointSnapshot) under
+//     the exclusive checkpoint fence and the exclusive table lock.
 // Lock order: the checkpoint fence (delegations shared, snapshots
 // exclusive), then transaction latches (both-at-once via scoped_lock), then
 // the buffer-pool latch, then log-manager internals; lock-manager shards
@@ -48,6 +49,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -241,10 +243,11 @@ class TxnManager {
 
    private:
     friend class TxnManager;
+    // Declared before the locks, so destroyed after them.
+    std::shared_ptr<Transaction> tor_;
+    std::shared_ptr<Transaction> tee_;
     std::shared_lock<std::shared_mutex> fence_;
     std::unique_lock<TxnLatch> first_, second_;  ///< ascending-TxnId order
-    Transaction* tor_ = nullptr;
-    Transaction* tee_ = nullptr;
   };
 
   /// Acquires the guard (fence + both latches, latches in ascending-TxnId
@@ -270,9 +273,16 @@ class TxnManager {
                                 const std::vector<ObjectId>& objects,
                                 uint64_t csn);
 
-  /// Looks up a live or terminated-this-session transaction. The pointer
-  /// stays valid until ReapTerminated (std::map node stability).
+  /// Looks up a live transaction, or a terminated one no checkpoint has
+  /// reaped yet (nullptr otherwise). The pointer stays valid until the
+  /// transaction is reaped, so only single-threaded callers (tests, the
+  /// shell) may keep it; concurrent observers use IsActive or
+  /// SnapshotTransactions.
   const Transaction* Find(TxnId txn) const;
+
+  /// Whether `txn` is active here. A reaped transaction reads as not active,
+  /// exactly like any other terminated one.
+  bool IsActive(TxnId txn) const;
 
   /// The objects currently in `txn`'s Ob_List (latched read; empty when the
   /// transaction does not exist on this shard). The sharded facade uses
@@ -284,38 +294,49 @@ class TxnManager {
   /// NotFound if no live transaction's scopes cover it.
   Result<TxnId> ResponsibleTxn(TxnId invoker, ObjectId ob, Lsn lsn) const;
 
-  /// All live transactions (introspection for single-threaded tests; use
-  /// SnapshotTransactions under concurrency).
-  const std::map<TxnId, Transaction>& transactions() const { return txns_; }
-
   /// Consistent copy of the transaction table, each control block copied
-  /// under its latch — what checkpoints and log archiving iterate while
-  /// workers keep running. Holds the checkpoint fence exclusively for the
-  /// whole copy, so every delegation (a two-party scope move) lands either
-  /// entirely before or entirely after the snapshot — the snapshot can
-  /// never observe a scope in neither party's Ob_List, or in one party but
-  /// not yet out of the other's.
+  /// under its latch — what log archiving iterates while workers keep
+  /// running (checkpoints use CheckpointSnapshot). Holds the checkpoint
+  /// fence exclusively for the whole copy, so every delegation (a two-party
+  /// scope move) lands either entirely before or entirely after the
+  /// snapshot — the snapshot can never observe a scope in neither party's
+  /// Ob_List, or in one party but not yet out of the other's.
   std::map<TxnId, Transaction> SnapshotTransactions() const;
 
-  /// Seeds the id counter (recovery hands back max-seen + 1).
-  void SetNextTxnId(TxnId next) {
-    next_txn_id_.store(next, std::memory_order_relaxed);
-  }
+  /// Seeds the id counter (recovery hands back max-seen + 1) before the
+  /// first Begin; ids below `next` are from before the restart.
+  void SetNextTxnId(TxnId next);
   TxnId next_txn_id() const {
     return next_txn_id_.load(std::memory_order_relaxed);
   }
 
-  /// Drops terminated transactions' control blocks (they are kept around
-  /// briefly for introspection). Invalidates pointers: requires all
-  /// sessions quiesced.
-  void ReapTerminated();
+  /// A checkpoint's transaction snapshot. Under one exclusive hold of the
+  /// checkpoint fence and the table lock it
+  ///   - copies every live transaction: prepared, or active with no COMMIT
+  ///     record appended yet;
+  ///   - drops (reaps) the control block of every terminated transaction
+  ///     nothing needs any more.
+  /// A committed or aborted transaction is reaped once all of these hold:
+  ///   - it answers for no scope (its Ob_List is empty), so neither restart
+  ///     nor ArchiveLog's retention bound can need it;
+  ///   - its END record is durable (last_lsn <= `durable_lsn`), so its
+  ///     commit or abort is too, and no ELR (early lock release) dependent
+  ///     can still be waiting on its COMMIT record;
+  ///   - no csn (coordinator sequence number) is in doubt for it
+  ///     (prepared_csn is 0).
+  /// A reaped id reads as "not active" everywhere (Find returns nullptr,
+  /// IsActive false), and its outcome survives for dependencies: the ids of
+  /// reaped aborted transactions are kept, every other reaped id reads as
+  /// committed. A checkpoint so never copies the terminated history, and
+  /// its cost follows the live set.
+  std::map<TxnId, Transaction> CheckpointSnapshot(Lsn durable_lsn);
 
  private:
   bool TrackScopes() const {
     return options_.delegation_mode != DelegationMode::kDisabled;
   }
-  Result<Transaction*> FindActive(TxnId txn);
-  Result<Transaction*> FindPrepared(TxnId txn);
+  Result<std::shared_ptr<Transaction>> FindActive(TxnId txn);
+  Result<std::shared_ptr<Transaction>> FindPrepared(TxnId txn);
   /// The lock acquisition every data path uses. Under early_lock_release it
   /// collects the early-released holders the grant violated and registers a
   /// kCommitDurable edge for each; otherwise it is a plain Acquire.
@@ -350,6 +371,10 @@ class TxnManager {
   /// both parties still active and neither mid-commit/mid-abort.
   Status CheckDelegationParties(const Transaction& tor,
                                 const Transaction& tee) const;
+  /// The state of `txn` read under the table lock, a reaped one's included
+  /// (kAborted or kCommitted); nullopt for an id never handed out or from
+  /// before a restart.
+  std::optional<TxnState> StateOf(TxnId txn) const;
 
   const Options& options_;
   LogManager* log_;
@@ -371,8 +396,8 @@ class TxnManager {
   DependencyGraph deps_;
 
   /// The checkpoint fence: delegations hold it shared across their latched
-  /// two-party transfer; SnapshotTransactions holds it exclusive across the
-  /// whole table copy. Single-transaction operations do not take it — a
+  /// two-party transfer; the snapshots (and with them the reaper) hold it
+  /// exclusive. Single-transaction operations do not take it — a
   /// snapshot that straddles one of those is reconciled record-by-record by
   /// recovery's window re-scan (each record's effect is visible iff the
   /// snapshot's last_lsn covers it); only the *two-party* transfer needs
@@ -383,7 +408,14 @@ class TxnManager {
   /// found control block is governed by its own latch + the session
   /// contract, so readers hold this shared and briefly.
   mutable std::shared_mutex table_mu_;
-  std::map<TxnId, Transaction> txns_;
+  std::map<TxnId, std::shared_ptr<Transaction>> txns_;
+  /// Ids of the aborted transactions CheckpointSnapshot reaped (guarded by
+  /// table_mu_): an abort or strong-commit dependency formed on one must
+  /// still abort its dependent. Aborts are a small share of transactions.
+  std::unordered_set<TxnId> reaped_aborted_;
+  /// The first id this table handed out: every id from it up to
+  /// next_txn_id_ was begun here (guarded by table_mu_).
+  TxnId first_txn_id_ = 1;
   std::atomic<TxnId> next_txn_id_{1};
 };
 

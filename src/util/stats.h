@@ -60,6 +60,7 @@ struct Observability;
   X(txns, txns_begun, "begun")                                          \
   X(txns, txns_committed, "committed")                                  \
   X(txns, txns_aborted, "aborted")                                      \
+  X(txns, txns_reaped, "reaped") /* dropped from the table by a ckpt */ \
   /* --- recovery --- */                                                \
   X(recovery, recovery_forward_records, "fwd_records")                  \
   X(recovery, recovery_backward_examined, "bwd_examined")               \
@@ -72,6 +73,7 @@ struct Observability;
   /* --- checkpoints & log retention --- */                             \
   X(checkpoint, checkpoints_taken, "taken")                             \
   X(checkpoint, archived_records, "archived_records")                   \
+  X(checkpoint, checkpoint_pages_written, "pages_written") /* write-back */ \
   /* --- delegation --- */                                              \
   X(delegation, delegations, "delegations")                             \
   X(delegation, scopes_transferred, "scopes_transferred")               \

@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <string>
 #include <functional>
+#include <map>
 #include <thread>
 
 #include "core/database.h"
+#include "obs/metrics.h"
 
 namespace ariesrh {
 namespace {
@@ -112,6 +116,51 @@ TEST(CheckpointDaemonTest, AutoArchiveReclaimsThePrefix) {
   db.SimulateCrash();
   ASSERT_TRUE(db.Recover().ok());
   EXPECT_EQ(*db.ReadCommitted(7), 15);
+}
+
+// Table writes dirty heap pages that no eviction ever writes back; the
+// checkpoints' penultimate-checkpoint write-back does, so each daemon cycle
+// (checkpoint, then ArchiveLog) keeps the live log within about two cycles'
+// worth of records instead of everything since the first table write.
+TEST(CheckpointDaemonTest, AutoArchiveBoundsTheLiveLogUnderTableWrites) {
+  Options options;
+  options.checkpoint_interval_records = kNeverRecords;
+  options.auto_archive = true;
+  Database db(options);
+  obs::Gauge* live =
+      db.observability()->registry.GetGauge("ariesrh_log_live_records");
+  constexpr int kCycles = 20;
+  constexpr int kTxnsPerCycle = 25;
+  std::map<std::string, std::string> committed;
+  int64_t max_live = 0;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    for (int i = 0; i < kTxnsPerCycle; ++i) {
+      TxnId t = *db.Begin();
+      const int n = cycle * kTxnsPerCycle + i;
+      const std::string key = "key" + std::to_string(n % 97);
+      const std::string value(64, static_cast<char>('a' + n % 26));
+      ASSERT_TRUE(db.TablePut(t, key, value).ok());
+      ASSERT_TRUE(db.Commit(t).ok());
+      committed[key] = value;
+    }
+    ASSERT_TRUE(db.checkpoint_daemon()->RunOnce().ok());
+    if (cycle >= 2) max_live = std::max(max_live, live->Value());
+  }
+  // Each cycle appends BEGIN, TBL_*, COMMIT and END per transaction plus
+  // the checkpoint pair.
+  const int64_t per_cycle = kTxnsPerCycle * 4 + 2;
+  EXPECT_GT(static_cast<int64_t>(db.log_manager()->end_lsn()),
+            kCycles * per_cycle - 1);
+  EXPECT_GT(max_live, 0);
+  EXPECT_LE(max_live, 3 * per_cycle);
+  EXPECT_GT(db.checkpoint_daemon()->digest().records_archived,
+            static_cast<uint64_t>((kCycles - 3) * per_cycle));
+
+  db.SimulateCrash();
+  ASSERT_TRUE(db.Recover().ok());
+  for (const auto& [key, value] : committed) {
+    EXPECT_EQ(*db.TableGetCommitted(key), value) << key;
+  }
 }
 
 TEST(CheckpointDaemonTest, ContinuousOperationUnderLoad) {

@@ -5,10 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <map>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/database.h"
+#include "core/oracle.h"
+#include "util/random.h"
 
 namespace ariesrh {
 namespace {
@@ -269,6 +275,169 @@ TEST(ArchiveRaceTest, ArchivingBesideGroupCommitKeepsEveryAckedCommit) {
     EXPECT_EQ(acked[c], kTxnsEach) << "committer " << c;
     EXPECT_EQ(*db.ReadCommitted(100 + c), acked[c]) << "committer " << c;
   }
+}
+
+// --- bounded history: checkpoints move the redo point past table writes ---
+//
+// A seeded table-and-counter history with delegations and aborts, then two
+// checkpoints. The second writes back every page dirty since before the
+// first (the penultimate-checkpoint rule), so ArchiveLog drops records past
+// the first table write, the transaction table keeps only live
+// transactions, both restart modes of the archived image match the oracle,
+// and time travel below the new floor fails loudly.
+class BoundedHistoryTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  /// Committed table state plus the puts each live transaction answers for
+  /// (a Delegate(All) hands them to the delegatee with everything else).
+  struct TableModel {
+    std::map<std::string, std::string> committed;
+    std::map<TxnId, std::vector<std::pair<std::string, std::string>>> pending;
+
+    void Delegate(TxnId from, TxnId to) {
+      auto& dst = pending[to];
+      for (auto& put : pending[from]) dst.push_back(std::move(put));
+      pending.erase(from);
+    }
+    void Commit(TxnId txn) {
+      for (auto& [key, value] : pending[txn]) committed[key] = value;
+      pending.erase(txn);
+    }
+    void Abort(TxnId txn) { pending.erase(txn); }
+  };
+
+  static std::string Key(uint64_t i) { return "key" + std::to_string(i); }
+
+  /// One transaction: two puts and an Add; every third hands its work to a
+  /// partner (Delegate(All)) and aborts while the partner commits; every
+  /// seventh aborts outright.
+  void RunTxn(Database* db, Random* rng, int i) {
+    const TxnId t = *db->Begin();
+    oracle_.Begin(t);
+    for (int k = 0; k < 2; ++k) {
+      const std::string key = Key(rng->Uniform(200));
+      const std::string value(
+          static_cast<size_t>(rng->UniformRange(40, 240)),
+          static_cast<char>('a' + i % 26));
+      ASSERT_TRUE(db->TablePut(t, key, value).ok());
+      table_.pending[t].emplace_back(key, value);
+      const size_t shard = db->ShardOf(table::TableRid(key));
+      if (first_table_lsn_[shard] == kInvalidLsn) {
+        first_table_lsn_[shard] = db->shard(shard)->log_manager()->end_lsn();
+      }
+    }
+    const ObjectId ob = rng->Uniform(512);
+    ASSERT_TRUE(db->Add(t, ob, 1).ok());
+    oracle_.Update(t, ob, UpdateKind::kAdd, 1);
+    if (i % 3 == 2) {
+      const TxnId partner = *db->Begin();
+      oracle_.Begin(partner);
+      ASSERT_TRUE(db->Delegate(t, partner, DelegationSpec::All()).ok());
+      oracle_.Delegate(t, partner, {ob});
+      table_.Delegate(t, partner);
+      ASSERT_TRUE(db->Abort(t).ok());
+      oracle_.Abort(t);
+      table_.Abort(t);
+      ASSERT_TRUE(db->Commit(partner).ok());
+      oracle_.Commit(partner);
+      table_.Commit(partner);
+    } else if (i % 7 == 6) {
+      ASSERT_TRUE(db->Abort(t).ok());
+      oracle_.Abort(t);
+      table_.Abort(t);
+    } else {
+      ASSERT_TRUE(db->Commit(t).ok());
+      oracle_.Commit(t);
+      table_.Commit(t);
+    }
+  }
+
+  void ExpectOracleState(Database* db, const std::string& label) {
+    for (const auto& [ob, value] : oracle_.ExpectedValues()) {
+      EXPECT_EQ(*db->ReadCommitted(ob), value) << label << " ob " << ob;
+    }
+    for (uint64_t i = 0; i < 200; ++i) {
+      const auto it = table_.committed.find(Key(i));
+      const std::optional<std::string> want =
+          it == table_.committed.end() ? std::nullopt
+                                       : std::optional<std::string>(it->second);
+      EXPECT_EQ(*db->TableGetCommitted(Key(i)), want) << label << " " << Key(i);
+    }
+  }
+
+  HistoryOracle oracle_;
+  TableModel table_;
+  std::vector<Lsn> first_table_lsn_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Shards, BoundedHistoryTest, ::testing::Values(1u, 2u),
+                         [](const auto& info) {
+                           return "shards" + std::to_string(info.param);
+                         });
+
+TEST_P(BoundedHistoryTest, TwoCheckpointsBoundTheTableHistory) {
+  const std::string path = ::testing::TempDir() + "/bounded_history_" +
+                           std::to_string(GetParam()) + ".ariesrh";
+  Options options;
+  options.num_shards = GetParam();
+  first_table_lsn_.assign(GetParam(), kInvalidLsn);
+  Random rng(20261017);
+  Lsn floor_cut = kInvalidLsn;
+  {
+    Database db(options);
+    for (int i = 0; i < 60; ++i) {
+      RunTxn(&db, &rng, i);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "txn " << i;
+    }
+    ASSERT_TRUE(db.Checkpoint().ok());
+    for (int i = 60; i < 120; ++i) {
+      RunTxn(&db, &rng, i);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "txn " << i;
+    }
+    ASSERT_TRUE(db.Checkpoint().ok());
+    EXPECT_GT(db.stats().checkpoint_pages_written.value(), 0u);
+    EXPECT_GT(db.stats().txns_reaped.value(), 0u);
+    // A loser left active at the crash: its records and scopes stay pinned.
+    const TxnId loser = *db.Begin();
+    ASSERT_TRUE(db.TablePut(loser, Key(3), "lost").ok());
+    ASSERT_TRUE(db.Add(loser, 5, 100).ok());
+
+    Result<uint64_t> archived = db.ArchiveLog();
+    ASSERT_TRUE(archived.ok()) << archived.status().ToString();
+    for (size_t s = 0; s < db.num_shards(); ++s) {
+      ASSERT_NE(first_table_lsn_[s], kInvalidLsn) << "shard " << s;
+      EXPECT_GT(db.shard(s)->disk()->first_retained_lsn(), first_table_lsn_[s])
+          << "shard " << s << " kept its first table write";
+      for (const auto& [id, tx] :
+           db.shard(s)->txn_manager()->SnapshotTransactions()) {
+        EXPECT_TRUE(tx.state == TxnState::kActive ||
+                    tx.state == TxnState::kPrepared)
+            << "shard " << s << " kept terminated txn " << id;
+      }
+      floor_cut = std::min(floor_cut, first_table_lsn_[s]);
+    }
+    ASSERT_TRUE(db.Sync().ok());
+    ASSERT_TRUE(db.SaveTo(path).ok());
+    Result<reenact::StateImage> early = db.ReenactStateAt(floor_cut);
+    ASSERT_FALSE(early.ok());
+    EXPECT_TRUE(early.status().IsOutOfRange()) << early.status().ToString();
+  }
+  oracle_.Crash();
+  for (RecoveryMode mode : {RecoveryMode::kFull, RecoveryMode::kInstant}) {
+    Options open = options;
+    open.recovery_mode = mode;
+    Result<Database::OpenResult> opened = Database::Open(open, path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ASSERT_TRUE(opened->recovery->Await().ok());
+    ExpectOracleState(opened->db.get(), RecoveryModeName(mode));
+    Result<reenact::StateImage> early =
+        opened->db->ReenactStateAt(floor_cut);
+    ASSERT_FALSE(early.ok());
+    EXPECT_TRUE(early.status().IsOutOfRange()) << early.status().ToString();
+  }
+  for (size_t s = 0; s < GetParam(); ++s) {
+    std::remove(Database::ShardImagePath(path, s).c_str());
+  }
+  std::remove((path + ".coord").c_str());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "core/database.h"
 #include "wal/log_record.h"
 
@@ -182,22 +184,53 @@ TEST(CheckpointTest, NextTxnIdRestoredFromCheckpoint) {
   EXPECT_GT(t2, t1);
 }
 
-TEST(CheckpointTest, CheckpointAfterRecoveryOption) {
-  Options options;
-  options.checkpoint_after_recovery = true;
-  Database db(options);
-  TxnId t1 = *db.Begin();
-  ASSERT_TRUE(db.Set(t1, 1, 5).ok());
-  ASSERT_TRUE(db.Commit(t1).ok());
-  db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
-  EXPECT_NE(db.disk()->master_record(), 0u);
-  // A second crash recovers from the post-recovery checkpoint.
-  db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_NE(outcome->checkpoint_used, 0u);
-  EXPECT_EQ(*db.ReadCommitted(1), 5);
+// After a restart, an ordinary checkpoint writes back the pages the restart
+// redid: its penultimate-checkpoint bound is seeded from the master record
+// (the pre-crash checkpoint's CKPT_BEGIN), and every page the restart
+// redid is dirty since before that. A second crash's forward pass then
+// starts after the first crash's history instead of replaying it again.
+TEST(CheckpointTest, CheckpointAfterRestartWritesBackRedonePages) {
+  for (RecoveryMode mode : {RecoveryMode::kFull, RecoveryMode::kInstant}) {
+    SCOPED_TRACE(RecoveryModeName(mode));
+    Options options;
+    options.recovery_mode = mode;
+    Database db(options);
+    for (int i = 0; i < 40; ++i) {
+      TxnId t = *db.Begin();
+      ASSERT_TRUE(db.Set(t, static_cast<ObjectId>(i * 70), i + 1).ok());
+      ASSERT_TRUE(
+          db.TablePut(t, "key" + std::to_string(i), "v" + std::to_string(i))
+              .ok());
+      ASSERT_TRUE(db.Commit(t).ok());
+    }
+    // No earlier checkpoint: this one writes nothing back.
+    ASSERT_TRUE(db.Checkpoint().ok());
+    EXPECT_EQ(db.stats().checkpoint_pages_written.value(), 0u);
+    const Lsn history_end = db.log_manager()->end_lsn();
+
+    db.SimulateCrash();
+    ASSERT_TRUE(db.Recover().ok());
+    ASSERT_TRUE(db.Checkpoint().ok());
+    EXPECT_GT(db.stats().checkpoint_pages_written.value(), 0u);
+    EXPECT_TRUE(db.buffer_pool()->DirtyPageTable().empty());
+    EXPECT_TRUE(db.shard(0)->table_heap()->DirtyPageTable().empty());
+
+    db.SimulateCrash();
+    const uint64_t forward_before = db.stats().recovery_forward_records;
+    Result<RecoveryManager::Outcome> outcome = db.Recover();
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_GT(outcome->checkpoint_used, history_end);
+    // Only what the first restart and its checkpoint appended is replayed.
+    const uint64_t forward =
+        db.stats().recovery_forward_records - forward_before;
+    EXPECT_GT(forward, 0u);
+    EXPECT_LE(forward, db.log_manager()->end_lsn() - history_end);
+    for (int i = 0; i < 40; ++i) {
+      EXPECT_EQ(*db.ReadCommitted(static_cast<ObjectId>(i * 70)), i + 1);
+      EXPECT_EQ(*db.TableGetCommitted("key" + std::to_string(i)),
+                "v" + std::to_string(i));
+    }
+  }
 }
 
 TEST(CheckpointTest, RepeatedCheckpointsUseLatest) {
@@ -252,6 +285,36 @@ TEST(CheckpointWindowTest, CommitInsideWindowSurvives) {
   db.set_checkpoint_test_hooks(hooks);
   ASSERT_TRUE(db.Checkpoint().ok());
   db.set_checkpoint_test_hooks({});
+
+  db.SimulateCrash();
+  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->losers, 0u);
+  EXPECT_EQ(*db.ReadCommitted(1), 11);
+}
+
+TEST(CheckpointWindowTest, CommitParkedAcrossCkptBeginSurvives) {
+  // Under group commit a committer appends its COMMIT record and then parks
+  // until the flusher's force covers it — still kActive. A checkpoint that
+  // begins meanwhile must not seed it as active: its COMMIT lies before
+  // CKPT_BEGIN, so analysis would never see it and restart would undo an
+  // acknowledged commit (and ArchiveLog, no longer pinned by it once it
+  // finishes, may drop the records that undo would read).
+  Options options;
+  options.group_commit = true;
+  options.group_commit_window_us = 20000;  // keeps the committer parked
+  Database db(options);
+  TxnId t = *db.Begin();
+  ASSERT_TRUE(db.Set(t, 1, 11).ok());
+  const Lsn before_commit = db.log_manager()->end_lsn();
+  Status committed;
+  std::thread committer([&db, &committed, t] { committed = db.Commit(t); });
+  while (db.log_manager()->end_lsn() == before_commit) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(db.Checkpoint().ok());
+  committer.join();
+  ASSERT_TRUE(committed.ok()) << committed.ToString();
 
   db.SimulateCrash();
   Result<RecoveryManager::Outcome> outcome = db.Recover();

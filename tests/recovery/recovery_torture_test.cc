@@ -6,13 +6,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <optional>
+#include <string>
 #include <thread>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "core/database.h"
 #include "core/oracle.h"
 #include "recovery/checkpoint.h"
+#include "table/table_heap.h"
 #include "util/random.h"
 #include "wal/log_record.h"
 
@@ -204,10 +209,29 @@ constexpr ObjectId kWindowObjectsPerWorker = 4;
 
 // Recovers a fresh instance from the first `crash_lsn` records of `source`
 // with the given master record, and returns every object's committed value.
+// Without `stable_pages` the copy has the log alone: no page was written.
+// With it, the copy's stable pages are the source's pages whose page LSN the
+// prefix covers: a checkpoint writes back the pages dirty since before the
+// previous checkpoint (the penultimate-checkpoint rule), and a crash anywhere
+// past a written page's LSN may find it stable — the checkpoint's redo point
+// relies on exactly that.
 std::optional<std::vector<int64_t>> RecoverPrefix(Database* source,
-                                                  Lsn crash_lsn, Lsn master) {
+                                                  Lsn crash_lsn, Lsn master,
+                                                  bool stable_pages) {
   Database copy;
   copy.SimulateCrash();
+  if (stable_pages) {
+    std::unordered_map<PageId, std::string> pages;
+    for (auto& [id, image] : source->disk()->ClonePages()) {
+      Result<Page> page = Page::Deserialize(image);
+      if (!page.ok()) {
+        ADD_FAILURE() << "page " << id << ": " << page.status().ToString();
+        return std::nullopt;
+      }
+      if (page->page_lsn() <= crash_lsn) pages.emplace(id, std::move(image));
+    }
+    copy.disk()->RestorePages(std::move(pages));
+  }
   std::vector<std::string> prefix;
   for (Lsn lsn = kFirstLsn; lsn <= crash_lsn; ++lsn) {
     Result<std::string> rec = source->disk()->ReadLogRecord(lsn);
@@ -324,13 +348,121 @@ TEST(ConcurrentCheckpointWindowTest, CrashAtEveryWindowLsnMatchesLogHead) {
     // Before CKPT_END is durable the concurrent checkpoint never existed;
     // from it on, recovery anchors at its CKPT_BEGIN and reconciles.
     const Lsn master = crash >= ckpt_end ? ckpt_end : first_master;
-    std::optional<std::vector<int64_t>> with_ckpt =
-        RecoverPrefix(&db, crash, master);
-    std::optional<std::vector<int64_t>> from_head =
-        RecoverPrefix(&db, crash, /*master=*/0);
-    ASSERT_TRUE(with_ckpt.has_value() && from_head.has_value())
-        << "crash at LSN " << crash;
-    ASSERT_EQ(*with_ckpt, *from_head) << "crash at LSN " << crash;
+    // Each crash point is recovered from two stable states: the log alone
+    // (no page written since the baseline) and the log plus every page the
+    // write-back may have put out by then. The log-only state is reachable
+    // only before CKPT_END: the concurrent checkpoint's redo point relies on
+    // its write-back.
+    for (const bool stable_pages : {false, true}) {
+      if (!stable_pages && crash >= ckpt_end) continue;
+      std::optional<std::vector<int64_t>> with_ckpt =
+          RecoverPrefix(&db, crash, master, stable_pages);
+      std::optional<std::vector<int64_t>> from_head =
+          RecoverPrefix(&db, crash, /*master=*/0, stable_pages);
+      ASSERT_TRUE(with_ckpt.has_value() && from_head.has_value())
+          << "crash at LSN " << crash << ", stable pages " << stable_pages;
+      ASSERT_EQ(*with_ckpt, *from_head)
+          << "crash at LSN " << crash << ", stable pages " << stable_pages;
+    }
+  }
+}
+
+// --- crash points inside the checkpoint's write-back ---
+//
+// The penultimate-checkpoint write-back runs between CKPT_BEGIN and the
+// snapshot, one heap bucket chain at a time. A crash after bucket k of
+// kTableBuckets leaves buckets 0..k written and no CKPT_END: the previous
+// checkpoint stays the master and its redo point must still cover every
+// chain, written or not. Each point is hit under both restart modes, on one
+// and on two shards.
+
+class WriteBackCrashMatrixTest
+    : public ::testing::TestWithParam<
+          std::tuple<size_t, RecoveryMode, size_t>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Buckets, WriteBackCrashMatrixTest,
+    ::testing::Combine(::testing::Values(1u, 2u),
+                       ::testing::Values(RecoveryMode::kFull,
+                                         RecoveryMode::kInstant),
+                       ::testing::Range<size_t>(0, table::kTableBuckets)),
+    [](const auto& info) {
+      return "shards" + std::to_string(std::get<0>(info.param)) + "_" +
+             RecoveryModeName(std::get<1>(info.param)) + "_after_bucket" +
+             std::to_string(std::get<2>(info.param));
+    });
+
+TEST_P(WriteBackCrashMatrixTest, CrashAfterBucketMatchesTheCommittedState) {
+  const auto [shards, mode, crash_bucket] = GetParam();
+  Options options;
+  options.num_shards = shards;
+  options.recovery_mode = mode;
+  Database db(options);
+  Random rng(7919 + crash_bucket);
+  std::map<std::string, std::string> committed;
+  std::map<ObjectId, int64_t> counters;
+  // Committed puts over 240 keys (several pages per chain, some values
+  // growing past their page so records relocate), with every fifth
+  // transaction aborted.
+  auto run = [&](int txns) {
+    for (int i = 0; i < txns; ++i) {
+      const TxnId t = *db.Begin();
+      std::map<std::string, std::string> puts;
+      for (int k = 0; k < 3; ++k) {
+        const std::string key = "key" + std::to_string(rng.Uniform(240));
+        const std::string value(static_cast<size_t>(rng.UniformRange(20, 700)),
+                                static_cast<char>('a' + i % 26));
+        ASSERT_TRUE(db.TablePut(t, key, value).ok());
+        puts[key] = value;
+      }
+      const ObjectId ob = rng.Uniform(300);
+      ASSERT_TRUE(db.Add(t, ob, 1).ok());
+      if (i % 5 == 4) {
+        ASSERT_TRUE(db.Abort(t).ok());
+        continue;
+      }
+      ASSERT_TRUE(db.Commit(t).ok());
+      for (auto& [key, value] : puts) committed[key] = value;
+      ++counters[ob];
+    }
+  };
+  run(80);
+  ASSERT_TRUE(db.Checkpoint().ok());
+  run(80);
+  const Lsn master_before = db.disk()->master_record();
+  // A loser whose writes may reach the stable pages with their chains.
+  const TxnId loser = *db.Begin();
+  ASSERT_TRUE(db.TablePut(loser, "key1", std::string(900, 'L')).ok());
+  ASSERT_TRUE(db.Add(loser, 1, 50).ok());
+
+  bool fired = false;
+  Database::CheckpointTestHooks hooks;
+  hooks.after_bucket_written = [&](size_t b) {
+    if (b != crash_bucket || fired) return Status::OK();
+    fired = true;
+    return Status::IOError("injected crash after bucket " + std::to_string(b));
+  };
+  db.set_checkpoint_test_hooks(hooks);
+  const Status ckpt = db.Checkpoint();
+  db.set_checkpoint_test_hooks({});
+  ASSERT_TRUE(fired);
+  ASSERT_FALSE(ckpt.ok());
+  ASSERT_GT(db.stats().checkpoint_pages_written.value(), 0u);
+  ASSERT_EQ(db.disk()->master_record(), master_before);
+
+  db.SimulateCrash();
+  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  for (uint64_t i = 0; i < 240; ++i) {
+    const std::string key = "key" + std::to_string(i);
+    const auto it = committed.find(key);
+    const std::optional<std::string> want =
+        it == committed.end() ? std::nullopt
+                              : std::optional<std::string>(it->second);
+    EXPECT_EQ(*db.TableGetCommitted(key), want) << key;
+  }
+  for (ObjectId ob = 0; ob < 300; ++ob) {
+    EXPECT_EQ(*db.ReadCommitted(ob), counters[ob]) << "ob " << ob;
   }
 }
 

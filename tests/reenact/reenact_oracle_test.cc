@@ -150,7 +150,7 @@ TEST(ReenactOracleTest, ResponsibleForMatchesLiveScopeState) {
       TxnId live_owner = kInvalidTxn;
       for (size_t i = 0; i < db.num_shards(); ++i) {
         for (const auto& [id, tx] :
-             db.shard(i)->txn_manager()->transactions()) {
+             db.shard(i)->txn_manager()->SnapshotTransactions()) {
           if (tx.IsResponsibleFor(ob)) live_owner = id;
         }
       }

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/database.h"
 
 namespace ariesrh {
@@ -194,8 +200,218 @@ TEST_F(TxnManagerTest, ReapTerminatedDropsControlBlocks) {
   TxnId t = *db_.Begin();
   ASSERT_TRUE(db_.Commit(t).ok());
   ASSERT_NE(db_.txn_manager()->Find(t), nullptr);
-  db_.txn_manager()->ReapTerminated();
+  // Checkpoints reap: the first one's CKPT_END force makes the END record
+  // durable, the second drops the control block.
+  ASSERT_TRUE(db_.Checkpoint().ok());
+  ASSERT_TRUE(db_.Checkpoint().ok());
   EXPECT_EQ(db_.txn_manager()->Find(t), nullptr);
+  EXPECT_FALSE(db_.IsActive(t));
+}
+
+// Checkpoints reap terminated transactions: the first checkpoint's CKPT_END
+// force makes the END records before it durable, the second reaps them. A
+// reaped id reads as "not active", never as an error, and keeps its outcome
+// for dependencies formed after the reap — on one shard (the transaction
+// table answers) and on two (the facade's routes answer).
+class ReapedOutcomeTest : public ::testing::TestWithParam<size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Shards, ReapedOutcomeTest, ::testing::Values(1u, 2u),
+                         [](const auto& info) {
+                           return "shards" + std::to_string(info.param);
+                         });
+
+TEST_P(ReapedOutcomeTest, ReapedIdsKeepTheirOutcome) {
+  Options options;
+  options.num_shards = GetParam();
+  Database db(options);
+  const TxnId committed = *db.Begin();
+  ASSERT_TRUE(db.Set(committed, 1, 1).ok());
+  ASSERT_TRUE(db.Commit(committed).ok());
+  const TxnId aborted = *db.Begin();
+  ASSERT_TRUE(db.Set(aborted, 2, 2).ok());
+  ASSERT_TRUE(db.Abort(aborted).ok());
+  auto reaped = [&](TxnId t) {
+    for (size_t i = 0; i < db.num_shards(); ++i) {
+      if (db.shard(i)->txn_manager()->Find(t) != nullptr) return false;
+    }
+    return true;
+  };
+  // Their END records are not durable at the first snapshot.
+  ASSERT_TRUE(db.Checkpoint().ok());
+  EXPECT_FALSE(reaped(committed));
+  EXPECT_FALSE(reaped(aborted));
+  ASSERT_TRUE(db.Checkpoint().ok());
+  ASSERT_TRUE(reaped(committed));
+  ASSERT_TRUE(reaped(aborted));
+  EXPECT_FALSE(db.IsActive(committed));
+  EXPECT_FALSE(db.IsActive(aborted));
+
+  // Any dependency on the reaped committed one, and a commit dependency on
+  // the reaped aborted one, resolve at once and leave the dependent live.
+  const TxnId live = *db.Begin();
+  ASSERT_TRUE(db.Set(live, 3, 3).ok());
+  for (DependencyType type :
+       {DependencyType::kCommit, DependencyType::kStrongCommit,
+        DependencyType::kAbort}) {
+    EXPECT_TRUE(db.FormDependency(type, live, committed).ok());
+  }
+  EXPECT_TRUE(db.FormDependency(DependencyType::kCommit, live, aborted).ok());
+  EXPECT_TRUE(db.IsActive(live));
+  ASSERT_TRUE(db.Commit(live).ok());
+
+  // An abort or strong-commit dependency on the reaped aborted one aborts
+  // the dependent, exactly as before the reap.
+  for (DependencyType type :
+       {DependencyType::kAbort, DependencyType::kStrongCommit}) {
+    const TxnId doomed = *db.Begin();
+    ASSERT_TRUE(db.Set(doomed, 4, 7).ok());
+    EXPECT_TRUE(db.FormDependency(type, doomed, aborted).ok());
+    EXPECT_FALSE(db.IsActive(doomed));
+    EXPECT_FALSE(db.Commit(doomed).ok());
+    EXPECT_EQ(*db.ReadCommitted(4), 0);
+  }
+
+  // An id never handed out is still unknown.
+  const TxnId other = *db.Begin();
+  EXPECT_TRUE(db.FormDependency(DependencyType::kCommit, other, other + 100)
+                  .IsNotFound());
+  ASSERT_TRUE(db.Abort(other).ok());
+
+  // After a restart the earlier ids are unknown, reaped or not.
+  ASSERT_TRUE(db.Sync().ok());
+  db.SimulateCrash();
+  ASSERT_TRUE(db.Recover().ok());
+  const TxnId fresh = *db.Begin();
+  for (TxnId t : {committed, aborted}) {
+    EXPECT_TRUE(
+        db.FormDependency(DependencyType::kAbort, fresh, t).IsNotFound());
+  }
+  EXPECT_TRUE(db.IsActive(fresh));
+}
+
+TEST_F(TxnManagerTest, CheckpointReapsTerminatedTransactions) {
+  std::vector<TxnId> done;
+  for (int i = 0; i < 20; ++i) {
+    TxnId t = *db_.Begin();
+    ASSERT_TRUE(db_.Add(t, 4, 1).ok());
+    ASSERT_TRUE(i % 4 == 3 ? db_.Abort(t).ok() : db_.Commit(t).ok());
+    done.push_back(t);
+  }
+  TxnId live = *db_.Begin();
+  ASSERT_TRUE(db_.Add(live, 4, 1).ok());
+  // The first checkpoint's CKPT_END force makes every END before it
+  // durable; the second reaps them all.
+  ASSERT_TRUE(db_.Checkpoint().ok());
+  ASSERT_TRUE(db_.Checkpoint().ok());
+  const std::map<TxnId, Transaction> left =
+      db_.txn_manager()->SnapshotTransactions();
+  ASSERT_EQ(left.size(), 1u);
+  EXPECT_EQ(left.begin()->first, live);
+  for (TxnId t : done) EXPECT_EQ(db_.txn_manager()->Find(t), nullptr);
+  ASSERT_TRUE(db_.Commit(live).ok());
+  EXPECT_EQ(*db_.ReadCommitted(4), 16);
+}
+
+// The reaper runs under live sessions: every transaction is published for
+// the other sessions to delegate into while its own session commits or
+// aborts it, and checkpoints keep reaping the finished ones. A delegation
+// lands before its target terminates or is refused; no control block is
+// freed under a caller, and a restart reproduces the committed state.
+TEST_F(TxnManagerTest, ReapingBesideDelegationsToOtherSessions) {
+  constexpr int kSessions = 3;
+  constexpr int kTxnsEach = 200;
+  std::atomic<TxnId> published{kInvalidTxn};
+  std::atomic<int> running{kSessions};
+  std::vector<std::thread> sessions;
+  for (int c = 0; c < kSessions; ++c) {
+    sessions.emplace_back([&, c] {
+      for (int i = 0; i < kTxnsEach; ++i) {
+        const TxnId t = *db_.Begin();
+        if (!db_.Add(t, 10 + c, 1).ok()) {
+          (void)db_.Abort(t);
+          continue;
+        }
+        const TxnId target = published.exchange(t);
+        // The target belongs to another session and may be committing,
+        // aborting or reaped right now: the transfer lands or is refused.
+        if (target != kInvalidTxn && i % 2 == 0 &&
+            db_.Delegate(t, target, DelegationSpec::All()).ok()) {
+          (void)db_.Abort(t);  // nothing left to roll back
+        } else if (i % 5 == 4) {
+          (void)db_.Abort(t);
+        } else {
+          (void)db_.Commit(t);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t checkpoints = 0;
+  do {
+    ASSERT_TRUE(db_.Checkpoint().ok());
+    ++checkpoints;
+  } while (running.load() > 0);
+  for (std::thread& session : sessions) session.join();
+  ASSERT_TRUE(db_.Checkpoint().ok());
+  EXPECT_GT(checkpoints, 0u);
+  EXPECT_GT(db_.stats().txns_reaped.value(), 0u);
+  for (const auto& [id, tx] : db_.txn_manager()->SnapshotTransactions()) {
+    EXPECT_NE(tx.state, TxnState::kActive) << "txn " << id << " left active";
+  }
+
+  std::vector<int64_t> live;
+  for (int c = 0; c < kSessions; ++c) {
+    live.push_back(*db_.ReadCommitted(10 + c));
+  }
+  ASSERT_TRUE(db_.Sync().ok());
+  db_.SimulateCrash();
+  ASSERT_TRUE(db_.Recover().ok());
+  for (int c = 0; c < kSessions; ++c) {
+    EXPECT_EQ(*db_.ReadCommitted(10 + c), live[c]) << "session " << c;
+  }
+}
+
+// A cascade abort reaches a dependent that its own session is committing at
+// the same moment, while a checkpoint loop reaps whatever finished. The
+// cascade finds the dependent live, terminating or gone; its control block
+// stays valid for as long as either session holds it (the ASan and TSan legs
+// run this), and exactly the dependents whose commit succeeded survive.
+TEST_F(TxnManagerTest, CascadeAbortRacesDependentCommitUnderCheckpoints) {
+  constexpr int kRounds = 200;
+  constexpr ObjectId kCounter = 50;
+  std::atomic<bool> done{false};
+  std::atomic<int> checkpoint_failures{0};
+  std::thread checkpointer([&] {
+    while (!done.load()) {
+      if (!db_.Checkpoint().ok()) ++checkpoint_failures;
+    }
+  });
+  int64_t survived = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const TxnId on = *db_.Begin();
+    ASSERT_TRUE(db_.Add(on, 40, 1).ok());
+    const TxnId dependent = *db_.Begin();
+    ASSERT_TRUE(db_.Add(dependent, kCounter, 1).ok());
+    ASSERT_TRUE(
+        db_.FormDependency(DependencyType::kAbort, dependent, on).ok());
+    Status committed;
+    std::thread owner([&] { committed = db_.Commit(dependent); });
+    std::thread cascade([&] { (void)db_.Abort(on); });
+    owner.join();
+    cascade.join();
+    if (committed.ok()) ++survived;
+    EXPECT_FALSE(db_.IsActive(dependent)) << "round " << round;
+  }
+  done.store(true);
+  checkpointer.join();
+  EXPECT_EQ(checkpoint_failures.load(), 0);
+  // Two more checkpoints reap whatever the loop left, however few rounds it
+  // overlapped.
+  ASSERT_TRUE(db_.Checkpoint().ok());
+  ASSERT_TRUE(db_.Checkpoint().ok());
+  EXPECT_GT(db_.stats().txns_reaped.value(), 0u);
+  EXPECT_EQ(*db_.ReadCommitted(kCounter), survived);
+  EXPECT_EQ(*db_.ReadCommitted(40), 0);
 }
 
 }  // namespace

@@ -201,7 +201,7 @@ bool HandleBuiltin(const std::string& line, Database* db,
     return true;
   }
   if (cmd == "txns") {
-    for (const auto& [id, tx] : db->txn_manager()->transactions()) {
+    for (const auto& [id, tx] : db->txn_manager()->SnapshotTransactions()) {
       std::printf("  %s\n", tx.ToString().c_str());
     }
     return true;
