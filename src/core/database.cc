@@ -63,37 +63,48 @@ Status Database::EnsureUsable() const {
   return Status::OK();
 }
 
-Result<std::shared_ptr<Database::TxnRoute>> Database::FindRoute(TxnId txn) {
-  std::lock_guard lock(routes_mu_);
-  auto it = routes_.find(txn);
-  if (it == routes_.end()) {
-    return Status::NotFound("transaction " + std::to_string(txn) +
-                            " does not exist");
-  }
-  return it->second;
+std::shared_ptr<Database::TxnRoute> Database::LookupRoute(TxnId txn) const {
+  const RouteStripe& stripe = StripeOf(txn);
+  std::shared_lock lock(stripe.mu);
+  const std::shared_ptr<TxnRoute>* route = stripe.routes.Find(txn);
+  return route != nullptr ? *route : nullptr;
 }
 
-TxnState Database::RouteOutcomeOf(TxnId txn) const {
-  std::lock_guard lock(routes_mu_);
-  auto it = routes_.find(txn);
-  if (it == routes_.end()) return TxnState::kCommitted;
-  return it->second->outcome.load(std::memory_order_relaxed);
+Result<std::shared_ptr<Database::TxnRoute>> Database::FindRoute(
+    TxnId txn) const {
+  if (std::shared_ptr<TxnRoute> route = LookupRoute(txn)) return route;
+  // Commit erased the route: the id reads as committed, like a reaped one
+  // in TxnManager.
+  if (HandedOut(txn)) {
+    return Status::IllegalState("transaction " + std::to_string(txn) +
+                                " is " + TxnStateName(TxnState::kCommitted));
+  }
+  return Status::NotFound("transaction " + std::to_string(txn) +
+                          " does not exist");
+}
+
+std::optional<TxnState> Database::RouteOutcomeOf(TxnId txn) const {
+  if (std::shared_ptr<TxnRoute> route = LookupRoute(txn)) {
+    return route->outcome.load(std::memory_order_relaxed);
+  }
+  if (HandedOut(txn)) return TxnState::kCommitted;
+  return std::nullopt;
 }
 
 Status Database::CheckRouteActive(const TxnRoute& route, TxnId txn) {
   const TxnState outcome = route.outcome.load(std::memory_order_relaxed);
   if (outcome != TxnState::kActive) {
-    return Status::NotFound("transaction " + std::to_string(txn) +
-                            " is not active (" + TxnStateName(outcome) + ")");
+    return Status::IllegalState("transaction " + std::to_string(txn) +
+                                " is " + TxnStateName(outcome));
   }
   return Status::OK();
 }
 
 Status Database::EnlistLocked(TxnRoute* route, TxnId txn, size_t shard) {
-  if (route->shards.contains(shard)) return Status::OK();
+  if (route->EnlistedOn(shard)) return Status::OK();
   ARIESRH_RETURN_IF_ERROR(
       shards_[shard]->txn_manager()->BeginWithId(txn).status());
-  route->shards.insert(shard);
+  route->shards |= uint64_t{1} << shard;
   return Status::OK();
 }
 
@@ -109,18 +120,23 @@ Status Database::PoisonOnError(Status status) {
 
 Result<TxnId> Database::Begin() {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) return shards_[0]->Begin();
-  // The facade owns the id space; shards learn about the transaction only
-  // when it first touches them (EnlistLocked).
+  // The facade owns the id space; shards learn about the transaction when
+  // it first touches them (EnlistLocked). One shard enlists at once, so its
+  // BEGIN record lands at Begin, as in the unsharded engine. The route is
+  // not published yet, so nothing else can hold its mutex.
   const TxnId txn = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard lock(routes_mu_);
-  routes_.emplace(txn, std::make_shared<TxnRoute>());
+  auto route = std::make_shared<TxnRoute>();
+  if (shards_.size() == 1) {
+    ARIESRH_RETURN_IF_ERROR(EnlistLocked(route.get(), txn, 0));
+  }
+  RouteStripe& stripe = StripeOf(txn);
+  std::unique_lock lock(stripe.mu);
+  stripe.routes[txn] = std::move(route);
   return txn;
 }
 
 Result<int64_t> Database::Read(TxnId txn, ObjectId ob) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) return shards_[0]->Read(txn, ob);
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
   std::lock_guard lock(route->mu);
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
@@ -132,7 +148,6 @@ Result<int64_t> Database::Read(TxnId txn, ObjectId ob) {
 
 Status Database::Set(TxnId txn, ObjectId ob, int64_t value) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) return shards_[0]->Set(txn, ob, value);
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
   std::lock_guard lock(route->mu);
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
@@ -144,7 +159,6 @@ Status Database::Set(TxnId txn, ObjectId ob, int64_t value) {
 
 Status Database::Add(TxnId txn, ObjectId ob, int64_t delta) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) return shards_[0]->Add(txn, ob, delta);
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
   std::lock_guard lock(route->mu);
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
@@ -158,48 +172,44 @@ Result<std::optional<std::string>> Database::TableGet(TxnId txn,
                                                       const std::string& key,
                                                       bool for_update) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) return shards_[0]->TableGet(txn, key, for_update);
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
   std::lock_guard lock(route->mu);
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
-  const size_t s = ShardOf(table::TableRid(key));
+  const ObjectId rid = table::TableRid(key);
+  const size_t s = ShardOf(rid);
   ARIESRH_RETURN_IF_ERROR(EnlistLocked(route.get(), txn, s));
-  ARIESRH_RETURN_IF_ERROR(
-      shards_[s]->WaitForObjectRecovery(table::TableRid(key)));
+  ARIESRH_RETURN_IF_ERROR(shards_[s]->WaitForObjectRecovery(rid));
   return shards_[s]->txn_manager()->TableGet(txn, key, for_update);
 }
 
 Status Database::TablePut(TxnId txn, const std::string& key,
                           const std::string& value) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) return shards_[0]->TablePut(txn, key, value);
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
   std::lock_guard lock(route->mu);
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
-  const size_t s = ShardOf(table::TableRid(key));
+  const ObjectId rid = table::TableRid(key);
+  const size_t s = ShardOf(rid);
   ARIESRH_RETURN_IF_ERROR(EnlistLocked(route.get(), txn, s));
-  ARIESRH_RETURN_IF_ERROR(
-      shards_[s]->WaitForObjectRecovery(table::TableRid(key)));
+  ARIESRH_RETURN_IF_ERROR(shards_[s]->WaitForObjectRecovery(rid));
   return shards_[s]->txn_manager()->TablePut(txn, key, value);
 }
 
 Status Database::TableDelete(TxnId txn, const std::string& key) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) return shards_[0]->TableDelete(txn, key);
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
   std::lock_guard lock(route->mu);
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
-  const size_t s = ShardOf(table::TableRid(key));
+  const ObjectId rid = table::TableRid(key);
+  const size_t s = ShardOf(rid);
   ARIESRH_RETURN_IF_ERROR(EnlistLocked(route.get(), txn, s));
-  ARIESRH_RETURN_IF_ERROR(
-      shards_[s]->WaitForObjectRecovery(table::TableRid(key)));
+  ARIESRH_RETURN_IF_ERROR(shards_[s]->WaitForObjectRecovery(rid));
   return shards_[s]->txn_manager()->TableDelete(txn, key);
 }
 
 Result<std::vector<std::pair<std::string, std::string>>> Database::TableScan(
     TxnId txn, const std::string& start_key, size_t limit) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) return shards_[0]->TableScan(txn, start_key, limit);
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
   std::lock_guard lock(route->mu);
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
@@ -213,11 +223,15 @@ Result<std::vector<std::pair<std::string, std::string>>> Database::TableScan(
     ARIESRH_RETURN_IF_ERROR(shards_[s]->WaitForAllRecovery());
     ARIESRH_ASSIGN_OR_RETURN(
         auto part, shards_[s]->txn_manager()->TableScan(txn, start_key, limit));
-    std::vector<std::pair<std::string, std::string>> out;
-    out.reserve(merged.size() + part.size());
-    std::merge(merged.begin(), merged.end(), part.begin(), part.end(),
-               std::back_inserter(out));
-    merged = std::move(out);
+    if (merged.empty()) {
+      merged = std::move(part);
+    } else {
+      std::vector<std::pair<std::string, std::string>> out;
+      out.reserve(merged.size() + part.size());
+      std::merge(merged.begin(), merged.end(), part.begin(), part.end(),
+                 std::back_inserter(out));
+      merged = std::move(out);
+    }
     if (limit != 0 && merged.size() > limit) merged.resize(limit);
   }
   return merged;
@@ -244,7 +258,6 @@ Result<std::optional<std::string>> Database::TableGetCommitted(
 
 Status Database::Delegate(TxnId from, TxnId to, const DelegationSpec& spec) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) return shards_[0]->Delegate(from, to, spec);
   if (from == to) {
     return Status::InvalidArgument("cannot delegate to self");
   }
@@ -257,22 +270,15 @@ Status Database::Delegate(TxnId from, TxnId to, const DelegationSpec& spec) {
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*from_route, from));
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*to_route, to));
 
-  // Expand the spec into per-shard object lists.
+  // The shards the transfer touches, each with the objects it moves there.
   std::map<size_t, std::vector<ObjectId>> by_shard;
   switch (spec.granularity) {
-    case DelegationSpec::Granularity::kOperationRange: {
-      // One object, one shard: operation-granularity transfers are always
-      // shard-local.
-      const size_t s = ShardOf(spec.object);
-      if (!from_route->shards.contains(s)) {
-        return Status::InvalidArgument(
-            "delegator has no updates on the object's shard");
-      }
-      ARIESRH_RETURN_IF_ERROR(EnlistLocked(to_route.get(), to, s));
-      return shards_[s]->txn_manager()->Delegate(from, to, spec);
-    }
+    case DelegationSpec::Granularity::kOperationRange:
+      // One object, one shard: always shard-local.
+      by_shard[ShardOf(spec.object)].push_back(spec.object);
+      break;
     case DelegationSpec::Granularity::kAllObjects:
-      for (size_t s : from_route->shards) {
+      for (size_t s : from_route->Shards()) {
         std::vector<ObjectId> objects =
             shards_[s]->txn_manager()->ObjectsOf(from);
         if (!objects.empty()) by_shard.emplace(s, std::move(objects));
@@ -281,26 +287,26 @@ Status Database::Delegate(TxnId from, TxnId to, const DelegationSpec& spec) {
       if (by_shard.empty()) return Status::OK();
       break;
     case DelegationSpec::Granularity::kObjectList:
-      for (ObjectId ob : spec.objects) {
-        const size_t s = ShardOf(ob);
-        if (!from_route->shards.contains(s)) {
-          return Status::InvalidArgument(
-              "delegator is not responsible for object " + std::to_string(ob));
-        }
-        by_shard[s].push_back(ob);
-      }
+      for (ObjectId ob : spec.objects) by_shard[ShardOf(ob)].push_back(ob);
       if (by_shard.empty()) {
         return Status::InvalidArgument("empty delegation object list");
       }
       break;
   }
+  for (const auto& [s, objects] : by_shard) {
+    if (!from_route->EnlistedOn(s)) {
+      return Status::InvalidArgument("delegator is not responsible for object " +
+                                     std::to_string(objects.front()));
+    }
+  }
 
   if (by_shard.size() == 1) {
-    // Shard-local: one plain (csn = 0) DELEGATE record, no coordinator.
-    const auto& [s, objects] = *by_shard.begin();
+    // Shard-local: the shard's own Delegate sees the caller's spec, so its
+    // checks and its one plain (csn = 0) DELEGATE record are the unsharded
+    // engine's. No coordinator.
+    const size_t s = by_shard.begin()->first;
     ARIESRH_RETURN_IF_ERROR(EnlistLocked(to_route.get(), to, s));
-    return shards_[s]->txn_manager()->Delegate(
-        from, to, DelegationSpec::Objects(objects));
+    return shards_[s]->txn_manager()->Delegate(from, to, spec);
   }
   return CrossShardDelegate(from, to, to_route.get(), by_shard);
 }
@@ -378,12 +384,17 @@ Status Database::CrossShardDelegate(
 
 Status Database::Permit(TxnId owner, TxnId grantee, ObjectId ob) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) return shards_[0]->Permit(owner, grantee, ob);
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> owner_route,
                            FindRoute(owner));
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> grantee_route,
                            FindRoute(grantee));
-  std::scoped_lock lock(owner_route->mu, grantee_route->mu);
+  std::unique_lock owner_lock(owner_route->mu, std::defer_lock);
+  std::unique_lock grantee_lock(grantee_route->mu, std::defer_lock);
+  if (owner == grantee) {
+    owner_lock.lock();
+  } else {
+    std::lock(owner_lock, grantee_lock);
+  }
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*owner_route, owner));
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*grantee_route, grantee));
   const size_t s = ShardOf(ob);
@@ -395,23 +406,18 @@ Status Database::Permit(TxnId owner, TxnId grantee, ObjectId ob) {
 Status Database::FormDependency(DependencyType type, TxnId dependent,
                                 TxnId on) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) return shards_[0]->FormDependency(type, dependent, on);
-  // Dependencies may span shards, so the facade keeps the one graph —
-  // mirroring TxnManager::FormDependency's immediate-resolution rules.
+  // Dependencies may span shards, so the facade keeps the one graph. A
+  // dependency on a terminated transaction resolves at once.
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route,
                            FindRoute(dependent));
   {
     std::lock_guard lock(route->mu);
     ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, dependent));
-    bool target_exists = false;
-    {
-      std::lock_guard routes_lock(routes_mu_);
-      target_exists = routes_.contains(on);
-    }
-    if (!target_exists) {
+    const std::optional<TxnState> target = RouteOutcomeOf(on);
+    if (!target.has_value()) {
       return Status::NotFound("dependency target does not exist");
     }
-    const TxnState on_state = RouteOutcomeOf(on);
+    const TxnState on_state = *target;
     if (on_state == TxnState::kCommitted) return Status::OK();
     if (on_state != TxnState::kAborted) {
       std::lock_guard deps_lock(deps_mu_);
@@ -427,60 +433,54 @@ Status Database::FormDependency(DependencyType type, TxnId dependent,
 
 Result<Lsn> Database::Savepoint(TxnId txn) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) return shards_[0]->Savepoint(txn);
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
   std::lock_guard lock(route->mu);
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
-  if (route->shards.size() != 1) {
+  if (route->ShardCount() != 1) {
     return Status::NotSupported(
         "savepoints require a transaction confined to one shard");
   }
-  return shards_[*route->shards.begin()]->txn_manager()->Savepoint(txn);
+  return shards_[std::countr_zero(route->shards)]->txn_manager()->Savepoint(
+      txn);
 }
 
 Status Database::RollbackTo(TxnId txn, Lsn savepoint) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) return shards_[0]->RollbackTo(txn, savepoint);
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
   std::lock_guard lock(route->mu);
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
-  if (route->shards.size() != 1) {
+  if (route->ShardCount() != 1) {
     return Status::NotSupported(
         "savepoints require a transaction confined to one shard");
   }
-  return shards_[*route->shards.begin()]->txn_manager()->RollbackTo(txn,
-                                                                    savepoint);
+  return shards_[std::countr_zero(route->shards)]->txn_manager()->RollbackTo(
+      txn, savepoint);
 }
 
 Status Database::Commit(TxnId txn) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) {
-    ARIESRH_RETURN_IF_ERROR(shards_[0]->Commit(txn));
-    ObserveFirstCommit();
-    return Status::OK();
-  }
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
   std::unique_lock lock(route->mu);
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
 
-  // Facade dependency gate, mirroring TxnManager::Commit. kCommitDurable
-  // edges never reach this graph — they are shard-local (the lock manager
-  // generates them), and the shard-level commit/prepare paths both force
-  // past the dependency's COMMIT record in the same shard log.
+  // The dependency gate. kCommitDurable edges never reach this graph — they
+  // are shard-local (the lock manager generates them), and the shard-level
+  // commit/prepare paths both force past the dependency's COMMIT record in
+  // the same shard log.
   std::vector<DependencyGraph::Prerequisite> prerequisites;
   {
     std::lock_guard deps_lock(deps_mu_);
     prerequisites = deps_.CommitPrerequisites(txn);
   }
   for (const DependencyGraph::Prerequisite& p : prerequisites) {
-    const TxnState on_state = RouteOutcomeOf(p.on);
+    const TxnState on_state =
+        RouteOutcomeOf(p.on).value_or(TxnState::kCommitted);
     if (on_state == TxnState::kActive) {
       return Status::Busy("commit dependency on active transaction " +
                           std::to_string(p.on));
     }
     if (on_state == TxnState::kAborted &&
-        (p.type == DependencyType::kStrongCommit ||
-         p.type == DependencyType::kCommitDurable)) {
+        p.type == DependencyType::kStrongCommit) {
       lock.unlock();
       ARIESRH_RETURN_IF_ERROR(Abort(txn));
       return Status::Aborted("strong-commit prerequisite " +
@@ -488,23 +488,36 @@ Status Database::Commit(TxnId txn) {
     }
   }
 
-  if (route->shards.empty()) {
-    // Touched nothing: commits vacuously, no log traffic anywhere.
-    route->outcome.store(TxnState::kCommitted, std::memory_order_relaxed);
-  } else if (route->shards.size() == 1) {
+  if (route->ShardCount() == 1) {
     // Single-shard: the shard's ordinary commit is the commit point.
-    ARIESRH_RETURN_IF_ERROR(
-        shards_[*route->shards.begin()]->txn_manager()->Commit(txn));
-    route->outcome.store(TxnState::kCommitted, std::memory_order_relaxed);
-  } else {
-    const std::vector<size_t> parts(route->shards.begin(),
-                                    route->shards.end());
-    ARIESRH_RETURN_IF_ERROR(TwoPhaseCommit(txn, parts));
-    route->outcome.store(TxnState::kCommitted, std::memory_order_relaxed);
+    TxnManager* shard =
+        shards_[std::countr_zero(route->shards)]->txn_manager();
+    const Status committed = shard->Commit(txn);
+    if (!committed.ok()) {
+      // A failed commit whose shard aborted the transaction (an early lock
+      // release prerequisite, or its own commit record, was lost) aborts
+      // here too, with the cascade.
+      if (shard->IsActive(txn)) return committed;
+      route->outcome.store(TxnState::kAborted, std::memory_order_relaxed);
+      lock.unlock();
+      ARIESRH_RETURN_IF_ERROR(CascadeAbort(txn));
+      return committed;
+    }
+  } else if (route->ShardCount() > 1) {
+    ARIESRH_RETURN_IF_ERROR(TwoPhaseCommit(txn, route->Shards()));
   }
+  // A transaction that touched nothing commits vacuously, with no log
+  // traffic anywhere. The committed route goes: its id now reads as
+  // committed through HandedOut.
+  route->outcome.store(TxnState::kCommitted, std::memory_order_relaxed);
   {
     std::lock_guard deps_lock(deps_mu_);
     deps_.RemoveTxn(txn);
+  }
+  {
+    RouteStripe& stripe = StripeOf(txn);
+    std::unique_lock stripe_lock(stripe.mu);
+    stripe.routes.Erase(txn);
   }
   ObserveFirstCommit();
   return Status::OK();
@@ -601,16 +614,19 @@ Status Database::TwoPhaseCommit(TxnId txn, const std::vector<size_t>& parts) {
 
 Status Database::Abort(TxnId txn) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  if (shards_.size() == 1) return shards_[0]->Abort(txn);
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
   {
     std::lock_guard lock(route->mu);
     ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
-    for (size_t s : route->shards) {
+    for (size_t s : route->Shards()) {
       ARIESRH_RETURN_IF_ERROR(shards_[s]->txn_manager()->Abort(txn));
     }
     route->outcome.store(TxnState::kAborted, std::memory_order_relaxed);
   }
+  return CascadeAbort(txn);
+}
+
+Status Database::CascadeAbort(TxnId txn) {
   // Capture who must abort with us before the graph forgets this txn.
   std::vector<TxnId> dependents;
   {
@@ -633,14 +649,7 @@ Status Database::Abort(TxnId txn) {
 
 bool Database::IsActive(TxnId txn) {
   if (!init_status_.ok() || crashed_ || shards_.empty()) return false;
-  if (shards_.size() == 1) {
-    return shards_[0]->txn_manager()->IsActive(txn);
-  }
-  std::lock_guard lock(routes_mu_);
-  auto it = routes_.find(txn);
-  return it != routes_.end() &&
-         it->second->outcome.load(std::memory_order_relaxed) ==
-             TxnState::kActive;
+  return RouteOutcomeOf(txn) == TxnState::kActive;
 }
 
 Status Database::Sync() {
@@ -778,9 +787,9 @@ Result<uint64_t> Database::ArchiveLog(Lsn retain_from) {
 void Database::SimulateCrash() {
   for (auto& shard : shards_) shard->SimulateCrash();
   if (coord_ != nullptr) coord_->SimulateCrash();
-  {
-    std::lock_guard lock(routes_mu_);
-    routes_.clear();
+  for (RouteStripe& stripe : routes_) {
+    std::unique_lock lock(stripe.mu);
+    stripe.routes.clear();
   }
   {
     std::lock_guard deps_lock(deps_mu_);
@@ -824,18 +833,14 @@ Result<std::shared_ptr<RecoveryHandle>> Database::StartRecovery() {
     // transaction anywhere is in doubt — only loser undo is outstanding,
     // and the per-shard gates fence it.
     std::vector<Status> statuses(shards_.size(), Status::OK());
-    if (shards_.size() == 1) {
-      statuses[0] = shards_[0]->BeginInstantRestart(resolution_ptr, handle);
-    } else {
-      std::vector<std::thread> workers;
-      workers.reserve(shards_.size());
-      for (size_t i = 0; i < shards_.size(); ++i) {
-        workers.emplace_back([this, i, resolution_ptr, handle, &statuses] {
-          statuses[i] = shards_[i]->BeginInstantRestart(resolution_ptr, handle);
-        });
-      }
-      for (std::thread& worker : workers) worker.join();
+    std::vector<std::thread> workers;
+    workers.reserve(shards_.size());
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      workers.emplace_back([this, i, resolution_ptr, handle, &statuses] {
+        statuses[i] = shards_[i]->BeginInstantRestart(resolution_ptr, handle);
+      });
     }
+    for (std::thread& worker : workers) worker.join();
     Status failed = Status::OK();
     for (const Status& status : statuses) {
       if (!status.ok()) {
@@ -856,13 +861,12 @@ Result<std::shared_ptr<RecoveryHandle>> Database::StartRecovery() {
       }
       return failed;
     }
-    // Seed the facade's id spaces from the shards' analysis results.
+    // Seed the facade's id space from the shards' analysis results.
     TxnId seed = 1;
     for (auto& shard : shards_) {
       seed = std::max(seed, shard->txn_manager()->next_txn_id());
     }
     next_txn_id_.store(seed, std::memory_order_relaxed);
-    if (coord_ != nullptr) coord_->SeedCsn(resolution.max_csn + 1);
   } else {
     // kFull: the historical blocking restart, now reported through the same
     // handle (terminal by the time this returns).
@@ -882,12 +886,12 @@ Result<std::shared_ptr<RecoveryHandle>> Database::StartRecovery() {
     for (std::thread& worker : workers) worker.join();
     Result<RecoveryManager::Outcome> merged = handle->Await();
     ARIESRH_RETURN_IF_ERROR(merged.status());
-    if (shards_.size() > 1) {
-      next_txn_id_.store(merged->next_txn_id, std::memory_order_relaxed);
-      // Restarted engines must never reuse a csn the durable log names.
-      coord_->SeedCsn(resolution.max_csn + 1);
-    }
+    next_txn_id_.store(merged->next_txn_id, std::memory_order_relaxed);
   }
+  // Ids below the seed are from before this restart: unknown from now on.
+  first_txn_id_ = next_txn_id_.load(std::memory_order_relaxed);
+  // Restarted engines must never reuse a csn the durable log names.
+  if (coord_ != nullptr) coord_->SeedCsn(resolution.max_csn + 1);
 
   poisoned_ = false;
   crashed_ = false;

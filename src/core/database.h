@@ -1,16 +1,22 @@
 // Database: the public facade over the whole engine.
 //
-// A Database is N EngineShards behind one API (Options::num_shards). With
-// num_shards == 1 — the classic configuration — every call passes straight
-// through to the single shard and the engine behaves exactly as the
-// unsharded original. With num_shards > 1 the facade adds:
+// A Database is N EngineShards behind one API (Options::num_shards); N = 1
+// is the classic single engine. Every transactional call takes the same
+// routed path at every N:
 //
-//   * routing: objects hash to shards (ShardOf); transactions get globally
-//     unique ids here and enlist lazily on each shard they touch,
-//   * a coordinator log (coord::CoordinatorLog): cross-shard rounds — the
-//     two-phase commit of a multi-shard transaction, and the atomic
-//     transfer of a cross-shard delegation — are decided by one forced
-//     coordinator COMMIT record (presumed abort),
+//   * routing: objects hash to shards (ShardOf); the facade hands out
+//     transaction ids and keeps a TxnRoute per transaction — the shards it
+//     enlisted on and its outcome. A transaction enlists on a shard the
+//     first time it touches it; with one shard Begin enlists at once, so
+//     the N = 1 log (BEGIN at Begin, facade ids equal to shard ids) is the
+//     unsharded engine's, byte for byte,
+//   * one dependency graph: form-dependency edges live here (they may span
+//     shards); the shards keep only the early-lock-release edges their lock
+//     managers generate,
+//   * a coordinator log (coord::CoordinatorLog, N > 1 only): cross-shard
+//     rounds — the two-phase commit of a multi-shard transaction, and the
+//     atomic transfer of a cross-shard delegation — are decided by one
+//     forced coordinator COMMIT record (presumed abort),
 //   * coordinated restart: every shard recovers in parallel, consulting the
 //     coordinator's durable verdicts for in-doubt transactions and
 //     cross-shard delegation legs.
@@ -37,15 +43,17 @@
 #ifndef ARIESRH_CORE_DATABASE_H_
 #define ARIESRH_CORE_DATABASE_H_
 
+#include <array>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
+#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -62,6 +70,7 @@
 #include "txn/delegation_spec.h"
 #include "txn/dependency_graph.h"
 #include "txn/txn_manager.h"
+#include "util/flat_map.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -122,11 +131,11 @@ class Database {
   Result<std::optional<std::string>> TableGetCommitted(const std::string& key);
 
   /// The delegation entry point: transfers responsibility from `from` to
-  /// `to` per the spec (DelegationSpec::All / Objects / Operations). In a
-  /// sharded engine a transfer touching one shard stays shard-local (one
-  /// DELEGATE record); one spanning shards runs the coordinator-decided
-  /// cross-shard protocol (docs/SHARDING.md) so the shards' csn-stamped
-  /// DELEGATE legs take effect all-or-nothing.
+  /// `to` per the spec (DelegationSpec::All / Objects / Operations). A
+  /// transfer touching one shard hands the spec unchanged to that shard's
+  /// TxnManager::Delegate (one DELEGATE record); one spanning shards runs
+  /// the coordinator-decided cross-shard protocol (docs/SHARDING.md) so the
+  /// shards' csn-stamped DELEGATE legs take effect all-or-nothing.
   Status Delegate(TxnId from, TxnId to, const DelegationSpec& spec);
 
   Status Permit(TxnId owner, TxnId grantee, ObjectId ob);
@@ -147,9 +156,9 @@ class Database {
   Status Abort(TxnId txn);
 
   /// True while `txn` is known to the engine and still active (neither
-  /// committed nor aborted). Sharded engines answer from the facade's route
-  /// table, which tracks the transaction even before it touches any shard —
-  /// shard-local Find() would miss a transaction enlisted elsewhere.
+  /// committed nor aborted). Answered from the facade's routes, which track
+  /// the transaction even before it touches any shard — shard-local Find()
+  /// would miss a transaction enlisted elsewhere.
   bool IsActive(TxnId txn);
 
   /// Forces every shard's log (and the coordinator log) to stable storage.
@@ -409,26 +418,70 @@ class Database {
   }
 
  private:
-  /// Per-transaction routing state (num_shards > 1 only): which shards the
-  /// transaction enlisted on, and its facade-level outcome.
+  /// Per-transaction routing state: which shards the transaction enlisted
+  /// on, and its facade-level outcome. Commit erases the route; an aborted
+  /// one stays until the next restart, so abort and strong-commit
+  /// dependencies formed later still see the abort.
   struct TxnRoute {
     /// Serializes this transaction's facade operations — in particular a
     /// cross-shard protocol against a concurrent commit/abort of the same
     /// transaction from another session.
     std::mutex mu;
-    std::set<size_t> shards;
+    /// Bit s is set once the transaction enlisted on shard s. A mask, not
+    /// a set: enlisting is on every transaction's path and must not
+    /// allocate.
+    uint64_t shards = 0;
     std::atomic<TxnState> outcome{TxnState::kActive};
+
+    bool EnlistedOn(size_t s) const { return (shards >> s) & 1; }
+    size_t ShardCount() const { return std::popcount(shards); }
+    /// The enlisted shards in ascending order.
+    std::vector<size_t> Shards() const {
+      std::vector<size_t> out;
+      for (uint64_t m = shards; m != 0; m &= m - 1) {
+        out.push_back(std::countr_zero(m));
+      }
+      return out;
+    }
   };
+  static_assert(kMaxShards <= 64, "TxnRoute::shards is a 64-bit mask");
+
+  /// The route map, striped by TxnId so that concurrent sessions' lookups
+  /// (shared) and begins and commits (exclusive) spread over 64 locks, each
+  /// stripe on cache lines of its own.
+  static constexpr size_t kRouteStripes = 64;
+  struct alignas(64) RouteStripe {
+    mutable std::shared_mutex mu;
+    OpenHashMap<TxnId, std::shared_ptr<TxnRoute>> routes;
+  };
+  RouteStripe& StripeOf(TxnId txn) { return routes_[txn % kRouteStripes]; }
+  const RouteStripe& StripeOf(TxnId txn) const {
+    return routes_[txn % kRouteStripes];
+  }
 
   Status EnsureUsable() const;
-  Result<std::shared_ptr<TxnRoute>> FindRoute(TxnId txn);
-  /// The facade-level outcome of a transaction; kCommitted when unknown
-  /// (terminated and forgotten), mirroring TxnManager's convention.
-  TxnState RouteOutcomeOf(TxnId txn) const;
+  /// The route of `txn`; nullptr when it has none.
+  std::shared_ptr<TxnRoute> LookupRoute(TxnId txn) const;
+  /// The route of `txn`. Without one, an id handed out since the last
+  /// restart is a committed (forgotten) transaction — IllegalState, as for
+  /// any terminated one — and any other id is NotFound.
+  Result<std::shared_ptr<TxnRoute>> FindRoute(TxnId txn) const;
+  /// The facade-level state of `txn`, a forgotten committed one's included;
+  /// nullopt for an id from before the last restart or never handed out.
+  /// Mirrors TxnManager::StateOf.
+  std::optional<TxnState> RouteOutcomeOf(TxnId txn) const;
+  /// Whether the facade handed out `txn` since the last restart.
+  bool HandedOut(TxnId txn) const {
+    return txn >= first_txn_id_ &&
+           txn < next_txn_id_.load(std::memory_order_relaxed);
+  }
   static Status CheckRouteActive(const TxnRoute& route, TxnId txn);
   /// Starts `txn` on `shard` (BeginWithId) if not already enlisted there.
   /// Caller holds route->mu.
   Status EnlistLocked(TxnRoute* route, TxnId txn, size_t shard);
+  /// `txn` just aborted: forgets its dependency edges and aborts its abort
+  /// and strong-commit dependents. Caller holds no route mutex.
+  Status CascadeAbort(TxnId txn);
   /// Runs the named protocol test point; OK when no hook is installed.
   Status ProtocolPoint(const std::string& point);
   /// Marks the facade poisoned when `status` is an error; returns it.
@@ -470,13 +523,15 @@ class Database {
   std::atomic<bool> ttfc_armed_{false};
   std::atomic<uint64_t> restart_epoch_ns_{0};
 
-  /// Facade-level transaction id allocation and routing (num_shards > 1).
+  /// Transaction id allocation: every id in [first_txn_id_, next_txn_id_)
+  /// was handed out since the last restart. first_txn_id_ changes only
+  /// while the database is crashed.
+  TxnId first_txn_id_ = 1;
   std::atomic<TxnId> next_txn_id_{1};
-  mutable std::mutex routes_mu_;
-  std::unordered_map<TxnId, std::shared_ptr<TxnRoute>> routes_;
+  std::array<RouteStripe, kRouteStripes> routes_;
 
-  /// Facade-level dependency graph (num_shards > 1): dependencies may span
-  /// shards, so they live here, not in any one shard's TxnManager.
+  /// The dependency graph: dependencies may span shards, so they live
+  /// here, not in any one shard's TxnManager.
   mutable std::mutex deps_mu_;
   DependencyGraph deps_;
 

@@ -84,95 +84,6 @@ Status EngineShard::EnsureUsable() const {
   return Status::OK();
 }
 
-Result<TxnId> EngineShard::Begin() {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  return txn_manager_->Begin();
-}
-
-Result<int64_t> EngineShard::Read(TxnId txn, ObjectId ob) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  ARIESRH_RETURN_IF_ERROR(WaitForObjectRecovery(ob));
-  return txn_manager_->Read(txn, ob);
-}
-
-Status EngineShard::Set(TxnId txn, ObjectId ob, int64_t value) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  ARIESRH_RETURN_IF_ERROR(WaitForObjectRecovery(ob));
-  return txn_manager_->Set(txn, ob, value);
-}
-
-Status EngineShard::Add(TxnId txn, ObjectId ob, int64_t delta) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  ARIESRH_RETURN_IF_ERROR(WaitForObjectRecovery(ob));
-  return txn_manager_->Add(txn, ob, delta);
-}
-
-Status EngineShard::Delegate(TxnId from, TxnId to, const DelegationSpec& spec) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  return txn_manager_->Delegate(from, to, spec);
-}
-
-Status EngineShard::Permit(TxnId owner, TxnId grantee, ObjectId ob) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  return txn_manager_->Permit(owner, grantee, ob);
-}
-
-Status EngineShard::FormDependency(DependencyType type, TxnId dependent,
-                                   TxnId on) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  return txn_manager_->FormDependency(type, dependent, on);
-}
-
-Result<Lsn> EngineShard::Savepoint(TxnId txn) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  return txn_manager_->Savepoint(txn);
-}
-
-Status EngineShard::RollbackTo(TxnId txn, Lsn savepoint) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  return txn_manager_->RollbackTo(txn, savepoint);
-}
-
-Status EngineShard::Commit(TxnId txn) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  return txn_manager_->Commit(txn);
-}
-
-Status EngineShard::Abort(TxnId txn) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  return txn_manager_->Abort(txn);
-}
-
-Result<std::optional<std::string>> EngineShard::TableGet(TxnId txn,
-                                                         const std::string& key,
-                                                         bool for_update) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  ARIESRH_RETURN_IF_ERROR(WaitForObjectRecovery(table::TableRid(key)));
-  return txn_manager_->TableGet(txn, key, for_update);
-}
-
-Status EngineShard::TablePut(TxnId txn, const std::string& key,
-                             const std::string& value) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  ARIESRH_RETURN_IF_ERROR(WaitForObjectRecovery(table::TableRid(key)));
-  return txn_manager_->TablePut(txn, key, value);
-}
-
-Status EngineShard::TableDelete(TxnId txn, const std::string& key) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  ARIESRH_RETURN_IF_ERROR(WaitForObjectRecovery(table::TableRid(key)));
-  return txn_manager_->TableDelete(txn, key);
-}
-
-Result<std::vector<std::pair<std::string, std::string>>> EngineShard::TableScan(
-    TxnId txn, const std::string& start_key, size_t limit) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  // A scan's footprint is unbounded: it must see no un-undone loser value
-  // anywhere, so it waits for every cluster, not one object.
-  ARIESRH_RETURN_IF_ERROR(WaitForAllRecovery());
-  return txn_manager_->TableScan(txn, start_key, limit);
-}
-
 Status EngineShard::Sync() {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
   return log_->FlushAll();
@@ -316,11 +227,6 @@ Result<EngineShard::BackupImage> EngineShard::Backup() {
     backup.log_window.push_back(std::move(record));
   }
   return backup;
-}
-
-void EngineShard::SimulateMediaFailure() {
-  disk_->ClearPages();
-  SimulateCrash();
 }
 
 Status EngineShard::RestoreFromBackup(const BackupImage& backup) {

@@ -1,14 +1,16 @@
-// EngineShard: one complete engine — the unit the sharded Database facade
-// routes to.
+// EngineShard: one complete engine — the unit the Database facade routes
+// to.
 //
 // A shard owns its own simulated stable storage plus all volatile
 // components (log manager, buffer pool, lock manager, transaction manager,
-// checkpoint daemon) and exposes the transactional API, delegation,
-// checkpoints, and the crash/recover harness. An unsharded Database
-// (Options::num_shards == 1) is exactly one EngineShard behind a
-// pass-through facade; with num_shards > 1 each shard is a full engine and
-// the facade adds routing, the coordinator log, and the cross-shard
-// protocols (docs/SHARDING.md).
+// checkpoint daemon) and the operations that act on them as a whole:
+// checkpoints, archiving, backups, images, the instant-restart gates, and
+// the crash/recover harness. It has no transactional API of its own: the
+// facade routes every transactional call, at every shard count, to the
+// shard's TxnManager (txn_manager()), gated by WaitForObjectRecovery while
+// an instant restart is in flight. A 1-shard Database is one EngineShard
+// behind that routed path; with num_shards > 1 the facade adds the
+// coordinator log and the cross-shard protocols (docs/SHARDING.md).
 //
 // Per-shard observability: every Stats field feeds the shared aggregate
 // counter ("ariesrh_<field>") and — when the engine is actually sharded — a
@@ -36,7 +38,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/simulated_disk.h"
 #include "table/table_heap.h"
-#include "txn/delegation_spec.h"
 #include "txn/txn_manager.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -59,28 +60,6 @@ class EngineShard {
 
   EngineShard(const EngineShard&) = delete;
   EngineShard& operator=(const EngineShard&) = delete;
-
-  // --- transactional API (see TxnManager for semantics) ---
-  Result<TxnId> Begin();
-  Result<int64_t> Read(TxnId txn, ObjectId ob);
-  Status Set(TxnId txn, ObjectId ob, int64_t value);
-  Status Add(TxnId txn, ObjectId ob, int64_t delta);
-  Status Delegate(TxnId from, TxnId to, const DelegationSpec& spec);
-  Status Permit(TxnId owner, TxnId grantee, ObjectId ob);
-  Status FormDependency(DependencyType type, TxnId dependent, TxnId on);
-  Result<Lsn> Savepoint(TxnId txn);
-  Status RollbackTo(TxnId txn, Lsn savepoint);
-  Status Commit(TxnId txn);
-  Status Abort(TxnId txn);
-
-  // --- typed key-value table layer (see TxnManager for semantics) ---
-  Result<std::optional<std::string>> TableGet(TxnId txn,
-                                              const std::string& key,
-                                              bool for_update = false);
-  Status TablePut(TxnId txn, const std::string& key, const std::string& value);
-  Status TableDelete(TxnId txn, const std::string& key);
-  Result<std::vector<std::pair<std::string, std::string>>> TableScan(
-      TxnId txn, const std::string& start_key, size_t limit);
 
   /// Forces the whole shard log to stable storage.
   Status Sync();
@@ -127,10 +106,6 @@ class EngineShard {
   /// the stable pages.
   Result<BackupImage> Backup();
 
-  /// Models a media failure: the stable pages are destroyed (the log,
-  /// stored separately, survives) and all volatile state is lost.
-  void SimulateMediaFailure();
-
   /// Installs a backup's pages and master record after a media failure.
   Status RestoreFromBackup(const BackupImage& backup);
 
@@ -171,8 +146,6 @@ class EngineShard {
   /// archiving — operations that need the stable state caught up).
   Status AwaitInstantRecovery();
 
-  bool NeedsRecovery() const { return crashed_; }
-
   // --- inspection ---
 
   Result<int64_t> ReadCommitted(ObjectId ob);
@@ -186,8 +159,6 @@ class EngineShard {
 
   const Options& options() const { return options_; }
   Options* mutable_options() { return &options_; }
-
-  size_t shard_index() const { return shard_index_; }
 
   TxnManager* txn_manager() { return txn_manager_.get(); }
   table::TableHeap* table_heap() { return heap_.get(); }
@@ -213,11 +184,9 @@ class EngineShard {
     ckpt_hooks_ = std::move(hooks);
   }
 
-  /// "database crashed; call Recover() first" when crashed (the facade
-  /// surfaces this verbatim so the unsharded error text is unchanged).
-  Status EnsureUsable() const;
-
  private:
+  /// "database crashed; call Recover() first" when crashed.
+  Status EnsureUsable() const;
   void BuildVolatileComponents();
   /// The penultimate-checkpoint bound for the next checkpoint: the
   /// CKPT_BEGIN of the last completed one. Known in memory once this shard

@@ -63,11 +63,6 @@ Status Options::Validate() const {
         "num_shards exceeds kMaxShards (" + std::to_string(kMaxShards) +
         "); every shard is a full engine instance");
   }
-  if (num_shards > 1 && !enable_coordinator) {
-    return Status::InvalidArgument(
-        "num_shards > 1 requires the coordinator: cross-shard commits and "
-        "delegations are resolved from its decision log at restart");
-  }
   if (num_shards > 1 && delegation_mode != DelegationMode::kRH &&
       delegation_mode != DelegationMode::kDisabled) {
     return Status::InvalidArgument(

@@ -111,13 +111,6 @@ struct Options {
   /// delegation modes are valid with num_shards > 1.
   size_t num_shards = 1;
 
-  /// The cross-shard commit/delegation coordinator (its own stable decision
-  /// log). Required — and on by default — whenever num_shards > 1; it is
-  /// never consulted at num_shards == 1. Exists as a knob so a
-  /// deliberately-broken configuration is rejected loudly instead of
-  /// silently losing cross-shard atomicity.
-  bool enable_coordinator = true;
-
   /// Buffer pool frames (per shard).
   size_t buffer_pool_pages = 64;
 
@@ -159,17 +152,6 @@ struct Options {
   /// latency. Requires force_commits (without a durability wait there is no
   /// window to release early into).
   bool early_lock_release = false;
-
-  /// Whether delegate(t1, t2, ob) also moves t1's lock on ob to t2
-  /// (broadened visibility, paper Section 2.1). Tests that exercise pure
-  /// recovery semantics without lock interplay can turn this off.
-  ///
-  /// Caution: with the transfer disabled, the delegator keeps the lock and
-  /// may Set the object again; a *Set* whose fate then diverges from the
-  /// delegated Set's is unsound under before-image undo (the same reason
-  /// DelegateOperations refuses to split Set coverage). Keep the transfer
-  /// on, or restrict such objects to commuting Adds.
-  bool transfer_locks_on_delegate = true;
 
   /// Background checkpoint daemon: when either interval is non-zero the
   /// Database owns a thread that takes fuzzy checkpoints concurrently with

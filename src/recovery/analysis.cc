@@ -142,7 +142,6 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
   obs::Emit(stats->trace(), obs::TraceEventType::kRecoveryPassBegin,
             static_cast<uint64_t>(pass_kind), scan_from, scan_to);
   uint64_t pass_records = 0;
-  const uint64_t redos_before = stats->recovery_redos;
 
   // Repeats history for one page or table record past the redo point:
   // applied now (kMerged), or, under kAnalysisCollectRedo, keyed by its page
@@ -162,7 +161,10 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
     bool applied = false;
     ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(
         pool, rec, /*check_page_lsn=*/true, &applied, heap));
-    if (applied) ++stats->recovery_redos;
+    if (applied) {
+      ++stats->recovery_redos;
+      ++result.records_redone;
+    }
     return Status::OK();
   };
 
@@ -314,7 +316,7 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
   result.records_scanned = pass_records;
   obs::Emit(stats->trace(), obs::TraceEventType::kRecoveryPassEnd,
             static_cast<uint64_t>(pass_kind), pass_records,
-            stats->recovery_redos - redos_before);
+            result.records_redone);
   return result;
 }
 

@@ -60,6 +60,8 @@ struct ForwardPassResult {
   Lsn scan_end = 0;
   /// Records examined by this sweep (for the recovery Outcome).
   uint64_t records_scanned = 0;
+  /// Records this sweep applied to pages (kMerged only).
+  uint64_t records_redone = 0;
   /// Redo work discovered but not applied (kAnalysisCollectRedo only), keyed
   /// by page — the input to PartitionedRedo and OnDemandRedo.
   RedoPlan redo_plan;

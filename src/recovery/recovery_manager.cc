@@ -140,7 +140,8 @@ std::vector<UndoGroup> BuildUndoGroups(const ForwardPassResult& fwd,
 Status UndoGroups(const Options& options, const ForwardPassResult& fwd,
                   std::vector<UndoGroup>* groups, size_t threads,
                   LogManager* log, Stats* stats, UndoSink* sink,
-                  const std::function<Status(size_t)>& on_group_done) {
+                  const std::function<Status(size_t)>& on_group_done,
+                  uint64_t* records_skipped) {
   const bool chains = options.delegation_mode != DelegationMode::kRH;
   const bool full_scan = options.undo_strategy == UndoStrategy::kFullScan;
   if (!chains && !full_scan) {
@@ -150,7 +151,8 @@ Status UndoGroups(const Options& options, const ForwardPassResult& fwd,
     for (const UndoGroup& group : *groups) {
       all.insert(all.end(), group.targets.begin(), group.targets.end());
     }
-    CreditClusterSkips(all, fwd.scan_end, stats);
+    const uint64_t skipped = CreditClusterSkips(all, fwd.scan_end, stats);
+    if (records_skipped != nullptr) *records_skipped = skipped;
   }
   return RunOnWorkers(threads, groups->size(), [&](size_t g) -> Status {
     UndoGroup& group = (*groups)[g];
@@ -187,7 +189,6 @@ Result<RecoveryManager::Plan> RecoveryManager::BuildPlan(
   // Forward work: rebuild the transaction table and the delegation state,
   // and repeat history (inline) or collect the redo plan.
   const uint64_t start = obs::MonotonicNanos();
-  const uint64_t redos_before = stats_->recovery_redos;
   ForwardPassOptions opts;
   opts.kind = kind;
   opts.redo_budget = redo_budget;
@@ -199,7 +200,7 @@ Result<RecoveryManager::Plan> RecoveryManager::BuildPlan(
                             opts));
   outcome.analysis_ns = obs::MonotonicNanos() - start;
   outcome.records_analyzed = plan.fwd.records_scanned;
-  outcome.records_redone = stats_->recovery_redos - redos_before;
+  outcome.records_redone = plan.fwd.records_redone;
   outcome.next_txn_id = plan.fwd.max_txn_id + 1;
   ObservePass(stats_, "ariesrh_recovery_analysis_ns", outcome.analysis_ns);
 
@@ -248,8 +249,6 @@ Status RecoveryManager::Undo(
             static_cast<uint64_t>(obs::RecoveryPassKind::kUndo), kFirstLsn,
             plan->fwd.scan_end);
   const uint64_t examined_before = stats_->recovery_backward_examined;
-  const uint64_t skipped_before = stats_->recovery_backward_skipped;
-  const uint64_t undos_before = stats_->recovery_undos;
   const uint64_t undo_start = obs::MonotonicNanos();
 
   // Test-only: simulate a crash in the middle of the undo pass. The budget
@@ -258,16 +257,16 @@ Status RecoveryManager::Undo(
   LoggingUndoSink sink(
       log_, pool_, stats_, heap_,
       options_.faults.crash_after_undo_steps > 0 ? &budget : nullptr);
+  Outcome& outcome = plan->outcome;
   const Status status = UndoGroups(
       options_, plan->fwd, &plan->groups,
       std::max<size_t>(1, options_.recovery_threads), log_, stats_, &sink,
-      on_group_done);
+      on_group_done, &outcome.records_skipped);
 
-  Outcome& outcome = plan->outcome;
   outcome.undo_ns = obs::MonotonicNanos() - undo_start;
-  outcome.records_undone = stats_->recovery_undos - undos_before;
-  outcome.records_skipped =
-      stats_->recovery_backward_skipped - skipped_before;
+  // Counted by this pass itself: the Stats cells are engine-wide, shared by
+  // every shard's restart and by foreground aborts.
+  outcome.records_undone = sink.clrs_written();
   ObservePass(stats_, "ariesrh_recovery_undo_ns", outcome.undo_ns);
   obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassEnd,
             static_cast<uint64_t>(obs::RecoveryPassKind::kUndo),

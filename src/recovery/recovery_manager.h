@@ -58,11 +58,13 @@ std::vector<UndoGroup> BuildUndoGroups(const ForwardPassResult& fwd,
 /// (UndoSink::End) and `on_group_done(g)` (optional) runs; a failing
 /// callback stops the pass. Skips are credited once, over every group, so
 /// examined plus skipped records span the whole sweep range at any thread
-/// count. Returns the first failure.
+/// count; `records_skipped` (optional) receives this pass's share. Returns
+/// the first failure.
 Status UndoGroups(const Options& options, const ForwardPassResult& fwd,
                   std::vector<UndoGroup>* groups, size_t threads,
                   LogManager* log, Stats* stats, UndoSink* sink,
-                  const std::function<Status(size_t)>& on_group_done = nullptr);
+                  const std::function<Status(size_t)>& on_group_done = nullptr,
+                  uint64_t* records_skipped = nullptr);
 
 /// Drives restart recovery. Construct against the post-crash components
 /// (fresh log manager and buffer pool over the surviving disk), then either

@@ -89,6 +89,7 @@ Status LoggingUndoSink::Undo(const LogRecord& update_rec, TxnId responsible,
       update_rec, responsible,
       head == heads->end() ? kInvalidLsn : head->second);
   clr.lsn = log_->Append(clr);
+  clrs_written_.fetch_add(1, std::memory_order_relaxed);
   (*heads)[responsible] = clr.lsn;
   ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(pool_, clr,
                                             /*check_page_lsn=*/false,

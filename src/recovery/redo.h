@@ -5,6 +5,8 @@
 #ifndef ARIESRH_RECOVERY_REDO_H_
 #define ARIESRH_RECOVERY_REDO_H_
 
+#include <atomic>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -82,12 +84,18 @@ class LoggingUndoSink final : public UndoSink {
               std::unordered_map<TxnId, Lsn>* heads) override;
   void End(TxnId txn, Lsn head) override;
 
+  /// CLRs this sink appended (every worker of one pass shares the sink).
+  uint64_t clrs_written() const {
+    return clrs_written_.load(std::memory_order_relaxed);
+  }
+
  private:
   LogManager* log_;
   BufferPool* pool_;
   Stats* stats_;
   table::TableHeap* heap_;
   RecoveryFaultBudget* undo_budget_;
+  std::atomic<uint64_t> clrs_written_{0};
 };
 
 /// The time-travel sink: applies each compensation to scratch components

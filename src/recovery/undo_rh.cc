@@ -23,8 +23,8 @@ struct ByRightEndDesc {
 
 }  // namespace
 
-void CreditClusterSkips(const std::vector<ScopeUndoTarget>& targets,
-                        Lsn sweep_from, Stats* stats) {
+uint64_t CreditClusterSkips(const std::vector<ScopeUndoTarget>& targets,
+                            Lsn sweep_from, Stats* stats) {
   // Clusters are the maximal runs of overlapping scopes; walk them newest
   // first, exactly as the sweep meets them.
   std::vector<std::pair<Lsn, Lsn>> scopes;  // (last, first)
@@ -33,6 +33,7 @@ void CreditClusterSkips(const std::vector<ScopeUndoTarget>& targets,
     scopes.emplace_back(target.scope.last, target.scope.first);
   }
   std::sort(scopes.rbegin(), scopes.rend());
+  uint64_t skipped = 0;
   Lsn above = sweep_from;   // newest record not yet accounted for
   Lsn floor = kInvalidLsn;  // oldest record of the cluster above (none yet)
   for (const auto& [last, first] : scopes) {
@@ -43,12 +44,14 @@ void CreditClusterSkips(const std::vector<ScopeUndoTarget>& targets,
     // A new cluster starts at `last`; everything above it stays unread.
     if (floor != kInvalidLsn) above = floor - 1;
     if (above > last) {
-      stats->recovery_backward_skipped += above - last;
+      skipped += above - last;
       obs::Emit(stats->trace(), obs::TraceEventType::kUndoClusterSkip, above,
                 last, above - last);
     }
     floor = first;
   }
+  stats->recovery_backward_skipped += skipped;
+  return skipped;
 }
 
 Status SweepLoserClusters(const std::vector<ScopeUndoTarget>& targets,

@@ -42,8 +42,8 @@ struct ScopeUndoTarget {
 /// down to the first cluster, and the gaps between clusters. Each credited
 /// gap is also a kUndoClusterSkip trace event. Over one pass, examined plus
 /// skipped records then equal `sweep_from - oldest scope start + 1`, however
-/// the targets are later split into sweeps.
-void CreditClusterSkips(const std::vector<ScopeUndoTarget>& targets,
+/// the targets are later split into sweeps. Returns the records credited.
+uint64_t CreditClusterSkips(const std::vector<ScopeUndoTarget>& targets,
                         Lsn sweep_from, Stats* stats);
 
 /// Sweeps the log backwards through the clusters of overlapping `targets`,

@@ -51,40 +51,21 @@ Status TxnManager::AcquireLock(TxnId txn, ObjectId ob, LockMode mode) {
   return Status::OK();
 }
 
-Result<TxnId> TxnManager::Begin() {
-  const TxnId id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  auto tx = std::make_shared<Transaction>();
-  tx->id = id;
-  tx->first_lsn = tx->last_lsn = log_->Append(LogRecord::MakeBegin(id));
-  {
-    std::unique_lock table_lock(table_mu_);
-    txns_.emplace(id, std::move(tx));
-  }
-  ++stats_->txns_begun;
-  obs::Emit(stats_->trace(), obs::TraceEventType::kTxnBegin, id);
-  return id;
-}
-
 Result<TxnId> TxnManager::BeginWithId(TxnId id) {
-  // Keep the local counter strictly ahead of externally-allocated ids so a
-  // later plain Begin can never collide.
-  TxnId cur = next_txn_id_.load(std::memory_order_relaxed);
-  while (cur <= id && !next_txn_id_.compare_exchange_weak(
-                          cur, id + 1, std::memory_order_relaxed)) {
-  }
-  {
-    std::shared_lock table_lock(table_mu_);
-    if (txns_.contains(id)) {
-      return Status::IllegalState("transaction id " + std::to_string(id) +
-                                  " already exists on this shard");
-    }
-  }
   auto tx = std::make_shared<Transaction>();
   tx->id = id;
   tx->first_lsn = tx->last_lsn = log_->Append(LogRecord::MakeBegin(id));
   {
     std::unique_lock table_lock(table_mu_);
-    txns_.emplace(id, std::move(tx));
+    const bool fresh = txns_.emplace(id, std::move(tx)).second;
+    assert(fresh && "transaction enlisted twice on one shard");
+    (void)fresh;
+    // Every writer of the counter holds the table lock, so it only grows:
+    // it stays past every id begun here, which a checkpoint records and
+    // restart seeds the facade from.
+    if (id >= next_txn_id()) {
+      next_txn_id_.store(id + 1, std::memory_order_relaxed);
+    }
   }
   ++stats_->txns_begun;
   obs::Emit(stats_->trace(), obs::TraceEventType::kTxnBegin, id);
@@ -487,9 +468,7 @@ Status TxnManager::Delegate(TxnId from, TxnId to,
     }
     dst.MergeFrom(it->second);
     tor->ob_list.erase(it);
-    if (options_.transfer_locks_on_delegate) {
-      locks_->Transfer(from, to, ob);
-    }
+    locks_->Transfer(from, to, ob);
   }
   tor->touched_by_delegation = true;
   tee->touched_by_delegation = true;
@@ -556,9 +535,7 @@ Status TxnManager::DelegateOperations(TxnId from, TxnId to, ObjectId ob,
                                                    last);
   if (it->second.scopes.empty()) {
     tor->ob_list.erase(it);
-    if (options_.transfer_locks_on_delegate) {
-      locks_->Transfer(from, to, ob);
-    }
+    locks_->Transfer(from, to, ob);
   }
   tor->touched_by_delegation = true;
   tee->touched_by_delegation = true;
@@ -584,31 +561,6 @@ Status TxnManager::Permit(TxnId owner, TxnId grantee, ObjectId ob) {
   ARIESRH_RETURN_IF_ERROR(FindActive(grantee).status());
   locks_->Permit(owner, grantee, ob);
   return Status::OK();
-}
-
-Status TxnManager::FormDependency(DependencyType type, TxnId dependent,
-                                  TxnId on) {
-  ARIESRH_RETURN_IF_ERROR(FindActive(dependent).status());
-  // A reaped target still reads as what it ended as.
-  const std::optional<TxnState> target = StateOf(on);
-  if (!target.has_value()) {
-    return Status::NotFound("dependency target does not exist");
-  }
-  // Forming a dependency on an already-terminated transaction resolves
-  // immediately.
-  const TxnState on_state = *target;
-  if (on_state == TxnState::kCommitted) {
-    return Status::OK();
-  }
-  if (on_state == TxnState::kAborted) {
-    if (type == DependencyType::kStrongCommit ||
-        type == DependencyType::kAbort) {
-      return Abort(dependent);
-    }
-    return Status::OK();
-  }
-  std::lock_guard deps_lock(deps_mu_);
-  return deps_.Add(type, dependent, on);
 }
 
 Result<Lsn> TxnManager::Savepoint(TxnId txn) {
@@ -716,36 +668,21 @@ Status TxnManager::Commit(TxnId txn) {
     prerequisites = deps_.CommitPrerequisites(txn);
   }
   for (const DependencyGraph::Prerequisite& p : prerequisites) {
-    const TxnState on_state =
-        StateOf(p.on).value_or(TxnState::kCommitted);
-    if (p.type == DependencyType::kCommitDurable) {
-      // ELR edge: the dependency being mid-commit (still kActive, parked in
-      // its durability wait) is the expected state — it does NOT block.
-      // What gates this commit is its COMMIT record's durability, which our
-      // own force implies (it sits earlier in the same log); re-checked
-      // after the flush below. Only a dependency that LOST its commit
-      // record (the ELR crash path marks it kAborted) dooms us.
-      if (on_state == TxnState::kAborted) {
-        const Status abort_status = Abort(txn);
-        // On the crash path the rollback itself may fail (records
-        // discarded); either way this commit must not report success.
-        (void)abort_status;
-        return Status::Aborted("commit dependency " + std::to_string(p.on) +
-                               " lost its commit record before it became "
-                               "durable");
-      }
-      continue;
-    }
-    if (on_state == TxnState::kActive) {
-      return Status::Busy("commit dependency on active transaction " +
-                          std::to_string(p.on));
-    }
-    if (on_state == TxnState::kAborted &&
-        p.type == DependencyType::kStrongCommit) {
-      // The prerequisite aborted: this transaction must abort too.
-      ARIESRH_RETURN_IF_ERROR(Abort(txn));
-      return Status::Aborted("strong-commit prerequisite " +
-                             std::to_string(p.on) + " aborted");
+    // Every edge here is an ELR (kCommitDurable) edge: the dependency being
+    // mid-commit (still kActive, parked in its durability wait) is the
+    // expected state — it does NOT block. What gates this commit is its
+    // COMMIT record's durability, which our own force implies (it sits
+    // earlier in the same log); re-checked after the flush below. Only a
+    // dependency that LOST its commit record (the ELR crash path marks it
+    // kAborted) dooms us.
+    if (StateOf(p.on) == TxnState::kAborted) {
+      const Status abort_status = Abort(txn);
+      // On the crash path the rollback itself may fail (records
+      // discarded); either way this commit must not report success.
+      (void)abort_status;
+      return Status::Aborted("commit dependency " + std::to_string(p.on) +
+                             " lost its commit record before it became "
+                             "durable");
     }
   }
 
@@ -788,7 +725,6 @@ Status TxnManager::Commit(TxnId txn) {
     // this log, so this only fails if the tail was discarded between the
     // prerequisite scan and our append — the crash path.
     for (const DependencyGraph::Prerequisite& p : prerequisites) {
-      if (p.type != DependencyType::kCommitDurable) continue;
       if (p.commit_lsn != kInvalidLsn && p.commit_lsn > log_->flushed_lsn()) {
         durable = Status::IllegalState(
             "commit dependency " + std::to_string(p.on) +
@@ -1031,9 +967,7 @@ Lsn TxnManager::ApplyCrossShardDelegation(
     stats_->scopes_transferred += it->second.scopes.size();
     dst.MergeFrom(it->second);
     tor->ob_list.erase(it);
-    if (options_.transfer_locks_on_delegate) {
-      locks_->Transfer(tor->id, tee->id, ob);
-    }
+    locks_->Transfer(tor->id, tee->id, ob);
   }
   tor->touched_by_delegation = true;
   tee->touched_by_delegation = true;

@@ -1,8 +1,9 @@
 // Transaction manager: normal processing per Section 3.5 of the paper.
 //
 // Implements begin / read / update (Set, Add) / delegate / permit /
-// form-dependency / commit / abort over the WAL, buffer pool, and lock
-// manager. Delegation maintenance follows the paper exactly:
+// commit / abort over the WAL, buffer pool, and lock manager; the Database
+// facade hands out the transaction ids and keeps the form-dependency graph.
+// Delegation maintenance follows the paper exactly:
 //   update    -> ADJUST SCOPES (open or extend the invoker's scope)
 //   delegate  -> WELL-FORMED? / PREPARE LOG RECORD / TRANSFER RESPONSIBILITY
 //                (move scopes between Ob_Lists) / WRITE DELEGATION RECORD
@@ -78,13 +79,11 @@ class TxnManager {
              LockManager* locks, Stats* stats,
              table::TableHeap* heap = nullptr);
 
-  /// Starts a transaction (ASSET initiate+begin): writes a BEGIN record.
-  Result<TxnId> Begin();
-
-  /// Starts a transaction under an externally-allocated id (the sharded
-  /// facade hands out globally-unique ids and enlists a transaction lazily
-  /// on each shard it touches). Bumps the local counter past `id` so a
-  /// later plain Begin can never collide.
+  /// Starts a transaction (ASSET initiate+begin) under the id the facade
+  /// allocated, which enlists a transaction once on each shard it touches:
+  /// writes a BEGIN record. `id` must be new to this shard. Bumps the local
+  /// counter past `id`, which a checkpoint records and restart seeds the
+  /// facade's ids from.
   Result<TxnId> BeginWithId(TxnId id);
 
   /// Reads an object under a shared lock (or a stronger lock/permit already
@@ -158,9 +157,6 @@ class TxnManager {
   /// ASSET permit: let `grantee` access `ob` despite `owner`'s locks.
   Status Permit(TxnId owner, TxnId grantee, ObjectId ob);
 
-  /// ASSET form-dependency.
-  Status FormDependency(DependencyType type, TxnId dependent, TxnId on);
-
   /// Establishes a savepoint: a token for RollbackTo. Cheap (no log
   /// record); the token is the transaction's current chain head.
   Result<Lsn> Savepoint(TxnId txn);
@@ -178,13 +174,12 @@ class TxnManager {
   /// transaction's to undo and survive.
   Status RollbackTo(TxnId txn, Lsn savepoint);
 
-  /// Commits: checks commit dependencies (kBusy if a prerequisite has not
-  /// terminated, kAborted via cascade if a strong prerequisite aborted),
-  /// writes the COMMIT record, makes it durable (direct force, or a parked
-  /// group-commit wait when Options::group_commit is set), writes END,
-  /// releases locks. The WAL rule holds in every mode: Commit returns OK
-  /// only after the commit record is on stable storage (unless forcing is
-  /// off entirely, the deliberate fast-and-loose configuration).
+  /// Commits: writes the COMMIT record, makes it durable (direct force, or
+  /// a parked group-commit wait when Options::group_commit is set), writes
+  /// END, releases locks. The WAL rule holds in every mode: Commit returns
+  /// OK only after the commit record is on stable storage (unless forcing
+  /// is off entirely, the deliberate fast-and-loose configuration). The
+  /// facade checks form-dependency prerequisites before it calls this.
   ///
   /// With Options::early_lock_release the locks are marked released the
   /// moment the COMMIT record is appended — before the durability wait — so
@@ -200,7 +195,8 @@ class TxnManager {
 
   /// Aborts: rolls back every update the transaction is responsible for
   /// (scope sweep under RH, chain undo otherwise), writes CLRs, ABORT and
-  /// END records, releases locks, then cascades to abort-dependents.
+  /// END records, releases locks, then cascades to the transactions that
+  /// hold kCommitDurable edges on it.
   Status Abort(TxnId txn);
 
   // --- Two-phase commit participant role (sharded engines only) ---
@@ -304,7 +300,7 @@ class TxnManager {
   std::map<TxnId, Transaction> SnapshotTransactions() const;
 
   /// Seeds the id counter (recovery hands back max-seen + 1) before the
-  /// first Begin; ids below `next` are from before the restart.
+  /// first BeginWithId; ids below `next` are from before the restart.
   void SetNextTxnId(TxnId next);
   TxnId next_txn_id() const {
     return next_txn_id_.load(std::memory_order_relaxed);
@@ -390,8 +386,10 @@ class TxnManager {
   /// coordinator's force.
   obs::Histogram* commit_latency_ns_ = nullptr;
 
-  /// Guards deps_ (the graph itself is not thread-safe). Leaf: never held
-  /// across log, pool, or latch operations.
+  /// The kCommitDurable edges AcquireLock records under early lock release;
+  /// the user's form-dependency edges live in the facade. deps_mu_ guards
+  /// the graph (which is not thread-safe). Leaf: never held across log,
+  /// pool, or latch operations.
   mutable std::mutex deps_mu_;
   DependencyGraph deps_;
 
@@ -410,11 +408,12 @@ class TxnManager {
   mutable std::shared_mutex table_mu_;
   std::map<TxnId, std::shared_ptr<Transaction>> txns_;
   /// Ids of the aborted transactions CheckpointSnapshot reaped (guarded by
-  /// table_mu_): an abort or strong-commit dependency formed on one must
-  /// still abort its dependent. Aborts are a small share of transactions.
+  /// table_mu_): a kCommitDurable edge on one must still doom its
+  /// dependent. Aborts are a small share of transactions.
   std::unordered_set<TxnId> reaped_aborted_;
-  /// The first id this table handed out: every id from it up to
-  /// next_txn_id_ was begun here (guarded by table_mu_).
+  /// Ids from first_txn_id_ up to next_txn_id_ are from this run: one not
+  /// in the table and not reaped aborted reads as committed. Both are
+  /// written under table_mu_; next_txn_id_ stays past every id begun here.
   TxnId first_txn_id_ = 1;
   std::atomic<TxnId> next_txn_id_{1};
 };

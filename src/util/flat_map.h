@@ -12,7 +12,8 @@
 //     checkpoint serializer and the cross-engine equivalence tests rely on.
 //   * OpenHashMap<K, V>: an open-addressed, linear-probing hash table for
 //     integer-ish keys (ObjectId, TxnId). No per-entry allocation, no
-//     ordering guarantee; used where iteration order does not matter.
+//     ordering guarantee, no tombstones; used where iteration order does
+//     not matter.
 
 #ifndef ARIESRH_UTIL_FLAT_MAP_H_
 #define ARIESRH_UTIL_FLAT_MAP_H_
@@ -115,10 +116,13 @@ class FlatMap {
   InlineVector<value_type, N> entries_;
 };
 
-/// An open-addressed hash map with linear probing and tombstone deletion,
-/// for integer-ish keys. Erasing during ForEach is not supported; references
-/// from Find/operator[] are invalidated by any insertion (possible rehash).
-/// Key 0 is a valid key (occupancy is tracked out-of-band, not sentinel).
+/// An open-addressed hash map with linear probing, for integer-ish keys.
+/// Erase shifts the rest of the probe run back instead of leaving a
+/// tombstone, so a table whose keys come and go (transaction ids) stays
+/// sized by its live entries. Erasing during ForEach is not supported;
+/// references from Find/operator[] are invalidated by any insertion (possible
+/// rehash) or erasure (backward shift). Key 0 is a valid key (occupancy is
+/// tracked out-of-band, not sentinel).
 template <typename K, typename V>
 class OpenHashMap {
  public:
@@ -126,21 +130,21 @@ class OpenHashMap {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Slots allocated (a power of two, at most four per live entry once the
+  /// table has grown).
+  size_t capacity() const { return slots_.size(); }
 
   void clear() {
     slots_.clear();
     size_ = 0;
-    used_ = 0;
   }
 
   V* Find(const K& key) {
     if (slots_.empty()) return nullptr;
-    for (size_t i = IndexOf(key);; i = (i + 1) & (slots_.size() - 1)) {
+    for (size_t i = IndexOf(key);; i = Next(i)) {
       Slot& slot = slots_[i];
-      if (slot.state == SlotState::kEmpty) return nullptr;
-      if (slot.state == SlotState::kFull && slot.entry.first == key) {
-        return &slot.entry.second;
-      }
+      if (!slot.full) return nullptr;
+      if (slot.entry.first == key) return &slot.entry.second;
     }
   }
   const V* Find(const K& key) const {
@@ -150,45 +154,41 @@ class OpenHashMap {
 
   V& operator[](const K& key) {
     MaybeGrow();
-    size_t insert_at = slots_.size();
-    for (size_t i = IndexOf(key);; i = (i + 1) & (slots_.size() - 1)) {
+    for (size_t i = IndexOf(key);; i = Next(i)) {
       Slot& slot = slots_[i];
-      if (slot.state == SlotState::kFull) {
-        if (slot.entry.first == key) return slot.entry.second;
-        continue;
+      if (!slot.full) {
+        slot.full = true;
+        slot.entry.first = key;
+        slot.entry.second = V();
+        ++size_;
+        return slot.entry.second;
       }
-      if (slot.state == SlotState::kTombstone) {
-        // Remember the first tombstone but keep probing: the key may still
-        // exist further down the chain.
-        if (insert_at == slots_.size()) insert_at = i;
-        continue;
-      }
-      // Empty: the key is absent; reuse the earliest tombstone if any.
-      if (insert_at == slots_.size()) {
-        insert_at = i;
-        ++used_;  // claiming a genuinely empty slot
-      }
-      Slot& target = slots_[insert_at];
-      target.state = SlotState::kFull;
-      target.entry.first = key;
-      target.entry.second = V();
-      ++size_;
-      return target.entry.second;
+      if (slot.entry.first == key) return slot.entry.second;
     }
   }
 
   bool Erase(const K& key) {
     if (slots_.empty()) return false;
-    for (size_t i = IndexOf(key);; i = (i + 1) & (slots_.size() - 1)) {
-      Slot& slot = slots_[i];
-      if (slot.state == SlotState::kEmpty) return false;
-      if (slot.state == SlotState::kFull && slot.entry.first == key) {
-        slot.state = SlotState::kTombstone;
-        slot.entry.second = V();  // drop the payload now, not at rehash
-        --size_;
-        return true;
+    size_t hole = IndexOf(key);
+    for (;; hole = Next(hole)) {
+      if (!slots_[hole].full) return false;
+      if (slots_[hole].entry.first == key) break;
+    }
+    // Backward shift: a later entry of the run moves into the hole when the
+    // hole lies on its probe path (between its home slot and where it
+    // sits), so every remaining key stays reachable from its home.
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Next(hole); slots_[i].full; i = Next(i)) {
+      const size_t home = IndexOf(slots_[i].entry.first);
+      if (((i - home) & mask) >= ((i - hole) & mask)) {
+        slots_[hole].entry = std::move(slots_[i].entry);
+        hole = i;
       }
     }
+    slots_[hole].full = false;
+    slots_[hole].entry.second = V();  // drop the payload now
+    --size_;
+    return true;
   }
 
   /// Visits every live entry as fn(const K&, V&). Do not insert or erase
@@ -196,18 +196,17 @@ class OpenHashMap {
   template <typename Fn>
   void ForEach(Fn fn) {
     for (Slot& slot : slots_) {
-      if (slot.state == SlotState::kFull) {
-        fn(slot.entry.first, slot.entry.second);
-      }
+      if (slot.full) fn(slot.entry.first, slot.entry.second);
     }
   }
 
  private:
-  enum class SlotState : uint8_t { kEmpty = 0, kFull = 1, kTombstone = 2 };
   struct Slot {
     std::pair<K, V> entry{};
-    SlotState state = SlotState::kEmpty;
+    bool full = false;
   };
+
+  size_t Next(size_t i) const { return (i + 1) & (slots_.size() - 1); }
 
   size_t IndexOf(const K& key) const {
     // Fibonacci-style mixing: ids are often sequential, and a power-of-two
@@ -220,26 +219,22 @@ class OpenHashMap {
   }
 
   void MaybeGrow() {
-    // Grow at 50% occupancy (counting tombstones) so probe chains stay
-    // short; rehashing drops the tombstones.
+    // Double at 50% occupancy so probe runs stay short.
     if (slots_.empty()) {
       slots_.resize(16);
       return;
     }
-    if (used_ * 2 < slots_.size()) return;
+    if (size_ * 2 < slots_.size()) return;
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.size() * 2, Slot{});
     size_ = 0;
-    used_ = 0;
     for (Slot& slot : old) {
-      if (slot.state != SlotState::kFull) continue;
-      (*this)[slot.entry.first] = std::move(slot.entry.second);
+      if (slot.full) (*this)[slot.entry.first] = std::move(slot.entry.second);
     }
   }
 
   std::vector<Slot> slots_;
   size_t size_ = 0;  ///< live entries
-  size_t used_ = 0;  ///< full + tombstone slots (probe-chain occupancy)
 };
 
 }  // namespace ariesrh

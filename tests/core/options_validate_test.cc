@@ -61,17 +61,6 @@ TEST(OptionsValidateTest, TooManyShardsRejected) {
   EXPECT_TRUE(options.Validate().ok());
 }
 
-TEST(OptionsValidateTest, ShardingRequiresCoordinator) {
-  Options options;
-  options.num_shards = 2;
-  EXPECT_TRUE(options.Validate().ok());
-  options.enable_coordinator = false;
-  EXPECT_TRUE(options.Validate().IsInvalidArgument());
-  // A 1-shard engine never consults the coordinator, so the knob is free.
-  options.num_shards = 1;
-  EXPECT_TRUE(options.Validate().ok());
-}
-
 TEST(OptionsValidateTest, ShardingRejectsRewritingBaselines) {
   for (DelegationMode mode :
        {DelegationMode::kEager, DelegationMode::kLazyRewrite}) {
@@ -93,7 +82,7 @@ TEST(OptionsValidateTest, ShardingRejectsRewritingBaselines) {
 TEST(OptionsValidateTest, InvalidShardingMakesDatabaseInert) {
   Options options;
   options.num_shards = 2;
-  options.enable_coordinator = false;
+  options.delegation_mode = DelegationMode::kEager;
   Database db(options);
   EXPECT_TRUE(db.Begin().status().IsInvalidArgument());
   EXPECT_TRUE(db.Recover().status().IsInvalidArgument());

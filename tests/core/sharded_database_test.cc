@@ -1,7 +1,6 @@
 // The sharded facade: routing, cross-shard two-phase commit, cross-shard
-// delegation, coordinated restart, and the N=1 equivalence with a bare
-// EngineShard. The exhaustive crash-point sweeps live in
-// sharded_crash_matrix_test.cc.
+// delegation and coordinated restart. The exhaustive crash-point sweeps live
+// in sharded_crash_matrix_test.cc; the N=1 golden log in golden_log_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "core/database.h"
-#include "core/engine_shard.h"
 #include "obs/observability.h"
 #include "replication/log_shipping.h"
 
@@ -63,7 +61,7 @@ TEST(ShardedDatabaseTest, VacuousCommitTouchesNothing) {
   Database db(ShardedOptions(4));
   TxnId t = *db.Begin();
   EXPECT_TRUE(db.Commit(t).ok());
-  EXPECT_TRUE(db.Commit(t).IsNotFound());  // terminated
+  EXPECT_TRUE(db.Commit(t).IsIllegalState());  // terminated
 }
 
 TEST(ShardedDatabaseTest, CrossShardCommitRunsTwoPhase) {
@@ -235,14 +233,14 @@ TEST(ShardedDatabaseTest, DependenciesSpanShards) {
   ASSERT_TRUE(
       db.FormDependency(DependencyType::kStrongCommit, t4, t3).ok());
   ASSERT_TRUE(db.Abort(t3).ok());
-  EXPECT_TRUE(db.Commit(t4).IsNotFound());  // already cascade-aborted
+  EXPECT_TRUE(db.Commit(t4).IsIllegalState());  // already cascade-aborted
   EXPECT_EQ(*db.ReadCommitted(b), 2);       // t4's write died with it
   // And forming one on an already-aborted target aborts on the spot.
   TxnId t7 = *db.Begin();
   ASSERT_TRUE(db.Set(t7, a, 7).ok());
   ASSERT_TRUE(
       db.FormDependency(DependencyType::kStrongCommit, t7, t3).ok());
-  EXPECT_TRUE(db.Commit(t7).IsNotFound());
+  EXPECT_TRUE(db.Commit(t7).IsIllegalState());
   EXPECT_EQ(*db.ReadCommitted(a), 1);
 
   // Abort dependencies cascade across shards.
@@ -252,7 +250,7 @@ TEST(ShardedDatabaseTest, DependenciesSpanShards) {
   ASSERT_TRUE(db.Set(t6, b, 6).ok());
   ASSERT_TRUE(db.FormDependency(DependencyType::kAbort, t6, t5).ok());
   ASSERT_TRUE(db.Abort(t5).ok());
-  EXPECT_TRUE(db.Commit(t6).IsNotFound());  // already gone with the cascade
+  EXPECT_TRUE(db.Commit(t6).IsIllegalState());  // already gone with the cascade
   EXPECT_EQ(*db.ReadCommitted(b), 2);
 }
 
@@ -446,50 +444,6 @@ TEST(ShardedDatabaseTest, TwoPhaseCommitPhasesSumToCommitLatency) {
   EXPECT_GE(prepare->GetSnapshot().sum, kCommits * options.sim_log_force_ns);
   EXPECT_GE(coord_force->GetSnapshot().sum,
             kCommits * options.sim_log_force_ns);
-}
-
-TEST(ShardedDatabaseTest, FacadeAtOneShardMatchesBareEngineShardOutcome) {
-  // The same history through the facade (num_shards = 1) and through a
-  // bare EngineShard must produce identical recovery outcomes.
-  auto run_facade = [] {
-    Database db;
-    TxnId t1 = *db.Begin();
-    TxnId t2 = *db.Begin();
-    EXPECT_TRUE(db.Set(t1, 1, 10).ok());
-    EXPECT_TRUE(db.Add(t1, 2, 5).ok());
-    EXPECT_TRUE(db.Delegate(t1, t2, DelegationSpec::Objects({2})).ok());
-    EXPECT_TRUE(db.Commit(t2).ok());
-    EXPECT_TRUE(db.Checkpoint().ok());
-    EXPECT_TRUE(db.Set(t1, 3, 30).ok());
-    db.SimulateCrash();
-    return *db.Recover();
-  };
-  auto run_shard = [] {
-    obs::Observability obs;
-    EngineShard shard(Options{}, &obs, 0, 1);
-    TxnId t1 = *shard.Begin();
-    TxnId t2 = *shard.Begin();
-    EXPECT_TRUE(shard.Set(t1, 1, 10).ok());
-    EXPECT_TRUE(shard.Add(t1, 2, 5).ok());
-    EXPECT_TRUE(
-        shard.Delegate(t1, t2, DelegationSpec::Objects({2})).ok());
-    EXPECT_TRUE(shard.Commit(t2).ok());
-    EXPECT_TRUE(shard.Checkpoint().ok());
-    EXPECT_TRUE(shard.Set(t1, 3, 30).ok());
-    shard.SimulateCrash();
-    return *shard.Recover();
-  };
-  const RecoveryManager::Outcome facade = run_facade();
-  const RecoveryManager::Outcome bare = run_shard();
-  EXPECT_EQ(facade.next_txn_id, bare.next_txn_id);
-  EXPECT_EQ(facade.winners, bare.winners);
-  EXPECT_EQ(facade.losers, bare.losers);
-  EXPECT_EQ(facade.checkpoint_used, bare.checkpoint_used);
-  EXPECT_EQ(facade.records_analyzed, bare.records_analyzed);
-  EXPECT_EQ(facade.records_redone, bare.records_redone);
-  EXPECT_EQ(facade.records_undone, bare.records_undone);
-  EXPECT_EQ(facade.in_doubt_committed, 0u);
-  EXPECT_EQ(facade.in_doubt_aborted, 0u);
 }
 
 TEST(ShardedStandbyTest, ShardedLogShippingAndPromotion) {

@@ -21,7 +21,9 @@
 #include <vector>
 
 #include "core/database.h"
+#include "storage/simulated_disk.h"
 #include "table/table_heap.h"
+#include "wal/log_record.h"
 
 namespace ariesrh {
 namespace {
@@ -433,6 +435,78 @@ TEST(InstantRestartTest, StartRecoveryExposesTheLiveHandle) {
   ASSERT_TRUE(db.Commit(t).ok());
   ASSERT_TRUE((*handle)->Await().ok());
   EXPECT_EQ(*db.ReadCommitted(fresh), 5);
+}
+
+// Outcome's work counts come from the restart's own passes, not from the
+// engine-wide Stats cells that every shard's restart and every foreground
+// abort feed. Reopening one two-shard image reports the same
+// records_undone every time, in either mode, and it equals the CLRs the
+// restart appended — also when foreground transactions abort while the
+// background undo still runs (random log reads stall, to keep it running).
+TEST(InstantRestartTest, OutcomeCountsTheRestartsOwnClrs) {
+  const std::string path = TempPath("outcome_counts");
+  {
+    Database db(InstantOptions(2));
+    BuildClusteredHistory(&db, 8, 40);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    ASSERT_TRUE(db.SaveTo(path).ok());
+  }
+  // Where each shard's log ended before any restart appended to it.
+  std::vector<Lsn> saved_end;
+  Stats scratch_stats;
+  for (size_t s = 0; s < 2; ++s) {
+    Result<SimulatedDisk> disk = SimulatedDisk::LoadFrom(
+        Database::ShardImagePath(path, s), &scratch_stats);
+    ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+    saved_end.push_back(disk->stable_end_lsn());
+  }
+  std::optional<uint64_t> first;
+  for (RecoveryMode mode : {RecoveryMode::kInstant, RecoveryMode::kFull}) {
+    Options options = InstantOptions(2);
+    options.recovery_mode = mode;
+    options.sim_log_random_read_ns = 1000 * 1000;
+    for (int round = 0; round < 5; ++round) {
+      Result<Database::OpenResult> opened = Database::Open(options, path);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      Database& db = *opened->db;
+      // Foreground aborts on objects outside every loser cluster, writing
+      // CLRs of their own.
+      const TxnId first_new = *db.Begin();
+      ASSERT_TRUE(db.Abort(first_new).ok());
+      for (int i = 0; i < 10; ++i) {
+        const TxnId t = *db.Begin();
+        for (ObjectId ob = 1 << 22; ob < (1 << 22) + 4; ++ob) {
+          ASSERT_TRUE(db.Add(t, ob, 1).ok());
+        }
+        ASSERT_TRUE(db.Abort(t).ok());
+      }
+      Result<RecoveryManager::Outcome> outcome = opened->recovery->Await();
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      // The restart's CLRs are the ones written for pre-restart losers.
+      uint64_t clrs = 0;
+      for (size_t s = 0; s < 2; ++s) {
+        LogManager* log = db.shard(s)->log_manager();
+        for (Lsn lsn = saved_end[s] + 1; lsn <= log->end_lsn(); ++lsn) {
+          Result<LogRecord> rec = log->Read(lsn);
+          ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+          if ((rec->type == LogRecordType::kClr ||
+               rec->type == LogRecordType::kTableClr) &&
+              rec->txn_id < first_new) {
+            ++clrs;
+          }
+        }
+      }
+      EXPECT_GT(clrs, 0u);
+      EXPECT_EQ(outcome->records_undone, clrs)
+          << RecoveryModeName(mode) << " round " << round;
+      if (!first.has_value()) first = outcome->records_undone;
+      EXPECT_EQ(outcome->records_undone, *first)
+          << RecoveryModeName(mode) << " round " << round;
+    }
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".shard1").c_str());
+  std::remove((path + ".coord").c_str());
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/database.h"
 
 namespace ariesrh {
@@ -34,7 +36,24 @@ TEST_F(DelegationTest, EmptyDelegationRejected) {
       db_.Delegate(t1, t2, DelegationSpec::Objects({})).IsInvalidArgument());
 }
 
-TEST_F(DelegationTest, DelegationToTerminatedTxnRejected) {
+// Run at one shard and at two: the facade's routes answer for terminated
+// transactions at every shard count.
+class TerminatedDelegationTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  static Options WithShards(size_t shards) {
+    Options options;
+    options.num_shards = shards;
+    return options;
+  }
+  Database db_{WithShards(GetParam())};
+};
+
+INSTANTIATE_TEST_SUITE_P(Shards, TerminatedDelegationTest, ::testing::Values(1u, 2u),
+                         [](const auto& info) {
+                           return "shards" + std::to_string(info.param);
+                         });
+
+TEST_P(TerminatedDelegationTest, DelegationToTerminatedTxnRejected) {
   TxnId t1 = *db_.Begin();
   TxnId t2 = *db_.Begin();
   ASSERT_TRUE(db_.Set(t1, 5, 1).ok());

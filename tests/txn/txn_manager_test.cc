@@ -68,7 +68,24 @@ TEST_F(TxnManagerTest, AbortUndoesMultipleUpdatesInReverse) {
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
 }
 
-TEST_F(TxnManagerTest, OperationsOnTerminatedTxnFail) {
+// Run at one shard and at two: the facade's routes answer for terminated
+// transactions at every shard count.
+class TerminatedTxnTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  static Options WithShards(size_t shards) {
+    Options options;
+    options.num_shards = shards;
+    return options;
+  }
+  Database db_{WithShards(GetParam())};
+};
+
+INSTANTIATE_TEST_SUITE_P(Shards, TerminatedTxnTest, ::testing::Values(1u, 2u),
+                         [](const auto& info) {
+                           return "shards" + std::to_string(info.param);
+                         });
+
+TEST_P(TerminatedTxnTest, OperationsOnTerminatedTxnFail) {
   TxnId t = *db_.Begin();
   ASSERT_TRUE(db_.Commit(t).ok());
   EXPECT_TRUE(db_.Set(t, 1, 1).IsIllegalState());

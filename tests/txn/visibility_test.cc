@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/database.h"
 
 namespace ariesrh {
@@ -71,13 +73,39 @@ TEST_F(VisibilityTest, PermitIsPerObject) {
   EXPECT_TRUE(db_.Read(peer, 6).status().IsBusy());
 }
 
-TEST_F(VisibilityTest, PermitRequiresLiveParties) {
+// Run at one shard and at two: permits go through the facade's routes at
+// every shard count.
+class PermitAtShardsTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  static Options WithShards(size_t shards) {
+    Options options;
+    options.num_shards = shards;
+    return options;
+  }
+  Database db_{WithShards(GetParam())};
+};
+
+INSTANTIATE_TEST_SUITE_P(Shards, PermitAtShardsTest, ::testing::Values(1u, 2u),
+                         [](const auto& info) {
+                           return "shards" + std::to_string(info.param);
+                         });
+
+TEST_P(PermitAtShardsTest, PermitRequiresLiveParties) {
   TxnId writer = *db_.Begin();
   TxnId peer = *db_.Begin();
   ASSERT_TRUE(db_.Commit(writer).ok());
   EXPECT_TRUE(db_.Permit(writer, peer, 5).IsIllegalState());
   EXPECT_TRUE(db_.Permit(peer, writer, 5).IsIllegalState());
   EXPECT_TRUE(db_.Permit(999, peer, 5).IsNotFound());
+}
+
+// A transaction may permit itself (a no-op grant); the facade must not lock
+// the one route twice.
+TEST_P(PermitAtShardsTest, SelfPermitIsHarmless) {
+  TxnId t = *db_.Begin();
+  ASSERT_TRUE(db_.Set(t, 5, 1).ok());
+  EXPECT_TRUE(db_.Permit(t, t, 5).ok());
+  EXPECT_TRUE(db_.Commit(t).ok());
 }
 
 TEST_F(VisibilityTest, DelegationTransfersVisibilityPermitDoesNot) {
@@ -118,35 +146,17 @@ TEST_F(VisibilityTest, LockReleaseMakesCommittedStateVisible) {
 }
 
 TEST_F(VisibilityTest, DelegateeOfLockTransferBlocksFormerOwner) {
-  Options options;
-  options.transfer_locks_on_delegate = true;
-  Database db(options);
-  TxnId t1 = *db.Begin();
-  TxnId t2 = *db.Begin();
-  ASSERT_TRUE(db.Add(t1, 5, 1).ok());
-  ASSERT_TRUE(db.Delegate(t1, t2, DelegationSpec::Objects({5})).ok());
+  TxnId t1 = *db_.Begin();
+  TxnId t2 = *db_.Begin();
+  ASSERT_TRUE(db_.Add(t1, 5, 1).ok());
+  ASSERT_TRUE(db_.Delegate(t1, t2, DelegationSpec::Objects({5})).ok());
   // t1 lost its increment lock to t2: a read now conflicts with t2's
   // increment lock (S-I incompatible)...
-  EXPECT_TRUE(db.Read(t1, 5).status().IsBusy());
+  EXPECT_TRUE(db_.Read(t1, 5).status().IsBusy());
   // ...but a fresh increment still commutes (I-I compatible), after which
   // t1 holds its own I lock again and may read through it.
-  EXPECT_TRUE(db.Add(t1, 5, 1).ok());
-  EXPECT_TRUE(db.Read(t1, 5).ok());
-}
-
-TEST_F(VisibilityTest, NoLockTransferOptionKeepsOwnership) {
-  Options options;
-  options.transfer_locks_on_delegate = false;
-  Database db(options);
-  TxnId t1 = *db.Begin();
-  TxnId t2 = *db.Begin();
-  ASSERT_TRUE(db.Set(t1, 5, 1).ok());
-  ASSERT_TRUE(db.Delegate(t1, t2, DelegationSpec::Objects({5})).ok());
-  // Responsibility moved but the lock stayed: recovery semantics decouple
-  // from visibility when the application wants them to.
-  EXPECT_TRUE(db.txn_manager()->Find(t2)->IsResponsibleFor(5));
-  EXPECT_TRUE(db.lock_manager()->Holds(t1, 5, LockMode::kExclusive));
-  EXPECT_TRUE(db.Read(t2, 5).status().IsBusy());
+  EXPECT_TRUE(db_.Add(t1, 5, 1).ok());
+  EXPECT_TRUE(db_.Read(t1, 5).ok());
 }
 
 }  // namespace

@@ -146,7 +146,7 @@ TEST(OpenHashMapTest, KeyZeroIsAValidKey) {
 
 TEST(OpenHashMapTest, TombstonesDoNotBreakProbeChains) {
   // Insert a clustered run of keys, erase from the middle, and verify the
-  // survivors stay reachable through the tombstoned slots.
+  // survivors stay reachable after the erasures shifted the runs back.
   OHM m;
   for (uint64_t key = 0; key < 32; ++key) m[key] = static_cast<int>(key);
   for (uint64_t key = 0; key < 32; key += 2) EXPECT_TRUE(m.Erase(key));
@@ -158,6 +158,23 @@ TEST(OpenHashMapTest, TombstonesDoNotBreakProbeChains) {
   for (uint64_t key = 0; key < 32; key += 2) m[key] = -1;
   EXPECT_EQ(m.size(), 32u);
   EXPECT_EQ(*m.Find(4), -1);
+}
+
+TEST(OpenHashMapTest, ChurnDoesNotGrowTheTable) {
+  // Transaction ids come and go: a million inserts with at most 8 live
+  // keys at a time leave the table at its smallest size.
+  OHM m;
+  for (uint64_t key = 0; key < 1000000; ++key) {
+    if (key >= 8) {
+      ASSERT_TRUE(m.Erase(key - 8));
+    }
+    m[key] = static_cast<int>(key);
+  }
+  EXPECT_EQ(m.size(), 8u);
+  EXPECT_EQ(m.capacity(), 16u);
+  for (uint64_t key = 1000000 - 8; key < 1000000; ++key) {
+    ASSERT_NE(m.Find(key), nullptr) << key;
+  }
 }
 
 TEST(OpenHashMapTest, GrowthRehashesAllEntries) {
