@@ -47,12 +47,12 @@ void BuildAndRecover(benchmark::State& state, Layout layout) {
       }
       if (!loser) Check(db.Commit(t), "Commit");
     }
-    Check(db.log_manager()->FlushAll(), "Flush");
+    Check(db.shard(0)->log_manager()->FlushAll(), "Flush");
     db.SimulateCrash();
     const Stats before = db.stats();
     state.ResumeTiming();
 
-    CheckResult(db.Recover(), "Recover");
+    RestartAndAwait(db);
 
     state.PauseTiming();
     const Stats delta = db.stats().Delta(before);
@@ -101,12 +101,12 @@ void BM_Undo_OverlappingScopeCluster(benchmark::State& state) {
     for (size_t i = 0; i + 1 < group.size(); ++i) {
       Check(db.Delegate(group[i], group[i + 1], DelegationSpec::Objects({1})), "Delegate");
     }
-    Check(db.log_manager()->FlushAll(), "Flush");
+    Check(db.shard(0)->log_manager()->FlushAll(), "Flush");
     db.SimulateCrash();
     const Stats before = db.stats();
     state.ResumeTiming();
 
-    CheckResult(db.Recover(), "Recover");
+    RestartAndAwait(db);
 
     state.PauseTiming();
     const Stats delta = db.stats().Delta(before);
@@ -136,12 +136,12 @@ void UndoStrategyAblation(benchmark::State& state, UndoStrategy strategy) {
       const bool loser = i < txns / 20 || i >= txns - txns / 20;
       if (!loser) Check(db.Commit(t), "Commit");
     }
-    Check(db.log_manager()->FlushAll(), "Flush");
+    Check(db.shard(0)->log_manager()->FlushAll(), "Flush");
     db.SimulateCrash();
     const Stats before = db.stats();
     state.ResumeTiming();
 
-    CheckResult(db.Recover(), "Recover");
+    RestartAndAwait(db);
 
     state.PauseTiming();
     examined = db.stats().Delta(before).recovery_backward_examined;

@@ -90,6 +90,13 @@ T CheckResult(Result<T> result, const char* what) {
   return std::move(result).value();
 }
 
+/// Restarts a crashed database (StartRecovery) and waits the restart out;
+/// aborts the bench on error.
+inline RecoveryManager::Outcome RestartAndAwait(Database& db) {
+  return CheckResult(CheckResult(db.StartRecovery(), "StartRecovery")->Await(),
+                     "Recover");
+}
+
 /// Runs a mixed update workload: `txns` transactions, `updates_per_txn`
 /// increments over `objects` distinct objects, committing a fraction and
 /// leaving `loser_pct` percent active (losers at a subsequent crash).
@@ -118,10 +125,11 @@ inline void RunWorkload(Database* db, const WorkloadParams& params) {
         rng.Percent(static_cast<uint32_t>(params.delegation_pct))) {
       // Delegate everything to the previously started transaction (which is
       // still active when it was chosen as a loser).
-      const Transaction* tx = db->txn_manager()->Find(txn);
+      const Transaction* tx = db->shard(0)->txn_manager()->Find(txn);
       if (tx != nullptr && !tx->ob_list.empty() &&
-          db->txn_manager()->Find(previous) != nullptr &&
-          db->txn_manager()->Find(previous)->state == TxnState::kActive) {
+          db->shard(0)->txn_manager()->Find(previous) != nullptr &&
+          db->shard(0)->txn_manager()->Find(previous)->state ==
+              TxnState::kActive) {
         Check(db->Delegate(txn, previous, DelegationSpec::All()), "DelegateAll");
       }
     }
@@ -131,7 +139,7 @@ inline void RunWorkload(Database* db, const WorkloadParams& params) {
       previous = txn;  // left active: a loser at crash time
     }
   }
-  Check(db->log_manager()->FlushAll(), "FlushAll");
+  Check(db->shard(0)->log_manager()->FlushAll(), "FlushAll");
 }
 
 }  // namespace ariesrh::bench

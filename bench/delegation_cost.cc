@@ -59,7 +59,7 @@ void BM_DelegateOneObjectVsHistoryLength(benchmark::State& state) {
   for (int i = 0; i < history; ++i) {
     Check(db.Add(a, 1, 1), "Add");
   }
-  Check(db.log_manager()->FlushAll(), "Flush");
+  Check(db.shard(0)->log_manager()->FlushAll(), "Flush");
   const Stats before = db.stats();
 
   TxnId from = a, to = b;

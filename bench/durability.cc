@@ -58,12 +58,12 @@ void ArchiveRetention(benchmark::State& state, bool pin_with_delegation) {
         Check(db.Add(t, static_cast<ObjectId>(i % 64), 1), "Add");
         Check(db.Commit(t), "Commit");
       }
-      Check(db.buffer_pool()->FlushAll(), "FlushAll");
+      Check(db.shard(0)->buffer_pool()->FlushAll(), "FlushAll");
       Check(db.Checkpoint(), "Checkpoint");
       CheckResult(db.ArchiveLog(), "ArchiveLog");
     }
-    retained = db.log_manager()->end_lsn() -
-               db.disk()->first_retained_lsn() + 1;
+    retained = db.shard(0)->log_manager()->end_lsn() -
+               db.shard(0)->disk()->first_retained_lsn() + 1;
     if (pinner != kInvalidTxn) Check(db.Commit(pinner), "Commit");
   }
   state.counters["log_records_retained"] =

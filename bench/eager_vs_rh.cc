@@ -28,7 +28,7 @@ void DelegateAfterHistory(benchmark::State& state, DelegationMode mode) {
     for (int i = 0; i < history; ++i) {
       Check(db.Add(tor, static_cast<ObjectId>(i % 8), 1), "Add");
     }
-    Check(db.log_manager()->FlushAll(), "Flush");
+    Check(db.shard(0)->log_manager()->FlushAll(), "Flush");
     const Stats before = db.stats();
     state.ResumeTiming();
 
@@ -76,7 +76,7 @@ void FullCycle(benchmark::State& state, DelegationMode mode) {
     params.delegation_pct = 30;
     RunWorkload(&db, params);
     db.SimulateCrash();
-    CheckResult(db.Recover(), "Recover");
+    RestartAndAwait(db);
     rewrites = db.stats().log_rewrites;
     random_reads = db.stats().log_random_reads;
   }

@@ -126,15 +126,15 @@ void BM_ForwardPassCollect(benchmark::State& state) {
   const int kind = static_cast<int>(state.range(0));
   Database db;
   BuildHistory(&db, kind, /*txns=*/5000);
-  LogManager* log = db.log_manager();
+  LogManager* log = db.shard(0)->log_manager();
   ForwardPassOptions opts;
   opts.kind = ForwardPassKind::kAnalysisCollectRedo;
   uint64_t records = 0;
   for (auto _ : state) {
     Stats stats;
     Result<ForwardPassResult> fwd =
-        ForwardPass(DelegationMode::kRH, log, db.buffer_pool(), &stats,
-                    /*ckpt=*/nullptr, /*ckpt_end_lsn=*/0, opts);
+        ForwardPass(DelegationMode::kRH, log, db.shard(0)->buffer_pool(),
+                    &stats, /*ckpt=*/nullptr, /*ckpt_end_lsn=*/0, opts);
     Check(fwd.status(), "ForwardPass");
     records = fwd->records_scanned;
     benchmark::DoNotOptimize(fwd);
@@ -239,7 +239,7 @@ void BM_TableHeapBootstrap(benchmark::State& state) {
   Check(db.Sync(), "Sync");
   Check(db.shard(0)->table_heap()->FlushAll(), "FlushAll");
   Stats stats;
-  table::TableHeap heap(db.disk(), &stats, /*wal_flush=*/nullptr);
+  table::TableHeap heap(db.shard(0)->disk(), &stats, /*wal_flush=*/nullptr);
   for (auto _ : state) {
     Check(heap.Bootstrap(), "Bootstrap");
   }

@@ -53,7 +53,7 @@ void Recovery(benchmark::State& state, DelegationMode mode) {
     const Stats before = db.stats();
     state.ResumeTiming();
 
-    CheckResult(db.Recover(), "Recover");
+    RestartAndAwait(db);
 
     state.PauseTiming();
     const Stats delta = db.stats().Delta(before);

@@ -35,7 +35,7 @@ void BM_RecoveryVsDelegationRate(benchmark::State& state) {
     const Stats before = db.stats();
     state.ResumeTiming();
 
-    CheckResult(db.Recover(), "Recover");
+    RestartAndAwait(db);
 
     state.PauseTiming();
     const Stats delta = db.stats().Delta(before);
@@ -72,7 +72,7 @@ void BM_RecoveryWithCheckpoint(benchmark::State& state) {
     if (checkpointed) {
       // Flush dirty pages so the checkpoint's redo point advances; a fuzzy
       // checkpoint over a dirty pool still honours the old recLSNs.
-      Check(db.buffer_pool()->FlushAll(), "FlushAll");
+      Check(db.shard(0)->buffer_pool()->FlushAll(), "FlushAll");
       Check(db.Checkpoint(), "Checkpoint");
     }
     // A little more work after the checkpoint.
@@ -84,7 +84,7 @@ void BM_RecoveryWithCheckpoint(benchmark::State& state) {
     const Stats before = db.stats();
     state.ResumeTiming();
 
-    CheckResult(db.Recover(), "Recover");
+    RestartAndAwait(db);
 
     state.PauseTiming();
     fwd = db.stats().Delta(before).recovery_forward_records;
@@ -129,7 +129,7 @@ void BM_TableRecoveryWithCheckpoints(benchmark::State& state) {
     const Stats before = db.stats();
     state.ResumeTiming();
 
-    CheckResult(db.Recover(), "Recover");
+    RestartAndAwait(db);
 
     state.PauseTiming();
     fwd = db.stats().Delta(before).recovery_forward_records;
@@ -177,7 +177,7 @@ const std::string& ClusteredCrashImage() {
       Check(db.Commit(winner), "Commit");
       // `loser` stays active: one undo cluster per phase.
     }
-    Check(db.log_manager()->FlushAll(), "FlushAll");
+    Check(db.shard(0)->log_manager()->FlushAll(), "FlushAll");
     db.SimulateCrash();
     Check(db.SaveTo(p), "SaveTo");
     return p;

@@ -103,7 +103,8 @@ int main(int argc, char** argv) {
 
   // Crash and recover: settled work and transfers survive.
   db.SimulateCrash();
-  if (!db.Recover().ok()) return 1;
+  auto restart = db.StartRecovery();
+  if (!restart.ok() || !(*restart)->Await().ok()) return 1;
   const int64_t ledger = *db.ReadCommitted(kInterestLedger);
   const int64_t money = TotalMoney(db);
   const bool ok =

@@ -45,7 +45,7 @@ struct Torture {
     } else if (dice < 75 && active.size() >= 2) {
       TxnId from = active[rng.Uniform(active.size())];
       TxnId to = active[rng.Uniform(active.size())];
-      const Transaction* tx = db.txn_manager()->Find(from);
+      const Transaction* tx = db.shard(0)->txn_manager()->Find(from);
       if (from == to || tx == nullptr || tx->ob_list.empty()) return;
       std::vector<ObjectId> objects = {tx->ob_list.begin()->first};
       if (db.Delegate(from, to, ariesrh::DelegationSpec::Objects(objects)).ok()) {
@@ -73,7 +73,8 @@ struct Torture {
     db.SimulateCrash();
     oracle.Crash();
     active.clear();
-    auto outcome = db.Recover();
+    auto restart = db.StartRecovery();
+    auto outcome = restart.ok() ? (*restart)->Await() : restart.status();
     if (!outcome.ok()) {
       std::printf("RECOVERY FAILED: %s\n", outcome.status().ToString().c_str());
       return false;

@@ -40,7 +40,7 @@ int Show(DelegationMode mode) {
     std::fprintf(stderr, "history failed: %s\n", status.ToString().c_str());
     return 1;
   }
-  Result<std::string> dump = DumpLog(*db.log_manager());
+  Result<std::string> dump = DumpLog(*db.shard(0)->log_manager());
   if (!dump.ok()) {
     std::fprintf(stderr, "dump failed: %s\n",
                  dump.status().ToString().c_str());
@@ -50,7 +50,7 @@ int Show(DelegationMode mode) {
               dump->c_str());
 
   Result<std::vector<ObjectHistoryEntry>> history =
-      ObjectHistory(*db.log_manager(), 1, mode);
+      ObjectHistory(*db.shard(0)->log_manager(), 1, mode);
   if (!history.ok()) return 1;
   std::printf(
       "object a's update records (writer as recorded, then who answers\n"

@@ -37,7 +37,7 @@ int main() {
 
   // The interleaved history of Example 1.
   DEMAND(db.Add(t1, a, 10));
-  const Lsn first_update = db.log_manager()->end_lsn();
+  const Lsn first_update = db.shard(0)->log_manager()->end_lsn();
   DEMAND(db.Add(t2, x, 1));
   DEMAND(db.Add(t2, a, 100));
   DEMAND(db.Add(t1, b, 5));
@@ -46,7 +46,7 @@ int main() {
 
   std::printf("before delegation, update at LSN %llu is t%llu's business\n",
               (unsigned long long)first_update,
-              (unsigned long long)*db.txn_manager()->ResponsibleTxn(
+              (unsigned long long)*db.shard(0)->txn_manager()->ResponsibleTxn(
                   t1, a, first_update));
 
   // The delegation: t1 transfers responsibility for `a` to t2. One log
@@ -61,7 +61,7 @@ int main() {
       (unsigned long long)delta.log_rewrites);
 
   std::printf("after delegation, the same update belongs to t%llu\n",
-              (unsigned long long)*db.txn_manager()->ResponsibleTxn(
+              (unsigned long long)*db.shard(0)->txn_manager()->ResponsibleTxn(
                   t1, a, first_update));
 
   // t2 commits: that makes t1's delegated increments of `a` permanent,
@@ -70,7 +70,8 @@ int main() {
   std::printf("t2 committed; t1 still running... crash!\n");
 
   db.SimulateCrash();
-  auto outcome = db.Recover();
+  auto restart = db.StartRecovery();
+  auto outcome = restart.ok() ? (*restart)->Await() : restart.status();
   if (!outcome.ok()) {
     std::fprintf(stderr, "recovery failed: %s\n",
                  outcome.status().ToString().c_str());

@@ -81,7 +81,8 @@ int main() {
 
   // Everything published/committed above survives a crash.
   db.SimulateCrash();
-  if (!db.Recover().ok()) return 1;
+  auto restart = db.StartRecovery();
+  if (!restart.ok() || !(*restart)->Await().ok()) return 1;
   const bool ok = *db.ReadCommitted(kRunningTotal) == 250 &&
                   *db.ReadCommitted(kLedger) == 21;
   std::printf("after crash+recovery: total=%lld ledger=%lld -> %s\n",

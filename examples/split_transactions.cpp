@@ -56,7 +56,8 @@ int main() {
   std::printf("session aborted\n");
 
   db.SimulateCrash();
-  if (!db.Recover().ok()) return 1;
+  auto restart = db.StartRecovery();
+  if (!restart.ok() || !(*restart)->Await().ok()) return 1;
 
   bool ok = true;
   for (ObjectId ob = 0; ob < 10; ++ob) {

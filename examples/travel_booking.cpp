@@ -96,7 +96,8 @@ int main() {
 
   // Prove durability: crash and recover.
   db.SimulateCrash();
-  if (!db.Recover().ok()) {
+  auto restart = db.StartRecovery();
+  if (!restart.ok() || !(*restart)->Await().ok()) {
     std::printf("recovery failed\n");
     return 1;
   }

@@ -11,7 +11,7 @@
 // the CKPT_BEGIN-anchored analysis re-scan reconciles (docs/CHECKPOINT.md).
 //
 // The daemon is volatile: SimulateCrash() stops it with the other volatile
-// components and Recover()'s rebuild starts a fresh one.
+// components and Restart()'s rebuild starts a fresh one.
 
 #ifndef ARIESRH_CORE_CHECKPOINT_DAEMON_H_
 #define ARIESRH_CORE_CHECKPOINT_DAEMON_H_

@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/checkpoint_daemon.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -44,21 +43,21 @@ size_t Database::ShardOf(ObjectId ob) const {
 Status Database::EnsureUsable() const {
   ARIESRH_RETURN_IF_ERROR(init_status_);
   if (crashed_) {
-    return Status::IllegalState("database crashed; call Recover() first");
+    return Status::IllegalState(
+        "database crashed; call StartRecovery() first");
   }
   if (active_recovery_ != nullptr && active_recovery_->failed()) {
     // The background half of an instant restart died: the shards are
     // half-recovered (some loser clusters never rolled back), which is the
     // same kind of torn volatile state a stopped cross-shard protocol
-    // leaves. Poison until SimulateCrash()+Recover().
+    // leaves. Poison until the next StartRecovery().
     return Status::IllegalState(
-        "instant restart failed in the background; call SimulateCrash() and "
-        "Recover()");
+        "instant restart failed in the background; call StartRecovery()");
   }
   if (poisoned_) {
     return Status::IllegalState(
         "cross-shard protocol stopped mid-flight; call SimulateCrash() and "
-        "Recover()");
+        "StartRecovery()");
   }
   return Status::OK();
 }
@@ -356,7 +355,7 @@ Status Database::CrossShardDelegate(
   // csn-stamped DELEGATE must be durable before the coordinator may reach
   // its commit point, or a committed csn could reference a lost leg. From
   // the first application on, any stop leaves volatile state
-  // half-transferred — poison until SimulateCrash()+Recover() (recovery
+  // half-transferred — poison until SimulateCrash()+StartRecovery() (recovery
   // voids the undecided csn on every shard, restoring atomicity).
   std::vector<std::pair<size_t, Lsn>> legs;
   legs.reserve(parts.size());
@@ -736,8 +735,8 @@ Result<Database::OpenResult> Database::OpenFromBackup(
   auto db = std::make_unique<Database>(options);
   ARIESRH_RETURN_IF_ERROR(db->init_status_);
   // The fresh engine "fails" immediately: restore applies to the crashed
-  // state, exactly like the legacy SimulateMediaFailure + RestoreFromBackup
-  // + Recover sequence (which keeps working unchanged).
+  // state, exactly like the SimulateMediaFailure + RestoreFromBackup +
+  // StartRecovery sequence.
   db->SimulateCrash();
   ARIESRH_RETURN_IF_ERROR(db->shards_[0]->RestoreFromBackup(backup));
   // The fresh log starts mid-stream, holding the backup checkpoint's replay
@@ -803,14 +802,16 @@ void Database::SimulateCrash() {
 
 Result<std::shared_ptr<RecoveryHandle>> Database::StartRecovery() {
   ARIESRH_RETURN_IF_ERROR(init_status_);
-  if (!crashed_) {
-    return Status::IllegalState("Recover() without a preceding crash");
+  if (!NeedsRecovery()) {
+    return Status::IllegalState("StartRecovery() without a preceding crash");
   }
+  // An instant restart whose background pass failed left its shards
+  // half-recovered: crash them again and restart from stable storage.
+  if (!crashed_) SimulateCrash();
   // The restart clock starts here: the first successful Commit after the
   // open observes its distance from this point (the instant-restart figure
   // of merit).
   restart_epoch_ns_.store(obs::MonotonicNanos(), std::memory_order_relaxed);
-  const RecoveryMode mode = options().recovery_mode;
 
   // Distill the coordinator's durable verdicts once; every shard's restart
   // consults the same resolution (in-doubt commit/abort, csn-stamped
@@ -824,70 +825,43 @@ Result<std::shared_ptr<RecoveryHandle>> Database::StartRecovery() {
       coord_ != nullptr ? &resolution : nullptr;
 
   std::shared_ptr<RecoveryHandle> handle =
-      RecoveryHandle::Pending(mode, shards_.size());
-
-  if (mode == RecoveryMode::kInstant) {
-    // Every shard runs its (cheap, analysis-only) front half; the facade
-    // opens once all of them succeeded. The coordinator's in-doubt verdicts
-    // are applied inside the front half, so by the time this returns no
-    // transaction anywhere is in doubt — only loser undo is outstanding,
-    // and the per-shard gates fence it.
-    std::vector<Status> statuses(shards_.size(), Status::OK());
-    std::vector<std::thread> workers;
-    workers.reserve(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      workers.emplace_back([this, i, resolution_ptr, handle, &statuses] {
-        statuses[i] = shards_[i]->BeginInstantRestart(resolution_ptr, handle);
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-    Status failed = Status::OK();
-    for (const Status& status : statuses) {
-      if (!status.ok()) {
-        failed = status;
-        break;
-      }
-    }
-    if (!failed.ok()) {
-      // All-or-nothing open: crash the shards that began (their Cancel
-      // reports the abort to the handle) and report the front-half failures
-      // ourselves — a shard whose analysis failed never reached the handle.
-      for (size_t i = 0; i < shards_.size(); ++i) {
-        if (statuses[i].ok()) {
-          shards_[i]->SimulateCrash();
-        } else {
-          handle->ShardFailed(statuses[i]);
-        }
-      }
-      return failed;
-    }
-    // Seed the facade's id space from the shards' analysis results.
-    TxnId seed = 1;
-    for (auto& shard : shards_) {
-      seed = std::max(seed, shard->txn_manager()->next_txn_id());
-    }
-    next_txn_id_.store(seed, std::memory_order_relaxed);
-  } else {
-    // kFull: the historical blocking restart, now reported through the same
-    // handle (terminal by the time this returns).
-    std::vector<std::thread> workers;
-    workers.reserve(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      workers.emplace_back([this, i, resolution_ptr, handle] {
-        Result<RecoveryManager::Outcome> result =
-            shards_[i]->Recover(resolution_ptr);
-        if (result.ok()) {
-          handle->ShardDone(*result);
-        } else {
-          handle->ShardFailed(result.status());
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-    Result<RecoveryManager::Outcome> merged = handle->Await();
-    ARIESRH_RETURN_IF_ERROR(merged.status());
-    next_txn_id_.store(merged->next_txn_id, std::memory_order_relaxed);
+      RecoveryHandle::Pending(options().recovery_mode, shards_.size());
+  // Every shard restarts in parallel; the facade opens once all of them
+  // succeeded. The coordinator's in-doubt verdicts are applied inside each
+  // shard's synchronous part, so by the time this returns no transaction
+  // anywhere is in doubt — under kInstant only loser undo is outstanding,
+  // and the per-shard gates fence it.
+  std::vector<Status> statuses(shards_.size(), Status::OK());
+  std::vector<std::thread> workers;
+  workers.reserve(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    workers.emplace_back([this, i, resolution_ptr, handle, &statuses] {
+      statuses[i] = shards_[i]->Restart(resolution_ptr, handle);
+    });
   }
+  for (std::thread& worker : workers) worker.join();
+  const auto failed = std::find_if(statuses.begin(), statuses.end(),
+                                   [](const Status& s) { return !s.ok(); });
+  if (failed != statuses.end()) {
+    // All-or-nothing open: crash the shards that restarted (an instant one's
+    // Cancel reports the abort to the handle), so every shard is crashed
+    // again and a plain StartRecovery() retries. A shard whose restart
+    // failed never reached the handle; report it here.
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      if (statuses[i].ok()) {
+        shards_[i]->SimulateCrash();
+      } else {
+        handle->ShardFailed(statuses[i]);
+      }
+    }
+    return *failed;
+  }
+  // Seed the facade's id space from the shards' restarts.
+  TxnId seed = 1;
+  for (auto& shard : shards_) {
+    seed = std::max(seed, shard->txn_manager()->next_txn_id());
+  }
+  next_txn_id_.store(seed, std::memory_order_relaxed);
   // Ids below the seed are from before this restart: unknown from now on.
   first_txn_id_ = next_txn_id_.load(std::memory_order_relaxed);
   // Restarted engines must never reuse a csn the durable log names.
@@ -898,14 +872,6 @@ Result<std::shared_ptr<RecoveryHandle>> Database::StartRecovery() {
   active_recovery_ = handle;
   ttfc_armed_.store(true, std::memory_order_release);
   return handle;
-}
-
-Result<RecoveryManager::Outcome> Database::Recover() {
-  // DEPRECATED shim: identical to the historical blocking Recover() under
-  // kFull; under kInstant it starts the restart and waits it out.
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<RecoveryHandle> handle,
-                           StartRecovery());
-  return handle->Await();
 }
 
 Result<int64_t> Database::ReadCommitted(ObjectId ob) {

@@ -30,15 +30,14 @@
 //   db.Abort(t1);                 // does not disturb the delegated update
 //   db.Commit(t2);                // makes it durable
 //   db.SimulateCrash();
-//   db.Recover();                 // ARIES/RH restart (per shard)
+//   db.StartRecovery().value()->Await();  // ARIES/RH restart (per shard)
 //   db.ReadCommitted(obj);        // == 42
 //
-// Restart is governed by Options::recovery_mode: kFull blocks until all
-// three passes complete; kInstant opens after analysis and runs redo on
-// demand plus background undo (docs/INSTANT_RESTART.md). The one open
-// surface — Database::Open / OpenFromBackup / StartRecovery — returns a
-// RecoveryHandle for progress and Await(); Recover() remains as a blocking
-// shim over the same path.
+// Restart is governed by Options::recovery_mode: kFull blocks until every
+// pass completes; kInstant opens after analysis and runs redo on demand
+// plus background undo (docs/INSTANT_RESTART.md). Every restart surface —
+// Database::Open / OpenFromBackup / StartRecovery — returns a
+// RecoveryHandle for progress and Await().
 
 #ifndef ARIESRH_CORE_DATABASE_H_
 #define ARIESRH_CORE_DATABASE_H_
@@ -60,25 +59,18 @@
 #include "coord/coordinator_log.h"
 #include "core/engine_shard.h"
 #include "core/options.h"
-#include "lock/lock_manager.h"
 #include "obs/observability.h"
 #include "recovery/ondemand.h"
 #include "recovery/recovery_manager.h"
 #include "reenact/reenact.h"
-#include "storage/buffer_pool.h"
-#include "storage/simulated_disk.h"
 #include "txn/delegation_spec.h"
 #include "txn/dependency_graph.h"
-#include "txn/txn_manager.h"
 #include "util/flat_map.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/types.h"
-#include "wal/log_manager.h"
 
 namespace ariesrh {
-
-class CheckpointDaemon;
 
 class Database {
  public:
@@ -186,9 +178,9 @@ class Database {
 
   /// What every open surface returns: the live database plus the
   /// RecoveryHandle describing its restart. Under RecoveryMode::kFull (and
-  /// fresh opens) the handle is already terminal; under kInstant it tracks
-  /// the background passes — Await() blocks until the database has fully
-  /// caught up.
+  /// fresh opens) the handle is already done; under kInstant it tracks the
+  /// background passes — Await() blocks until the database has fully caught
+  /// up.
   struct OpenResult {
     std::unique_ptr<Database> db;
     std::shared_ptr<RecoveryHandle> recovery;
@@ -206,8 +198,8 @@ class Database {
   static std::string ShardImagePath(const std::string& path, size_t shard);
 
   /// Opens a database persisted with SaveTo and performs restart per
-  /// Options::recovery_mode — the single open surface replacing the old
-  /// Open-then-Recover() two-step. Sharded engines load every shard's image
+  /// Options::recovery_mode (StartRecovery). Sharded engines load every
+  /// shard's image
   /// (and the coordinator file) and restart all shards in parallel; the
   /// returned database is live the moment this returns.
   static Result<OpenResult> Open(Options options, const std::string& path);
@@ -223,17 +215,18 @@ class Database {
 
   /// Models a media failure: every shard's stable pages are destroyed (the
   /// logs, stored separately, survive) and all volatile state is lost.
-  /// RestoreFromBackup + Recover() bring a single-shard database back.
+  /// RestoreFromBackup + StartRecovery() bring a single-shard database
+  /// back.
   void SimulateMediaFailure();
 
   /// Installs a backup's pages and master record after a media failure.
   /// Fails if the log needed to roll the backup forward has been archived.
-  /// Call Recover() afterwards to replay the log suffix. Single-shard
+  /// Call StartRecovery() afterwards to replay the log suffix. Single-shard
   /// engines only.
   Status RestoreFromBackup(const BackupImage& backup);
 
   /// Builds a fresh database from a backup image — the restore/open entry
-  /// point unifying the RestoreFromBackup+Recover sequence: installs the
+  /// point unifying the RestoreFromBackup+StartRecovery sequence: installs the
   /// backup's pages and its checkpoint's log window, then performs restart
   /// per Options::recovery_mode. Single-shard engines only (as Backup is).
   static Result<OpenResult> OpenFromBackup(Options options,
@@ -250,28 +243,25 @@ class Database {
 
   /// Models a failure: every shard's volatile structures and the
   /// coordinator log's unforced tail are discarded; only stable storage
-  /// survives. Recover() must run before the transactional API is used
-  /// again.
+  /// survives. StartRecovery() must run before the transactional API is
+  /// used again.
   void SimulateCrash();
 
-  /// Begins restart recovery per Options::recovery_mode and returns its
-  /// handle. Under kFull every pass runs before this returns (the handle is
-  /// terminal); under kInstant the database is usable the moment this
+  /// Restart recovery: every shard runs EngineShard::Restart per
+  /// Options::recovery_mode, in parallel, against the coordinator log's
+  /// durable verdicts. Under kFull every pass runs before this returns (the
+  /// handle is done); under kInstant the database is usable the moment this
   /// returns — analysis has run, on-demand redo and the recovery gates are
-  /// armed, and loser undo drains in the background (handle->Await() blocks
-  /// until fully caught up). In a sharded engine every shard restarts in
-  /// parallel against the coordinator log's durable verdicts.
+  /// armed, and loser undo drains in the background. handle->Await() blocks
+  /// until fully caught up and returns the merged Outcome. If any shard's
+  /// restart fails, every shard is crashed again; if an instant restart's
+  /// background pass fails, the next call crashes them. Either way the
+  /// database NeedsRecovery() and a plain StartRecovery() retries.
   Result<std::shared_ptr<RecoveryHandle>> StartRecovery();
 
-  /// DEPRECATED blocking shim over StartRecovery(): starts restart and
-  /// Await()s the handle, returning the merged Outcome. Byte-identical to
-  /// the historical Recover() under kFull; under kInstant it still blocks
-  /// (use StartRecovery() to exploit the instant open).
-  Result<RecoveryManager::Outcome> Recover();
-
-  /// True between SimulateCrash() and a successful Recover() — and, under
-  /// kInstant, after a background restart pass failed (the facade is then
-  /// poisoned until SimulateCrash()+Recover()).
+  /// True between SimulateCrash() and a successful StartRecovery() — and,
+  /// under kInstant, after a background restart pass failed (the facade is
+  /// then poisoned). Exactly when StartRecovery() applies.
   bool NeedsRecovery() const {
     return crashed_ ||
            (active_recovery_ != nullptr && active_recovery_->failed());
@@ -347,37 +337,12 @@ class Database {
   /// The shard an object routes to (stable hash of the id).
   size_t ShardOf(ObjectId ob) const;
 
-  /// Direct access to one shard's engine (tests, benchmarks, replication).
+  /// Direct access to one shard's engine and its components (tests,
+  /// benchmarks, replication, inspection tools).
   EngineShard* shard(size_t index) { return shards_[index].get(); }
 
   /// The cross-shard decision log; nullptr for a 1-shard engine.
   coord::CoordinatorLog* coordinator_log() { return coord_.get(); }
-
-  // --- component access (shard 0 — the whole engine when unsharded) ---
-
-  TxnManager* txn_manager() {
-    return shards_.empty() ? nullptr : shards_[0]->txn_manager();
-  }
-  LogManager* log_manager() {
-    return shards_.empty() ? nullptr : shards_[0]->log_manager();
-  }
-  BufferPool* buffer_pool() {
-    return shards_.empty() ? nullptr : shards_[0]->buffer_pool();
-  }
-  LockManager* lock_manager() {
-    return shards_.empty() ? nullptr : shards_[0]->lock_manager();
-  }
-  SimulatedDisk* disk() {
-    return shards_.empty() ? nullptr : shards_[0]->disk();
-  }
-
-  /// Shard 0's background checkpoint/log-retention daemon; nullptr unless
-  /// an Options checkpoint interval enables it (and after SimulateCrash,
-  /// until Recover rebuilds it). Other shards' daemons are reachable via
-  /// shard(i)->checkpoint_daemon().
-  CheckpointDaemon* checkpoint_daemon() {
-    return shards_.empty() ? nullptr : shards_[0]->checkpoint_daemon();
-  }
 
   // --- test hooks ---
 
@@ -394,18 +359,18 @@ class Database {
   /// "xdel:before-apply:<shard>", "xdel:legs-appended",
   /// "xdel:before-decision", "xdel:after-decision" — a returned error stops
   /// the protocol there, modelling a crash at that point (the crash-matrix
-  /// tests then SimulateCrash + Recover). A mid-protocol stop leaves the
-  /// volatile state half-applied, so the facade poisons itself: every
-  /// subsequent call fails until SimulateCrash()+Recover().
+  /// tests then SimulateCrash + StartRecovery). A mid-protocol stop leaves
+  /// the volatile state half-applied, so the facade poisons itself: every
+  /// subsequent call fails until SimulateCrash()+StartRecovery().
   using ProtocolHook = std::function<Status(const std::string& point)>;
   void set_protocol_test_hook(ProtocolHook hook) {
     protocol_hook_ = std::move(hook);
   }
 
   /// True after a cross-shard protocol stopped mid-flight (test hook or
-  /// component failure) — or after an instant restart's background pass
-  /// failed, which leaves shards half-recovered the same way; cleared by
-  /// SimulateCrash()+Recover().
+  /// component failure), cleared by SimulateCrash()+StartRecovery() — or
+  /// after an instant restart's background pass failed, which leaves shards
+  /// half-recovered the same way, cleared by StartRecovery().
   bool poisoned() const {
     return poisoned_ ||
            (active_recovery_ != nullptr && active_recovery_->failed());
@@ -504,7 +469,8 @@ class Database {
 
   Options options_;
   /// Options::Validate() verdict from construction. When not OK, every
-  /// operation (including Recover) returns it — the database is inert.
+  /// operation (including StartRecovery) returns it — the database is
+  /// inert.
   Status init_status_ = Status::OK();
   obs::Observability obs_;  // declared before stats_: bound during its life
   /// The aggregate Stats view: bound to the shared registry cells every

@@ -43,7 +43,7 @@ void EngineShard::BuildVolatileComponents() {
       [this](Lsn lsn) { return log_->Flush(lsn); }, &stats_);
   locks_ = std::make_unique<LockManager>(&stats_);
   // The heap's frames are volatile like the pool's; its stable pages live in
-  // the same simulated disk. A fresh build starts empty — Recover()
+  // the same simulated disk. A fresh build starts empty — Restart()
   // bootstraps it from stable pages before replaying the log.
   heap_ = std::make_unique<table::TableHeap>(
       disk_.get(), &stats_, [this](Lsn lsn) { return log_->Flush(lsn); });
@@ -51,7 +51,7 @@ void EngineShard::BuildVolatileComponents() {
                                               pool_.get(), locks_.get(),
                                               &stats_, heap_.get());
   // The flusher is volatile like everything else here: SimulateCrash tears
-  // it down with the log manager and Recover() builds a fresh one.
+  // it down with the log manager and Restart() builds a fresh one.
   if (options_.group_commit) {
     LogManager::GroupCommitConfig gc;
     gc.window_us = options_.group_commit_window_us;  // 0 under kAdaptive
@@ -60,7 +60,7 @@ void EngineShard::BuildVolatileComponents() {
   }
   // So is the checkpoint daemon — but it only starts once the shard is
   // usable: mid-recovery (crashed_ still set) its checkpoints would bounce
-  // off EnsureUsable, so Recover() starts it after restart completes.
+  // off EnsureUsable, so Restart() starts it once restart completes.
   if (options_.checkpoint_interval_records > 0 ||
       options_.checkpoint_interval_ms > 0) {
     daemon_ = std::make_unique<CheckpointDaemon>(
@@ -79,7 +79,8 @@ void EngineShard::UpdateLogLiveGauge() {
 
 Status EngineShard::EnsureUsable() const {
   if (crashed_) {
-    return Status::IllegalState("database crashed; call Recover() first");
+    return Status::IllegalState(
+        "database crashed; call StartRecovery() first");
   }
   return Status::OK();
 }
@@ -323,69 +324,53 @@ void EngineShard::SimulateCrash() {
   crashed_ = true;
 }
 
-Result<RecoveryManager::Outcome> EngineShard::Recover(
-    const coord::Resolution* resolution) {
+Status EngineShard::Restart(const coord::Resolution* resolution,
+                            std::shared_ptr<RecoveryHandle> handle) {
   if (!crashed_) {
-    return Status::IllegalState("Recover() without a preceding crash");
+    return Status::IllegalState("StartRecovery() without a preceding crash");
   }
-  ARIESRH_RETURN_IF_ERROR(RecoveryManager::TruncateTornTail(disk_.get()));
-  BuildVolatileComponents();
-  // The heap's stable pages come back before the log replays over them.
-  ARIESRH_RETURN_IF_ERROR(heap_->Bootstrap());
-
-  RecoveryManager recovery(options_, disk_.get(), log_.get(), pool_.get(),
-                           &stats_, heap_.get());
-  ARIESRH_ASSIGN_OR_RETURN(RecoveryManager::Outcome outcome,
-                           recovery.Recover(resolution));
-  txn_manager_->SetNextTxnId(outcome.next_txn_id);
-  crashed_ = false;
-  if (daemon_ != nullptr) daemon_->Start();
-  return outcome;
-}
-
-Status EngineShard::BeginInstantRestart(const coord::Resolution* resolution,
-                                        std::shared_ptr<RecoveryHandle> handle) {
-  if (!crashed_) {
-    return Status::IllegalState("Recover() without a preceding crash");
-  }
-  ARIESRH_RETURN_IF_ERROR(RecoveryManager::TruncateTornTail(disk_.get()));
-  BuildVolatileComponents();
-  // The heap's stable pages come back before anything replays over them.
-  ARIESRH_RETURN_IF_ERROR(heap_->Bootstrap());
-
-  const std::string suffix =
-      shard_count_ > 1 ? "_shard" + std::to_string(shard_index_) : "";
-  instant_ = std::make_unique<InstantRestart>(
-      options_, disk_.get(), log_.get(), pool_.get(), &stats_, heap_.get(),
-      obs_->registry.GetGauge("ariesrh_undo_backlog" + suffix));
-  TxnId next_txn_id = 0;
-  // Flipped before Start spawns the background worker: on a very fast
-  // drain, on_complete's checkpoint would otherwise race this write (and
-  // bounce off EnsureUsable). Nothing else can reach the shard yet — the
-  // facade publishes it only after this returns.
-  crashed_ = false;
-  Status started = instant_->Start(
-      resolution, std::move(handle), &next_txn_id, [this] {
-        // Runs on the background thread once both lazy passes drained; the
-        // shard is fully recovered, so the daemon the blocking path starts
-        // inline starts here.
-        if (daemon_ != nullptr) daemon_->Start();
-      });
-  if (!started.ok()) {
-    // Analysis failed: the shard never opened. Back out to the crashed
-    // state so kFull Recover() (or another attempt) still applies.
-    crashed_ = true;
-    daemon_.reset();
-    instant_.reset();
-    log_.reset();
-    pool_.reset();
-    locks_.reset();
-    txn_manager_.reset();
-    heap_.reset();
-    return started;
-  }
-  txn_manager_->SetNextTxnId(next_txn_id);
-  return Status::OK();
+  auto restart = [&]() -> Status {
+    ARIESRH_RETURN_IF_ERROR(RecoveryManager::TruncateTornTail(disk_.get()));
+    BuildVolatileComponents();
+    // The heap's stable pages come back before the log replays over them.
+    ARIESRH_RETURN_IF_ERROR(heap_->Bootstrap());
+    if (options_.recovery_mode == RecoveryMode::kInstant) {
+      const std::string suffix =
+          shard_count_ > 1 ? "_shard" + std::to_string(shard_index_) : "";
+      instant_ = std::make_unique<InstantRestart>(
+          options_, disk_.get(), log_.get(), pool_.get(), &stats_, heap_.get(),
+          obs_->registry.GetGauge("ariesrh_undo_backlog" + suffix));
+      // Flipped before Start spawns the background worker: on a very fast
+      // drain, on_complete's checkpoint would otherwise race this write (and
+      // bounce off EnsureUsable). Nothing else can reach the shard yet — the
+      // facade publishes it only after this returns.
+      crashed_ = false;
+      TxnId next_txn_id = 0;
+      ARIESRH_RETURN_IF_ERROR(instant_->Start(
+          resolution, std::move(handle), &next_txn_id, [this] {
+            // Runs on the background thread once both lazy passes drained:
+            // the shard is fully recovered, so its daemon starts now.
+            if (daemon_ != nullptr) daemon_->Start();
+          }));
+      txn_manager_->SetNextTxnId(next_txn_id);
+      return Status::OK();
+    }
+    // kFull: every pass runs here, before the shard opens.
+    RecoveryManager recovery(options_, disk_.get(), log_.get(), pool_.get(),
+                             &stats_, heap_.get());
+    ARIESRH_ASSIGN_OR_RETURN(RecoveryManager::Outcome outcome,
+                             recovery.Recover(resolution));
+    txn_manager_->SetNextTxnId(outcome.next_txn_id);
+    crashed_ = false;
+    if (daemon_ != nullptr) daemon_->Start();
+    handle->ShardDone(outcome);
+    return Status::OK();
+  };
+  Status status = restart();
+  // A shard that never opened backs out to the crashed state, so another
+  // restart still applies. The caller reports the failure.
+  if (!status.ok()) SimulateCrash();
+  return status;
 }
 
 Status EngineShard::WaitForObjectRecovery(ObjectId ob) {

@@ -119,20 +119,18 @@ class EngineShard {
   /// Discards every volatile structure; only stable storage survives.
   void SimulateCrash();
 
-  /// ARIES/RH restart recovery (RecoveryMode::kFull: all three passes block
-  /// the open). `resolution` (sharded engines) carries the coordinator's
-  /// durable verdicts for in-doubt transactions and cross-shard delegation
-  /// legs; nullptr is the unsharded engine's path.
-  Result<RecoveryManager::Outcome> Recover(
-      const coord::Resolution* resolution = nullptr);
-
-  /// Instant restart (RecoveryMode::kInstant): runs analysis synchronously,
-  /// arms on-demand redo and the recovery gate, then opens the shard while
-  /// loser-cluster undo and the final redo drain run in the background. The
-  /// shard reports its completion (with its per-pass Outcome) or failure on
-  /// `handle`. On error the shard stays crashed.
-  Status BeginInstantRestart(const coord::Resolution* resolution,
-                             std::shared_ptr<RecoveryHandle> handle);
+  /// Restart recovery per Options::recovery_mode, reported on `handle`.
+  /// kFull runs every pass before returning (ARIES/RH's merged sweep, then
+  /// undo) and reports the shard's Outcome; kInstant runs analysis, arms
+  /// on-demand redo and the recovery gate, and opens the shard while
+  /// loser-cluster undo and the final redo drain run in the background,
+  /// which report completion or failure. `resolution` (sharded engines)
+  /// carries the coordinator's durable verdicts for in-doubt transactions and
+  /// cross-shard delegation legs; nullptr is the unsharded engine's path. On
+  /// error the shard is back in the crashed state and has reported nothing:
+  /// the caller reports the failure.
+  Status Restart(const coord::Resolution* resolution,
+                 std::shared_ptr<RecoveryHandle> handle);
 
   /// Blocks until `ob` is outside every unresolved loser cluster (no-op
   /// after restart completes, or when no instant restart is in flight).
@@ -185,7 +183,7 @@ class EngineShard {
   }
 
  private:
-  /// "database crashed; call Recover() first" when crashed.
+  /// "database crashed; call StartRecovery() first" when crashed.
   Status EnsureUsable() const;
   void BuildVolatileComponents();
   /// The penultimate-checkpoint bound for the next checkpoint: the
@@ -222,7 +220,7 @@ class EngineShard {
   /// built or restarted; kInvalidLsn = not known yet (seed from the master
   /// record). Guarded by admin_mu_.
   Lsn last_ckpt_begin_ = kInvalidLsn;
-  /// Live between BeginInstantRestart and the next SimulateCrash; its
+  /// Live between an instant Restart and the next SimulateCrash; its
   /// background thread touches log_/pool_/heap_, so it is declared after
   /// them (destroyed — and joined — first).
   std::unique_ptr<InstantRestart> instant_;

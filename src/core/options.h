@@ -45,11 +45,11 @@ enum class UndoStrategy {
 
 const char* UndoStrategyName(UndoStrategy strategy);
 
-/// How much restart work Database::Open / Recover performs before the
+/// How much restart work Database::Open / StartRecovery performs before the
 /// engine accepts new transactions (docs/INSTANT_RESTART.md).
 enum class RecoveryMode {
   /// Classic ARIES/RH restart: analysis, redo, and undo all complete before
-  /// the open returns. The RecoveryHandle is already terminal.
+  /// the open returns. The RecoveryHandle is done by then.
   kFull,
   /// Instant restart (Sauer & Härder style, made cheap by RH's scope
   /// index): the open returns after the analysis sweep. Redo replays

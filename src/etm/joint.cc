@@ -32,7 +32,7 @@ Status JointTransaction::CommitAll() {
 }
 
 Status JointTransaction::AbortAll() {
-  if (db_->txn_manager()->IsActive(anchor_)) {
+  if (db_->IsActive(anchor_)) {
     return db_->Abort(anchor_);  // cascades into live members
   }
   return Status::OK();
@@ -41,7 +41,7 @@ Status JointTransaction::AbortAll() {
 size_t JointTransaction::live_members() const {
   size_t live = 0;
   for (TxnId member : members_) {
-    if (db_->txn_manager()->IsActive(member)) ++live;
+    if (db_->IsActive(member)) ++live;
   }
   return live;
 }

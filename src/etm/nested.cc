@@ -12,12 +12,15 @@ Result<TxnId> NestedTransactions::BeginChild(TxnId parent) {
   ARIESRH_RETURN_IF_ERROR(
       db_->FormDependency(DependencyType::kAbort, child, parent));
 
-  // Visibility: the child may access what its ancestors currently hold.
+  // Visibility: the child may access what its ancestors currently hold, on
+  // whichever shard they hold it.
   for (TxnId ancestor = parent; ancestor != kInvalidTxn;
        ancestor = ParentOf(ancestor)) {
-    for (const auto& [ob, mode] :
-         db_->lock_manager()->HeldLocks(ancestor)) {
-      ARIESRH_RETURN_IF_ERROR(db_->Permit(ancestor, child, ob));
+    for (size_t s = 0; s < db_->num_shards(); ++s) {
+      for (const auto& [ob, mode] :
+           db_->shard(s)->lock_manager()->HeldLocks(ancestor)) {
+        ARIESRH_RETURN_IF_ERROR(db_->Permit(ancestor, child, ob));
+      }
     }
   }
   return child;

@@ -34,7 +34,7 @@ Status OpenNestedTransaction::Commit() {
 }
 
 Status OpenNestedTransaction::Abort() {
-  if (db_->txn_manager()->IsActive(parent_)) {
+  if (db_->IsActive(parent_)) {
     ARIESRH_RETURN_IF_ERROR(db_->Abort(parent_));
   }
   Status first_failure;

@@ -149,7 +149,8 @@ Status ScriptRunner::RunCommand(const std::vector<std::string>& tokens) {
     ARIESRH_ASSIGN_OR_RETURN(TxnId from, Txn(tokens[1]));
     ARIESRH_ASSIGN_OR_RETURN(TxnId to, Txn(tokens[2]));
     ARIESRH_ASSIGN_OR_RETURN(ObjectId ob, ParseObject(tokens[3]));
-    const Transaction* tx = db_->txn_manager()->Find(from);
+    const Transaction* tx =
+        db_->shard(db_->ShardOf(ob))->txn_manager()->Find(from);
     if (tx == nullptr || !tx->IsResponsibleFor(ob)) {
       return Status::InvalidArgument(tokens[1] +
                                      " is not responsible for ob" +
@@ -280,7 +281,7 @@ Status ScriptRunner::RunCommand(const std::vector<std::string>& tokens) {
     return Status::OK();
   }
   if (cmd == "flush") {
-    ARIESRH_RETURN_IF_ERROR(db_->log_manager()->FlushAll());
+    ARIESRH_RETURN_IF_ERROR(db_->Sync());
     trace_.push_back("flush");
     return Status::OK();
   }
@@ -290,7 +291,9 @@ Status ScriptRunner::RunCommand(const std::vector<std::string>& tokens) {
     return Status::OK();
   }
   if (cmd == "recover") {
-    ARIESRH_ASSIGN_OR_RETURN(RecoveryManager::Outcome outcome, db_->Recover());
+    ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<RecoveryHandle> handle,
+                             db_->StartRecovery());
+    ARIESRH_ASSIGN_OR_RETURN(RecoveryManager::Outcome outcome, handle->Await());
     trace_.push_back("recover: winners=" + std::to_string(outcome.winners) +
                      " losers=" + std::to_string(outcome.losers));
     return Status::OK();
@@ -322,7 +325,8 @@ Status ScriptRunner::RunCommand(const std::vector<std::string>& tokens) {
     ARIESRH_ASSIGN_OR_RETURN(TxnId invoker, Txn(tokens[1]));
     ARIESRH_ASSIGN_OR_RETURN(ObjectId ob, ParseObject(tokens[2]));
     ARIESRH_ASSIGN_OR_RETURN(TxnId want, Txn(tokens[3]));
-    const Transaction* tx = db_->txn_manager()->Find(want);
+    const Transaction* tx =
+        db_->shard(db_->ShardOf(ob))->txn_manager()->Find(want);
     if (tx == nullptr || !tx->IsResponsibleFor(ob)) {
       return Status::IllegalState(tokens[3] + " is not responsible for ob" +
                                   tokens[2]);

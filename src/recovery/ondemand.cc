@@ -339,7 +339,7 @@ void InstantRestart::Finish(Status status) {
   cv_.notify_all();
   if (!status.ok()) {
     // Wake every blocked transaction with the failure; the shard stays
-    // half-recovered until SimulateCrash()+Recover().
+    // half-recovered until SimulateCrash()+StartRecovery().
     gate_.Close(status);
     if (handle_ != nullptr) handle_->ShardFailed(status);
     return;

@@ -20,9 +20,9 @@
 //     every object a loser still covers.
 //
 // RecoveryHandle is the caller's view of the whole restart: progress,
-// per-pass stats, Await(), and the terminal Outcome — under kFull it is
-// born terminal, under kInstant it completes when every shard's background
-// pass drains.
+// per-pass stats, Await(), and the terminal Outcome. Every shard reports to
+// it — under kFull before Database::StartRecovery() returns, under kInstant
+// when its background pass drains.
 
 #ifndef ARIESRH_RECOVERY_ONDEMAND_H_
 #define ARIESRH_RECOVERY_ONDEMAND_H_
@@ -136,15 +136,16 @@ class RecoveryGate {
 };
 
 /// The caller's view of one restart: progress while it runs, the merged
-/// RecoveryManager::Outcome once it completes. Under kFull the handle is
-/// born terminal; under kInstant every shard reports its background
-/// completion (or failure) here. Shared between the Database facade, the
-/// shards' background threads, and any number of Await()ers.
+/// RecoveryManager::Outcome once it completes. Every shard's Restart reports
+/// its completion (or failure) here: under kFull before StartRecovery()
+/// returns, so the handle is already done then; under kInstant from the
+/// shard's background pass. Shared between the Database facade, the shards'
+/// background threads, and any number of Await()ers.
 class RecoveryHandle {
  public:
   using Outcome = RecoveryManager::Outcome;
 
-  /// A handle for a restart that already finished (kFull, fresh opens).
+  /// A handle for a restart with nothing to do (fresh opens).
   static std::shared_ptr<RecoveryHandle> Terminal(RecoveryMode mode,
                                                   Outcome outcome);
 
@@ -200,7 +201,7 @@ class RecoveryHandle {
 /// restart plan, then arming the redo index and the gate) and the
 /// background half (the shared undo executor, lifting the gate group by
 /// group, then the final redo drain). Owned by the EngineShard between
-/// BeginInstantRestart and the next SimulateCrash.
+/// its Restart and the next SimulateCrash.
 class InstantRestart {
  public:
   /// `backlog_gauge` (optional) is the shard's "ariesrh_undo_backlog"

@@ -33,9 +33,9 @@ Status StandbyReplica::SeedFromBackup(const Database::BackupImage& backup) {
   // earlier redo-point records — positioned at its original LSNs, so
   // promotion's begin-anchored analysis and redo find every record they
   // scan. Shipping resumes after the backup point.
-  ARIESRH_RETURN_IF_ERROR(
-      db_->disk()->SetLogBase(backup.window_start - 1));
-  db_->disk()->AppendLogRecords(backup.log_window);
+  SimulatedDisk* disk = db_->shard(0)->disk();
+  ARIESRH_RETURN_IF_ERROR(disk->SetLogBase(backup.window_start - 1));
+  disk->AppendLogRecords(backup.log_window);
   // Resume shipping right after the checkpoint; anything between it and the
   // backup end is re-shipped and re-applied idempotently (page LSN checks).
   shipped_[0] = backup.master_record;
@@ -90,7 +90,9 @@ Status StandbyReplica::SyncFrom(const Database& primary) {
 }
 
 Result<std::unique_ptr<Database>> StandbyReplica::Promote() && {
-  ARIESRH_RETURN_IF_ERROR(db_->Recover().status());
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<RecoveryHandle> handle,
+                           db_->StartRecovery());
+  ARIESRH_RETURN_IF_ERROR(handle->Await().status());
   return std::move(db_);
 }
 

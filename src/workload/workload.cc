@@ -60,20 +60,22 @@ Status WorkloadDriver::StepBegin() {
 Status WorkloadDriver::StepUpdate() {
   ActiveTxn& tx = active_[PickActiveIndex()];
   const ObjectId ob = PickObject();
+  // The update record's LSN, on the shard the object lives on.
+  auto last_lsn = [&] {
+    return db_->shard(db_->ShardOf(ob))->txn_manager()->Find(tx.id)->last_lsn;
+  };
   if (rng_.Percent(options_.set_pct)) {
     const int64_t value = rng_.UniformRange(-1000, 1000);
     Status status = db_->Set(tx.id, ob, value);
     if (status.IsBusy()) return Status::OK();  // lock conflict: skip
     ARIESRH_RETURN_IF_ERROR(status);
-    oracle_.Update(tx.id, ob, UpdateKind::kSet, value,
-                   db_->txn_manager()->Find(tx.id)->last_lsn);
+    oracle_.Update(tx.id, ob, UpdateKind::kSet, value, last_lsn());
   } else {
     const int64_t delta = rng_.UniformRange(-50, 50);
     Status status = db_->Add(tx.id, ob, delta);
     if (status.IsBusy()) return Status::OK();
     ARIESRH_RETURN_IF_ERROR(status);
-    oracle_.Update(tx.id, ob, UpdateKind::kAdd, delta,
-                   db_->txn_manager()->Find(tx.id)->last_lsn);
+    oracle_.Update(tx.id, ob, UpdateKind::kAdd, delta, last_lsn());
   }
   ++updates_;
   return Status::OK();
@@ -87,7 +89,9 @@ Status WorkloadDriver::StepDelegate() {
   ActiveTxn& from = active_[from_index];
   ActiveTxn& to = active_[to_index];
 
-  const Transaction* tx = db_->txn_manager()->Find(from.id);
+  // The delegator's objects are sampled from its view on shard 0; at one
+  // shard that is all of them.
+  const Transaction* tx = db_->shard(0)->txn_manager()->Find(from.id);
   if (tx == nullptr || tx->ob_list.empty()) return Status::OK();
 
   // A quarter of delegations try operation granularity: hand over a single
@@ -197,7 +201,9 @@ void WorkloadDriver::CrashOnly() {
 
 Status WorkloadDriver::CrashRecoverVerify() {
   CrashOnly();
-  ARIESRH_RETURN_IF_ERROR(db_->Recover().status());
+  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<RecoveryHandle> handle,
+                           db_->StartRecovery());
+  ARIESRH_RETURN_IF_ERROR(handle->Await().status());
   return Verify();
 }
 

@@ -15,6 +15,7 @@
 
 #include "core/database.h"
 #include "obs/metrics.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -42,25 +43,25 @@ void CommitWork(Database* db, int txns, ObjectId ob = 7) {
 
 TEST(CheckpointDaemonTest, NotConfiguredByDefault) {
   Database db;
-  EXPECT_EQ(db.checkpoint_daemon(), nullptr);
+  EXPECT_EQ(db.shard(0)->checkpoint_daemon(), nullptr);
 }
 
 TEST(CheckpointDaemonTest, RecordGrowthTriggersCheckpoints) {
   Options options;
   options.checkpoint_interval_records = 8;
   Database db(options);
-  ASSERT_NE(db.checkpoint_daemon(), nullptr);
-  EXPECT_TRUE(db.checkpoint_daemon()->digest().running);
+  ASSERT_NE(db.shard(0)->checkpoint_daemon(), nullptr);
+  EXPECT_TRUE(db.shard(0)->checkpoint_daemon()->digest().running);
 
   CommitWork(&db, 10);  // ~30 records, several intervals past the trigger
   ASSERT_TRUE(WaitFor([&db] {
-    return db.checkpoint_daemon()->digest().checkpoints >= 1;
-  })) << db.checkpoint_daemon()->digest().ToString();
-  EXPECT_NE(db.disk()->master_record(), 0u);
+    return db.shard(0)->checkpoint_daemon()->digest().checkpoints >= 1;
+  })) << db.shard(0)->checkpoint_daemon()->digest().ToString();
+  EXPECT_NE(db.shard(0)->disk()->master_record(), 0u);
   EXPECT_GE(db.stats().checkpoints_taken.value(), 1u);
   // The background checkpoint is a real recovery anchor.
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_NE(outcome->checkpoint_used, 0u);
   EXPECT_EQ(*db.ReadCommitted(7), 10);
@@ -72,9 +73,9 @@ TEST(CheckpointDaemonTest, ElapsedTimeTriggersCheckpoints) {
   Database db(options);
   CommitWork(&db, 1);
   ASSERT_TRUE(WaitFor([&db] {
-    return db.checkpoint_daemon()->digest().checkpoints >= 1;
+    return db.shard(0)->checkpoint_daemon()->digest().checkpoints >= 1;
   }));
-  EXPECT_NE(db.disk()->master_record(), 0u);
+  EXPECT_NE(db.shard(0)->disk()->master_record(), 0u);
 }
 
 TEST(CheckpointDaemonTest, RunOnceIsDeterministic) {
@@ -82,12 +83,12 @@ TEST(CheckpointDaemonTest, RunOnceIsDeterministic) {
   options.checkpoint_interval_records = kNeverRecords;
   Database db(options);
   CommitWork(&db, 3);
-  ASSERT_EQ(db.checkpoint_daemon()->digest().checkpoints, 0u);
+  ASSERT_EQ(db.shard(0)->checkpoint_daemon()->digest().checkpoints, 0u);
 
-  ASSERT_TRUE(db.checkpoint_daemon()->RunOnce().ok());
-  CheckpointDaemon::Digest digest = db.checkpoint_daemon()->digest();
+  ASSERT_TRUE(db.shard(0)->checkpoint_daemon()->RunOnce().ok());
+  CheckpointDaemon::Digest digest = db.shard(0)->checkpoint_daemon()->digest();
   EXPECT_EQ(digest.checkpoints, 1u);
-  EXPECT_EQ(digest.last_checkpoint_lsn, db.disk()->master_record());
+  EXPECT_EQ(digest.last_checkpoint_lsn, db.shard(0)->disk()->master_record());
   EXPECT_TRUE(digest.last_error.empty());
   EXPECT_EQ(db.stats().checkpoints_taken.value(), 1u);
 }
@@ -98,23 +99,23 @@ TEST(CheckpointDaemonTest, AutoArchiveReclaimsThePrefix) {
   options.auto_archive = true;
   Database db(options);
   CommitWork(&db, 10);
-  ASSERT_TRUE(db.buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->buffer_pool()->FlushAll().ok());
   // First cycle anchors a checkpoint; the second can reclaim everything the
   // first one made obsolete.
-  ASSERT_TRUE(db.checkpoint_daemon()->RunOnce().ok());
+  ASSERT_TRUE(db.shard(0)->checkpoint_daemon()->RunOnce().ok());
   CommitWork(&db, 5);
-  ASSERT_TRUE(db.buffer_pool()->FlushAll().ok());
-  ASSERT_TRUE(db.checkpoint_daemon()->RunOnce().ok());
+  ASSERT_TRUE(db.shard(0)->buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->checkpoint_daemon()->RunOnce().ok());
 
-  CheckpointDaemon::Digest digest = db.checkpoint_daemon()->digest();
+  CheckpointDaemon::Digest digest = db.shard(0)->checkpoint_daemon()->digest();
   EXPECT_EQ(digest.checkpoints, 2u);
   EXPECT_EQ(digest.archive_runs, 2u);
   EXPECT_GT(digest.records_archived, 0u);
-  EXPECT_GT(db.disk()->first_retained_lsn(), kFirstLsn);
+  EXPECT_GT(db.shard(0)->disk()->first_retained_lsn(), kFirstLsn);
   EXPECT_EQ(db.stats().archived_records.value(), digest.records_archived);
   // Recovery from the shortened log still reproduces the state.
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(7), 15);
 }
 
@@ -143,21 +144,21 @@ TEST(CheckpointDaemonTest, AutoArchiveBoundsTheLiveLogUnderTableWrites) {
       ASSERT_TRUE(db.Commit(t).ok());
       committed[key] = value;
     }
-    ASSERT_TRUE(db.checkpoint_daemon()->RunOnce().ok());
+    ASSERT_TRUE(db.shard(0)->checkpoint_daemon()->RunOnce().ok());
     if (cycle >= 2) max_live = std::max(max_live, live->Value());
   }
   // Each cycle appends BEGIN, TBL_*, COMMIT and END per transaction plus
   // the checkpoint pair.
   const int64_t per_cycle = kTxnsPerCycle * 4 + 2;
-  EXPECT_GT(static_cast<int64_t>(db.log_manager()->end_lsn()),
+  EXPECT_GT(static_cast<int64_t>(db.shard(0)->log_manager()->end_lsn()),
             kCycles * per_cycle - 1);
   EXPECT_GT(max_live, 0);
   EXPECT_LE(max_live, 3 * per_cycle);
-  EXPECT_GT(db.checkpoint_daemon()->digest().records_archived,
+  EXPECT_GT(db.shard(0)->checkpoint_daemon()->digest().records_archived,
             static_cast<uint64_t>((kCycles - 3) * per_cycle));
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   for (const auto& [key, value] : committed) {
     EXPECT_EQ(*db.TableGetCommitted(key), value) << key;
   }
@@ -175,13 +176,14 @@ TEST(CheckpointDaemonTest, ContinuousOperationUnderLoad) {
   const bool cycled = WaitFor([&] {
     CommitWork(&db, 5);
     committed += 5;
-    EXPECT_TRUE(db.buffer_pool()->FlushAll().ok());
-    const CheckpointDaemon::Digest d = db.checkpoint_daemon()->digest();
+    EXPECT_TRUE(db.shard(0)->buffer_pool()->FlushAll().ok());
+    const CheckpointDaemon::Digest d =
+        db.shard(0)->checkpoint_daemon()->digest();
     return d.checkpoints >= 2 && d.records_archived > 0;
   });
-  ASSERT_TRUE(cycled) << db.checkpoint_daemon()->digest().ToString();
+  ASSERT_TRUE(cycled) << db.shard(0)->checkpoint_daemon()->digest().ToString();
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(7), committed);
 }
 
@@ -194,14 +196,14 @@ TEST(CheckpointDaemonTest, CrashStopsAndRecoverRestartsTheDaemon) {
   db.SimulateCrash();
   // The daemon is volatile state: gone with the crash, no background
   // checkpoints against a crashed engine.
-  EXPECT_EQ(db.checkpoint_daemon(), nullptr);
-  ASSERT_TRUE(db.Recover().ok());
-  ASSERT_NE(db.checkpoint_daemon(), nullptr);
-  EXPECT_TRUE(db.checkpoint_daemon()->digest().running);
+  EXPECT_EQ(db.shard(0)->checkpoint_daemon(), nullptr);
+  ASSERT_TRUE(RestartAndAwait(db).ok());
+  ASSERT_NE(db.shard(0)->checkpoint_daemon(), nullptr);
+  EXPECT_TRUE(db.shard(0)->checkpoint_daemon()->digest().running);
 
   CommitWork(&db, 10);
   ASSERT_TRUE(WaitFor([&db] {
-    return db.checkpoint_daemon()->digest().checkpoints >= 1;
+    return db.shard(0)->checkpoint_daemon()->digest().checkpoints >= 1;
   }));
 }
 
@@ -210,16 +212,17 @@ TEST(CheckpointDaemonTest, StopIsIdempotent) {
   options.checkpoint_interval_ms = 2;
   Database db(options);
   CommitWork(&db, 2);
-  db.checkpoint_daemon()->Stop();
-  db.checkpoint_daemon()->Stop();
-  EXPECT_FALSE(db.checkpoint_daemon()->digest().running);
-  const uint64_t settled = db.checkpoint_daemon()->digest().checkpoints;
+  db.shard(0)->checkpoint_daemon()->Stop();
+  db.shard(0)->checkpoint_daemon()->Stop();
+  EXPECT_FALSE(db.shard(0)->checkpoint_daemon()->digest().running);
+  const uint64_t settled =
+      db.shard(0)->checkpoint_daemon()->digest().checkpoints;
   CommitWork(&db, 5);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(db.checkpoint_daemon()->digest().checkpoints, settled);
+  EXPECT_EQ(db.shard(0)->checkpoint_daemon()->digest().checkpoints, settled);
   // A stopped daemon can be started again.
-  db.checkpoint_daemon()->Start();
-  EXPECT_TRUE(db.checkpoint_daemon()->digest().running);
+  db.shard(0)->checkpoint_daemon()->Start();
+  EXPECT_TRUE(db.shard(0)->checkpoint_daemon()->digest().running);
 }
 
 TEST(CheckpointDaemonTest, DigestToStringIsReadable) {
@@ -228,8 +231,9 @@ TEST(CheckpointDaemonTest, DigestToStringIsReadable) {
   options.auto_archive = true;
   Database db(options);
   CommitWork(&db, 2);
-  ASSERT_TRUE(db.checkpoint_daemon()->RunOnce().ok());
-  const std::string digest = db.checkpoint_daemon()->digest().ToString();
+  ASSERT_TRUE(db.shard(0)->checkpoint_daemon()->RunOnce().ok());
+  const std::string digest =
+      db.shard(0)->checkpoint_daemon()->digest().ToString();
   EXPECT_NE(digest.find("checkpoint"), std::string::npos) << digest;
   EXPECT_NE(digest.find("archive"), std::string::npos) << digest;
 }

@@ -1,5 +1,5 @@
 // Options::Validate and its wiring: an invalid configuration makes the
-// Database inert (every operation, including Recover, reports the
+// Database inert (every operation, including StartRecovery, reports the
 // validation failure) and Database::Open refuses up front.
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include "core/database.h"
 #include "table/heap_page.h"
 #include "table/table_heap.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -85,7 +86,7 @@ TEST(OptionsValidateTest, InvalidShardingMakesDatabaseInert) {
   options.delegation_mode = DelegationMode::kEager;
   Database db(options);
   EXPECT_TRUE(db.Begin().status().IsInvalidArgument());
-  EXPECT_TRUE(db.Recover().status().IsInvalidArgument());
+  EXPECT_TRUE(RestartAndAwait(db).status().IsInvalidArgument());
 }
 
 TEST(OptionsValidateTest, ParallelRecoveryThreadsAreValid) {
@@ -100,7 +101,7 @@ TEST(OptionsValidateTest, InvalidOptionsMakeDatabaseInert) {
   Database db(options);
   EXPECT_TRUE(db.Begin().status().IsInvalidArgument());
   EXPECT_TRUE(db.Sync().IsInvalidArgument());
-  EXPECT_TRUE(db.Recover().status().IsInvalidArgument());
+  EXPECT_TRUE(RestartAndAwait(db).status().IsInvalidArgument());
   EXPECT_TRUE(db.ReadCommitted(1).status().IsInvalidArgument());
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -70,13 +71,13 @@ RecoveryManager::Outcome RunToCrashPoint(
   EXPECT_TRUE(fired) << "hook point " << point << " never reached";
   EXPECT_FALSE(status.ok()) << "protocol ignored the stop at " << point;
   db->SimulateCrash();
-  const Result<RecoveryManager::Outcome> outcome = db->Recover();
+  const Result<RecoveryManager::Outcome> outcome = RestartAndAwait(*db);
   EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
   return outcome.ok() ? *outcome : RecoveryManager::Outcome{};
 }
 
 // The whole matrix runs under both recovery modes. Under kInstant the
-// Recover() shim inside RunToCrashPoint starts the instant restart and
+// RestartAndAwait inside RunToCrashPoint starts the instant restart and
 // Await()s it, so every ground-truth assertion doubles as an observational
 // equivalence check against what kFull produces at the same crash point.
 class ShardedCrashMatrixTest
@@ -158,7 +159,7 @@ TEST_P(ShardedCrashMatrixTest, InDoubtCountsMatchTheDecisionPoint) {
     db.set_protocol_test_hook(nullptr);
     ASSERT_TRUE(fired);
     db.SimulateCrash();
-    Result<RecoveryManager::Outcome> outcome = db.Recover();
+    Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     EXPECT_EQ(outcome->in_doubt_committed, shards);
     EXPECT_EQ(outcome->in_doubt_aborted, 0u);
@@ -233,7 +234,7 @@ TEST_P(ShardedCrashMatrixTest, DelegationDecisionGatesTheHandover) {
     ASSERT_TRUE(db.Delegate(tor, tee, DelegationSpec::All()).ok());
     ASSERT_TRUE(db.Commit(tee).ok());
     db.SimulateCrash();
-    ASSERT_TRUE(db.Recover().ok());
+    ASSERT_TRUE(RestartAndAwait(db).ok());
     for (ObjectId ob : obs) EXPECT_EQ(*db.ReadCommitted(ob), 9);
 
     // Voided handover: the coordinator COMMIT never became durable, so even
@@ -278,7 +279,7 @@ TEST(ShardedCrashMatrixTest1Shard, ProtocolPointsNeverFireUnsharded) {
   ASSERT_TRUE(db.Commit(t1).ok());
   ASSERT_TRUE(db.Commit(t2).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 1);
   EXPECT_EQ(*db.ReadCommitted(2), 2);
   EXPECT_TRUE(seen.empty());

@@ -12,6 +12,7 @@
 #include "core/database.h"
 #include "obs/observability.h"
 #include "replication/log_shipping.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -110,7 +111,7 @@ TEST(ShardedDatabaseTest, LazySecondPhaseResolvesInDoubtCommitted) {
   ASSERT_TRUE(db.Set(t, b, 2).ok());
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->in_doubt_committed, 2u);  // one per participating shard
   EXPECT_EQ(outcome->in_doubt_aborted, 0u);
@@ -154,7 +155,7 @@ TEST(ShardedDatabaseTest, DelegatedUpdatesSurviveCrashRecovery) {
   ASSERT_TRUE(db.Commit(tee).ok());
   // tor is an (empty) active loser at the crash.
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(a), 3);
   EXPECT_EQ(*db.ReadCommitted(b), 4);
 }
@@ -304,7 +305,7 @@ TEST(ShardedDatabaseTest, PoisonedFacadeDemandsCrashRecovery) {
   EXPECT_TRUE(db.ReadCommitted(a).status().IsIllegalState());
   db.SimulateCrash();
   EXPECT_FALSE(db.poisoned());
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   // No durable coordinator COMMIT: the undecided transfer was voided and
   // both parties died as active losers — nothing half-applied survives.
   EXPECT_EQ(*db.ReadCommitted(a), 0);
@@ -320,7 +321,7 @@ TEST(ShardedDatabaseTest, TxnIdsStayGloballyUniqueAcrossRestart) {
   ASSERT_TRUE(db.Set(t1, b, 2).ok());
   ASSERT_TRUE(db.Commit(t1).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   TxnId t2 = *db.Begin();
   EXPECT_GT(t2, t1);
   // The coordinator's csn counter re-seeds past the durable records too:
@@ -333,6 +334,59 @@ TEST(ShardedDatabaseTest, TxnIdsStayGloballyUniqueAcrossRestart) {
   ASSERT_TRUE(db.Commit(t2).ok());
   const auto records = db.coordinator_log()->StableRecords();
   EXPECT_GT(records.back().csn, max_before);
+}
+
+// A restart that fails on one shard leaves the engine crashed as a whole,
+// so a plain StartRecovery() retries it. Under kFull shard 1's restart
+// fails while shard 0's succeeds; under kInstant shard 1's background undo
+// fails after both shards opened.
+class ShardedRestartRetryTest : public ::testing::TestWithParam<RecoveryMode> {
+};
+
+INSTANTIATE_TEST_SUITE_P(Modes, ShardedRestartRetryTest,
+                         ::testing::Values(RecoveryMode::kFull,
+                                           RecoveryMode::kInstant),
+                         [](const auto& info) {
+                           return std::string(RecoveryModeName(info.param));
+                         });
+
+TEST_P(ShardedRestartRetryTest, FailedRestartOnOneShardIsRetried) {
+  Options options = ShardedOptions(2);
+  options.recovery_mode = GetParam();
+  Database db(options);
+  const ObjectId a = ObOnShard(db, 0);
+  const ObjectId b = ObOnShard(db, 1);
+  const ObjectId c = ObOnShard(db, 1, b + 1);
+  TxnId winner = *db.Begin();
+  ASSERT_TRUE(db.Set(winner, a, 1).ok());
+  ASSERT_TRUE(db.Set(winner, b, 2).ok());
+  ASSERT_TRUE(db.Commit(winner).ok());
+  TxnId loser = *db.Begin();
+  ASSERT_TRUE(db.Set(loser, a, 10).ok());
+  ASSERT_TRUE(db.Set(loser, b, 20).ok());
+  ASSERT_TRUE(db.Set(loser, c, 30).ok());
+  ASSERT_TRUE(db.Sync().ok());
+  db.SimulateCrash();
+
+  db.shard(1)->mutable_options()->faults.crash_after_undo_steps = 1;
+  Result<RecoveryManager::Outcome> first = RestartAndAwait(db);
+  ASSERT_FALSE(first.ok());
+  EXPECT_TRUE(first.status().IsIOError()) << first.status().ToString();
+  EXPECT_TRUE(db.NeedsRecovery());
+  EXPECT_TRUE(db.Begin().status().IsIllegalState());
+
+  db.shard(1)->mutable_options()->faults.crash_after_undo_steps = 0;
+  Result<RecoveryManager::Outcome> retry = RestartAndAwait(db);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_FALSE(db.NeedsRecovery());
+  EXPECT_EQ(*db.ReadCommitted(a), 1);
+  EXPECT_EQ(*db.ReadCommitted(b), 2);
+  EXPECT_EQ(*db.ReadCommitted(c), 0);
+  TxnId after = *db.Begin();
+  ASSERT_TRUE(db.Set(after, a, 3).ok());
+  ASSERT_TRUE(db.Set(after, b, 4).ok());
+  ASSERT_TRUE(db.Commit(after).ok());
+  EXPECT_EQ(*db.ReadCommitted(b), 4);
 }
 
 TEST(ShardedDatabaseTest, ShardedSaveOpenRoundTrips) {

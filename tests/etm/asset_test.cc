@@ -18,7 +18,7 @@ TEST_F(AssetTest, RunExecutesBodyAndLeavesTxnActive) {
   Result<bool> ok = asset_.Run(t, [](TxnId) { return Status::OK(); });
   ASSERT_TRUE(ok.ok());
   EXPECT_TRUE(*ok);
-  EXPECT_EQ(db_.txn_manager()->Find(t)->state, TxnState::kActive);
+  EXPECT_EQ(db_.shard(0)->txn_manager()->Find(t)->state, TxnState::kActive);
   ASSERT_TRUE(asset_.Commit(t).ok());
 }
 
@@ -29,7 +29,7 @@ TEST_F(AssetTest, FailedRunAbortsLikeWait) {
       t, [](TxnId) { return Status::Aborted("reservation failed"); });
   ASSERT_TRUE(ok.ok());
   EXPECT_FALSE(*ok);  // the analogue of `if (!wait(t1))`
-  EXPECT_EQ(db_.txn_manager()->Find(t)->state, TxnState::kAborted);
+  EXPECT_EQ(db_.shard(0)->txn_manager()->Find(t)->state, TxnState::kAborted);
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "restart_util.h"
+
 namespace ariesrh::etm {
 namespace {
 
@@ -28,8 +30,9 @@ TEST_F(CoTransactionTest, ResponsibilityFollowsControl) {
   ASSERT_TRUE(db_.Set(pair.active(), 1, 10).ok());
   const TxnId worker = pair.active();
   ASSERT_TRUE(pair.Yield().ok());
-  EXPECT_FALSE(db_.txn_manager()->Find(worker)->IsResponsibleFor(1));
-  EXPECT_TRUE(db_.txn_manager()->Find(pair.active())->IsResponsibleFor(1));
+  EXPECT_FALSE(db_.shard(0)->txn_manager()->Find(worker)->IsResponsibleFor(1));
+  EXPECT_TRUE(
+      db_.shard(0)->txn_manager()->Find(pair.active())->IsResponsibleFor(1));
 }
 
 TEST_F(CoTransactionTest, PartnersAccumulateSharedWork) {
@@ -73,7 +76,7 @@ TEST_F(CoTransactionTest, CrashDuringPingPongLosesUncommittedWork) {
   ASSERT_TRUE(pair.Yield().ok());
   ASSERT_TRUE(db_.Set(pair.active(), 2, 20).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
   EXPECT_EQ(*db_.ReadCommitted(2), 0);
 }

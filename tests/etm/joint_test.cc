@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "restart_util.h"
+
 namespace ariesrh::etm {
 namespace {
 
@@ -32,7 +34,7 @@ TEST_F(JointTest, NothingDurableUntilGroupCommit) {
   ASSERT_TRUE(db_.Set(m1, 1, 10).ok());
   ASSERT_TRUE(group.Finish(m1).ok());  // member committed...
   db_.SimulateCrash();                 // ...but the anchor had not
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
 }
 
@@ -54,7 +56,7 @@ TEST_F(JointTest, MemberAbortTakesDownTheGroup) {
   ASSERT_TRUE(db_.Set(m2, 2, 20).ok());
   ASSERT_TRUE(db_.Abort(m2).ok());  // member failure
   // The cascade killed the anchor (and with it m1's contribution).
-  EXPECT_EQ(db_.txn_manager()->Find(group.anchor())->state,
+  EXPECT_EQ(db_.shard(0)->txn_manager()->Find(group.anchor())->state,
             TxnState::kAborted);
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
   EXPECT_EQ(*db_.ReadCommitted(2), 0);
@@ -67,8 +69,8 @@ TEST_F(JointTest, AbortAllKillsLiveMembers) {
   ASSERT_TRUE(db_.Set(m1, 1, 10).ok());
   ASSERT_TRUE(db_.Set(m2, 2, 20).ok());
   ASSERT_TRUE(group.AbortAll().ok());
-  EXPECT_EQ(db_.txn_manager()->Find(m1)->state, TxnState::kAborted);
-  EXPECT_EQ(db_.txn_manager()->Find(m2)->state, TxnState::kAborted);
+  EXPECT_EQ(db_.shard(0)->txn_manager()->Find(m1)->state, TxnState::kAborted);
+  EXPECT_EQ(db_.shard(0)->txn_manager()->Find(m2)->state, TxnState::kAborted);
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
   EXPECT_EQ(*db_.ReadCommitted(2), 0);
   EXPECT_TRUE(group.AbortAll().ok());  // idempotent
@@ -90,7 +92,7 @@ TEST_F(JointTest, GroupSurvivesCrashOnlyAfterCommitAll) {
     // Group never commits before the crash.
   }
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 5);
 }
 
@@ -105,6 +107,25 @@ TEST_F(JointTest, MembersShareViaPermitsIfGranted) {
   ASSERT_TRUE(group.Finish(m1).ok());
   ASSERT_TRUE(group.Finish(m2).ok());
   ASSERT_TRUE(group.CommitAll().ok());
+}
+
+// With two shards a member may touch only shard 1, where the anchor never
+// enlisted: the group still sees it live, and AbortAll still takes it down.
+TEST(JointShardedTest, AbortAllAbortsAMemberOnShardOne) {
+  Options options;
+  options.num_shards = 2;
+  Database db(options);
+  ObjectId ob = 1;
+  while (db.ShardOf(ob) != 1) ++ob;
+  JointTransaction group = *JointTransaction::Create(&db);
+  TxnId member = *group.Join();
+  ASSERT_TRUE(db.Set(member, ob, 10).ok());
+  EXPECT_EQ(group.live_members(), 1u);
+  ASSERT_TRUE(group.AbortAll().ok());
+  EXPECT_FALSE(db.IsActive(member));
+  EXPECT_FALSE(db.IsActive(group.anchor()));
+  EXPECT_EQ(group.live_members(), 0u);
+  EXPECT_EQ(*db.ReadCommitted(ob), 0);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "restart_util.h"
+
 namespace ariesrh::etm {
 namespace {
 
@@ -20,9 +22,9 @@ TEST_F(NestedTest, ChildCommitDelegatesUpward) {
   ASSERT_TRUE(nested_.Commit(child).ok());
   // The child committed but the effects are not durable yet: the root is
   // now responsible.
-  EXPECT_TRUE(db_.txn_manager()->Find(root)->IsResponsibleFor(1));
+  EXPECT_TRUE(db_.shard(0)->txn_manager()->Find(root)->IsResponsibleFor(1));
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);  // root was a loser
 }
 
@@ -34,7 +36,7 @@ TEST_F(NestedTest, RootCommitMakesEverythingDurable) {
   ASSERT_TRUE(db_.Set(root, 2, 20).ok());
   ASSERT_TRUE(nested_.Commit(root).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 10);
   EXPECT_EQ(*db_.ReadCommitted(2), 20);
 }
@@ -45,7 +47,7 @@ TEST_F(NestedTest, ChildAbortDoesNotAbortParent) {
   TxnId child = *nested_.BeginChild(root);
   ASSERT_TRUE(db_.Set(child, 1, 10).ok());
   ASSERT_TRUE(nested_.Abort(child).ok());
-  EXPECT_EQ(db_.txn_manager()->Find(root)->state, TxnState::kActive);
+  EXPECT_EQ(db_.shard(0)->txn_manager()->Find(root)->state, TxnState::kActive);
   ASSERT_TRUE(nested_.Commit(root).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
   EXPECT_EQ(*db_.ReadCommitted(2), 20);
@@ -56,7 +58,8 @@ TEST_F(NestedTest, ParentAbortCascadesToLiveChildren) {
   TxnId child = *nested_.BeginChild(root);
   ASSERT_TRUE(db_.Set(child, 1, 10).ok());
   ASSERT_TRUE(nested_.Abort(root).ok());
-  EXPECT_EQ(db_.txn_manager()->Find(child)->state, TxnState::kAborted);
+  EXPECT_EQ(db_.shard(0)->txn_manager()->Find(child)->state,
+            TxnState::kAborted);
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
 }
 
@@ -77,9 +80,9 @@ TEST_F(NestedTest, ThreeLevelNesting) {
   TxnId leaf = *nested_.BeginChild(mid);
   ASSERT_TRUE(db_.Set(leaf, 1, 10).ok());
   ASSERT_TRUE(nested_.Commit(leaf).ok());
-  EXPECT_TRUE(db_.txn_manager()->Find(mid)->IsResponsibleFor(1));
+  EXPECT_TRUE(db_.shard(0)->txn_manager()->Find(mid)->IsResponsibleFor(1));
   ASSERT_TRUE(nested_.Commit(mid).ok());
-  EXPECT_TRUE(db_.txn_manager()->Find(root)->IsResponsibleFor(1));
+  EXPECT_TRUE(db_.shard(0)->txn_manager()->Find(root)->IsResponsibleFor(1));
   ASSERT_TRUE(nested_.Commit(root).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 10);
 }
@@ -163,9 +166,26 @@ TEST_F(NestedTest, NestedWorkSurvivesCrashOnlyAfterRootCommit) {
   ASSERT_TRUE(nested_.Commit(child2).ok());  // root2 never commits
 
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 10);
   EXPECT_EQ(*db_.ReadCommitted(2), 0);
+}
+
+// With two shards the root may hold its locks on shard 1 only: the child
+// still gets a permit for them at begin.
+TEST(NestedShardedTest, ChildSeesParentsShardOneObjects) {
+  Options options;
+  options.num_shards = 2;
+  Database db(options);
+  NestedTransactions nested(&db);
+  ObjectId ob = 1;
+  while (db.ShardOf(ob) != 1) ++ob;
+  TxnId root = *nested.BeginRoot();
+  ASSERT_TRUE(db.Set(root, ob, 10).ok());
+  TxnId child = *nested.BeginChild(root);
+  EXPECT_EQ(*db.Read(child, ob), 10);
+  ASSERT_TRUE(nested.Commit(child).ok());
+  ASSERT_TRUE(nested.Commit(root).ok());
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "restart_util.h"
+
 namespace ariesrh::etm {
 namespace {
 
@@ -38,7 +40,7 @@ TEST_F(OpenNestedTest, EarlyCommittedWorkSurvivesCrashEvenIfParentPending) {
   OpenNestedTransaction txn = *OpenNestedTransaction::Create(&db_);
   ASSERT_TRUE(ReserveStock(&txn, 1, 3).ok());
   db_.SimulateCrash();  // parent was still active
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), -3);  // unlike closed nesting!
 }
 
@@ -140,13 +142,28 @@ TEST_F(OpenNestedTest, CompensationsSurviveCrashOnlyIfRun) {
   OpenNestedTransaction txn = *OpenNestedTransaction::Create(&db_);
   ASSERT_TRUE(ReserveStock(&txn, 1, 3).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), -3);
   // The application re-runs its compensation after recovery.
   TxnId comp = *db_.Begin();
   ASSERT_TRUE(db_.Add(comp, 1, 3).ok());
   ASSERT_TRUE(db_.Commit(comp).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
+}
+
+// With two shards the parent may have touched only shard 1: Abort still
+// aborts it, undoing its own update.
+TEST(OpenNestedShardedTest, AbortAbortsAParentOnShardOne) {
+  Options options;
+  options.num_shards = 2;
+  Database db(options);
+  ObjectId ob = 1;
+  while (db.ShardOf(ob) != 1) ++ob;
+  OpenNestedTransaction txn = *OpenNestedTransaction::Create(&db);
+  ASSERT_TRUE(db.Set(txn.parent(), ob, 77).ok());
+  ASSERT_TRUE(txn.Abort().ok());
+  EXPECT_FALSE(db.IsActive(txn.parent()));
+  EXPECT_EQ(*db.ReadCommitted(ob), 0);
 }
 
 }  // namespace

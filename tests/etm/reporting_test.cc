@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "restart_util.h"
+
 namespace ariesrh::etm {
 namespace {
 
@@ -21,7 +23,7 @@ TEST_F(ReportingTest, PublishMakesTentativeResultsPermanent) {
   // The result is durable even though the worker is still running.
   EXPECT_EQ(*db_.ReadCommitted(1), 10);
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 10);
 }
 

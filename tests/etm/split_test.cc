@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "restart_util.h"
+
 namespace ariesrh::etm {
 namespace {
 
@@ -19,9 +21,9 @@ TEST_F(SplitTest, SplitTransfersResponsibility) {
   ASSERT_TRUE(db_.Set(t1, 2, 20).ok());
   Result<TxnId> t2 = split_.Split(t1, {1});
   ASSERT_TRUE(t2.ok());
-  EXPECT_FALSE(db_.txn_manager()->Find(t1)->IsResponsibleFor(1));
-  EXPECT_TRUE(db_.txn_manager()->Find(*t2)->IsResponsibleFor(1));
-  EXPECT_TRUE(db_.txn_manager()->Find(t1)->IsResponsibleFor(2));
+  EXPECT_FALSE(db_.shard(0)->txn_manager()->Find(t1)->IsResponsibleFor(1));
+  EXPECT_TRUE(db_.shard(0)->txn_manager()->Find(*t2)->IsResponsibleFor(1));
+  EXPECT_TRUE(db_.shard(0)->txn_manager()->Find(t1)->IsResponsibleFor(2));
 }
 
 TEST_F(SplitTest, SplitHalvesCommitIndependently) {
@@ -54,7 +56,7 @@ TEST_F(SplitTest, SplitOffCanAffectObjectsWithoutInvokingOperations) {
   TxnId t1 = *db_.Begin();
   ASSERT_TRUE(db_.Set(t1, 1, 10).ok());
   TxnId t2 = *split_.Split(t1, {1});
-  const Transaction* tx2 = db_.txn_manager()->Find(t2);
+  const Transaction* tx2 = db_.shard(0)->txn_manager()->Find(t2);
   // t2 never invoked an update, yet is responsible.
   EXPECT_TRUE(tx2->IsResponsibleFor(1));
   EXPECT_EQ(tx2->ob_list.at(1).scopes[0].invoker, t1);
@@ -67,7 +69,7 @@ TEST_F(SplitTest, SplitAllLeavesNothingBehind) {
   ASSERT_TRUE(db_.Set(t1, 1, 10).ok());
   ASSERT_TRUE(db_.Add(t1, 2, 20).ok());
   TxnId t2 = *split_.SplitAll(t1);
-  EXPECT_TRUE(db_.txn_manager()->Find(t1)->ob_list.empty());
+  EXPECT_TRUE(db_.shard(0)->txn_manager()->Find(t1)->ob_list.empty());
   ASSERT_TRUE(db_.Commit(t2).ok());
   ASSERT_TRUE(db_.Abort(t1).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 10);
@@ -80,7 +82,7 @@ TEST_F(SplitTest, JoinMergesWorkIntoSurvivor) {
   ASSERT_TRUE(db_.Set(t1, 1, 10).ok());
   ASSERT_TRUE(db_.Set(t2, 2, 20).ok());
   ASSERT_TRUE(split_.Join(t2, t1).ok());  // t2's work joins t1
-  EXPECT_TRUE(db_.txn_manager()->Find(t1)->IsResponsibleFor(2));
+  EXPECT_TRUE(db_.shard(0)->txn_manager()->Find(t1)->IsResponsibleFor(2));
   ASSERT_TRUE(db_.Abort(t1).ok());  // takes both objects down
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
   EXPECT_EQ(*db_.ReadCommitted(2), 0);
@@ -104,7 +106,7 @@ TEST_F(SplitTest, SplitSurvivesCrashWithDelegateeCommit) {
   TxnId t2 = *split_.Split(t1, {1});
   ASSERT_TRUE(db_.Commit(t2).ok());
   db_.SimulateCrash();  // t1 still active -> loser
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 10);
   EXPECT_EQ(*db_.ReadCommitted(2), 0);
 }

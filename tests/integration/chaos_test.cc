@@ -8,6 +8,7 @@
 #include "core/database.h"
 #include "util/random.h"
 #include "workload/workload.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -22,7 +23,7 @@ void RecoverThroughInterruptions(Database* db, Random* chaos,
   for (int i = 0; i < max_interruptions; ++i) {
     db->mutable_options()->faults.crash_after_undo_steps =
         1 + chaos->Uniform(4);
-    Result<RecoveryManager::Outcome> attempt = db->Recover();
+    Result<RecoveryManager::Outcome> attempt = RestartAndAwait(*db);
     if (attempt.ok()) {
       db->mutable_options()->faults.crash_after_undo_steps = 0;
       return;  // recovery finished within the budget
@@ -30,7 +31,7 @@ void RecoverThroughInterruptions(Database* db, Random* chaos,
     ASSERT_TRUE(attempt.status().IsIOError()) << attempt.status().ToString();
   }
   db->mutable_options()->faults.crash_after_undo_steps = 0;
-  ASSERT_TRUE(db->Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(*db).ok());
 }
 
 class ChaosTest : public ::testing::TestWithParam<uint64_t> {};
@@ -68,9 +69,9 @@ TEST_P(ChaosTest, TornTailPlusInterruptedRecovery) {
     // Force the tail out, then tear the final stable record. Everything the
     // oracle believes durable was forced by its commit, so tearing the last
     // record only ever hits loser records (or is absorbed by recovery).
-    ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+    ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
     driver.CrashOnly();
-    ASSERT_TRUE(db.disk()->CorruptLogTail(1 + chaos.Uniform(4)).ok());
+    ASSERT_TRUE(db.shard(0)->disk()->CorruptLogTail(1 + chaos.Uniform(4)).ok());
     RecoverThroughInterruptions(&db, &chaos, 2);
     if (::testing::Test::HasFatalFailure()) return;
     Status verify = driver.Verify();
@@ -95,7 +96,7 @@ TEST_P(ChaosTest, MediaFailureMidWorkload) {
   db.SimulateMediaFailure();
   driver.CrashOnly();  // already crashed; mirrors the oracle + active list
   ASSERT_TRUE(db.RestoreFromBackup(*backup).ok());
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   Status verify = driver.Verify();
   ASSERT_TRUE(verify.ok()) << verify.ToString();
 }
@@ -121,7 +122,7 @@ TEST_P(ChaosTest, EverythingEverywhereAllAtOnce) {
     switch (chaos.Uniform(3)) {
       case 0: {  // plain crash
         driver.CrashOnly();
-        ASSERT_TRUE(db.Recover().ok());
+        ASSERT_TRUE(RestartAndAwait(db).ok());
         break;
       }
       case 1: {  // interrupted recovery
@@ -133,7 +134,7 @@ TEST_P(ChaosTest, EverythingEverywhereAllAtOnce) {
         db.SimulateMediaFailure();
         driver.CrashOnly();
         ASSERT_TRUE(db.RestoreFromBackup(*backup).ok());
-        ASSERT_TRUE(db.Recover().ok());
+        ASSERT_TRUE(RestartAndAwait(db).ok());
         break;
       }
     }

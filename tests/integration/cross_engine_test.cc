@@ -8,6 +8,7 @@
 #include "core/database.h"
 #include "eos/eos_engine.h"
 #include "util/random.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -70,7 +71,8 @@ std::map<ObjectId, int64_t> RunOnAries(const std::vector<Action>& history,
         break;
       case Action::kDelegate: {
         // Delegate only if actually responsible; mirrors the EOS adapter.
-        const Transaction* tx = db.txn_manager()->Find(ids[action.txn]);
+        const Transaction* tx =
+            db.shard(0)->txn_manager()->Find(ids[action.txn]);
         if (tx != nullptr && tx->IsResponsibleFor(action.ob)) {
           (void)db.Delegate(ids[action.txn], ids[action.other],
                             DelegationSpec::Objects({action.ob}));
@@ -86,7 +88,7 @@ std::map<ObjectId, int64_t> RunOnAries(const std::vector<Action>& history,
     }
   }
   db.SimulateCrash();
-  EXPECT_TRUE(db.Recover().ok());
+  EXPECT_TRUE(RestartAndAwait(db).ok());
   std::map<ObjectId, int64_t> out;
   for (ObjectId ob = 0; ob < kMaxObject; ++ob) {
     out[ob] = *db.ReadCommitted(ob);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -102,7 +103,7 @@ std::vector<int64_t> RunWorkloadThroughCrash(const Options& options) {
   }
 
   db.SimulateCrash();
-  EXPECT_TRUE(db.Recover().ok());
+  EXPECT_TRUE(RestartAndAwait(db).ok());
   std::vector<int64_t> values;
   for (ObjectId ob : obs) values.push_back(*db.ReadCommitted(ob));
   return values;

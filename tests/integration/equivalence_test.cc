@@ -5,6 +5,7 @@
 
 #include "core/database.h"
 #include "util/random.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -25,7 +26,7 @@ std::map<ObjectId, int64_t> RunWorkload(Database& db, uint64_t seed,
     } else if (dice < 78 && active.size() >= 2) {
       TxnId from = active[rng.Uniform(active.size())];
       TxnId to = active[rng.Uniform(active.size())];
-      const Transaction* tx = db.txn_manager()->Find(from);
+      const Transaction* tx = db.shard(0)->txn_manager()->Find(from);
       if (from != to && tx != nullptr && !tx->ob_list.empty()) {
         (void)db.Delegate(from, to, DelegationSpec::Objects({tx->ob_list.begin()->first}));
       }
@@ -38,7 +39,7 @@ std::map<ObjectId, int64_t> RunWorkload(Database& db, uint64_t seed,
   }
   if (crash) {
     db.SimulateCrash();
-    EXPECT_TRUE(db.Recover().ok());
+    EXPECT_TRUE(RestartAndAwait(db).ok());
   }
   std::map<ObjectId, int64_t> values;
   for (ObjectId ob = 0; ob < 10; ++ob) {
@@ -101,9 +102,9 @@ TEST(EfficiencyInvariantsTest, NoDelegationNoOverhead) {
         if (status.ok()) active.erase(active.begin() + index);
       }
     }
-    (void)db.log_manager()->FlushAll();
+    (void)db.shard(0)->log_manager()->FlushAll();
     Stats stats = db.stats();
-    Lsn end = db.log_manager()->end_lsn();
+    Lsn end = db.shard(0)->log_manager()->end_lsn();
     return std::tuple(stats.log_appends, stats.log_bytes_appended,
                       stats.log_rewrites, end);
   };
@@ -119,7 +120,7 @@ TEST(EfficiencyInvariantsTest, RhRecoveryUsesExactlyTwoPasses) {
   ASSERT_TRUE(db.Commit(t0).ok());
   db.SimulateCrash();
   const Stats before = db.stats();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(db.stats().Delta(before).recovery_passes, 2u);
 }
 
@@ -138,11 +139,11 @@ TEST(EfficiencyInvariantsTest, BackwardSweepIsMonotoneAndSkipsWinners) {
 
   TxnId late_loser = *db.Begin();
   ASSERT_TRUE(db.Add(late_loser, 3, 7).ok());
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
 
   db.SimulateCrash();
   const Stats before = db.stats();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   const Stats delta = db.stats().Delta(before);
   // Two single-record clusters: the sweep examines almost nothing and
   // skips the winner middle entirely.
@@ -164,7 +165,7 @@ TEST(EfficiencyInvariantsTest, DelegationCostIndependentOfLogLength) {
     for (int i = 0; i < history; ++i) {
       ASSERT_TRUE(db.Add(t0, 1, 1).ok());
     }
-    ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+    ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
     const Stats before = db.stats();
     ASSERT_TRUE(db.Delegate(t0, t1, DelegationSpec::Objects({1})).ok());
     const Stats delta = db.stats().Delta(before);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -25,38 +26,38 @@ TEST_F(PaperExamplesTest, Example1RewritesResponsibilityNotTheLog) {
   TxnId t2 = *db_.Begin();
 
   ASSERT_TRUE(db_.Add(t1, a, 1).ok());
-  const Lsn lsn_100 = db_.log_manager()->end_lsn();
+  const Lsn lsn_100 = db_.shard(0)->log_manager()->end_lsn();
   ASSERT_TRUE(db_.Add(t2, x, 1).ok());
   ASSERT_TRUE(db_.Add(t2, a, 1).ok());
-  const Lsn lsn_102 = db_.log_manager()->end_lsn();
+  const Lsn lsn_102 = db_.shard(0)->log_manager()->end_lsn();
   ASSERT_TRUE(db_.Add(t1, b, 1).ok());
-  const Lsn lsn_103 = db_.log_manager()->end_lsn();
+  const Lsn lsn_103 = db_.shard(0)->log_manager()->end_lsn();
   ASSERT_TRUE(db_.Add(t1, a, 1).ok());
-  const Lsn lsn_104 = db_.log_manager()->end_lsn();
+  const Lsn lsn_104 = db_.shard(0)->log_manager()->end_lsn();
   ASSERT_TRUE(db_.Add(t2, y, 1).ok());
 
   // Before the delegation, t1 is responsible for its updates to a.
-  EXPECT_EQ(*db_.txn_manager()->ResponsibleTxn(t1, a, lsn_100), t1);
-  EXPECT_EQ(*db_.txn_manager()->ResponsibleTxn(t1, a, lsn_104), t1);
+  EXPECT_EQ(*db_.shard(0)->txn_manager()->ResponsibleTxn(t1, a, lsn_100), t1);
+  EXPECT_EQ(*db_.shard(0)->txn_manager()->ResponsibleTxn(t1, a, lsn_104), t1);
 
   ASSERT_TRUE(db_.Delegate(t1, t2, DelegationSpec::Objects({a})).ok());
-  const Lsn delegate_lsn = db_.log_manager()->end_lsn();
+  const Lsn delegate_lsn = db_.shard(0)->log_manager()->end_lsn();
 
   // "After rewriting": t1's updates to `a` now appear to be t2's...
-  EXPECT_EQ(*db_.txn_manager()->ResponsibleTxn(t1, a, lsn_100), t2);
-  EXPECT_EQ(*db_.txn_manager()->ResponsibleTxn(t1, a, lsn_104), t2);
+  EXPECT_EQ(*db_.shard(0)->txn_manager()->ResponsibleTxn(t1, a, lsn_100), t2);
+  EXPECT_EQ(*db_.shard(0)->txn_manager()->ResponsibleTxn(t1, a, lsn_104), t2);
   // ...t2's own update to `a` is unaffected in ownership...
-  EXPECT_EQ(*db_.txn_manager()->ResponsibleTxn(t2, a, lsn_102), t2);
+  EXPECT_EQ(*db_.shard(0)->txn_manager()->ResponsibleTxn(t2, a, lsn_102), t2);
   // ...and update[t1, b] still belongs to t1 (Figure 2 leaves 103 alone).
-  EXPECT_EQ(*db_.txn_manager()->ResponsibleTxn(t1, b, lsn_103), t1);
+  EXPECT_EQ(*db_.shard(0)->txn_manager()->ResponsibleTxn(t1, b, lsn_103), t1);
 
   // RH's whole point: the log records themselves are untouched.
-  LogRecord rec100 = *db_.log_manager()->Read(lsn_100);
-  LogRecord rec104 = *db_.log_manager()->Read(lsn_104);
+  LogRecord rec100 = *db_.shard(0)->log_manager()->Read(lsn_100);
+  LogRecord rec104 = *db_.shard(0)->log_manager()->Read(lsn_104);
   EXPECT_EQ(rec100.txn_id, t1);
   EXPECT_EQ(rec104.txn_id, t1);
   // The delegate record carries both backward-chain pointers (Figure 6).
-  LogRecord drec = *db_.log_manager()->Read(delegate_lsn);
+  LogRecord drec = *db_.shard(0)->log_manager()->Read(delegate_lsn);
   EXPECT_EQ(drec.type, LogRecordType::kDelegate);
   EXPECT_EQ(drec.tor, t1);
   EXPECT_EQ(drec.tee, t2);
@@ -74,20 +75,21 @@ TEST_F(PaperExamplesTest, Example1EagerModePhysicallyRewrites) {
   TxnId t1 = *db.Begin();
   TxnId t2 = *db.Begin();
   ASSERT_TRUE(db.Add(t1, a, 1).ok());
-  const Lsn lsn_100 = db.log_manager()->end_lsn();
+  const Lsn lsn_100 = db.shard(0)->log_manager()->end_lsn();
   ASSERT_TRUE(db.Add(t2, x, 1).ok());
   ASSERT_TRUE(db.Add(t2, a, 1).ok());
   ASSERT_TRUE(db.Add(t1, b, 1).ok());
-  const Lsn lsn_103 = db.log_manager()->end_lsn();
+  const Lsn lsn_103 = db.shard(0)->log_manager()->end_lsn();
   ASSERT_TRUE(db.Add(t1, a, 1).ok());
-  const Lsn lsn_104 = db.log_manager()->end_lsn();
+  const Lsn lsn_104 = db.shard(0)->log_manager()->end_lsn();
   ASSERT_TRUE(db.Add(t2, y, 1).ok());
 
   ASSERT_TRUE(db.Delegate(t1, t2, DelegationSpec::Objects({a})).ok());
 
-  EXPECT_EQ(db.log_manager()->Read(lsn_100)->txn_id, t2);  // rewritten
-  EXPECT_EQ(db.log_manager()->Read(lsn_104)->txn_id, t2);  // rewritten
-  EXPECT_EQ(db.log_manager()->Read(lsn_103)->txn_id, t1);  // update[t1,b]
+  LogManager* log = db.shard(0)->log_manager();
+  EXPECT_EQ(log->Read(lsn_100)->txn_id, t2);  // rewritten
+  EXPECT_EQ(log->Read(lsn_104)->txn_id, t2);  // rewritten
+  EXPECT_EQ(log->Read(lsn_103)->txn_id, t1);  // update[t1,b]
 }
 
 TEST_F(PaperExamplesTest, BothViewsAgreeOnRecoveryOutcome) {
@@ -108,7 +110,7 @@ TEST_F(PaperExamplesTest, BothViewsAgreeOnRecoveryOutcome) {
     ASSERT_TRUE(db.Delegate(t1, t2, DelegationSpec::Objects({a})).ok());
     ASSERT_TRUE(db.Commit(t2).ok());
     db.SimulateCrash();
-    ASSERT_TRUE(db.Recover().ok());
+    ASSERT_TRUE(RestartAndAwait(db).ok());
     EXPECT_EQ(*db.ReadCommitted(a), 12) << DelegationModeName(mode);
     EXPECT_EQ(*db.ReadCommitted(b), 0) << DelegationModeName(mode);
   }
@@ -122,17 +124,18 @@ TEST_F(PaperExamplesTest, BackwardChainsMergeAtDelegateRecord) {
   TxnId t2 = *db_.Begin();
   ASSERT_TRUE(db_.Add(t1, 1, 1).ok());
   ASSERT_TRUE(db_.Add(t2, 2, 1).ok());
-  const Lsn t2_update = db_.log_manager()->end_lsn();
+  const Lsn t2_update = db_.shard(0)->log_manager()->end_lsn();
   ASSERT_TRUE(db_.Delegate(t1, t2, DelegationSpec::Objects({1})).ok());
-  const Lsn d = db_.log_manager()->end_lsn();
+  const Lsn d = db_.shard(0)->log_manager()->end_lsn();
 
-  EXPECT_EQ(db_.txn_manager()->Find(t1)->last_lsn, d);
-  EXPECT_EQ(db_.txn_manager()->Find(t2)->last_lsn, d);
-  LogRecord drec = *db_.log_manager()->Read(d);
+  EXPECT_EQ(db_.shard(0)->txn_manager()->Find(t1)->last_lsn, d);
+  EXPECT_EQ(db_.shard(0)->txn_manager()->Find(t2)->last_lsn, d);
+  LogRecord drec = *db_.shard(0)->log_manager()->Read(d);
   EXPECT_EQ(drec.tee_bc, t2_update);
   // A later update of t2 chains onto the delegate record.
   ASSERT_TRUE(db_.Add(t2, 2, 1).ok());
-  LogRecord next = *db_.log_manager()->Read(db_.log_manager()->end_lsn());
+  LogManager* log = db_.shard(0)->log_manager();
+  LogRecord next = *log->Read(log->end_lsn());
   EXPECT_EQ(next.prev_lsn, d);
 }
 

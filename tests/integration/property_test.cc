@@ -10,6 +10,7 @@
 #include "core/database.h"
 #include "core/oracle.h"
 #include "util/random.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -72,7 +73,7 @@ ScriptStep AbortStep(size_t who) {
 }
 ScriptStep FlushStep() {
   return [](ScriptContext& ctx) {
-    ASSERT_TRUE(ctx.db->log_manager()->FlushAll().ok());
+    ASSERT_TRUE(ctx.db->shard(0)->log_manager()->FlushAll().ok());
   };
 }
 ScriptStep CheckpointStep() {
@@ -139,7 +140,7 @@ TEST_P(PropertyTest, CrashAfterPrefixMatchesOracle) {
 
   db.SimulateCrash();
   oracle.Crash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   for (const auto& [ob, expected] : oracle.ExpectedValues()) {
     EXPECT_EQ(*db.ReadCommitted(ob), expected) << "object " << ob;
@@ -162,11 +163,11 @@ TEST_P(PropertyTest, DoubleCrashAfterPrefixMatchesOracle) {
   }
   db.SimulateCrash();
   oracle.Crash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   // Crash again immediately: recovery's own log records (CLRs, ENDs) must
   // recover idempotently.
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   for (const auto& [ob, expected] : oracle.ExpectedValues()) {
     EXPECT_EQ(*db.ReadCommitted(ob), expected) << "object " << ob;
   }
@@ -207,7 +208,7 @@ TEST_P(RandomizedPropertyTest, AllModesMatchOracleOnRandomHistory) {
         TxnId from = active[rng.Uniform(active.size())];
         TxnId to = active[rng.Uniform(active.size())];
         if (from == to) continue;
-        const Transaction* tx = db.txn_manager()->Find(from);
+        const Transaction* tx = db.shard(0)->txn_manager()->Find(from);
         if (tx == nullptr || tx->ob_list.empty()) continue;
         std::vector<ObjectId> objects = {tx->ob_list.begin()->first};
         if (db.Delegate(from, to, DelegationSpec::Objects(objects)).ok()) {
@@ -230,7 +231,7 @@ TEST_P(RandomizedPropertyTest, AllModesMatchOracleOnRandomHistory) {
 
     db.SimulateCrash();
     oracle.Crash();
-    ASSERT_TRUE(db.Recover().ok()) << DelegationModeName(mode);
+    ASSERT_TRUE(RestartAndAwait(db).ok()) << DelegationModeName(mode);
     for (const auto& [ob, expected] : oracle.ExpectedValues()) {
       ASSERT_EQ(*db.ReadCommitted(ob), expected)
           << DelegationModeName(mode) << " seed " << GetParam() << " object "

@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/observability.h"
 #include "obs/trace.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -96,7 +97,7 @@ TEST(ObsIntegrationTest, MergedRecoveryEmitsOnePassPairEach) {
   Database db;  // default: merged forward pass
   RunWorkloadAndCrash(&db);
   const uint64_t emitted_before = db.trace()->total_emitted();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
 
   std::map<obs::RecoveryPassKind, int> count;
   for (const auto& [begin, end] : ExtractPassPairs(db.trace())) {
@@ -130,7 +131,7 @@ TEST(ObsIntegrationTest, ThreePassRecoveryEmitsAnalysisRedoUndoPairs) {
   options.recovery_threads = 2;
   Database db(options);
   RunWorkloadAndCrash(&db);
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
 
   std::map<obs::RecoveryPassKind, int> count;
   for (const auto& [begin, end] : ExtractPassPairs(db.trace())) {
@@ -147,9 +148,9 @@ TEST(ObsIntegrationTest, ThreePassRecoveryEmitsAnalysisRedoUndoPairs) {
 TEST(ObsIntegrationTest, EachRestartAddsOneSetOfPassPairs) {
   Database db;
   RunWorkloadAndCrash(&db);
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   RunWorkloadAndCrash(&db);
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
 
   std::map<obs::RecoveryPassKind, int> count;
   for (const auto& [begin, end] : ExtractPassPairs(db.trace())) {
@@ -218,7 +219,7 @@ TEST(ObsIntegrationTest, DelegationAndClusterSkipVisibleInTrace) {
   ASSERT_TRUE(db.Commit(t1).ok());
   ASSERT_TRUE(db.Sync().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());  // t2 is a loser: scope sweep runs
+  ASSERT_TRUE(RestartAndAwait(db).ok());  // t2 is a loser: scope sweep runs
 
   std::map<obs::TraceEventType, int> count;
   for (const obs::TraceEvent& event : db.trace()->Snapshot()) {

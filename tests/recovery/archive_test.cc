@@ -15,6 +15,7 @@
 #include "core/database.h"
 #include "core/oracle.h"
 #include "util/random.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -40,30 +41,30 @@ TEST_F(ArchiveTest, RequiresCheckpoint) {
 
 TEST_F(ArchiveTest, ArchivesCommittedPrefixAfterCheckpoint) {
   CommittedNoise(20);
-  ASSERT_TRUE(db_.buffer_pool()->FlushAll().ok());  // empty the DPT
+  ASSERT_TRUE(db_.shard(0)->buffer_pool()->FlushAll().ok());  // empty the DPT
   ASSERT_TRUE(db_.Checkpoint().ok());
   Result<uint64_t> archived = db_.ArchiveLog();
   ASSERT_TRUE(archived.ok()) << archived.status().ToString();
   EXPECT_GT(*archived, 50u);  // 20 txns x (BEGIN, UPDATE, COMMIT, END)
   // Recovery still works from the shortened log.
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(7), 20);
 }
 
 TEST_F(ArchiveTest, ActiveTransactionPinsItsBegin) {
   TxnId old_txn = *db_.Begin();
   ASSERT_TRUE(db_.Add(old_txn, 1, 5).ok());
-  const Lsn old_begin = db_.txn_manager()->Find(old_txn)->first_lsn;
+  const Lsn old_begin = db_.shard(0)->txn_manager()->Find(old_txn)->first_lsn;
   CommittedNoise(20);
-  ASSERT_TRUE(db_.buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db_.shard(0)->buffer_pool()->FlushAll().ok());
   ASSERT_TRUE(db_.Checkpoint().ok());
   ASSERT_TRUE(db_.ArchiveLog().ok());
   // Nothing at or after the old transaction's BEGIN may be gone.
-  EXPECT_LE(db_.disk()->first_retained_lsn(), old_begin);
+  EXPECT_LE(db_.shard(0)->disk()->first_retained_lsn(), old_begin);
   ASSERT_TRUE(db_.Abort(old_txn).ok());  // undo still finds its records
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
   EXPECT_EQ(*db_.ReadCommitted(7), 20);
 }
@@ -75,16 +76,16 @@ TEST_F(ArchiveTest, DelegatedScopePinsOldHistory) {
   TxnId tor = *db_.Begin();
   TxnId tee = *db_.Begin();
   ASSERT_TRUE(db_.Add(tor, 1, 42).ok());
-  const Lsn update_lsn = db_.txn_manager()->Find(tor)->last_lsn;
+  const Lsn update_lsn = db_.shard(0)->txn_manager()->Find(tor)->last_lsn;
   ASSERT_TRUE(db_.Delegate(tor, tee, DelegationSpec::Objects({1})).ok());
   ASSERT_TRUE(db_.Commit(tor).ok());
 
   CommittedNoise(30);
-  ASSERT_TRUE(db_.buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db_.shard(0)->buffer_pool()->FlushAll().ok());
   ASSERT_TRUE(db_.Checkpoint().ok());
   Result<uint64_t> archived = db_.ArchiveLog();
   ASSERT_TRUE(archived.ok());
-  EXPECT_LE(db_.disk()->first_retained_lsn(), update_lsn);
+  EXPECT_LE(db_.shard(0)->disk()->first_retained_lsn(), update_lsn);
 
   // The delegatee can still abort — the pinned record is read and undone.
   ASSERT_TRUE(db_.Abort(tee).ok());
@@ -98,12 +99,12 @@ TEST_F(ArchiveTest, ArchiveThenCrashRecoverWithDelegation) {
   ASSERT_TRUE(db_.Delegate(tor, tee, DelegationSpec::Objects({1})).ok());
   ASSERT_TRUE(db_.Commit(tor).ok());
   CommittedNoise(10);
-  ASSERT_TRUE(db_.buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db_.shard(0)->buffer_pool()->FlushAll().ok());
   ASSERT_TRUE(db_.Checkpoint().ok());
   ASSERT_TRUE(db_.ArchiveLog().ok());
 
   db_.SimulateCrash();  // tee is a loser; its scope's record was pinned
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
   EXPECT_EQ(*db_.ReadCommitted(7), 10);
 }
@@ -112,21 +113,22 @@ TEST_F(ArchiveTest, ResolvingTheScopeUnpinsHistory) {
   TxnId tor = *db_.Begin();
   TxnId tee = *db_.Begin();
   ASSERT_TRUE(db_.Add(tor, 1, 42).ok());
-  const Lsn update_lsn = db_.txn_manager()->Find(tor)->last_lsn;
+  const Lsn update_lsn = db_.shard(0)->txn_manager()->Find(tor)->last_lsn;
   ASSERT_TRUE(db_.Delegate(tor, tee, DelegationSpec::Objects({1})).ok());
   ASSERT_TRUE(db_.Commit(tor).ok());
   CommittedNoise(10);
 
-  ASSERT_TRUE(db_.buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db_.shard(0)->buffer_pool()->FlushAll().ok());
   ASSERT_TRUE(db_.Checkpoint().ok());
   ASSERT_TRUE(db_.ArchiveLog().ok());
-  EXPECT_LE(db_.disk()->first_retained_lsn(), update_lsn);  // pinned
+  EXPECT_LE(db_.shard(0)->disk()->first_retained_lsn(), update_lsn);  // pinned
 
   ASSERT_TRUE(db_.Commit(tee).ok());  // scope resolved
-  ASSERT_TRUE(db_.buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db_.shard(0)->buffer_pool()->FlushAll().ok());
   ASSERT_TRUE(db_.Checkpoint().ok());
   ASSERT_TRUE(db_.ArchiveLog().ok());
-  EXPECT_GT(db_.disk()->first_retained_lsn(), update_lsn);  // released
+  EXPECT_GT(db_.shard(0)->disk()->first_retained_lsn(),
+            update_lsn);  // released
 }
 
 TEST_F(ArchiveTest, RewritingBaselinesCannotArchive) {
@@ -147,7 +149,7 @@ TEST_F(ArchiveTest, RewritingBaselinesCannotArchive) {
 
 TEST_F(ArchiveTest, ArchiveIsIdempotent) {
   CommittedNoise(10);
-  ASSERT_TRUE(db_.buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db_.shard(0)->buffer_pool()->FlushAll().ok());
   ASSERT_TRUE(db_.Checkpoint().ok());
   Result<uint64_t> first = db_.ArchiveLog();
   ASSERT_TRUE(first.ok());
@@ -168,9 +170,9 @@ TEST_F(ArchiveTest, DelegationRacingArchiveNeverDropsTheScope) {
   TxnId a = *db_.Begin();
   TxnId b = *db_.Begin();
   ASSERT_TRUE(db_.Add(a, 1, 42).ok());
-  const Lsn update_lsn = db_.txn_manager()->Find(a)->last_lsn;
+  const Lsn update_lsn = db_.shard(0)->txn_manager()->Find(a)->last_lsn;
   CommittedNoise(10);
-  ASSERT_TRUE(db_.buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db_.shard(0)->buffer_pool()->FlushAll().ok());
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
@@ -188,7 +190,7 @@ TEST_F(ArchiveTest, DelegationRacingArchiveNeverDropsTheScope) {
     ASSERT_TRUE(db_.Checkpoint().ok());
     Result<uint64_t> archived = db_.ArchiveLog();
     ASSERT_TRUE(archived.ok()) << archived.status().ToString();
-    ASSERT_LE(db_.disk()->first_retained_lsn(), update_lsn)
+    ASSERT_LE(db_.shard(0)->disk()->first_retained_lsn(), update_lsn)
         << "round " << round << ": archive dropped a live scope's records";
   }
   stop.store(true);
@@ -198,36 +200,36 @@ TEST_F(ArchiveTest, DelegationRacingArchiveNeverDropsTheScope) {
   // Both parties die in the crash; whoever holds the scope is a loser and
   // undo must still find the pinned record.
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
   EXPECT_EQ(*db_.ReadCommitted(7), 10);
 }
 
 TEST_F(ArchiveTest, RetainFromPinsTheSuffix) {
   CommittedNoise(10);
-  const Lsn pin = db_.log_manager()->end_lsn();
+  const Lsn pin = db_.shard(0)->log_manager()->end_lsn();
   CommittedNoise(10);
-  ASSERT_TRUE(db_.buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db_.shard(0)->buffer_pool()->FlushAll().ok());
   ASSERT_TRUE(db_.Checkpoint().ok());
 
   ASSERT_TRUE(db_.ArchiveLog(pin).ok());
-  EXPECT_EQ(db_.disk()->first_retained_lsn(), pin);
+  EXPECT_EQ(db_.shard(0)->disk()->first_retained_lsn(), pin);
   // Dropping the pin lets the next run reclaim up to the checkpoint.
   Result<uint64_t> more = db_.ArchiveLog();
   ASSERT_TRUE(more.ok());
   EXPECT_GT(*more, 0u);
-  EXPECT_GT(db_.disk()->first_retained_lsn(), pin);
+  EXPECT_GT(db_.shard(0)->disk()->first_retained_lsn(), pin);
 }
 
 TEST_F(ArchiveTest, WorkAndArchivingInterleave) {
   for (int round = 0; round < 5; ++round) {
     CommittedNoise(10);
-    ASSERT_TRUE(db_.buffer_pool()->FlushAll().ok());
+    ASSERT_TRUE(db_.shard(0)->buffer_pool()->FlushAll().ok());
     ASSERT_TRUE(db_.Checkpoint().ok());
     ASSERT_TRUE(db_.ArchiveLog().ok());
   }
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(7), 50);
 }
 
@@ -259,7 +261,7 @@ TEST(ArchiveRaceTest, ArchivingBesideGroupCommitKeepsEveryAckedCommit) {
   }
   uint64_t archived = 0;
   do {
-    EXPECT_TRUE(db.buffer_pool()->FlushAll().ok());
+    EXPECT_TRUE(db.shard(0)->buffer_pool()->FlushAll().ok());
     EXPECT_TRUE(db.Checkpoint().ok());
     Result<uint64_t> dropped = db.ArchiveLog();
     EXPECT_TRUE(dropped.ok()) << dropped.status().ToString();
@@ -269,7 +271,7 @@ TEST(ArchiveRaceTest, ArchivingBesideGroupCommitKeepsEveryAckedCommit) {
   EXPECT_GT(archived, 0u);
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> recovered = db.Recover();
+  Result<RecoveryManager::Outcome> recovered = RestartAndAwait(db);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   for (int c = 0; c < kCommitters; ++c) {
     EXPECT_EQ(acked[c], kTxnsEach) << "committer " << c;

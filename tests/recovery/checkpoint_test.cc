@@ -6,6 +6,7 @@
 
 #include "core/database.h"
 #include "wal/log_record.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -133,7 +134,7 @@ TEST(CheckpointTest, RecoveryStartsFromCheckpoint) {
   ASSERT_TRUE(db.Set(t2, 3, 33).ok());
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_NE(outcome->checkpoint_used, 0u);
   EXPECT_EQ(outcome->losers, 1u);
@@ -155,7 +156,7 @@ TEST(CheckpointTest, ScopesSurviveThroughCheckpoint) {
   ASSERT_TRUE(db.Abort(t0).ok());
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(5), 42);
 }
 
@@ -169,7 +170,7 @@ TEST(CheckpointTest, LoserScopesFromCheckpointAreUndone) {
   ASSERT_TRUE(db.Commit(t0).ok());  // invoker commits, but...
 
   db.SimulateCrash();  // ...the delegatee is a loser
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(5), 0);
 }
 
@@ -179,7 +180,7 @@ TEST(CheckpointTest, NextTxnIdRestoredFromCheckpoint) {
   ASSERT_TRUE(db.Commit(t1).ok());
   ASSERT_TRUE(db.Checkpoint().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   TxnId t2 = *db.Begin();
   EXPECT_GT(t2, t1);
 }
@@ -206,25 +207,25 @@ TEST(CheckpointTest, CheckpointAfterRestartWritesBackRedonePages) {
     // No earlier checkpoint: this one writes nothing back.
     ASSERT_TRUE(db.Checkpoint().ok());
     EXPECT_EQ(db.stats().checkpoint_pages_written.value(), 0u);
-    const Lsn history_end = db.log_manager()->end_lsn();
+    const Lsn history_end = db.shard(0)->log_manager()->end_lsn();
 
     db.SimulateCrash();
-    ASSERT_TRUE(db.Recover().ok());
+    ASSERT_TRUE(RestartAndAwait(db).ok());
     ASSERT_TRUE(db.Checkpoint().ok());
     EXPECT_GT(db.stats().checkpoint_pages_written.value(), 0u);
-    EXPECT_TRUE(db.buffer_pool()->DirtyPageTable().empty());
+    EXPECT_TRUE(db.shard(0)->buffer_pool()->DirtyPageTable().empty());
     EXPECT_TRUE(db.shard(0)->table_heap()->DirtyPageTable().empty());
 
     db.SimulateCrash();
     const uint64_t forward_before = db.stats().recovery_forward_records;
-    Result<RecoveryManager::Outcome> outcome = db.Recover();
+    Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     EXPECT_GT(outcome->checkpoint_used, history_end);
     // Only what the first restart and its checkpoint appended is replayed.
     const uint64_t forward =
         db.stats().recovery_forward_records - forward_before;
     EXPECT_GT(forward, 0u);
-    EXPECT_LE(forward, db.log_manager()->end_lsn() - history_end);
+    EXPECT_LE(forward, db.shard(0)->log_manager()->end_lsn() - history_end);
     for (int i = 0; i < 40; ++i) {
       EXPECT_EQ(*db.ReadCommitted(static_cast<ObjectId>(i * 70)), i + 1);
       EXPECT_EQ(*db.TableGetCommitted("key" + std::to_string(i)),
@@ -241,9 +242,9 @@ TEST(CheckpointTest, RepeatedCheckpointsUseLatest) {
     ASSERT_TRUE(db.Commit(t).ok());
     ASSERT_TRUE(db.Checkpoint().ok());
   }
-  const Lsn master = db.disk()->master_record();
+  const Lsn master = db.shard(0)->disk()->master_record();
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->checkpoint_used, master);
   for (int round = 0; round < 3; ++round) {
@@ -257,8 +258,8 @@ TEST(CheckpointTest, CkptEndCarriesItsBeginLsn) {
   ASSERT_TRUE(db.Set(t, 1, 11).ok());
   ASSERT_TRUE(db.Commit(t).ok());
   ASSERT_TRUE(db.Checkpoint().ok());
-  const Lsn master = db.disk()->master_record();
-  Result<LogRecord> end_rec = db.log_manager()->Read(master);
+  const Lsn master = db.shard(0)->disk()->master_record();
+  Result<LogRecord> end_rec = db.shard(0)->log_manager()->Read(master);
   ASSERT_TRUE(end_rec.ok());
   Result<CheckpointData> data =
       CheckpointData::Deserialize(end_rec->ckpt_payload);
@@ -287,7 +288,7 @@ TEST(CheckpointWindowTest, CommitInsideWindowSurvives) {
   db.set_checkpoint_test_hooks({});
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->losers, 0u);
   EXPECT_EQ(*db.ReadCommitted(1), 11);
@@ -306,10 +307,10 @@ TEST(CheckpointWindowTest, CommitParkedAcrossCkptBeginSurvives) {
   Database db(options);
   TxnId t = *db.Begin();
   ASSERT_TRUE(db.Set(t, 1, 11).ok());
-  const Lsn before_commit = db.log_manager()->end_lsn();
+  const Lsn before_commit = db.shard(0)->log_manager()->end_lsn();
   Status committed;
   std::thread committer([&db, &committed, t] { committed = db.Commit(t); });
-  while (db.log_manager()->end_lsn() == before_commit) {
+  while (db.shard(0)->log_manager()->end_lsn() == before_commit) {
     std::this_thread::yield();
   }
   ASSERT_TRUE(db.Checkpoint().ok());
@@ -317,7 +318,7 @@ TEST(CheckpointWindowTest, CommitParkedAcrossCkptBeginSurvives) {
   ASSERT_TRUE(committed.ok()) << committed.ToString();
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->losers, 0u);
   EXPECT_EQ(*db.ReadCommitted(1), 11);
@@ -334,7 +335,7 @@ TEST(CheckpointWindowTest, AbortInsideWindowStaysAborted) {
   db.set_checkpoint_test_hooks({});
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->losers, 0u);  // resolved before the crash
   EXPECT_EQ(*db.ReadCommitted(1), 0);
@@ -355,7 +356,7 @@ TEST(CheckpointWindowTest, UpdateInsideWindowBySnapshottedLoserIsUndone) {
   db.set_checkpoint_test_hooks({});
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->losers, 1u);
   EXPECT_EQ(*db.ReadCommitted(1), 0);
@@ -374,7 +375,7 @@ TEST(CheckpointWindowTest, UpdateInsideWindowThenCommitSurvives) {
   ASSERT_TRUE(db.Commit(t).ok());
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 11);
   EXPECT_EQ(*db.ReadCommitted(2), 22);
 }
@@ -395,7 +396,7 @@ TEST(CheckpointWindowTest, BeginInsideWindowIsRecovered) {
   db.set_checkpoint_test_hooks({});
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->losers, 1u);
   EXPECT_EQ(*db.ReadCommitted(3), 0);
@@ -422,7 +423,7 @@ TEST(CheckpointWindowTest, DelegateAfterSnapshotIsReplayed) {
   ASSERT_TRUE(db.Abort(t0).ok());
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(5), 42);
 }
 
@@ -446,7 +447,7 @@ TEST(CheckpointWindowTest, DelegateBeforeSnapshotIsNotReplayedTwice) {
   ASSERT_TRUE(db.Abort(t0).ok());
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(5), 42);
 
   // And the loser flavor: delegatee dies with the scope.
@@ -464,7 +465,7 @@ TEST(CheckpointWindowTest, DelegateBeforeSnapshotIsNotReplayedTwice) {
   ASSERT_TRUE(db2.Commit(s0).ok());
 
   db2.SimulateCrash();  // s1 is the loser; the delegated update dies
-  ASSERT_TRUE(db2.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db2).ok());
   EXPECT_EQ(*db2.ReadCommitted(5), 0);
 }
 
@@ -478,7 +479,7 @@ TEST(CheckpointWindowTest, CrashBeforeCkptEndIgnoresTheHalfCheckpoint) {
   ASSERT_TRUE(db.Set(t, 1, 11).ok());
   ASSERT_TRUE(db.Commit(t).ok());
   ASSERT_TRUE(db.Checkpoint().ok());
-  const Lsn first_master = db.disk()->master_record();
+  const Lsn first_master = db.shard(0)->disk()->master_record();
 
   TxnId t2 = *db.Begin();
   ASSERT_TRUE(db.Set(t2, 2, 22).ok());
@@ -487,21 +488,21 @@ TEST(CheckpointWindowTest, CrashBeforeCkptEndIgnoresTheHalfCheckpoint) {
   db.set_checkpoint_test_hooks(hooks);
   ASSERT_TRUE(db.Checkpoint().ok());
   db.set_checkpoint_test_hooks({});
-  const Lsn second_master = db.disk()->master_record();
+  const Lsn second_master = db.shard(0)->disk()->master_record();
   ASSERT_TRUE(db.Sync().ok());
 
   Database crashed;
   crashed.SimulateCrash();
   std::vector<std::string> prefix;
   for (Lsn lsn = kFirstLsn; lsn < second_master; ++lsn) {
-    Result<std::string> rec = db.disk()->ReadLogRecord(lsn);
+    Result<std::string> rec = db.shard(0)->disk()->ReadLogRecord(lsn);
     ASSERT_TRUE(rec.ok()) << "LSN " << lsn;
     prefix.push_back(std::move(*rec));
   }
-  crashed.disk()->AppendLogRecords(prefix);
-  crashed.disk()->SetMasterRecord(first_master);
+  crashed.shard(0)->disk()->AppendLogRecords(prefix);
+  crashed.shard(0)->disk()->SetMasterRecord(first_master);
 
-  Result<RecoveryManager::Outcome> outcome = crashed.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(crashed);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->checkpoint_used, first_master);
   EXPECT_EQ(*crashed.ReadCommitted(1), 11);

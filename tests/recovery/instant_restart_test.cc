@@ -9,7 +9,7 @@
 // the same image; (2) reads served before the drain are already correct
 // (on-demand redo) and never expose un-undone loser values (the gate);
 // (3) blocked-scope writes wait rather than error; (4) a failed background
-// pass poisons the facade until SimulateCrash()+Recover().
+// pass poisons the facade until the next StartRecovery().
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@
 #include "storage/simulated_disk.h"
 #include "table/table_heap.h"
 #include "wal/log_record.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -259,7 +260,7 @@ TEST(InstantRestartTest, FailedBackgroundUndoPoisonsTheFacade) {
   // The documented remedy converges to the kFull ground truth.
   db.SimulateCrash();
   db.mutable_options()->faults = FaultInjection{};
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   for (const auto& [ob, expected] : truth) {
     EXPECT_EQ(*db.ReadCommitted(ob), expected) << "ob " << ob;
   }
@@ -316,7 +317,7 @@ TEST(InstantRestartTest, MidProtocolStopDuringBackgroundUndoPoisons) {
   // (awaited) reaches the ground truth: backdrop survives, losers gone.
   db.SimulateCrash();
   EXPECT_FALSE(db.poisoned());
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(a), 100);
   EXPECT_EQ(*db.ReadCommitted(b), 100);
   EXPECT_EQ(*db.ReadCommitted(a + 1024), 0);
@@ -397,7 +398,7 @@ TEST(InstantRestartTest, OpenFromBackupHonorsBothModes) {
   // The legacy in-place sequence keeps working as a tested wrapper.
   source.SimulateMediaFailure();
   ASSERT_TRUE(source.RestoreFromBackup(*backup).ok());
-  ASSERT_TRUE(source.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(source).ok());
   EXPECT_EQ(*source.ReadCommitted(1), 10);
   EXPECT_EQ(*source.ReadCommitted(3), 30);  // log survived the media failure
 }
@@ -409,7 +410,7 @@ TEST(InstantRestartTest, RecoverShimBlocksUnderInstantMode) {
   db.SimulateCrash();
   EXPECT_TRUE(db.NeedsRecovery());
   // The deprecated shim starts the instant restart and Await()s it.
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_FALSE(db.NeedsRecovery());
   ASSERT_NE(db.recovery_handle(), nullptr);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -23,7 +24,7 @@ TEST_F(MediaRecoveryTest, RestoreExactBackupState) {
 
   db_.SimulateMediaFailure();
   ASSERT_TRUE(db_.RestoreFromBackup(*backup).ok());
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 10);
 }
 
@@ -40,11 +41,11 @@ TEST_F(MediaRecoveryTest, RollsForwardPastTheBackup) {
   ASSERT_TRUE(db_.Commit(t2).ok());
   TxnId loser = *db_.Begin();
   ASSERT_TRUE(db_.Add(loser, 2, 100).ok());
-  ASSERT_TRUE(db_.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db_.shard(0)->log_manager()->FlushAll().ok());
 
   db_.SimulateMediaFailure();
   ASSERT_TRUE(db_.RestoreFromBackup(backup).ok());
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 20);
   EXPECT_EQ(*db_.ReadCommitted(2), 5);  // loser's 100 rolled back
 }
@@ -57,11 +58,11 @@ TEST_F(MediaRecoveryTest, DelegationInReplayedSuffix) {
   ASSERT_TRUE(db_.Delegate(t0, t1, DelegationSpec::Objects({5})).ok());
   ASSERT_TRUE(db_.Commit(t1).ok());
   // t0 stays active -> loser, but its update was delegated to a winner.
-  ASSERT_TRUE(db_.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db_.shard(0)->log_manager()->FlushAll().ok());
 
   db_.SimulateMediaFailure();
   ASSERT_TRUE(db_.RestoreFromBackup(backup).ok());
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(5), 42);
 }
 
@@ -77,7 +78,7 @@ TEST_F(MediaRecoveryTest, DelegationStateInsideTheBackup) {
 
   db_.SimulateMediaFailure();
   ASSERT_TRUE(db_.RestoreFromBackup(backup).ok());
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   // The delegatee never committed: the update dies with it.
   EXPECT_EQ(*db_.ReadCommitted(5), 0);
 }
@@ -101,10 +102,10 @@ TEST_F(MediaRecoveryTest, RestoreRejectedWhenLogArchivedPastBackup) {
     ASSERT_TRUE(db_.Add(t, 1, 1).ok());
     ASSERT_TRUE(db_.Commit(t).ok());
   }
-  ASSERT_TRUE(db_.buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db_.shard(0)->buffer_pool()->FlushAll().ok());
   ASSERT_TRUE(db_.Checkpoint().ok());
   ASSERT_TRUE(db_.ArchiveLog().ok());
-  ASSERT_GT(db_.disk()->first_retained_lsn(), backup.master_record);
+  ASSERT_GT(db_.shard(0)->disk()->first_retained_lsn(), backup.master_record);
 
   db_.SimulateMediaFailure();
   EXPECT_TRUE(db_.RestoreFromBackup(backup).IsIllegalState());
@@ -120,7 +121,7 @@ TEST_F(MediaRecoveryTest, RepeatedBackupsUseLatest) {
   }
   db_.SimulateMediaFailure();
   ASSERT_TRUE(db_.RestoreFromBackup(backups[2]).ok());
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 3);
 }
 
@@ -133,7 +134,7 @@ TEST_F(MediaRecoveryTest, OlderBackupAlsoRecoversViaLongerReplay) {
   }
   db_.SimulateMediaFailure();
   ASSERT_TRUE(db_.RestoreFromBackup(old_backup).ok());
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 20);
 }
 
@@ -144,13 +145,13 @@ TEST_F(MediaRecoveryTest, CrashAfterMediaRecoveryIsNormalRecovery) {
   ASSERT_TRUE(db_.Commit(t).ok());
   db_.SimulateMediaFailure();
   ASSERT_TRUE(db_.RestoreFromBackup(backup).ok());
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   // Continue working, then a plain crash.
   TxnId t2 = *db_.Begin();
   ASSERT_TRUE(db_.Set(t2, 2, 9).ok());
   ASSERT_TRUE(db_.Commit(t2).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 7);
   EXPECT_EQ(*db_.ReadCommitted(2), 9);
 }

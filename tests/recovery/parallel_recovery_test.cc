@@ -18,6 +18,7 @@
 #include "core/database.h"
 #include "obs/trace.h"
 #include "recovery/undo_rh.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -57,7 +58,7 @@ std::vector<ObjectId> BuildClusteredHistory(Database* db, int phases,
     // `loser` stays active: a loser whose scopes span only this phase's
     // LSN window.
   }
-  EXPECT_TRUE(db->log_manager()->FlushAll().ok());
+  EXPECT_TRUE(db->shard(0)->log_manager()->FlushAll().ok());
   // Dedup (phase loops re-push the same first objects only once, but keep
   // this robust to edits).
   std::sort(objects.begin(), objects.end());
@@ -190,7 +191,7 @@ TEST_P(ParallelCrashMatrixTest, InterruptedParallelRecoveryConverges) {
   // Open now recovers as part of opening, so an interrupted first attempt
   // cannot ride through Open. Rebuild the identical history in-memory (the
   // builder is deterministic) and drive the crash/retry through the
-  // SimulateCrash + Recover harness, which preserves the partially
+  // SimulateCrash + StartRecovery harness, which preserves the partially
   // recovered disk state between attempts.
   Options options;
   options.recovery_threads = threads;
@@ -207,14 +208,14 @@ TEST_P(ParallelCrashMatrixTest, InterruptedParallelRecoveryConverges) {
   } else {
     db->mutable_options()->faults.crash_after_undo_steps = crash_after;
   }
-  Result<RecoveryManager::Outcome> first = db->Recover();
+  Result<RecoveryManager::Outcome> first = RestartAndAwait(*db);
   ASSERT_FALSE(first.ok());
   EXPECT_TRUE(first.status().IsIOError()) << first.status().ToString();
   EXPECT_TRUE(db->NeedsRecovery());
 
   // Clean retry converges to the serial state.
   db->mutable_options()->faults = FaultInjection{};
-  Result<RecoveryManager::Outcome> second = db->Recover();
+  Result<RecoveryManager::Outcome> second = RestartAndAwait(*db);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->winners, serial.outcome.winners);
   EXPECT_EQ(second->losers, serial.outcome.losers);
@@ -242,10 +243,10 @@ Lsn BuildGappedLoserHistory(Database* db) {
       EXPECT_TRUE(
           db->Add(loser, PhaseObject(p, 2 * kObjectsPerPage + j), 1).ok());
       oldest_loser_update =
-          std::min(oldest_loser_update, db->log_manager()->end_lsn());
+          std::min(oldest_loser_update, db->shard(0)->log_manager()->end_lsn());
     }
   }
-  EXPECT_TRUE(db->log_manager()->FlushAll().ok());
+  EXPECT_TRUE(db->shard(0)->log_manager()->FlushAll().ok());
   return oldest_loser_update;
 }
 
@@ -277,7 +278,7 @@ TEST_P(SkipAccountingTest, ExaminedPlusSkippedSpansTheSweep) {
     Database db;
     oldest = BuildGappedLoserHistory(&db);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
-    scan_end = db.log_manager()->flushed_lsn();
+    scan_end = db.shard(0)->log_manager()->flushed_lsn();
     ASSERT_TRUE(db.SaveTo(path).ok());
   }
 

@@ -10,6 +10,7 @@
 #include <functional>
 
 #include "core/database.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -74,7 +75,7 @@ std::vector<Scenario> Scenarios() {
          (void)db.Commit(a);
          (void)db.Commit(c);
          // b stays active -> loser
-         (void)db.log_manager()->FlushAll();
+         (void)db.shard(0)->log_manager()->FlushAll();
        },
        {1, 2, 3}},
   };
@@ -99,7 +100,7 @@ TEST_P(BaselineEquivalenceTest, AllModesAgreeAfterRecovery) {
     Database db(options);
     scenario.run(db);
     db.SimulateCrash();
-    Result<RecoveryManager::Outcome> outcome = db.Recover();
+    Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
     ASSERT_TRUE(outcome.ok())
         << DelegationModeName(mode) << ": " << outcome.status().ToString();
     for (ObjectId ob : scenario.objects) {
@@ -140,7 +141,7 @@ TEST(BaselineCostTest, EagerRewritesStableLogAtDelegateTime) {
   ASSERT_TRUE(db.Set(t0, 1, 10).ok());
   ASSERT_TRUE(db.Set(t0, 2, 20).ok());
   // Force the records to stable storage so the rewrite hits the disk.
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
   const Stats before = db.stats();
   ASSERT_TRUE(db.Delegate(t0, t1, DelegationSpec::Objects({1, 2})).ok());
   const Stats delta = db.stats().Delta(before);
@@ -154,7 +155,7 @@ TEST(BaselineCostTest, RhOnlyAppendsAtDelegateTime) {
   TxnId t1 = *db.Begin();
   ASSERT_TRUE(db.Set(t0, 1, 10).ok());
   ASSERT_TRUE(db.Set(t0, 2, 20).ok());
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
   const Stats before = db.stats();
   ASSERT_TRUE(db.Delegate(t0, t1, DelegationSpec::Objects({1, 2})).ok());
   const Stats delta = db.stats().Delta(before);
@@ -170,7 +171,7 @@ TEST(BaselineCostTest, LazyRewriteDefersCostToRecovery) {
   TxnId t0 = *db.Begin();
   TxnId t1 = *db.Begin();
   ASSERT_TRUE(db.Set(t0, 1, 10).ok());
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
   const Stats before_delegate = db.stats();
   ASSERT_TRUE(db.Delegate(t0, t1, DelegationSpec::Objects({1})).ok());
   EXPECT_EQ(db.stats().Delta(before_delegate).log_rewrites, 0u);
@@ -178,7 +179,7 @@ TEST(BaselineCostTest, LazyRewriteDefersCostToRecovery) {
   ASSERT_TRUE(db.Commit(t1).ok());
   db.SimulateCrash();
   const Stats before_recovery = db.stats();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   // Recovery physically rewrote history.
   EXPECT_GT(db.stats().Delta(before_recovery).log_rewrites, 0u);
   EXPECT_EQ(*db.ReadCommitted(1), 10);
@@ -197,7 +198,7 @@ TEST(BaselineCostTest, EagerCostGrowsWithChainLength) {
     for (int i = 0; i < n; ++i) {
       ASSERT_TRUE(db.Add(t0, 1, 1).ok());
     }
-    ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+    ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
     const Stats before = db.stats();
     ASSERT_TRUE(db.Delegate(t0, t1, DelegationSpec::Objects({1})).ok());
     const uint64_t reads = db.stats().Delta(before).log_random_reads +

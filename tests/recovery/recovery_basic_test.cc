@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -37,7 +38,7 @@ TEST_P(RecoveryBasicTest, CommittedUpdatesSurviveCrash) {
   ASSERT_TRUE(db.Add(t, 2, 5).ok());
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->winners, 1u);
   EXPECT_EQ(outcome->losers, 0u);
@@ -55,10 +56,10 @@ TEST_P(RecoveryBasicTest, UncommittedUpdatesAreLost) {
   ASSERT_TRUE(db.Set(loser, 1, 99).ok());
   ASSERT_TRUE(db.Set(loser, 2, 99).ok());
   // Force the loser's records to disk so undo has real work.
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->losers, 1u);
   EXPECT_EQ(*db.ReadCommitted(1), 10);
@@ -71,7 +72,7 @@ TEST_P(RecoveryBasicTest, UnflushedTailIsSimplyGone) {
   ASSERT_TRUE(db.Set(t, 1, 10).ok());
   // No commit, no flush: the whole transaction lives in the volatile tail.
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->winners + outcome->losers, 0u);
   EXPECT_EQ(*db.ReadCommitted(1), 0);
@@ -87,11 +88,11 @@ TEST_P(RecoveryBasicTest, StolenDirtyPagesAreRolledBack) {
   ASSERT_TRUE(db.Set(loser, 0, 77).ok());  // page 0
   // Touch another page: evicts page 0 (dirty, uncommitted) to disk.
   ASSERT_TRUE(db.Set(loser, kObjectsPerPage, 88).ok());
-  ASSERT_TRUE(db.buffer_pool()->FlushAll().ok());
-  EXPECT_TRUE(db.disk()->HasPage(0));
+  ASSERT_TRUE(db.shard(0)->buffer_pool()->FlushAll().ok());
+  EXPECT_TRUE(db.shard(0)->disk()->HasPage(0));
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(0), 0);
   EXPECT_EQ(*db.ReadCommitted(kObjectsPerPage), 0);
 }
@@ -102,9 +103,9 @@ TEST_P(RecoveryBasicTest, NoForceCommittedPagesAreRedone) {
   TxnId t = *db.Begin();
   ASSERT_TRUE(db.Set(t, 1, 10).ok());
   ASSERT_TRUE(db.Commit(t).ok());
-  EXPECT_FALSE(db.disk()->HasPage(PageOf(1)));  // never flushed
+  EXPECT_FALSE(db.shard(0)->disk()->HasPage(PageOf(1)));  // never flushed
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 10);
 }
 
@@ -113,9 +114,9 @@ TEST_P(RecoveryBasicTest, AbortedBeforeCrashStaysAborted) {
   TxnId t = *db.Begin();
   ASSERT_TRUE(db.Set(t, 1, 10).ok());
   ASSERT_TRUE(db.Abort(t).ok());
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 0);
 }
 
@@ -131,9 +132,9 @@ TEST_P(RecoveryBasicTest, CrashDuringRollbackResumesViaClrs) {
   TxnId t = *db.Begin();
   ASSERT_TRUE(db.Add(t, 1, 100).ok());
   ASSERT_TRUE(db.Abort(t).ok());  // writes CLR (value back to 5) + END
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 5);  // not 5-100
 }
 
@@ -145,11 +146,11 @@ TEST_P(RecoveryBasicTest, RepeatedCrashRecoverIsIdempotent) {
   ASSERT_TRUE(db.Commit(w).ok());
   TxnId l = *db.Begin();
   ASSERT_TRUE(db.Add(l, 2, 100).ok());
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
 
   for (int round = 0; round < 4; ++round) {
     db.SimulateCrash();
-    ASSERT_TRUE(db.Recover().ok()) << "round " << round;
+    ASSERT_TRUE(RestartAndAwait(db).ok()) << "round " << round;
     EXPECT_EQ(*db.ReadCommitted(1), 10);
     EXPECT_EQ(*db.ReadCommitted(2), 3);
   }
@@ -162,12 +163,12 @@ TEST_P(RecoveryBasicTest, TornTailRecordIsDiscarded) {
   ASSERT_TRUE(db.Commit(w).ok());
   TxnId l = *db.Begin();
   ASSERT_TRUE(db.Set(l, 2, 20).ok());
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
   // The last stable record is torn mid-write.
-  ASSERT_TRUE(db.disk()->CorruptLogTail(3).ok());
+  ASSERT_TRUE(db.shard(0)->disk()->CorruptLogTail(3).ok());
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 10);  // durable prefix intact
 }
 
@@ -177,14 +178,14 @@ TEST_P(RecoveryBasicTest, WorkContinuesAfterRecovery) {
   ASSERT_TRUE(db.Set(t, 1, 10).ok());
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
 
   TxnId t2 = *db.Begin();
   EXPECT_GT(t2, t);  // ids not reused
   ASSERT_TRUE(db.Set(t2, 1, 20).ok());
   ASSERT_TRUE(db.Commit(t2).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 20);
 }
 
@@ -194,13 +195,13 @@ TEST_P(RecoveryBasicTest, ApiRejectedWhileCrashed) {
   EXPECT_TRUE(db.Begin().status().IsIllegalState());
   EXPECT_TRUE(db.ReadCommitted(1).status().IsIllegalState());
   EXPECT_TRUE(db.Checkpoint().IsIllegalState());
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_TRUE(db.Begin().ok());
 }
 
 TEST_P(RecoveryBasicTest, RecoverWithoutCrashRejected) {
   Database db(MakeOptions());
-  EXPECT_TRUE(db.Recover().status().IsIllegalState());
+  EXPECT_TRUE(RestartAndAwait(db).status().IsIllegalState());
 }
 
 TEST_P(RecoveryBasicTest, ManyTransactionsMixedFates) {
@@ -217,9 +218,9 @@ TEST_P(RecoveryBasicTest, ManyTransactionsMixedFates) {
     }
     // i % 3 == 2: left active -> loser at crash
   }
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(7), committed_sum);
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -14,10 +15,10 @@ class RecoveryDelegationTest : public ::testing::Test {
  protected:
   Database db_;
 
-  void FlushLog() { ASSERT_TRUE(db_.log_manager()->FlushAll().ok()); }
+  void FlushLog() { ASSERT_TRUE(db_.shard(0)->log_manager()->FlushAll().ok()); }
   void CrashAndRecover() {
     db_.SimulateCrash();
-    Result<RecoveryManager::Outcome> outcome = db_.Recover();
+    Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db_);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   }
 };
@@ -179,7 +180,7 @@ TEST_F(RecoveryDelegationTest, CrashDuringDelegateeRollbackResumes) {
   EXPECT_EQ(*db_.ReadCommitted(5), 0);
   EXPECT_EQ(*db_.ReadCommitted(6), 0);
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(5), 0);
   EXPECT_EQ(*db_.ReadCommitted(6), 0);
 }
@@ -197,7 +198,7 @@ TEST_F(RecoveryDelegationTest, RepeatedRecoveryWithDelegationsIsStable) {
   FlushLog();
   for (int round = 0; round < 3; ++round) {
     db_.SimulateCrash();
-    ASSERT_TRUE(db_.Recover().ok()) << "round " << round;
+    ASSERT_TRUE(RestartAndAwait(db_).ok()) << "round " << round;
     EXPECT_EQ(*db_.ReadCommitted(1), 10);
     EXPECT_EQ(*db_.ReadCommitted(2), 0);  // t2 never committed
   }
@@ -229,7 +230,7 @@ TEST_F(RecoveryDelegationTest, RhNeverRewritesStableLog) {
   ASSERT_TRUE(db_.Delegate(t0, t1, DelegationSpec::Objects({5})).ok());
   ASSERT_TRUE(db_.Commit(t0).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(db_.stats().log_rewrites, 0u);
 }
 

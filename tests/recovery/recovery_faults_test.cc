@@ -11,6 +11,7 @@
 #include "core/database.h"
 #include "core/oracle.h"
 #include "util/random.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -53,7 +54,7 @@ void BuildHistory(Database* db, HistoryOracle* oracle) {
   oracle->Update(txns[5], 9, UpdateKind::kAdd, 80);
   ASSERT_TRUE(db->Commit(txns[5]).ok());
   oracle->Commit(txns[5]);
-  ASSERT_TRUE(db->log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db->shard(0)->log_manager()->FlushAll().ok());
 }
 
 void VerifyAgainstOracle(Database* db, const HistoryOracle& oracle) {
@@ -97,14 +98,14 @@ TEST_P(CrashDuringRecoveryTest, InterruptedUndoConverges) {
 
   // First recovery attempt dies mid-undo.
   db.mutable_options()->faults.crash_after_undo_steps = crash_after;
-  Result<RecoveryManager::Outcome> first = db.Recover();
+  Result<RecoveryManager::Outcome> first = RestartAndAwait(db);
   ASSERT_FALSE(first.ok());
   EXPECT_TRUE(first.status().IsIOError());
   EXPECT_TRUE(db.NeedsRecovery());
 
   // Second attempt runs to completion and must converge to the oracle.
   db.mutable_options()->faults.crash_after_undo_steps = 0;
-  Result<RecoveryManager::Outcome> second = db.Recover();
+  Result<RecoveryManager::Outcome> second = RestartAndAwait(db);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   VerifyAgainstOracle(&db, oracle);
 }
@@ -127,7 +128,7 @@ TEST_P(CrashDuringRecoveryTest, RepeatedlyInterruptedUndoConverges) {
   while (true) {
     ASSERT_LT(attempts, 100) << "recovery is not making progress";
     db.mutable_options()->faults.crash_after_undo_steps = crash_after;
-    Result<RecoveryManager::Outcome> outcome = db.Recover();
+    Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
     ++attempts;
     if (outcome.ok()) break;
     ASSERT_TRUE(outcome.status().IsIOError());
@@ -147,7 +148,7 @@ TEST(UndoStrategyAblationTest, FullScanMatchesClusterSweepState) {
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
     db.SimulateCrash();
     oracle.Crash();
-    ASSERT_TRUE(db.Recover().ok()) << UndoStrategyName(strategy);
+    ASSERT_TRUE(RestartAndAwait(db).ok()) << UndoStrategyName(strategy);
     VerifyAgainstOracle(&db, oracle);
   }
 }
@@ -168,10 +169,10 @@ TEST(UndoStrategyAblationTest, ClusterSweepExaminesFarFewerRecords) {
     }
     TxnId late = *db.Begin();
     EXPECT_TRUE(db.Add(late, 3, 7).ok());
-    EXPECT_TRUE(db.log_manager()->FlushAll().ok());
+    EXPECT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
     db.SimulateCrash();
     const Stats before = db.stats();
-    EXPECT_TRUE(db.Recover().ok());
+    EXPECT_TRUE(RestartAndAwait(db).ok());
     return db.stats().Delta(before).recovery_backward_examined;
   };
   const uint64_t clusters = examined_by(UndoStrategy::kScopeClusters);
@@ -190,9 +191,9 @@ TEST(UndoStrategyAblationTest, InterruptedFullScanAlsoConverges) {
   db.SimulateCrash();
   oracle.Crash();
   db.mutable_options()->faults.crash_after_undo_steps = 2;
-  ASSERT_FALSE(db.Recover().ok());
+  ASSERT_FALSE(RestartAndAwait(db).ok());
   db.mutable_options()->faults.crash_after_undo_steps = 0;
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   VerifyAgainstOracle(&db, oracle);
 }
 

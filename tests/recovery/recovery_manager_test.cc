@@ -5,6 +5,7 @@
 
 #include "core/database.h"
 #include "recovery/recovery_manager.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -51,7 +52,7 @@ TEST(TruncateTornTailTest, EntirelyGarbageLogTruncatesToEmpty) {
 TEST(RecoveryManagerTest, EmptyLogRecovery) {
   Database db;
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->winners, 0u);
   EXPECT_EQ(outcome->losers, 0u);
@@ -68,9 +69,9 @@ TEST(RecoveryManagerTest, MasterPointingAtNonCheckpointIsCorruption) {
   ASSERT_TRUE(db.Set(t, 1, 1).ok());
   ASSERT_TRUE(db.Commit(t).ok());
   // Sabotage: master points at the BEGIN record.
-  db.disk()->SetMasterRecord(1);
+  db.shard(0)->disk()->SetMasterRecord(1);
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_FALSE(outcome.ok());
   EXPECT_TRUE(outcome.status().IsCorruption());
 }
@@ -82,9 +83,9 @@ TEST(RecoveryManagerTest, MasterBeyondLogEndIsIgnored) {
   ASSERT_TRUE(db.Commit(t).ok());
   // A master record that points past the durable log (e.g. the checkpoint
   // record itself was torn away) must be ignored, not fatal.
-  db.disk()->SetMasterRecord(10000);
+  db.shard(0)->disk()->SetMasterRecord(10000);
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->checkpoint_used, 0u);
   EXPECT_EQ(*db.ReadCommitted(1), 7);
@@ -101,9 +102,9 @@ TEST(RecoveryManagerTest, OutcomeCountsWinnersAndLosers) {
     TxnId t = *db.Begin();
     ASSERT_TRUE(db.Add(t, 2, 1).ok());
   }
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->winners, 3u);
   EXPECT_EQ(outcome->losers, 2u);
@@ -113,16 +114,17 @@ TEST(RecoveryManagerTest, LosersGetEndRecords) {
   Database db;
   TxnId loser = *db.Begin();
   ASSERT_TRUE(db.Add(loser, 1, 5).ok());
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   // The last durable record is the loser's END (after its CLR).
-  LogRecord last = *db.log_manager()->Read(db.log_manager()->flushed_lsn());
+  LogManager* log = db.shard(0)->log_manager();
+  LogRecord last = *log->Read(log->flushed_lsn());
   EXPECT_EQ(last.type, LogRecordType::kEnd);
   EXPECT_EQ(last.txn_id, loser);
   // A further recovery finds no losers at all.
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->losers, 0u);
 }
@@ -136,7 +138,7 @@ TEST(RecoveryManagerTest, CommittedButUnendedTxnGetsEnd) {
   ASSERT_TRUE(db.Commit(t).ok());
   // The END record sits in the tail; drop it by truncating to the COMMIT.
   db.SimulateCrash();  // tail (incl. END if unflushed) discarded
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->winners, 1u);
   EXPECT_EQ(*db.ReadCommitted(1), 10);
@@ -149,7 +151,7 @@ TEST(RecoveryManagerTest, RecoveryPassesCounted) {
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
   const Stats before = db.stats();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   const Stats delta = db.stats().Delta(before);
   EXPECT_EQ(delta.recovery_passes, 2u);
   EXPECT_GT(delta.recovery_forward_records, 0u);

@@ -20,6 +20,7 @@
 #include "table/table_heap.h"
 #include "util/random.h"
 #include "wal/log_record.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -49,7 +50,7 @@ class TortureDriver {
   void CrashAndCheck() {
     db_->SimulateCrash();
     oracle_.Crash();
-    Result<RecoveryManager::Outcome> outcome = db_->Recover();
+    Result<RecoveryManager::Outcome> outcome = RestartAndAwait(*db_);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     for (const auto& [ob, expected] : oracle_.ExpectedValues()) {
       Result<int64_t> got = db_->ReadCommitted(ob);
@@ -94,7 +95,7 @@ class TortureDriver {
     const TxnId from = PickActive();
     TxnId to = PickActive();
     if (from == to) return;
-    const Transaction* tx = db_->txn_manager()->Find(from);
+    const Transaction* tx = db_->shard(0)->txn_manager()->Find(from);
     if (tx == nullptr || tx->ob_list.empty()) return;
     // Pick a random subset of the delegator's objects.
     std::vector<ObjectId> objects;
@@ -222,7 +223,7 @@ std::optional<std::vector<int64_t>> RecoverPrefix(Database* source,
   copy.SimulateCrash();
   if (stable_pages) {
     std::unordered_map<PageId, std::string> pages;
-    for (auto& [id, image] : source->disk()->ClonePages()) {
+    for (auto& [id, image] : source->shard(0)->disk()->ClonePages()) {
       Result<Page> page = Page::Deserialize(image);
       if (!page.ok()) {
         ADD_FAILURE() << "page " << id << ": " << page.status().ToString();
@@ -230,20 +231,20 @@ std::optional<std::vector<int64_t>> RecoverPrefix(Database* source,
       }
       if (page->page_lsn() <= crash_lsn) pages.emplace(id, std::move(image));
     }
-    copy.disk()->RestorePages(std::move(pages));
+    copy.shard(0)->disk()->RestorePages(std::move(pages));
   }
   std::vector<std::string> prefix;
   for (Lsn lsn = kFirstLsn; lsn <= crash_lsn; ++lsn) {
-    Result<std::string> rec = source->disk()->ReadLogRecord(lsn);
+    Result<std::string> rec = source->shard(0)->disk()->ReadLogRecord(lsn);
     if (!rec.ok()) {
       ADD_FAILURE() << "read LSN " << lsn << ": " << rec.status().ToString();
       return std::nullopt;
     }
     prefix.push_back(std::move(*rec));
   }
-  copy.disk()->AppendLogRecords(prefix);
-  if (master != 0) copy.disk()->SetMasterRecord(master);
-  Result<RecoveryManager::Outcome> outcome = copy.Recover();
+  copy.shard(0)->disk()->AppendLogRecords(prefix);
+  if (master != 0) copy.shard(0)->disk()->SetMasterRecord(master);
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(copy);
   if (!outcome.ok()) {
     ADD_FAILURE() << "recover(crash=" << crash_lsn << ", master=" << master
                   << "): " << outcome.status().ToString();
@@ -269,7 +270,7 @@ TEST(ConcurrentCheckpointWindowTest, CrashAtEveryWindowLsnMatchesLogHead) {
   ASSERT_TRUE(db.Set(seed, 0, 1).ok());
   ASSERT_TRUE(db.Commit(seed).ok());
   ASSERT_TRUE(db.Checkpoint().ok());
-  const Lsn first_master = db.disk()->master_record();
+  const Lsn first_master = db.shard(0)->disk()->master_record();
 
   std::atomic<bool> window_open{false};
   std::atomic<bool> workers_done{false};
@@ -277,8 +278,9 @@ TEST(ConcurrentCheckpointWindowTest, CrashAtEveryWindowLsnMatchesLogHead) {
   // Parks the checkpoint thread until the workers have pushed `n` more
   // records into the window (or finished, so the test can never hang).
   auto wait_for_growth = [&db, &workers_done](uint64_t n) {
-    const Lsn target = db.log_manager()->end_lsn() + n;
-    while (db.log_manager()->end_lsn() < target && !workers_done.load()) {
+    const Lsn target = db.shard(0)->log_manager()->end_lsn() + n;
+    while (db.shard(0)->log_manager()->end_lsn() < target &&
+           !workers_done.load()) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   };
@@ -329,9 +331,9 @@ TEST(ConcurrentCheckpointWindowTest, CrashAtEveryWindowLsnMatchesLogHead) {
   ASSERT_TRUE(ckpt_status.ok()) << ckpt_status.ToString();
   ASSERT_TRUE(db.Sync().ok());
 
-  const Lsn ckpt_end = db.disk()->master_record();
+  const Lsn ckpt_end = db.shard(0)->disk()->master_record();
   ASSERT_NE(ckpt_end, first_master);
-  Result<LogRecord> end_rec = db.log_manager()->Read(ckpt_end);
+  Result<LogRecord> end_rec = db.shard(0)->log_manager()->Read(ckpt_end);
   ASSERT_TRUE(end_rec.ok());
   Result<CheckpointData> ckpt =
       CheckpointData::Deserialize(end_rec->ckpt_payload);
@@ -342,7 +344,7 @@ TEST(ConcurrentCheckpointWindowTest, CrashAtEveryWindowLsnMatchesLogHead) {
   // proves nothing about reconciliation.
   ASSERT_GT(ckpt_end - ckpt_begin, 16u);
 
-  const Lsn log_end = db.disk()->stable_end_lsn();
+  const Lsn log_end = db.shard(0)->disk()->stable_end_lsn();
   const Lsn last_crash = std::min(log_end, ckpt_end + 12);
   for (Lsn crash = ckpt_begin; crash <= last_crash; ++crash) {
     // Before CKPT_END is durable the concurrent checkpoint never existed;
@@ -429,7 +431,7 @@ TEST_P(WriteBackCrashMatrixTest, CrashAfterBucketMatchesTheCommittedState) {
   run(80);
   ASSERT_TRUE(db.Checkpoint().ok());
   run(80);
-  const Lsn master_before = db.disk()->master_record();
+  const Lsn master_before = db.shard(0)->disk()->master_record();
   // A loser whose writes may reach the stable pages with their chains.
   const TxnId loser = *db.Begin();
   ASSERT_TRUE(db.TablePut(loser, "key1", std::string(900, 'L')).ok());
@@ -448,10 +450,10 @@ TEST_P(WriteBackCrashMatrixTest, CrashAfterBucketMatchesTheCommittedState) {
   ASSERT_TRUE(fired);
   ASSERT_FALSE(ckpt.ok());
   ASSERT_GT(db.stats().checkpoint_pages_written.value(), 0u);
-  ASSERT_EQ(db.disk()->master_record(), master_before);
+  ASSERT_EQ(db.shard(0)->disk()->master_record(), master_before);
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   for (uint64_t i = 0; i < 240; ++i) {
     const std::string key = "key" + std::to_string(i);

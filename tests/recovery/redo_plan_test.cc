@@ -52,7 +52,7 @@ void BuildSeededHistory(Database* db) {
       partner = txn;  // left active: a loser at the crash
     }
     if (i == kTxns / 3) {
-      ASSERT_TRUE(db->buffer_pool()->FlushAll().ok());
+      ASSERT_TRUE(db->shard(0)->buffer_pool()->FlushAll().ok());
     }
     if (i == kTxns / 2) {
       ASSERT_TRUE(db->Checkpoint().ok());
@@ -79,8 +79,9 @@ TEST(RedoPlanTest, PlanIsKeyedByPageInLsnOrder) {
   ForwardPassOptions opts;
   opts.kind = ForwardPassKind::kAnalysisCollectRedo;
   Result<ForwardPassResult> fwd =
-      ForwardPass(DelegationMode::kRH, db.log_manager(), db.buffer_pool(),
-                  &stats, /*ckpt=*/nullptr, /*ckpt_end_lsn=*/0, opts);
+      ForwardPass(DelegationMode::kRH, db.shard(0)->log_manager(),
+                  db.shard(0)->buffer_pool(), &stats, /*ckpt=*/nullptr,
+                  /*ckpt_end_lsn=*/0, opts);
   ASSERT_TRUE(fwd.ok()) << fwd.status().ToString();
   const RedoPlan& plan = fwd->redo_plan;
 
@@ -109,8 +110,9 @@ TEST(RedoPlanTest, PlanIsKeyedByPageInLsnOrder) {
 
   // The plan holds exactly the page and table records of the log.
   uint64_t expected = 0;
-  for (Lsn lsn = kFirstLsn; lsn <= db.log_manager()->flushed_lsn(); ++lsn) {
-    Result<LogRecord> rec = db.log_manager()->Read(lsn);
+  for (Lsn lsn = kFirstLsn; lsn <= db.shard(0)->log_manager()->flushed_lsn();
+       ++lsn) {
+    Result<LogRecord> rec = db.shard(0)->log_manager()->Read(lsn);
     ASSERT_TRUE(rec.ok());
     switch (rec->type) {
       case LogRecordType::kUpdate:

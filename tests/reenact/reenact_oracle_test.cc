@@ -23,6 +23,7 @@
 #include "reenact/reenact.h"
 #include "txn/txn_manager.h"
 #include "util/random.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -112,13 +113,13 @@ TEST(ReenactOracleTest, StateAtTailByteMatchesNormalRecovery) {
           // Mid-run crash: in-flight transactions become losers and the
           // delegation log carries CLRs + voided legs into the final state.
           db.SimulateCrash();
-          ASSERT_TRUE(db.Recover().ok());
+          ASSERT_TRUE(RestartAndAwait(db).ok());
           open.clear();
         }
       }
       // Final crash + normal restart recovery: the oracle state.
       db.SimulateCrash();
-      ASSERT_TRUE(db.Recover().ok());
+      ASSERT_TRUE(RestartAndAwait(db).ok());
       Result<StateImage> oracle = reenact::CaptureCommittedState(&db);
       ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
 

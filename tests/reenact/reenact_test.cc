@@ -14,6 +14,7 @@
 #include "obs/observability.h"
 #include "replication/log_shipping.h"
 #include "wal/log_dump.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -65,7 +66,7 @@ TEST(ReenactStateTest, CutRewindsToPastCommittedState) {
   TxnId t1 = *db.Begin();
   ASSERT_TRUE(db.Set(t1, 1, 10).ok());
   ASSERT_TRUE(db.Commit(t1).ok());
-  const Lsn after_first = db.log_manager()->flushed_lsn();
+  const Lsn after_first = db.shard(0)->log_manager()->flushed_lsn();
   TxnId t2 = *db.Begin();
   ASSERT_TRUE(db.Set(t2, 1, 20).ok());
   ASSERT_TRUE(db.Set(t2, 3, 30).ok());
@@ -90,7 +91,7 @@ TEST(ReenactStateTest, UncommittedWorkIsRolledBackAtTheCut) {
   TxnId open = *db.Begin();
   ASSERT_TRUE(db.Set(open, 1, 99).ok());
   ASSERT_TRUE(db.TablePut(open, "k", "uncommitted").ok());
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
 
   // The open transaction is a loser at the cut: its effects are reenacted
   // away exactly as a crash at this instant would undo them.
@@ -121,7 +122,7 @@ TEST(ReenactStateTest, DisabledModeRollsBackOpenTransactionsLikeRestart) {
   ASSERT_TRUE(db.Add(later, 2, 4).ok());
   ASSERT_TRUE(db.TablePut(later, "z", "later").ok());
   ASSERT_TRUE(db.Commit(later).ok());
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
 
   Result<StateImage> reenacted = db.ReenactStateAt();
   ASSERT_TRUE(reenacted.ok()) << reenacted.status().ToString();
@@ -133,7 +134,7 @@ TEST(ReenactStateTest, DisabledModeRollsBackOpenTransactionsLikeRestart) {
   EXPECT_EQ(replay->objects.at(2).second, 9);
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   Result<StateImage> restarted = reenact::CaptureCommittedState(&db);
   ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
   EXPECT_EQ(reenacted->Serialize(), restarted->Serialize());
@@ -158,8 +159,8 @@ TEST(ReenactStateTest, StateAtSkipsTheWinnerMiddle) {
   }
   TxnId late_loser = *db.Begin();
   ASSERT_TRUE(db.Add(late_loser, 3, 7).ok());
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
-  const Lsn tail = db.log_manager()->flushed_lsn();
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
+  const Lsn tail = db.shard(0)->log_manager()->flushed_lsn();
 
   const Stats before = db.stats();
   Result<StateImage> state = db.ReenactStateAt();
@@ -228,7 +229,7 @@ TEST(ReenactWhodunitTest, OpenTransactionReportsUncommitted) {
   Database db;
   TxnId t = *db.Begin();
   ASSERT_TRUE(db.Set(t, 4, 44).ok());
-  ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
   Result<ResponsibilityAnswer> answer = db.ReenactWhodunit(4);
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(answer->responsible, t);
@@ -307,7 +308,7 @@ TEST(ReenactChainTest, CrossShardDelegationSpansACrash) {
   ASSERT_TRUE(db.Commit(tee).ok());
   ASSERT_TRUE(db.Commit(tor).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
 
   Result<std::vector<TransferHop>> chain = db.ReenactTransferChain(a);
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
@@ -350,7 +351,7 @@ TEST(ReenactChainTest, VoidedCrossShardLegIsMarked) {
   ASSERT_FALSE(db.Delegate(tor, tee, DelegationSpec::Objects({a, b})).ok());
   db.set_protocol_test_hook(nullptr);
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
 
   Result<std::vector<TransferHop>> chain = db.ReenactTransferChain(a);
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
@@ -411,7 +412,7 @@ TEST(ReenactArchiveTest, CutBelowRetainedHistoryFailsLoudly) {
       ASSERT_TRUE(db.Add(t, 1, 1).ok());
       ASSERT_TRUE(db.Commit(t).ok());
     }
-    ASSERT_TRUE(db.buffer_pool()->FlushAll().ok());
+    ASSERT_TRUE(db.shard(0)->buffer_pool()->FlushAll().ok());
     ASSERT_TRUE(db.Checkpoint().ok());
     ASSERT_TRUE(db.ArchiveLog().ok());
     TxnId t = *db.Begin();
@@ -454,7 +455,7 @@ TEST(ReenactArchiveTest, AnchoredReplayDoesNotDoubleApplyBasePages) {
     ASSERT_TRUE(db.Add(t, 1, 1).ok());
     ASSERT_TRUE(db.Commit(t).ok());
   }
-  ASSERT_TRUE(db.buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->buffer_pool()->FlushAll().ok());
   ASSERT_TRUE(db.Checkpoint().ok());
   ASSERT_TRUE(db.ArchiveLog().ok());
   for (int i = 0; i < 3; ++i) {
@@ -491,7 +492,7 @@ TEST(ReenactCheckpointTest, CutsInsideTheCheckpointWindowAreExact) {
   // Walk the object's history and reenact a cut right before each add: the
   // value must be the exact prefix sum at every cut depth.
   Result<std::vector<ObjectHistoryEntry>> history =
-      ObjectHistory(*db.log_manager(), 1);
+      ObjectHistory(*db.shard(0)->log_manager(), 1);
   ASSERT_TRUE(history.ok()) << history.status().ToString();
   ASSERT_EQ(history->size(), 4u);
   const int64_t prefix_sums[] = {0, 1, 11, 111};
@@ -524,7 +525,7 @@ TEST(ReenactModeTest, CrashedEngineMustRecoverFirst) {
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
   EXPECT_FALSE(db.ReenactStateAt().ok());
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_TRUE(db.ReenactStateAt().ok());
 }
 

@@ -25,7 +25,7 @@ TEST(StandbyReplicaTest, ShipsCommittedWork) {
   ASSERT_TRUE(primary.Commit(t).ok());
   ASSERT_TRUE(standby.SyncFrom(primary).ok());
   EXPECT_EQ(standby.shipped_through(),
-            primary.log_manager()->flushed_lsn());
+            primary.shard(0)->log_manager()->flushed_lsn());
 
   Result<std::unique_ptr<Database>> promoted = std::move(standby).Promote();
   ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
@@ -41,7 +41,7 @@ TEST(StandbyReplicaTest, InFlightTransactionsResolveAtPromotion) {
   ASSERT_TRUE(primary.Commit(winner).ok());
   TxnId loser = *primary.Begin();
   ASSERT_TRUE(primary.Set(loser, 2, 99).ok());
-  ASSERT_TRUE(primary.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(primary.shard(0)->log_manager()->FlushAll().ok());
 
   ASSERT_TRUE(standby.SyncFrom(primary).ok());
   // The primary "dies"; promotion rolls the in-flight loser back.
@@ -122,7 +122,7 @@ TEST(StandbyReplicaTest, ArchivedPrimaryRequiresReseed) {
     ASSERT_TRUE(primary.Add(t, 1, 1).ok());
     ASSERT_TRUE(primary.Commit(t).ok());
   }
-  ASSERT_TRUE(primary.buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(primary.shard(0)->buffer_pool()->FlushAll().ok());
   ASSERT_TRUE(primary.Checkpoint().ok());
   ASSERT_TRUE(primary.ArchiveLog().ok());
   EXPECT_TRUE(standby.SyncFrom(primary).IsIllegalState());
@@ -138,7 +138,7 @@ TEST(StandbyReplicaTest, RetentionPinSurvivesContinuousArchiving) {
     TxnId t = *primary.Begin();
     ASSERT_TRUE(primary.Add(t, 1, 1).ok());
     ASSERT_TRUE(primary.Commit(t).ok());
-    ASSERT_TRUE(primary.buffer_pool()->FlushAll().ok());
+    ASSERT_TRUE(primary.shard(0)->buffer_pool()->FlushAll().ok());
     ASSERT_TRUE(primary.Checkpoint().ok());
     ASSERT_TRUE(primary.ArchiveLog(standby.RetentionPin()).ok());
     ASSERT_TRUE(standby.SyncFrom(primary).ok());
@@ -157,7 +157,7 @@ TEST(StandbyReplicaTest, ArchivingPastTheStandbyForcesReseed) {
   TxnId t = *primary.Begin();
   ASSERT_TRUE(primary.Add(t, 1, 1).ok());
   ASSERT_TRUE(primary.Commit(t).ok());
-  ASSERT_TRUE(primary.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(primary.shard(0)->log_manager()->FlushAll().ok());
   ASSERT_TRUE(standby.SyncFrom(primary).ok());
 
   for (int i = 0; i < 10; ++i) {
@@ -165,10 +165,11 @@ TEST(StandbyReplicaTest, ArchivingPastTheStandbyForcesReseed) {
     ASSERT_TRUE(primary.Add(more, 1, 1).ok());
     ASSERT_TRUE(primary.Commit(more).ok());
   }
-  ASSERT_TRUE(primary.buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(primary.shard(0)->buffer_pool()->FlushAll().ok());
   ASSERT_TRUE(primary.Checkpoint().ok());
   ASSERT_TRUE(primary.ArchiveLog().ok());  // no pin
-  ASSERT_GT(primary.disk()->first_retained_lsn(), standby.shipped_through() + 1);
+  ASSERT_GT(primary.shard(0)->disk()->first_retained_lsn(),
+            standby.shipped_through() + 1);
   EXPECT_TRUE(standby.SyncFrom(primary).IsIllegalState());
 }
 
@@ -180,7 +181,7 @@ TEST(StandbyReplicaTest, RandomWorkloadPromotionMatchesOracle) {
   StandbyReplica standby{Options{}};
   for (int round = 0; round < 5; ++round) {
     ASSERT_TRUE(driver.Run(150).ok());
-    ASSERT_TRUE(primary.log_manager()->FlushAll().ok());
+    ASSERT_TRUE(primary.shard(0)->log_manager()->FlushAll().ok());
     ASSERT_TRUE(standby.SyncFrom(primary).ok());
   }
   // The primary vanishes; the standby must agree with the oracle's view of
@@ -208,7 +209,7 @@ TEST(StandbyReplicaTest, RewritingBaselinesBreakShipOnceReplication) {
     TxnId t0 = *primary.Begin();
     TxnId t1 = *primary.Begin();
     ASSERT_TRUE(primary.Set(t0, 5, 42).ok());
-    ASSERT_TRUE(primary.log_manager()->FlushAll().ok());
+    ASSERT_TRUE(primary.shard(0)->log_manager()->FlushAll().ok());
     ASSERT_TRUE(standby.SyncFrom(primary).ok());  // update record shipped
 
     // The delegation: RH appends one record; eager rewrites the already-
@@ -245,12 +246,12 @@ TEST(StandbyReplicaTest, RewritingBaselinesBreakShipOnceReplication) {
     TxnId t0 = *primary.Begin();
     TxnId t1 = *primary.Begin();
     ASSERT_TRUE(primary.Set(t0, 5, 42).ok());
-    ASSERT_TRUE(primary.log_manager()->FlushAll().ok());
+    ASSERT_TRUE(primary.shard(0)->log_manager()->FlushAll().ok());
     ASSERT_TRUE(standby.SyncFrom(primary).ok());  // pre-delegation ship
 
     ASSERT_TRUE(primary.Delegate(t0, t1, DelegationSpec::Objects({5})).ok());
     ASSERT_TRUE(primary.Commit(t1).ok());  // responsible party commits
-    ASSERT_TRUE(primary.log_manager()->FlushAll().ok());
+    ASSERT_TRUE(primary.shard(0)->log_manager()->FlushAll().ok());
     ASSERT_TRUE(standby.SyncFrom(primary).ok());
 
     Result<std::unique_ptr<Database>> promoted =

@@ -76,7 +76,7 @@ TEST(DatabasePersistenceTest, SaveOpenRecoverPreservesCommittedState) {
     ASSERT_TRUE(db.Commit(t).ok());
     TxnId loser = *db.Begin();
     ASSERT_TRUE(db.Set(loser, 3, 99).ok());
-    ASSERT_TRUE(db.log_manager()->FlushAll().ok());
+    ASSERT_TRUE(db.shard(0)->log_manager()->FlushAll().ok());
     ASSERT_TRUE(db.SaveTo(path).ok());
   }  // the "process" exits
 

@@ -11,6 +11,7 @@
 
 #include "core/database.h"
 #include "table/table_heap.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -268,7 +269,7 @@ TEST_F(TableApiTest, SurvivesCrashAndRecovery) {
   ASSERT_TRUE(db_.TablePut(loser, "durable", "clobbered").ok());
   ASSERT_TRUE(db_.TablePut(loser, "phantom", "no").ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(**db_.TableGetCommitted("durable"), "yes");
   EXPECT_FALSE(db_.TableGetCommitted("phantom")->has_value());
   // The recovered table is fully usable.
@@ -287,7 +288,7 @@ TEST_F(TableApiTest, TableAndPlainObjectsShareOneTransaction) {
   ASSERT_TRUE(db_.Set(loser, 7, 71).ok());
   ASSERT_TRUE(db_.TablePut(loser, "seven", "71").ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(7), 70);
   EXPECT_EQ(**db_.TableGetCommitted("seven"), "70");
 }

@@ -16,6 +16,7 @@
 
 #include "core/database.h"
 #include "table/table_heap.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -90,7 +91,7 @@ void VerifyState(Database* db, const std::map<std::string, std::string>& expecte
 
 // The matrix runs under both recovery modes: kFull (the classic blocking
 // restart) and kInstant (analysis-only open, on-demand redo at fetch,
-// background cluster undo). The Recover() shim Await()s the instant
+// background cluster undo). RestartAndAwait Await()s the instant
 // restart's handle, so every assertion below doubles as an observational
 // equivalence check — the post-Await state must match what kFull produces.
 class TableCrashMatrixTest
@@ -128,7 +129,7 @@ TEST_P(TableCrashMatrixTest, LoserUndoneAtEveryCrashPoint) {
           << "prefix " << prefix << " op " << i;
     }
     db.SimulateCrash();
-    ASSERT_TRUE(db.Recover().ok());
+    ASSERT_TRUE(RestartAndAwait(db).ok());
     VerifyState(&db, BaseState(),
                 "prefix=" + std::to_string(prefix) + " shards=" +
                     std::to_string(shards()) + " threads=" +
@@ -154,7 +155,7 @@ TEST_P(TableCrashMatrixTest, CommittedScriptSurvivesIntact) {
   }
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   VerifyState(&db, model, "committed script");
 }
 
@@ -178,7 +179,7 @@ TEST_P(TableCrashMatrixTest, MixedFatesResolvePerKey) {
   model["kept"] = "won";
   ASSERT_TRUE(db.Commit(winner).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   VerifyState(&db, model, "mixed fates");
 }
 
@@ -212,7 +213,7 @@ TEST_P(TableCrashMatrixTest, InterruptedRecoveryConverges) {
       db.shard(s)->mutable_options()->faults.crash_after_undo_steps =
           shape.undo_budget;
     }
-    Result<RecoveryManager::Outcome> first = db.Recover();
+    Result<RecoveryManager::Outcome> first = RestartAndAwait(db);
     if (!first.ok()) {
       // The injected mid-recovery crash fired (with several shards a small
       // budget may not be reached on every shard, so a clean first pass is
@@ -225,7 +226,7 @@ TEST_P(TableCrashMatrixTest, InterruptedRecoveryConverges) {
       db.shard(s)->mutable_options()->faults.crash_after_undo_steps = 0;
     }
     if (db.NeedsRecovery()) {
-      ASSERT_TRUE(db.Recover().ok()) << label;
+      ASSERT_TRUE(RestartAndAwait(db).ok()) << label;
     }
     VerifyState(&db, BaseState(), label);
   }
@@ -250,7 +251,7 @@ TEST_P(TableCrashMatrixTest, RepeatedUndoInterruptionConverges) {
     for (size_t s = 0; s < db.num_shards(); ++s) {
       db.shard(s)->mutable_options()->faults.crash_after_undo_steps = 1;
     }
-    Result<RecoveryManager::Outcome> outcome = db.Recover();
+    Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
     ++attempts;
     if (outcome.ok()) break;
     ASSERT_TRUE(outcome.status().IsIOError()) << outcome.status().ToString();
@@ -280,7 +281,7 @@ TEST_P(TableCrashMatrixTest, CheckpointCoversTheHeap) {
   ASSERT_TRUE(db.TableDelete(loser, "base:1").ok());
   ASSERT_TRUE(db.Commit(winner).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   VerifyState(&db, model, "checkpointed");
 }
 
@@ -295,11 +296,11 @@ TEST_P(TableCrashMatrixTest, DoubleCrashIsStable) {
     ASSERT_TRUE(ApplyOp(&db, loser, op).ok());
   }
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   TxnId loser2 = *db.Begin();
   ASSERT_TRUE(db.TablePut(loser2, "base:0", "lost-again").ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   VerifyState(&db, BaseState(), "double crash");
 }
 

@@ -14,6 +14,7 @@
 
 #include "core/database.h"
 #include "table/table_heap.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -107,7 +108,7 @@ std::map<std::string, std::optional<std::string>> RunHistory(
   EXPECT_TRUE(db.TablePut(loser, "e", "loser-e").ok());
   EXPECT_TRUE(db.TablePut(loser, "f", "loser-f").ok());
   db.SimulateCrash();
-  EXPECT_TRUE(db.Recover().ok());
+  EXPECT_TRUE(RestartAndAwait(db).ok());
 
   std::map<std::string, std::optional<std::string>> state;
   for (const std::string& key :

@@ -87,7 +87,7 @@ TEST_F(TableLogDumpTest, DumpRendersTableWrites) {
   ASSERT_TRUE(db_.TablePut(t, "k", "v2").ok());
   ASSERT_TRUE(db_.TableDelete(t, "k").ok());
   ASSERT_TRUE(db_.Abort(t).ok());
-  Result<std::string> dump = DumpLog(*db_.log_manager());
+  Result<std::string> dump = DumpLog(*db_.shard(0)->log_manager());
   ASSERT_TRUE(dump.ok());
   EXPECT_NE(dump->find("TBL_INSERT"), std::string::npos);
   EXPECT_NE(dump->find("TBL_UPDATE"), std::string::npos);
@@ -108,7 +108,7 @@ TEST_F(TableLogDumpTest, KeyHistoryTracksOneKeyAcrossWriters) {
   ASSERT_TRUE(db_.Commit(c).ok());
 
   Result<std::vector<TableHistoryEntry>> history =
-      TableKeyHistory(*db_.log_manager(), "k");
+      TableKeyHistory(*db_.shard(0)->log_manager(), "k");
   ASSERT_TRUE(history.ok());
   ASSERT_EQ(history->size(), 3u);
   EXPECT_EQ((*history)[0].type, LogRecordType::kTableInsert);
@@ -129,7 +129,7 @@ TEST_F(TableLogDumpTest, KeyHistoryMarksCompensatedWrites) {
   ASSERT_TRUE(db_.TablePut(t, "k", "doomed").ok());
   ASSERT_TRUE(db_.Abort(t).ok());
   Result<std::vector<TableHistoryEntry>> history =
-      TableKeyHistory(*db_.log_manager(), "k");
+      TableKeyHistory(*db_.shard(0)->log_manager(), "k");
   ASSERT_TRUE(history.ok());
   ASSERT_EQ(history->size(), 2u);
   EXPECT_EQ((*history)[0].type, LogRecordType::kTableInsert);

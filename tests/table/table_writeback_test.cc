@@ -13,6 +13,7 @@
 
 #include "core/database.h"
 #include "table/table_heap.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -80,7 +81,7 @@ TEST_P(TableWriteBackTest, RelocationBetweenCheckpointsIsWrittenWithItsChain) {
   EXPECT_TRUE(db.shard(0)->table_heap()->DirtyPageTable().empty());
 
   db.SimulateCrash();
-  Result<RecoveryManager::Outcome> outcome = db.Recover();
+  Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(*db.TableGetCommitted(a), std::string(2100, 'A'));
   EXPECT_EQ(*db.TableGetCommitted(b), std::string(2000, 'b'));
@@ -151,7 +152,7 @@ TEST(TableWriteBackConcurrencyTest, HeapWriteBackBesidePoolEvictions) {
   expect_state("live");
   ASSERT_TRUE(db.Sync().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   expect_state("after restart");
 }
 

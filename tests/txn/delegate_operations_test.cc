@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -15,7 +16,7 @@ class DelegateOperationsTest : public ::testing::Test {
   // Performs an Add and returns its LSN.
   Lsn Add(TxnId txn, ObjectId ob, int64_t delta) {
     EXPECT_TRUE(db_.Add(txn, ob, delta).ok());
-    return db_.txn_manager()->Find(txn)->last_lsn;
+    return db_.shard(0)->txn_manager()->Find(txn)->last_lsn;
   }
 };
 
@@ -28,8 +29,8 @@ TEST_F(DelegateOperationsTest, SingleOperationDelegation) {
 
   ASSERT_TRUE(db_.Delegate(t, heir, DelegationSpec::Operations(5, mid, mid)).ok());
   // Both remain responsible for parts of the object's history.
-  EXPECT_TRUE(db_.txn_manager()->Find(t)->IsResponsibleFor(5));
-  EXPECT_TRUE(db_.txn_manager()->Find(heir)->IsResponsibleFor(5));
+  EXPECT_TRUE(db_.shard(0)->txn_manager()->Find(t)->IsResponsibleFor(5));
+  EXPECT_TRUE(db_.shard(0)->txn_manager()->Find(heir)->IsResponsibleFor(5));
 
   ASSERT_TRUE(db_.Commit(heir).ok());  // the 100 survives
   ASSERT_TRUE(db_.Abort(t).ok());      // 10 and 1000 die
@@ -75,7 +76,7 @@ TEST_F(DelegateOperationsTest, RangeSurvivesCrashRecovery) {
   // t is a loser at the crash: 10 and 1000 must be undone, 100 kept —
   // the forward pass must rebuild the split scopes from the ranged record.
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(5), 100);
 }
 
@@ -88,7 +89,7 @@ TEST_F(DelegateOperationsTest, RangeSplitAcrossCheckpoint) {
   ASSERT_TRUE(db_.Checkpoint().ok());  // split scopes snapshot
   ASSERT_TRUE(db_.Commit(heir).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(5), 100);
 }
 
@@ -99,7 +100,7 @@ TEST_F(DelegateOperationsTest, LockStaysWithDelegatorWhileItHoldsScopes) {
   Add(t, 5, 100);
   ASSERT_TRUE(db_.Delegate(t, heir, DelegationSpec::Operations(5, first, first)).ok());
   // t still holds responsibility (and its increment lock).
-  EXPECT_TRUE(db_.lock_manager()->Holds(t, 5, LockMode::kIncrement));
+  EXPECT_TRUE(db_.shard(0)->lock_manager()->Holds(t, 5, LockMode::kIncrement));
 }
 
 TEST_F(DelegateOperationsTest, LockTransfersWhenEverythingMoves) {
@@ -108,8 +109,9 @@ TEST_F(DelegateOperationsTest, LockTransfersWhenEverythingMoves) {
   const Lsn first = Add(t, 5, 10);
   const Lsn second = Add(t, 5, 100);
   ASSERT_TRUE(db_.Delegate(t, heir, DelegationSpec::Operations(5, first, second)).ok());
-  EXPECT_FALSE(db_.txn_manager()->Find(t)->IsResponsibleFor(5));
-  EXPECT_TRUE(db_.lock_manager()->Holds(heir, 5, LockMode::kIncrement));
+  EXPECT_FALSE(db_.shard(0)->txn_manager()->Find(t)->IsResponsibleFor(5));
+  EXPECT_TRUE(
+      db_.shard(0)->lock_manager()->Holds(heir, 5, LockMode::kIncrement));
   ASSERT_TRUE(db_.Commit(heir).ok());
   ASSERT_TRUE(db_.Commit(t).ok());
 }
@@ -145,7 +147,7 @@ TEST_F(DelegateOperationsTest, BaselinesDoNotSupportRanges) {
     TxnId t = *db.Begin();
     TxnId heir = *db.Begin();
     ASSERT_TRUE(db.Add(t, 5, 1).ok());
-    const Lsn l = db.txn_manager()->Find(t)->last_lsn;
+    const Lsn l = db.shard(0)->txn_manager()->Find(t)->last_lsn;
     EXPECT_EQ(db.Delegate(t, heir, DelegationSpec::Operations(5, l, l)).code(),
               StatusCode::kNotSupported)
         << DelegationModeName(mode);
@@ -165,14 +167,14 @@ TEST_F(DelegateOperationsTest, ChainedRangeDelegations) {
   ASSERT_TRUE(db_.Delegate(t, h1, DelegationSpec::Operations(5, a, a)).ok());
   ASSERT_TRUE(db_.Delegate(t, h2, DelegationSpec::Operations(5, b, b)).ok());
   ASSERT_TRUE(db_.Delegate(t, h3, DelegationSpec::Operations(5, c, c)).ok());
-  EXPECT_FALSE(db_.txn_manager()->Find(t)->IsResponsibleFor(5));
+  EXPECT_FALSE(db_.shard(0)->txn_manager()->Find(t)->IsResponsibleFor(5));
   ASSERT_TRUE(db_.Commit(h1).ok());
   ASSERT_TRUE(db_.Abort(h2).ok());
   ASSERT_TRUE(db_.Commit(h3).ok());
   ASSERT_TRUE(db_.Commit(t).ok());
   EXPECT_EQ(*db_.ReadCommitted(5), 101);
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(5), 101);
 }
 
@@ -184,11 +186,12 @@ TEST_F(DelegateOperationsTest, ScopeSplitBookkeeping) {
   const Lsn c = Add(t, 5, 100);
   // Delegate the middle only.
   ASSERT_TRUE(db_.Delegate(t, heir, DelegationSpec::Operations(5, a + 1, c - 1)).ok());
-  const auto& kept = db_.txn_manager()->Find(t)->ob_list.at(5).scopes;
+  const auto& kept = db_.shard(0)->txn_manager()->Find(t)->ob_list.at(5).scopes;
   ASSERT_EQ(kept.size(), 2u);
   EXPECT_EQ(kept[0], (Scope{t, a, a, false}));       // closed prefix
   EXPECT_EQ(kept[1], (Scope{t, c, c, true}));        // open suffix
-  const auto& got = db_.txn_manager()->Find(heir)->ob_list.at(5).scopes;
+  const auto& got =
+      db_.shard(0)->txn_manager()->Find(heir)->ob_list.at(5).scopes;
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], (Scope{t, a + 1, c - 1, false}));
 }
@@ -202,7 +205,7 @@ TEST_F(DelegateOperationsTest, SplittingSetCoverageRejected) {
   ASSERT_TRUE(db_.Set(t, 5, 10).ok());
   const Lsn l2 = [&] {
     EXPECT_TRUE(db_.Set(t, 5, 20).ok());
-    return db_.txn_manager()->Find(t)->last_lsn;
+    return db_.shard(0)->txn_manager()->Find(t)->last_lsn;
   }();
   EXPECT_TRUE(
       db_.Delegate(t, heir, DelegationSpec::Operations(5, l2, l2)).IsInvalidArgument());
@@ -216,11 +219,11 @@ TEST_F(DelegateOperationsTest, FullTransferOfSetCoverageAllowed) {
   TxnId heir = *db_.Begin();
   const Lsn l1 = [&] {
     EXPECT_TRUE(db_.Set(t, 5, 10).ok());
-    return db_.txn_manager()->Find(t)->last_lsn;
+    return db_.shard(0)->txn_manager()->Find(t)->last_lsn;
   }();
   const Lsn l2 = [&] {
     EXPECT_TRUE(db_.Set(t, 5, 20).ok());
-    return db_.txn_manager()->Find(t)->last_lsn;
+    return db_.shard(0)->txn_manager()->Find(t)->last_lsn;
   }();
   // The range covers everything: equivalent to whole-object delegation.
   ASSERT_TRUE(db_.Delegate(t, heir, DelegationSpec::Operations(5, l1, l2)).ok());
@@ -239,7 +242,7 @@ TEST_F(DelegateOperationsTest, SetFlagTravelsWithDelegatedCoverage) {
   ASSERT_TRUE(db_.Set(t, 5, 10).ok());
   ASSERT_TRUE(db_.Delegate(t, mid, DelegationSpec::Objects({5})).ok());  // whole object: fine
   ASSERT_TRUE(db_.Add(mid, 5, 3).ok());         // mid holds X >= I
-  const Lsn add_lsn = db_.txn_manager()->Find(mid)->last_lsn;
+  const Lsn add_lsn = db_.shard(0)->txn_manager()->Find(mid)->last_lsn;
   EXPECT_TRUE(db_.Delegate(mid, heir, DelegationSpec::Operations(5, add_lsn, add_lsn))
                   .IsInvalidArgument());
   // Delegating everything mid holds remains legal.

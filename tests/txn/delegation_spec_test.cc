@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -34,7 +35,7 @@ TEST(DelegationSpecTest, ObjectListMatchesLegacyDelegate) {
     EXPECT_TRUE(db.Add(t1, 7, 40).ok());
     Status status =
         use_spec ? db.Delegate(t1, t2, DelegationSpec::Objects({5, 6}))
-                 : db.txn_manager()->Delegate(t1, t2,
+                 : db.shard(0)->txn_manager()->Delegate(t1, t2,
                                               std::vector<ObjectId>{5, 6});
     EXPECT_TRUE(status.ok()) << status.ToString();
     EXPECT_TRUE(db.Commit(t2).ok());  // 10 and 20 survive
@@ -55,7 +56,7 @@ TEST(DelegationSpecTest, AllObjectsMatchesLegacyDelegateAll) {
     EXPECT_TRUE(db.Add(t1, 6, 20).ok());
     Status status = use_spec
                         ? db.Delegate(t1, t2, DelegationSpec::All())
-                        : db.txn_manager()->DelegateAll(t1, t2);
+                        : db.shard(0)->txn_manager()->DelegateAll(t1, t2);
     EXPECT_TRUE(status.ok()) << status.ToString();
     EXPECT_TRUE(db.Abort(t1).ok());   // nothing left to undo
     EXPECT_TRUE(db.Commit(t2).ok());  // everything survives
@@ -71,12 +72,13 @@ TEST(DelegationSpecTest, OperationRangeMatchesLegacyDelegateOperations) {
     TxnId t1 = *db.Begin();
     TxnId t2 = *db.Begin();
     EXPECT_TRUE(db.Add(t1, 5, 10).ok());
-    const Lsn mid = db.txn_manager()->Find(t1)->last_lsn;
+    const Lsn mid = db.shard(0)->txn_manager()->Find(t1)->last_lsn;
     EXPECT_TRUE(db.Add(t1, 5, 100).ok());
     Status status =
         use_spec
             ? db.Delegate(t1, t2, DelegationSpec::Operations(5, mid, mid))
-            : db.txn_manager()->DelegateOperations(t1, t2, 5, mid, mid);
+            : db.shard(0)->txn_manager()->DelegateOperations(t1, t2, 5, mid,
+                                                             mid);
     EXPECT_TRUE(status.ok()) << status.ToString();
     EXPECT_TRUE(db.Commit(t2).ok());  // the 10 survives
     EXPECT_TRUE(db.Abort(t1).ok());   // the 100 dies
@@ -97,7 +99,7 @@ TEST(DelegationSpecTest, SpecSurvivesCrashRecovery) {
   // t1 is a loser at the crash: its remaining update (6) must die, the
   // delegated one (5) must survive.
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(5), 10);
   EXPECT_EQ(*db.ReadCommitted(6), 0);
 }

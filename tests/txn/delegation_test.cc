@@ -67,8 +67,8 @@ TEST_F(DelegationTest, ResponsibilityMovesToDelegatee) {
   ASSERT_TRUE(db_.Set(t1, 5, 42).ok());
   ASSERT_TRUE(db_.Delegate(t1, t2, DelegationSpec::Objects({5})).ok());
 
-  const Transaction* tor = db_.txn_manager()->Find(t1);
-  const Transaction* tee = db_.txn_manager()->Find(t2);
+  const Transaction* tor = db_.shard(0)->txn_manager()->Find(t1);
+  const Transaction* tee = db_.shard(0)->txn_manager()->Find(t2);
   EXPECT_FALSE(tor->IsResponsibleFor(5));
   ASSERT_TRUE(tee->IsResponsibleFor(5));
   EXPECT_EQ(tee->ob_list.at(5).delegated_from, t1);
@@ -189,7 +189,7 @@ TEST_F(DelegationTest, DelegateAllTransfersEverything) {
   ASSERT_TRUE(db_.Set(t1, 5, 50).ok());
   ASSERT_TRUE(db_.Add(t1, 6, 60).ok());
   ASSERT_TRUE(db_.Delegate(t1, t2, DelegationSpec::All()).ok());
-  EXPECT_TRUE(db_.txn_manager()->Find(t1)->ob_list.empty());
+  EXPECT_TRUE(db_.shard(0)->txn_manager()->Find(t1)->ob_list.empty());
   ASSERT_TRUE(db_.Abort(t1).ok());
   ASSERT_TRUE(db_.Commit(t2).ok());
   EXPECT_EQ(*db_.ReadCommitted(5), 50);
@@ -218,12 +218,13 @@ TEST_F(DelegationTest, UpdateAfterDelegationOpensNewScope) {
   ASSERT_TRUE(db_.Add(t, 5, 1).ok());
   ASSERT_TRUE(db_.Delegate(t, t1, DelegationSpec::Objects({5})).ok());
   ASSERT_TRUE(db_.Add(t, 5, 2).ok());
-  const Transaction* tx = db_.txn_manager()->Find(t);
+  const Transaction* tx = db_.shard(0)->txn_manager()->Find(t);
   ASSERT_TRUE(tx->IsResponsibleFor(5));
   ASSERT_EQ(tx->ob_list.at(5).scopes.size(), 1u);
   EXPECT_TRUE(tx->ob_list.at(5).scopes[0].open);
   // t1 still holds the first scope.
-  EXPECT_EQ(db_.txn_manager()->Find(t1)->ob_list.at(5).scopes.size(), 1u);
+  EXPECT_EQ(
+      db_.shard(0)->txn_manager()->Find(t1)->ob_list.at(5).scopes.size(), 1u);
 }
 
 TEST_F(DelegationTest, LockTransferBroadensVisibility) {
@@ -242,10 +243,11 @@ TEST_F(DelegationTest, ResponsibleTxnIntrospection) {
   TxnId t1 = *db_.Begin();
   TxnId t2 = *db_.Begin();
   ASSERT_TRUE(db_.Set(t1, 5, 1).ok());
-  const Lsn update_lsn = db_.txn_manager()->Find(t1)->last_lsn;
-  EXPECT_EQ(*db_.txn_manager()->ResponsibleTxn(t1, 5, update_lsn), t1);
+  TxnManager* txns = db_.shard(0)->txn_manager();
+  const Lsn update_lsn = txns->Find(t1)->last_lsn;
+  EXPECT_EQ(*txns->ResponsibleTxn(t1, 5, update_lsn), t1);
   ASSERT_TRUE(db_.Delegate(t1, t2, DelegationSpec::Objects({5})).ok());
-  EXPECT_EQ(*db_.txn_manager()->ResponsibleTxn(t1, 5, update_lsn), t2);
+  EXPECT_EQ(*txns->ResponsibleTxn(t1, 5, update_lsn), t2);
 }
 
 TEST_F(DelegationTest, DelegationDisabledModeRejects) {
@@ -262,12 +264,12 @@ TEST_F(DelegationTest, DelegateRecordLinksBothChains) {
   TxnId t1 = *db_.Begin();
   TxnId t2 = *db_.Begin();
   ASSERT_TRUE(db_.Set(t1, 5, 1).ok());
-  const Lsn t1_head = db_.txn_manager()->Find(t1)->last_lsn;
-  const Lsn t2_head = db_.txn_manager()->Find(t2)->last_lsn;
+  const Lsn t1_head = db_.shard(0)->txn_manager()->Find(t1)->last_lsn;
+  const Lsn t2_head = db_.shard(0)->txn_manager()->Find(t2)->last_lsn;
   ASSERT_TRUE(db_.Delegate(t1, t2, DelegationSpec::Objects({5})).ok());
-  const Lsn d = db_.txn_manager()->Find(t1)->last_lsn;
-  EXPECT_EQ(d, db_.txn_manager()->Find(t2)->last_lsn);
-  LogRecord rec = *db_.log_manager()->Read(d);
+  const Lsn d = db_.shard(0)->txn_manager()->Find(t1)->last_lsn;
+  EXPECT_EQ(d, db_.shard(0)->txn_manager()->Find(t2)->last_lsn);
+  LogRecord rec = *db_.shard(0)->log_manager()->Read(d);
   EXPECT_EQ(rec.type, LogRecordType::kDelegate);
   EXPECT_EQ(rec.tor_bc, t1_head);
   EXPECT_EQ(rec.tee_bc, t2_head);

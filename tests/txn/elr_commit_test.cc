@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -141,7 +142,7 @@ TEST(ElrCommitTest, DiscardTailCascadesAbortToDependents) {
       << "dependent committed on a lost dependency";
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 100);
 }
 
@@ -179,7 +180,7 @@ TEST(ElrCommitTest, CrashBetweenAcquisitionAndForceCommitsNeither) {
       << "dependent reported commit before its dependency was durable";
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 100);
   EXPECT_EQ(*db.ReadCommitted(2), 200);
 }
@@ -218,7 +219,7 @@ TEST(ElrCommitTest, CascadeRunsDownDependencyChains) {
   EXPECT_FALSE(db.Commit(t3).ok()) << "t3 survived a two-hop cascade";
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 100);
   EXPECT_EQ(*db.ReadCommitted(2), 200);
 }

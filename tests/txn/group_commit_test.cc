@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -31,7 +32,7 @@ TEST(GroupCommitTest, CommitDoesNotFlush) {
   const uint64_t flushes_before = db.stats().log_flushes;
   ASSERT_TRUE(db.Commit(t).ok());
   EXPECT_EQ(db.stats().log_flushes, flushes_before);
-  EXPECT_EQ(db.log_manager()->flushed_lsn(), 0u);
+  EXPECT_EQ(db.shard(0)->log_manager()->flushed_lsn(), 0u);
 }
 
 TEST(GroupCommitTest, UnsyncedCommitLostToCrash) {
@@ -40,7 +41,7 @@ TEST(GroupCommitTest, UnsyncedCommitLostToCrash) {
   ASSERT_TRUE(db.Set(t, 1, 10).ok());
   ASSERT_TRUE(db.Commit(t).ok());  // acknowledged...
   db.SimulateCrash();              // ...but never made durable
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 0);
 }
 
@@ -51,7 +52,7 @@ TEST(GroupCommitTest, SyncedCommitSurvives) {
   ASSERT_TRUE(db.Commit(t).ok());
   ASSERT_TRUE(db.Sync().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 10);
 }
 
@@ -66,7 +67,7 @@ TEST(GroupCommitTest, OneSyncCoversManyCommits) {
   ASSERT_TRUE(db.Sync().ok());
   EXPECT_EQ(db.stats().log_flushes, flushes_before + 1);  // the group
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 50);
 }
 
@@ -79,7 +80,7 @@ TEST(GroupCommitTest, DurabilityIsPrefixOrdered) {
   ASSERT_TRUE(db.Commit(a).ok());
   ASSERT_TRUE(db.Checkpoint().ok());  // forces the log through its record
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 10);
 }
 
@@ -94,17 +95,17 @@ TEST(GroupCommitTest, StealForcesUpdatesButNotTheCommit) {
   Database db(options);
   TxnId a = *db.Begin();
   ASSERT_TRUE(db.Set(a, 0, 7).ok());  // page 0
-  const Lsn update_lsn = db.txn_manager()->Find(a)->last_lsn;
+  const Lsn update_lsn = db.shard(0)->txn_manager()->Find(a)->last_lsn;
   ASSERT_TRUE(db.Commit(a).ok());
   TxnId b = *db.Begin();
   // Touching another page evicts page 0: WAL forces the log through the
   // update record only.
   ASSERT_TRUE(db.Set(b, kObjectsPerPage, 1).ok());
-  EXPECT_GE(db.log_manager()->flushed_lsn(), update_lsn);
-  EXPECT_TRUE(db.disk()->HasPage(0));  // STEAL happened
+  EXPECT_GE(db.shard(0)->log_manager()->flushed_lsn(), update_lsn);
+  EXPECT_TRUE(db.shard(0)->disk()->HasPage(0));  // STEAL happened
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(0), 0);  // a's commit never became durable
 }
 
@@ -117,7 +118,7 @@ TEST(GroupCommitTest, DelegationUnderGroupCommit) {
   ASSERT_TRUE(db.Commit(t1).ok());
   ASSERT_TRUE(db.Sync().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(5), 42);
 }
 
@@ -154,7 +155,7 @@ TEST(GroupCommitFlusherTest, CommitIsDurableAtReturn) {
   ASSERT_TRUE(db.Set(t, 1, 10).ok());
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 10);
 }
 
@@ -162,19 +163,19 @@ TEST(GroupCommitFlusherTest, FlusherRestartsWithRecovery) {
   // The flusher is volatile state: the crash tears it down with the log
   // manager, and recovery's rebuilt engine spawns a fresh one.
   Database db(FlusherOptions());
-  ASSERT_TRUE(db.log_manager()->group_commit_running());
+  ASSERT_TRUE(db.shard(0)->log_manager()->group_commit_running());
   TxnId t = *db.Begin();
   ASSERT_TRUE(db.Set(t, 2, 5).ok());
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
-  ASSERT_TRUE(db.log_manager()->group_commit_running());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
+  ASSERT_TRUE(db.shard(0)->log_manager()->group_commit_running());
   // And the revived flusher still honors the durability contract.
   TxnId u = *db.Begin();
   ASSERT_TRUE(db.Set(u, 3, 7).ok());
   ASSERT_TRUE(db.Commit(u).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(2), 5);
   EXPECT_EQ(*db.ReadCommitted(3), 7);
 }
@@ -226,7 +227,7 @@ TEST(GroupCommitFlusherTest, BatchedCommitsAllSurviveCrash) {
   }
   for (std::thread& t : sessions) t.join();
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   for (int s = 0; s < kThreads; ++s) {
     EXPECT_EQ(*db.ReadCommitted(static_cast<ObjectId>(s)), 100 + s);
   }

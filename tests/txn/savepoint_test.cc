@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -94,9 +95,9 @@ TEST_F(SavepointTest, CrashAfterPartialRollbackRecovers) {
   ASSERT_TRUE(db_.Add(t, 1, 100).ok());
   ASSERT_TRUE(db_.Add(t, 2, 9).ok());
   ASSERT_TRUE(db_.RollbackTo(t, sp).ok());
-  ASSERT_TRUE(db_.log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db_.shard(0)->log_manager()->FlushAll().ok());
   db_.SimulateCrash();  // t is a loser; its pre-savepoint work dies too
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
   EXPECT_EQ(*db_.ReadCommitted(2), 0);
 }
@@ -109,7 +110,7 @@ TEST_F(SavepointTest, CommitAfterPartialRollbackKeepsPrefixAcrossCrash) {
   ASSERT_TRUE(db_.RollbackTo(t, sp).ok());
   ASSERT_TRUE(db_.Commit(t).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 5);
 }
 
@@ -122,7 +123,7 @@ TEST_F(SavepointTest, RollbackToUndoesDelegatedInUpdates) {
   ASSERT_TRUE(db_.Add(t0, 1, 42).ok());
   ASSERT_TRUE(db_.Delegate(t0, t, DelegationSpec::Objects({1})).ok());
   ASSERT_TRUE(db_.RollbackTo(t, sp).ok());
-  EXPECT_FALSE(db_.txn_manager()->Find(t)->IsResponsibleFor(1));
+  EXPECT_FALSE(db_.shard(0)->txn_manager()->Find(t)->IsResponsibleFor(1));
   ASSERT_TRUE(db_.Commit(t).ok());
   ASSERT_TRUE(db_.Commit(t0).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 0);
@@ -153,7 +154,7 @@ TEST_F(SavepointTest, DelegationAfterPartialRollbackWorksUnderRH) {
   ASSERT_TRUE(db_.Commit(heir).ok());
   ASSERT_TRUE(db_.Abort(t).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 5);
 }
 
@@ -199,7 +200,7 @@ TEST_F(SavepointTest, ConventionalModePartialRollback) {
   EXPECT_EQ(*db.Read(t, 1), 10);
   ASSERT_TRUE(db.Commit(t).ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   EXPECT_EQ(*db.ReadCommitted(1), 10);
 }
 

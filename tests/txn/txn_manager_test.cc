@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -177,8 +178,8 @@ TEST_F(TxnManagerTest, AbortDependencyCascades) {
   ASSERT_TRUE(db_.FormDependency(DependencyType::kAbort, t2, t1).ok());
   ASSERT_TRUE(db_.FormDependency(DependencyType::kAbort, t3, t2).ok());
   ASSERT_TRUE(db_.Abort(t1).ok());
-  EXPECT_EQ(db_.txn_manager()->Find(t2)->state, TxnState::kAborted);
-  EXPECT_EQ(db_.txn_manager()->Find(t3)->state, TxnState::kAborted);
+  EXPECT_EQ(db_.shard(0)->txn_manager()->Find(t2)->state, TxnState::kAborted);
+  EXPECT_EQ(db_.shard(0)->txn_manager()->Find(t3)->state, TxnState::kAborted);
   EXPECT_EQ(*db_.ReadCommitted(9), 0);
   EXPECT_EQ(*db_.ReadCommitted(10), 0);
 }
@@ -188,23 +189,23 @@ TEST_F(TxnManagerTest, AbortDependencyDoesNotFireOnCommit) {
   TxnId t2 = *db_.Begin();
   ASSERT_TRUE(db_.FormDependency(DependencyType::kAbort, t2, t1).ok());
   ASSERT_TRUE(db_.Commit(t1).ok());
-  EXPECT_EQ(db_.txn_manager()->Find(t2)->state, TxnState::kActive);
+  EXPECT_EQ(db_.shard(0)->txn_manager()->Find(t2)->state, TxnState::kActive);
   EXPECT_TRUE(db_.Commit(t2).ok());
 }
 
 TEST_F(TxnManagerTest, CommitForcesLogToDisk) {
   TxnId t = *db_.Begin();
   ASSERT_TRUE(db_.Set(t, 5, 1).ok());
-  const Lsn before = db_.log_manager()->flushed_lsn();
+  const Lsn before = db_.shard(0)->log_manager()->flushed_lsn();
   ASSERT_TRUE(db_.Commit(t).ok());
-  EXPECT_GT(db_.log_manager()->flushed_lsn(), before);
+  EXPECT_GT(db_.shard(0)->log_manager()->flushed_lsn(), before);
 }
 
 TEST_F(TxnManagerTest, ScopeTrackingFollowsUpdates) {
   TxnId t = *db_.Begin();
   ASSERT_TRUE(db_.Set(t, 5, 1).ok());
   ASSERT_TRUE(db_.Set(t, 5, 2).ok());
-  const Transaction* tx = db_.txn_manager()->Find(t);
+  const Transaction* tx = db_.shard(0)->txn_manager()->Find(t);
   ASSERT_NE(tx, nullptr);
   ASSERT_TRUE(tx->IsResponsibleFor(5));
   const auto& scopes = tx->ob_list.at(5).scopes;
@@ -216,12 +217,12 @@ TEST_F(TxnManagerTest, ScopeTrackingFollowsUpdates) {
 TEST_F(TxnManagerTest, ReapTerminatedDropsControlBlocks) {
   TxnId t = *db_.Begin();
   ASSERT_TRUE(db_.Commit(t).ok());
-  ASSERT_NE(db_.txn_manager()->Find(t), nullptr);
+  ASSERT_NE(db_.shard(0)->txn_manager()->Find(t), nullptr);
   // Checkpoints reap: the first one's CKPT_END force makes the END record
   // durable, the second drops the control block.
   ASSERT_TRUE(db_.Checkpoint().ok());
   ASSERT_TRUE(db_.Checkpoint().ok());
-  EXPECT_EQ(db_.txn_manager()->Find(t), nullptr);
+  EXPECT_EQ(db_.shard(0)->txn_manager()->Find(t), nullptr);
   EXPECT_FALSE(db_.IsActive(t));
 }
 
@@ -297,7 +298,7 @@ TEST_P(ReapedOutcomeTest, ReapedIdsKeepTheirOutcome) {
   // After a restart the earlier ids are unknown, reaped or not.
   ASSERT_TRUE(db.Sync().ok());
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   const TxnId fresh = *db.Begin();
   for (TxnId t : {committed, aborted}) {
     EXPECT_TRUE(
@@ -321,10 +322,10 @@ TEST_F(TxnManagerTest, CheckpointReapsTerminatedTransactions) {
   ASSERT_TRUE(db_.Checkpoint().ok());
   ASSERT_TRUE(db_.Checkpoint().ok());
   const std::map<TxnId, Transaction> left =
-      db_.txn_manager()->SnapshotTransactions();
+      db_.shard(0)->txn_manager()->SnapshotTransactions();
   ASSERT_EQ(left.size(), 1u);
   EXPECT_EQ(left.begin()->first, live);
-  for (TxnId t : done) EXPECT_EQ(db_.txn_manager()->Find(t), nullptr);
+  for (TxnId t : done) EXPECT_EQ(db_.shard(0)->txn_manager()->Find(t), nullptr);
   ASSERT_TRUE(db_.Commit(live).ok());
   EXPECT_EQ(*db_.ReadCommitted(4), 16);
 }
@@ -372,7 +373,8 @@ TEST_F(TxnManagerTest, ReapingBesideDelegationsToOtherSessions) {
   ASSERT_TRUE(db_.Checkpoint().ok());
   EXPECT_GT(checkpoints, 0u);
   EXPECT_GT(db_.stats().txns_reaped.value(), 0u);
-  for (const auto& [id, tx] : db_.txn_manager()->SnapshotTransactions()) {
+  for (const auto& [id, tx] :
+       db_.shard(0)->txn_manager()->SnapshotTransactions()) {
     EXPECT_NE(tx.state, TxnState::kActive) << "txn " << id << " left active";
   }
 
@@ -382,7 +384,7 @@ TEST_F(TxnManagerTest, ReapingBesideDelegationsToOtherSessions) {
   }
   ASSERT_TRUE(db_.Sync().ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
   for (int c = 0; c < kSessions; ++c) {
     EXPECT_EQ(*db_.ReadCommitted(10 + c), live[c]) << "session " << c;
   }

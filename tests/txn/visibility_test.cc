@@ -117,12 +117,13 @@ TEST_F(VisibilityTest, DelegationTransfersVisibilityPermitDoesNot) {
   ASSERT_TRUE(db_.Set(owner, 5, 1).ok());
   ASSERT_TRUE(db_.Permit(owner, grantee, 5).ok());
   EXPECT_TRUE(db_.Read(grantee, 5).ok());
-  EXPECT_FALSE(db_.txn_manager()->Find(grantee)->IsResponsibleFor(5));
+  EXPECT_FALSE(db_.shard(0)->txn_manager()->Find(grantee)->IsResponsibleFor(5));
 
   ASSERT_TRUE(db_.Delegate(owner, grantee, DelegationSpec::Objects({5})).ok());
-  EXPECT_TRUE(db_.txn_manager()->Find(grantee)->IsResponsibleFor(5));
+  EXPECT_TRUE(db_.shard(0)->txn_manager()->Find(grantee)->IsResponsibleFor(5));
   // Ownership (the lock) moved with the delegation.
-  EXPECT_TRUE(db_.lock_manager()->Holds(grantee, 5, LockMode::kExclusive));
+  EXPECT_TRUE(
+      db_.shard(0)->lock_manager()->Holds(grantee, 5, LockMode::kExclusive));
 }
 
 TEST_F(VisibilityTest, PermittedWriterCanActuallyWrite) {

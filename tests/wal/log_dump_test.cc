@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -16,7 +17,7 @@ TEST_F(LogDumpTest, DumpRendersOneLinePerRecord) {
   TxnId t = *db_.Begin();
   ASSERT_TRUE(db_.Set(t, 5, 42).ok());
   ASSERT_TRUE(db_.Commit(t).ok());
-  Result<std::string> dump = DumpLog(*db_.log_manager());
+  Result<std::string> dump = DumpLog(*db_.shard(0)->log_manager());
   ASSERT_TRUE(dump.ok());
   // BEGIN, UPDATE, COMMIT, END -> four lines.
   EXPECT_EQ(std::count(dump->begin(), dump->end(), '\n'), 4);
@@ -30,7 +31,7 @@ TEST_F(LogDumpTest, RangeDump) {
   TxnId t = *db_.Begin();
   ASSERT_TRUE(db_.Set(t, 5, 42).ok());
   ASSERT_TRUE(db_.Commit(t).ok());
-  Result<std::string> dump = DumpLog(*db_.log_manager(), 2, 2);
+  Result<std::string> dump = DumpLog(*db_.shard(0)->log_manager(), 2, 2);
   ASSERT_TRUE(dump.ok());
   EXPECT_EQ(std::count(dump->begin(), dump->end(), '\n'), 1);
   EXPECT_NE(dump->find("UPDATE"), std::string::npos);
@@ -42,10 +43,10 @@ TEST_F(LogDumpTest, ArchivedPrefixMarked) {
     ASSERT_TRUE(db_.Add(t, 1, 1).ok());
     ASSERT_TRUE(db_.Commit(t).ok());
   }
-  ASSERT_TRUE(db_.buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db_.shard(0)->buffer_pool()->FlushAll().ok());
   ASSERT_TRUE(db_.Checkpoint().ok());
   ASSERT_TRUE(db_.ArchiveLog().ok());
-  Result<std::string> dump = DumpLog(*db_.log_manager());
+  Result<std::string> dump = DumpLog(*db_.shard(0)->log_manager());
   ASSERT_TRUE(dump.ok());
   EXPECT_NE(dump->find("<archived>"), std::string::npos);
   EXPECT_NE(dump->find("CKPT_END"), std::string::npos);
@@ -59,7 +60,7 @@ TEST_F(LogDumpTest, ObjectHistoryListsUpdatesInOrder) {
   ASSERT_TRUE(db_.Add(a, 6, 99).ok());  // different object: excluded
   ASSERT_TRUE(db_.Add(a, 5, 30).ok());
   Result<std::vector<ObjectHistoryEntry>> history =
-      ObjectHistory(*db_.log_manager(), 5);
+      ObjectHistory(*db_.shard(0)->log_manager(), 5);
   ASSERT_TRUE(history.ok());
   ASSERT_EQ(history->size(), 3u);
   EXPECT_EQ((*history)[0].writer, a);
@@ -79,7 +80,7 @@ TEST_F(LogDumpTest, ObjectHistoryMarksCompensatedUpdates) {
   ASSERT_TRUE(db_.Add(w, 5, 20).ok());
   ASSERT_TRUE(db_.Commit(w).ok());
   Result<std::vector<ObjectHistoryEntry>> history =
-      ObjectHistory(*db_.log_manager(), 5);
+      ObjectHistory(*db_.shard(0)->log_manager(), 5);
   ASSERT_TRUE(history.ok());
   ASSERT_EQ(history->size(), 2u);
   EXPECT_TRUE((*history)[0].compensated);
@@ -88,7 +89,7 @@ TEST_F(LogDumpTest, ObjectHistoryMarksCompensatedUpdates) {
 
 TEST_F(LogDumpTest, EmptyObjectHistory) {
   Result<std::vector<ObjectHistoryEntry>> history =
-      ObjectHistory(*db_.log_manager(), 123);
+      ObjectHistory(*db_.shard(0)->log_manager(), 123);
   ASSERT_TRUE(history.ok());
   EXPECT_TRUE(history->empty());
 }
@@ -98,7 +99,7 @@ TEST_F(LogDumpTest, DelegateRecordVisibleInDump) {
   TxnId t2 = *db_.Begin();
   ASSERT_TRUE(db_.Set(t1, 5, 1).ok());
   ASSERT_TRUE(db_.Delegate(t1, t2, DelegationSpec::Objects({5})).ok());
-  Result<std::string> dump = DumpLog(*db_.log_manager());
+  Result<std::string> dump = DumpLog(*db_.shard(0)->log_manager());
   ASSERT_TRUE(dump.ok());
   EXPECT_NE(dump->find("DELEGATE"), std::string::npos);
   EXPECT_NE(dump->find("=>"), std::string::npos);
@@ -116,10 +117,10 @@ TEST_F(LogDumpTest, ObjectHistoryResolvesDelegatedResponsibility) {
   ASSERT_TRUE(db_.Commit(tee).ok());
   ASSERT_TRUE(db_.Commit(tor).ok());
   db_.SimulateCrash();
-  ASSERT_TRUE(db_.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db_).ok());
 
   Result<std::vector<ObjectHistoryEntry>> history =
-      ObjectHistory(*db_.log_manager(), 5);
+      ObjectHistory(*db_.shard(0)->log_manager(), 5);
   ASSERT_TRUE(history.ok()) << history.status().ToString();
   ASSERT_EQ(history->size(), 1u);
   EXPECT_EQ((*history)[0].writer, tor);        // as recorded in the log
@@ -136,7 +137,7 @@ TEST_F(LogDumpTest, TableKeyHistoryResolvesDelegatedResponsibility) {
   ASSERT_TRUE(db_.Commit(tor).ok());
 
   Result<std::vector<TableHistoryEntry>> history =
-      TableKeyHistory(*db_.log_manager(), "acct");
+      TableKeyHistory(*db_.shard(0)->log_manager(), "acct");
   ASSERT_TRUE(history.ok()) << history.status().ToString();
   ASSERT_EQ(history->size(), 1u);
   EXPECT_EQ((*history)[0].writer, tor);
@@ -152,9 +153,9 @@ TEST_F(LogDumpTest, DumpPropagatesReadFailuresInsideTheRetainedRange) {
   TxnId t = *db_.Begin();
   ASSERT_TRUE(db_.Set(t, 5, 42).ok());
   ASSERT_TRUE(db_.Commit(t).ok());
-  ASSERT_TRUE(db_.log_manager()->FlushAll().ok());
-  ASSERT_TRUE(db_.disk()->CorruptLogTail(4).ok());
-  Result<std::string> dump = DumpLog(*db_.log_manager());
+  ASSERT_TRUE(db_.shard(0)->log_manager()->FlushAll().ok());
+  ASSERT_TRUE(db_.shard(0)->disk()->CorruptLogTail(4).ok());
+  Result<std::string> dump = DumpLog(*db_.shard(0)->log_manager());
   ASSERT_FALSE(dump.ok());  // pre-fix: ok, with the torn record dropped
   EXPECT_FALSE(dump.status().IsNotFound()) << dump.status().ToString();
 }

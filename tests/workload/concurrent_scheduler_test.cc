@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "restart_util.h"
+
 namespace ariesrh::workload {
 namespace {
 
@@ -137,13 +139,13 @@ std::map<ObjectId, int64_t> RunAndRecover(size_t workers,
   if (crash_after_redo > 0 || crash_after_undo > 0) {
     db.mutable_options()->faults.crash_after_redo_records = crash_after_redo;
     db.mutable_options()->faults.crash_after_undo_steps = crash_after_undo;
-    Result<RecoveryManager::Outcome> first = db.Recover();
+    Result<RecoveryManager::Outcome> first = RestartAndAwait(db);
     EXPECT_FALSE(first.ok());
     EXPECT_TRUE(first.status().IsIOError()) << first.status().ToString();
     db.mutable_options()->faults.crash_after_redo_records = 0;
     db.mutable_options()->faults.crash_after_undo_steps = 0;
   }
-  EXPECT_TRUE(db.Recover().ok());
+  EXPECT_TRUE(RestartAndAwait(db).ok());
 
   std::map<ObjectId, int64_t> values;
   for (ObjectId ob = 0; ob < 48; ++ob) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "restart_util.h"
+
 namespace ariesrh::workload {
 namespace {
 
@@ -143,7 +145,7 @@ TEST(StepSchedulerTest, DelegationBetweenPrograms) {
   });
   consumer.Then([&consumer_txn](Database* db, TxnId txn) -> Status {
     // Wait until the delegation arrived.
-    const Transaction* tx = db->txn_manager()->Find(txn);
+    const Transaction* tx = db->shard(0)->txn_manager()->Find(txn);
     if (!tx->IsResponsibleFor(7)) return Status::Busy("nothing yet");
     (void)consumer_txn;
     return Status::OK();
@@ -204,7 +206,7 @@ TEST_P(SchedulerSeedTest, MoneyTransferInvariantUnderAnyInterleaving) {
   ASSERT_TRUE(scheduler.Run().ok());
 
   db.SimulateCrash();
-  ASSERT_TRUE(db.Recover().ok());
+  ASSERT_TRUE(RestartAndAwait(db).ok());
   int64_t total = 0;
   for (ObjectId account = 0; account < 6; ++account) {
     total += *db.ReadCommitted(account);

@@ -117,5 +117,22 @@ TEST(WorkloadDriverTest, DeterministicForSameSeed) {
   EXPECT_EQ(run(), run());
 }
 
+// WorkloadDriver at two shards: each update's LSN is read on the shard its
+// object lives on, and the oracle holds through a crash for every seed.
+TEST(WorkloadDriverTest, TwoShardsCrashRecoverVerify) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Options db_options;
+    db_options.num_shards = 2;
+    Database db(db_options);
+    WorkloadOptions options;
+    options.seed = seed;
+    WorkloadDriver driver(&db, options);
+    Status run = driver.Run(300);
+    ASSERT_TRUE(run.ok()) << "seed " << seed << ": " << run.ToString();
+    Status verify = driver.CrashRecoverVerify();
+    EXPECT_TRUE(verify.ok()) << "seed " << seed << ": " << verify.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace ariesrh::workload

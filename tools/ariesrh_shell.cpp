@@ -104,9 +104,9 @@ bool HandleBuiltin(const std::string& line, Database* db,
     return true;
   }
   if (cmd == "log") {
-    Lsn from = kFirstLsn, to = db->log_manager()->end_lsn();
+    Lsn from = kFirstLsn, to = db->shard(0)->log_manager()->end_lsn();
     stream >> from >> to;
-    Result<std::string> dump = DumpLog(*db->log_manager(), from, to);
+    Result<std::string> dump = DumpLog(*db->shard(0)->log_manager(), from, to);
     std::printf("%s", dump.ok() ? dump->c_str()
                                 : dump.status().ToString().c_str());
     return true;
@@ -118,7 +118,7 @@ bool HandleBuiltin(const std::string& line, Database* db,
       return true;
     }
     Result<std::vector<ObjectHistoryEntry>> history =
-        ObjectHistory(*db->log_manager(), ob);
+        ObjectHistory(*db->shard(0)->log_manager(), ob);
     if (!history.ok()) {
       std::printf("%s\n", history.status().ToString().c_str());
       return true;
@@ -201,7 +201,8 @@ bool HandleBuiltin(const std::string& line, Database* db,
     return true;
   }
   if (cmd == "txns") {
-    for (const auto& [id, tx] : db->txn_manager()->SnapshotTransactions()) {
+    for (const auto& [id, tx] :
+         db->shard(0)->txn_manager()->SnapshotTransactions()) {
       std::printf("  %s\n", tx.ToString().c_str());
     }
     return true;
@@ -284,9 +285,9 @@ bool HandleBuiltin(const std::string& line, Database* db,
       std::printf("archived %llu records\n", (unsigned long long)*archived);
     }
     std::printf("master record     @%llu\n",
-                (unsigned long long)db->disk()->master_record());
+                (unsigned long long)db->shard(0)->disk()->master_record());
     std::printf("retained from     @%llu\n",
-                (unsigned long long)db->disk()->first_retained_lsn());
+                (unsigned long long)db->shard(0)->disk()->first_retained_lsn());
     const obs::Gauge* live =
         db->metrics()->FindGauge("ariesrh_log_live_records");
     if (live != nullptr) {
@@ -294,7 +295,7 @@ bool HandleBuiltin(const std::string& line, Database* db,
     }
     std::printf("archived (total)  %llu\n",
                 (unsigned long long)db->stats().archived_records.value());
-    if (CheckpointDaemon* daemon = db->checkpoint_daemon()) {
+    if (CheckpointDaemon* daemon = db->shard(0)->checkpoint_daemon()) {
       std::printf("%s\n", daemon->digest().ToString().c_str());
     } else {
       std::printf("checkpoint daemon: not configured\n");
@@ -394,7 +395,9 @@ bool HandleBuiltin(const std::string& line, Database* db,
     // Intercepted before the script runner so the shell can print the full
     // recovery outcome (per-pass timings, cluster stats), which the script
     // language's terse trace does not carry.
-    Result<RecoveryManager::Outcome> outcome = db->Recover();
+    auto restart = db->StartRecovery();
+    Result<RecoveryManager::Outcome> outcome =
+        restart.ok() ? (*restart)->Await() : restart.status();
     if (!outcome.ok()) {
       std::printf("error: %s\n", outcome.status().ToString().c_str());
       return true;
