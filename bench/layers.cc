@@ -17,6 +17,13 @@
 //   * BM_TableHeapBootstrap/<keys>: a restart's heap load — every stable
 //     heap page read, checked and indexed — for a table of that many keys
 //     with kv_durable's 100-byte values.
+//   * BM_DelegateTransfer/<objects>: one shard-local Database::Delegate of
+//     that many objects: guard, check, one DELEGATE append, and the scope
+//     and lock moves.
+//   * BM_DelegateCrossShard: one Database::Delegate of two objects on two
+//     shards, with the device stalls off: both legs guarded and checked,
+//     the coordinator's PREPARE, two csn-stamped legs, their log forces,
+//     and the forced coordinator COMMIT.
 
 #include <benchmark/benchmark.h>
 
@@ -24,6 +31,7 @@
 #include <array>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -254,6 +262,52 @@ BENCHMARK(BM_TableHeapBootstrap)
     ->Arg(5000)
     ->Arg(25000)
     ->Unit(benchmark::kMillisecond);
+
+/// Ping-pongs `objects` between two live transactions, one Delegate per
+/// iteration, so the setup (begins, updates) stays out of the timing.
+void RunDelegations(benchmark::State& state, Database* db,
+                    const std::vector<ObjectId>& objects) {
+  TxnId from = CheckResult(db->Begin(), "Begin");
+  TxnId to = CheckResult(db->Begin(), "Begin");
+  for (ObjectId ob : objects) Check(db->Add(from, ob, 1), "Add");
+  const Stats before = db->stats();
+  for (auto _ : state) {
+    Check(db->Delegate(from, to, DelegationSpec::Objects(objects)),
+          "Delegate");
+    std::swap(from, to);
+  }
+  const Stats delta = db->stats().Delta(before);
+  const double n = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["log_appends_per_delegate"] =
+      benchmark::Counter(static_cast<double>(delta.log_appends) / n);
+  state.counters["scopes_per_delegate"] =
+      benchmark::Counter(static_cast<double>(delta.scopes_transferred) / n);
+  AddCpuCounter(state);
+}
+
+void BM_DelegateTransfer(benchmark::State& state) {
+  Options options;
+  options.buffer_pool_pages = 1024;
+  Database db(options);
+  std::vector<ObjectId> objects;
+  for (int64_t i = 0; i < state.range(0); ++i) objects.push_back(i);
+  RunDelegations(state, &db, objects);
+}
+BENCHMARK(BM_DelegateTransfer)->Arg(1)->Arg(64);
+
+void BM_DelegateCrossShard(benchmark::State& state) {
+  Options options;
+  options.num_shards = 2;
+  Database db(options);
+  // One object per shard, so every transfer is a coordinator round.
+  std::vector<ObjectId> objects;
+  for (ObjectId ob = 0; objects.size() < 2; ++ob) {
+    if (db.ShardOf(ob) == objects.size()) objects.push_back(ob);
+  }
+  RunDelegations(state, &db, objects);
+}
+BENCHMARK(BM_DelegateCrossShard);
 
 }  // namespace
 }  // namespace ariesrh::bench

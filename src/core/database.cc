@@ -134,7 +134,9 @@ Result<TxnId> Database::Begin() {
   return txn;
 }
 
-Result<int64_t> Database::Read(TxnId txn, ObjectId ob) {
+template <typename Op>
+std::invoke_result_t<Op&, TxnManager*> Database::Routed(TxnId txn,
+                                                        ObjectId ob, Op op) {
   ARIESRH_RETURN_IF_ERROR(EnsureUsable());
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
   std::lock_guard lock(route->mu);
@@ -142,68 +144,42 @@ Result<int64_t> Database::Read(TxnId txn, ObjectId ob) {
   const size_t s = ShardOf(ob);
   ARIESRH_RETURN_IF_ERROR(EnlistLocked(route.get(), txn, s));
   ARIESRH_RETURN_IF_ERROR(shards_[s]->WaitForObjectRecovery(ob));
-  return shards_[s]->txn_manager()->Read(txn, ob);
+  return op(shards_[s]->txn_manager());
+}
+
+Result<int64_t> Database::Read(TxnId txn, ObjectId ob) {
+  return Routed(txn, ob, [&](TxnManager* tm) { return tm->Read(txn, ob); });
 }
 
 Status Database::Set(TxnId txn, ObjectId ob, int64_t value) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
-  std::lock_guard lock(route->mu);
-  ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
-  const size_t s = ShardOf(ob);
-  ARIESRH_RETURN_IF_ERROR(EnlistLocked(route.get(), txn, s));
-  ARIESRH_RETURN_IF_ERROR(shards_[s]->WaitForObjectRecovery(ob));
-  return shards_[s]->txn_manager()->Set(txn, ob, value);
+  return Routed(txn, ob,
+                [&](TxnManager* tm) { return tm->Set(txn, ob, value); });
 }
 
 Status Database::Add(TxnId txn, ObjectId ob, int64_t delta) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
-  std::lock_guard lock(route->mu);
-  ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
-  const size_t s = ShardOf(ob);
-  ARIESRH_RETURN_IF_ERROR(EnlistLocked(route.get(), txn, s));
-  ARIESRH_RETURN_IF_ERROR(shards_[s]->WaitForObjectRecovery(ob));
-  return shards_[s]->txn_manager()->Add(txn, ob, delta);
+  return Routed(txn, ob,
+                [&](TxnManager* tm) { return tm->Add(txn, ob, delta); });
 }
 
 Result<std::optional<std::string>> Database::TableGet(TxnId txn,
                                                       const std::string& key,
                                                       bool for_update) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
-  std::lock_guard lock(route->mu);
-  ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
-  const ObjectId rid = table::TableRid(key);
-  const size_t s = ShardOf(rid);
-  ARIESRH_RETURN_IF_ERROR(EnlistLocked(route.get(), txn, s));
-  ARIESRH_RETURN_IF_ERROR(shards_[s]->WaitForObjectRecovery(rid));
-  return shards_[s]->txn_manager()->TableGet(txn, key, for_update);
+  return Routed(txn, table::TableRid(key), [&](TxnManager* tm) {
+    return tm->TableGet(txn, key, for_update);
+  });
 }
 
 Status Database::TablePut(TxnId txn, const std::string& key,
                           const std::string& value) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
-  std::lock_guard lock(route->mu);
-  ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
-  const ObjectId rid = table::TableRid(key);
-  const size_t s = ShardOf(rid);
-  ARIESRH_RETURN_IF_ERROR(EnlistLocked(route.get(), txn, s));
-  ARIESRH_RETURN_IF_ERROR(shards_[s]->WaitForObjectRecovery(rid));
-  return shards_[s]->txn_manager()->TablePut(txn, key, value);
+  return Routed(txn, table::TableRid(key), [&](TxnManager* tm) {
+    return tm->TablePut(txn, key, value);
+  });
 }
 
 Status Database::TableDelete(TxnId txn, const std::string& key) {
-  ARIESRH_RETURN_IF_ERROR(EnsureUsable());
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<TxnRoute> route, FindRoute(txn));
-  std::lock_guard lock(route->mu);
-  ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*route, txn));
-  const ObjectId rid = table::TableRid(key);
-  const size_t s = ShardOf(rid);
-  ARIESRH_RETURN_IF_ERROR(EnlistLocked(route.get(), txn, s));
-  ARIESRH_RETURN_IF_ERROR(shards_[s]->WaitForObjectRecovery(rid));
-  return shards_[s]->txn_manager()->TableDelete(txn, key);
+  return Routed(txn, table::TableRid(key), [&](TxnManager* tm) {
+    return tm->TableDelete(txn, key);
+  });
 }
 
 Result<std::vector<std::pair<std::string, std::string>>> Database::TableScan(
@@ -269,75 +245,76 @@ Status Database::Delegate(TxnId from, TxnId to, const DelegationSpec& spec) {
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*from_route, from));
   ARIESRH_RETURN_IF_ERROR(CheckRouteActive(*to_route, to));
 
-  // The shards the transfer touches, each with the objects it moves there.
-  std::map<size_t, std::vector<ObjectId>> by_shard;
+  // The shards the transfer touches, each with what it moves there: an
+  // object list splits by shard, all objects become each shard's object
+  // list, and a range names one object, so it stays whole on its shard.
+  struct Leg {
+    DelegationSpec spec;
+    TxnManager::DelegationGuard guard;
+  };
+  std::map<size_t, Leg> legs;
   switch (spec.granularity) {
     case DelegationSpec::Granularity::kOperationRange:
-      // One object, one shard: always shard-local.
-      by_shard[ShardOf(spec.object)].push_back(spec.object);
+      legs[ShardOf(spec.object)].spec = spec;
       break;
     case DelegationSpec::Granularity::kAllObjects:
       for (size_t s : from_route->Shards()) {
         std::vector<ObjectId> objects =
             shards_[s]->txn_manager()->ObjectsOf(from);
-        if (!objects.empty()) by_shard.emplace(s, std::move(objects));
+        if (!objects.empty()) {
+          legs[s].spec = DelegationSpec::Objects(std::move(objects));
+        }
       }
-      // Nothing to transfer delegates vacuously, like DelegateAll.
-      if (by_shard.empty()) return Status::OK();
+      // Nothing to transfer delegates vacuously.
+      if (legs.empty()) return Status::OK();
       break;
     case DelegationSpec::Granularity::kObjectList:
-      for (ObjectId ob : spec.objects) by_shard[ShardOf(ob)].push_back(ob);
-      if (by_shard.empty()) {
+      if (spec.objects.empty()) {
         return Status::InvalidArgument("empty delegation object list");
+      }
+      for (ObjectId ob : spec.objects) {
+        DelegationSpec& leg = legs[ShardOf(ob)].spec;
+        leg.granularity = DelegationSpec::Granularity::kObjectList;
+        leg.objects.push_back(ob);
       }
       break;
   }
-  for (const auto& [s, objects] : by_shard) {
+  for (const auto& [s, leg] : legs) {
     if (!from_route->EnlistedOn(s)) {
-      return Status::InvalidArgument("delegator is not responsible for object " +
-                                     std::to_string(objects.front()));
+      return Status::InvalidArgument(
+          "delegator is not responsible for object " +
+          std::to_string(leg.spec.objects.empty() ? leg.spec.object
+                                                  : leg.spec.objects.front()));
     }
   }
-
-  if (by_shard.size() == 1) {
-    // Shard-local: the shard's own Delegate sees the caller's spec, so its
-    // checks and its one plain (csn = 0) DELEGATE record are the unsharded
-    // engine's. No coordinator.
-    const size_t s = by_shard.begin()->first;
-    ARIESRH_RETURN_IF_ERROR(EnlistLocked(to_route.get(), to, s));
-    return shards_[s]->txn_manager()->Delegate(from, to, spec);
-  }
-  return CrossShardDelegate(from, to, to_route.get(), by_shard);
-}
-
-Status Database::CrossShardDelegate(
-    TxnId from, TxnId to, TxnRoute* to_route,
-    const std::map<size_t, std::vector<ObjectId>>& by_shard) {
   // The delegatee must exist on every involved shard to receive scopes.
-  std::vector<size_t> parts;
-  parts.reserve(by_shard.size());
-  for (const auto& [s, objects] : by_shard) {
-    ARIESRH_RETURN_IF_ERROR(EnlistLocked(to_route, to, s));
-    parts.push_back(s);
+  for (const auto& [s, leg] : legs) {
+    ARIESRH_RETURN_IF_ERROR(EnlistLocked(to_route.get(), to, s));
   }
 
-  // Guard every shard (checkpoint fence + both parties' latches, held
-  // across the whole protocol) and pre-validate everywhere before touching
-  // anything: a refusal on shard k must not strand legs applied on shards
-  // before it.
-  std::vector<TxnManager::DelegationGuard> guards;
-  guards.reserve(parts.size());
-  for (size_t s : parts) {
-    ARIESRH_ASSIGN_OR_RETURN(TxnManager::DelegationGuard guard,
-                             shards_[s]->txn_manager()->GuardDelegation(from,
-                                                                        to));
-    guards.push_back(std::move(guard));
+  // Guard every shard (checkpoint fence + both parties' latches, held to
+  // the end) and check every leg before applying anywhere: a refusal on one
+  // shard must not strand a leg applied on another.
+  for (auto& [s, leg] : legs) {
+    ARIESRH_RETURN_IF_ERROR(
+        shards_[s]->txn_manager()->GuardDelegation(from, to, &leg.guard));
   }
-  for (size_t i = 0; i < parts.size(); ++i) {
-    ARIESRH_RETURN_IF_ERROR(shards_[parts[i]]->txn_manager()->CheckDelegatable(
-        guards[i], by_shard.at(parts[i])));
+  for (auto& [s, leg] : legs) {
+    ARIESRH_RETURN_IF_ERROR(
+        shards_[s]->txn_manager()->CheckDelegation(leg.guard, leg.spec));
   }
 
+  if (legs.size() == 1) {
+    // Shard-local: one plain (csn = 0) DELEGATE record, no coordinator — at
+    // N = 1 the unsharded engine's log, byte for byte.
+    auto& [s, leg] = *legs.begin();
+    return shards_[s]
+        ->txn_manager()
+        ->ApplyDelegation(leg.guard, leg.spec, /*csn=*/0)
+        .status();
+  }
+
+  // Cross-shard: the coordinator decides the transfer (docs/SHARDING.md).
   const uint64_t csn = coord_->NextCsn();
   coord::CoordRecord open;
   open.csn = csn;
@@ -345,7 +322,9 @@ Status Database::CrossShardDelegate(
   open.kind = coord::CoordRoundKind::kDelegate;
   open.txn = from;
   open.txn2 = to;
-  for (size_t s : parts) open.shards.push_back(static_cast<uint32_t>(s));
+  for (const auto& [s, leg] : legs) {
+    open.shards.push_back(static_cast<uint32_t>(s));
+  }
 
   // Nothing is mutated yet, so a stop here is a clean refusal.
   ARIESRH_RETURN_IF_ERROR(ProtocolPoint("xdel:before-coord-prepare"));
@@ -357,17 +336,18 @@ Status Database::CrossShardDelegate(
   // the first application on, any stop leaves volatile state
   // half-transferred — poison until SimulateCrash()+StartRecovery() (recovery
   // voids the undecided csn on every shard, restoring atomicity).
-  std::vector<std::pair<size_t, Lsn>> legs;
-  legs.reserve(parts.size());
-  for (size_t i = 0; i < parts.size(); ++i) {
-    const size_t s = parts[i];
+  std::vector<std::pair<size_t, Lsn>> applied;
+  applied.reserve(legs.size());
+  for (auto& [s, leg] : legs) {
     ARIESRH_RETURN_IF_ERROR(PoisonOnError(
         ProtocolPoint("xdel:before-apply:" + std::to_string(s))));
-    legs.emplace_back(s, shards_[s]->txn_manager()->ApplyCrossShardDelegation(
-                             guards[i], by_shard.at(s), csn));
+    Result<Lsn> lsn =
+        shards_[s]->txn_manager()->ApplyDelegation(leg.guard, leg.spec, csn);
+    ARIESRH_RETURN_IF_ERROR(PoisonOnError(lsn.status()));
+    applied.emplace_back(s, *lsn);
   }
   ARIESRH_RETURN_IF_ERROR(PoisonOnError(ProtocolPoint("xdel:legs-appended")));
-  ARIESRH_RETURN_IF_ERROR(PoisonOnError(ForceShardLogs(legs)));
+  ARIESRH_RETURN_IF_ERROR(PoisonOnError(ForceShardLogs(applied)));
 
   ARIESRH_RETURN_IF_ERROR(PoisonOnError(ProtocolPoint("xdel:before-decision")));
   coord::CoordRecord decision = open;

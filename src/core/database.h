@@ -53,6 +53,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -123,11 +124,13 @@ class Database {
   Result<std::optional<std::string>> TableGetCommitted(const std::string& key);
 
   /// The delegation entry point: transfers responsibility from `from` to
-  /// `to` per the spec (DelegationSpec::All / Objects / Operations). A
-  /// transfer touching one shard hands the spec unchanged to that shard's
-  /// TxnManager::Delegate (one DELEGATE record); one spanning shards runs
-  /// the coordinator-decided cross-shard protocol (docs/SHARDING.md) so the
-  /// shards' csn-stamped DELEGATE legs take effect all-or-nothing.
+  /// `to` per the spec (DelegationSpec::All / Objects / Operations). Every
+  /// shard the transfer touches is guarded and checked (TxnManager's
+  /// GuardDelegation and CheckDelegation) before any applies it. A
+  /// transfer touching one shard then writes one plain DELEGATE record; one
+  /// spanning shards runs the coordinator-decided cross-shard protocol
+  /// (docs/SHARDING.md) so the shards' csn-stamped DELEGATE legs take
+  /// effect all-or-nothing. NotSupported under DelegationMode::kDisabled.
   Status Delegate(TxnId from, TxnId to, const DelegationSpec& spec);
 
   Status Permit(TxnId owner, TxnId grantee, ObjectId ob);
@@ -441,6 +444,12 @@ class Database {
            txn < next_txn_id_.load(std::memory_order_relaxed);
   }
   static Status CheckRouteActive(const TxnRoute& route, TxnId txn);
+  /// The routing prologue of every single-object call (Read, Set, Add and
+  /// the keyed table calls): usable, route, active, enlist on `ob`'s shard,
+  /// the instant-restart gate — then `op` on that shard's TxnManager.
+  template <typename Op>
+  std::invoke_result_t<Op&, TxnManager*> Routed(TxnId txn, ObjectId ob,
+                                                Op op);
   /// Starts `txn` on `shard` (BeginWithId) if not already enlisted there.
   /// Caller holds route->mu.
   Status EnlistLocked(TxnRoute* route, TxnId txn, size_t shard);
@@ -451,11 +460,6 @@ class Database {
   Status ProtocolPoint(const std::string& point);
   /// Marks the facade poisoned when `status` is an error; returns it.
   Status PoisonOnError(Status status);
-  /// The cross-shard (multi-leg) delegation protocol. Caller holds both
-  /// route mutexes; `by_shard` maps shard index -> objects to transfer.
-  Status CrossShardDelegate(TxnId from, TxnId to, TxnRoute* to_route,
-                            const std::map<size_t, std::vector<ObjectId>>&
-                                by_shard);
   /// Makes each (shard, lsn) leg durable in one round: requests a force on
   /// every listed shard log before awaiting any (LogManager::RequestFlush /
   /// AwaitFlush). The cross-shard protocols' vote and leg forces.

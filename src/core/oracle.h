@@ -36,8 +36,9 @@ class HistoryOracle {
   /// updates to `objects` moves to `to`.
   void Delegate(TxnId from, TxnId to, const std::vector<ObjectId>& objects);
 
-  /// Mirrors DelegateOperations: only `from`'s unresolved updates to `ob`
-  /// with LSN in [first, last] move to `to` (requires LSNs on Update).
+  /// Mirrors a ranged Delegate (DelegationSpec::Operations): only `from`'s
+  /// unresolved updates to `ob` with LSN in [first, last] move to `to`
+  /// (requires LSNs on Update).
   void DelegateRange(TxnId from, TxnId to, ObjectId ob, Lsn first, Lsn last);
 
   /// Mirrors RollbackTo: unresolved updates `txn` is responsible for with

@@ -6,13 +6,13 @@
 namespace ariesrh {
 
 Status ChainUndo(LogManager* log, Stats* stats, UndoSink* sink,
-                 std::unordered_map<TxnId, Lsn>* heads) {
+                 std::unordered_map<TxnId, Lsn>* heads, Lsn down_to) {
   // Outstanding (next LSN to undo, owner); always process the maximum LSN
   // next so log accesses are monotonically decreasing.
   using Entry = std::pair<Lsn, TxnId>;
   std::priority_queue<Entry> todo;
   for (const auto& [txn, head] : *heads) {
-    if (head != kInvalidLsn) todo.emplace(head, txn);
+    if (head != kInvalidLsn && head > down_to) todo.emplace(head, txn);
   }
 
   while (!todo.empty()) {
@@ -45,7 +45,7 @@ Status ChainUndo(LogManager* log, Stats* stats, UndoSink* sink,
         next = rec.prev_lsn;
         break;
     }
-    if (next != kInvalidLsn) todo.emplace(next, txn);
+    if (next != kInvalidLsn && next > down_to) todo.emplace(next, txn);
   }
   return Status::OK();
 }

@@ -5,7 +5,8 @@
 //
 // Used when delegation is disabled, and by the eager / lazy-rewrite
 // baselines after history has been physically rewritten (the chains then
-// reflect responsibility, so chain undo is correct for them).
+// reflect responsibility, so chain undo is correct for them). It serves
+// both restart undo and TxnManager's rollbacks, whole or to a savepoint.
 
 #ifndef ARIESRH_RECOVERY_UNDO_CONVENTIONAL_H_
 #define ARIESRH_RECOVERY_UNDO_CONVENTIONAL_H_
@@ -21,12 +22,13 @@
 namespace ariesrh {
 
 /// Undoes all updates on the backward chains headed by `heads` (txn -> chain
-/// head LSN, in/out), handing each to `sink` on behalf of the chain's owner;
-/// the sink's CLRs advance the heads. DELEGATE records encountered on a
-/// chain are traversed through the side (tor/tee) belonging to the chain's
-/// owner.
+/// head LSN, in/out) that lie above `down_to`, handing each to `sink` on
+/// behalf of the chain's owner; the sink's CLRs advance the heads. DELEGATE
+/// records encountered on a chain are traversed through the side (tor/tee)
+/// belonging to the chain's owner. `down_to` is a partial rollback's
+/// savepoint; 0 undoes the chains whole.
 Status ChainUndo(LogManager* log, Stats* stats, UndoSink* sink,
-                 std::unordered_map<TxnId, Lsn>* heads);
+                 std::unordered_map<TxnId, Lsn>* heads, Lsn down_to = 0);
 
 }  // namespace ariesrh
 

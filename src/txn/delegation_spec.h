@@ -1,8 +1,8 @@
-// DelegationSpec: one value type describing *what* a delegation transfers,
-// consolidating the three historical entry points (all objects, an explicit
-// object list, a per-object operation range) behind a single
-// Delegate(from, to, spec) call. The legacy signatures survive as thin
-// wrappers over this type.
+// DelegationSpec: one value type describing *what* a delegation transfers —
+// all objects, an explicit object list, or a per-object operation range —
+// for the single Database::Delegate(from, to, spec) call. The facade
+// resolves all-objects to each shard's object list; TxnManager's
+// CheckDelegation and ApplyDelegation take the other two forms.
 
 #ifndef ARIESRH_TXN_DELEGATION_SPEC_H_
 #define ARIESRH_TXN_DELEGATION_SPEC_H_

@@ -19,7 +19,8 @@ enum class TxnState : uint8_t {
   kAborted = 2,
   /// Voted in a 2PC round (sharded engines): the PREPARE record is durable
   /// and the transaction's fate now belongs to the coordinator. No further
-  /// work may arrive; commit/abort comes only via FinishCommit/AbortPrepared.
+  /// work may arrive; commit comes only via FinishCommit, and a round that
+  /// stops leaves the fate to restart's in-doubt resolution.
   kPrepared = 3,
 };
 

@@ -15,6 +15,17 @@
 #include "recovery/undo_rh.h"
 
 namespace ariesrh {
+namespace {
+
+// Commit, abort, prepare and delegation all refuse a transaction whose
+// commit or abort has already begun.
+Status RefuseTerminating(const Transaction& tx) {
+  if (!tx.terminating) return Status::OK();
+  return Status::IllegalState("transaction " + std::to_string(tx.id) +
+                              " is committing or aborting");
+}
+
+}  // namespace
 
 TxnManager::TxnManager(const Options& options, LogManager* log,
                        BufferPool* pool, LockManager* locks, Stats* stats,
@@ -361,201 +372,6 @@ Result<std::vector<std::pair<std::string, std::string>>> TxnManager::TableScan(
   return out;
 }
 
-Status TxnManager::CheckDelegationParties(const Transaction& tor,
-                                          const Transaction& tee) const {
-  for (const Transaction* tx : {&tor, &tee}) {
-    if (tx->state != TxnState::kActive) {
-      return Status::IllegalState("transaction " + std::to_string(tx->id) +
-                                  " is " + TxnStateName(tx->state));
-    }
-    if (tx->terminating) {
-      return Status::IllegalState("transaction " + std::to_string(tx->id) +
-                                  " is committing or aborting");
-    }
-  }
-  return Status::OK();
-}
-
-Status TxnManager::Delegate(TxnId from, TxnId to,
-                            const DelegationSpec& spec) {
-  switch (spec.granularity) {
-    case DelegationSpec::Granularity::kAllObjects:
-      return DelegateAll(from, to);
-    case DelegationSpec::Granularity::kObjectList:
-      return Delegate(from, to, spec.objects);
-    case DelegationSpec::Granularity::kOperationRange:
-      return DelegateOperations(from, to, spec.object, spec.first, spec.last);
-  }
-  return Status::InvalidArgument("unknown delegation granularity");
-}
-
-Status TxnManager::Delegate(TxnId from, TxnId to,
-                            const std::vector<ObjectId>& objects) {
-  if (options_.delegation_mode == DelegationMode::kDisabled) {
-    return Status::NotSupported("delegation disabled in this configuration");
-  }
-  if (from == to) {
-    return Status::InvalidArgument("cannot delegate to self");
-  }
-  if (objects.empty()) {
-    return Status::InvalidArgument("empty delegation");
-  }
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tor, FindActive(from));
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tee, FindActive(to));
-
-  // The fence makes the two-party transfer atomic w.r.t. a concurrent
-  // fuzzy-checkpoint snapshot: the snapshot must not copy the delegator
-  // pre-transfer and the delegatee post-transfer (or vice versa) — recovery
-  // and log archiving would then see a scope in neither or both Ob_Lists.
-  std::shared_lock fence(ckpt_fence_);
-
-  // Both parties' latches, deadlock-free; every precondition re-validates
-  // underneath them (the FindActive answers above could be stale the moment
-  // they were given).
-  std::scoped_lock latches(tor->latch, tee->latch);
-  ARIESRH_RETURN_IF_ERROR(CheckDelegationParties(*tor, *tee));
-
-  // WELL-FORMED? (Section 3.5, delegate step 1): the delegator must be the
-  // responsible transaction for every delegated object.
-  for (ObjectId ob : objects) {
-    if (!tor->IsResponsibleFor(ob)) {
-      return Status::InvalidArgument(
-          "delegator is not responsible for object " + std::to_string(ob));
-    }
-  }
-
-  // The rewriting baselines splice records between backward chains, which
-  // invalidates CLR undo-next pointers created by partial rollbacks — the
-  // correctness hazard of mutating the log that Section 3.2 warns about.
-  // They must refuse the combination; RH, which never moves records, takes
-  // it in stride.
-  if (options_.delegation_mode != DelegationMode::kRH &&
-      (tor->did_partial_rollback || tee->did_partial_rollback)) {
-    return Status::IllegalState(
-        "history-rewriting baselines cannot delegate across a partial "
-        "rollback");
-  }
-
-  if (options_.delegation_mode == DelegationMode::kEager) {
-    // Figure 1 applied eagerly: physically rewrite the log now. No DELEGATE
-    // record is written — the rewrite *is* the delegation.
-    std::unordered_map<TxnId, Lsn> heads = {{from, tor->last_lsn},
-                                            {to, tee->last_lsn}};
-    std::set<ObjectId> ob_set(objects.begin(), objects.end());
-    ARIESRH_RETURN_IF_ERROR(
-        RewriteHistory(log_, stats_, from, to, ob_set, &heads));
-    tor->last_lsn = heads[from];
-    tee->last_lsn = heads[to];
-  } else {
-    // PREPARE + WRITE DELEGATION LOG RECORD (steps 2 and 4): the record
-    // links into both backward chains and becomes the head of each.
-    const Lsn lsn = log_->Append(LogRecord::MakeDelegate(
-        from, to, tor->last_lsn, tee->last_lsn, objects));
-    tor->last_lsn = lsn;
-    tee->last_lsn = lsn;
-    ++stats_->delegations;
-    obs::Emit(stats_->trace(), obs::TraceEventType::kDelegate, from, to, lsn);
-  }
-
-  // TRANSFER RESPONSIBILITY (step 3): move scopes between Ob_Lists.
-  for (ObjectId ob : objects) {
-    auto it = tor->ob_list.find(ob);
-    assert(it != tor->ob_list.end());
-    ObjectEntry& dst = tee->ob_list[ob];
-    dst.delegated_from = from;
-    if (options_.delegation_mode != DelegationMode::kEager) {
-      stats_->scopes_transferred += it->second.scopes.size();
-    }
-    dst.MergeFrom(it->second);
-    tor->ob_list.erase(it);
-    locks_->Transfer(from, to, ob);
-  }
-  tor->touched_by_delegation = true;
-  tee->touched_by_delegation = true;
-  return Status::OK();
-}
-
-Status TxnManager::DelegateOperations(TxnId from, TxnId to, ObjectId ob,
-                                      Lsn first, Lsn last) {
-  if (options_.delegation_mode != DelegationMode::kRH) {
-    return Status::NotSupported(
-        "operation-granularity delegation requires ARIES/RH (mode " +
-        std::string(DelegationModeName(options_.delegation_mode)) + ")");
-  }
-  if (from == to) {
-    return Status::InvalidArgument("cannot delegate to self");
-  }
-  if (first == kInvalidLsn || last == kInvalidLsn || first > last) {
-    return Status::InvalidArgument("malformed delegation range");
-  }
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tor, FindActive(from));
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tee, FindActive(to));
-
-  // Same snapshot-atomicity fence as the object-list path above.
-  std::shared_lock fence(ckpt_fence_);
-
-  std::scoped_lock latches(tor->latch, tee->latch);
-  ARIESRH_RETURN_IF_ERROR(CheckDelegationParties(*tor, *tee));
-
-  auto it = tor->ob_list.find(ob);
-  if (it == tor->ob_list.end()) {
-    return Status::InvalidArgument("delegator is not responsible for object " +
-                                   std::to_string(ob));
-  }
-  bool intersects = false;
-  bool retains_coverage = false;
-  for (const Scope& scope : it->second.scopes) {
-    if (scope.last >= first && scope.first <= last) intersects = true;
-    if (scope.first < first || scope.last > last) retains_coverage = true;
-  }
-  if (!intersects) {
-    return Status::InvalidArgument(
-        "delegator is not responsible for any update in the range");
-  }
-  // Splitting coverage that contains a non-commuting Set across two
-  // responsibility domains is unsound: Set undo restores a physical before
-  // image and would trample the other party's (possibly committed) work.
-  // Whole transfers are always fine; splits require all-commuting coverage.
-  if (retains_coverage && it->second.has_set_update) {
-    return Status::InvalidArgument(
-        "cannot split Set (non-commuting) coverage across responsibilities; "
-        "delegate the whole object instead");
-  }
-
-  const Lsn lsn = log_->Append(LogRecord::MakeDelegateRange(
-      from, to, tor->last_lsn, tee->last_lsn, ob, first, last));
-  tor->last_lsn = lsn;
-  tee->last_lsn = lsn;
-  ++stats_->delegations;
-  obs::Emit(stats_->trace(), obs::TraceEventType::kDelegate, from, to, lsn);
-
-  ObjectEntry& dst = tee->ob_list[ob];
-  dst.delegated_from = from;
-  stats_->scopes_transferred += TransferScopeRange(&it->second, &dst, first,
-                                                   last);
-  if (it->second.scopes.empty()) {
-    tor->ob_list.erase(it);
-    locks_->Transfer(from, to, ob);
-  }
-  tor->touched_by_delegation = true;
-  tee->touched_by_delegation = true;
-  return Status::OK();
-}
-
-Status TxnManager::DelegateAll(TxnId from, TxnId to) {
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tor, FindActive(from));
-  std::vector<ObjectId> objects;
-  {
-    std::lock_guard latch(tor->latch);
-    objects.reserve(tor->ob_list.size());
-    for (const auto& [ob, entry] : tor->ob_list) objects.push_back(ob);
-  }
-  if (objects.empty()) return Status::OK();
-  // Delegate re-validates responsibility under both latches, so the window
-  // between this snapshot and the transfer is benign.
-  return Delegate(from, to, objects);
-}
-
 Status TxnManager::Permit(TxnId owner, TxnId grantee, ObjectId ob) {
   ARIESRH_RETURN_IF_ERROR(FindActive(owner).status());
   ARIESRH_RETURN_IF_ERROR(FindActive(grantee).status());
@@ -587,73 +403,7 @@ Status TxnManager::RollbackTo(TxnId txn, Lsn savepoint) {
         "lazy-rewrite baseline cannot partially roll back a transaction "
         "involved in delegation");
   }
-
-  std::unordered_map<TxnId, Lsn> bc_heads = {{tx->id, tx->last_lsn}};
-  LoggingUndoSink sink(log_, pool_, stats_, heap_);
-  const bool scope_undo =
-      options_.delegation_mode == DelegationMode::kRH ||
-      options_.delegation_mode == DelegationMode::kLazyRewrite;
-  if (scope_undo) {
-    // Undo the responsible updates past the savepoint: each scope is
-    // clipped to (savepoint, last] for the sweep...
-    std::vector<ScopeUndoTarget> targets;
-    Lsn sweep_from = 0;
-    for (const auto& [ob, entry] : tx->ob_list) {
-      for (const Scope& scope : entry.scopes) {
-        if (scope.last <= savepoint) continue;
-        Scope clipped = scope;
-        clipped.first = std::max(clipped.first, savepoint + 1);
-        targets.push_back(ScopeUndoTarget{tx->id, ob, clipped});
-        sweep_from = std::max(sweep_from, clipped.last);
-      }
-    }
-    ARIESRH_RETURN_IF_ERROR(ScopeSweepUndo(targets, /*compensated=*/{},
-                                           sweep_from, log_, stats_, &sink,
-                                           &bc_heads));
-    // ...and the stored scopes shrink to what is still live.
-    for (auto entry_it = tx->ob_list.begin();
-         entry_it != tx->ob_list.end();) {
-      ObjectEntry::ScopeList& scopes = entry_it->second.scopes;
-      scopes.EraseIf(
-          [savepoint](const Scope& s) { return s.first > savepoint; });
-      for (Scope& scope : scopes) {
-        scope.last = std::min(scope.last, savepoint);
-      }
-      entry_it = scopes.empty() ? tx->ob_list.erase(entry_it)
-                                : std::next(entry_it);
-    }
-  } else {
-    // Conventional ARIES partial rollback: walk the backward chain,
-    // undoing until the savepoint is reached. CLR undo-next pointers keep
-    // this idempotent under repetition.
-    Lsn cur = tx->last_lsn;
-    while (cur != kInvalidLsn && cur > savepoint) {
-      ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, log_->Read(cur));
-      switch (rec.type) {
-        case LogRecordType::kUpdate:
-        case LogRecordType::kTableInsert:
-        case LogRecordType::kTableUpdate:
-        case LogRecordType::kTableDelete:
-          ARIESRH_RETURN_IF_ERROR(sink.Undo(rec, tx->id, &bc_heads));
-          cur = rec.prev_lsn;
-          break;
-        case LogRecordType::kClr:
-        case LogRecordType::kTableClr:
-          cur = rec.undo_next_lsn;
-          break;
-        case LogRecordType::kDelegate:
-          cur = (tx->id == rec.tor) ? rec.tor_bc : rec.tee_bc;
-          break;
-        default:
-          cur = rec.prev_lsn;
-          break;
-      }
-    }
-    // The plain Object List entries are left as-is in these modes: they are
-    // a conservative superset used only as a delegation precondition, and
-    // chain-based undo does not consult them.
-  }
-  tx->last_lsn = bc_heads[tx->id];
+  ARIESRH_RETURN_IF_ERROR(RollBack(tx.get(), savepoint));
   tx->did_partial_rollback = true;
   return Status::OK();
 }
@@ -693,10 +443,7 @@ Status TxnManager::Commit(TxnId txn) {
   Lsn commit_lsn = kInvalidLsn;
   {
     std::lock_guard latch(tx->latch);
-    if (tx->terminating) {
-      return Status::IllegalState("transaction " + std::to_string(txn) +
-                                  " is committing or aborting");
-    }
+    ARIESRH_RETURN_IF_ERROR(RefuseTerminating(*tx));
     tx->terminating = true;  // from here no delegation may touch the chain
     commit_lsn = log_->Append(LogRecord::MakeCommit(txn, tx->last_lsn));
     tx->last_lsn = tx->commit_lsn = commit_lsn;
@@ -754,14 +501,23 @@ Status TxnManager::Commit(TxnId txn) {
     tx->state = TxnState::kCommitted;
     tx->ob_list.clear();
   }
+  Terminate(txn, TxnState::kCommitted, commit_lsn);
+  return Status::OK();
+}
+
+void TxnManager::Terminate(TxnId txn, TxnState outcome, Lsn lsn) {
   locks_->ReleaseAll(txn);
   {
     std::lock_guard deps_lock(deps_mu_);
     deps_.RemoveTxn(txn);
   }
-  ++stats_->txns_committed;
-  obs::Emit(stats_->trace(), obs::TraceEventType::kTxnCommit, txn, commit_lsn);
-  return Status::OK();
+  if (outcome == TxnState::kCommitted) {
+    ++stats_->txns_committed;
+    obs::Emit(stats_->trace(), obs::TraceEventType::kTxnCommit, txn, lsn);
+  } else {
+    ++stats_->txns_aborted;
+    obs::Emit(stats_->trace(), obs::TraceEventType::kTxnAbort, txn, lsn);
+  }
 }
 
 Status TxnManager::FailEarlyReleasedCommit(Transaction* tx,
@@ -777,16 +533,13 @@ Status TxnManager::FailEarlyReleasedCommit(Transaction* tx,
     tx->state = TxnState::kAborted;
     tx->ob_list.clear();
   }
-  locks_->ReleaseAll(tx->id);
-  ++stats_->txns_aborted;
-  obs::Emit(stats_->trace(), obs::TraceEventType::kTxnAbort, tx->id,
-            tx->last_lsn);
+  // Capture who must abort with us before Terminate drops the edges.
   std::vector<TxnId> dependents;
   {
     std::lock_guard deps_lock(deps_mu_);
     dependents = deps_.AbortDependents(tx->id);
-    deps_.RemoveTxn(tx->id);
   }
+  Terminate(tx->id, TxnState::kAborted, tx->last_lsn);
   for (TxnId dependent : dependents) {
     if (!IsActive(dependent)) continue;
     // Best effort: a clean cascade abort (with CLRs) if the log still
@@ -802,42 +555,19 @@ Status TxnManager::FailEarlyReleasedCommit(Transaction* tx,
 
 Status TxnManager::Abort(TxnId txn) {
   ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tx, FindActive(txn));
-
   {
     std::lock_guard latch(tx->latch);
-    if (tx->terminating) {
-      return Status::IllegalState("transaction " + std::to_string(txn) +
-                                  " is committing or aborting");
-    }
+    ARIESRH_RETURN_IF_ERROR(RefuseTerminating(*tx));
     tx->terminating = true;
     // ABORT record marks rollback-in-progress, then undo, then END — all
     // under the latch: the chain head and scopes are in flux throughout.
     tx->last_lsn = log_->Append(LogRecord::MakeAbort(txn, tx->last_lsn));
-    ARIESRH_RETURN_IF_ERROR(RollBack(tx.get()));
+    ARIESRH_RETURN_IF_ERROR(RollBack(tx.get(), /*savepoint=*/0));
     tx->last_lsn = log_->Append(LogRecord::MakeEnd(txn, tx->last_lsn));
     tx->state = TxnState::kAborted;
     tx->ob_list.clear();
   }
-  locks_->ReleaseAll(txn);
-  ++stats_->txns_aborted;
-  obs::Emit(stats_->trace(), obs::TraceEventType::kTxnAbort, txn,
-            tx->last_lsn);
-  // Capture who must abort with us before the graph forgets this txn.
-  std::vector<TxnId> dependents;
-  {
-    std::lock_guard deps_lock(deps_mu_);
-    dependents = deps_.AbortDependents(txn);
-    deps_.RemoveTxn(txn);
-  }
-  for (TxnId dependent : dependents) {
-    if (!IsActive(dependent)) continue;
-    const Status status = Abort(dependent);
-    // A cascade target that a concurrent session is already terminating is
-    // not our problem to finish.
-    if (!status.ok() && status.code() != StatusCode::kIllegalState) {
-      return status;
-    }
-  }
+  Terminate(txn, TxnState::kAborted, tx->last_lsn);
   return Status::OK();
 }
 
@@ -846,10 +576,7 @@ Result<Lsn> TxnManager::Prepare(TxnId txn, uint64_t csn) {
   Lsn prepare_lsn = kInvalidLsn;
   {
     std::lock_guard latch(tx->latch);
-    if (tx->terminating) {
-      return Status::IllegalState("transaction " + std::to_string(txn) +
-                                  " is committing or aborting");
-    }
+    ARIESRH_RETURN_IF_ERROR(RefuseTerminating(*tx));
     prepare_lsn = log_->Append(LogRecord::MakePrepare(txn, tx->last_lsn, csn));
     tx->last_lsn = prepare_lsn;
     tx->prepared_csn = csn;
@@ -874,110 +601,196 @@ Status TxnManager::FinishCommit(TxnId txn) {
   // No force: the round's commit point was the coordinator's durable
   // COMMIT. If these records are lost to a crash, recovery finds the
   // transaction in doubt and re-commits it from the coordinator log.
-  locks_->ReleaseAll(txn);
-  {
-    std::lock_guard deps_lock(deps_mu_);
-    deps_.RemoveTxn(txn);
-  }
-  ++stats_->txns_committed;
-  obs::Emit(stats_->trace(), obs::TraceEventType::kTxnCommit, txn, commit_lsn);
+  Terminate(txn, TxnState::kCommitted, commit_lsn);
   return Status::OK();
 }
 
-Status TxnManager::AbortPrepared(TxnId txn) {
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tx, FindPrepared(txn));
-  {
-    std::lock_guard latch(tx->latch);
-    tx->terminating = true;
-    tx->last_lsn = log_->Append(LogRecord::MakeAbort(txn, tx->last_lsn));
-    ARIESRH_RETURN_IF_ERROR(RollBack(tx.get()));
-    tx->last_lsn = log_->Append(LogRecord::MakeEnd(txn, tx->last_lsn));
-    tx->state = TxnState::kAborted;
-    tx->prepared_csn = 0;
-    tx->ob_list.clear();
+Status TxnManager::GuardDelegation(TxnId from, TxnId to,
+                                   DelegationGuard* guard) {
+  if (options_.delegation_mode == DelegationMode::kDisabled) {
+    return Status::NotSupported("delegation disabled in this configuration");
   }
-  locks_->ReleaseAll(txn);
-  {
-    std::lock_guard deps_lock(deps_mu_);
-    deps_.RemoveTxn(txn);
-  }
-  ++stats_->txns_aborted;
-  obs::Emit(stats_->trace(), obs::TraceEventType::kTxnAbort, txn,
-            tx->last_lsn);
-  return Status::OK();
-}
-
-Result<TxnManager::DelegationGuard> TxnManager::GuardDelegation(TxnId from,
-                                                                TxnId to) {
   if (from == to) {
     return Status::InvalidArgument("cannot delegate to self");
   }
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tor, FindActive(from));
-  ARIESRH_ASSIGN_OR_RETURN(std::shared_ptr<Transaction> tee, FindActive(to));
-
-  DelegationGuard guard;
-  guard.tor_ = tor;
-  guard.tee_ = tee;
-  // Same lock order as Delegate: fence first, then both latches — but in
-  // ascending TxnId order (scoped_lock's deadlock avoidance cannot persist
-  // beyond a scope; a fixed order can).
-  guard.fence_ = std::shared_lock(ckpt_fence_);
-  Transaction* first = tor->id < tee->id ? tor.get() : tee.get();
-  Transaction* second = tor->id < tee->id ? tee.get() : tor.get();
-  guard.first_ = std::unique_lock(first->latch);
-  guard.second_ = std::unique_lock(second->latch);
-  ARIESRH_RETURN_IF_ERROR(CheckDelegationParties(*tor, *tee));
-  return guard;
-}
-
-Status TxnManager::CheckDelegatable(const DelegationGuard& guard,
-                                    const std::vector<ObjectId>& objects)
-    const {
-  ARIESRH_RETURN_IF_ERROR(CheckDelegationParties(*guard.tor_, *guard.tee_));
-  for (ObjectId ob : objects) {
-    if (!guard.tor_->IsResponsibleFor(ob)) {
-      return Status::InvalidArgument(
-          "delegator is not responsible for object " + std::to_string(ob));
+  ARIESRH_ASSIGN_OR_RETURN(guard->tor_, FindActive(from));
+  ARIESRH_ASSIGN_OR_RETURN(guard->tee_, FindActive(to));
+  // The fence makes the two-party transfer atomic w.r.t. a concurrent
+  // fuzzy-checkpoint snapshot: the snapshot must not copy the delegator
+  // pre-transfer and the delegatee post-transfer (or vice versa) — recovery
+  // and log archiving would then see a scope in neither or both Ob_Lists.
+  // Then both latches in ascending TxnId order: a fixed order, because the
+  // facade holds guards on several shards at once.
+  guard->fence_ = std::shared_lock(ckpt_fence_);
+  const bool tor_first = from < to;
+  guard->first_ =
+      std::unique_lock((tor_first ? guard->tor_ : guard->tee_)->latch);
+  guard->second_ =
+      std::unique_lock((tor_first ? guard->tee_ : guard->tor_)->latch);
+  // Every precondition re-validates underneath the latches: the FindActive
+  // answers above could be stale the moment they were given.
+  for (const Transaction* tx : {guard->tor_.get(), guard->tee_.get()}) {
+    if (tx->state != TxnState::kActive) {
+      return Status::IllegalState("transaction " + std::to_string(tx->id) +
+                                  " is " + TxnStateName(tx->state));
     }
+    ARIESRH_RETURN_IF_ERROR(RefuseTerminating(*tx));
   }
   return Status::OK();
 }
 
-Lsn TxnManager::ApplyCrossShardDelegation(
-    const DelegationGuard& guard, const std::vector<ObjectId>& objects,
-    uint64_t csn) {
+Status TxnManager::CheckDelegation(const DelegationGuard& guard,
+                                   const DelegationSpec& spec) const {
+  const Transaction& tor = *guard.tor_;
+  const Transaction& tee = *guard.tee_;
+  switch (spec.granularity) {
+    case DelegationSpec::Granularity::kAllObjects:
+      return Status::InvalidArgument(
+          "an all-objects delegation reaches a shard as its object list");
+    case DelegationSpec::Granularity::kObjectList:
+      // WELL-FORMED? (Section 3.5, delegate step 1): the delegator must be
+      // the responsible transaction for every delegated object.
+      for (ObjectId ob : spec.objects) {
+        if (!tor.IsResponsibleFor(ob)) {
+          return Status::InvalidArgument(
+              "delegator is not responsible for object " + std::to_string(ob));
+        }
+      }
+      break;
+    case DelegationSpec::Granularity::kOperationRange: {
+      if (options_.delegation_mode != DelegationMode::kRH) {
+        return Status::NotSupported(
+            "operation-granularity delegation requires ARIES/RH (mode " +
+            std::string(DelegationModeName(options_.delegation_mode)) + ")");
+      }
+      if (spec.first == kInvalidLsn || spec.last == kInvalidLsn ||
+          spec.first > spec.last) {
+        return Status::InvalidArgument("malformed delegation range");
+      }
+      auto it = tor.ob_list.find(spec.object);
+      if (it == tor.ob_list.end()) {
+        return Status::InvalidArgument(
+            "delegator is not responsible for object " +
+            std::to_string(spec.object));
+      }
+      bool intersects = false;
+      bool retains_coverage = false;
+      for (const Scope& scope : it->second.scopes) {
+        if (scope.last >= spec.first && scope.first <= spec.last) {
+          intersects = true;
+        }
+        if (scope.first < spec.first || scope.last > spec.last) {
+          retains_coverage = true;
+        }
+      }
+      if (!intersects) {
+        return Status::InvalidArgument(
+            "delegator is not responsible for any update in the range");
+      }
+      // Splitting coverage that contains a non-commuting Set across two
+      // responsibility domains is unsound: Set undo restores a physical
+      // before image and would trample the other party's (possibly
+      // committed) work. Whole transfers are always fine; splits require
+      // all-commuting coverage.
+      if (retains_coverage && it->second.has_set_update) {
+        return Status::InvalidArgument(
+            "cannot split Set (non-commuting) coverage across "
+            "responsibilities; delegate the whole object instead");
+      }
+      break;
+    }
+  }
+  // The rewriting baselines splice records between backward chains, which
+  // invalidates CLR undo-next pointers created by partial rollbacks — the
+  // correctness hazard of mutating the log that Section 3.2 warns about.
+  // They must refuse the combination; RH, which never moves records, takes
+  // it in stride.
+  if (options_.delegation_mode != DelegationMode::kRH &&
+      (tor.did_partial_rollback || tee.did_partial_rollback)) {
+    return Status::IllegalState(
+        "history-rewriting baselines cannot delegate across a partial "
+        "rollback");
+  }
+  return Status::OK();
+}
+
+Result<Lsn> TxnManager::ApplyDelegation(const DelegationGuard& guard,
+                                        const DelegationSpec& spec,
+                                        uint64_t csn) {
   Transaction* tor = guard.tor_.get();
   Transaction* tee = guard.tee_.get();
-  LogRecord rec = LogRecord::MakeDelegate(tor->id, tee->id, tor->last_lsn,
-                                          tee->last_lsn, objects);
-  rec.csn = csn;
-  const Lsn lsn = log_->Append(std::move(rec));
-  tor->last_lsn = lsn;
-  tee->last_lsn = lsn;
-  ++stats_->delegations;
-  obs::Emit(stats_->trace(), obs::TraceEventType::kDelegate, tor->id, tee->id,
-            lsn);
+  const bool ranged =
+      spec.granularity == DelegationSpec::Granularity::kOperationRange;
+  Lsn lsn = kInvalidLsn;
+  if (options_.delegation_mode == DelegationMode::kEager) {
+    // Figure 1 applied eagerly: physically rewrite the log now. No DELEGATE
+    // record is written — the rewrite *is* the delegation. (Object lists
+    // only: CheckDelegation refuses ranges outside kRH.)
+    std::unordered_map<TxnId, Lsn> heads = {{tor->id, tor->last_lsn},
+                                            {tee->id, tee->last_lsn}};
+    std::set<ObjectId> ob_set(spec.objects.begin(), spec.objects.end());
+    ARIESRH_RETURN_IF_ERROR(
+        RewriteHistory(log_, stats_, tor->id, tee->id, ob_set, &heads));
+    tor->last_lsn = heads[tor->id];
+    tee->last_lsn = heads[tee->id];
+  } else {
+    // PREPARE + WRITE DELEGATION LOG RECORD (steps 2 and 4): the record
+    // links into both backward chains and becomes the head of each. (Built
+    // in place as Append's argument: the delegation hot path pays no
+    // record move.)
+    lsn = log_->Append([&] {
+      LogRecord rec =
+          ranged ? LogRecord::MakeDelegateRange(tor->id, tee->id,
+                                                tor->last_lsn, tee->last_lsn,
+                                                spec.object, spec.first,
+                                                spec.last)
+                 : LogRecord::MakeDelegate(tor->id, tee->id, tor->last_lsn,
+                                           tee->last_lsn, spec.objects);
+      rec.csn = csn;
+      return rec;
+    }());
+    tor->last_lsn = lsn;
+    tee->last_lsn = lsn;
+    ++stats_->delegations;
+    obs::Emit(stats_->trace(), obs::TraceEventType::kDelegate, tor->id,
+              tee->id, lsn);
+  }
 
-  // TRANSFER RESPONSIBILITY, exactly as the shard-local path does.
-  for (ObjectId ob : objects) {
-    auto it = tor->ob_list.find(ob);
+  // TRANSFER RESPONSIBILITY (step 3): move scopes between Ob_Lists.
+  if (ranged) {
+    auto it = tor->ob_list.find(spec.object);
     assert(it != tor->ob_list.end());
-    ObjectEntry& dst = tee->ob_list[ob];
+    ObjectEntry& dst = tee->ob_list[spec.object];
     dst.delegated_from = tor->id;
-    stats_->scopes_transferred += it->second.scopes.size();
-    dst.MergeFrom(it->second);
-    tor->ob_list.erase(it);
-    locks_->Transfer(tor->id, tee->id, ob);
+    stats_->scopes_transferred +=
+        TransferScopeRange(&it->second, &dst, spec.first, spec.last);
+    if (it->second.scopes.empty()) {
+      tor->ob_list.erase(it);
+      locks_->Transfer(tor->id, tee->id, spec.object);
+    }
+  } else {
+    for (ObjectId ob : spec.objects) {
+      auto it = tor->ob_list.find(ob);
+      assert(it != tor->ob_list.end());
+      ObjectEntry& dst = tee->ob_list[ob];
+      dst.delegated_from = tor->id;
+      if (options_.delegation_mode != DelegationMode::kEager) {
+        stats_->scopes_transferred += it->second.scopes.size();
+      }
+      dst.MergeFrom(it->second);
+      tor->ob_list.erase(it);
+      locks_->Transfer(tor->id, tee->id, ob);
+    }
   }
   tor->touched_by_delegation = true;
   tee->touched_by_delegation = true;
   return lsn;
 }
 
-Status TxnManager::RollBack(Transaction* tx) {
+Status TxnManager::RollBack(Transaction* tx, Lsn savepoint) {
   std::unordered_map<TxnId, Lsn> bc_heads = {{tx->id, tx->last_lsn}};
   LoggingUndoSink sink(log_, pool_, stats_, heap_);
-  // kRH and kLazyRewrite abort via the scope sweep; kDisabled has no scopes
+  // kRH and kLazyRewrite undo via the scope sweep; kDisabled has no scopes
   // and kEager keeps its chains physically correct, so both use chain undo.
   const bool scope_undo =
       options_.delegation_mode == DelegationMode::kRH ||
@@ -985,22 +798,44 @@ Status TxnManager::RollBack(Transaction* tx) {
   if (scope_undo) {
     // ABORT OPERATIONS (Section 3.5): undo every update in the scopes of
     // this transaction's Ob_List — exactly its Op_List, regardless of who
-    // invoked the updates — via the backward cluster sweep.
+    // invoked the updates — via the backward cluster sweep, each scope
+    // clipped to (savepoint, last].
     std::vector<ScopeUndoTarget> targets;
     Lsn sweep_from = 0;
     for (const auto& [ob, entry] : tx->ob_list) {
       for (const Scope& scope : entry.scopes) {
-        targets.push_back(ScopeUndoTarget{tx->id, ob, scope});
-        sweep_from = std::max(sweep_from, scope.last);
+        if (scope.last <= savepoint) continue;
+        Scope clipped = scope;
+        clipped.first = std::max(clipped.first, savepoint + 1);
+        targets.push_back(ScopeUndoTarget{tx->id, ob, clipped});
+        sweep_from = std::max(sweep_from, clipped.last);
       }
     }
     ARIESRH_RETURN_IF_ERROR(ScopeSweepUndo(targets, /*compensated=*/{},
                                            sweep_from, log_, stats_, &sink,
                                            &bc_heads));
+    // A partial rollback's stored scopes shrink to what is still live (a
+    // whole one's caller drops the Ob_List).
+    if (savepoint != 0) {
+      for (auto entry_it = tx->ob_list.begin();
+           entry_it != tx->ob_list.end();) {
+        ObjectEntry::ScopeList& scopes = entry_it->second.scopes;
+        scopes.EraseIf(
+            [savepoint](const Scope& s) { return s.first > savepoint; });
+        for (Scope& scope : scopes) {
+          scope.last = std::min(scope.last, savepoint);
+        }
+        entry_it = scopes.empty() ? tx->ob_list.erase(entry_it)
+                                  : std::next(entry_it);
+      }
+    }
   } else {
-    // Conventional ARIES rollback: walk the backward chain. (Eager-mode
-    // chains are physically correct, so this also serves kEager.)
-    ARIESRH_RETURN_IF_ERROR(ChainUndo(log_, stats_, &sink, &bc_heads));
+    // Conventional ARIES rollback: walk the backward chain down to the
+    // savepoint. The plain Object List entries stay as they are: they are a
+    // conservative superset used only as a delegation precondition, and
+    // chain undo does not consult them.
+    ARIESRH_RETURN_IF_ERROR(
+        ChainUndo(log_, stats_, &sink, &bc_heads, /*down_to=*/savepoint));
   }
   tx->last_lsn = bc_heads[tx->id];
   return Status::OK();

@@ -27,17 +27,18 @@
 //   - each control block carries a latch for the fields cross-transaction
 //     observers touch (ob_list scope moves during delegation, last_lsn chain
 //     splices, checkpoint snapshots, ResponsibleTxn sweeps),
-//   - delegation locks both parties' latches deadlock-free (std::scoped_lock)
-//     and re-validates state underneath them, so it cannot race a commit,
+//   - delegation's guard locks both parties' latches in ascending-TxnId
+//     order and checks their state underneath them, so it cannot race a
+//     commit,
 //   - Commit parks in LogManager::FlushWait *outside* the latch (group
 //     commit), flagging the block `terminating` first so no delegation can
 //     splice into the chain behind the COMMIT record.
 //   - checkpoints reap terminated transactions (CheckpointSnapshot) under
 //     the exclusive checkpoint fence and the exclusive table lock.
 // Lock order: the checkpoint fence (delegations shared, snapshots
-// exclusive), then transaction latches (both-at-once via scoped_lock), then
-// the buffer-pool latch, then log-manager internals; lock-manager shards
-// are leaves.
+// exclusive), then transaction latches (two at once in ascending-TxnId
+// order), then the buffer-pool latch, then log-manager internals;
+// lock-manager shards are leaves.
 
 #ifndef ARIESRH_TXN_TXN_MANAGER_H_
 #define ARIESRH_TXN_TXN_MANAGER_H_
@@ -128,32 +129,6 @@ class TxnManager {
   Result<std::vector<std::pair<std::string, std::string>>> TableScan(
       TxnId txn, const std::string& start_key, size_t limit);
 
-  /// delegate(t1, t2, spec): the unified delegation entry point — transfers
-  /// responsibility per the spec's granularity (all objects, an object
-  /// list, or one object's operation range). The paper's preconditions
-  /// apply: both transactions active, t1 responsible for what transfers.
-  Status Delegate(TxnId from, TxnId to, const DelegationSpec& spec);
-
-  /// delegate(t1, t2, objects): transfers responsibility for every update
-  /// to the given objects that t1 is currently responsible for. The paper's
-  /// preconditions apply: both transactions active, t1 responsible for each
-  /// object. All objects transfer atomically (one DELEGATE record).
-  Status Delegate(TxnId from, TxnId to, const std::vector<ObjectId>& objects);
-
-  /// Delegates every object in `from`'s Ob_List (used by joins and by
-  /// nested-transaction commit inheritance).
-  Status DelegateAll(TxnId from, TxnId to);
-
-  /// Operation-granularity delegation (paper Section 2.1): transfers
-  /// responsibility for only those of `from`'s updates to `ob` whose LSNs
-  /// lie in [first, last], splitting scopes at the boundaries. Both parties
-  /// may end up responsible for disjoint parts of the object's history.
-  /// kRH only: the rewriting baselines have no scope machinery to split.
-  /// The delegator keeps its lock unless nothing of the object remains its
-  /// responsibility.
-  Status DelegateOperations(TxnId from, TxnId to, ObjectId ob, Lsn first,
-                            Lsn last);
-
   /// ASSET permit: let `grantee` access `ob` despite `owner`'s locks.
   Status Permit(TxnId owner, TxnId grantee, ObjectId ob);
 
@@ -195,8 +170,10 @@ class TxnManager {
 
   /// Aborts: rolls back every update the transaction is responsible for
   /// (scope sweep under RH, chain undo otherwise), writes CLRs, ABORT and
-  /// END records, releases locks, then cascades to the transactions that
-  /// hold kCommitDurable edges on it.
+  /// END records, releases locks. Nothing cascades from here: the only
+  /// edges this shard keeps are the kCommitDurable ones early lock release
+  /// creates, and their target is already past its COMMIT append, which
+  /// Abort refuses.
   Status Abort(TxnId txn);
 
   // --- Two-phase commit participant role (sharded engines only) ---
@@ -207,8 +184,10 @@ class TxnManager {
   /// participant's vote in one concurrent round) before the coordinator may
   /// decide commit. From here no further work is accepted (FindActive
   /// rejects kPrepared); the transaction's fate belongs to the coordinator
-  /// and arrives via FinishCommit or AbortPrepared. Locks are retained — a
-  /// prepared transaction's writes stay protected until the round resolves.
+  /// and arrives via FinishCommit, or, when the round stops, via restart's
+  /// in-doubt resolution (the facade poisons itself until then). Locks are
+  /// retained — a prepared transaction's writes stay protected until the
+  /// round resolves.
   Result<Lsn> Prepare(TxnId txn, uint64_t csn);
 
   /// Phase 2 commit of a prepared transaction: COMMIT + END records,
@@ -217,27 +196,22 @@ class TxnManager {
   /// records flush is resolved in-doubt from the coordinator log.
   Status FinishCommit(TxnId txn);
 
-  /// Phase 2 abort of a prepared transaction: ABORT record, rollback, END,
-  /// release locks — the same work Abort does, accepted from kPrepared.
-  Status AbortPrepared(TxnId txn);
-
-  // --- Cross-shard delegation participant role (sharded engines only) ---
+  // --- Delegation (Section 3.5): guard, check, apply ---
+  //
+  // delegate(t1, t2, spec) is one operation in three calls, so that the
+  // facade can check every shard a transfer touches before it applies the
+  // transfer anywhere: a refusal on one shard then never strands a leg
+  // applied on another. The shard-local transfer and each leg of a
+  // cross-shard one run the same three calls; only the csn differs.
 
   /// Holds this shard's checkpoint fence (shared) plus both parties'
-  /// latches from acquisition until destruction, so the facade can run the
-  /// multi-step cross-shard transfer protocol (validate every shard →
-  /// apply per shard → coordinator decision) atomically with respect to
-  /// fuzzy checkpoints and both parties' commit/abort on this shard. A
-  /// checkpoint snapshot therefore lands entirely before the transfer (the
-  /// csn-stamped record re-applies or voids on the window re-scan) or
-  /// entirely after it (the coordinator COMMIT is durable by then).
+  /// latches from acquisition until destruction, so a transfer is atomic
+  /// with respect to fuzzy checkpoints and to both parties' commit and
+  /// abort on this shard. A checkpoint snapshot therefore lands entirely
+  /// before the transfer (a cross-shard leg's csn-stamped record then
+  /// re-applies or voids on restart's window re-scan) or entirely after it
+  /// (for a cross-shard leg, once the coordinator COMMIT is durable).
   class DelegationGuard {
-   public:
-    DelegationGuard() = default;
-    DelegationGuard(DelegationGuard&&) = default;
-    DelegationGuard& operator=(DelegationGuard&&) = default;
-
-   private:
     friend class TxnManager;
     // Declared before the locks, so destroyed after them.
     std::shared_ptr<Transaction> tor_;
@@ -246,28 +220,35 @@ class TxnManager {
     std::unique_lock<TxnLatch> first_, second_;  ///< ascending-TxnId order
   };
 
-  /// Acquires the guard (fence + both latches, latches in ascending-TxnId
-  /// order per the documented lock order) and validates both parties are
-  /// active and not terminating.
-  Result<DelegationGuard> GuardDelegation(TxnId from, TxnId to);
+  /// Acquires `guard`, an empty one, in place (fence, then both latches in
+  /// ascending-TxnId order per the documented lock order) and checks that
+  /// both parties are active and neither is committing or aborting.
+  /// NotSupported under DelegationMode::kDisabled. On an error the guard
+  /// may hold part of its locks until the caller destroys it.
+  Status GuardDelegation(TxnId from, TxnId to, DelegationGuard* guard);
 
-  /// Re-validates, under the guard, that the transfer can succeed on this
-  /// shard: both parties still in shape and the delegator responsible for
-  /// every listed object. Mutates nothing — the facade pre-validates every
-  /// shard before applying anywhere, so a refusal can never strand a
-  /// half-applied transfer.
-  Status CheckDelegatable(const DelegationGuard& guard,
-                          const std::vector<ObjectId>& objects) const;
+  /// The paper's WELL-FORMED? step under the guard, for an object list or
+  /// an operation range (an all-objects spec must arrive as its object
+  /// list): the delegator is responsible for every listed object, or for
+  /// some update in a well-formed range whose split leaves no Set
+  /// (non-commuting) coverage on both sides. Ranges need kRH, and the
+  /// rewriting baselines refuse to delegate across a partial rollback.
+  /// Mutates nothing.
+  Status CheckDelegation(const DelegationGuard& guard,
+                         const DelegationSpec& spec) const;
 
-  /// Applies this shard's leg of a cross-shard transfer under the guard:
-  /// appends the csn-stamped DELEGATE record, moves the scopes and locks,
-  /// and returns the record's LSN. The caller must force the log past it
-  /// before the coordinator reaches its commit point, else a committed csn
-  /// could reference a lost shard record (a half-applied transfer). kRH
-  /// only.
-  Lsn ApplyCrossShardDelegation(const DelegationGuard& guard,
-                                const std::vector<ObjectId>& objects,
-                                uint64_t csn);
+  /// Applies a checked transfer under the guard: PREPARE and WRITE the
+  /// DELEGATE (or DELEGATE_RANGE) record, stamped with `csn` (0 for a
+  /// shard-local transfer) and heading both backward chains — under kEager
+  /// the physical log rewrite instead — then TRANSFER RESPONSIBILITY: the
+  /// scopes and the locks move. Returns the record's LSN (kInvalidLsn under
+  /// kEager, which writes none). A cross-shard leg's caller must force the
+  /// log past it before the coordinator reaches its commit point, else a
+  /// committed csn could reference a lost shard record. A ranged transfer
+  /// moves the lock only once nothing of the object remains the
+  /// delegator's responsibility.
+  Result<Lsn> ApplyDelegation(const DelegationGuard& guard,
+                              const DelegationSpec& spec, uint64_t csn);
 
   /// Looks up a live transaction, or a terminated one no checkpoint has
   /// reaped yet (nullptr otherwise). The pointer stays valid until the
@@ -362,11 +343,16 @@ class TxnManager {
                                       const std::optional<std::string>&,
                                       table::RecordMutation*)>& fn,
       const std::string& key);
-  Status RollBack(Transaction* tx);
-  /// The delegation preconditions that must hold *under both latches*:
-  /// both parties still active and neither mid-commit/mid-abort.
-  Status CheckDelegationParties(const Transaction& tor,
-                                const Transaction& tee) const;
+  /// The one rollback: undoes every update `tx` is responsible for that
+  /// was logged after `savepoint` (0 = the whole transaction), writing
+  /// CLRs — by the scope sweep under kRH and kLazyRewrite, by chain undo
+  /// otherwise — and advances the chain head. A partial rollback also
+  /// clips the stored scopes to what is still live. Caller holds the latch.
+  Status RollBack(Transaction* tx, Lsn savepoint);
+  /// The tail every ending shares (Commit, FinishCommit, Abort and the ELR
+  /// crash path): releases the locks and the dependency edges, counts the
+  /// transaction as `outcome` and emits its trace event at `lsn`.
+  void Terminate(TxnId txn, TxnState outcome, Lsn lsn);
   /// The state of `txn` read under the table lock, a reaped one's included
   /// (kAborted or kCommitted); nullopt for an id never handed out or from
   /// before a restart.

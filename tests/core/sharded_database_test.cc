@@ -207,8 +207,39 @@ TEST(ShardedDatabaseTest, DelegationErrorsMirrorTheClassicRules) {
                   .IsInvalidArgument());  // empty list
   EXPECT_TRUE(db.Delegate(t1, t2, DelegationSpec::Objects({1}))
                   .IsInvalidArgument());  // not responsible
-  // Delegating everything while owning nothing is a no-op, like DelegateAll.
+  // Delegating everything while owning nothing is a no-op.
   EXPECT_TRUE(db.Delegate(t1, t2, DelegationSpec::All()).ok());
+}
+
+TEST(ShardedDatabaseTest, CrossShardDelegationChecksEveryLegFirst) {
+  // The delegator touched shard 1, but not the listed object there: the
+  // transfer is refused before any leg applies, so shard 0 keeps no
+  // DELEGATE record and the coordinator never opens a round.
+  Database db(ShardedOptions(2));
+  const ObjectId a = ObOnShard(db, 0);
+  const ObjectId b = ObOnShard(db, 1);
+  const ObjectId c = ObOnShard(db, 1, b + 1);
+  TxnId tor = *db.Begin();
+  TxnId tee = *db.Begin();
+  ASSERT_TRUE(db.Add(tor, a, 1).ok());
+  ASSERT_TRUE(db.Add(tor, c, 2).ok());
+  EXPECT_TRUE(db.Delegate(tor, tee, DelegationSpec::Objects({a, b}))
+                  .IsInvalidArgument());
+  LogManager* log0 = db.shard(0)->log_manager();
+  for (Lsn lsn = 1; lsn <= log0->end_lsn(); ++lsn) {
+    Result<LogRecord> rec = log0->Read(lsn);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    EXPECT_NE(rec->type, LogRecordType::kDelegate) << "lsn " << lsn;
+  }
+  ASSERT_TRUE(db.coordinator_log()->Force().ok());
+  EXPECT_EQ(db.coordinator_log()->stable_size(), 0u);
+  EXPECT_FALSE(db.poisoned());
+  // A retry with objects the delegator is responsible for goes through.
+  ASSERT_TRUE(db.Delegate(tor, tee, DelegationSpec::Objects({a, c})).ok());
+  ASSERT_TRUE(db.Abort(tor).ok());
+  ASSERT_TRUE(db.Commit(tee).ok());
+  EXPECT_EQ(*db.ReadCommitted(a), 1);
+  EXPECT_EQ(*db.ReadCommitted(c), 2);
 }
 
 TEST(ShardedDatabaseTest, DependenciesSpanShards) {

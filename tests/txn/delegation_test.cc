@@ -53,6 +53,42 @@ INSTANTIATE_TEST_SUITE_P(Shards, TerminatedDelegationTest, ::testing::Values(1u,
                            return "shards" + std::to_string(info.param);
                          });
 
+// kDisabled refuses delegation at every shard count, cross-shard transfers
+// included: no DELEGATE record, no coordinator round.
+class DisabledDelegationTest : public ::testing::TestWithParam<size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Shards, DisabledDelegationTest,
+                         ::testing::Values(1u, 2u), [](const auto& info) {
+                           return "shards" + std::to_string(info.param);
+                         });
+
+TEST_P(DisabledDelegationTest, EveryTransferRefused) {
+  Options options;
+  options.num_shards = GetParam();
+  options.delegation_mode = DelegationMode::kDisabled;
+  Database db(options);
+  // One object on the first shard, one on the last.
+  const ObjectId a = 1;
+  ObjectId b = a + 1;
+  while (db.num_shards() > 1 && db.ShardOf(b) == db.ShardOf(a)) ++b;
+  TxnId t1 = *db.Begin();
+  TxnId t2 = *db.Begin();
+  ASSERT_TRUE(db.Set(t1, a, 1).ok());
+  ASSERT_TRUE(db.Set(t1, b, 2).ok());
+  EXPECT_EQ(db.Delegate(t1, t2, DelegationSpec::Objects({a, b})).code(),
+            StatusCode::kNotSupported);
+  EXPECT_EQ(db.Delegate(t1, t2, DelegationSpec::All()).code(),
+            StatusCode::kNotSupported);
+  EXPECT_EQ(db.stats().delegations, 0u);
+  if (coord::CoordinatorLog* coord = db.coordinator_log()) {
+    ASSERT_TRUE(coord->Force().ok());
+    EXPECT_EQ(coord->stable_size(), 0u);
+  }
+  ASSERT_TRUE(db.Commit(t1).ok());
+  EXPECT_EQ(*db.ReadCommitted(a), 1);
+  EXPECT_EQ(*db.ReadCommitted(b), 2);
+}
+
 TEST_P(TerminatedDelegationTest, DelegationToTerminatedTxnRejected) {
   TxnId t1 = *db_.Begin();
   TxnId t2 = *db_.Begin();

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/database.h"
 #include "restart_util.h"
 
@@ -215,6 +217,34 @@ TEST_F(SavepointTest, RepeatedRollbackToSameSavepointIsIdempotent) {
   EXPECT_EQ(*db_.Read(t, 1), 5);
   ASSERT_TRUE(db_.Commit(t).ok());
   EXPECT_EQ(*db_.ReadCommitted(1), 5);
+}
+
+TEST_F(SavepointTest, RollbackAcrossDelegationMatchesUnderRHAndEager) {
+  // One history, two ways of keeping it: kRH writes a DELEGATE record and
+  // undoes by scope, kEager splices the delegated record into the
+  // delegatee's chain and undoes along it, down to the savepoint.
+  for (DelegationMode mode : {DelegationMode::kRH, DelegationMode::kEager}) {
+    Options options;
+    options.delegation_mode = mode;
+    Database db(options);
+    TxnId tor = *db.Begin();
+    TxnId tee = *db.Begin();
+    ASSERT_TRUE(db.Add(tee, 7, 1).ok());  // before the savepoint: kept
+    const Lsn sp = *db.Savepoint(tee);
+    ASSERT_TRUE(db.Add(tor, 5, 1).ok());  // after it, then delegated to tee
+    ASSERT_TRUE(db.Add(tor, 6, 1).ok());  // after it, stays tor's
+    ASSERT_TRUE(db.Delegate(tor, tee, DelegationSpec::Objects({5})).ok())
+        << DelegationModeName(mode);
+    ASSERT_TRUE(db.Add(tee, 8, 1).ok());
+    ASSERT_TRUE(db.RollbackTo(tee, sp).ok()) << DelegationModeName(mode);
+    ASSERT_TRUE(db.Commit(tee).ok());
+    ASSERT_TRUE(db.Abort(tor).ok());
+    for (const auto& [ob, value] :
+         {std::pair<ObjectId, int64_t>{5, 0}, {6, 0}, {7, 1}, {8, 0}}) {
+      EXPECT_EQ(*db.ReadCommitted(ob), value)
+          << DelegationModeName(mode) << " object " << ob;
+    }
+  }
 }
 
 }  // namespace
