@@ -8,9 +8,17 @@
 //     portable table routine it falls back to.
 //   * BM_LogRecordDeserialize/<kind>: CRC check plus decode of one stable
 //     log record image, the per-record floor of every forward sweep.
-//   * BM_ForwardPassCollect/<kind>: the restart analysis sweep with redo
-//     collected into the page-keyed plan (kAnalysisCollectRedo), in ns per
-//     record, over physical UPDATE records or logical TBL_* records.
+//   * BM_LogScan/<kind>: LogCursor over a durable log, read and decode only
+//     — the floor of every sweep, in ns per record.
+//   * BM_ForwardPassAnalysis/<kind>: the restart analysis sweep that only
+//     rebuilds the tables and scopes (kAnalysisOnly), in ns per record.
+//   * BM_ForwardPassCollect/<kind>: the same sweep with redo collected into
+//     the page-keyed plan (kAnalysisCollectRedo), in ns per record. Each
+//     forward row runs over physical UPDATE records (kind 0) or logical
+//     TBL_* records (kind 1).
+//   * BM_ScopeSweepUndo: the loser-cluster backward sweep of restart's undo
+//     pass, stalls off, into a sink that compensates nothing, in ns per
+//     examined record.
 //   * BM_CheckpointWriteBack/<dirty heap pages>: one Checkpoint() whose
 //     penultimate-checkpoint write-back finds that many heap pages dirty
 //     since before the previous checkpoint, in ns per page written.
@@ -31,11 +39,13 @@
 #include <array>
 #include <cstdio>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "recovery/analysis.h"
+#include "recovery/undo_rh.h"
 #include "table/heap_page.h"
 #include "table/table_heap.h"
 #include "util/crc32c.h"
@@ -130,13 +140,41 @@ void BuildHistory(Database* db, int kind, int txns) {
   Check(db->Sync(), "Sync");
 }
 
-void BM_ForwardPassCollect(benchmark::State& state) {
+void BM_LogScan(benchmark::State& state) {
+  const int kind = static_cast<int>(state.range(0));
+  Database db;
+  BuildHistory(&db, kind, /*txns=*/5000);
+  const LogManager& log = *db.shard(0)->log_manager();
+  uint64_t records = 0;
+  for (auto _ : state) {
+    records = 0;
+    LogCursor cursor(log, kFirstLsn, log.flushed_lsn());
+    while (cursor.Next()) {
+      benchmark::DoNotOptimize(cursor.record().lsn);
+      ++records;
+    }
+    Check(cursor.status(), "LogCursor");
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(records));
+  state.SetLabel(kind == 0 ? "update" : "table");
+  state.counters["records"] =
+      benchmark::Counter(static_cast<double>(records));
+  state.counters["ns_per_record"] = benchmark::Counter(
+      static_cast<double>(records) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  AddCpuCounter(state);
+}
+BENCHMARK(BM_LogScan)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void RunForwardPass(benchmark::State& state, ForwardPassKind pass) {
   const int kind = static_cast<int>(state.range(0));
   Database db;
   BuildHistory(&db, kind, /*txns=*/5000);
   LogManager* log = db.shard(0)->log_manager();
   ForwardPassOptions opts;
-  opts.kind = ForwardPassKind::kAnalysisCollectRedo;
+  opts.kind = pass;
   uint64_t records = 0;
   for (auto _ : state) {
     Stats stats;
@@ -158,10 +196,109 @@ void BM_ForwardPassCollect(benchmark::State& state) {
           benchmark::Counter::kInvert);
   AddCpuCounter(state);
 }
+
+void BM_ForwardPassAnalysis(benchmark::State& state) {
+  RunForwardPass(state, ForwardPassKind::kAnalysisOnly);
+}
+BENCHMARK(BM_ForwardPassAnalysis)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ForwardPassCollect(benchmark::State& state) {
+  RunForwardPass(state, ForwardPassKind::kAnalysisCollectRedo);
+}
 BENCHMARK(BM_ForwardPassCollect)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+/// Examines what the sweep hands it and compensates nothing, so the row
+/// prices the sweep alone.
+class NullUndoSink final : public UndoSink {
+ public:
+  Status Undo(const LogRecord&, TxnId, std::unordered_map<TxnId, Lsn>*)
+      override {
+    ++undos_;
+    return Status::OK();
+  }
+  void End(TxnId, Lsn) override {}
+  uint64_t undos() const { return undos_; }
+
+ private:
+  uint64_t undos_ = 0;
+};
+
+void BM_ScopeSweepUndo(benchmark::State& state) {
+  // Winners interleaved with losers over 4,096 objects: every tenth
+  // transaction stays open and writes its first object again five
+  // transactions later, so each loser scope spans about 30 records. The
+  // sweep examines those clusters record by record, skipping the winner
+  // records inside them, and jumps between clusters.
+  Database db;
+  Random rng(11);
+  TxnId loser = kInvalidTxn;
+  ObjectId loser_ob = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const TxnId txn = CheckResult(db.Begin(), "Begin");
+    ObjectId first = kInvalidObject;
+    for (int w = 0; w < 4; ++w) {
+      // A busy object (a loser holds it) is skipped, the same way each run.
+      const ObjectId ob = rng.Uniform(4096);
+      if (db.Add(txn, ob, 1).ok() && first == kInvalidObject) first = ob;
+    }
+    if (i % 10 == 0 && first != kInvalidObject) {
+      loser = txn;
+      loser_ob = first;
+      continue;
+    }
+    Check(db.Commit(txn), "Commit");
+    if (i % 10 == 5 && loser != kInvalidTxn) {
+      Check(db.Add(loser, loser_ob, 1), "Add");
+    }
+  }
+  Check(db.Sync(), "Sync");
+  LogManager* log = db.shard(0)->log_manager();
+  Stats fwd_stats;
+  ForwardPassOptions opts;
+  opts.kind = ForwardPassKind::kAnalysisOnly;
+  Result<ForwardPassResult> fwd =
+      ForwardPass(DelegationMode::kRH, log, db.shard(0)->buffer_pool(),
+                  &fwd_stats, /*ckpt=*/nullptr, /*ckpt_end_lsn=*/0, opts);
+  Check(fwd.status(), "ForwardPass");
+  std::vector<ScopeUndoTarget> targets;
+  for (const auto& [txn, info] : fwd->txns) {
+    if (!info.IsLoser()) continue;
+    for (const auto& [ob, entry] : info.ob_list) {
+      for (const Scope& scope : entry.scopes) {
+        targets.push_back({txn, ob, scope});
+      }
+    }
+  }
+  uint64_t examined = 0;
+  uint64_t undone = 0;
+  for (auto _ : state) {
+    Stats stats;
+    NullUndoSink sink;
+    std::unordered_map<TxnId, Lsn> heads;
+    Check(ScopeSweepUndo(targets, fwd->compensated, log->flushed_lsn(), log,
+                         &stats, &sink, &heads),
+          "ScopeSweepUndo");
+    examined = stats.recovery_backward_examined;
+    undone = sink.undos();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(examined));
+  state.counters["examined"] =
+      benchmark::Counter(static_cast<double>(examined));
+  state.counters["undone"] = benchmark::Counter(static_cast<double>(undone));
+  state.counters["ns_per_examined"] = benchmark::Counter(
+      static_cast<double>(examined) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  AddCpuCounter(state);
+}
+BENCHMARK(BM_ScopeSweepUndo)->Unit(benchmark::kMillisecond);
 
 // kv_durable's record shape: 9-byte keys, 100-byte values.
 std::string HeapKey(int i) {

@@ -80,13 +80,13 @@ void EventTrace::Emit(TraceEventType type, uint64_t a, uint64_t b,
   Slot& slot = slots_[n & mask_];
   // Unpublish before mutating so a concurrent reader never accepts a
   // half-written payload under the old seq.
-  slot.ready.store(0, std::memory_order_release);
-  slot.event.seq = n + 1;
-  slot.event.ts_ns = MonotonicNanos();
-  slot.event.type = type;
-  slot.event.a = a;
-  slot.event.b = b;
-  slot.event.c = c;
+  slot.ready.store(0, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  slot.ts_ns.store(MonotonicNanos(), std::memory_order_relaxed);
+  slot.type.store(static_cast<uint64_t>(type), std::memory_order_relaxed);
+  slot.a.store(a, std::memory_order_relaxed);
+  slot.b.store(b, std::memory_order_relaxed);
+  slot.c.store(c, std::memory_order_relaxed);
   slot.ready.store(n + 1, std::memory_order_release);
 }
 
@@ -99,11 +99,18 @@ std::vector<TraceEvent> EventTrace::Snapshot(size_t last_n) const {
   for (uint64_t i = end - window; i < end; ++i) {
     const Slot& slot = slots_[i & mask_];
     if (slot.ready.load(std::memory_order_acquire) != i + 1) continue;
-    TraceEvent event = slot.event;
+    TraceEvent event;
+    event.seq = i + 1;
+    event.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
+    event.type = static_cast<TraceEventType>(
+        slot.type.load(std::memory_order_relaxed));
+    event.a = slot.a.load(std::memory_order_relaxed);
+    event.b = slot.b.load(std::memory_order_relaxed);
+    event.c = slot.c.load(std::memory_order_relaxed);
     // Re-check publication after the copy: a writer that raced us zeroed
     // `ready` first, so an unchanged value means the copy is consistent.
-    if (slot.ready.load(std::memory_order_acquire) != i + 1) continue;
-    if (event.seq != i + 1) continue;
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.ready.load(std::memory_order_relaxed) != i + 1) continue;
     out.push_back(event);
   }
   return out;

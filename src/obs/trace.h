@@ -91,12 +91,19 @@ class EventTrace {
   static constexpr size_t kDefaultCapacity = 4096;
 
  private:
+  /// A seqlock slot. The payload words are relaxed atomics so a reader
+  /// racing a writer reads torn values instead of racing on plain memory;
+  /// the `ready` protocol tells it to drop them.
   struct Slot {
     /// 0 = never written; otherwise the seq of the published event. A
     /// writer zeroes it before filling the payload, so readers observing
     /// the expected seq (acquire) see a fully published payload.
     std::atomic<uint64_t> ready{0};
-    TraceEvent event;
+    std::atomic<uint64_t> ts_ns{0};
+    std::atomic<uint64_t> type{0};
+    std::atomic<uint64_t> a{0};
+    std::atomic<uint64_t> b{0};
+    std::atomic<uint64_t> c{0};
   };
 
   std::vector<Slot> slots_;

@@ -38,24 +38,8 @@ void TransferScopes(ForwardPassResult* result, const LogRecord& rec,
                     Stats* stats) {
   TxnAnalysis& tor = result->txns[rec.tor];
   TxnAnalysis& tee = result->txns[rec.tee];
-  for (size_t i = 0; i < rec.objects.size(); ++i) {
-    const ObjectId ob = rec.objects[i];
-    auto it = tor.ob_list.find(ob);
-    if (it == tor.ob_list.end()) continue;  // nothing left to transfer
-    ObjectEntry& dst = tee.ob_list[ob];
-    dst.delegated_from = rec.tor;
-    const bool ranged = i < rec.ranges.size() &&
-                        rec.ranges[i].first != kInvalidLsn;
-    if (ranged) {
-      stats->scopes_transferred += TransferScopeRange(
-          &it->second, &dst, rec.ranges[i].first, rec.ranges[i].second);
-      if (it->second.scopes.empty()) tor.ob_list.erase(it);
-    } else {
-      stats->scopes_transferred += it->second.scopes.size();
-      dst.MergeFrom(it->second);
-      tor.ob_list.erase(it);
-    }
-  }
+  stats->scopes_transferred += TransferObjects(
+      &tor.ob_list, &tee.ob_list, rec.tor, rec.objects, rec.ranges);
 }
 
 obs::RecoveryPassKind PassKindOf(ForwardPassKind kind) {
@@ -145,16 +129,14 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
 
   // Repeats history for one page or table record past the redo point:
   // applied now (kMerged), or, under kAnalysisCollectRedo, keyed by its page
-  // or table redo bucket into `collect_page` — the record moves into the
-  // plan there once the analysis fold is done with it.
+  // or table redo bucket into `collect_page` — the record's redo entry joins
+  // the plan there once the analysis fold is done with it.
   PageId collect_page = kInvalidPage;
   const auto redo = [&](const LogRecord& rec) -> Status {
     if (!redo_bounds || rec.lsn < redo_from) return Status::OK();
     if (kind == ForwardPassKind::kAnalysisCollectRedo) {
-      const bool table_record = IsTableWrite(rec.type) ||
-                                rec.type == LogRecordType::kTableClr;
-      collect_page = table_record ? table::RedoBucketOf(rec.object)
-                                  : PageOf(rec.object);
+      collect_page = IsTableRecord(rec.type) ? table::RedoBucketOf(rec.object)
+                                             : PageOf(rec.object);
       return Status::OK();
     }
     ARIESRH_RETURN_IF_ERROR(SpendRedoBudget(redo_budget));
@@ -168,9 +150,11 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
     return Status::OK();
   };
 
-  for (Lsn lsn = scan_from; lsn <= scan_to; ++lsn) {
-    ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, log->Read(lsn));
-    ++stats->recovery_forward_records;
+  LogCursor cursor(*log, scan_from, scan_to);
+  cursor.CountRecordsInto(&stats->recovery_forward_records);
+  while (cursor.Next()) {
+    const LogRecord& rec = cursor.record();
+    const Lsn lsn = cursor.lsn();
     ++pass_records;
     const bool analyze = lsn >= analysis_from;
     // Verdicts for the observation hooks (kDelegate fold only).
@@ -307,12 +291,13 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
       hooks->on_record(rec, delegate_applied, delegate_voided);
     }
     if (collect_page != kInvalidPage) {
-      // The scan runs in LSN order, so each page's records stay in it.
-      result.redo_plan.pages[collect_page].push_back(std::move(rec));
+      // The scan runs in LSN order, so each page's entries stay in it.
+      result.redo_plan.pages[collect_page].push_back(RedoEntry::Of(rec));
       ++result.redo_plan.records;
       collect_page = kInvalidPage;
     }
   }
+  ARIESRH_RETURN_IF_ERROR(cursor.status());
   result.records_scanned = pass_records;
   obs::Emit(stats->trace(), obs::TraceEventType::kRecoveryPassEnd,
             static_cast<uint64_t>(pass_kind), pass_records,

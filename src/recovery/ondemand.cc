@@ -24,9 +24,9 @@ OnDemandRedo::OnDemandRedo(RedoPlan plan, Stats* stats,
   }
 }
 
-std::vector<LogRecord> OnDemandRedo::Take(PageId id) {
+std::vector<RedoEntry> OnDemandRedo::Take(PageId id) {
   if (remaining_.load(std::memory_order_acquire) == 0) return {};
-  std::vector<LogRecord> recs;
+  std::vector<RedoEntry> recs;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = pending_.find(id);
@@ -49,7 +49,7 @@ void OnDemandRedo::CountDrained(uint64_t applied) {
 }
 
 Lsn OnDemandRedo::DrainPage(PageId id, Page* page) {
-  const std::vector<LogRecord> recs = Take(id);
+  const std::vector<RedoEntry> recs = Take(id);
   if (recs.empty()) return kInvalidLsn;
   // Replay the page's log suffix, exactly what PartitionedRedo would have
   // applied: page-LSN checked, in the plan's (increasing-LSN) order. The
@@ -57,7 +57,7 @@ Lsn OnDemandRedo::DrainPage(PageId id, Page* page) {
   // fetch; the first applied LSN is the frame's rec_lsn for the DPT.
   Lsn rec_lsn = kInvalidLsn;
   uint64_t applied = 0;
-  for (const LogRecord& rec : recs) {
+  for (const RedoEntry& rec : recs) {
     if (!ApplyToPage(rec, page, /*check_page_lsn=*/true)) continue;
     if (rec_lsn == kInvalidLsn) rec_lsn = rec.lsn;
     ++applied;
@@ -66,8 +66,8 @@ Lsn OnDemandRedo::DrainPage(PageId id, Page* page) {
   return rec_lsn;
 }
 
-std::vector<LogRecord> OnDemandRedo::TakeBucket(PageId bucket_id) {
-  std::vector<LogRecord> recs = Take(bucket_id);
+std::vector<RedoEntry> OnDemandRedo::TakeBucket(PageId bucket_id) {
+  std::vector<RedoEntry> recs = Take(bucket_id);
   // State-based logical replay applies every record (idempotence is per-key
   // LSN order, not a page-LSN check), so the whole bucket counts as applied.
   if (!recs.empty()) CountDrained(recs.size());

@@ -72,10 +72,10 @@ class OnDemandRedo {
   /// kInvalidLsn when nothing was pending.
   Lsn DrainPage(PageId id, Page* page);
 
-  /// Removes and returns a table bucket's pending logical records (in LSN
+  /// Removes and returns a table bucket's pending logical entries (in LSN
   /// order) for the table heap to replay under its own latch. `bucket_id`
   /// is RedoBucketOf's partition key (kHeapPageBase + bucket).
-  std::vector<LogRecord> TakeBucket(PageId bucket_id);
+  std::vector<RedoEntry> TakeBucket(PageId bucket_id);
 
   /// Plain (non-bucket) page ids still pending — the background drain
   /// fetches each to trigger DrainPage.
@@ -86,15 +86,15 @@ class OnDemandRedo {
   }
 
  private:
-  /// Removes and returns `id`'s pending records; empty when none are.
-  std::vector<LogRecord> Take(PageId id);
+  /// Removes and returns `id`'s pending entries; empty when none are.
+  std::vector<RedoEntry> Take(PageId id);
   /// Progress accounting for one drained page or bucket.
   void CountDrained(uint64_t applied);
 
   Stats* stats_;
   std::atomic<int64_t>* remaining_external_;
   mutable std::mutex mu_;
-  std::unordered_map<PageId, std::vector<LogRecord>> pending_;
+  std::unordered_map<PageId, std::vector<RedoEntry>> pending_;
   std::atomic<size_t> remaining_{0};
   std::atomic<uint64_t> records_applied_{0};
 };

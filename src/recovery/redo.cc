@@ -5,30 +5,11 @@
 
 namespace ariesrh {
 
-Status ApplyRecordToPage(BufferPool* pool, const LogRecord& rec,
-                         bool check_page_lsn, bool* applied,
-                         table::TableHeap* heap) {
-  if (applied != nullptr) *applied = false;
-  if (IsTableWrite(rec.type) || rec.type == LogRecordType::kTableClr) {
-    if (heap == nullptr) {
-      return Status::IllegalState("table log record without a table heap");
-    }
-    // Logical replay is state-based: idempotence comes from replaying each
-    // key's records in LSN order, not from a page-LSN check.
-    ARIESRH_RETURN_IF_ERROR(heap->ApplyLogical(rec));
-    if (applied != nullptr) *applied = true;
-    return Status::OK();
-  }
-  assert(rec.type == LogRecordType::kUpdate ||
-         rec.type == LogRecordType::kClr);
-  return pool->WithPage(PageOf(rec.object), [&](Page* page) -> Lsn {
-    if (!ApplyToPage(rec, page, check_page_lsn)) return kInvalidLsn;
-    if (applied != nullptr) *applied = true;
-    return rec.lsn;
-  });
-}
+namespace {
 
-bool ApplyToPage(const LogRecord& rec, Page* page, bool check_page_lsn) {
+// ApplyToPage for either form: reads lsn, object, kind and after only.
+template <typename Rec>
+bool ApplyPageAction(const Rec& rec, Page* page, bool check_page_lsn) {
   if (check_page_lsn && page->page_lsn() >= rec.lsn) {
     return false;  // the page already reflects this record
   }
@@ -43,6 +24,48 @@ bool ApplyToPage(const LogRecord& rec, Page* page, bool check_page_lsn) {
   // must still cover every applied record for the WAL rule on eviction.
   page->set_page_lsn(std::max(page->page_lsn(), rec.lsn));
   return true;
+}
+
+// ApplyRecordToPage for either form.
+template <typename Rec>
+Status ApplyAction(BufferPool* pool, const Rec& rec, bool check_page_lsn,
+                   bool* applied, table::TableHeap* heap) {
+  if (applied != nullptr) *applied = false;
+  if (IsTableRecord(rec.type)) {
+    if (heap == nullptr) {
+      return Status::IllegalState("table log record without a table heap");
+    }
+    // Logical replay is state-based: idempotence comes from replaying each
+    // key's records in LSN order, not from a page-LSN check.
+    ARIESRH_RETURN_IF_ERROR(heap->ApplyLogical(rec));
+    if (applied != nullptr) *applied = true;
+    return Status::OK();
+  }
+  assert(rec.type == LogRecordType::kUpdate ||
+         rec.type == LogRecordType::kClr);
+  return pool->WithPage(PageOf(rec.object), [&](Page* page) -> Lsn {
+    if (!ApplyPageAction(rec, page, check_page_lsn)) return kInvalidLsn;
+    if (applied != nullptr) *applied = true;
+    return rec.lsn;
+  });
+}
+
+}  // namespace
+
+Status ApplyRecordToPage(BufferPool* pool, const LogRecord& rec,
+                         bool check_page_lsn, bool* applied,
+                         table::TableHeap* heap) {
+  return ApplyAction(pool, rec, check_page_lsn, applied, heap);
+}
+
+Status ApplyRecordToPage(BufferPool* pool, const RedoEntry& entry,
+                         bool check_page_lsn, bool* applied,
+                         table::TableHeap* heap) {
+  return ApplyAction(pool, entry, check_page_lsn, applied, heap);
+}
+
+bool ApplyToPage(const RedoEntry& entry, Page* page, bool check_page_lsn) {
+  return ApplyPageAction(entry, page, check_page_lsn);
 }
 
 namespace {
@@ -118,7 +141,7 @@ Status PartitionedRedo(const RedoPlan& plan, size_t threads, BufferPool* pool,
   if (applied != nullptr) *applied = 0;
   // Largest pages first: the work queue then back-fills small pages behind
   // the stragglers.
-  std::vector<const std::vector<LogRecord>*> pages;
+  std::vector<const std::vector<RedoEntry>*> pages;
   pages.reserve(plan.pages.size());
   for (const auto& [page, recs] : plan.pages) pages.push_back(&recs);
   std::sort(pages.begin(), pages.end(),
@@ -127,13 +150,13 @@ Status PartitionedRedo(const RedoPlan& plan, size_t threads, BufferPool* pool,
   std::atomic<uint64_t> total_applied{0};
   Status status =
       RunOnWorkers(threads, pages.size(), [&](size_t p) -> Status {
-        for (const LogRecord& rec : *pages[p]) {
+        for (const RedoEntry& entry : *pages[p]) {
           if (redo_budget != nullptr && !redo_budget->Spend()) {
             return Status::IOError("injected crash during recovery redo");
           }
           bool did = false;
           ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(
-              pool, rec, /*check_page_lsn=*/true, &did, heap));
+              pool, entry, /*check_page_lsn=*/true, &did, heap));
           if (did) {
             ++stats->recovery_redos;
             total_applied.fetch_add(1, std::memory_order_relaxed);

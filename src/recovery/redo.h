@@ -21,11 +21,11 @@
 
 namespace ariesrh {
 
-/// Applies an UPDATE or CLR record's action to `page` (latched by the
+/// Applies a redo plan's UPDATE or CLR entry to `page` (latched by the
 /// caller) and advances its page LSN to cover the record. With
 /// `check_page_lsn` (redo) nothing happens when the page already reflects
 /// the record. Returns whether the record was applied.
-bool ApplyToPage(const LogRecord& rec, Page* page, bool check_page_lsn);
+bool ApplyToPage(const RedoEntry& entry, Page* page, bool check_page_lsn);
 
 /// Applies an UPDATE or CLR record to its page, or a logical table record
 /// to the table heap.
@@ -40,7 +40,11 @@ bool ApplyToPage(const LogRecord& rec, Page* page, bool check_page_lsn);
 /// LSN order rather than page LSN); engines without a table heap pass
 /// nullptr and encountering a table record is then an error.
 /// `applied` (optional) reports whether state was actually modified.
+/// The RedoEntry form replays a redo plan's entry the same way.
 Status ApplyRecordToPage(BufferPool* pool, const LogRecord& rec,
+                         bool check_page_lsn, bool* applied = nullptr,
+                         table::TableHeap* heap = nullptr);
+Status ApplyRecordToPage(BufferPool* pool, const RedoEntry& entry,
                          bool check_page_lsn, bool* applied = nullptr,
                          table::TableHeap* heap = nullptr);
 
@@ -120,12 +124,13 @@ class ScratchUndoSink final : public UndoSink {
 /// Within a page the records are in increasing LSN order, the only order
 /// redo needs: each record touches exactly one page and the page-LSN check
 /// (state-based per-key order for table records) makes application
-/// idempotent. Carrying the parsed records means redo never touches the log
-/// again — the collecting sweep already paid for the read and the decode.
-/// The plan is bounded by the log suffix past the last checkpoint, like the
-/// sweep itself.
+/// idempotent. Carrying each record's redo entry means redo never touches
+/// the log again — the collecting sweep already paid for the read and the
+/// decode — while the plan holds only the fields replay reads (a page entry
+/// is 40 bytes, against a LogRecord's 300). The plan is bounded by the log
+/// suffix past the last checkpoint, like the sweep itself.
 struct RedoPlan {
-  std::unordered_map<PageId, std::vector<LogRecord>> pages;
+  std::unordered_map<PageId, std::vector<RedoEntry>> pages;
   uint64_t records = 0;  ///< total over every page
 };
 

@@ -162,9 +162,10 @@ Status FullScanUndo(const std::vector<ScopeUndoTarget>& targets,
   }
 
   // The rejected alternative: march over EVERY record, newest first.
-  for (Lsn k = sweep_from; k >= stop; --k) {
+  LogCursor cursor(*log, stop, sweep_from, LogCursor::Direction::kBackward);
+  while (cursor.Next()) {
     ++stats->recovery_backward_examined;
-    ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, log->Read(k));
+    const LogRecord& rec = cursor.record();
     if ((rec.type != LogRecordType::kUpdate && !IsTableWrite(rec.type)) ||
         compensated.contains(rec.lsn)) {
       continue;
@@ -179,7 +180,7 @@ Status FullScanUndo(const std::vector<ScopeUndoTarget>& targets,
       }
     }
   }
-  return Status::OK();
+  return cursor.status();
 }
 
 std::vector<std::vector<ScopeUndoTarget>> PartitionUndoClusters(

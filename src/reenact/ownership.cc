@@ -141,14 +141,16 @@ Result<OwnershipIndex> BuildOwnershipIndex(
   CheckpointData ckpt;
   Lsn ckpt_end = 0;
   if (lo > kFirstLsn) {
-    for (Lsn l = lo; l <= hi; ++l) {
-      ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, mlog->Read(l));
-      if (rec.type != LogRecordType::kCkptEnd) continue;
-      ARIESRH_ASSIGN_OR_RETURN(CheckpointData data,
-                               CheckpointData::Deserialize(rec.ckpt_payload));
+    LogCursor cursor(log, lo, hi);
+    while (cursor.Next()) {
+      if (cursor.record().type != LogRecordType::kCkptEnd) continue;
+      ARIESRH_ASSIGN_OR_RETURN(
+          CheckpointData data,
+          CheckpointData::Deserialize(cursor.record().ckpt_payload));
       ckpt = std::move(data);
-      ckpt_end = l;
+      ckpt_end = cursor.lsn();
     }
+    ARIESRH_RETURN_IF_ERROR(cursor.status());
     if (ckpt_end == 0) {
       return Status::OutOfRange(
           "log prefix before LSN " + std::to_string(lo) +

@@ -48,7 +48,7 @@ Status ExtractInto(BufferPool* pool, table::TableHeap* heap,
 /// True for record types that change database state when replayed forward.
 bool IsStateRecord(LogRecordType type) {
   return type == LogRecordType::kUpdate || type == LogRecordType::kClr ||
-         IsTableWrite(type) || type == LogRecordType::kTableClr;
+         IsTableRecord(type);
 }
 
 /// Collects matching trace-ring events as human-readable citations — the
@@ -601,12 +601,14 @@ Result<ReplayResult> Reenactor::ReplayTxn(TxnId txn, Lsn cut) {
 
     Lsn first = kInvalidLsn;
     std::vector<LogRecord> mine;
-    for (Lsn lsn = src.first_retained; lsn <= eff; ++lsn) {
-      ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, src.log->Read(lsn));
+    LogCursor cursor(*src.log, src.first_retained, eff);
+    while (cursor.Next()) {
+      const LogRecord& rec = cursor.record();
       if (rec.txn_id != txn) continue;
-      if (first == kInvalidLsn) first = lsn;
-      if (IsStateRecord(rec.type)) mine.push_back(std::move(rec));
+      if (first == kInvalidLsn) first = cursor.lsn();
+      if (IsStateRecord(rec.type)) mine.push_back(rec);
     }
+    ARIESRH_RETURN_IF_ERROR(cursor.status());
     if (first == kInvalidLsn) continue;
     found = true;
     out.begin_lsns[shard] = first;

@@ -1,6 +1,7 @@
 #include "storage/simulated_disk.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <fstream>
@@ -89,11 +90,7 @@ Result<std::string> SimulatedDisk::ReadLogRecord(Lsn lsn,
     return Status::NotFound("LSN " + std::to_string(lsn) +
                             " not in stable log");
   }
-  const Lsn last =
-      last_read_lsn_.exchange(lsn, std::memory_order_relaxed);
-  const bool sequential =
-      last != kInvalidLsn &&
-      (lsn == last + 1 || lsn + 1 == last || lsn == last);
+  const bool sequential = NoteLogRead(lsn);
   if (sequential) {
     ++stats_->log_seq_reads;
   } else {
@@ -108,6 +105,15 @@ Result<std::string> SimulatedDisk::ReadLogRecord(Lsn lsn,
   const std::string& rec = records_[lsn - base_lsn_ - 1];
   stats_->log_bytes_read += rec.size();
   return rec;
+}
+
+void SimulatedDisk::ReadLogRun(Lsn first, Lsn last, std::string* bytes,
+                               std::vector<uint32_t>* ends) const {
+  assert(first > base_lsn_ && last <= stable_end_lsn());
+  for (Lsn lsn = first; lsn <= last; ++lsn) {
+    bytes->append(records_[lsn - base_lsn_ - 1]);
+    ends->push_back(static_cast<uint32_t>(bytes->size()));
+  }
 }
 
 Status SimulatedDisk::RewriteLogRecord(Lsn lsn, std::string record) {

@@ -159,6 +159,24 @@ class SimulatedDisk {
   Result<std::string> ReadLogRecord(Lsn lsn,
                                     uint64_t* stall_ns = nullptr) const;
 
+  /// Run read, the sequential scan's half of ReadLogRecord: appends the
+  /// images of the durable records [first, last] to `bytes` and the offset
+  /// just past each to `ends`, with no per-record string. It counts
+  /// nothing: the reader accounts each record as it consumes it, through
+  /// NoteLogRead. Precondition: the whole run is retained and durable.
+  void ReadLogRun(Lsn first, Lsn last, std::string* bytes,
+                  std::vector<uint32_t>* ends) const;
+
+  /// ReadLogRecord's access classification for one read of `lsn`: true
+  /// (sequential) when it is adjacent to the previous read, in either
+  /// direction, and the read position moves to `lsn`. The caller counts the
+  /// read and pays the seek stall of a random one.
+  bool NoteLogRead(Lsn lsn) const {
+    const Lsn last = last_read_lsn_.exchange(lsn, std::memory_order_relaxed);
+    return last != kInvalidLsn &&
+           (lsn == last + 1 || lsn + 1 == last || lsn == last);
+  }
+
   /// Simulated seek penalty per random (non-adjacent) log-record read, in
   /// nanoseconds; 0 (the default) disables stalling. Sequential scans are
   /// always free — the access-pattern asymmetry the paper's evaluation is

@@ -80,19 +80,29 @@ Status TableHeap::ApplyLogical(const LogRecord& rec) {
   // key's pending forward records — state-based idempotence is per-key LSN
   // order, so the bucket drains first.
   ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(BucketOfRid(rec.object)));
-  return ApplyLogicalLocked(rec);
+  return ApplyLogicalLocked(rec.type, rec.table_remove, rec.key,
+                            rec.after_image, rec.lsn);
 }
 
-Status TableHeap::ApplyLogicalLocked(const LogRecord& rec) {
-  switch (rec.type) {
+Status TableHeap::ApplyLogical(const RedoEntry& entry) {
+  const std::unique_lock<std::mutex> lock = LatchForAccess();
+  ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(BucketOfRid(entry.object)));
+  return ApplyLogicalLocked(entry.type, entry.table_remove, entry.key(),
+                            entry.after_image(), entry.lsn);
+}
+
+Status TableHeap::ApplyLogicalLocked(LogRecordType type, bool remove,
+                                     std::string_view key,
+                                     std::string_view after_image, Lsn lsn) {
+  switch (type) {
     case LogRecordType::kTableInsert:
     case LogRecordType::kTableUpdate:
-      return UpsertLocked(rec.key, rec.after_image, rec.lsn);
+      return UpsertLocked(key, after_image, lsn);
     case LogRecordType::kTableDelete:
-      return RemoveLocked(rec.key, rec.lsn);
+      return RemoveLocked(key, lsn);
     case LogRecordType::kTableClr:
-      if (rec.table_remove) return RemoveLocked(rec.key, rec.lsn);
-      return UpsertLocked(rec.key, rec.after_image, rec.lsn);
+      if (remove) return RemoveLocked(key, lsn);
+      return UpsertLocked(key, after_image, lsn);
     default:
       return Status::IllegalState("not a table log record");
   }
@@ -100,9 +110,11 @@ Status TableHeap::ApplyLogicalLocked(const LogRecord& rec) {
 
 Status TableHeap::DrainBucketLocked(size_t bucket) {
   if (!redo_resolve_) return Status::OK();
-  const std::vector<LogRecord> recs = redo_resolve_(bucket);
-  for (const LogRecord& rec : recs) {
-    ARIESRH_RETURN_IF_ERROR(ApplyLogicalLocked(rec));
+  const std::vector<RedoEntry> entries = redo_resolve_(bucket);
+  for (const RedoEntry& entry : entries) {
+    ARIESRH_RETURN_IF_ERROR(
+        ApplyLogicalLocked(entry.type, entry.table_remove, entry.key(),
+                           entry.after_image(), entry.lsn));
   }
   return Status::OK();
 }
@@ -230,8 +242,8 @@ Status TableHeap::Bootstrap() {
   return Status::OK();
 }
 
-Status TableHeap::UpsertLocked(const std::string& key,
-                               const std::string& value, Lsn lsn) {
+Status TableHeap::UpsertLocked(std::string_view key, std::string_view value,
+                               Lsn lsn) {
   if (auto it = index_.find(key); it != index_.end()) {
     HeapPage& page = FrameLocked(it->second.page);
     Status updated = page.Update(it->second.slot, value);
@@ -249,7 +261,7 @@ Status TableHeap::UpsertLocked(const std::string& key,
   return PlaceLocked(key, value, lsn);
 }
 
-Status TableHeap::RemoveLocked(const std::string& key, Lsn lsn) {
+Status TableHeap::RemoveLocked(std::string_view key, Lsn lsn) {
   const auto it = index_.find(key);
   if (it == index_.end()) return Status::OK();  // replay is remove-if-present
   ARIESRH_RETURN_IF_ERROR(
@@ -259,7 +271,7 @@ Status TableHeap::RemoveLocked(const std::string& key, Lsn lsn) {
   return Status::OK();
 }
 
-Status TableHeap::PlaceLocked(const std::string& key, const std::string& value,
+Status TableHeap::PlaceLocked(std::string_view key, std::string_view value,
                               Lsn lsn) {
   const size_t bucket = BucketOfRid(TableRid(key));
   std::vector<PageId>& chain = buckets_[bucket];
@@ -283,7 +295,7 @@ Status TableHeap::PlaceLocked(const std::string& key, const std::string& value,
   }
   HeapPage& page = FrameLocked(target);
   ARIESRH_ASSIGN_OR_RETURN(uint32_t slot, page.Insert(key, value));
-  index_[key] = RecordLocation{target, slot};
+  index_.insert_or_assign(std::string(key), RecordLocation{target, slot});
   StampLocked(target, lsn);
   return Status::OK();
 }

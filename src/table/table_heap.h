@@ -105,10 +105,10 @@ struct RecordMutation {
 };
 
 /// Instant-restart hook: removes and returns a bucket's pending logical
-/// redo records (in LSN order) for the heap to replay before it serves the
+/// redo entries (in LSN order) for the heap to replay before it serves the
 /// bucket. Runs under the heap latch (lock order: heap latch, then the redo
 /// index's lock).
-using BucketResolveFn = std::function<std::vector<LogRecord>(size_t bucket)>;
+using BucketResolveFn = std::function<std::vector<RedoEntry>(size_t bucket)>;
 
 class TableHeap {
  public:
@@ -140,8 +140,10 @@ class TableHeap {
   /// application during undo): TBL_INSERT/TBL_UPDATE and restoring TBL_CLRs
   /// upsert the after image, TBL_DELETE and removing TBL_CLRs drop the key.
   /// Idempotent in per-key LSN order; thread-safe for concurrent redo
-  /// workers on different buckets.
+  /// workers on different buckets. The RedoEntry form replays a redo plan's
+  /// entry the same way.
   Status ApplyLogical(const LogRecord& rec);
+  Status ApplyLogical(const RedoEntry& entry);
 
   /// Writes every dirty heap page to the stable store (WAL rule enforced)
   /// and clears the dirty table, one bucket chain per latch hold.
@@ -209,17 +211,18 @@ class TableHeap {
   /// the first error.
   Status ForEachBucket(const std::function<Status(size_t)>& fn,
                        const std::function<Status(size_t)>& after = {});
-  Status ApplyLogicalLocked(const LogRecord& rec);
+  /// The replay of one logical record, from the only fields it reads.
+  Status ApplyLogicalLocked(LogRecordType type, bool remove,
+                            std::string_view key, std::string_view after_image,
+                            Lsn lsn);
   Status DrainBucketLocked(size_t bucket);
   Status WriteBackChainLocked(size_t bucket, Lsn older_than,
                               uint64_t* written);
-  Status UpsertLocked(const std::string& key, const std::string& value,
-                      Lsn lsn);
-  Status RemoveLocked(const std::string& key, Lsn lsn);
+  Status UpsertLocked(std::string_view key, std::string_view value, Lsn lsn);
+  Status RemoveLocked(std::string_view key, Lsn lsn);
   /// Finds (or allocates) a page in the key's bucket chain with room for the
   /// record and inserts it there, updating the index.
-  Status PlaceLocked(const std::string& key, const std::string& value,
-                     Lsn lsn);
+  Status PlaceLocked(std::string_view key, std::string_view value, Lsn lsn);
   HeapPage& FrameLocked(PageId id);
   void StampLocked(PageId id, Lsn lsn);
 
@@ -237,7 +240,7 @@ class TableHeap {
   mutable std::atomic<uint64_t> latch_granted_{0};
   std::map<PageId, HeapPage> frames_;
   std::map<PageId, Lsn> dirty_;  // page -> rec_lsn
-  std::map<std::string, RecordLocation> index_;
+  std::map<std::string, RecordLocation, std::less<>> index_;
   /// Page chains per bucket. Page ids encode their bucket
   /// (kHeapPageBase + bucket + kTableBuckets * n), so Bootstrap can rebuild
   /// the chains from stable page ids alone.

@@ -22,7 +22,9 @@
 #ifndef ARIESRH_TXN_SCOPE_H_
 #define ARIESRH_TXN_SCOPE_H_
 
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/flat_map.h"
@@ -98,6 +100,24 @@ using ObList = FlatMap<ObjectId, ObjectEntry, 4>;
 /// pieces transferred.
 size_t TransferScopeRange(ObjectEntry* src, ObjectEntry* dst, Lsn first,
                           Lsn last);
+
+/// The objects whose delegator entries one TransferObjects call erased.
+using ErasedObjects = InlineVector<ObjectId, 8>;
+
+/// TRANSFER RESPONSIBILITY for one delegation (paper Section 3.5, delegate
+/// step 3), as normal processing and the restart forward pass both perform
+/// it: each of `objects` that `from` holds moves into `to`'s entry for it,
+/// which records `tor` as its delegator. With `ranges` non-empty (parallel
+/// to `objects`) a valid (first, last) moves only the scopes in that LSN
+/// range (TransferScopeRange); every other object moves whole (MergeFrom).
+/// A delegator entry left with no scope is erased, and its object listed in
+/// `erased` (optional), ascending. Both lists are sorted by object, so each
+/// side takes one merge pass: O(|from| + |to| + k log k) for k objects.
+/// Returns the number of scopes moved.
+size_t TransferObjects(ObList* from, ObList* to, TxnId tor,
+                       std::span<const ObjectId> objects,
+                       std::span<const std::pair<Lsn, Lsn>> ranges,
+                       ErasedObjects* erased = nullptr);
 
 }  // namespace ariesrh
 

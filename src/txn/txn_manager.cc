@@ -756,31 +756,25 @@ Result<Lsn> TxnManager::ApplyDelegation(const DelegationGuard& guard,
               tee->id, lsn);
   }
 
-  // TRANSFER RESPONSIBILITY (step 3): move scopes between Ob_Lists.
-  if (ranged) {
-    auto it = tor->ob_list.find(spec.object);
-    assert(it != tor->ob_list.end());
-    ObjectEntry& dst = tee->ob_list[spec.object];
-    dst.delegated_from = tor->id;
-    stats_->scopes_transferred +=
-        TransferScopeRange(&it->second, &dst, spec.first, spec.last);
-    if (it->second.scopes.empty()) {
-      tor->ob_list.erase(it);
-      locks_->Transfer(tor->id, tee->id, spec.object);
-    }
-  } else {
-    for (ObjectId ob : spec.objects) {
-      auto it = tor->ob_list.find(ob);
-      assert(it != tor->ob_list.end());
-      ObjectEntry& dst = tee->ob_list[ob];
-      dst.delegated_from = tor->id;
-      if (options_.delegation_mode != DelegationMode::kEager) {
-        stats_->scopes_transferred += it->second.scopes.size();
-      }
-      dst.MergeFrom(it->second);
-      tor->ob_list.erase(it);
-      locks_->Transfer(tor->id, tee->id, ob);
-    }
+  // TRANSFER RESPONSIBILITY (step 3): move scopes between Ob_Lists, and
+  // the lock of every object the delegator no longer answers for.
+  // CheckDelegation saw the delegator hold every object it delegates.
+  assert(ranged ? tor->ob_list.contains(spec.object)
+                : std::all_of(spec.objects.begin(), spec.objects.end(),
+                              [tor](ObjectId ob) {
+                                return tor->ob_list.contains(ob);
+                              }));
+  const std::pair<Lsn, Lsn> range(spec.first, spec.last);
+  ErasedObjects released;
+  const size_t moved =
+      ranged ? TransferObjects(&tor->ob_list, &tee->ob_list, tor->id,
+                               {&spec.object, 1}, {&range, 1}, &released)
+             : TransferObjects(&tor->ob_list, &tee->ob_list, tor->id,
+                               spec.objects, {}, &released);
+  for (ObjectId ob : released) locks_->Transfer(tor->id, tee->id, ob);
+  // kEager's rewrite already counted the records it moved.
+  if (options_.delegation_mode != DelegationMode::kEager) {
+    stats_->scopes_transferred += moved;
   }
   tor->touched_by_delegation = true;
   tee->touched_by_delegation = true;

@@ -89,6 +89,37 @@ class FlatMap {
     return {it, true};
   }
 
+  /// Inserts a default value under every key of the ascending range
+  /// [first, last) not present yet, merging from the back in place: each
+  /// entry past the first new key moves once, where one operator[] per key
+  /// would shift that suffix once per key.
+  template <typename It>
+  void InsertSorted(It first, It last) {
+    InlineVector<K, 8> fresh;  // the missing keys, ascending and unique
+    const_iterator mine = begin();
+    for (; first != last; ++first) {
+      while (mine != end() && mine->first < *first) ++mine;
+      if (mine != end() && mine->first == *first) continue;
+      if (!fresh.empty() && fresh.back() == *first) continue;
+      fresh.push_back(*first);
+    }
+    size_t i = size();
+    for (size_t n = 0; n < fresh.size(); ++n) entries_.push_back(value_type());
+    for (size_t w = size(), j = fresh.size(); j > 0; --w) {
+      if (i > 0 && entries_[i - 1].first > fresh[j - 1]) {
+        entries_[w - 1] = std::move(entries_[--i]);
+      } else {
+        entries_[w - 1] = value_type(fresh[--j], V());
+      }
+    }
+  }
+
+  /// Removes every entry `pred` accepts, in one compaction pass.
+  template <typename Pred>
+  size_t EraseIf(Pred pred) {
+    return entries_.EraseIf(pred);
+  }
+
   iterator erase(iterator pos) { return entries_.erase(pos); }
   size_t erase(const K& key) {
     iterator it = find(key);

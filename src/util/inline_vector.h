@@ -88,6 +88,14 @@ class InlineVector {
     Spill();
     heap_.push_back(value);
   }
+  void push_back(T&& value) {
+    if (!spilled() && size_ < N) {
+      inline_[size_++] = std::move(value);
+      return;
+    }
+    Spill();
+    heap_.push_back(std::move(value));
+  }
 
   void reserve(size_t n) {
     if (n > N) {

@@ -1,5 +1,6 @@
 #include "wal/log_dump.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "reenact/ownership.h"
@@ -8,14 +9,19 @@ namespace ariesrh {
 
 Result<std::string> DumpLog(const LogManager& log, Lsn from, Lsn to) {
   std::ostringstream os;
-  for (Lsn lsn = from; lsn <= to && lsn <= log.end_lsn(); ++lsn) {
-    Result<LogRecord> rec = log.Read(lsn);
-    if (rec.status().IsNotFound() && lsn < log.first_retained_lsn()) {
-      os << "[" << lsn << " <archived>]\n";
-      continue;
+  to = std::min(to, log.end_lsn());
+  while (from <= to) {
+    LogCursor cursor(log, from, to);
+    while (cursor.Next()) os << cursor.record().ToString() << "\n";
+    if (cursor.status().ok()) break;
+    // An archived record (the prefix may be archived while the dump runs)
+    // gets a marker line, and the dump goes on past it.
+    if (!cursor.status().IsNotFound() ||
+        cursor.lsn() >= log.first_retained_lsn()) {
+      return cursor.status();
     }
-    ARIESRH_RETURN_IF_ERROR(rec.status());
-    os << rec->ToString() << "\n";
+    os << "[" << cursor.lsn() << " <archived>]\n";
+    from = cursor.lsn() + 1;
   }
   return os.str();
 }
@@ -77,8 +83,10 @@ Result<std::vector<ObjectHistoryEntry>> ObjectHistory(
   // Scan only the retained range: an archived prefix is expected and not an
   // error, but a failed read inside the range is — propagate it instead of
   // silently dropping history.
-  for (Lsn lsn = log.first_retained_lsn(); lsn <= log.end_lsn(); ++lsn) {
-    ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, log.Read(lsn));
+  LogCursor cursor(log, log.first_retained_lsn(), log.end_lsn());
+  while (cursor.Next()) {
+    const LogRecord& rec = cursor.record();
+    const Lsn lsn = cursor.lsn();
     if (rec.object != ob) continue;
     if (rec.type == LogRecordType::kUpdate) {
       ObjectHistoryEntry entry;
@@ -92,6 +100,7 @@ Result<std::vector<ObjectHistoryEntry>> ObjectHistory(
       compensated.push_back(rec.compensated_lsn);
     }
   }
+  ARIESRH_RETURN_IF_ERROR(cursor.status());
   for (ObjectHistoryEntry& entry : entries) {
     for (Lsn undone : compensated) {
       if (entry.lsn == undone) entry.compensated = true;
@@ -108,8 +117,10 @@ Result<std::vector<TableHistoryEntry>> TableKeyHistory(
   std::vector<TableHistoryEntry> entries;
   std::vector<Lsn> compensated;
   ObjectId rid = kInvalidObject;  // learned from the first matching record
-  for (Lsn lsn = log.first_retained_lsn(); lsn <= log.end_lsn(); ++lsn) {
-    ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, log.Read(lsn));
+  LogCursor cursor(log, log.first_retained_lsn(), log.end_lsn());
+  while (cursor.Next()) {
+    const LogRecord& rec = cursor.record();
+    const Lsn lsn = cursor.lsn();
     if (rec.key != key) continue;
     switch (rec.type) {
       case LogRecordType::kTableInsert:
@@ -142,6 +153,7 @@ Result<std::vector<TableHistoryEntry>> TableKeyHistory(
         break;
     }
   }
+  ARIESRH_RETURN_IF_ERROR(cursor.status());
   for (TableHistoryEntry& entry : entries) {
     for (Lsn undone : compensated) {
       if (entry.lsn == undone) entry.compensated = true;

@@ -319,4 +319,127 @@ void LogManager::DiscardTail() {
   acked_cv_.notify_all();
 }
 
+LogCursor::LogCursor(const LogManager& log, Lsn from, Lsn to,
+                     Direction direction)
+    : log_(log),
+      forward_(direction == Direction::kForward),
+      next_(forward_ ? from : to),
+      left_(from <= to ? to - from + 1 : 0) {}
+
+LogCursor::~LogCursor() { Publish(); }
+
+Status LogCursor::Fill() {
+  bytes_.clear();
+  ends_.clear();
+  taken_ = 0;
+  batch_count_ = 0;
+  const uint64_t want = std::min(left_, kBatchRecords);
+  std::shared_lock lock(log_.mu_);
+  const Lsn flushed = log_.flushed_lsn_.load(std::memory_order_relaxed);
+  if (next_ == kInvalidLsn || next_ == 0 ||
+      next_ >= log_.next_lsn_.load(std::memory_order_relaxed)) {
+    return Status::NotFound("LSN " + std::to_string(next_) + " out of range");
+  }
+  // A batch lies wholly in the durable prefix or wholly in the tail. `want`
+  // never exceeds the records left in the range, so neither bound below
+  // underflows.
+  Lsn lo = forward_ ? next_ : next_ - (want - 1);
+  Lsn hi = forward_ ? next_ + (want - 1) : next_;
+  if (next_ <= flushed) {
+    const Lsn retained = log_.disk_->first_retained_lsn();
+    if (next_ < retained) {
+      return Status::NotFound("LSN " + std::to_string(next_) +
+                              " was archived");
+    }
+    lo = std::max(lo, retained);
+    hi = std::min(hi, flushed);
+    log_.disk_->ReadLogRun(lo, hi, &bytes_, &ends_);
+    batch_durable_ = true;
+  } else {
+    // Volatile tail: the batch stops at a reserved-but-unfilled slot, whose
+    // appender still owns it — Read's kBusy, never a torn record.
+    lo = std::max(lo, flushed + 1);
+    hi = std::min(hi, log_.end_lsn());
+    const auto filled = [&](Lsn lsn) {
+      const size_t idx = static_cast<size_t>(lsn - flushed - 1);
+      return idx < log_.tail_.size() && log_.tail_[idx].filled;
+    };
+    if (!filled(next_)) {
+      return Status::Busy("LSN " + std::to_string(next_) +
+                          " is still being appended");
+    }
+    if (forward_) {
+      for (Lsn lsn = next_ + 1; lsn <= hi; ++lsn) {
+        if (!filled(lsn)) hi = lsn - 1;
+      }
+    } else {
+      for (Lsn lsn = next_ - 1; lsn >= lo; --lsn) {
+        if (!filled(lsn)) lo = lsn + 1;
+      }
+    }
+    for (Lsn lsn = lo; lsn <= hi; ++lsn) {
+      bytes_.append(log_.tail_[lsn - flushed - 1].image);
+      ends_.push_back(static_cast<uint32_t>(bytes_.size()));
+    }
+    batch_durable_ = false;
+  }
+  batch_first_ = lo;
+  batch_count_ = hi - lo + 1;
+  return Status::OK();
+}
+
+bool LogCursor::Next() {
+  if (left_ == 0 || !status_.ok()) {
+    Publish();
+    return false;
+  }
+  if (taken_ == batch_count_) {
+    Publish();
+    status_ = Fill();
+    if (!status_.ok()) {
+      lsn_ = next_;
+      return false;
+    }
+  }
+  const uint64_t i = forward_ ? taken_ : batch_count_ - 1 - taken_;
+  ++taken_;
+  --left_;
+  lsn_ = batch_first_ + i;
+  next_ = forward_ ? lsn_ + 1 : lsn_ - 1;
+  const uint32_t begin = i == 0 ? 0 : ends_[i - 1];
+  const uint32_t size = ends_[i] - begin;
+  if (batch_durable_) {
+    // The point read's accounting, record by record (see the class
+    // comment): classified now, against whatever was read last.
+    bytes_read_ += size;
+    if (log_.disk_->NoteLogRead(lsn_)) {
+      ++seq_reads_;
+    } else {
+      ++random_reads_;
+      const uint64_t stall = log_.disk_->log_random_read_stall_ns();
+      if (stall > 0) {
+        std::this_thread::sleep_for(std::chrono::nanoseconds(stall));
+      }
+    }
+  }
+  status_ = LogRecord::DecodeInto(bytes_.data() + begin, size, &record_);
+  if (!status_.ok()) {
+    status_ = Status::Corruption("LSN " + std::to_string(lsn_) + ": " +
+                                 status_.message());
+    Publish();
+    return false;
+  }
+  ++records_;
+  return true;
+}
+
+void LogCursor::Publish() {
+  Stats* stats = log_.disk_->stats();
+  if (seq_reads_ > 0) stats->log_seq_reads += seq_reads_;
+  if (random_reads_ > 0) stats->log_random_reads += random_reads_;
+  if (bytes_read_ > 0) stats->log_bytes_read += bytes_read_;
+  if (count_into_ != nullptr && records_ > 0) *count_into_ += records_;
+  seq_reads_ = random_reads_ = bytes_read_ = records_ = 0;
+}
+
 }  // namespace ariesrh

@@ -10,11 +10,24 @@
 // processing runs transactions on a worker pool (workload/scheduler.h) and
 // parallel restart recovery (recovery/parallel.h) reads durable records from
 // redo workers while undo workers append CLRs. Append reserves its LSN
-// lock-free and serializes outside the tail lock; Read takes a shared lock so
-// any number of readers proceed simultaneously; end_lsn()/flushed_lsn() are
+// lock-free and serializes outside the tail lock; readers take a shared lock
+// so any number of them proceed simultaneously; end_lsn()/flushed_lsn() are
 // lock-free. Physical forces serialize on a dedicated force mutex, ordered
 // before the tail lock, and the simulated device stall of a force is paid
 // outside the tail lock so appenders keep running while the device is busy.
+//
+// Two read paths, one lock discipline: a reader holds the shared lock only
+// while it copies record images out, and pays the simulated seek and the
+// decode (CRC + parse) after releasing it.
+//   * Read(lsn), the point read: one lock hold, one image copy and one
+//     decode into a fresh record per call. For reads that jump — the master
+//     and CKPT_END lookups, chain-following undo, the scope-cluster sweep,
+//     the rewrite baselines.
+//   * LogCursor, the sequential read: walks a range known up front, forward
+//     or backward, one lock hold and one byte copy per batch of records,
+//     decoding each into one reused record. For every sweep — the restart
+//     forward pass, the full-scan undo baseline, reenactment's scans, the
+//     log dump. Its accounting equals a Read per record (see LogCursor).
 //
 // Group commit: StartGroupCommit spawns a dedicated flusher thread that owns
 // all commit-driven forces. A committer appends its COMMIT record, requests a
@@ -46,6 +59,8 @@
 #include "wal/log_record.h"
 
 namespace ariesrh {
+
+class LogCursor;
 
 class LogManager {
  public:
@@ -158,6 +173,8 @@ class LogManager {
   void DiscardTail();
 
  private:
+  friend class LogCursor;
+
   struct TailEntry {
     LogRecord record;
     std::string image;    // serialized at append time for byte accounting
@@ -203,6 +220,90 @@ class LogManager {
   Status flusher_status_ = Status::OK();
   std::atomic<bool> flusher_running_{false};
   std::thread flusher_;
+};
+
+/// A sequential reader over the log range [from, to], forward or backward,
+/// spanning the durable prefix and the volatile tail like Read.
+///
+/// Each batch of up to kBatchRecords records costs one hold of the log's
+/// shared lock, during which the images are copied into one reused buffer
+/// (SimulatedDisk::ReadLogRun for durable records); Next() then decodes
+/// them one at a time, outside the lock, into one reused record.
+///
+/// Accounting equals one Read per record consumed, never per record
+/// buffered: each durable record Next() hands out is classified sequential
+/// or random against the disk's last read position at that moment, exactly
+/// as Read classifies it, so reads interleaved between two Next() calls
+/// (the rewrite baseline's chain walks) are seen as they would be; a random
+/// one pays the seek stall in Next(). The counts themselves (log_seq_reads,
+/// log_random_reads, log_bytes_read and the CountRecordsInto counter) are
+/// added once per batch, and the rest when the cursor ends or is destroyed,
+/// so a caller that stops early has counted exactly what it consumed.
+///
+/// Not thread-safe; any number of cursors and Read callers may run
+/// concurrently on one LogManager.
+class LogCursor {
+ public:
+  enum class Direction : uint8_t { kForward, kBackward };
+
+  /// A cursor over [from, to]; a backward cursor starts at `to`. An empty
+  /// range (from > to) yields nothing.
+  LogCursor(const LogManager& log, Lsn from, Lsn to,
+            Direction direction = Direction::kForward);
+  /// Publishes the counts of the records consumed so far.
+  ~LogCursor();
+
+  LogCursor(const LogCursor&) = delete;
+  LogCursor& operator=(const LogCursor&) = delete;
+
+  /// Decodes the next record of the range into record(). Returns false once
+  /// the range is exhausted or a read failed; status() then says which, and
+  /// lsn() names the record that failed. The errors are Read's — NotFound
+  /// (archived or out of range), Busy (a tail slot still being appended) —
+  /// plus Corruption naming the LSN whose image does not decode.
+  bool Next();
+
+  /// The record Next() last decoded; overwritten by the next call.
+  const LogRecord& record() const { return record_; }
+  /// LSN of the record Next() last produced or failed on.
+  Lsn lsn() const { return lsn_; }
+  const Status& status() const { return status_; }
+
+  /// Also counts every record Next() decodes into `counter` (a pass's
+  /// records-scanned stat), published with the read counts.
+  void CountRecordsInto(StatCounter* counter) { count_into_ = counter; }
+
+ private:
+  static constexpr uint64_t kBatchRecords = 64;
+
+  /// Copies the next batch's images, holding the shared lock only for that.
+  Status Fill();
+  /// Adds the counts accumulated since the last call to the stats cells.
+  void Publish();
+
+  const LogManager& log_;
+  const bool forward_;
+  Lsn next_;        ///< next LSN to produce
+  uint64_t left_;   ///< records of the range not yet produced
+  Lsn lsn_ = kInvalidLsn;
+  Status status_;
+  LogRecord record_;
+
+  // The current batch: records [batch_first_, batch_first_ + batch_count_),
+  // record i's image ending at ends_[i] in bytes_.
+  std::string bytes_;
+  std::vector<uint32_t> ends_;
+  Lsn batch_first_ = kInvalidLsn;
+  uint64_t batch_count_ = 0;
+  uint64_t taken_ = 0;         ///< records of the batch already produced
+  bool batch_durable_ = false; ///< durable records are disk reads; tail ones are not
+
+  // Counts not yet published.
+  uint64_t seq_reads_ = 0;
+  uint64_t random_reads_ = 0;
+  uint64_t bytes_read_ = 0;
+  uint64_t records_ = 0;
+  StatCounter* count_into_ = nullptr;
 };
 
 }  // namespace ariesrh

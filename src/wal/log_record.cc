@@ -1,5 +1,6 @@
 #include "wal/log_record.h"
 
+#include <cstring>
 #include <sstream>
 
 #include "util/coding.h"
@@ -135,112 +136,150 @@ std::string LogRecord::Serialize() const {
   return out;
 }
 
-Result<LogRecord> LogRecord::Deserialize(const std::string& image) {
-  if (image.size() < 5) return Status::Corruption("log record too short");
-  const size_t body_len = image.size() - 4;
+namespace {
+
+// Checks the CRC, then parses the image into `rec`, whose fields the image
+// does not carry must already hold their defaults. Forced inline into both
+// callers: as an out-of-line call it made Deserialize, the point read's
+// decode, about 10% slower on a plain UPDATE (BM_LogRecordDeserialize).
+__attribute__((always_inline)) inline Status DecodeImage(const char* data,
+                                                         size_t size,
+                                                         LogRecord* rec) {
+  if (size < 5) return Status::Corruption("log record too short");
+  const size_t body_len = size - 4;
   {
-    Decoder crc_dec(image.data() + body_len, 4);
+    Decoder crc_dec(data + body_len, 4);
     uint32_t stored = 0;
     ARIESRH_RETURN_IF_ERROR(crc_dec.GetFixed32(&stored));
-    if (crc32c::Unmask(stored) != crc32c::Value(image.data(), body_len)) {
+    if (crc32c::Unmask(stored) != crc32c::Value(data, body_len)) {
       return Status::Corruption("log record CRC mismatch");
     }
   }
 
-  Decoder dec(image.data(), body_len);
-  LogRecord rec;
+  Decoder dec(data, body_len);
   uint8_t type_byte = 0;
   ARIESRH_RETURN_IF_ERROR(dec.GetFixed8(&type_byte));
   if (type_byte < static_cast<uint8_t>(LogRecordType::kBegin) ||
       type_byte > static_cast<uint8_t>(LogRecordType::kTableClr)) {
     return Status::Corruption("unknown log record type");
   }
-  rec.type = static_cast<LogRecordType>(type_byte);
-  ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec.lsn));
-  ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec.txn_id));
-  ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &rec.prev_lsn));
+  rec->type = static_cast<LogRecordType>(type_byte);
+  ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec->lsn));
+  ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec->txn_id));
+  ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &rec->prev_lsn));
 
   uint8_t kind_byte = 0;
   uint64_t raw = 0;
-  switch (rec.type) {
+  switch (rec->type) {
     case LogRecordType::kUpdate:
-      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec.object));
+      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec->object));
       ARIESRH_RETURN_IF_ERROR(dec.GetFixed8(&kind_byte));
-      rec.kind = static_cast<UpdateKind>(kind_byte);
+      rec->kind = static_cast<UpdateKind>(kind_byte);
       ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&raw));
-      rec.before = ZigZagDecode(raw);
+      rec->before = ZigZagDecode(raw);
       ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&raw));
-      rec.after = ZigZagDecode(raw);
+      rec->after = ZigZagDecode(raw);
       break;
     case LogRecordType::kClr:
-      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec.object));
+      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec->object));
       ARIESRH_RETURN_IF_ERROR(dec.GetFixed8(&kind_byte));
-      rec.kind = static_cast<UpdateKind>(kind_byte);
+      rec->kind = static_cast<UpdateKind>(kind_byte);
       ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&raw));
-      rec.before = ZigZagDecode(raw);
+      rec->before = ZigZagDecode(raw);
       ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&raw));
-      rec.after = ZigZagDecode(raw);
-      ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &rec.compensated_lsn));
-      ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &rec.undo_next_lsn));
+      rec->after = ZigZagDecode(raw);
+      ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &rec->compensated_lsn));
+      ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &rec->undo_next_lsn));
       break;
     case LogRecordType::kDelegate: {
-      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec.tor));
-      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec.tee));
-      ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &rec.tor_bc));
-      ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &rec.tee_bc));
+      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec->tor));
+      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec->tee));
+      ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &rec->tor_bc));
+      ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &rec->tee_bc));
       uint64_t count = 0;
       ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&count));
-      rec.objects.reserve(count);
+      rec->objects.reserve(count);
       for (uint64_t i = 0; i < count; ++i) {
         ObjectId ob = 0;
         ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&ob));
-        rec.objects.push_back(ob);
+        rec->objects.push_back(ob);
       }
       uint64_t range_count = 0;
       ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&range_count));
-      if (range_count != 0 && range_count != rec.objects.size()) {
+      if (range_count != 0 && range_count != rec->objects.size()) {
         return Status::Corruption("delegate range count mismatch");
       }
-      rec.ranges.reserve(range_count);
+      rec->ranges.reserve(range_count);
       for (uint64_t i = 0; i < range_count; ++i) {
         Lsn first = kInvalidLsn, last = kInvalidLsn;
         ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &first));
         ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &last));
-        rec.ranges.emplace_back(first, last);
+        rec->ranges.emplace_back(first, last);
       }
-      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec.csn));
+      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec->csn));
       break;
     }
     case LogRecordType::kPrepare:
-      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec.csn));
+      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec->csn));
       break;
     case LogRecordType::kCkptEnd:
-      ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&rec.ckpt_payload));
+      ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&rec->ckpt_payload));
       break;
     case LogRecordType::kTableInsert:
     case LogRecordType::kTableUpdate:
     case LogRecordType::kTableDelete:
-      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec.object));
-      ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&rec.key));
-      ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&rec.before_image));
-      ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&rec.after_image));
+      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec->object));
+      ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&rec->key));
+      ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&rec->before_image));
+      ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&rec->after_image));
       break;
     case LogRecordType::kTableClr: {
-      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec.object));
-      ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&rec.key));
+      ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&rec->object));
+      ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&rec->key));
       uint8_t remove_byte = 0;
       ARIESRH_RETURN_IF_ERROR(dec.GetFixed8(&remove_byte));
-      rec.table_remove = remove_byte != 0;
-      ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&rec.after_image));
-      ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &rec.compensated_lsn));
-      ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &rec.undo_next_lsn));
+      rec->table_remove = remove_byte != 0;
+      ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&rec->after_image));
+      ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &rec->compensated_lsn));
+      ARIESRH_RETURN_IF_ERROR(GetLsn(&dec, &rec->undo_next_lsn));
       break;
     }
     default:
       break;
   }
   if (!dec.empty()) return Status::Corruption("trailing bytes in log record");
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<LogRecord> LogRecord::Deserialize(const std::string& image) {
+  LogRecord rec;  // a fresh record holds every default already
+  ARIESRH_RETURN_IF_ERROR(DecodeImage(image.data(), image.size(), &rec));
   return rec;
+}
+
+Status LogRecord::DecodeInto(const char* data, size_t size, LogRecord* rec) {
+  // Reset what this image may not carry; containers keep their capacity.
+  rec->object = kInvalidObject;
+  rec->kind = UpdateKind::kSet;
+  rec->before = 0;
+  rec->after = 0;
+  rec->compensated_lsn = kInvalidLsn;
+  rec->undo_next_lsn = kInvalidLsn;
+  rec->tor = kInvalidTxn;
+  rec->tee = kInvalidTxn;
+  rec->tor_bc = kInvalidLsn;
+  rec->tee_bc = kInvalidLsn;
+  rec->objects.clear();
+  rec->ranges.clear();
+  rec->csn = 0;
+  rec->ckpt_payload.clear();
+  rec->key.clear();
+  rec->before_image.clear();
+  rec->after_image.clear();
+  rec->table_remove = false;
+  return DecodeImage(data, size, rec);
 }
 
 std::string LogRecord::ToString() const {
@@ -293,6 +332,40 @@ std::string LogRecord::ToString() const {
   }
   os << "]";
   return os.str();
+}
+
+RedoEntry RedoEntry::Of(const LogRecord& rec) {
+  RedoEntry entry;
+  entry.lsn = rec.lsn;
+  entry.object = rec.object;
+  entry.after = rec.after;
+  entry.type = rec.type;
+  entry.kind = rec.kind;
+  entry.table_remove = rec.table_remove;
+  if (IsTableRecord(rec.type)) {
+    const uint32_t sizes[2] = {static_cast<uint32_t>(rec.key.size()),
+                               static_cast<uint32_t>(rec.after_image.size())};
+    entry.table = std::make_unique_for_overwrite<char[]>(
+        sizeof(sizes) + rec.key.size() + rec.after_image.size());
+    char* out = entry.table.get();
+    std::memcpy(out, sizes, sizeof(sizes));
+    std::memcpy(out + sizeof(sizes), rec.key.data(), rec.key.size());
+    std::memcpy(out + sizeof(sizes) + rec.key.size(), rec.after_image.data(),
+                rec.after_image.size());
+  }
+  return entry;
+}
+
+std::string_view RedoEntry::key() const {
+  uint32_t sizes[2];
+  std::memcpy(sizes, table.get(), sizeof(sizes));
+  return {table.get() + sizeof(sizes), sizes[0]};
+}
+
+std::string_view RedoEntry::after_image() const {
+  uint32_t sizes[2];
+  std::memcpy(sizes, table.get(), sizeof(sizes));
+  return {table.get() + sizeof(sizes) + sizes[0], sizes[1]};
 }
 
 LogRecord LogRecord::MakeBegin(TxnId txn) {

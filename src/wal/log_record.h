@@ -14,7 +14,9 @@
 #define ARIESRH_WAL_LOG_RECORD_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -55,6 +57,11 @@ inline bool IsTableWrite(LogRecordType type) {
   return type == LogRecordType::kTableInsert ||
          type == LogRecordType::kTableUpdate ||
          type == LogRecordType::kTableDelete;
+}
+
+/// True for every logical table record: the writes and the table CLR.
+inline bool IsTableRecord(LogRecordType type) {
+  return IsTableWrite(type) || type == LogRecordType::kTableClr;
 }
 
 /// How an update mutates its object cell.
@@ -126,6 +133,13 @@ struct LogRecord {
   /// tail; recovery truncates the log there.
   static Result<LogRecord> Deserialize(const std::string& image);
 
+  /// Deserialize into an existing record: every field the image does not
+  /// carry is reset to its default, and the record's strings and vectors
+  /// keep their capacity, so a sweep that decodes into one reused record
+  /// allocates only when an image outgrows it. On error `rec` holds
+  /// unspecified (but valid) contents.
+  static Status DecodeInto(const char* data, size_t size, LogRecord* rec);
+
   /// Short human-readable rendering for traces and test failures.
   std::string ToString() const;
 
@@ -156,6 +170,30 @@ struct LogRecord {
                                 std::string key, bool remove,
                                 std::string restore, Lsn compensated,
                                 Lsn undo_next);
+};
+
+/// One entry of a restart's redo plan: the fields replay reads, not the
+/// whole record. A page record replays from lsn, object, kind and after; a
+/// logical table record from lsn, type, table_remove, its key and its after
+/// image, which share one out-of-line block so a page entry stays 40 bytes
+/// and a table entry costs one allocation.
+struct RedoEntry {
+  Lsn lsn = kInvalidLsn;
+  ObjectId object = kInvalidObject;
+  int64_t after = 0;  ///< UPDATE/CLR: the after image (kSet) or delta (kAdd)
+  LogRecordType type = LogRecordType::kUpdate;
+  UpdateKind kind = UpdateKind::kSet;
+  bool table_remove = false;  ///< kTableClr: the compensation removes the key
+  /// Table records only: the key's and the after image's 32-bit lengths,
+  /// then their bytes.
+  std::unique_ptr<char[]> table;
+
+  /// The entry replaying `rec`, an UPDATE, CLR or logical table record.
+  static RedoEntry Of(const LogRecord& rec);
+
+  /// Table records only.
+  std::string_view key() const;
+  std::string_view after_image() const;
 };
 
 }  // namespace ariesrh

@@ -91,11 +91,9 @@ TEST(RedoPlanTest, PlanIsKeyedByPageInLsnOrder) {
   for (const auto& [page, recs] : plan.pages) {
     ASSERT_FALSE(recs.empty()) << "page " << page;
     for (size_t i = 0; i < recs.size(); ++i) {
-      const LogRecord& rec = recs[i];
-      const bool table_record = IsTableWrite(rec.type) ||
-                                rec.type == LogRecordType::kTableClr;
-      EXPECT_EQ(page, table_record ? table::RedoBucketOf(rec.object)
-                                   : PageOf(rec.object))
+      const RedoEntry& rec = recs[i];
+      EXPECT_EQ(page, IsTableRecord(rec.type) ? table::RedoBucketOf(rec.object)
+                                              : PageOf(rec.object))
           << "LSN " << rec.lsn;
       if (i > 0) {
         EXPECT_LT(recs[i - 1].lsn, rec.lsn) << "page " << page;

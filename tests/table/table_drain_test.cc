@@ -40,16 +40,17 @@ std::string KeyInBucket(size_t bucket) {
 // find it empty and return at once.
 class SlowBuckets {
  public:
-  std::vector<LogRecord> Resolve(size_t bucket) {
+  std::vector<RedoEntry> Resolve(size_t bucket) {
     if (resolved_[bucket].exchange(true)) return {};
     started_.fetch_add(1);
     std::this_thread::sleep_for(kBucketDrain);
     const std::string key = KeyInBucket(bucket);
-    std::vector<LogRecord> recs;
-    recs.push_back(LogRecord::MakeTableInsert(/*txn=*/1, kInvalidLsn,
-                                              TableRid(key), key, "redo"));
-    recs.back().lsn = static_cast<Lsn>(bucket + 1);
-    return recs;
+    LogRecord rec = LogRecord::MakeTableInsert(/*txn=*/1, kInvalidLsn,
+                                               TableRid(key), key, "redo");
+    rec.lsn = static_cast<Lsn>(bucket + 1);
+    std::vector<RedoEntry> entries;
+    entries.push_back(RedoEntry::Of(rec));
+    return entries;
   }
 
   /// Buckets whose resolve has begun.

@@ -22,6 +22,36 @@ TEST(FlatMapTest, StartsEmpty) {
   EXPECT_FALSE(m.contains(1));
 }
 
+TEST(FlatMapTest, InsertSortedMergesMissingKeysInOrder) {
+  FM m;
+  m[2] = "two";
+  m[5] = "five";
+  m[9] = "nine";
+  const std::vector<uint64_t> keys = {1, 2, 3, 3, 9, 12};
+  m.InsertSorted(keys.begin(), keys.end());
+  std::vector<uint64_t> seen;
+  for (const auto& [k, v] : m) seen.push_back(k);
+  EXPECT_EQ(seen, (std::vector<uint64_t>{1, 2, 3, 5, 9, 12}));
+  EXPECT_EQ(m.at(2), "two");  // existing values untouched
+  EXPECT_EQ(m.at(9), "nine");
+  EXPECT_EQ(m.at(3), "");     // new keys default-constructed
+}
+
+TEST(FlatMapTest, EraseIfCompactsInOnePass) {
+  FM m;
+  for (uint64_t k = 0; k < 20; ++k) m[k] = std::to_string(k);
+  EXPECT_EQ(m.EraseIf([](const FM::value_type& e) { return e.first % 3 == 0; }),
+            7u);
+  ASSERT_EQ(m.size(), 13u);
+  uint64_t prev = 0;
+  for (const auto& [k, v] : m) {
+    EXPECT_NE(k % 3, 0u);
+    EXPECT_EQ(v, std::to_string(k));
+    EXPECT_GT(k, prev);
+    prev = k;
+  }
+}
+
 TEST(FlatMapTest, SubscriptInsertsAndFinds) {
   FM m;
   m[3] = "three";
