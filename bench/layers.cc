@@ -16,9 +16,13 @@
 //     the page-keyed plan (kAnalysisCollectRedo), in ns per record. Each
 //     forward row runs over physical UPDATE records (kind 0) or logical
 //     TBL_* records (kind 1).
-//   * BM_ScopeSweepUndo: the loser-cluster backward sweep of restart's undo
-//     pass, stalls off, into a sink that compensates nothing, in ns per
-//     examined record.
+//   * BM_ScopeSweepUndo/<stall>: the loser-cluster backward sweep of
+//     restart's undo pass into a sink that compensates nothing, in ns per
+//     examined record; stall 0 runs with the seek stall off (every gap
+//     between clusters is sought over, for free), stall 1 with the 25 us
+//     seek of the restart benches (short gaps are read through). The
+//     skipped, read_through and random_reads counters say which way each
+//     gap went.
 //   * BM_CheckpointWriteBack/<dirty heap pages>: one Checkpoint() whose
 //     penultimate-checkpoint write-back finds that many heap pages dirty
 //     since before the previous checkpoint, in ns per page written.
@@ -234,8 +238,10 @@ void BM_ScopeSweepUndo(benchmark::State& state) {
   // transaction stays open and writes its first object again five
   // transactions later, so each loser scope spans about 30 records. The
   // sweep examines those clusters record by record, skipping the winner
-  // records inside them, and jumps between clusters.
+  // records inside them, and moves on between clusters.
   Database db;
+  db.shard(0)->disk()->set_log_random_read_stall_ns(
+      state.range(0) != 0 ? 25'000 : 0);
   Random rng(11);
   TxnId loser = kInvalidTxn;
   ObjectId loser_ob = 0;
@@ -277,14 +283,21 @@ void BM_ScopeSweepUndo(benchmark::State& state) {
   }
   uint64_t examined = 0;
   uint64_t undone = 0;
+  uint64_t skipped = 0;
+  uint64_t read_through = 0;
+  uint64_t random_reads = 0;
   for (auto _ : state) {
     Stats stats;
     NullUndoSink sink;
     std::unordered_map<TxnId, Lsn> heads;
+    const uint64_t random_before = db.stats().log_random_reads;
     Check(ScopeSweepUndo(targets, fwd->compensated, log->flushed_lsn(), log,
                          &stats, &sink, &heads),
           "ScopeSweepUndo");
     examined = stats.recovery_backward_examined;
+    skipped = stats.recovery_backward_skipped;
+    read_through = stats.recovery_backward_read_through;
+    random_reads = db.stats().log_random_reads - random_before;
     undone = sink.undos();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -292,13 +305,18 @@ void BM_ScopeSweepUndo(benchmark::State& state) {
   state.counters["examined"] =
       benchmark::Counter(static_cast<double>(examined));
   state.counters["undone"] = benchmark::Counter(static_cast<double>(undone));
+  state.counters["skipped"] = benchmark::Counter(static_cast<double>(skipped));
+  state.counters["read_through"] =
+      benchmark::Counter(static_cast<double>(read_through));
+  state.counters["random_reads"] =
+      benchmark::Counter(static_cast<double>(random_reads));
   state.counters["ns_per_examined"] = benchmark::Counter(
       static_cast<double>(examined) * 1e-9,
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
   AddCpuCounter(state);
 }
-BENCHMARK(BM_ScopeSweepUndo)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScopeSweepUndo)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // kv_durable's record shape: 9-byte keys, 100-byte values.
 std::string HeapKey(int i) {

@@ -144,16 +144,17 @@ void BM_TableRecoveryWithCheckpoints(benchmark::State& state) {
 // worker threads. The workload is phased — each phase owns a disjoint
 // object band (so redo spreads over many independent pages) and leaves one
 // loser whose scopes span only that phase's LSN window (so undo faces 8
-// independent clusters). Per-pass wall times from the recovery Outcome are
+// independent groups). Per-pass wall times from the recovery Outcome are
 // attached as counters, so BENCH_recovery_overhead.json records where the
-// speedup comes from.
+// time goes.
 //
 // The recovery options charge a simulated seek to every random log read
-// (`sim_log_random_read_ns`): the backward undo sweep's skip-reads are
-// random accesses, and overlapping those seeks across cluster workers is
-// exactly where parallel restart wins on real stable storage. The
-// sequential analysis scan stays free, and partitioned redo replays the
-// collected plan without touching the log at all.
+// (`sim_log_random_read_ns`). Each loser update is its own one-record
+// scope with a winner update between it and the next, so an undo sweep
+// that jumps between scopes pays a seek per record; the backward stream
+// reads those one-record gaps through instead. The thread count moves only
+// redo: partitioned redo replays the collected plan without touching the
+// log, and undo is one stream per shard at any thread count.
 const std::string& ClusteredCrashImage() {
   static const std::string path = [] {
     const std::string p = "/tmp/ariesrh_bench_parallel_recovery.ariesrh";

@@ -85,8 +85,7 @@ inline constexpr size_t kMaxShards = 64;
 struct FaultInjection {
   /// When non-zero, recovery's undo pass "crashes" (flushes the log written
   /// so far and fails with IOError) after undoing this many updates. Used
-  /// to prove recovery is idempotent when interrupted mid-undo. With
-  /// recovery_threads > 1 the budget is shared across all undo workers.
+  /// to prove recovery is idempotent when interrupted mid-undo.
   uint64_t crash_after_undo_steps = 0;
 
   /// When non-zero, recovery's redo work "crashes" (fails with IOError)
@@ -181,8 +180,8 @@ struct Options {
   /// Worker threads for restart recovery. At 1 (the default) kFull restart
   /// applies redo inside the paper's single merged forward sweep (§3.3).
   /// With more threads the sweep only collects a redo plan, which replays
-  /// page-partitioned on a worker pool. Either way the undo pass dispatches
-  /// independent loser-scope cluster groups to a pool of this many workers.
+  /// page-partitioned on a worker pool. The undo pass is one backward log
+  /// stream per shard at any value, so its log reads stay sequential.
   size_t recovery_threads = 1;
 
   /// Simulated seek stall, in nanoseconds, charged to each *random*

@@ -89,8 +89,18 @@ std::vector<PageId> OnDemandRedo::PendingPlainPages() const {
 // RecoveryGate
 // ---------------------------------------------------------------------------
 
-void RecoveryGate::Arm(const std::vector<UndoGroup>& groups) {
+template <typename Pred>
+void RecoveryGate::Block(std::unique_lock<std::mutex>& lock, Pred done) {
+  if (done()) return;
+  const uint64_t start = obs::MonotonicNanos();
+  cv_.wait(lock, done);
+  if (wait_ns_ != nullptr) wait_ns_->Observe(obs::MonotonicNanos() - start);
+}
+
+void RecoveryGate::Arm(const std::vector<UndoGroup>& groups,
+                       obs::Histogram* wait_ns) {
   std::lock_guard<std::mutex> lock(mu_);
+  wait_ns_ = wait_ns;
   resolved_.assign(groups.size(), 0);
   for (size_t g = 0; g < groups.size(); ++g) {
     for (const ScopeUndoTarget& target : groups[g].targets) {
@@ -115,7 +125,7 @@ Status RecoveryGate::WaitForObject(ObjectId ob) {
     }
     return true;
   };
-  cv_.wait(lock, [&] { return closed_ || lifted(); });
+  Block(lock, [&] { return closed_ || lifted(); });
   if (lifted()) return Status::OK();
   return close_status_;
 }
@@ -123,7 +133,7 @@ Status RecoveryGate::WaitForObject(ObjectId ob) {
 Status RecoveryGate::WaitForAll() {
   if (unresolved_.load(std::memory_order_acquire) == 0) return Status::OK();
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] {
+  Block(lock, [&] {
     return closed_ || unresolved_.load(std::memory_order_acquire) == 0;
   });
   if (unresolved_.load(std::memory_order_acquire) == 0) return Status::OK();
@@ -267,7 +277,10 @@ Status InstantRestart::Start(const coord::Resolution* resolution,
   ondemand_ = std::make_unique<OnDemandRedo>(
       std::move(plan_.fwd.redo_plan), stats_,
       handle_ != nullptr ? handle_->redo_pages_cell() : nullptr);
-  gate_.Arm(plan_.groups);
+  obs::MetricsRegistry* registry = stats_->registry();
+  gate_.Arm(plan_.groups, registry != nullptr
+                              ? registry->GetHistogram("ariesrh_gate_wait_ns")
+                              : nullptr);
   if (handle_ != nullptr) {
     handle_->AddUndoBacklog(static_cast<int64_t>(plan_.groups.size()));
   }

@@ -11,13 +11,14 @@
 //     background drain at the very end.
 //
 //   * Undo in the background: the plan's loser-scope cluster groups go to
-//     the undo executor kFull uses (UndoGroups), on a background thread
-//     while the engine serves new transactions. The scope index is what
-//     makes this safe — RecoveryGate blocks exactly the transactions whose
-//     footprints intersect a still-unresolved loser cluster; everything
-//     else proceeds immediately. This is the RH-native advantage:
-//     page-chain schemes need per-page recovery bits, RH already knows
-//     every object a loser still covers.
+//     the undo executor kFull uses (UndoGroups), one backward log stream on
+//     a background thread while the engine serves new transactions; groups
+//     resolve in stream order, each as the stream passes its oldest scope.
+//     The scope index is what makes this safe — RecoveryGate blocks exactly
+//     the transactions whose footprints intersect a still-unresolved loser
+//     cluster; everything else proceeds immediately. This is the RH-native
+//     advantage: page-chain schemes need per-page recovery bits, RH already
+//     knows every object a loser still covers.
 //
 // RecoveryHandle is the caller's view of the whole restart: progress,
 // per-pass stats, Await(), and the terminal Outcome. Every shard reports to
@@ -105,7 +106,10 @@ class OnDemandRedo {
 class RecoveryGate {
  public:
   /// Indexes the cluster groups' objects. Call once, before any waiter.
-  void Arm(const std::vector<UndoGroup>& groups);
+  /// `wait_ns` (optional, "ariesrh_gate_wait_ns") observes how long each
+  /// wait that actually blocks lasts; a wait that passes does not count.
+  void Arm(const std::vector<UndoGroup>& groups,
+           obs::Histogram* wait_ns = nullptr);
 
   /// Blocks until every group covering `ob` is resolved. Returns the close
   /// status if the gate was closed (failed/cancelled restart) first.
@@ -126,6 +130,12 @@ class RecoveryGate {
   }
 
  private:
+  /// cv_.wait(lock, done), timed into wait_ns_ when `done` is false at
+  /// first (mu_ held).
+  template <typename Pred>
+  void Block(std::unique_lock<std::mutex>& lock, Pred done);
+
+  obs::Histogram* wait_ns_ = nullptr;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::unordered_map<ObjectId, std::vector<size_t>> by_object_;

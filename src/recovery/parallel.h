@@ -1,12 +1,12 @@
 // A small work-queue utility for parallel restart recovery.
 //
-// Both parallel passes reduce to the same shape: a fixed set of independent
-// work units (page buckets for redo, loser-scope cluster groups for undo)
-// drained by a handful of workers. RunOnWorkers claims units off a shared
-// atomic cursor — no per-unit allocation, natural load balancing when unit
-// sizes are skewed — and returns the first error any worker hit; once a
-// worker fails, the remaining units are abandoned (recovery is idempotent,
-// so a re-run converges regardless of where the pipeline stopped).
+// Partitioned redo has the shape of a fixed set of independent work units
+// (page buckets) drained by a handful of workers. RunOnWorkers claims units
+// off a shared atomic cursor — no per-unit allocation, natural load
+// balancing when unit sizes are skewed — and returns the first error any
+// worker hit; once a worker fails, the remaining units are abandoned
+// (recovery is idempotent, so a re-run converges regardless of where the
+// pipeline stopped).
 
 #ifndef ARIESRH_RECOVERY_PARALLEL_H_
 #define ARIESRH_RECOVERY_PARALLEL_H_

@@ -138,38 +138,29 @@ std::vector<UndoGroup> BuildUndoGroups(const ForwardPassResult& fwd,
 }
 
 Status UndoGroups(const Options& options, const ForwardPassResult& fwd,
-                  std::vector<UndoGroup>* groups, size_t threads,
-                  LogManager* log, Stats* stats, UndoSink* sink,
+                  std::vector<UndoGroup>* groups, LogManager* log,
+                  Stats* stats, UndoSink* sink,
                   const std::function<Status(size_t)>& on_group_done,
                   uint64_t* records_skipped) {
-  const bool chains = options.delegation_mode != DelegationMode::kRH;
-  const bool full_scan = options.undo_strategy == UndoStrategy::kFullScan;
-  if (!chains && !full_scan) {
-    // One sweep conceptually runs from the end of the log; whichever worker
-    // sweeps a cluster, the gaps around it stay unread.
-    std::vector<ScopeUndoTarget> all;
-    for (const UndoGroup& group : *groups) {
-      all.insert(all.end(), group.targets.begin(), group.targets.end());
-    }
-    const uint64_t skipped = CreditClusterSkips(all, fwd.scan_end, stats);
-    if (records_skipped != nullptr) *records_skipped = skipped;
-  }
-  return RunOnWorkers(threads, groups->size(), [&](size_t g) -> Status {
-    UndoGroup& group = (*groups)[g];
-    if (chains) {
-      ARIESRH_RETURN_IF_ERROR(ChainUndo(log, stats, sink, &group.heads));
-    } else if (full_scan) {
-      ARIESRH_RETURN_IF_ERROR(FullScanUndo(group.targets, fwd.compensated,
-                                           fwd.scan_end, log, stats, sink,
-                                           &group.heads));
-    } else {
-      ARIESRH_RETURN_IF_ERROR(SweepLoserClusters(
-          group.targets, fwd.compensated, log, stats, sink, &group.heads));
-    }
-    // Rollback of the group's losers is complete.
-    for (const auto& [txn, head] : group.heads) sink->End(txn, head);
+  // A resolved group's losers are rolled back: end them, then report it.
+  auto group_done = [&](size_t g) -> Status {
+    for (const auto& [txn, head] : (*groups)[g].heads) sink->End(txn, head);
     return on_group_done ? on_group_done(g) : Status::OK();
-  });
+  };
+  const bool chains = options.delegation_mode != DelegationMode::kRH;
+  if (!chains && options.undo_strategy != UndoStrategy::kFullScan) {
+    return SweepLoserClusters(groups, fwd.compensated, fwd.scan_end, log,
+                              stats, sink, group_done, records_skipped);
+  }
+  for (size_t g = 0; g < groups->size(); ++g) {
+    UndoGroup& group = (*groups)[g];
+    ARIESRH_RETURN_IF_ERROR(
+        chains ? ChainUndo(log, stats, sink, &group.heads)
+               : FullScanUndo(group.targets, fwd.compensated, fwd.scan_end,
+                              log, stats, sink, &group.heads));
+    ARIESRH_RETURN_IF_ERROR(group_done(g));
+  }
+  return Status::OK();
 }
 
 Result<RecoveryManager::Plan> RecoveryManager::BuildPlan(
@@ -251,17 +242,15 @@ Status RecoveryManager::Undo(
   const uint64_t examined_before = stats_->recovery_backward_examined;
   const uint64_t undo_start = obs::MonotonicNanos();
 
-  // Test-only: simulate a crash in the middle of the undo pass. The budget
-  // is shared across workers.
+  // Test-only: simulate a crash in the middle of the undo pass.
   RecoveryFaultBudget budget(options_.faults.crash_after_undo_steps);
   LoggingUndoSink sink(
       log_, pool_, stats_, heap_,
       options_.faults.crash_after_undo_steps > 0 ? &budget : nullptr);
   Outcome& outcome = plan->outcome;
-  const Status status = UndoGroups(
-      options_, plan->fwd, &plan->groups,
-      std::max<size_t>(1, options_.recovery_threads), log_, stats_, &sink,
-      on_group_done, &outcome.records_skipped);
+  const Status status =
+      UndoGroups(options_, plan->fwd, &plan->groups, log_, stats_, &sink,
+                 on_group_done, &outcome.records_skipped);
 
   outcome.undo_ns = obs::MonotonicNanos() - undo_start;
   // Counted by this pass itself: the Stats cells are engine-wide, shared by

@@ -4,13 +4,13 @@
 // lookup, one forward sweep (analysis, with redo applied inline or collected
 // into a redo plan), in-doubt resolution, the losers' undo groups, and END
 // records for everything analysis alone resolves. Both then run the same
-// undo executor (UndoGroups) over the plan's groups on a worker pool. kFull
-// (Recover) applies redo first — inside the merged sweep at one thread,
-// page-partitioned on the pool above that — and runs the executor before
-// returning; kInstant (InstantRestart, ondemand.h) arms on-demand redo and
-// the recovery gate and runs the executor in the background. Time travel
-// (reenact/) runs the same executor at a cut through a sink that logs
-// nothing.
+// undo executor (UndoGroups): one backward log stream per shard over every
+// group. kFull (Recover) applies redo first — inside the merged sweep at one
+// thread, page-partitioned on recovery_threads workers above that — and
+// runs the executor before returning; kInstant (InstantRestart, ondemand.h)
+// arms on-demand redo and the recovery gate and runs the executor in the
+// background. Time travel (reenact/) runs the same executor at a cut through
+// a sink that logs nothing.
 
 #ifndef ARIESRH_RECOVERY_RECOVERY_MANAGER_H_
 #define ARIESRH_RECOVERY_RECOVERY_MANAGER_H_
@@ -35,14 +35,6 @@
 
 namespace ariesrh {
 
-/// One independently sweepable unit of loser undo: the loser scopes it
-/// covers (kRH) and the backward-chain heads of the losers it rolls back.
-/// Each loser lives in exactly one group, so groups never share a chain.
-struct UndoGroup {
-  std::vector<ScopeUndoTarget> targets;  ///< empty under chain undo
-  std::unordered_map<TxnId, Lsn> heads;  ///< in/out: CLRs chain onto these
-};
-
 /// Splits the losers in `fwd` into undo groups. Under kRH every loser scope
 /// is a target: kScopeClusters partitions them (PartitionUndoClusters), the
 /// kFullScan ablation keeps them in one group. The other modes undo by
@@ -51,18 +43,17 @@ struct UndoGroup {
 std::vector<UndoGroup> BuildUndoGroups(const ForwardPassResult& fwd,
                                        const Options& options);
 
-/// The undo executor. Sweeps every group on up to `threads` workers —
-/// SweepLoserClusters under kRH scope clusters, FullScanUndo under the
-/// kFullScan ablation, ChainUndo otherwise — reading `log` and compensating
-/// through `sink`. When a group's sweep completes its losers end
-/// (UndoSink::End) and `on_group_done(g)` (optional) runs; a failing
-/// callback stops the pass. Skips are credited once, over every group, so
-/// examined plus skipped records span the whole sweep range at any thread
-/// count; `records_skipped` (optional) receives this pass's share. Returns
+/// The undo executor, one thread per shard: under kRH scope clusters one
+/// SweepLoserClusters stream over every group at once, under the kFullScan
+/// ablation FullScanUndo, otherwise ChainUndo (those two modes have one
+/// group) — reading `log` and compensating through `sink`. When a group is
+/// resolved its losers end (UndoSink::End) and `on_group_done(g)`
+/// (optional) runs; a failing callback stops the pass. `records_skipped`
+/// (optional) receives the records the cluster sweep sought over. Returns
 /// the first failure.
 Status UndoGroups(const Options& options, const ForwardPassResult& fwd,
-                  std::vector<UndoGroup>* groups, size_t threads,
-                  LogManager* log, Stats* stats, UndoSink* sink,
+                  std::vector<UndoGroup>* groups, LogManager* log,
+                  Stats* stats, UndoSink* sink,
                   const std::function<Status(size_t)>& on_group_done = nullptr,
                   uint64_t* records_skipped = nullptr);
 
@@ -139,9 +130,9 @@ class RecoveryManager {
                          ForwardPassKind kind,
                          RecoveryFaultBudget* redo_budget = nullptr);
 
-  /// The undo pass: UndoGroups over `plan`'s groups on recovery_threads
-  /// workers through the logging sink (armed with the crash_after_undo_steps
-  /// budget), wrapped in the pass's trace pair, timers and Outcome fields.
+  /// The undo pass: UndoGroups over `plan`'s groups through the logging
+  /// sink (armed with the crash_after_undo_steps budget), wrapped in the
+  /// pass's trace pair, timers and Outcome fields.
   Status Undo(Plan* plan,
               const std::function<Status(size_t)>& on_group_done = nullptr);
 

@@ -19,9 +19,10 @@ bool ApplyPageAction(const Rec& rec, Page* page, bool check_page_lsn) {
   } else {
     page->Add(slot, rec.after);
   }
-  // CLRs from concurrent per-cluster undo sweeps can reach one page out of
-  // LSN order (their slots differ, so the values commute); the page LSN
-  // must still cover every applied record for the WAL rule on eviction.
+  // Under instant restart the background undo stream's CLRs and foreground
+  // updates can reach one page out of LSN order (their slots differ, so the
+  // values commute); the page LSN must still cover every applied record for
+  // the WAL rule on eviction.
   page->set_page_lsn(std::max(page->page_lsn(), rec.lsn));
   return true;
 }
@@ -112,7 +113,7 @@ Status LoggingUndoSink::Undo(const LogRecord& update_rec, TxnId responsible,
       update_rec, responsible,
       head == heads->end() ? kInvalidLsn : head->second);
   clr.lsn = log_->Append(clr);
-  clrs_written_.fetch_add(1, std::memory_order_relaxed);
+  ++clrs_written_;
   (*heads)[responsible] = clr.lsn;
   ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(pool_, clr,
                                             /*check_page_lsn=*/false,

@@ -5,7 +5,6 @@
 #ifndef ARIESRH_RECOVERY_REDO_H_
 #define ARIESRH_RECOVERY_REDO_H_
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -71,8 +70,7 @@ class UndoSink {
 /// otherwise) applied to `heap`. End appends the END record.
 /// `undo_budget` (optional, test-only) injects a crash: when it is exhausted
 /// before an undo, the sink flushes the log and fails with IOError, modeling
-/// a failure in the middle of the undo pass. The budget is thread-safe, so
-/// concurrent cluster sweeps draw from one global crash point.
+/// a failure in the middle of the undo pass.
 class LoggingUndoSink final : public UndoSink {
  public:
   LoggingUndoSink(LogManager* log, BufferPool* pool, Stats* stats,
@@ -88,10 +86,8 @@ class LoggingUndoSink final : public UndoSink {
               std::unordered_map<TxnId, Lsn>* heads) override;
   void End(TxnId txn, Lsn head) override;
 
-  /// CLRs this sink appended (every worker of one pass shares the sink).
-  uint64_t clrs_written() const {
-    return clrs_written_.load(std::memory_order_relaxed);
-  }
+  /// CLRs this sink appended.
+  uint64_t clrs_written() const { return clrs_written_; }
 
  private:
   LogManager* log_;
@@ -99,7 +95,7 @@ class LoggingUndoSink final : public UndoSink {
   Stats* stats_;
   table::TableHeap* heap_;
   RecoveryFaultBudget* undo_budget_;
-  std::atomic<uint64_t> clrs_written_{0};
+  uint64_t clrs_written_ = 0;
 };
 
 /// The time-travel sink: applies each compensation to scratch components

@@ -10,142 +10,166 @@ namespace ariesrh {
 
 namespace {
 
+// One loser scope of the stream, with the group it belongs to.
+struct StreamScope {
+  const ScopeUndoTarget* target;
+  size_t group;
+};
+
 // LsrScopes ordering: largest right end first (the sweep consumes scopes in
 // reverse log order). Ties are broken arbitrarily but deterministically.
-struct ByRightEndDesc {
-  bool operator()(const ScopeUndoTarget& a, const ScopeUndoTarget& b) const {
-    if (a.scope.last != b.scope.last) return a.scope.last < b.scope.last;
-    if (a.scope.first != b.scope.first) return a.scope.first < b.scope.first;
-    if (a.object != b.object) return a.object < b.object;
-    return a.responsible < b.responsible;
-  }
-};
+bool AdmittedBefore(const StreamScope& a, const StreamScope& b) {
+  const ScopeUndoTarget& x = *a.target;
+  const ScopeUndoTarget& y = *b.target;
+  if (x.scope.last != y.scope.last) return x.scope.last > y.scope.last;
+  if (x.scope.first != y.scope.first) return x.scope.first > y.scope.first;
+  if (x.object != y.object) return x.object > y.object;
+  return x.responsible > y.responsible;
+}
 
 }  // namespace
 
-uint64_t CreditClusterSkips(const std::vector<ScopeUndoTarget>& targets,
-                            Lsn sweep_from, Stats* stats) {
-  // Clusters are the maximal runs of overlapping scopes; walk them newest
-  // first, exactly as the sweep meets them.
-  std::vector<std::pair<Lsn, Lsn>> scopes;  // (last, first)
-  scopes.reserve(targets.size());
-  for (const ScopeUndoTarget& target : targets) {
-    scopes.emplace_back(target.scope.last, target.scope.first);
-  }
-  std::sort(scopes.rbegin(), scopes.rend());
-  uint64_t skipped = 0;
-  Lsn above = sweep_from;   // newest record not yet accounted for
-  Lsn floor = kInvalidLsn;  // oldest record of the cluster above (none yet)
-  for (const auto& [last, first] : scopes) {
-    if (last >= floor) {  // overlaps the cluster above: the same cluster
-      floor = std::min(floor, first);
-      continue;
-    }
-    // A new cluster starts at `last`; everything above it stays unread.
-    if (floor != kInvalidLsn) above = floor - 1;
-    if (above > last) {
-      skipped += above - last;
-      obs::Emit(stats->trace(), obs::TraceEventType::kUndoClusterSkip, above,
-                last, above - last);
-    }
-    floor = first;
-  }
-  stats->recovery_backward_skipped += skipped;
-  return skipped;
-}
-
-Status SweepLoserClusters(const std::vector<ScopeUndoTarget>& targets,
+Status SweepLoserClusters(std::vector<UndoGroup>* groups,
                           const std::unordered_set<Lsn>& compensated,
-                          LogManager* log, Stats* stats, UndoSink* sink,
-                          std::unordered_map<TxnId, Lsn>* heads) {
-  if (targets.empty()) return Status::OK();
-
-  // LsrScopes: constructed once, depleted in reverse scope order — a
-  // priority queue sorted by scope right end, largest first (Section 3.6.2).
-  std::priority_queue<ScopeUndoTarget, std::vector<ScopeUndoTarget>,
-                      ByRightEndDesc>
-      lsr_scopes(targets.begin(), targets.end());
+                          Lsn sweep_from, LogManager* log, Stats* stats,
+                          UndoSink* sink,
+                          const std::function<Status(size_t)>& on_group_done,
+                          uint64_t* records_skipped) {
+  // LsrScopes: every group's scopes, constructed once and depleted in
+  // reverse scope order (Section 3.6.2). `open[g]` counts group g's scopes
+  // not yet retired.
+  std::vector<StreamScope> lsr_scopes;
+  std::vector<size_t> open(groups->size(), 0);
+  Lsn oldest = kInvalidLsn;
+  for (size_t g = 0; g < groups->size(); ++g) {
+    for (const ScopeUndoTarget& target : (*groups)[g].targets) {
+      lsr_scopes.push_back(StreamScope{&target, g});
+      ++open[g];
+      oldest = std::min(oldest, target.scope.first);
+    }
+  }
+  if (lsr_scopes.empty()) return Status::OK();
+  std::sort(lsr_scopes.begin(), lsr_scopes.end(), AdmittedBefore);
 
   // Cluster: the maximal set of overlapping scopes currently being swept,
   // searched by invoking transaction on each update record. The cursor
   // moves towards smaller LSNs, so the scope whose left end is hit *first*
   // is the one with the LARGEST `first` — a max-heap on scope left ends
   // drives retirement.
-  std::unordered_multimap<TxnId, ScopeUndoTarget> cluster;
-  auto left_end_before = [](const ScopeUndoTarget& a,
-                            const ScopeUndoTarget& b) {
-    return a.scope.first < b.scope.first;
+  std::unordered_multimap<TxnId, StreamScope> cluster;
+  auto left_end_before = [](const StreamScope& a, const StreamScope& b) {
+    return a.target->scope.first < b.target->scope.first;
   };
-  std::priority_queue<ScopeUndoTarget, std::vector<ScopeUndoTarget>,
+  std::priority_queue<StreamScope, std::vector<StreamScope>,
                       decltype(left_end_before)>
       cluster_starts(left_end_before);
 
-  Lsn k = lsr_scopes.top().scope.last;
-  while (true) {
+  Lsn k = lsr_scopes.front().target->scope.last;
+  const Lsn top = std::max(sweep_from, k);
+  LogCursor cursor(*log, oldest, top, LogCursor::Direction::kBackward);
+  uint64_t skipped = 0;
+  // (beta) Moves the cursor from `above`, the newest record not yet passed,
+  // down to the next cluster's first record `next`: the records between are
+  // read through when that is cheaper than a seek, sought over otherwise.
+  auto pass_gap = [&](Lsn above, Lsn next) -> Status {
+    if (above <= next) return Status::OK();
+    const uint64_t read_through = cursor.SkipTo(next);
+    if (!cursor.status().ok()) return cursor.status();
+    if (read_through > 0) {
+      stats->recovery_backward_read_through += read_through;
+      return Status::OK();
+    }
+    skipped += above - next;
+    stats->recovery_backward_skipped += above - next;
+    obs::Emit(stats->trace(), obs::TraceEventType::kUndoClusterSkip, above,
+              next, above - next);
+    return Status::OK();
+  };
+
+  Status status = pass_gap(top, k);
+  size_t admitted = 0;
+  while (status.ok()) {
     // (alpha-1) Admit every loser scope whose right end is the current
     // record into the cluster.
-    while (!lsr_scopes.empty() && lsr_scopes.top().scope.last == k) {
-      ScopeUndoTarget target = lsr_scopes.top();
-      lsr_scopes.pop();
-      cluster.emplace(target.scope.invoker, target);
-      cluster_starts.push(target);
+    while (admitted < lsr_scopes.size() &&
+           lsr_scopes[admitted].target->scope.last == k) {
+      const StreamScope& scope = lsr_scopes[admitted++];
+      cluster.emplace(scope.target->scope.invoker, scope);
+      cluster_starts.push(scope);
     }
     assert(!cluster.empty());
 
     // (alpha-2) Examine the record; undo it if it is a loser update that has
     // not already been compensated.
+    if (!cursor.Next()) {
+      status = cursor.status();
+      break;
+    }
+    assert(cursor.lsn() == k && "the sweep visits each record once, in order");
     ++stats->recovery_backward_examined;
-    ARIESRH_ASSIGN_OR_RETURN(LogRecord rec, log->Read(k));
+    const LogRecord& rec = cursor.record();
     if ((rec.type == LogRecordType::kUpdate || IsTableWrite(rec.type)) &&
         !compensated.contains(rec.lsn)) {
       auto [begin, end] = cluster.equal_range(rec.txn_id);
       for (auto it = begin; it != end; ++it) {
-        const ScopeUndoTarget& target = it->second;
+        const ScopeUndoTarget& target = *it->second.target;
         if (target.object == rec.object &&
             target.scope.Covers(rec.txn_id, rec.lsn)) {
-          ARIESRH_RETURN_IF_ERROR(
-              sink->Undo(rec, target.responsible, heads));
+          status = sink->Undo(rec, target.responsible,
+                              &(*groups)[it->second.group].heads);
           break;  // an update is covered by at most one scope
         }
       }
+      if (!status.ok()) break;
     }
 
-    // (alpha-3) Retire scopes that begin at this record: fully processed.
-    while (!cluster_starts.empty() &&
-           cluster_starts.top().scope.first == k) {
-      const ScopeUndoTarget retired = cluster_starts.top();
+    // (alpha-3) Retire scopes that begin at this record: fully processed. A
+    // group whose last scope retires is resolved.
+    while (status.ok() && !cluster_starts.empty() &&
+           cluster_starts.top().target->scope.first == k) {
+      const StreamScope retired = cluster_starts.top();
       cluster_starts.pop();
-      auto [begin, end] = cluster.equal_range(retired.scope.invoker);
+      auto [begin, end] = cluster.equal_range(retired.target->scope.invoker);
       for (auto it = begin; it != end; ++it) {
-        if (it->second.object == retired.object &&
-            it->second.scope == retired.scope) {
+        if (it->second.target == retired.target) {
           cluster.erase(it);
           break;
         }
       }
+      if (--open[retired.group] == 0 && on_group_done) {
+        status = on_group_done(retired.group);
+      }
     }
 
-    // (alpha-4 / beta) Step left, or jump to the next cluster when the
+    // (alpha-4 / beta) Step left, or move on to the next cluster when the
     // current one is exhausted.
+    if (!status.ok()) break;
     if (cluster.empty()) {
-      if (lsr_scopes.empty()) break;
-      const Lsn next = lsr_scopes.top().scope.last;
+      if (admitted == lsr_scopes.size()) break;
+      const Lsn next = lsr_scopes[admitted].target->scope.last;
       assert(next < k && "sweep must be monotonically decreasing");
+      status = pass_gap(k - 1, next);
       k = next;
     } else {
       assert(k > 0);
       --k;
     }
   }
-  return Status::OK();
+  if (records_skipped != nullptr) *records_skipped = skipped;
+  return status;
 }
 
-Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
+Status ScopeSweepUndo(std::vector<ScopeUndoTarget> targets,
                       const std::unordered_set<Lsn>& compensated,
                       Lsn sweep_from, LogManager* log, Stats* stats,
                       UndoSink* sink, std::unordered_map<TxnId, Lsn>* heads) {
-  CreditClusterSkips(targets, sweep_from, stats);
-  return SweepLoserClusters(targets, compensated, log, stats, sink, heads);
+  std::vector<UndoGroup> group(1);
+  group[0].targets = std::move(targets);
+  group[0].heads = std::move(*heads);
+  const Status status = SweepLoserClusters(&group, compensated, sweep_from,
+                                           log, stats, sink);
+  *heads = std::move(group[0].heads);
+  return status;
 }
 
 Status FullScanUndo(const std::vector<ScopeUndoTarget>& targets,

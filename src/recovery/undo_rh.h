@@ -9,12 +9,16 @@
 //
 // The same sweep serves normal-processing abort (the "cluster" is then just
 // the aborting transaction's own scopes), restart's undo pass (clusters span
-// every loser's scopes, one sweep per independent group) and time travel,
-// which compensates through an UndoSink that logs nothing.
+// every loser's scopes: one stream per shard over all of them, resolving
+// independent groups as it passes their oldest scope) and time travel,
+// which compensates through an UndoSink that logs nothing. The stream reads
+// the log through one backward LogCursor, reading through a short gap
+// between clusters instead of paying a seek to jump it.
 
 #ifndef ARIESRH_RECOVERY_UNDO_RH_H_
 #define ARIESRH_RECOVERY_UNDO_RH_H_
 
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -36,31 +40,43 @@ struct ScopeUndoTarget {
   Scope scope;
 };
 
-/// Credits `stats->recovery_backward_skipped` with every record a cluster
-/// sweep over `targets` leaves unread: the gap from `sweep_from` (the newest
-/// record the pass could have read — the end of the log during recovery)
-/// down to the first cluster, and the gaps between clusters. Each credited
-/// gap is also a kUndoClusterSkip trace event. Over one pass, examined plus
-/// skipped records then equal `sweep_from - oldest scope start + 1`, however
-/// the targets are later split into sweeps. Returns the records credited.
-uint64_t CreditClusterSkips(const std::vector<ScopeUndoTarget>& targets,
-                        Lsn sweep_from, Stats* stats);
+/// One independently sweepable unit of loser undo: the loser scopes it
+/// covers (kRH) and the backward-chain heads of the losers it rolls back.
+/// Each loser lives in exactly one group, so groups never share a chain.
+struct UndoGroup {
+  std::vector<ScopeUndoTarget> targets;  ///< empty under chain undo
+  std::unordered_map<TxnId, Lsn> heads;  ///< in/out: CLRs chain onto these
+};
 
-/// Sweeps the log backwards through the clusters of overlapping `targets`,
-/// handing every covered update to `sink` on behalf of the scope's
-/// responsible transaction, skipping records whose LSN appears in
-/// `compensated` (already undone before a crash — rebuilt by the forward
-/// pass from CLRs). `heads` carries the responsible transactions' backward
-/// chain heads (in/out). Reads `log`; credits no skips (CreditClusterSkips
-/// does, once per pass).
-Status SweepLoserClusters(const std::vector<ScopeUndoTarget>& targets,
-                          const std::unordered_set<Lsn>& compensated,
-                          LogManager* log, Stats* stats, UndoSink* sink,
-                          std::unordered_map<TxnId, Lsn>* heads);
+/// The cluster sweep: ONE backward LogCursor stream over the union of every
+/// group's loser scopes, newest cluster first, handing every covered update
+/// to `sink` on behalf of its scope's responsible transaction, whose chain
+/// head the scope's group keeps (UndoGroup::heads). Records whose LSN is in
+/// `compensated` (undone before a crash — rebuilt by the forward pass from
+/// CLRs) are examined but not undone again. Each record is visited at most
+/// once, in strictly decreasing LSN order, over all groups together.
+///
+/// Between clusters, starting from `sweep_from` (the newest record the pass
+/// could have read — the end of the log during recovery), the stream moves
+/// on with LogCursor::SkipTo: a gap shorter than the device's break-even is
+/// read through (stats->recovery_backward_read_through), a longer one is
+/// sought over (stats->recovery_backward_skipped, plus a kUndoClusterSkip
+/// trace event). So examined + skipped + read-through records equal
+/// `sweep_from - oldest scope start + 1`; with the seek stall at 0 nothing
+/// is read through. When a group's last scope retires, `on_group_done(g)`
+/// (optional) runs — groups resolve in stream order — and a failing
+/// callback stops the sweep. `records_skipped` (optional) receives the
+/// records this sweep sought over.
+Status SweepLoserClusters(
+    std::vector<UndoGroup>* groups, const std::unordered_set<Lsn>& compensated,
+    Lsn sweep_from, LogManager* log, Stats* stats, UndoSink* sink,
+    const std::function<Status(size_t)>& on_group_done = nullptr,
+    uint64_t* records_skipped = nullptr);
 
-/// One whole cluster-sweep pass: CreditClusterSkips from `sweep_from`, then
-/// SweepLoserClusters over the same targets.
-Status ScopeSweepUndo(const std::vector<ScopeUndoTarget>& targets,
+/// SweepLoserClusters over one group: `targets`, with the responsible
+/// transactions' backward chain heads in `heads` (in/out). The
+/// normal-processing abort's sweep.
+Status ScopeSweepUndo(std::vector<ScopeUndoTarget> targets,
                       const std::unordered_set<Lsn>& compensated,
                       Lsn sweep_from, LogManager* log, Stats* stats,
                       UndoSink* sink, std::unordered_map<TxnId, Lsn>* heads);
@@ -76,19 +92,18 @@ Status FullScanUndo(const std::vector<ScopeUndoTarget>& targets,
                     Lsn sweep_from, LogManager* log, Stats* stats,
                     UndoSink* sink, std::unordered_map<TxnId, Lsn>* heads);
 
-/// Partitions loser scopes into groups that can be undone concurrently,
-/// one ScopeSweepUndo per group. Two scopes land in the same group when any
-/// of the following holds (transitively):
-///  - their LSN intervals overlap — they belong to the same sweep cluster,
-///    and splitting a cluster would break the single-examination sweep;
-///  - they share a responsible transaction — that loser's CLR chain must be
-///    written in strictly decreasing compensated-LSN order, which only a
-///    single sequential sweep guarantees;
-///  - they name the same object — a Set undo restores a before image, so
-///    per-object undo order must match the serial (decreasing-LSN) order.
+/// Partitions loser scopes into groups that resolve independently: the
+/// unit kInstant's recovery gate lifts, and the losers that end together.
+/// Two scopes land in the same group when any of the following holds
+/// (transitively):
+///  - their LSN intervals overlap — they belong to the same sweep cluster;
+///  - they share a responsible transaction — that loser is rolled back only
+///    once all of its scopes are;
+///  - they name the same object — the object is consistent again only once
+///    every loser update of it is undone.
 /// Groups are returned in a deterministic order (by largest scope end,
-/// descending) regardless of input order. Scopes inside a group keep the
-/// relative order ScopeSweepUndo would see serially.
+/// descending) regardless of input order. Scopes inside a group are sorted
+/// by scope start, descending.
 std::vector<std::vector<ScopeUndoTarget>> PartitionUndoClusters(
     const std::vector<ScopeUndoTarget>& targets);
 

@@ -415,9 +415,8 @@ Result<Reenactor::ShardFold> Reenactor::FoldShard(size_t shard, Lsn cut,
         std::to_string(src.first_retained));
   }
   ScratchUndoSink sink(fold.pool.get(), fold.heap.get());
-  ARIESRH_RETURN_IF_ERROR(UndoGroups(options_, fold.fwd, &groups,
-                                     /*threads=*/1, src.log, fold.stats.get(),
-                                     &sink));
+  ARIESRH_RETURN_IF_ERROR(UndoGroups(options_, fold.fwd, &groups, src.log,
+                                     fold.stats.get(), &sink));
   return fold;
 }
 

@@ -49,17 +49,18 @@ Status StandbyReplica::SyncFrom(const Database& primary) {
         "primary and standby shard counts differ");
   }
   for (size_t i = 0; i < db_->num_shards(); ++i) {
-    SimulatedDisk* source = source_db.shard(i)->disk();
-    const Lsn durable = source->stable_end_lsn();
-    if (source->first_retained_lsn() > shipped_[i] + 1) {
+    // Through the source's LogManager, under its lock: the primary may be
+    // forcing (appending to the stable log) and archiving meanwhile.
+    const LogManager& source = *source_db.shard(i)->log_manager();
+    const Lsn durable = source.flushed_lsn();
+    if (source.first_retained_lsn() > shipped_[i] + 1) {
       return Status::IllegalState(
           "primary archived log the standby still needs; reseed from backup");
     }
     std::vector<std::string> batch;
-    for (Lsn lsn = shipped_[i] + 1; lsn <= durable; ++lsn) {
-      ARIESRH_ASSIGN_OR_RETURN(std::string record, source->ReadLogRecord(lsn));
-      batch.push_back(std::move(record));
-    }
+    LogCursor cursor(source, shipped_[i] + 1, durable);
+    while (cursor.Step()) batch.emplace_back(cursor.image());
+    ARIESRH_RETURN_IF_ERROR(cursor.status());
     if (!batch.empty()) {
       db_->shard(i)->disk()->AppendLogRecords(batch);
       shipped_[i] = durable;

@@ -11,7 +11,8 @@
 // disk, the log is flushed up to that page's page LSN.
 //
 // Thread safety: all operations serialize on one internal latch so parallel
-// restart recovery (partitioned redo, per-cluster undo) can share the pool.
+// restart recovery (partitioned redo, instant restart's background undo
+// beside foreground transactions) can share the pool.
 // Fetch's returned pointer is only stable until the next pool operation, so
 // concurrent workers must use WithPage, which holds the latch across
 // fetch + apply — that is the unit of atomicity parallel redo needs.

@@ -805,7 +805,8 @@ Status TxnManager::RollBack(Transaction* tx, Lsn savepoint) {
         sweep_from = std::max(sweep_from, clipped.last);
       }
     }
-    ARIESRH_RETURN_IF_ERROR(ScopeSweepUndo(targets, /*compensated=*/{},
+    ARIESRH_RETURN_IF_ERROR(ScopeSweepUndo(std::move(targets),
+                                           /*compensated=*/{},
                                            sweep_from, log_, stats_, &sink,
                                            &bc_heads));
     // A partial rollback's stored scopes shrink to what is still live (a

@@ -64,7 +64,8 @@ struct Observability;
   /* --- recovery --- */                                                \
   X(recovery, recovery_forward_records, "fwd_records")                  \
   X(recovery, recovery_backward_examined, "bwd_examined")               \
-  X(recovery, recovery_backward_skipped, "bwd_skipped")                 \
+  X(recovery, recovery_backward_skipped, "bwd_skipped")   /* sought over */ \
+  X(recovery, recovery_backward_read_through, "bwd_read_through") /* gaps */ \
   X(recovery, recovery_undos, "undos")                                  \
   X(recovery, recovery_redos, "redos")                                  \
   X(recovery, recovery_passes, "passes")                                \

@@ -388,11 +388,11 @@ Status LogCursor::Fill() {
   return Status::OK();
 }
 
-bool LogCursor::Next() {
-  if (left_ == 0 || !status_.ok()) {
-    Publish();
-    return false;
-  }
+// Forced inline into Next, Step and SkipTo: Next is every sweep's per-record
+// path. Reached through an out-of-line call, the scan read about 4% slower
+// than with Next's body written in place (BM_LogScan/1, 7 of 8 pairs).
+__attribute__((always_inline)) inline bool LogCursor::Advance() {
+  if (left_ == 0 || !status_.ok()) return false;
   if (taken_ == batch_count_) {
     Publish();
     status_ = Fill();
@@ -406,12 +406,12 @@ bool LogCursor::Next() {
   --left_;
   lsn_ = batch_first_ + i;
   next_ = forward_ ? lsn_ + 1 : lsn_ - 1;
-  const uint32_t begin = i == 0 ? 0 : ends_[i - 1];
-  const uint32_t size = ends_[i] - begin;
+  image_begin_ = i == 0 ? 0 : ends_[i - 1];
+  image_end_ = ends_[i];
   if (batch_durable_) {
     // The point read's accounting, record by record (see the class
     // comment): classified now, against whatever was read last.
-    bytes_read_ += size;
+    bytes_read_ += image_end_ - image_begin_;
     if (log_.disk_->NoteLogRead(lsn_)) {
       ++seq_reads_;
     } else {
@@ -422,7 +422,22 @@ bool LogCursor::Next() {
       }
     }
   }
-  status_ = LogRecord::DecodeInto(bytes_.data() + begin, size, &record_);
+  return true;
+}
+
+bool LogCursor::Step() {
+  if (Advance()) return true;
+  Publish();
+  return false;
+}
+
+bool LogCursor::Next() {
+  if (!Advance()) {
+    Publish();
+    return false;
+  }
+  status_ = LogRecord::DecodeInto(bytes_.data() + image_begin_,
+                                  image_end_ - image_begin_, &record_);
   if (!status_.ok()) {
     status_ = Status::Corruption("LSN " + std::to_string(lsn_) + ": " +
                                  status_.message());
@@ -431,6 +446,26 @@ bool LogCursor::Next() {
   }
   ++records_;
   return true;
+}
+
+uint64_t LogCursor::SkipTo(Lsn lsn) {
+  const uint64_t distance = forward_ ? lsn - next_ : next_ - lsn;
+  assert(distance <= left_);
+  if (distance == 0) return 0;
+  const uint64_t break_even =
+      log_.disk_->log_random_read_stall_ns() / kSequentialReadNs;
+  if (distance < break_even && std::max(lsn, next_) <= log_.flushed_lsn()) {
+    uint64_t read = 0;
+    while (read < distance && Advance()) ++read;
+    if (read < distance) Publish();
+    return read;
+  }
+  // Jump: the batch keeps serving if it still holds `lsn`; the read of
+  // `lsn` then lands away from the last one and pays the seek.
+  left_ -= distance;
+  next_ = lsn;
+  taken_ = std::min(taken_ + distance, batch_count_);
+  return 0;
 }
 
 void LogCursor::Publish() {

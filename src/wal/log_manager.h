@@ -7,9 +7,9 @@
 // history-rewriting baselines of Section 3.2 and is never called by RH.
 //
 // Thread safety: every operation is safe under concurrent callers. Forward
-// processing runs transactions on a worker pool (workload/scheduler.h) and
-// parallel restart recovery (recovery/parallel.h) reads durable records from
-// redo workers while undo workers append CLRs. Append reserves its LSN
+// processing runs transactions on a worker pool (workload/scheduler.h), and
+// under instant restart foreground transactions append beside the
+// background undo stream that reads the log. Append reserves its LSN
 // lock-free and serializes outside the tail lock; readers take a shared lock
 // so any number of them proceed simultaneously; end_lsn()/flushed_lsn() are
 // lock-free. Physical forces serialize on a dedicated force mutex, ordered
@@ -21,13 +21,14 @@
 // decode (CRC + parse) after releasing it.
 //   * Read(lsn), the point read: one lock hold, one image copy and one
 //     decode into a fresh record per call. For reads that jump — the master
-//     and CKPT_END lookups, chain-following undo, the scope-cluster sweep,
-//     the rewrite baselines.
+//     and CKPT_END lookups, chain-following undo, the rewrite baselines.
 //   * LogCursor, the sequential read: walks a range known up front, forward
 //     or backward, one lock hold and one byte copy per batch of records,
 //     decoding each into one reused record. For every sweep — the restart
-//     forward pass, the full-scan undo baseline, reenactment's scans, the
-//     log dump. Its accounting equals a Read per record (see LogCursor).
+//     forward pass, the scope-cluster undo sweep (which skips ahead between
+//     clusters with SkipTo), the full-scan undo baseline, reenactment's
+//     scans, the log dump, log shipping. Its accounting equals a Read per
+//     record (see LogCursor).
 //
 // Group commit: StartGroupCommit spawns a dedicated flusher thread that owns
 // all commit-driven forces. A committer appends its COMMIT record, requests a
@@ -48,6 +49,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -231,11 +233,12 @@ class LogManager {
 /// them one at a time, outside the lock, into one reused record.
 ///
 /// Accounting equals one Read per record consumed, never per record
-/// buffered: each durable record Next() hands out is classified sequential
-/// or random against the disk's last read position at that moment, exactly
-/// as Read classifies it, so reads interleaved between two Next() calls
-/// (the rewrite baseline's chain walks) are seen as they would be; a random
-/// one pays the seek stall in Next(). The counts themselves (log_seq_reads,
+/// buffered: each durable record Next() or Step() hands out is classified
+/// sequential or random against the disk's last read position at that
+/// moment, exactly as Read classifies it, so reads interleaved between two
+/// Next() calls (the rewrite baseline's chain walks) are seen as they would
+/// be; a random one pays the seek stall there. The records a SkipTo jumps
+/// over are not read at all. The counts themselves (log_seq_reads,
 /// log_random_reads, log_bytes_read and the CountRecordsInto counter) are
 /// added once per batch, and the rest when the cursor ends or is destroyed,
 /// so a caller that stops early has counted exactly what it consumed.
@@ -263,8 +266,36 @@ class LogCursor {
   /// plus Corruption naming the LSN whose image does not decode.
   bool Next();
 
+  /// Moves past the next record of the range without decoding it, with the
+  /// read accounted exactly as Next() accounts it. image() then holds its
+  /// bytes. Returns false as Next() does.
+  bool Step();
+
+  /// Moves the cursor on so that the next record it produces is `lsn`, which
+  /// lies ahead in the cursor's direction and inside the range. The records
+  /// in between are read through (Step()ped past, none decoded) when that
+  /// costs less than the seek a jump makes the next read pay: when there are
+  /// fewer of them than the disk's random-read stall divided by
+  /// kSequentialReadNs, and all are durable (a tail record costs no seek).
+  /// Otherwise the cursor jumps. Returns the records read through, 0 when
+  /// it jumped; a failed read-through stops early with status() set.
+  uint64_t SkipTo(Lsn lsn);
+
+  /// Cost of reading one more record sequentially, the break-even unit of
+  /// SkipTo: BM_LogScan reads and decodes a record in 58-125 ns (UPDATE and
+  /// TBL_* records, Release, bench/layers.cc); a read-through record skips
+  /// the decode, so 100 ns is an upper estimate. At a 25 us seek, gaps
+  /// under 250 records are read through.
+  static constexpr uint64_t kSequentialReadNs = 100;
+
   /// The record Next() last decoded; overwritten by the next call.
   const LogRecord& record() const { return record_; }
+  /// The stored image of the record Next() or Step() last produced; valid
+  /// until the cursor moves again.
+  std::string_view image() const {
+    return std::string_view(bytes_).substr(image_begin_,
+                                           image_end_ - image_begin_);
+  }
   /// LSN of the record Next() last produced or failed on.
   Lsn lsn() const { return lsn_; }
   const Status& status() const { return status_; }
@@ -278,6 +309,9 @@ class LogCursor {
 
   /// Copies the next batch's images, holding the shared lock only for that.
   Status Fill();
+  /// Step() without the early-exit publish: produces the next record's
+  /// position and image bounds and accounts its read.
+  bool Advance();
   /// Adds the counts accumulated since the last call to the stats cells.
   void Publish();
 
@@ -296,6 +330,8 @@ class LogCursor {
   Lsn batch_first_ = kInvalidLsn;
   uint64_t batch_count_ = 0;
   uint64_t taken_ = 0;         ///< records of the batch already produced
+  uint32_t image_begin_ = 0;   ///< bytes_ range of the last record produced
+  uint32_t image_end_ = 0;
   bool batch_durable_ = false; ///< durable records are disk reads; tail ones are not
 
   // Counts not yet published.

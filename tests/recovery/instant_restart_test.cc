@@ -151,6 +151,11 @@ TEST(InstantRestartTest, OnDemandRedoServesReadsBeforeTheDrain) {
       db.metrics()->FindHistogram("ariesrh_time_to_first_commit_ns");
   ASSERT_NE(ttfc, nullptr);
   EXPECT_EQ(ttfc->Count(), 1u);
+  // Nothing above touched a loser cluster: the gate never blocked.
+  obs::Histogram* gate_wait =
+      db.metrics()->FindHistogram("ariesrh_gate_wait_ns");
+  ASSERT_NE(gate_wait, nullptr);
+  EXPECT_EQ(gate_wait->Count(), 0u);
 
   ASSERT_TRUE(opened->recovery->Await().ok());
   for (const auto& [ob, expected] : truth) {
@@ -205,8 +210,10 @@ TEST(InstantRestartTest, BlockedTablePutWaitsForTheClusterSweep) {
     ASSERT_TRUE(db.Commit(setup).ok());
     TxnId loser = *db.Begin();
     ASSERT_TRUE(db.TablePut(loser, "k", "loser").ok());
-    // Bulk up the loser so its cluster sweep takes real time.
-    for (int i = 0; i < 60; ++i) {
+    // Bulk up the loser so its cluster sweep takes real time: the sweep
+    // reads the loser's records sequentially, so it pays no seek stall, and
+    // must undo every one before it reaches the put.
+    for (int i = 0; i < 20000; ++i) {
       ASSERT_TRUE(db.Add(loser, table::TableRid("k") % 1024 + 1, i).ok());
     }
     ASSERT_TRUE(db.Sync().ok());
@@ -227,6 +234,12 @@ TEST(InstantRestartTest, BlockedTablePutWaitsForTheClusterSweep) {
   ASSERT_TRUE(got->has_value());
   EXPECT_EQ(**got, "mine");
   ASSERT_TRUE(opened->recovery->Await().ok());
+  // The put blocked once, for as long as the sweep took to resolve the
+  // loser's group; nothing after it found the gate closed.
+  const obs::Histogram::Snapshot gate_wait =
+      db.metrics()->GetHistogram("ariesrh_gate_wait_ns")->GetSnapshot();
+  EXPECT_EQ(gate_wait.count, 1u);
+  EXPECT_GT(gate_wait.sum, 0u);
   std::remove(path.c_str());
 }
 

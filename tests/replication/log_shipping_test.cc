@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "workload/workload.h"
 
 namespace ariesrh::replication {
@@ -49,6 +53,55 @@ TEST(StandbyReplicaTest, InFlightTransactionsResolveAtPromotion) {
   ASSERT_TRUE(promoted.ok());
   EXPECT_EQ(*(*promoted)->ReadCommitted(1), 10);
   EXPECT_EQ(*(*promoted)->ReadCommitted(2), 0);
+}
+
+// A standby syncs while the primary keeps committing under group commit:
+// the flusher thread appends to the stable log that SyncFrom reads, so the
+// read goes through the primary's LogManager and its lock (CI runs this
+// under TSan). Every sync ships a durable prefix; the last one, taken once
+// the committers are done, ships everything they committed.
+TEST(StandbyReplicaTest, SyncsWhileThePrimaryCommits) {
+  Options options;
+  options.group_commit = true;
+  Database primary(options);
+  StandbyReplica standby{Options{}};
+  constexpr int kCommitters = 2;
+  constexpr int kTxnsEach = 150;
+  std::atomic<int> running{kCommitters};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> committers;
+  for (int w = 0; w < kCommitters; ++w) {
+    committers.emplace_back([&, w] {
+      for (int i = 0; i < kTxnsEach; ++i) {
+        Result<TxnId> t = primary.Begin();
+        if (!t.ok() || !primary.Add(*t, 1 + w, 1).ok() ||
+            !primary.Commit(*t).ok()) {
+          failed = true;
+        }
+      }
+      --running;
+    });
+  }
+  int syncs = 0;
+  Status synced = Status::OK();
+  while (running.load() > 0 && synced.ok()) {
+    synced = standby.SyncFrom(primary);
+    ++syncs;
+  }
+  for (std::thread& committer : committers) committer.join();
+  EXPECT_TRUE(synced.ok()) << synced.ToString();
+  EXPECT_FALSE(failed.load());
+  EXPECT_GT(syncs, 0);
+
+  ASSERT_TRUE(standby.SyncFrom(primary).ok());
+  EXPECT_EQ(standby.shipped_through(),
+            primary.shard(0)->log_manager()->flushed_lsn());
+  Result<std::unique_ptr<Database>> promoted = std::move(standby).Promote();
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  for (int w = 0; w < kCommitters; ++w) {
+    EXPECT_EQ(*(*promoted)->ReadCommitted(1 + w), kTxnsEach) << "object "
+                                                             << 1 + w;
+  }
 }
 
 TEST(StandbyReplicaTest, IncrementalSyncsAccumulate) {
