@@ -98,8 +98,6 @@ void StandbyPromotion(benchmark::State& state, bool seeded) {
             "Seed");
     }
     Check(standby.SyncFrom(primary), "Sync");
-    const Stats before = *primary.mutable_stats();  // unused; keep simple
-    (void)before;
     state.ResumeTiming();
 
     Result<std::unique_ptr<Database>> promoted =

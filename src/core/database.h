@@ -307,10 +307,9 @@ class Database {
   Result<std::vector<reenact::TransferHop>> ReenactTransferChainKey(
       const std::string& key);
 
-  /// Aggregate counters across all shards (a 1-shard engine's are simply
-  /// its shard's). Per-shard values live in the metrics registry under
-  /// "ariesrh_<field>_shard<i>" (docs/OBSERVABILITY.md).
-  const Stats& stats() const { return stats_; }
+  /// Engine-wide counters, a value snapshot: each field sums its family's
+  /// series, the shards' and the facade's own (docs/OBSERVABILITY.md).
+  Stats stats() const { return Stats::Totals(obs_.registry); }
   Stats* mutable_stats() { return &stats_; }
 
   /// The engine's observability bundle, shared by every shard. Both survive
@@ -477,9 +476,7 @@ class Database {
   /// inert.
   Status init_status_ = Status::OK();
   obs::Observability obs_;  // declared before stats_: bound during its life
-  /// The aggregate Stats view: bound to the shared registry cells every
-  /// shard's own Stats feeds. The facade never increments it.
-  Stats stats_;
+  Stats stats_;  // the unlabelled series: work no shard does (scheduler)
   std::vector<std::unique_ptr<EngineShard>> shards_;
   std::unique_ptr<coord::CoordinatorLog> coord_;  // num_shards > 1 only
   bool crashed_ = false;

@@ -70,69 +70,73 @@ const std::vector<uint64_t>& DefaultLatencyBoundsNs() {
   return kBounds;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
+uint64_t MetricsRegistry::SumCounters(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
+  uint64_t sum = 0;
+  for (auto it = counters_.lower_bound({name, ""});
+       it != counters_.end() && it->first.first == name; ++it) {
+    sum += it->second->Value();
+  }
+  return sum;
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return slot.get();
+namespace {
+
+// `name{labels}`, or plain `name` for the unlabelled series.
+std::string SeriesName(const std::string& name, const std::string& labels) {
+  return labels.empty() ? name : name + "{" + labels + "}";
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         const std::vector<uint64_t>& bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>(bounds);
-  return slot.get();
+// Comma-separated `"series":render(metric)`, label quotes escaped.
+template <typename Map, typename Render>
+void JsonSeries(std::ostream& os, const Map& series, const Render& render) {
+  for (auto it = series.begin(); it != series.end(); ++it) {
+    os << (it == series.begin() ? "\"" : ",\"");
+    for (char c : SeriesName(it->first.first, it->first.second)) {
+      os << (c == '"' || c == '\\' ? "\\" : "") << c;
+    }
+    os << "\":";
+    render(*it->second);
+  }
 }
 
-Counter* MetricsRegistry::FindCounter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : it->second.get();
-}
-
-Gauge* MetricsRegistry::FindGauge(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
-Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : it->second.get();
-}
+}  // namespace
 
 std::string MetricsRegistry::Expose() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
-  for (const auto& [name, counter] : counters_) {
-    os << "# TYPE " << name << " counter\n"
-       << name << " " << counter->Value() << "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    os << "# TYPE " << name << " gauge\n"
-       << name << " " << gauge->Value() << "\n";
-  }
-  for (const auto& [name, hist] : histograms_) {
+  const std::string* family = nullptr;
+  // Opens each family with its `# TYPE` line.
+  auto type_line = [&](const std::string& name, const char* type) {
+    if (family == nullptr || *family != name) {
+      os << "# TYPE " << name << " " << type << "\n";
+    }
+    family = &name;
+  };
+  auto scalars = [&](const auto& series, const char* type) {
+    for (const auto& [key, metric] : series) {
+      type_line(key.first, type);
+      os << SeriesName(key.first, key.second) << " " << metric->Value() << "\n";
+    }
+    family = nullptr;
+  };
+  scalars(counters_, "counter");
+  scalars(gauges_, "gauge");
+  for (const auto& [key, hist] : histograms_) {
+    const auto& [name, labels] = key;
+    type_line(name, "histogram");
+    // `le` joins the series' own labels.
+    const std::string bucket =
+        name + "_bucket{" + labels + (labels.empty() ? "" : ",") + "le=\"";
     const Histogram::Snapshot snap = hist->GetSnapshot();
-    os << "# TYPE " << name << " histogram\n";
     uint64_t cumulative = 0;
     for (size_t i = 0; i < snap.bounds.size(); ++i) {
       cumulative += snap.counts[i];
-      os << name << "_bucket{le=\"" << snap.bounds[i] << "\"} " << cumulative
-         << "\n";
+      os << bucket << snap.bounds[i] << "\"} " << cumulative << "\n";
     }
-    os << name << "_bucket{le=\"+Inf\"} " << snap.count << "\n"
-       << name << "_sum " << snap.sum << "\n"
-       << name << "_count " << snap.count << "\n";
+    os << bucket << "+Inf\"} " << snap.count << "\n"
+       << SeriesName(name + "_sum", labels) << " " << snap.sum << "\n"
+       << SeriesName(name + "_count", labels) << " " << snap.count << "\n";
   }
   return os.str();
 }
@@ -140,28 +144,18 @@ std::string MetricsRegistry::Expose() const {
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
+  auto value = [&os](const auto& metric) { os << metric.Value(); };
   os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    os << (first ? "" : ",") << "\"" << name << "\":" << counter->Value();
-    first = false;
-  }
+  JsonSeries(os, counters_, value);
   os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    os << (first ? "" : ",") << "\"" << name << "\":" << gauge->Value();
-    first = false;
-  }
+  JsonSeries(os, gauges_, value);
   os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, hist] : histograms_) {
-    const Histogram::Snapshot snap = hist->GetSnapshot();
-    os << (first ? "" : ",") << "\"" << name << "\":{\"count\":" << snap.count
-       << ",\"sum\":" << snap.sum << ",\"mean\":" << snap.Mean()
-       << ",\"p50\":" << snap.P50() << ",\"p95\":" << snap.P95()
-       << ",\"p99\":" << snap.P99() << "}";
-    first = false;
-  }
+  JsonSeries(os, histograms_, [&os](const Histogram& hist) {
+    const Histogram::Snapshot snap = hist.GetSnapshot();
+    os << "{\"count\":" << snap.count << ",\"sum\":" << snap.sum
+       << ",\"mean\":" << snap.Mean() << ",\"p50\":" << snap.P50()
+       << ",\"p95\":" << snap.P95() << ",\"p99\":" << snap.P99() << "}";
+  });
   os << "}}";
   return os.str();
 }

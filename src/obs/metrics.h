@@ -4,17 +4,20 @@
 // Design rules:
 //   * Updates are relaxed atomics — an increment is one uncontended RMW, no
 //     locks, no allocation.
-//   * Registration is lazy and per-name: GetCounter("x") creates the metric
-//     on first use and returns a stable pointer callers cache. The registry
-//     mutex guards only the name -> metric map, never the update path.
+//   * Registration is lazy and per-series: GetCounter("x", `shard="1"`)
+//     creates the series x{shard="1"} on first use and returns a stable
+//     pointer callers cache; an empty label list is the plain name x. The
+//     registry mutex guards only the series maps, never the update path.
 //   * Exposition is pull-based: Expose() renders a Prometheus-style text
-//     page, ToJson() a machine-readable snapshot (histograms include
-//     p50/p95/p99 estimated by linear interpolation within a bucket).
+//     page (one `# TYPE` line per family), ToJson() a machine-readable
+//     snapshot keyed by series name (histograms include p50/p95/p99
+//     estimated by linear interpolation within a bucket).
 //
 // util::Stats — the flat counter struct the benchmarks snapshot — is a thin
 // view over this registry: Stats::AttachObservability() rebinds every Stats
-// field onto a registry-owned counter cell, so `++stats->log_appends` and
-// `registry.GetCounter("ariesrh_log_appends")` observe the same storage.
+// field onto a registry-owned counter series, so `++stats->log_appends` and
+// `registry.GetCounter("ariesrh_log_appends", labels)` observe the same
+// storage.
 
 #ifndef ARIESRH_OBS_METRICS_H_
 #define ARIESRH_OBS_METRICS_H_
@@ -25,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/clock.h"
@@ -87,7 +91,6 @@ class Histogram {
   };
 
   Snapshot GetSnapshot() const;
-  const std::vector<uint64_t>& bounds() const { return bounds_; }
   uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
 
  private:
@@ -107,32 +110,73 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Find-or-create. Returned pointers are stable for the registry's
-  /// lifetime; hot paths call once and cache.
-  Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
+  /// Find-or-create the series `name{labels}`. Returned pointers are
+  /// stable for the registry's lifetime; hot paths call once and cache.
+  Counter* GetCounter(const std::string& name, const std::string& labels = "") {
+    return Get(counters_, name, labels);
+  }
+  Gauge* GetGauge(const std::string& name, const std::string& labels = "") {
+    return Get(gauges_, name, labels);
+  }
   Histogram* GetHistogram(
       const std::string& name,
-      const std::vector<uint64_t>& bounds = DefaultLatencyBoundsNs());
+      const std::vector<uint64_t>& bounds = DefaultLatencyBoundsNs(),
+      const std::string& labels = "") {
+    return Get(histograms_, name, labels, bounds);
+  }
 
-  /// Lookup without creation; nullptr if the metric was never registered.
-  Counter* FindCounter(const std::string& name) const;
-  Gauge* FindGauge(const std::string& name) const;
-  Histogram* FindHistogram(const std::string& name) const;
+  /// Lookup without creation; nullptr if the series was never registered.
+  Counter* FindCounter(const std::string& name,
+                       const std::string& labels = "") const {
+    return Find(counters_, name, labels);
+  }
+  Gauge* FindGauge(const std::string& name,
+                   const std::string& labels = "") const {
+    return Find(gauges_, name, labels);
+  }
+  Histogram* FindHistogram(const std::string& name,
+                           const std::string& labels = "") const {
+    return Find(histograms_, name, labels);
+  }
+
+  /// Sum over every series of counter family `name`.
+  uint64_t SumCounters(const std::string& name) const;
 
   /// Prometheus-style text exposition: `# TYPE` comments, counter/gauge
   /// sample lines, histogram `_bucket{le=...}` / `_sum` / `_count` series.
   std::string Expose() const;
 
-  /// JSON snapshot: counters and gauges by name, histograms with count,
-  /// sum, mean, and p50/p95/p99.
+  /// JSON snapshot: counters and gauges by series name, histograms with
+  /// count, sum, mean, and p50/p95/p99.
   std::string ToJson() const;
 
  private:
+  /// (name, labels): a family's series sort together, unlabelled first.
+  using SeriesKey = std::pair<std::string, std::string>;
+  template <typename T>
+  using SeriesMap = std::map<SeriesKey, std::unique_ptr<T>>;
+
+  /// Find-or-create / find in one of the series maps.
+  template <typename T, typename... Args>
+  T* Get(SeriesMap<T>& series, const std::string& name,
+         const std::string& labels, const Args&... args) {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_ptr<T>& slot = series[{name, labels}];
+    if (slot == nullptr) slot = std::make_unique<T>(args...);
+    return slot.get();
+  }
+  template <typename T>
+  T* Find(const SeriesMap<T>& series, const std::string& name,
+          const std::string& labels) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = series.find({name, labels});
+    return it == series.end() ? nullptr : it->second.get();
+  }
+
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  SeriesMap<Counter> counters_;
+  SeriesMap<Gauge> gauges_;
+  SeriesMap<Histogram> histograms_;
 };
 
 /// Observes the enclosing scope's wall-clock duration (ns) into a

@@ -253,8 +253,8 @@ Status RecoveryManager::Undo(
                  on_group_done, &outcome.records_skipped);
 
   outcome.undo_ns = obs::MonotonicNanos() - undo_start;
-  // Counted by this pass itself: the Stats cells are engine-wide, shared by
-  // every shard's restart and by foreground aborts.
+  // Counted by this pass itself: the shard's Stats cells also count its
+  // foreground aborts.
   outcome.records_undone = sink.clrs_written();
   ObservePass(stats_, "ariesrh_recovery_undo_ns", outcome.undo_ns);
   obs::Emit(stats_->trace(), obs::TraceEventType::kRecoveryPassEnd,

@@ -49,7 +49,7 @@ class BufferPool {
  public:
   /// `capacity` is the number of page frames. `wal_flush` enforces the WAL
   /// rule on eviction and may be empty only if no page is ever dirtied.
-  /// `stats`, when given, mirrors hits/misses into the engine-wide counters.
+  /// `stats`, when given, counts hits and misses.
   BufferPool(SimulatedDisk* disk, size_t capacity, WalFlushFn wal_flush,
              Stats* stats = nullptr);
 

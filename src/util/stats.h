@@ -6,12 +6,12 @@
 //
 // Stats is a thin view over the obs::MetricsRegistry: once a Stats is
 // attached to an engine's obs::Observability (AttachObservability), every
-// field is backed by a registry-owned counter cell, so `++stats->log_appends`
-// and `registry.GetCounter("ariesrh_log_appends")` observe the same relaxed
-// atomic. An unattached Stats (unit tests, snapshots) uses field-local
-// storage with the same semantics. Copying a Stats always yields a plain
-// value snapshot — `Stats before = db.stats(); ...; db.stats().Delta(before)`
-// keeps working unchanged.
+// field is backed by one registry-owned counter series (each shard of a
+// sharded engine attaches under the label `shard="<i>"`; Totals() sums a
+// family's series). An unattached Stats (unit tests, snapshots) uses
+// field-local storage with the same semantics. Copying a Stats always
+// yields a plain value snapshot — `Stats before = db.stats(); ...;
+// db.stats().Delta(before)` keeps working unchanged.
 //
 // The field list lives in one X-macro so declaration, Delta, ToString, and
 // registry binding can never drift apart; to add a counter, add one line.
@@ -113,40 +113,19 @@ class StatCounter {
 
   StatCounter& operator++() {
     cell()->fetch_add(1, std::memory_order_relaxed);
-    if (mirror_ != nullptr) mirror_->fetch_add(1, std::memory_order_relaxed);
     return *this;
-  }
-  uint64_t operator++(int) {
-    if (mirror_ != nullptr) mirror_->fetch_add(1, std::memory_order_relaxed);
-    return cell()->fetch_add(1, std::memory_order_relaxed);
   }
   StatCounter& operator+=(uint64_t delta) {
     cell()->fetch_add(delta, std::memory_order_relaxed);
-    if (mirror_ != nullptr) {
-      mirror_->fetch_add(delta, std::memory_order_relaxed);
-    }
-    return *this;
-  }
-  StatCounter& operator-=(uint64_t delta) {
-    cell()->fetch_sub(delta, std::memory_order_relaxed);
-    if (mirror_ != nullptr) {
-      mirror_->fetch_sub(delta, std::memory_order_relaxed);
-    }
     return *this;
   }
 
   /// Redirects this field onto a registry-owned cell, folding any value
-  /// accumulated so far into it. `mirror` (optional) is a second cell that
-  /// receives every subsequent increment too — a sharded engine binds each
-  /// shard's fields to the shared aggregate cell plus a per-shard mirror,
-  /// so both "ariesrh_<field>" and "ariesrh_<field>_shard<i>" stay live.
-  void Bind(std::atomic<uint64_t>* external,
-            std::atomic<uint64_t>* mirror = nullptr) {
-    const uint64_t carried = local_.exchange(0, std::memory_order_relaxed);
-    external->fetch_add(carried, std::memory_order_relaxed);
-    if (mirror != nullptr) mirror->fetch_add(carried, std::memory_order_relaxed);
+  /// accumulated so far into it.
+  void Bind(std::atomic<uint64_t>* external) {
+    external->fetch_add(local_.exchange(0, std::memory_order_relaxed),
+                        std::memory_order_relaxed);
     bound_ = external;
-    mirror_ = mirror;
   }
 
  private:
@@ -157,7 +136,6 @@ class StatCounter {
 
   std::atomic<uint64_t> local_{0};
   std::atomic<uint64_t>* bound_ = nullptr;
-  std::atomic<uint64_t>* mirror_ = nullptr;
 };
 
 inline std::ostream& operator<<(std::ostream& os, const StatCounter& c) {
@@ -185,17 +163,14 @@ struct Stats {
   /// Multi-line human-readable rendering.
   std::string ToString() const;
 
-  /// Rebinds every field onto `obs->registry` (metric "ariesrh_<field>")
-  /// and exposes the bundle's trace/registry to components holding this
-  /// Stats*. Call once, at engine construction, before any counting.
-  void AttachObservability(obs::Observability* obs);
-
-  /// Sharded binding: every field feeds the shared aggregate cell
-  /// "ariesrh_<field>" AND a per-shard mirror "ariesrh_<field><suffix>"
-  /// (e.g. suffix "_shard2"). An empty suffix is the plain single-engine
-  /// binding above.
+  /// Rebinds every field onto the series `ariesrh_<field>{labels}` and
+  /// exposes `obs`'s trace/registry to components holding this Stats*.
+  /// Call once, at engine construction, before any counting.
   void AttachObservability(obs::Observability* obs,
-                           const std::string& shard_suffix);
+                           const std::string& labels = "");
+
+  /// Engine-wide values: each field sums its family's series.
+  static Stats Totals(const obs::MetricsRegistry& registry);
 
   /// The attached engine's event trace / metrics registry; nullptr for an
   /// unattached Stats (unit-test locals, snapshots).

@@ -122,13 +122,6 @@ class LogManager {
   /// Spawns the dedicated flusher thread (idempotent).
   void StartGroupCommit(const GroupCommitConfig& config);
 
-  /// Legacy fixed-window form: window `window_us`, default early wake.
-  void StartGroupCommit(uint64_t window_us) {
-    GroupCommitConfig config;
-    config.window_us = window_us;
-    StartGroupCommit(config);
-  }
-
   /// Stops and joins the flusher thread, waking any parked committers with
   /// IllegalState (idempotent; called by the destructor).
   void StopGroupCommit();

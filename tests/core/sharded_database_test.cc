@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include "core/database.h"
 #include "obs/observability.h"
+#include "obs/trace.h"
 #include "replication/log_shipping.h"
 #include "restart_util.h"
 
@@ -467,23 +469,89 @@ TEST(ShardedDatabaseTest, PerShardMetricsCarryShardLabels) {
   ASSERT_TRUE(db.Set(t, b, 2).ok());
   ASSERT_TRUE(db.Commit(t).ok());
   obs::MetricsRegistry* registry = db.metrics();
-  obs::Counter* total = registry->FindCounter("ariesrh_txns_committed");
-  obs::Counter* s0 = registry->FindCounter("ariesrh_txns_committed_shard0");
-  obs::Counter* s1 = registry->FindCounter("ariesrh_txns_committed_shard1");
-  ASSERT_NE(total, nullptr);
+  obs::Counter* s0 = registry->FindCounter("ariesrh_txns_committed",
+                                           "shard=\"0\"");
+  obs::Counter* s1 = registry->FindCounter("ariesrh_txns_committed",
+                                           "shard=\"1\"");
   ASSERT_NE(s0, nullptr);
   ASSERT_NE(s1, nullptr);
-  // One 2PC commit counts once per participating shard; the unsuffixed
-  // counter is the aggregate the facade's Stats view reads.
-  EXPECT_EQ(s0->Value() + s1->Value(), total->Value());
-  EXPECT_EQ(db.stats().txns_committed.value(), total->Value());
-  // A classic 1-shard engine binds only the unsuffixed names.
+  // One 2PC commit counts once per participating shard, each in its own
+  // series; the engine-wide value sums the family.
+  EXPECT_EQ(s0->Value(), 1u);
+  EXPECT_EQ(s1->Value(), 1u);
+  EXPECT_EQ(db.shard(0)->stats().txns_committed.value(), 1u);
+  EXPECT_EQ(db.stats().txns_committed.value(),
+            registry->SumCounters("ariesrh_txns_committed"));
+  EXPECT_EQ(db.stats().txns_committed.value(), 2u);
+  // A classic 1-shard engine binds only the unlabelled series.
   Database one;
   TxnId u = *one.Begin();
   ASSERT_TRUE(one.Set(u, 1, 1).ok());
   ASSERT_TRUE(one.Commit(u).ok());
-  EXPECT_EQ(one.metrics()->FindCounter("ariesrh_txns_committed_shard0"),
+  EXPECT_EQ(one.metrics()->FindCounter("ariesrh_txns_committed",
+                                       "shard=\"0\""),
             nullptr);
+  EXPECT_EQ(one.metrics()->FindCounter("ariesrh_txns_committed")->Value(), 1u);
+}
+
+TEST(ShardedDatabaseTest, EachShardRestartCountsOnlyItsOwnUndo) {
+  Options options = ShardedOptions(2);
+  options.recovery_mode = RecoveryMode::kFull;
+  // Seeks slow both undo sweeps, so the shards' parallel sweeps overlap.
+  options.sim_log_random_read_ns = 20'000;
+  Database db(options);
+  // Losers on both shards, of different sizes, over committed traffic the
+  // undo sweeps pass.
+  TxnId loser0 = *db.Begin();
+  TxnId loser1 = *db.Begin();
+  for (ObjectId ob = 1; ob <= 40; ++ob) {
+    TxnId filler = *db.Begin();
+    ASSERT_TRUE(db.Add(filler, 100 + ob, 1).ok());
+    ASSERT_TRUE(db.Commit(filler).ok());
+    if (ob % 2 == 0) {
+      ASSERT_TRUE(db.Add(loser0, ObOnShard(db, 0, 1000 + ob * 8), 1).ok());
+    }
+    if (ob % 4 == 0) {
+      ASSERT_TRUE(db.Add(loser1, ObOnShard(db, 1, 1000 + ob * 8), 1).ok());
+    }
+  }
+  ASSERT_TRUE(db.Sync().ok());
+  db.SimulateCrash();
+  const std::string family = "ariesrh_recovery_backward_examined";
+  uint64_t before[2];
+  for (size_t i = 0; i < 2; ++i) {
+    before[i] = db.metrics()
+                    ->FindCounter(family, db.shard(i)->metric_labels())
+                    ->Value();
+  }
+  const Stats engine_before = db.stats();
+  const uint64_t emitted_before = db.trace()->total_emitted();
+  ASSERT_TRUE(RestartAndAwait(db).ok());
+
+  std::vector<uint64_t> own;
+  for (size_t i = 0; i < 2; ++i) {
+    own.push_back(db.metrics()
+                      ->FindCounter(family, db.shard(i)->metric_labels())
+                      ->Value() -
+                  before[i]);
+    EXPECT_GT(own.back(), 0u);
+  }
+  // The trace carries no shard id: the two undo payloads, matched as a
+  // multiset, must be the two shards' own deltas.
+  std::vector<uint64_t> payloads;
+  for (const obs::TraceEvent& event : db.trace()->Snapshot()) {
+    if (event.seq > emitted_before &&
+        event.type == obs::TraceEventType::kRecoveryPassEnd &&
+        event.a == static_cast<uint64_t>(obs::RecoveryPassKind::kUndo)) {
+      payloads.push_back(event.b);
+    }
+  }
+  std::sort(own.begin(), own.end());
+  std::sort(payloads.begin(), payloads.end());
+  EXPECT_EQ(payloads, own);
+  ASSERT_EQ(payloads.size(), 2u);
+  EXPECT_EQ(payloads[0] + payloads[1],
+            db.stats().Delta(engine_before).recovery_backward_examined);
 }
 
 TEST(ShardedDatabaseTest, TwoPhaseCommitPhasesSumToCommitLatency) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -162,6 +164,144 @@ TEST(MetricsRegistryTest, ToJsonContainsAllKinds) {
   EXPECT_NE(json.find("\"g\":-1"), std::string::npos);
   EXPECT_NE(json.find("\"h\""), std::string::npos);
   EXPECT_NE(json.find("\"count\":1"), std::string::npos);
+}
+
+// A JSON syntax check covering what ToJson() emits: objects, strings with
+// escapes, and numbers.
+class JsonChecker {
+ public:
+  explicit JsonChecker(const std::string& text) : text_(text) {}
+  bool Valid() { return Value() && pos_ == text_.size(); }
+
+ private:
+  bool Value() {
+    if (Peek('{')) return Object();
+    if (Peek('"')) return String();
+    return Number();
+  }
+  bool Object() {
+    Eat('{');
+    if (Eat('}')) return true;
+    do {
+      if (!String() || !Eat(':') || !Value()) return false;
+    } while (Eat(','));
+    return Eat('}');
+  }
+  bool String() {
+    if (!Eat('"')) return false;
+    for (; pos_ < text_.size() && text_[pos_] != '"'; ++pos_) {
+      if (static_cast<unsigned char>(text_[pos_]) < 0x20) return false;
+      const std::string escapes = "\"\\/bfnrtu";
+      if (text_[pos_] == '\\' &&
+          (++pos_ == text_.size() ||
+           escapes.find(text_[pos_]) == std::string::npos)) {
+        return false;
+      }
+    }
+    return Eat('"');
+  }
+  bool Number() {
+    const size_t start = pos_;
+    while (pos_ < text_.size() &&
+           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
+            std::string("+-.eE").find(text_[pos_]) != std::string::npos)) {
+      ++pos_;
+    }
+    return pos_ > start;
+  }
+  bool Peek(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+  bool Eat(char c) {
+    if (!Peek(c)) return false;
+    ++pos_;
+    return true;
+  }
+
+  const std::string& text_;
+  size_t pos_ = 0;
+};
+
+TEST(MetricsRegistryTest, LabelledSeriesAreSeparateCells) {
+  MetricsRegistry registry;
+  Counter* plain = registry.GetCounter("c");
+  Counter* one = registry.GetCounter("c", "shard=\"1\"");
+  EXPECT_NE(plain, one);
+  EXPECT_EQ(registry.GetCounter("c", "shard=\"1\""), one);
+  plain->Inc(1);
+  one->Inc(2);
+  registry.GetCounter("c", "shard=\"0\"")->Inc(4);
+  registry.GetCounter("cc")->Inc(8);  // another family
+  EXPECT_EQ(registry.FindCounter("c", "shard=\"2\""), nullptr);
+  EXPECT_EQ(registry.FindCounter("c", "shard=\"1\""), one);
+  EXPECT_EQ(registry.SumCounters("c"), 7u);
+  EXPECT_EQ(registry.SumCounters("never"), 0u);
+}
+
+TEST(MetricsRegistryTest, ExposeGroupsSeriesUnderOneTypeLine) {
+  MetricsRegistry registry;
+  registry.GetCounter("c", "shard=\"1\"")->Inc(2);
+  registry.GetCounter("c")->Inc(1);
+  registry.GetCounter("c", "shard=\"0\"")->Inc(4);
+  registry.GetGauge("g", "shard=\"1\"")->Set(-3);
+  EXPECT_EQ(registry.Expose(),
+            "# TYPE c counter\n"
+            "c 1\n"
+            "c{shard=\"0\"} 4\n"
+            "c{shard=\"1\"} 2\n"
+            "# TYPE g gauge\n"
+            "g{shard=\"1\"} -3\n");
+}
+
+TEST(MetricsRegistryTest, HistogramLeJoinsTheSeriesLabels) {
+  MetricsRegistry registry;
+  registry.GetHistogram("h", {10}, "worker=\"0\"")->Observe(4);
+  registry.GetHistogram("h", {10}, "worker=\"1\"")->Observe(40);
+  EXPECT_EQ(registry.FindHistogram("h"), nullptr);
+  ASSERT_NE(registry.FindHistogram("h", "worker=\"1\""), nullptr);
+  EXPECT_EQ(registry.Expose(),
+            "# TYPE h histogram\n"
+            "h_bucket{worker=\"0\",le=\"10\"} 1\n"
+            "h_bucket{worker=\"0\",le=\"+Inf\"} 1\n"
+            "h_sum{worker=\"0\"} 4\n"
+            "h_count{worker=\"0\"} 1\n"
+            "h_bucket{worker=\"1\",le=\"10\"} 0\n"
+            "h_bucket{worker=\"1\",le=\"+Inf\"} 1\n"
+            "h_sum{worker=\"1\"} 40\n"
+            "h_count{worker=\"1\"} 1\n");
+}
+
+TEST(MetricsRegistryTest, EmptyLabelSetsRenderAsPlainNames) {
+  MetricsRegistry registry;
+  registry.GetCounter("a")->Inc(3);
+  registry.GetGauge("g")->Set(-1);
+  Histogram* h = registry.GetHistogram("h", {10});
+  h->Observe(4);
+  h->Observe(40);
+  EXPECT_EQ(registry.Expose(),
+            "# TYPE a counter\n"
+            "a 3\n"
+            "# TYPE g gauge\n"
+            "g -1\n"
+            "# TYPE h histogram\n"
+            "h_bucket{le=\"10\"} 1\n"
+            "h_bucket{le=\"+Inf\"} 2\n"
+            "h_sum 44\n"
+            "h_count 2\n");
+}
+
+TEST(MetricsRegistryTest, ToJsonWithLabelledKeysIsValidJson) {
+  MetricsRegistry registry;
+  registry.GetCounter("c")->Inc(1);
+  registry.GetCounter("c", "shard=\"1\"")->Inc(3);
+  registry.GetGauge("g", "shard=\"0\"")->Set(-2);
+  registry.GetHistogram("h", {10}, "worker=\"0\"")->Observe(4);
+  const std::string json = registry.ToJson();
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_NE(json.find("\"c\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"c{shard=\\\"1\\\"}\":3"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"h{worker=\\\"0\\\"}\":{\"count\":1"),
+            std::string::npos)
+      << json;
 }
 
 TEST(DefaultLatencyBoundsTest, AscendingAndNonEmpty) {

@@ -38,8 +38,8 @@ TEST(FlushTicketTest, TicketsOnTwoLogsForceConcurrently) {
   disk_a.set_log_force_stall_ns(kStallNs);
   disk_b.set_log_force_stall_ns(kStallNs);
   LogManager log_a(&disk_a, &stats_a), log_b(&disk_b, &stats_b);
-  log_a.StartGroupCommit(/*window_us=*/0);
-  log_b.StartGroupCommit(/*window_us=*/0);
+  log_a.StartGroupCommit({.window_us = 0});
+  log_b.StartGroupCommit({.window_us = 0});
   const Lsn lsn_a = log_a.Append(LogRecord::MakeBegin(1));
   const Lsn lsn_b = log_b.Append(LogRecord::MakeBegin(2));
 
@@ -88,7 +88,7 @@ TEST(FlushTicketTest, RecordDurableBeforeTheDiscardStaysAcked) {
   Stats stats;
   SimulatedDisk disk(&stats);
   LogManager log(&disk, &stats);
-  log.StartGroupCommit(/*window_us=*/0);
+  log.StartGroupCommit({.window_us = 0});
   const Lsn lsn = log.Append(LogRecord::MakeBegin(1));
   const LogManager::FlushTicket ticket = log.RequestFlush(lsn);
   while (log.flushed_lsn() < lsn) std::this_thread::yield();
@@ -106,7 +106,7 @@ TEST(FlushTicketTest, StopGroupCommitBetweenRequestAndAwaitFails) {
   log.StopGroupCommit();
   EXPECT_EQ(log.AwaitFlush(ticket).code(), StatusCode::kIllegalState);
   // A restarted flusher does not revive the old ticket either.
-  log.StartGroupCommit(/*window_us=*/0);
+  log.StartGroupCommit({.window_us = 0});
   EXPECT_EQ(log.AwaitFlush(ticket).code(), StatusCode::kIllegalState);
 }
 

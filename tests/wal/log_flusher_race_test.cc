@@ -23,7 +23,7 @@ TEST(LogFlusherRaceTest, DiscardTailConcurrentWithInFlightForce) {
   SimulatedDisk disk(&stats);
   disk.set_log_force_stall_ns(20'000'000);  // 20ms per force: a wide window
   LogManager log(&disk, &stats);
-  log.StartGroupCommit(/*window_us=*/0);
+  log.StartGroupCommit({.window_us = 0});
 
   const Lsn first = log.Append(LogRecord::MakeBegin(1));
   Status status_a;
@@ -64,7 +64,7 @@ TEST(LogFlusherRaceTest, DiscardTailWakesCommitterParkedInWindow) {
   LogManager log(&disk, &stats);
   // A long coalescing window pins the flusher in its straggler wait, so the
   // committer is deterministically still parked when the crash lands.
-  log.StartGroupCommit(/*window_us=*/200'000);
+  log.StartGroupCommit({.window_us = 200'000});
 
   const Lsn lsn = log.Append(LogRecord::MakeBegin(1));
   Status status;
@@ -84,7 +84,7 @@ TEST(LogFlusherRaceTest, StopGroupCommitWakesParkedCommitters) {
   Stats stats;
   SimulatedDisk disk(&stats);
   LogManager log(&disk, &stats);
-  log.StartGroupCommit(/*window_us=*/500'000);
+  log.StartGroupCommit({.window_us = 500'000});
 
   const Lsn lsn = log.Append(LogRecord::MakeBegin(1));
   Status status;
