@@ -26,9 +26,15 @@
 //   * BM_CheckpointWriteBack/<dirty heap pages>: one Checkpoint() whose
 //     penultimate-checkpoint write-back finds that many heap pages dirty
 //     since before the previous checkpoint, in ns per page written.
-//   * BM_TableHeapBootstrap/<keys>: a restart's heap load — every stable
-//     heap page read, checked and indexed — for a table of that many keys
-//     with kv_durable's 100-byte values.
+//   * BM_TableHeapBootstrap/<keys>: a restart's heap load with every bucket
+//     touched — every stable heap page read, checked and indexed — for a
+//     table of that many keys with kv_durable's 100-byte values.
+//   * BM_TableHeapFirstTouch/<keys>: the same table after a restart, one
+//     bucket touched: what the first access to a bucket pays.
+//   * BM_CoordResolution/<records>: the coordinator's share of an open —
+//     a sidecar of that many records (PREPARE/COMMIT pairs of 2-shard
+//     rounds) read into a fresh coordinator log, and its in-doubt verdicts
+//     taken.
 //   * BM_DelegateTransfer/<objects>: one shard-local Database::Delegate of
 //     that many objects: guard, check, one DELEGATE append, and the scope
 //     and lock moves.
@@ -42,12 +48,15 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <filesystem>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "bench_util.h"
+#include "coord/coordinator_log.h"
 #include "recovery/analysis.h"
 #include "recovery/undo_rh.h"
 #include "table/heap_page.h"
@@ -393,21 +402,30 @@ BENCHMARK(BM_CheckpointWriteBack)
     ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-void BM_TableHeapBootstrap(benchmark::State& state) {
-  const int keys = static_cast<int>(state.range(0));
+/// A 1-shard engine whose table holds `keys` keys with 100-byte values,
+/// every heap page written back.
+std::unique_ptr<Database> StableTable(int keys) {
   std::vector<std::string> names;
   for (int i = 0; i < keys; ++i) names.push_back(HeapKey(i));
-  Database db;
-  PutKeys(&db, names, std::string(100, 'v'));
-  Check(db.Sync(), "Sync");
-  Check(db.shard(0)->table_heap()->FlushAll(), "FlushAll");
+  auto db = std::make_unique<Database>();
+  PutKeys(db.get(), names, std::string(100, 'v'));
+  Check(db->Sync(), "Sync");
+  Check(db->shard(0)->table_heap()->FlushAll(), "FlushAll");
+  return db;
+}
+
+void BM_TableHeapBootstrap(benchmark::State& state) {
+  const int keys = static_cast<int>(state.range(0));
+  const std::unique_ptr<Database> db = StableTable(keys);
   Stats stats;
-  table::TableHeap heap(db.shard(0)->disk(), &stats, /*wal_flush=*/nullptr);
+  table::TableHeap heap(db->shard(0)->disk(), &stats, /*wal_flush=*/nullptr);
   for (auto _ : state) {
-    Check(heap.Bootstrap(), "Bootstrap");
+    heap.Reset();
+    // A scan touches every bucket.
+    benchmark::DoNotOptimize(CheckResult(heap.Scan("", 1), "Scan"));
   }
   if (heap.record_count() != static_cast<size_t>(keys)) {
-    state.SkipWithError("bootstrap lost records");
+    state.SkipWithError("the load lost records");
     return;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * keys);
@@ -417,6 +435,67 @@ BENCHMARK(BM_TableHeapBootstrap)
     ->Arg(5000)
     ->Arg(25000)
     ->Unit(benchmark::kMillisecond);
+
+void BM_TableHeapFirstTouch(benchmark::State& state) {
+  const int keys = static_cast<int>(state.range(0));
+  const std::unique_ptr<Database> db = StableTable(keys);
+  Stats stats;
+  table::TableHeap heap(db->shard(0)->disk(), &stats, /*wal_flush=*/nullptr);
+  const std::string key = HeapKey(0);
+  for (auto _ : state) {
+    heap.Reset();
+    const std::optional<std::string> value = CheckResult(heap.Read(key), "Read");
+    benchmark::DoNotOptimize(value);
+    if (!value.has_value()) {
+      state.SkipWithError("the first touch lost a record");
+      return;
+    }
+  }
+  state.counters["bucket_keys"] =
+      benchmark::Counter(static_cast<double>(heap.record_count()));
+  AddCpuCounter(state);
+}
+BENCHMARK(BM_TableHeapFirstTouch)
+    ->Arg(5000)
+    ->Arg(25000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_CoordResolution(benchmark::State& state) {
+  const auto records = static_cast<uint64_t>(state.range(0));
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ariesrh_bench_coord.coord")
+          .string();
+  {
+    coord::CoordinatorLog log;
+    for (uint64_t csn = 1; 2 * (csn - 1) < records; ++csn) {
+      coord::CoordRecord rec;
+      rec.csn = csn;
+      rec.txn = csn;
+      rec.shards = {0, 1};
+      log.Append(rec);
+      rec.type = coord::CoordRecordType::kCommit;
+      log.Append(rec);
+    }
+    Check(log.Force(), "Force");
+    Check(log.SaveSidecar(path), "SaveSidecar");
+  }
+  size_t committed = 0;
+  for (auto _ : state) {
+    coord::CoordinatorLog log;
+    Check(log.LoadSidecar(path), "LoadSidecar");
+    committed = log.resolution().committed.size();
+    benchmark::DoNotOptimize(committed);
+  }
+  std::filesystem::remove(path);
+  if (committed != records / 2) {
+    state.SkipWithError("the resolution lost a verdict");
+    return;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(records));
+  AddCpuCounter(state);
+}
+BENCHMARK(BM_CoordResolution)->Arg(12000)->Unit(benchmark::kMillisecond);
 
 /// Ping-pongs `objects` between two live transactions, one Delegate per
 /// iteration, so the setup (begins, updates) stays out of the timing.

@@ -8,10 +8,11 @@
 // (csn), the participating shard logs carry csn-stamped PREPARE / DELEGATE
 // records, and the round's commit point is the coordinator forcing a COMMIT
 // record for that csn (presumed abort: no durable COMMIT means the round
-// never happened). At restart, Resolution::FromRecords distills the durable
-// coordinator records into the committed-csn set each shard's recovery
-// consults to resolve in-doubt transactions and void orphaned delegation
-// legs. See docs/SHARDING.md for the full protocol.
+// never happened). The log keeps the Resolution of its durable records —
+// the committed-csn set each shard's recovery consults to resolve in-doubt
+// transactions and void orphaned delegation legs — up to date as records
+// become stable, so a restart reads it without decoding the log again. See
+// docs/SHARDING.md for the full protocol.
 //
 // Thread safety: Append/Force/read accessors are safe under concurrent
 // callers (one mutex — this log sees a handful of records per cross-shard
@@ -26,7 +27,7 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <unordered_set>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -64,7 +65,16 @@ struct CoordRecord {
   /// Stable byte image with a trailing masked CRC-32C, mirroring the WAL
   /// record format so torn coordinator tails truncate the same way.
   std::string Serialize() const;
-  static Result<CoordRecord> Deserialize(const std::string& image);
+  static Result<CoordRecord> Deserialize(std::string_view image);
+
+  /// What a resolution reads of a record.
+  struct Verdict {
+    CoordRecordType type = CoordRecordType::kPrepare;
+    uint64_t csn = 0;
+  };
+  /// Checks an image exactly as Deserialize does, but keeps only its
+  /// verdict: no shard list is built.
+  static Result<Verdict> DeserializeVerdict(std::string_view image);
 
   std::string ToString() const;
 };
@@ -72,12 +82,19 @@ struct CoordRecord {
 /// The in-doubt verdicts recovery derives from the durable coordinator
 /// records: a csn is committed iff a COMMIT record for it survived.
 struct Resolution {
-  std::unordered_set<uint64_t> committed;
+  std::vector<uint64_t> committed;  ///< ascending, each csn once
   uint64_t max_csn = 0;  ///< highest csn seen in any record (0 = none)
 
+  /// The resolution of `records` distilled in one go; CoordinatorLog keeps
+  /// the same value up to date record by record (Add).
   static Resolution FromRecords(const std::vector<CoordRecord>& records);
 
-  bool IsCommitted(uint64_t csn) const { return committed.contains(csn); }
+  /// Folds one durable record in.
+  void Add(const CoordRecord::Verdict& verdict);
+
+  bool IsCommitted(uint64_t csn) const;
+
+  bool operator==(const Resolution&) const = default;
 };
 
 /// The coordinator's stable decision log. Same volatile-tail / durable-prefix
@@ -112,32 +129,48 @@ class CoordinatorLog {
   /// Crash: discards the volatile tail; the durable prefix survives.
   void SimulateCrash();
 
-  /// Durable records, in append order (recovery input).
+  /// Durable records, in append order, decoded afresh (inspection and
+  /// tests; restart reads resolution()).
   std::vector<CoordRecord> StableRecords() const;
+
+  /// The verdicts of every durable record: equal to
+  /// Resolution::FromRecords(StableRecords()), kept up to date by Force,
+  /// AppendStableImages and LoadSidecar (recovery and reenactment input).
+  Resolution resolution() const;
 
   /// Serialized durable images from index `from` (replication shipping).
   std::vector<std::string> StableImagesFrom(size_t from) const;
 
-  /// Replays shipped images onto the durable prefix (standby side).
+  /// Replays shipped images onto the durable prefix (standby side). Every
+  /// image is checked first; a bad one admits none of them.
   Status AppendStableImages(const std::vector<std::string>& images);
 
   size_t stable_size() const;
 
-  /// Writes durable decision images to a sidecar file (`<db path>.coord`):
-  /// a flat sequence of u32-LE-length-prefixed images. Database::SaveTo and
-  /// anything else persisting a coordinator log share this format.
-  static Status WriteImagesFile(const std::string& path,
-                                const std::vector<std::string>& images);
+  /// Writes the durable images to a sidecar file (`<db path>.coord`): a
+  /// flat sequence of u32-LE-length-prefixed images.
+  Status SaveSidecar(const std::string& path) const;
 
-  /// Reads a sidecar written by WriteImagesFile. A missing file reads as
-  /// empty — no durable cross-shard decisions, which resolves every
-  /// in-doubt round by presumed abort.
-  static Result<std::vector<std::string>> ReadImagesFile(
-      const std::string& path);
+  /// Appends the images of a sidecar written by SaveSidecar to the durable
+  /// prefix, in one read of the file. A missing file reads as empty — no
+  /// durable cross-shard decisions, which resolves every in-doubt round by
+  /// presumed abort. A truncated or corrupt image admits none of them.
+  Status LoadSidecar(const std::string& path);
 
  private:
+  /// Appends sidecar-framed images (`framed`) to the durable prefix once
+  /// every one of them decodes; `source` names them in errors.
+  Status AppendFramed(std::string_view framed, const std::string& source);
+  /// Appends one image and folds its verdict into resolution_.
+  void AppendStableLocked(std::string_view image,
+                          const CoordRecord::Verdict& verdict);
+
   mutable std::mutex mu_;
-  std::vector<std::string> stable_;    ///< durable serialized images
+  /// The durable images, framed as in the sidecar file, and where each
+  /// frame starts.
+  std::string stable_;
+  std::vector<size_t> stable_starts_;
+  Resolution resolution_;              ///< of the durable images
   std::vector<CoordRecord> volatile_;  ///< appended, not yet forced
   /// Forced-record counts: written_ records have been moved to stable_ by
   /// Force, the first durable_ of them have paid their force stall, and

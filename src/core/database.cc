@@ -658,9 +658,7 @@ Status Database::SaveTo(const std::string& path) {
   if (coord_ != nullptr) {
     // The coordinator's durable decisions ride in a sidecar: without them a
     // reopened engine would presume-abort rounds it had committed.
-    ARIESRH_RETURN_IF_ERROR(
-        coord::CoordinatorLog::WriteImagesFile(
-            path + ".coord", coord_->StableImagesFrom(0)));
+    ARIESRH_RETURN_IF_ERROR(coord_->SaveSidecar(path + ".coord"));
   }
   return Status::OK();
 }
@@ -683,6 +681,10 @@ Result<Database::OpenResult> Database::Open(Options options,
   ARIESRH_RETURN_IF_ERROR(options.Validate());
   auto db = std::make_unique<Database>(options);
   ARIESRH_RETURN_IF_ERROR(db->init_status_);
+  // The shard images load one after another on this thread. Loaded on one
+  // thread each, every image's decoded pages would sit in that thread's
+  // allocator arena, where later allocations on this thread cannot reuse
+  // them (EXPERIMENTS.md E10, "Open on first touch").
   for (size_t i = 0; i < db->shards_.size(); ++i) {
     ARIESRH_RETURN_IF_ERROR(
         db->shards_[i]->LoadDiskFrom(ShardImagePath(path, i)));
@@ -691,9 +693,7 @@ Result<Database::OpenResult> Database::Open(Options options,
   // crash: volatile state must be rebuilt by restart recovery.
   db->SimulateCrash();
   if (db->coord_ != nullptr) {
-    ARIESRH_ASSIGN_OR_RETURN(std::vector<std::string> images,
-                             coord::CoordinatorLog::ReadImagesFile(path + ".coord"));
-    ARIESRH_RETURN_IF_ERROR(db->coord_->AppendStableImages(images));
+    ARIESRH_RETURN_IF_ERROR(db->coord_->LoadSidecar(path + ".coord"));
   }
   OpenResult out;
   ARIESRH_ASSIGN_OR_RETURN(out.recovery, db->StartRecovery());
@@ -793,14 +793,13 @@ Result<std::shared_ptr<RecoveryHandle>> Database::StartRecovery() {
   // of merit).
   restart_epoch_ns_.store(obs::MonotonicNanos(), std::memory_order_relaxed);
 
-  // Distill the coordinator's durable verdicts once; every shard's restart
-  // consults the same resolution (in-doubt commit/abort, csn-stamped
-  // DELEGATE voiding). Only the synchronous front half reads it, so stack
-  // lifetime is fine even under kInstant.
+  // The coordinator's durable verdicts, kept up to date as its records
+  // became stable; every shard's restart consults the same resolution
+  // (in-doubt commit/abort, csn-stamped DELEGATE voiding). Only the
+  // synchronous front half reads it, so stack lifetime is fine even under
+  // kInstant.
   coord::Resolution resolution;
-  if (coord_ != nullptr) {
-    resolution = coord::Resolution::FromRecords(coord_->StableRecords());
-  }
+  if (coord_ != nullptr) resolution = coord_->resolution();
   const coord::Resolution* resolution_ptr =
       coord_ != nullptr ? &resolution : nullptr;
 

@@ -19,6 +19,10 @@ EngineShard::EngineShard(const Options& options, obs::Observability* obs,
                   : "") {
   stats_.AttachObservability(obs_, labels_);
   checkpoint_ns_ = obs_->registry.GetHistogram("ariesrh_checkpoint_ns");
+  // Looked up once: an instant restart's completion refreshes the gauge on
+  // its background thread while a checkpoint may refresh it on another.
+  log_live_gauge_ =
+      obs_->registry.GetGauge("ariesrh_log_live_records", labels_);
   disk_ = std::make_unique<SimulatedDisk>(&stats_);
   disk_->set_log_random_read_stall_ns(options_.sim_log_random_read_ns);
   disk_->set_log_force_stall_ns(options_.sim_log_force_ns);
@@ -38,8 +42,8 @@ void EngineShard::BuildVolatileComponents() {
       [this](Lsn lsn) { return log_->Flush(lsn); }, &stats_);
   locks_ = std::make_unique<LockManager>(&stats_);
   // The heap's frames are volatile like the pool's; its stable pages live in
-  // the same simulated disk. A fresh build starts empty — Restart()
-  // bootstraps it from stable pages before replaying the log.
+  // the same simulated disk. A fresh build starts empty and loads each
+  // bucket's stable chain the first time something touches the bucket.
   heap_ = std::make_unique<table::TableHeap>(
       disk_.get(), &stats_, [this](Lsn lsn) { return log_->Flush(lsn); });
   txn_manager_ = std::make_unique<TxnManager>(options_, log_.get(),
@@ -68,10 +72,6 @@ void EngineShard::BuildVolatileComponents() {
 void EngineShard::UpdateLogLiveGauge() {
   const Lsn end = log_->end_lsn();
   const Lsn first = log_->first_retained_lsn();
-  if (log_live_gauge_ == nullptr) {
-    log_live_gauge_ =
-        obs_->registry.GetGauge("ariesrh_log_live_records", labels_);
-  }
   log_live_gauge_->Set(end >= first ? static_cast<int64_t>(end - first + 1)
                                     : 0);
 }
@@ -332,8 +332,6 @@ Status EngineShard::Restart(const coord::Resolution* resolution,
   auto restart = [&]() -> Status {
     ARIESRH_RETURN_IF_ERROR(RecoveryManager::TruncateTornTail(disk_.get()));
     BuildVolatileComponents();
-    // The heap's stable pages come back before the log replays over them.
-    ARIESRH_RETURN_IF_ERROR(heap_->Bootstrap());
     if (options_.recovery_mode == RecoveryMode::kInstant) {
       instant_ = std::make_unique<InstantRestart>(
           options_, disk_.get(), log_.get(), pool_.get(), &stats_, heap_.get(),
@@ -347,7 +345,9 @@ Status EngineShard::Restart(const coord::Resolution* resolution,
       ARIESRH_RETURN_IF_ERROR(instant_->Start(
           resolution, std::move(handle), &next_txn_id, [this] {
             // Runs on the background thread once both lazy passes drained:
-            // the shard is fully recovered, so its daemon starts now.
+            // the shard is fully recovered, so its gauge reads the restarted
+            // log and its daemon starts now.
+            UpdateLogLiveGauge();
             if (daemon_ != nullptr) daemon_->Start();
           }));
       txn_manager_->SetNextTxnId(next_txn_id);
@@ -360,6 +360,7 @@ Status EngineShard::Restart(const coord::Resolution* resolution,
                              recovery.Recover(resolution));
     txn_manager_->SetNextTxnId(outcome.next_txn_id);
     crashed_ = false;
+    UpdateLogLiveGauge();
     if (daemon_ != nullptr) daemon_->Start();
     handle->ShardDone(outcome);
     return Status::OK();

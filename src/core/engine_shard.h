@@ -197,7 +197,7 @@ class EngineShard {
   obs::Observability* obs_;  // shared, engine-wide; outlives the shard
   const std::string labels_;
   Stats stats_;  // this shard's counters: the series labelled labels_
-  /// Registered on the first checkpoint or archive.
+  /// Refreshed by checkpoints, archives and completed restarts.
   obs::Gauge* log_live_gauge_ = nullptr;
   std::unique_ptr<SimulatedDisk> disk_;
   std::unique_ptr<LogManager> log_;

@@ -39,9 +39,8 @@ Status ExtractInto(BufferPool* pool, table::TableHeap* heap,
       out->objects[static_cast<ObjectId>(id) * kObjectsPerPage + slot] = value;
     }
   }
-  for (const auto& [key, value] : heap->Scan("", 0)) {
-    out->records[key] = value;
-  }
+  ARIESRH_ASSIGN_OR_RETURN(auto records, heap->Scan("", 0));
+  for (auto& [key, value] : records) out->records[key] = std::move(value);
   return Status::OK();
 }
 
@@ -256,17 +255,9 @@ Result<Reenactor> Reenactor::OpenArchive(const Options& options,
   }
   // The coordinator sidecar: absent reads as empty, which is presumed
   // abort — exactly what restart does.
-  ARIESRH_ASSIGN_OR_RETURN(
-      std::vector<std::string> images,
-      coord::CoordinatorLog::ReadImagesFile(path + ".coord"));
-  std::vector<coord::CoordRecord> records;
-  records.reserve(images.size());
-  for (const std::string& image : images) {
-    ARIESRH_ASSIGN_OR_RETURN(coord::CoordRecord rec,
-                             coord::CoordRecord::Deserialize(image));
-    records.push_back(std::move(rec));
-  }
-  r.resolution_ = coord::Resolution::FromRecords(records);
+  coord::CoordinatorLog sidecar;
+  ARIESRH_RETURN_IF_ERROR(sidecar.LoadSidecar(path + ".coord"));
+  r.resolution_ = sidecar.resolution();
   return r;
 }
 
@@ -289,8 +280,7 @@ Result<Reenactor> Reenactor::OpenLive(Database* db) {
     r.shards_.push_back(std::move(src));
   }
   if (db->coordinator_log() != nullptr) {
-    r.resolution_ =
-        coord::Resolution::FromRecords(db->coordinator_log()->StableRecords());
+    r.resolution_ = db->coordinator_log()->resolution();
   }
   r.registry_ = db->metrics();
   r.trace_ = db->trace();
@@ -358,7 +348,6 @@ Result<Reenactor::ShardFold> Reenactor::FoldShard(size_t shard, Lsn cut,
   fold.heap =
       std::make_unique<table::TableHeap>(fold.disk.get(), fold.stats.get(),
                                          no_wal);
-  if (src.anchored) ARIESRH_RETURN_IF_ERROR(fold.heap->Bootstrap());
 
   OwnershipCollector collector(options_.delegation_mode);
   AnalysisHooks hooks;
@@ -636,7 +625,9 @@ Result<ReplayResult> Reenactor::ReplayTxn(TxnId txn, Lsn cut) {
       out.objects[touched] = {page->Get(SlotOf(touched)), 0};
     }
     for (const std::string& touched : touched_keys) {
-      out.records[touched] = {fold.heap->Read(touched), std::nullopt};
+      ARIESRH_ASSIGN_OR_RETURN(std::optional<std::string> before,
+                               fold.heap->Read(touched));
+      out.records[touched] = {std::move(before), std::nullopt};
     }
 
     // Reenact only this transaction's records, in log order, CLRs included
@@ -653,7 +644,8 @@ Result<ReplayResult> Reenactor::ReplayTxn(TxnId txn, Lsn cut) {
       out.objects[touched].second = page->Get(SlotOf(touched));
     }
     for (const std::string& touched : touched_keys) {
-      out.records[touched].second = fold.heap->Read(touched);
+      ARIESRH_ASSIGN_OR_RETURN(out.records[touched].second,
+                               fold.heap->Read(touched));
     }
   }
   if (!found) {

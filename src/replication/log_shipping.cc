@@ -105,8 +105,7 @@ Result<reenact::Reenactor> StandbyReplica::Reenact() const {
   }
   coord::Resolution resolution;
   if (db_->coordinator_log() != nullptr) {
-    resolution = coord::Resolution::FromRecords(
-        db_->coordinator_log()->StableRecords());
+    resolution = db_->coordinator_log()->resolution();
   }
   return reenact::Reenactor::OpenQuiescentDisks(db_->options(), disks,
                                                 std::move(resolution));

@@ -146,7 +146,7 @@ Status SimulatedDisk::SaveTo(const std::string& path) const {
   std::string out;
   out.append("ARRH", 4);
   PutVarint64(&out, 1);  // format version
-  PutVarint64(&out, master_record_);
+  PutVarint64(&out, master_record());
   PutVarint64(&out, base_lsn_);
   {
     std::lock_guard lock(pages_mu_);
@@ -199,7 +199,9 @@ Result<SimulatedDisk> SimulatedDisk::LoadFrom(const std::string& path,
   uint64_t version = 0;
   ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&version));
   if (version != 1) return Status::Corruption("unknown disk image version");
-  ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&disk.master_record_));
+  uint64_t master = 0;
+  ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&master));
+  disk.SetMasterRecord(master);
   ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&disk.base_lsn_));
   uint64_t page_count = 0;
   ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&page_count));

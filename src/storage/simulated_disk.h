@@ -45,9 +45,10 @@ class SimulatedDisk {
   explicit SimulatedDisk(Stats* stats) : stats_(stats) {}
 
   // Movable (Database::Open installs a loaded disk by move-assignment); the
-  // atomic read cursor forces the member-wise ops to be spelled out.
+  // atomic master record and read cursor force the member-wise ops to be
+  // spelled out.
   SimulatedDisk(SimulatedDisk&& other) noexcept
-      : master_record_(other.master_record_),
+      : master_record_(other.master_record()),
         base_lsn_(other.base_lsn_),
         stats_(other.stats_),
         pages_(std::move(other.pages_)),
@@ -57,7 +58,7 @@ class SimulatedDisk {
         last_read_lsn_(
             other.last_read_lsn_.load(std::memory_order_relaxed)) {}
   SimulatedDisk& operator=(SimulatedDisk&& other) noexcept {
-    master_record_ = other.master_record_;
+    SetMasterRecord(other.master_record());
     base_lsn_ = other.base_lsn_;
     stats_ = other.stats_;
     pages_ = std::move(other.pages_);
@@ -213,14 +214,15 @@ class SimulatedDisk {
   Status DropLastLogRecord();
 
   /// Master record: durable pointer to the most recent checkpoint's
-  /// CKPT_END record (0 = no checkpoint).
-  void SetMasterRecord(Lsn ckpt_end) { master_record_ = ckpt_end; }
-  Lsn master_record() const { return master_record_; }
+  /// CKPT_END record (0 = no checkpoint). Atomic: the checkpoint daemon
+  /// sets it while other threads (a backup, an observer) read it.
+  void SetMasterRecord(Lsn ckpt_end) { master_record_.store(ckpt_end); }
+  Lsn master_record() const { return master_record_.load(); }
 
   Stats* stats() const { return stats_; }
 
  private:
-  Lsn master_record_ = 0;
+  std::atomic<Lsn> master_record_{0};
   Lsn base_lsn_ = 0;  ///< number of archived records (LSNs <= this are gone)
   Stats* stats_;
   /// Guards pages_. Not moved: a disk is moved only while nothing uses it.

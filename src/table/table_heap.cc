@@ -24,9 +24,11 @@ Result<Lsn> TableHeap::WithRecord(
     const std::function<Result<Lsn>(const std::optional<std::string>&,
                                     RecordMutation*)>& fn) {
   const std::unique_lock<std::mutex> lock = LatchForAccess();
-  ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(BucketOfRid(TableRid(key))));
+  const size_t bucket = BucketOfKey(key);
+  ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(bucket));
   std::optional<std::string> current;
-  if (auto it = index_.find(key); it != index_.end()) {
+  const KeyIndex& index = buckets_[bucket].index;
+  if (auto it = index.find(key); it != index.end()) {
     current.emplace(FrameLocked(it->second.page).ValueAt(it->second.slot));
   }
   RecordMutation mut;
@@ -44,32 +46,46 @@ Result<Lsn> TableHeap::WithRecord(
   return lsn;
 }
 
-std::optional<std::string> TableHeap::Read(const std::string& key) const {
+Result<std::optional<std::string>> TableHeap::Read(const std::string& key) {
   const std::unique_lock<std::mutex> lock = LatchForAccess();
-  // Best-effort drain (a failure here surfaces on the next write path).
-  const_cast<TableHeap*>(this)
-      ->DrainBucketLocked(BucketOfRid(TableRid(key)))
-      .ok();
-  const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  const auto frame = frames_.find(it->second.page);
-  return std::string(frame->second.ValueAt(it->second.slot));
+  const size_t bucket = BucketOfKey(key);
+  ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(bucket));
+  const KeyIndex& index = buckets_[bucket].index;
+  const auto it = index.find(key);
+  if (it == index.end()) return std::optional<std::string>();
+  return std::optional<std::string>(
+      FrameLocked(it->second.page).ValueAt(it->second.slot));
 }
 
-std::vector<std::pair<std::string, std::string>> TableHeap::Scan(
-    const std::string& start_key, size_t limit) const {
+Result<std::vector<std::pair<std::string, std::string>>> TableHeap::Scan(
+    const std::string& start_key, size_t limit) {
   const std::unique_lock<std::mutex> lock = LatchForAccess();
-  if (redo_resolve_) {
-    for (size_t b = 0; b < kTableBuckets; ++b) {
-      const_cast<TableHeap*>(this)->DrainBucketLocked(b).ok();
-    }
+  for (size_t b = 0; b < kTableBuckets; ++b) {
+    ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(b));
   }
+  // Merge the buckets' indexes in key order: a min-heap of one cursor per
+  // bucket that still has keys at or past start_key.
+  using Cursor = std::pair<KeyIndex::const_iterator, KeyIndex::const_iterator>;
+  std::vector<Cursor> cursors;
+  for (const Bucket& bucket : buckets_) {
+    const auto it = bucket.index.lower_bound(start_key);
+    if (it != bucket.index.end()) cursors.emplace_back(it, bucket.index.end());
+  }
+  const auto later = [](const Cursor& a, const Cursor& b) {
+    return a.first->first > b.first->first;
+  };
+  std::make_heap(cursors.begin(), cursors.end(), later);
   std::vector<std::pair<std::string, std::string>> out;
-  for (auto it = index_.lower_bound(start_key); it != index_.end(); ++it) {
-    if (limit != 0 && out.size() >= limit) break;
-    const auto frame = frames_.find(it->second.page);
-    out.emplace_back(it->first,
-                     std::string(frame->second.ValueAt(it->second.slot)));
+  while (!cursors.empty() && (limit == 0 || out.size() < limit)) {
+    std::pop_heap(cursors.begin(), cursors.end(), later);
+    auto& [it, end] = cursors.back();
+    out.emplace_back(it->first, std::string(FrameLocked(it->second.page)
+                                                .ValueAt(it->second.slot)));
+    if (++it == end) {
+      cursors.pop_back();
+    } else {
+      std::push_heap(cursors.begin(), cursors.end(), later);
+    }
   }
   return out;
 }
@@ -109,6 +125,7 @@ Status TableHeap::ApplyLogicalLocked(LogRecordType type, bool remove,
 }
 
 Status TableHeap::DrainBucketLocked(size_t bucket) {
+  ARIESRH_RETURN_IF_ERROR(LoadBucketLocked(bucket));
   if (!redo_resolve_) return Status::OK();
   const std::vector<RedoEntry> entries = redo_resolve_(bucket);
   for (const RedoEntry& entry : entries) {
@@ -124,7 +141,7 @@ void TableHeap::set_redo_resolve(BucketResolveFn resolve) {
   redo_resolve_ = std::move(resolve);
 }
 
-std::unique_lock<std::mutex> TableHeap::LatchForAccess() const {
+std::unique_lock<std::mutex> TableHeap::LatchForAccess() {
   if (walkers_.load(std::memory_order_acquire) == 0) {
     return std::unique_lock<std::mutex>(mu_);
   }
@@ -177,7 +194,7 @@ Status TableHeap::WriteBackChainLocked(size_t bucket, Lsn older_than,
   // stable on exactly one page.
   bool due = false;
   Lsn newest = 0;
-  for (PageId id : buckets_[bucket]) {
+  for (PageId id : buckets_[bucket].chain) {
     const auto it = dirty_.find(id);
     if (it == dirty_.end()) continue;
     due = due || it->second < older_than;
@@ -189,7 +206,7 @@ Status TableHeap::WriteBackChainLocked(size_t bucket, Lsn older_than,
   if (wal_flush_ && newest != 0) {
     ARIESRH_RETURN_IF_ERROR(wal_flush_(newest));
   }
-  for (PageId id : buckets_[bucket]) {
+  for (PageId id : buckets_[bucket].chain) {
     const auto it = dirty_.find(id);
     if (it == dirty_.end()) continue;
     ARIESRH_RETURN_IF_ERROR(disk_->WritePage(id, frames_.at(id).Serialize()));
@@ -204,47 +221,72 @@ std::map<PageId, Lsn> TableHeap::DirtyPageTable() const {
   return dirty_;
 }
 
+size_t TableHeap::record_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t count = 0;
+  for (const Bucket& bucket : buckets_) count += bucket.index.size();
+  return count;
+}
+
 void TableHeap::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   frames_.clear();
   dirty_.clear();
-  index_.clear();
-  for (auto& chain : buckets_) chain.clear();
+  buckets_ = {};
+  chains_listed_ = false;
 }
 
-Status TableHeap::Bootstrap() {
-  std::lock_guard<std::mutex> lock(mu_);
-  frames_.clear();
-  dirty_.clear();
-  index_.clear();
-  for (auto& chain : buckets_) chain.clear();
-  for (PageId id : disk_->StablePageIds()) {
-    if (id < kHeapPageBase) continue;  // a plain fixed-cell page
+Status TableHeap::LoadBucketLocked(size_t bucket) {
+  Bucket& entry = buckets_[bucket];
+  if (entry.loaded) return Status::OK();
+  if (!chains_listed_) {
+    for (PageId id : disk_->StablePageIds()) {
+      if (id < kHeapPageBase) continue;  // a plain fixed-cell page
+      buckets_[(id - kHeapPageBase) % kTableBuckets].chain.push_back(id);
+    }
+    chains_listed_ = true;
+  }
+  // Read and check the whole chain before any of it becomes visible, so a
+  // failed load leaves the bucket as it was.
+  std::vector<HeapPage> pages;
+  pages.reserve(entry.chain.size());
+  KeyIndex index;
+  for (PageId id : entry.chain) {
+    auto corrupt = [id](const std::string& what) {
+      return Status::Corruption("heap page " + std::to_string(id) + " " +
+                                what);
+    };
     ARIESRH_ASSIGN_OR_RETURN(std::string image, disk_->ReadPage(id));
     ARIESRH_ASSIGN_OR_RETURN(HeapPage page, HeapPage::Deserialize(image));
     if (page.id() != id) {
-      return Status::Corruption("heap page id mismatch");
+      return corrupt("holds the image of page " + std::to_string(page.id()));
     }
-    buckets_[(id - kHeapPageBase) % kTableBuckets].push_back(id);
-    frames_.emplace(id, std::move(page));
-  }
-  // Chains in allocation order; rebuild the key index from slot directories.
-  for (auto& chain : buckets_) std::sort(chain.begin(), chain.end());
-  for (auto& [id, page] : frames_) {
     for (uint32_t slot = 0; slot < page.slot_count(); ++slot) {
       if (!page.SlotLive(slot)) continue;
-      const auto [it, fresh] =
-          index_.try_emplace(std::string(page.KeyAt(slot)),
-                             RecordLocation{id, slot});
-      if (!fresh) return Status::Corruption("duplicate key across heap pages");
+      const std::string_view key = page.KeyAt(slot);
+      if (BucketOfKey(key) != bucket) {
+        return corrupt("of bucket " + std::to_string(bucket) +
+                       " holds a key of bucket " +
+                       std::to_string(BucketOfKey(key)));
+      }
+      if (!index.try_emplace(std::string(key), RecordLocation{id, slot})
+               .second) {
+        return corrupt("holds a key already stable in its chain");
+      }
     }
+    pages.push_back(std::move(page));
   }
+  for (HeapPage& page : pages) frames_.emplace(page.id(), std::move(page));
+  entry.index = std::move(index);
+  entry.loaded = true;
+  if (stats_ != nullptr) ++stats_->table_bucket_loads;
   return Status::OK();
 }
 
 Status TableHeap::UpsertLocked(std::string_view key, std::string_view value,
                                Lsn lsn) {
-  if (auto it = index_.find(key); it != index_.end()) {
+  KeyIndex& index = buckets_[BucketOfKey(key)].index;
+  if (auto it = index.find(key); it != index.end()) {
     HeapPage& page = FrameLocked(it->second.page);
     Status updated = page.Update(it->second.slot, value);
     if (updated.ok()) {
@@ -255,26 +297,27 @@ Status TableHeap::UpsertLocked(std::string_view key, std::string_view value,
     // the bucket chain.
     ARIESRH_RETURN_IF_ERROR(page.Remove(it->second.slot));
     StampLocked(it->second.page, lsn);
-    index_.erase(it);
+    index.erase(it);
     if (stats_ != nullptr) ++stats_->table_relocations;
   }
   return PlaceLocked(key, value, lsn);
 }
 
 Status TableHeap::RemoveLocked(std::string_view key, Lsn lsn) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return Status::OK();  // replay is remove-if-present
+  KeyIndex& index = buckets_[BucketOfKey(key)].index;
+  const auto it = index.find(key);
+  if (it == index.end()) return Status::OK();  // replay is remove-if-present
   ARIESRH_RETURN_IF_ERROR(
       FrameLocked(it->second.page).Remove(it->second.slot));
   StampLocked(it->second.page, lsn);
-  index_.erase(it);
+  index.erase(it);
   return Status::OK();
 }
 
 Status TableHeap::PlaceLocked(std::string_view key, std::string_view value,
                               Lsn lsn) {
-  const size_t bucket = BucketOfRid(TableRid(key));
-  std::vector<PageId>& chain = buckets_[bucket];
+  const size_t bucket = BucketOfKey(key);
+  std::vector<PageId>& chain = buckets_[bucket].chain;
   PageId target = kInvalidPage;
   for (PageId id : chain) {
     if (FrameLocked(id).HasSpaceFor(key, value)) {
@@ -283,8 +326,8 @@ Status TableHeap::PlaceLocked(std::string_view key, std::string_view value,
     }
   }
   if (target == kInvalidPage) {
-    // Extend the chain; the page id encodes the bucket so Bootstrap can
-    // rebuild chains from stable ids.
+    // Extend the chain; the page id encodes the bucket so a load can find
+    // the chain from stable ids.
     target = kHeapPageBase + static_cast<PageId>(bucket) +
              static_cast<PageId>(kTableBuckets * chain.size());
     while (frames_.contains(target)) {
@@ -295,7 +338,8 @@ Status TableHeap::PlaceLocked(std::string_view key, std::string_view value,
   }
   HeapPage& page = FrameLocked(target);
   ARIESRH_ASSIGN_OR_RETURN(uint32_t slot, page.Insert(key, value));
-  index_.insert_or_assign(std::string(key), RecordLocation{target, slot});
+  buckets_[bucket].index.insert_or_assign(std::string(key),
+                                          RecordLocation{target, slot});
   StampLocked(target, lsn);
   return Status::OK();
 }

@@ -24,7 +24,14 @@
 // pages into the dirty page table and RedoStart reaches every unflushed
 // table write. Write-back goes one whole bucket chain at a time: a key that
 // relocates between two pages of its chain is never stable on both (nor on
-// neither), so Bootstrap always reads a consistent image.
+// neither), so a bucket load always reads a consistent chain.
+//
+// Open on first touch: after a crash (Reset) no bucket is in memory. A
+// bucket's stable chain is read, checked and indexed the first time a
+// record access, a bucket drain or a scan touches it, and before any
+// pending redo replays over it. An unloaded bucket is clean, so write-back
+// and the dirty page table pass it by. The key index is kept per bucket;
+// Scan merges the buckets in key order.
 
 #ifndef ARIESRH_TABLE_TABLE_HEAP_H_
 #define ARIESRH_TABLE_TABLE_HEAP_H_
@@ -128,13 +135,14 @@ class TableHeap {
       const std::function<Result<Lsn>(const std::optional<std::string>&,
                                       RecordMutation*)>& fn);
 
-  /// Point read of the current (possibly uncommitted) value.
-  std::optional<std::string> Read(const std::string& key) const;
+  /// Point read of the current (possibly uncommitted) value. Fails when
+  /// the key's bucket cannot be loaded or drained.
+  Result<std::optional<std::string>> Read(const std::string& key);
 
   /// Ordered scan: up to `limit` (0 = unbounded) key/value pairs with
-  /// key >= start_key, in key order.
-  std::vector<std::pair<std::string, std::string>> Scan(
-      const std::string& start_key, size_t limit) const;
+  /// key >= start_key, in key order. Touches every bucket.
+  Result<std::vector<std::pair<std::string, std::string>>> Scan(
+      const std::string& start_key, size_t limit);
 
   /// State-based logical replay of a table record (redo pass, and CLR
   /// application during undo): TBL_INSERT/TBL_UPDATE and restoring TBL_CLRs
@@ -167,14 +175,10 @@ class TableHeap {
   /// table so RedoStart covers unflushed table writes.
   std::map<PageId, Lsn> DirtyPageTable() const;
 
-  /// Crash: drops every frame, the key index, and the dirty table. Stable
-  /// page images survive in the disk.
+  /// Crash: drops every frame, the key indexes, and the dirty table; every
+  /// bucket loads again on its next touch. Stable page images survive in
+  /// the disk.
   void Reset();
-
-  /// Restart: loads every stable heap page and rebuilds the key index by
-  /// scanning slot directories. Called before recovery replays the log.
-  /// Fails with Corruption when a key is stable on two pages.
-  Status Bootstrap();
 
   /// Installs (or clears, with an empty function) the instant-restart
   /// resolve hook. Every record access — WithRecord, Read, Scan, and CLR
@@ -182,28 +186,37 @@ class TableHeap {
   /// caller observes a key whose log suffix has not been replayed.
   void set_redo_resolve(BucketResolveFn resolve);
 
-  /// Drains every bucket's pending records (instant restart's final
-  /// background sweep). A no-op without a resolve hook. The heap latch is
-  /// taken one bucket at a time, and record accesses queued on it go first
-  /// between buckets: a foreground caller waits for at most one bucket's
-  /// drain. Each bucket drains atomically, so per-key LSN order holds.
+  /// Loads every bucket and drains its pending records (instant restart's
+  /// final background sweep); without a resolve hook it only loads. The
+  /// heap latch is taken one bucket at a time, and record accesses queued
+  /// on it go first between buckets: a foreground caller waits for at most
+  /// one bucket's load and drain. Each bucket drains atomically, so per-key
+  /// LSN order holds.
   Status DrainPending();
 
-  size_t record_count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return index_.size();
-  }
+  /// Records in the buckets loaded so far.
+  size_t record_count() const;
 
  private:
   struct RecordLocation {
     PageId page = kInvalidPage;
     uint32_t slot = 0;
   };
+  using KeyIndex = std::map<std::string, RecordLocation, std::less<>>;
+  /// One hash bucket: its page chain and the key index over it.
+  struct Bucket {
+    /// Page ids in allocation order. Ids encode their bucket
+    /// (kHeapPageBase + bucket + kTableBuckets * n), so the stable chain is
+    /// known from stable page ids alone before the bucket loads.
+    std::vector<PageId> chain;
+    KeyIndex index;
+    bool loaded = false;
+  };
 
   /// The heap latch for a record access (WithRecord, Read, Scan,
   /// ApplyLogical); while a bucket walk runs the caller queues for its
   /// between-bucket hand-off.
-  std::unique_lock<std::mutex> LatchForAccess() const;
+  std::unique_lock<std::mutex> LatchForAccess();
   /// A bucket walk (DrainPending, write-back): runs `fn(b)` for every
   /// bucket in turn, each under its own hold of the heap latch, and lets the
   /// record accesses that queued meanwhile go before the next bucket.
@@ -215,7 +228,17 @@ class TableHeap {
   Status ApplyLogicalLocked(LogRecordType type, bool remove,
                             std::string_view key, std::string_view after_image,
                             Lsn lsn);
+  /// The touch: loads the bucket if it is not in memory yet, then replays
+  /// its pending redo entries (when a resolve hook is installed).
   Status DrainBucketLocked(size_t bucket);
+  /// First touch: reads the bucket's stable chain, checks that every live
+  /// key belongs to the bucket and is stable once, and indexes it. Fails
+  /// with Corruption naming the page otherwise, leaving the bucket
+  /// unloaded.
+  Status LoadBucketLocked(size_t bucket);
+  static size_t BucketOfKey(std::string_view key) {
+    return BucketOfRid(TableRid(key));
+  }
   Status WriteBackChainLocked(size_t bucket, Lsn older_than,
                               uint64_t* written);
   Status UpsertLocked(std::string_view key, std::string_view value, Lsn lsn);
@@ -236,15 +259,15 @@ class TableHeap {
   /// that queued on mu_ during one, and how many of them have been granted
   /// it.
   std::atomic<int> walkers_{0};
-  mutable std::atomic<uint64_t> latch_queued_{0};
-  mutable std::atomic<uint64_t> latch_granted_{0};
-  std::map<PageId, HeapPage> frames_;
-  std::map<PageId, Lsn> dirty_;  // page -> rec_lsn
-  std::map<std::string, RecordLocation, std::less<>> index_;
-  /// Page chains per bucket. Page ids encode their bucket
-  /// (kHeapPageBase + bucket + kTableBuckets * n), so Bootstrap can rebuild
-  /// the chains from stable page ids alone.
-  std::array<std::vector<PageId>, kTableBuckets> buckets_;
+  std::atomic<uint64_t> latch_queued_{0};
+  std::atomic<uint64_t> latch_granted_{0};
+  std::map<PageId, HeapPage> frames_;  // the loaded buckets' pages
+  std::map<PageId, Lsn> dirty_;        // page -> rec_lsn
+  std::array<Bucket, kTableBuckets> buckets_;
+  /// Whether the stable chains have been listed since the last Reset. One
+  /// listing serves every bucket: an unloaded bucket is never written, so
+  /// its stable chain cannot change before its own load.
+  bool chains_listed_ = false;
 };
 
 }  // namespace ariesrh::table

@@ -358,13 +358,14 @@ Result<std::vector<std::pair<std::string, std::string>>> TxnManager::TableScan(
   // then stabilized under a shared lock and re-read, so the result reflects
   // only lock-protected state. A key deleted between snapshot and lock
   // simply drops out.
+  ARIESRH_ASSIGN_OR_RETURN(auto snapshot, heap_->Scan(start_key, limit));
   std::vector<std::pair<std::string, std::string>> out;
-  for (auto& [key, value] : heap_->Scan(start_key, limit)) {
+  for (auto& [key, value] : snapshot) {
     ARIESRH_RETURN_IF_ERROR(AcquireLock(
         txn, TableLockIdOf(table::TableRid(key)), LockMode::kShared));
-    if (std::optional<std::string> current = heap_->Read(key)) {
-      out.emplace_back(key, std::move(*current));
-    }
+    ARIESRH_ASSIGN_OR_RETURN(std::optional<std::string> current,
+                             heap_->Read(key));
+    if (current.has_value()) out.emplace_back(key, std::move(*current));
   }
   ++stats_->table_ops;
   ++stats_->table_scans;

@@ -87,7 +87,8 @@ struct Observability;
   X(table, table_gets, "gets")                                          \
   X(table, table_deletes, "deletes")                                    \
   X(table, table_scans, "scans")                                        \
-  X(table, table_relocations, "relocations") /* record moved pages */
+  X(table, table_relocations, "relocations") /* record moved pages */ \
+  X(table, table_bucket_loads, "bucket_loads") /* chains loaded on touch */
 
 /// One Stats field: a relaxed-atomic counter cell that behaves like a plain
 /// uint64_t (implicit conversion, ++, +=) so every existing call site

@@ -8,7 +8,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -180,6 +184,139 @@ TEST(CoordinatorLogTest, CorruptShippedImageRejected) {
   std::string image = SampleRecord().Serialize();
   image.back() ^= 0x01;
   EXPECT_FALSE(standby.AppendStableImages({image}).ok());
+}
+
+TEST(CoordRecordTest, VerdictChecksLikeDeserialize) {
+  const std::string image = SampleRecord().Serialize();
+  Result<CoordRecord::Verdict> verdict = CoordRecord::DeserializeVerdict(image);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  EXPECT_EQ(verdict->type, CoordRecordType::kCommit);
+  EXPECT_EQ(verdict->csn, 42u);
+  for (size_t i = 0; i < image.size(); ++i) {
+    std::string bad = image;
+    bad[i] ^= 0x20;
+    EXPECT_FALSE(CoordRecord::DeserializeVerdict(bad).ok())
+        << "flip at byte " << i;
+  }
+  for (size_t keep = 0; keep < image.size(); ++keep) {
+    EXPECT_FALSE(CoordRecord::DeserializeVerdict(image.substr(0, keep)).ok())
+        << "kept " << keep << " bytes";
+  }
+}
+
+CoordRecord Round(uint64_t csn, CoordRecordType type) {
+  CoordRecord rec;
+  rec.csn = csn;
+  rec.type = type;
+  rec.txn = csn;
+  rec.shards = {0, 1};
+  return rec;
+}
+
+/// The log's incremental resolution against a fresh distillation of its
+/// durable records.
+void ExpectCurrent(const CoordinatorLog& log) {
+  EXPECT_EQ(log.resolution(), Resolution::FromRecords(log.StableRecords()));
+}
+
+TEST(CoordinatorLogTest, ResolutionFollowsForcesAndCrashes) {
+  CoordinatorLog log;
+  ExpectCurrent(log);
+  // Commits become durable out of csn order.
+  log.Append(Round(5, CoordRecordType::kPrepare));
+  log.Append(Round(5, CoordRecordType::kCommit));
+  log.Append(Round(3, CoordRecordType::kPrepare));
+  ASSERT_TRUE(log.Force().ok());
+  ExpectCurrent(log);
+  log.Append(Round(3, CoordRecordType::kCommit));
+  log.Append(Round(4, CoordRecordType::kAbort));
+  ASSERT_TRUE(log.Force().ok());
+  ExpectCurrent(log);
+  EXPECT_EQ(log.resolution().committed, (std::vector<uint64_t>{3, 5}));
+  EXPECT_EQ(log.resolution().max_csn, 5u);
+
+  // A crash drops the volatile tail, and its verdicts never counted.
+  log.Append(Round(9, CoordRecordType::kCommit));
+  log.SimulateCrash();
+  ExpectCurrent(log);
+  EXPECT_FALSE(log.resolution().IsCommitted(9));
+  EXPECT_EQ(log.resolution().max_csn, 5u);
+}
+
+TEST(CoordinatorLogTest, ResolutionFollowsConcurrentForces) {
+  CoordinatorLog log(nullptr, /*force_stall_ns=*/20'000);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&log, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        const uint64_t csn = log.NextCsn();
+        log.Append(Round(csn, CoordRecordType::kPrepare));
+        if ((i + t) % 3 != 0) log.Append(Round(csn, CoordRecordType::kCommit));
+        EXPECT_TRUE(log.Force().ok());
+        EXPECT_EQ(log.resolution().IsCommitted(csn), (i + t) % 3 != 0);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ExpectCurrent(log);
+  EXPECT_EQ(log.resolution().max_csn, uint64_t{kThreads * kRounds});
+}
+
+TEST(CoordinatorLogTest, ShippedImagesCarryTheirVerdicts) {
+  CoordinatorLog primary;
+  primary.Append(Round(1, CoordRecordType::kCommit));
+  primary.Append(Round(2, CoordRecordType::kPrepare));
+  ASSERT_TRUE(primary.Force().ok());
+  CoordinatorLog standby;
+  ASSERT_TRUE(standby.AppendStableImages(primary.StableImagesFrom(0)).ok());
+  ExpectCurrent(standby);
+  EXPECT_EQ(standby.resolution(), primary.resolution());
+
+  // A batch with one bad image admits none of its verdicts.
+  std::vector<std::string> batch = {Round(3, CoordRecordType::kCommit).Serialize(),
+                                    Round(4, CoordRecordType::kCommit).Serialize()};
+  batch[1].back() ^= 0x01;
+  EXPECT_TRUE(standby.AppendStableImages(batch).IsCorruption());
+  EXPECT_EQ(standby.stable_size(), 2u);
+  EXPECT_FALSE(standby.resolution().IsCommitted(3));
+  ExpectCurrent(standby);
+}
+
+TEST(CoordinatorLogTest, SidecarRoundTripsImagesAndVerdicts) {
+  const std::string path = ::testing::TempDir() + "/ariesrh_coord_sidecar";
+  CoordinatorLog log;
+  for (uint64_t csn = 1; csn <= 20; ++csn) {
+    log.Append(Round(csn, CoordRecordType::kPrepare));
+    if (csn % 2 == 0) log.Append(Round(csn, CoordRecordType::kCommit));
+  }
+  ASSERT_TRUE(log.Force().ok());
+  ASSERT_TRUE(log.SaveSidecar(path).ok());
+
+  CoordinatorLog reopened;
+  ASSERT_TRUE(reopened.LoadSidecar(path).ok());
+  EXPECT_EQ(reopened.StableImagesFrom(0), log.StableImagesFrom(0));
+  EXPECT_EQ(reopened.resolution(), log.resolution());
+  ExpectCurrent(reopened);
+
+  // A torn sidecar admits nothing; a missing one reads as empty.
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 3));
+  }
+  CoordinatorLog torn;
+  const Status status = torn.LoadSidecar(path);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.ToString().find(path), std::string::npos);
+  EXPECT_EQ(torn.stable_size(), 0u);
+  std::remove(path.c_str());
+  CoordinatorLog missing;
+  EXPECT_TRUE(missing.LoadSidecar(path).ok());
+  EXPECT_EQ(missing.stable_size(), 0u);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -457,6 +459,58 @@ TEST(ShardedDatabaseTest, ShardedSaveOpenRoundTrips) {
   EXPECT_EQ(*db.ReadCommitted(b), 10);
   std::remove(path.c_str());
   std::remove((path + ".shard1").c_str());
+  std::remove((path + ".coord").c_str());
+}
+
+TEST(ShardedDatabaseTest, OpenFailsOnACorruptShardImageAndRetries) {
+  // One bad shard image fails the whole open, with that file's error, and
+  // leaves nothing behind that a retry with the file restored trips on.
+  const std::string path =
+      ::testing::TempDir() + "/ariesrh_sharded_corrupt.ariesrh";
+  const std::string shard1 = Database::ShardImagePath(path, 1);
+  Options two = ShardedOptions(2);
+  ObjectId a = 0;
+  ObjectId b = 0;
+  {
+    Database db(two);
+    a = ObOnShard(db, 0);
+    b = ObOnShard(db, 1);
+    TxnId t = *db.Begin();
+    ASSERT_TRUE(db.Set(t, a, 3).ok());
+    ASSERT_TRUE(db.Set(t, b, 4).ok());
+    ASSERT_TRUE(db.Commit(t).ok());
+    ASSERT_TRUE(db.Sync().ok());
+    ASSERT_TRUE(db.SaveTo(path).ok());
+  }
+  std::string image;
+  {
+    std::ifstream in(shard1, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(image.size(), 16u);
+  auto write_shard1 = [&](const std::string& bytes) {
+    std::ofstream out(shard1, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  std::string flipped = image;
+  flipped[flipped.size() / 2] ^= 0x40;
+  write_shard1(flipped);
+
+  Result<Database::OpenResult> bad = Database::Open(two, path);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsCorruption()) << bad.status().ToString();
+  EXPECT_NE(bad.status().ToString().find(shard1), std::string::npos)
+      << bad.status().ToString();
+
+  write_shard1(image);
+  Result<Database::OpenResult> good = Database::Open(two, path);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_TRUE(good->recovery->Await().ok());
+  EXPECT_EQ(*good->db->ReadCommitted(a), 3);
+  EXPECT_EQ(*good->db->ReadCommitted(b), 4);
+  std::remove(path.c_str());
+  std::remove(shard1.c_str());
   std::remove((path + ".coord").c_str());
 }
 

@@ -113,7 +113,7 @@ TEST_F(TableDrainTest, ForegroundWriteWaitsForAtMostAFewBuckets) {
                           waited).count()
       << " ms";
   EXPECT_LT(buckets_started, kTableBuckets);
-  EXPECT_EQ(heap_.Read(KeyInBucket(0)), "foreground");
+  EXPECT_EQ(*heap_.Read(KeyInBucket(0)), "foreground");
 }
 
 TEST_F(TableDrainTest, ForegroundWriteToAPendingBucketLandsAfterItsRedo) {
@@ -127,9 +127,9 @@ TEST_F(TableDrainTest, ForegroundWriteToAPendingBucketLandsAfterItsRedo) {
   drainer.join();
 
   EXPECT_EQ(seen, "redo");
-  EXPECT_EQ(heap_.Read(last), "foreground");
+  EXPECT_EQ(*heap_.Read(last), "foreground");
   for (size_t b = 0; b + 1 < kTableBuckets; ++b) {
-    EXPECT_EQ(heap_.Read(KeyInBucket(b)), "redo") << "bucket " << b;
+    EXPECT_EQ(*heap_.Read(KeyInBucket(b)), "redo") << "bucket " << b;
   }
   EXPECT_EQ(heap_.record_count(), kTableBuckets);
 }

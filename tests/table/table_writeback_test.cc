@@ -1,7 +1,7 @@
 // Checkpoint write-back of the table heap: a checkpoint writes a bucket
 // chain whole, so a record that relocated between two pages of its chain
-// between two checkpoints is stable on exactly one of them, and Bootstrap
-// reads a consistent image after the crash.
+// between two checkpoints is stable on exactly one of them, and the
+// bucket's first touch after the crash reads a consistent chain.
 
 #include <gtest/gtest.h>
 
@@ -47,8 +47,8 @@ INSTANTIATE_TEST_SUITE_P(Modes, TableWriteBackTest,
 // holds `e`. P2 is dirtied after checkpoint B and stays dirty through C;
 // then `a` grows past what P1 can hold and relocates to P2, dirtying P1.
 // Checkpoint D writes P2 back (dirty since before C's CKPT_BEGIN). Were P1
-// left out, `a` would be stable on both pages and Bootstrap would refuse
-// the image ("duplicate key across heap pages").
+// left out, `a` would be stable on both pages and the bucket's load would
+// refuse the chain (Corruption: a key already stable in its chain).
 TEST_P(TableWriteBackTest, RelocationBetweenCheckpointsIsWrittenWithItsChain) {
   Options options;
   options.recovery_mode = GetParam();
