@@ -26,11 +26,17 @@
 //   * BM_CheckpointWriteBack/<dirty heap pages>: one Checkpoint() whose
 //     penultimate-checkpoint write-back finds that many heap pages dirty
 //     since before the previous checkpoint, in ns per page written.
+//   * BM_TableHeapPut/threads:<n>: one TableHeap::WithRecord overwrite of
+//     a 100-byte value (no log), from n threads at once, each over its own
+//     heap buckets: what the write path pays under its bucket latch, and
+//     whether writers to distinct buckets scale.
 //   * BM_TableHeapBootstrap/<keys>: a restart's heap load with every bucket
 //     touched — every stable heap page read, checked and indexed — for a
-//     table of that many keys with kv_durable's 100-byte values.
+//     table of that many keys with kv_durable's 100-byte values. Each
+//     iteration builds a fresh heap, as a restart does, and tears it down.
 //   * BM_TableHeapFirstTouch/<keys>: the same table after a restart, one
-//     bucket touched: what the first access to a bucket pays.
+//     bucket touched: what the first access to a bucket pays (with the
+//     same fresh heap per iteration).
 //   * BM_CoordResolution/<records>: the coordinator's share of an open —
 //     a sidecar of that many records (PREPARE/COMMIT pairs of 2-shard
 //     rounds) read into a fresh coordinator log, and its in-doubt verdicts
@@ -49,6 +55,7 @@
 #include <array>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -414,17 +421,64 @@ std::unique_ptr<Database> StableTable(int keys) {
   return db;
 }
 
+/// An empty heap over its own disk, shared by one run's threads.
+struct HeapFixture {
+  Stats stats;
+  SimulatedDisk disk{&stats};
+  table::TableHeap heap{&disk, &stats, /*wal_flush=*/nullptr};
+};
+
+void BM_TableHeapPut(benchmark::State& state) {
+  constexpr size_t kKeysPerThread = 64;
+  static std::unique_ptr<HeapFixture> fixture;
+  // Thread 0 sets up before, and tears down after, the loop's start and
+  // stop barriers.
+  if (state.thread_index() == 0) fixture = std::make_unique<HeapFixture>();
+  // Thread t writes only keys of the buckets b with b % threads == t.
+  const auto threads = static_cast<size_t>(state.threads());
+  const auto mine = static_cast<size_t>(state.thread_index());
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < kKeysPerThread; ++i) {
+    std::string key = HeapKey(i);
+    if (table::BucketOfRid(table::TableRid(key)) % threads == mine) {
+      keys.push_back(std::move(key));
+    }
+  }
+  const std::string value(100, 'v');
+  Lsn lsn = kFirstLsn;
+  // The overwrite, with no log behind it.
+  const auto overwrite = [&](const std::optional<std::string>&,
+                             table::RecordMutation* mut) -> Result<Lsn> {
+    mut->op = table::RecordOp::kUpsert;
+    mut->value = value;
+    return lsn++;
+  };
+  size_t next = 0;
+  for (auto _ : state) {
+    Check(fixture->heap.WithRecord(keys[next], overwrite).status(),
+          "WithRecord");
+    if (++next == keys.size()) next = 0;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  if (state.thread_index() == 0) {
+    AddCpuCounter(state);
+    fixture.reset();
+  }
+}
+BENCHMARK(BM_TableHeapPut)->Threads(1)->Threads(4)->UseRealTime();
+
 void BM_TableHeapBootstrap(benchmark::State& state) {
   const int keys = static_cast<int>(state.range(0));
   const std::unique_ptr<Database> db = StableTable(keys);
   Stats stats;
-  table::TableHeap heap(db->shard(0)->disk(), &stats, /*wal_flush=*/nullptr);
+  size_t loaded = 0;
   for (auto _ : state) {
-    heap.Reset();
+    table::TableHeap heap(db->shard(0)->disk(), &stats, /*wal_flush=*/nullptr);
     // A scan touches every bucket.
     benchmark::DoNotOptimize(CheckResult(heap.Scan("", 1), "Scan"));
+    loaded = heap.record_count();
   }
-  if (heap.record_count() != static_cast<size_t>(keys)) {
+  if (loaded != static_cast<size_t>(keys)) {
     state.SkipWithError("the load lost records");
     return;
   }
@@ -440,19 +494,20 @@ void BM_TableHeapFirstTouch(benchmark::State& state) {
   const int keys = static_cast<int>(state.range(0));
   const std::unique_ptr<Database> db = StableTable(keys);
   Stats stats;
-  table::TableHeap heap(db->shard(0)->disk(), &stats, /*wal_flush=*/nullptr);
   const std::string key = HeapKey(0);
+  size_t bucket_keys = 0;
   for (auto _ : state) {
-    heap.Reset();
+    table::TableHeap heap(db->shard(0)->disk(), &stats, /*wal_flush=*/nullptr);
     const std::optional<std::string> value = CheckResult(heap.Read(key), "Read");
     benchmark::DoNotOptimize(value);
     if (!value.has_value()) {
       state.SkipWithError("the first touch lost a record");
       return;
     }
+    bucket_keys = heap.record_count();
   }
   state.counters["bucket_keys"] =
-      benchmark::Counter(static_cast<double>(heap.record_count()));
+      benchmark::Counter(static_cast<double>(bucket_keys));
   AddCpuCounter(state);
 }
 BENCHMARK(BM_TableHeapFirstTouch)

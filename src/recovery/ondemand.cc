@@ -74,13 +74,11 @@ std::vector<RedoEntry> OnDemandRedo::TakeBucket(PageId bucket_id) {
   return recs;
 }
 
-std::vector<PageId> OnDemandRedo::PendingPlainPages() const {
+std::vector<PageId> OnDemandRedo::PendingPages() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<PageId> ids;
   ids.reserve(pending_.size());
-  for (const auto& [id, recs] : pending_) {
-    if (id < table::kHeapPageBase) ids.push_back(id);
-  }
+  for (const auto& [id, recs] : pending_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   return ids;
 }
@@ -324,17 +322,20 @@ void InstantRestart::BackgroundPass() {
 
 Status InstantRestart::DrainRemainingRedo() {
   const uint64_t drain_start = obs::MonotonicNanos();
-  for (PageId id : ondemand_->PendingPlainPages()) {
+  // Only what still has pending redo is touched: a heap bucket that none
+  // has stays unloaded, as under kFull.
+  for (PageId id : ondemand_->PendingPages()) {
     if (cancel_.load(std::memory_order_acquire)) {
       return Status::Aborted("instant restart cancelled");
     }
-    // Fetching is enough: the pool's resolve hook drains the page and marks
-    // it dirty with the drained suffix's first LSN.
-    ARIESRH_RETURN_IF_ERROR(
-        pool_->WithPage(id, [](Page*) { return kInvalidLsn; }));
-  }
-  if (heap_ != nullptr) {
-    ARIESRH_RETURN_IF_ERROR(heap_->DrainPending());
+    if (id < table::kHeapPageBase) {
+      // Fetching is enough: the pool's resolve hook drains the page and
+      // marks it dirty with the drained suffix's first LSN.
+      ARIESRH_RETURN_IF_ERROR(
+          pool_->WithPage(id, [](Page*) { return kInvalidLsn; }));
+    } else if (heap_ != nullptr) {
+      ARIESRH_RETURN_IF_ERROR(heap_->Drain(id - table::kHeapPageBase));
+    }
   }
   plan_.outcome.redo_ns = obs::MonotonicNanos() - drain_start;
   plan_.outcome.records_redone = ondemand_->records_applied();

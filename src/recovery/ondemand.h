@@ -78,9 +78,11 @@ class OnDemandRedo {
   /// is RedoBucketOf's partition key (kHeapPageBase + bucket).
   std::vector<RedoEntry> TakeBucket(PageId bucket_id);
 
-  /// Plain (non-bucket) page ids still pending — the background drain
-  /// fetches each to trigger DrainPage.
-  std::vector<PageId> PendingPlainPages() const;
+  /// Page and bucket ids still pending, in id order: plain pages first,
+  /// then the heap buckets (RedoBucketOf's partition keys). The background
+  /// drain fetches each plain page to trigger DrainPage and drains each
+  /// bucket through the heap.
+  std::vector<PageId> PendingPages() const;
 
   uint64_t records_applied() const {
     return records_applied_.load(std::memory_order_relaxed);

@@ -1,7 +1,6 @@
 #include "table/table_heap.h"
 
 #include <algorithm>
-#include <thread>
 
 namespace ariesrh::table {
 
@@ -23,13 +22,13 @@ Result<Lsn> TableHeap::WithRecord(
     const std::string& key,
     const std::function<Result<Lsn>(const std::optional<std::string>&,
                                     RecordMutation*)>& fn) {
-  const std::unique_lock<std::mutex> lock = LatchForAccess();
-  const size_t bucket = BucketOfKey(key);
-  ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(bucket));
+  const size_t b = BucketOfKey(key);
+  Bucket& bucket = buckets_[b];
+  const std::lock_guard<std::mutex> lock(bucket.mu);
+  ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(b));
   std::optional<std::string> current;
-  const KeyIndex& index = buckets_[bucket].index;
-  if (auto it = index.find(key); it != index.end()) {
-    current.emplace(FrameLocked(it->second.page).ValueAt(it->second.slot));
+  if (auto it = bucket.index.find(key); it != bucket.index.end()) {
+    current.emplace(ValueAt(bucket, it->second));
   }
   RecordMutation mut;
   ARIESRH_ASSIGN_OR_RETURN(Lsn lsn, fn(current, &mut));
@@ -37,51 +36,60 @@ Result<Lsn> TableHeap::WithRecord(
     case RecordOp::kNone:
       break;
     case RecordOp::kUpsert:
-      ARIESRH_RETURN_IF_ERROR(UpsertLocked(key, mut.value, lsn));
+      ARIESRH_RETURN_IF_ERROR(UpsertLocked(bucket, key, mut.value, lsn));
       break;
     case RecordOp::kRemove:
-      ARIESRH_RETURN_IF_ERROR(RemoveLocked(key, lsn));
+      ARIESRH_RETURN_IF_ERROR(RemoveLocked(bucket, key, lsn));
       break;
   }
   return lsn;
 }
 
 Result<std::optional<std::string>> TableHeap::Read(const std::string& key) {
-  const std::unique_lock<std::mutex> lock = LatchForAccess();
-  const size_t bucket = BucketOfKey(key);
-  ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(bucket));
-  const KeyIndex& index = buckets_[bucket].index;
-  const auto it = index.find(key);
-  if (it == index.end()) return std::optional<std::string>();
-  return std::optional<std::string>(
-      FrameLocked(it->second.page).ValueAt(it->second.slot));
+  const size_t b = BucketOfKey(key);
+  const Bucket& bucket = buckets_[b];
+  const std::lock_guard<std::mutex> lock(bucket.mu);
+  ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(b));
+  const auto it = bucket.index.find(key);
+  if (it == bucket.index.end()) return std::optional<std::string>();
+  return std::optional<std::string>(ValueAt(bucket, it->second));
+}
+
+std::vector<std::unique_lock<std::mutex>> TableHeap::LatchAll() {
+  std::vector<std::unique_lock<std::mutex>> latches;
+  latches.reserve(kTableBuckets);
+  for (Bucket& bucket : buckets_) latches.emplace_back(bucket.mu);
+  return latches;
 }
 
 Result<std::vector<std::pair<std::string, std::string>>> TableHeap::Scan(
     const std::string& start_key, size_t limit) {
-  const std::unique_lock<std::mutex> lock = LatchForAccess();
+  const std::vector<std::unique_lock<std::mutex>> latches = LatchAll();
   for (size_t b = 0; b < kTableBuckets; ++b) {
     ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(b));
   }
   // Merge the buckets' indexes in key order: a min-heap of one cursor per
   // bucket that still has keys at or past start_key.
-  using Cursor = std::pair<KeyIndex::const_iterator, KeyIndex::const_iterator>;
+  struct Cursor {
+    const Bucket* bucket;
+    KeyIndex::const_iterator it;
+  };
   std::vector<Cursor> cursors;
   for (const Bucket& bucket : buckets_) {
     const auto it = bucket.index.lower_bound(start_key);
-    if (it != bucket.index.end()) cursors.emplace_back(it, bucket.index.end());
+    if (it != bucket.index.end()) cursors.push_back({&bucket, it});
   }
   const auto later = [](const Cursor& a, const Cursor& b) {
-    return a.first->first > b.first->first;
+    return a.it->first > b.it->first;
   };
   std::make_heap(cursors.begin(), cursors.end(), later);
   std::vector<std::pair<std::string, std::string>> out;
   while (!cursors.empty() && (limit == 0 || out.size() < limit)) {
     std::pop_heap(cursors.begin(), cursors.end(), later);
-    auto& [it, end] = cursors.back();
-    out.emplace_back(it->first, std::string(FrameLocked(it->second.page)
-                                                .ValueAt(it->second.slot)));
-    if (++it == end) {
+    Cursor& cursor = cursors.back();
+    out.emplace_back(cursor.it->first,
+                     std::string(ValueAt(*cursor.bucket, cursor.it->second)));
+    if (++cursor.it == cursor.bucket->index.end()) {
       cursors.pop_back();
     } else {
       std::push_heap(cursors.begin(), cursors.end(), later);
@@ -91,34 +99,36 @@ Result<std::vector<std::pair<std::string, std::string>>> TableHeap::Scan(
 }
 
 Status TableHeap::ApplyLogical(const LogRecord& rec) {
-  const std::unique_lock<std::mutex> lock = LatchForAccess();
+  const size_t b = BucketOfRid(rec.object);
+  const std::lock_guard<std::mutex> lock(buckets_[b].mu);
   // Instant restart: a CLR (or any out-of-band replay) must land after the
   // key's pending forward records — state-based idempotence is per-key LSN
   // order, so the bucket drains first.
-  ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(BucketOfRid(rec.object)));
-  return ApplyLogicalLocked(rec.type, rec.table_remove, rec.key,
+  ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(b));
+  return ApplyLogicalLocked(buckets_[b], rec.type, rec.table_remove, rec.key,
                             rec.after_image, rec.lsn);
 }
 
 Status TableHeap::ApplyLogical(const RedoEntry& entry) {
-  const std::unique_lock<std::mutex> lock = LatchForAccess();
-  ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(BucketOfRid(entry.object)));
-  return ApplyLogicalLocked(entry.type, entry.table_remove, entry.key(),
-                            entry.after_image(), entry.lsn);
+  const size_t b = BucketOfRid(entry.object);
+  const std::lock_guard<std::mutex> lock(buckets_[b].mu);
+  ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(b));
+  return ApplyLogicalLocked(buckets_[b], entry.type, entry.table_remove,
+                            entry.key(), entry.after_image(), entry.lsn);
 }
 
-Status TableHeap::ApplyLogicalLocked(LogRecordType type, bool remove,
-                                     std::string_view key,
+Status TableHeap::ApplyLogicalLocked(Bucket& bucket, LogRecordType type,
+                                     bool remove, std::string_view key,
                                      std::string_view after_image, Lsn lsn) {
   switch (type) {
     case LogRecordType::kTableInsert:
     case LogRecordType::kTableUpdate:
-      return UpsertLocked(key, after_image, lsn);
+      return UpsertLocked(bucket, key, after_image, lsn);
     case LogRecordType::kTableDelete:
-      return RemoveLocked(key, lsn);
+      return RemoveLocked(bucket, key, lsn);
     case LogRecordType::kTableClr:
-      if (remove) return RemoveLocked(key, lsn);
-      return UpsertLocked(key, after_image, lsn);
+      if (remove) return RemoveLocked(bucket, key, lsn);
+      return UpsertLocked(bucket, key, after_image, lsn);
     default:
       return Status::IllegalState("not a table log record");
   }
@@ -129,76 +139,48 @@ Status TableHeap::DrainBucketLocked(size_t bucket) {
   if (!redo_resolve_) return Status::OK();
   const std::vector<RedoEntry> entries = redo_resolve_(bucket);
   for (const RedoEntry& entry : entries) {
-    ARIESRH_RETURN_IF_ERROR(
-        ApplyLogicalLocked(entry.type, entry.table_remove, entry.key(),
-                           entry.after_image(), entry.lsn));
+    ARIESRH_RETURN_IF_ERROR(ApplyLogicalLocked(
+        buckets_[bucket], entry.type, entry.table_remove, entry.key(),
+        entry.after_image(), entry.lsn));
   }
   return Status::OK();
 }
 
 void TableHeap::set_redo_resolve(BucketResolveFn resolve) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::vector<std::unique_lock<std::mutex>> latches = LatchAll();
   redo_resolve_ = std::move(resolve);
 }
 
-std::unique_lock<std::mutex> TableHeap::LatchForAccess() {
-  if (walkers_.load(std::memory_order_acquire) == 0) {
-    return std::unique_lock<std::mutex>(mu_);
-  }
-  // A bucket walk is running: queue for the hand-off it makes between
-  // buckets.
-  latch_queued_.fetch_add(1, std::memory_order_acq_rel);
-  std::unique_lock<std::mutex> lock(mu_);
-  latch_granted_.fetch_add(1, std::memory_order_acq_rel);
-  return lock;
-}
-
-Status TableHeap::ForEachBucket(const std::function<Status(size_t)>& fn,
-                                const std::function<Status(size_t)>& after) {
-  walkers_.fetch_add(1, std::memory_order_acq_rel);
-  Status status = Status::OK();
-  for (size_t b = 0; b < kTableBuckets && status.ok(); ++b) {
-    // Accesses already queued on the latch go before the next bucket, so a
-    // foreground caller waits for at most the bucket in progress; later
-    // arrivals do not extend the wait.
-    const uint64_t queued = latch_queued_.load(std::memory_order_acquire);
-    while (latch_granted_.load(std::memory_order_acquire) < queued) {
-      std::this_thread::yield();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      status = fn(b);
-    }
-    if (status.ok() && after) status = after(b);
-  }
-  walkers_.fetch_sub(1, std::memory_order_acq_rel);
-  return status;
-}
-
-Status TableHeap::DrainPending() {
-  return ForEachBucket([this](size_t b) { return DrainBucketLocked(b); });
+Status TableHeap::Drain(size_t bucket) {
+  const std::lock_guard<std::mutex> lock(buckets_[bucket].mu);
+  return DrainBucketLocked(bucket);
 }
 
 Status TableHeap::WriteBackOlderThan(
     Lsn older_than, const std::function<Status(size_t bucket)>& after_bucket,
     uint64_t* written) {
-  return ForEachBucket(
-      [&](size_t b) { return WriteBackChainLocked(b, older_than, written); },
-      after_bucket);
+  for (size_t b = 0; b < kTableBuckets; ++b) {
+    {
+      const std::lock_guard<std::mutex> lock(buckets_[b].mu);
+      ARIESRH_RETURN_IF_ERROR(
+          WriteBackChainLocked(buckets_[b], older_than, written));
+    }
+    if (after_bucket) ARIESRH_RETURN_IF_ERROR(after_bucket(b));
+  }
+  return Status::OK();
 }
 
-Status TableHeap::WriteBackChainLocked(size_t bucket, Lsn older_than,
+Status TableHeap::WriteBackChainLocked(Bucket& bucket, Lsn older_than,
                                        uint64_t* written) {
   // The chain goes out whole or not at all: a record relocated within it
   // left one page and joined another, and only writing both keeps the key
   // stable on exactly one page.
   bool due = false;
   Lsn newest = 0;
-  for (PageId id : buckets_[bucket].chain) {
-    const auto it = dirty_.find(id);
-    if (it == dirty_.end()) continue;
-    due = due || it->second < older_than;
-    newest = std::max(newest, frames_.at(id).page_lsn());
+  for (const Frame& frame : bucket.frames) {
+    if (frame.rec_lsn == kInvalidLsn) continue;
+    due = due || frame.rec_lsn < older_than;
+    newest = std::max(newest, frame.page.page_lsn());
   }
   if (!due) return Status::OK();
   // WAL rule: the log must cover the chain's newest applied record before
@@ -206,52 +188,54 @@ Status TableHeap::WriteBackChainLocked(size_t bucket, Lsn older_than,
   if (wal_flush_ && newest != 0) {
     ARIESRH_RETURN_IF_ERROR(wal_flush_(newest));
   }
-  for (PageId id : buckets_[bucket].chain) {
-    const auto it = dirty_.find(id);
-    if (it == dirty_.end()) continue;
-    ARIESRH_RETURN_IF_ERROR(disk_->WritePage(id, frames_.at(id).Serialize()));
-    dirty_.erase(it);
+  for (Frame& frame : bucket.frames) {
+    if (frame.rec_lsn == kInvalidLsn) continue;
+    ARIESRH_RETURN_IF_ERROR(
+        disk_->WritePage(frame.page.id(), frame.page.Serialize()));
+    frame.rec_lsn = kInvalidLsn;
     if (written != nullptr) ++*written;
   }
   return Status::OK();
 }
 
 std::map<PageId, Lsn> TableHeap::DirtyPageTable() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dirty_;
+  std::map<PageId, Lsn> dirty;
+  for (const Bucket& bucket : buckets_) {
+    const std::lock_guard<std::mutex> lock(bucket.mu);
+    for (const Frame& frame : bucket.frames) {
+      if (frame.rec_lsn != kInvalidLsn) {
+        dirty.emplace(frame.page.id(), frame.rec_lsn);
+      }
+    }
+  }
+  return dirty;
 }
 
 size_t TableHeap::record_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
   size_t count = 0;
-  for (const Bucket& bucket : buckets_) count += bucket.index.size();
+  for (const Bucket& bucket : buckets_) {
+    const std::lock_guard<std::mutex> lock(bucket.mu);
+    count += bucket.index.size();
+  }
   return count;
-}
-
-void TableHeap::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  frames_.clear();
-  dirty_.clear();
-  buckets_ = {};
-  chains_listed_ = false;
 }
 
 Status TableHeap::LoadBucketLocked(size_t bucket) {
   Bucket& entry = buckets_[bucket];
   if (entry.loaded) return Status::OK();
-  if (!chains_listed_) {
+  std::call_once(chains_listed_, [this] {
     for (PageId id : disk_->StablePageIds()) {
       if (id < kHeapPageBase) continue;  // a plain fixed-cell page
-      buckets_[(id - kHeapPageBase) % kTableBuckets].chain.push_back(id);
+      stable_chains_[(id - kHeapPageBase) % kTableBuckets].push_back(id);
     }
-    chains_listed_ = true;
-  }
+  });
   // Read and check the whole chain before any of it becomes visible, so a
   // failed load leaves the bucket as it was.
-  std::vector<HeapPage> pages;
-  pages.reserve(entry.chain.size());
+  const std::vector<PageId>& chain = stable_chains_[bucket];
+  std::vector<Frame> frames;
+  frames.reserve(chain.size());
   KeyIndex index;
-  for (PageId id : entry.chain) {
+  for (PageId id : chain) {
     auto corrupt = [id](const std::string& what) {
       return Status::Corruption("heap page " + std::to_string(id) + " " +
                                 what);
@@ -261,6 +245,7 @@ Status TableHeap::LoadBucketLocked(size_t bucket) {
     if (page.id() != id) {
       return corrupt("holds the image of page " + std::to_string(page.id()));
     }
+    const auto frame = static_cast<uint32_t>(frames.size());
     for (uint32_t slot = 0; slot < page.slot_count(); ++slot) {
       if (!page.SlotLive(slot)) continue;
       const std::string_view key = page.KeyAt(slot);
@@ -269,91 +254,80 @@ Status TableHeap::LoadBucketLocked(size_t bucket) {
                        " holds a key of bucket " +
                        std::to_string(BucketOfKey(key)));
       }
-      if (!index.try_emplace(std::string(key), RecordLocation{id, slot})
+      if (!index.try_emplace(std::string(key), RecordLocation{frame, slot})
                .second) {
         return corrupt("holds a key already stable in its chain");
       }
     }
-    pages.push_back(std::move(page));
+    frames.push_back({std::move(page)});
   }
-  for (HeapPage& page : pages) frames_.emplace(page.id(), std::move(page));
+  entry.frames = std::move(frames);
   entry.index = std::move(index);
   entry.loaded = true;
   if (stats_ != nullptr) ++stats_->table_bucket_loads;
   return Status::OK();
 }
 
-Status TableHeap::UpsertLocked(std::string_view key, std::string_view value,
-                               Lsn lsn) {
-  KeyIndex& index = buckets_[BucketOfKey(key)].index;
-  if (auto it = index.find(key); it != index.end()) {
-    HeapPage& page = FrameLocked(it->second.page);
-    Status updated = page.Update(it->second.slot, value);
+Status TableHeap::UpsertLocked(Bucket& bucket, std::string_view key,
+                               std::string_view value, Lsn lsn) {
+  if (auto it = bucket.index.find(key); it != bucket.index.end()) {
+    Frame& frame = bucket.frames[it->second.frame];
+    Status updated = frame.page.Update(it->second.slot, value);
     if (updated.ok()) {
-      StampLocked(it->second.page, lsn);
+      Stamp(frame, lsn);
       return Status::OK();
     }
     // No room on the record's page even after compaction: relocate within
     // the bucket chain.
-    ARIESRH_RETURN_IF_ERROR(page.Remove(it->second.slot));
-    StampLocked(it->second.page, lsn);
-    index.erase(it);
+    ARIESRH_RETURN_IF_ERROR(frame.page.Remove(it->second.slot));
+    Stamp(frame, lsn);
+    bucket.index.erase(it);
     if (stats_ != nullptr) ++stats_->table_relocations;
   }
-  return PlaceLocked(key, value, lsn);
+  return PlaceLocked(bucket, key, value, lsn);
 }
 
-Status TableHeap::RemoveLocked(std::string_view key, Lsn lsn) {
-  KeyIndex& index = buckets_[BucketOfKey(key)].index;
-  const auto it = index.find(key);
-  if (it == index.end()) return Status::OK();  // replay is remove-if-present
-  ARIESRH_RETURN_IF_ERROR(
-      FrameLocked(it->second.page).Remove(it->second.slot));
-  StampLocked(it->second.page, lsn);
-  index.erase(it);
+Status TableHeap::RemoveLocked(Bucket& bucket, std::string_view key, Lsn lsn) {
+  const auto it = bucket.index.find(key);
+  if (it == bucket.index.end()) return Status::OK();  // remove-if-present
+  Frame& frame = bucket.frames[it->second.frame];
+  ARIESRH_RETURN_IF_ERROR(frame.page.Remove(it->second.slot));
+  Stamp(frame, lsn);
+  bucket.index.erase(it);
   return Status::OK();
 }
 
-Status TableHeap::PlaceLocked(std::string_view key, std::string_view value,
-                              Lsn lsn) {
-  const size_t bucket = BucketOfKey(key);
-  std::vector<PageId>& chain = buckets_[bucket].chain;
-  PageId target = kInvalidPage;
-  for (PageId id : chain) {
-    if (FrameLocked(id).HasSpaceFor(key, value)) {
-      target = id;
-      break;
-    }
+Status TableHeap::PlaceLocked(Bucket& bucket, std::string_view key,
+                              std::string_view value, Lsn lsn) {
+  std::vector<Frame>& frames = bucket.frames;
+  size_t target = 0;
+  while (target < frames.size() &&
+         !frames[target].page.HasSpaceFor(key, value)) {
+    ++target;
   }
-  if (target == kInvalidPage) {
+  if (target == frames.size()) {
     // Extend the chain; the page id encodes the bucket so a load can find
     // the chain from stable ids.
-    target = kHeapPageBase + static_cast<PageId>(bucket) +
-             static_cast<PageId>(kTableBuckets * chain.size());
-    while (frames_.contains(target)) {
-      target += static_cast<PageId>(kTableBuckets);
-    }
-    chain.push_back(target);
-    frames_.emplace(target, HeapPage(target));
+    frames.push_back({HeapPage(
+        frames.empty()
+            ? kHeapPageBase + static_cast<PageId>(BucketOfKey(key))
+            : frames.back().page.id() + static_cast<PageId>(kTableBuckets))});
   }
-  HeapPage& page = FrameLocked(target);
-  ARIESRH_ASSIGN_OR_RETURN(uint32_t slot, page.Insert(key, value));
-  buckets_[bucket].index.insert_or_assign(std::string(key),
-                                          RecordLocation{target, slot});
-  StampLocked(target, lsn);
+  Frame& frame = frames[target];
+  ARIESRH_ASSIGN_OR_RETURN(uint32_t slot, frame.page.Insert(key, value));
+  bucket.index.insert_or_assign(
+      std::string(key), RecordLocation{static_cast<uint32_t>(target), slot});
+  Stamp(frame, lsn);
   return Status::OK();
 }
 
-HeapPage& TableHeap::FrameLocked(PageId id) { return frames_.at(id); }
-
-void TableHeap::StampLocked(PageId id, Lsn lsn) {
-  HeapPage& page = FrameLocked(id);
-  page.set_page_lsn(std::max(page.page_lsn(), lsn));
-  // rec_lsn: the oldest LSN that dirtied the page since it was last clean.
-  // Replay can reach a page out of global LSN order (buckets replay
-  // concurrently), so keep the minimum.
-  const auto [it, fresh] = dirty_.try_emplace(id, lsn);
-  if (!fresh && lsn < it->second) it->second = lsn;
+void TableHeap::Stamp(Frame& frame, Lsn lsn) {
+  frame.page.set_page_lsn(std::max(frame.page.page_lsn(), lsn));
+  // rec_lsn: the oldest LSN that dirtied the page since it was last clean
+  // (kInvalidLsn, the largest LSN, while clean). Replay can reach a page
+  // out of global LSN order (buckets replay concurrently), so keep the
+  // minimum.
+  frame.rec_lsn = std::min(frame.rec_lsn, lsn);
 }
 
 }  // namespace ariesrh::table

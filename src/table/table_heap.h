@@ -26,18 +26,25 @@
 // relocates between two pages of its chain is never stable on both (nor on
 // neither), so a bucket load always reads a consistent chain.
 //
-// Open on first touch: after a crash (Reset) no bucket is in memory. A
+// Open on first touch: a heap built at restart has no bucket in memory. A
 // bucket's stable chain is read, checked and indexed the first time a
 // record access, a bucket drain or a scan touches it, and before any
 // pending redo replays over it. An unloaded bucket is clean, so write-back
 // and the dirty page table pass it by. The key index is kept per bucket;
 // Scan merges the buckets in key order.
+//
+// Latching: each bucket has its own latch over its frames, dirty marks and
+// key index; nothing is shared between buckets. A record access, a bucket
+// drain and a chain's write-back latch only their bucket, so they run
+// concurrently on different buckets. Scan latches every bucket in index
+// order for an atomic snapshot. Lock order: bucket latch, then the redo
+// index's lock (the resolve hook), then the log (the write path's append,
+// the write-back's WAL flush).
 
 #ifndef ARIESRH_TABLE_TABLE_HEAP_H_
 #define ARIESRH_TABLE_TABLE_HEAP_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -113,8 +120,7 @@ struct RecordMutation {
 
 /// Instant-restart hook: removes and returns a bucket's pending logical
 /// redo entries (in LSN order) for the heap to replay before it serves the
-/// bucket. Runs under the heap latch (lock order: heap latch, then the redo
-/// index's lock).
+/// bucket. Runs under the bucket's latch.
 using BucketResolveFn = std::function<std::vector<RedoEntry>(size_t bucket)>;
 
 class TableHeap {
@@ -123,7 +129,7 @@ class TableHeap {
   /// a page's LSN before the page image hits the disk).
   TableHeap(SimulatedDisk* disk, Stats* stats, WalFlushFn wal_flush);
 
-  /// The forward write path. Runs `fn` under the heap latch with the key's
+  /// The forward write path. Runs `fn` under the bucket latch with the key's
   /// current value (nullopt = absent); `fn` typically appends the log record
   /// (choosing insert vs update from the current value) and returns its LSN,
   /// filling `mut` with the action to apply. The heap applies the mutation
@@ -140,7 +146,8 @@ class TableHeap {
   Result<std::optional<std::string>> Read(const std::string& key);
 
   /// Ordered scan: up to `limit` (0 = unbounded) key/value pairs with
-  /// key >= start_key, in key order. Touches every bucket.
+  /// key >= start_key, in key order. Touches every bucket, and holds every
+  /// bucket latch while it copies, so the result is one atomic snapshot.
   Result<std::vector<std::pair<std::string, std::string>>> Scan(
       const std::string& start_key, size_t limit);
 
@@ -154,17 +161,17 @@ class TableHeap {
   Status ApplyLogical(const RedoEntry& entry);
 
   /// Writes every dirty heap page to the stable store (WAL rule enforced)
-  /// and clears the dirty table, one bucket chain per latch hold.
+  /// and marks it clean, one bucket chain at a time.
   Status FlushAll() { return WriteBackOlderThan(kInvalidLsn); }
 
   /// The checkpoint's write-back: every bucket chain holding a dirty page
   /// whose rec_lsn is below `older_than` is written whole — all of its
-  /// dirty pages, under one hold of the heap latch, after one log flush
+  /// dirty pages, under one hold of that bucket's latch, after one log flush
   /// through the newest of their page LSNs (the WAL rule). Chains go one at
-  /// a time with DrainPending's hand-off, so a foreground record access
-  /// waits for at most one chain. `after_bucket(b)`, when set, runs after
-  /// bucket b's turn without the latch; an error from it stops the
-  /// write-back there (a test's crash point). `written` counts pages.
+  /// a time, so a record access waits only when it hits the chain being
+  /// written. `after_bucket(b)`, when set, runs after bucket b's turn
+  /// without the latch; an error from it stops the write-back there (a
+  /// test's crash point). `written` counts pages.
   Status WriteBackOlderThan(
       Lsn older_than,
       const std::function<Status(size_t bucket)>& after_bucket = {},
@@ -175,57 +182,51 @@ class TableHeap {
   /// table so RedoStart covers unflushed table writes.
   std::map<PageId, Lsn> DirtyPageTable() const;
 
-  /// Crash: drops every frame, the key indexes, and the dirty table; every
-  /// bucket loads again on its next touch. Stable page images survive in
-  /// the disk.
-  void Reset();
-
   /// Installs (or clears, with an empty function) the instant-restart
   /// resolve hook. Every record access — WithRecord, Read, Scan, and CLR
   /// application — drains the touched bucket's pending records first, so no
   /// caller observes a key whose log suffix has not been replayed.
   void set_redo_resolve(BucketResolveFn resolve);
 
-  /// Loads every bucket and drains its pending records (instant restart's
-  /// final background sweep); without a resolve hook it only loads. The
-  /// heap latch is taken one bucket at a time, and record accesses queued
-  /// on it go first between buckets: a foreground caller waits for at most
-  /// one bucket's load and drain. Each bucket drains atomically, so per-key
-  /// LSN order holds.
-  Status DrainPending();
+  /// Loads `bucket` and replays its pending records under its latch
+  /// (instant restart's final background sweep calls it for each bucket
+  /// with pending redo); without a resolve hook it only loads. The bucket
+  /// drains atomically, so per-key LSN order holds, and a record access to
+  /// another bucket does not wait for it.
+  Status Drain(size_t bucket);
 
   /// Records in the buckets loaded so far.
   size_t record_count() const;
 
  private:
+  /// A heap page in memory and its dirty mark.
+  struct Frame {
+    HeapPage page;
+    /// The oldest LSN that dirtied the page since it was last clean;
+    /// kInvalidLsn while it is clean.
+    Lsn rec_lsn = kInvalidLsn;
+  };
   struct RecordLocation {
-    PageId page = kInvalidPage;
+    uint32_t frame = 0;  // index into the bucket's frames
     uint32_t slot = 0;
   };
   using KeyIndex = std::map<std::string, RecordLocation, std::less<>>;
-  /// One hash bucket: its page chain and the key index over it.
+  /// One hash bucket: its latch, its page chain in memory and the key index
+  /// over it.
   struct Bucket {
-    /// Page ids in allocation order. Ids encode their bucket
+    mutable std::mutex mu;
+    /// The chain in allocation order. Page ids encode their bucket
     /// (kHeapPageBase + bucket + kTableBuckets * n), so the stable chain is
     /// known from stable page ids alone before the bucket loads.
-    std::vector<PageId> chain;
+    std::vector<Frame> frames;
     KeyIndex index;
     bool loaded = false;
   };
 
-  /// The heap latch for a record access (WithRecord, Read, Scan,
-  /// ApplyLogical); while a bucket walk runs the caller queues for its
-  /// between-bucket hand-off.
-  std::unique_lock<std::mutex> LatchForAccess();
-  /// A bucket walk (DrainPending, write-back): runs `fn(b)` for every
-  /// bucket in turn, each under its own hold of the heap latch, and lets the
-  /// record accesses that queued meanwhile go before the next bucket.
-  /// `after(b)`, when set, runs between buckets without the latch. Stops at
-  /// the first error.
-  Status ForEachBucket(const std::function<Status(size_t)>& fn,
-                       const std::function<Status(size_t)>& after = {});
+  /// Every bucket latch, taken in index order.
+  std::vector<std::unique_lock<std::mutex>> LatchAll();
   /// The replay of one logical record, from the only fields it reads.
-  Status ApplyLogicalLocked(LogRecordType type, bool remove,
+  Status ApplyLogicalLocked(Bucket& bucket, LogRecordType type, bool remove,
                             std::string_view key, std::string_view after_image,
                             Lsn lsn);
   /// The touch: loads the bucket if it is not in memory yet, then replays
@@ -239,35 +240,32 @@ class TableHeap {
   static size_t BucketOfKey(std::string_view key) {
     return BucketOfRid(TableRid(key));
   }
-  Status WriteBackChainLocked(size_t bucket, Lsn older_than,
+  static std::string_view ValueAt(const Bucket& bucket,
+                                  const RecordLocation& at) {
+    return bucket.frames[at.frame].page.ValueAt(at.slot);
+  }
+  Status WriteBackChainLocked(Bucket& bucket, Lsn older_than,
                               uint64_t* written);
-  Status UpsertLocked(std::string_view key, std::string_view value, Lsn lsn);
-  Status RemoveLocked(std::string_view key, Lsn lsn);
+  Status UpsertLocked(Bucket& bucket, std::string_view key,
+                      std::string_view value, Lsn lsn);
+  Status RemoveLocked(Bucket& bucket, std::string_view key, Lsn lsn);
   /// Finds (or allocates) a page in the key's bucket chain with room for the
   /// record and inserts it there, updating the index.
-  Status PlaceLocked(std::string_view key, std::string_view value, Lsn lsn);
-  HeapPage& FrameLocked(PageId id);
-  void StampLocked(PageId id, Lsn lsn);
+  Status PlaceLocked(Bucket& bucket, std::string_view key,
+                     std::string_view value, Lsn lsn);
+  static void Stamp(Frame& frame, Lsn lsn);
 
   SimulatedDisk* disk_;
   Stats* stats_;
   WalFlushFn wal_flush_;
   BucketResolveFn redo_resolve_;
 
-  mutable std::mutex mu_;
-  /// The bucket walks' hand-off: how many walks run, the record accesses
-  /// that queued on mu_ during one, and how many of them have been granted
-  /// it.
-  std::atomic<int> walkers_{0};
-  std::atomic<uint64_t> latch_queued_{0};
-  std::atomic<uint64_t> latch_granted_{0};
-  std::map<PageId, HeapPage> frames_;  // the loaded buckets' pages
-  std::map<PageId, Lsn> dirty_;        // page -> rec_lsn
   std::array<Bucket, kTableBuckets> buckets_;
-  /// Whether the stable chains have been listed since the last Reset. One
-  /// listing serves every bucket: an unloaded bucket is never written, so
-  /// its stable chain cannot change before its own load.
-  bool chains_listed_ = false;
+  /// The stable page ids of each bucket's chain, listed once, at the first
+  /// touch of any bucket: an unloaded bucket is never written, so its
+  /// stable chain cannot change before its own load.
+  std::once_flag chains_listed_;
+  std::array<std::vector<PageId>, kTableBuckets> stable_chains_;
 };
 
 }  // namespace ariesrh::table

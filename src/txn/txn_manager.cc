@@ -260,9 +260,9 @@ Status TxnManager::DoTableWrite(
 
   // Same shape as DoUpdate: the latch spans read-chain-head .. adjust-scopes
   // so a delegation involving this transaction cannot splice the chain or
-  // move scopes mid-write. The heap latch (inside WithRecord) plays the
-  // pool-latch role: before-image read, log append, and application are one
-  // critical section.
+  // move scopes mid-write. The key's bucket latch (inside WithRecord) plays
+  // the pool-latch role: before-image read, log append, and application are
+  // one critical section.
   std::lock_guard latch(tx->latch);
   Lsn lsn = kInvalidLsn;
   ARIESRH_ASSIGN_OR_RETURN(
@@ -354,10 +354,10 @@ Result<std::vector<std::pair<std::string, std::string>>> TxnManager::TableScan(
     return Status::IllegalState("this engine has no table heap attached");
   }
   ARIESRH_RETURN_IF_ERROR(FindActive(txn).status());
-  // The heap snapshot is atomic (one latch acquisition); each record is
-  // then stabilized under a shared lock and re-read, so the result reflects
-  // only lock-protected state. A key deleted between snapshot and lock
-  // simply drops out.
+  // The heap snapshot is atomic (every bucket latch held at once, taken in
+  // index order); each record is then stabilized under a shared lock and
+  // re-read, so the result reflects only lock-protected state. A key
+  // deleted between snapshot and lock simply drops out.
   ARIESRH_ASSIGN_OR_RETURN(auto snapshot, heap_->Scan(start_key, limit));
   std::vector<std::pair<std::string, std::string>> out;
   for (auto& [key, value] : snapshot) {

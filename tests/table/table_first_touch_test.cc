@@ -60,9 +60,10 @@ std::vector<PageId> StableChain(Database* db, size_t bucket) {
 /// Puts `per_bucket` keys into every bucket, writes every heap page back
 /// (the second checkpoint writes what the first anchored), then crashes and
 /// restarts: the log after the write-back holds no table write, so the
-/// restart itself touches no bucket under kFull.
-std::map<std::string, std::string> LoadCrashAndRestart(Database* db,
-                                                       size_t per_bucket) {
+/// restart itself touches no bucket. `at_crash`, when set, receives the
+/// stats taken right before the crash.
+std::map<std::string, std::string> LoadCrashAndRestart(
+    Database* db, size_t per_bucket, Stats* at_crash = nullptr) {
   std::map<std::string, std::string> want;
   for (size_t b = 0; b < kTableBuckets; ++b) {
     for (const std::string& key : KeysInBucket(b, per_bucket)) {
@@ -73,6 +74,7 @@ std::map<std::string, std::string> LoadCrashAndRestart(Database* db,
   EXPECT_TRUE(db->Checkpoint().ok());
   EXPECT_TRUE(db->Checkpoint().ok());
   EXPECT_TRUE(db->shard(0)->table_heap()->DirtyPageTable().empty());
+  if (at_crash != nullptr) *at_crash = db->stats();
   db->SimulateCrash();
   Result<RecoveryManager::Outcome> outcome = RestartAndAwait(*db);
   EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
@@ -100,6 +102,27 @@ TEST(TableFirstTouchTest, UntouchedBucketReadsNoStablePage) {
   ASSERT_TRUE(db.TableGetCommitted(KeysInBucket(5, 2)[1]).ok());
   EXPECT_EQ(db.stats().Delta(before).table_bucket_loads, 1u);
   EXPECT_EQ(db.stats().Delta(before).page_reads, delta.page_reads);
+}
+
+TEST(TableFirstTouchTest, InstantCatchUpLoadsNoBucketWithoutPendingRedo) {
+  Options options;
+  options.recovery_mode = RecoveryMode::kInstant;
+  Database db(options);
+  Stats at_crash;
+  LoadCrashAndRestart(&db, 3, &at_crash);  // awaits the background catch-up
+  const table::TableHeap* heap = db.shard(0)->table_heap();
+  // The log holds no table write past the write-back, so the catch-up had
+  // no bucket to drain and loaded none.
+  EXPECT_EQ(heap->record_count(), 0u);
+  EXPECT_EQ(db.stats().Delta(at_crash).table_bucket_loads, 0u);
+
+  const std::string key = KeysInBucket(5, 1)[0];
+  Result<std::optional<std::string>> got = db.TableGetCommitted(key);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, "v-" + key);
+  // Only the touched bucket loaded.
+  EXPECT_EQ(db.stats().Delta(at_crash).table_bucket_loads, 1u);
+  EXPECT_EQ(heap->record_count(), 3u);
 }
 
 TEST(TableFirstTouchTest, PutIntoUnloadedBucketKeepsStableKeys) {
@@ -262,7 +285,11 @@ TEST_F(TableLoadCorruptionTest, KeyStableTwiceFailsTheFirstTouch) {
       << write.status().ToString();
   EXPECT_EQ(stats_.table_bucket_loads, 0u);
   // The drain touches it too.
-  EXPECT_TRUE(heap_.DrainPending().IsCorruption());
+  Status drained = Status::OK();
+  for (size_t b = 0; b < kTableBuckets && drained.ok(); ++b) {
+    drained = heap_.Drain(b);
+  }
+  EXPECT_TRUE(drained.IsCorruption());
 }
 
 }  // namespace
