@@ -10,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -88,6 +90,26 @@ T CheckResult(Result<T> result, const char* what) {
     std::abort();
   }
   return std::move(result).value();
+}
+
+// kv_durable's record shape: 9-byte keys, 100-byte values.
+inline std::string HeapKey(int i) {
+  char key[16];
+  snprintf(key, sizeof(key), "key%06d", i);
+  return key;
+}
+
+/// Commits `keys` puts of `value` in batches, one transaction per batch.
+inline void PutKeys(Database* db, const std::vector<std::string>& keys,
+                    const std::string& value) {
+  constexpr size_t kBatch = 1000;
+  for (size_t base = 0; base < keys.size(); base += kBatch) {
+    const TxnId txn = CheckResult(db->Begin(), "Begin");
+    for (size_t i = base; i < std::min(keys.size(), base + kBatch); ++i) {
+      Check(db->TablePut(txn, keys[i], value), "TablePut");
+    }
+    Check(db->Commit(txn), "Commit");
+  }
 }
 
 /// Restarts a crashed database (StartRecovery) and waits the restart out;

@@ -334,26 +334,6 @@ void BM_ScopeSweepUndo(benchmark::State& state) {
 }
 BENCHMARK(BM_ScopeSweepUndo)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// kv_durable's record shape: 9-byte keys, 100-byte values.
-std::string HeapKey(int i) {
-  char key[16];
-  snprintf(key, sizeof(key), "key%06d", i);
-  return key;
-}
-
-/// Commits `keys` puts of `value` in batches, one transaction per batch.
-void PutKeys(Database* db, const std::vector<std::string>& keys,
-             const std::string& value) {
-  constexpr size_t kBatch = 1000;
-  for (size_t base = 0; base < keys.size(); base += kBatch) {
-    const TxnId txn = CheckResult(db->Begin(), "Begin");
-    for (size_t i = base; i < std::min(keys.size(), base + kBatch); ++i) {
-      Check(db->TablePut(txn, keys[i], value), "TablePut");
-    }
-    Check(db->Commit(txn), "Commit");
-  }
-}
-
 void BM_CheckpointWriteBack(benchmark::State& state) {
   const size_t pages = static_cast<size_t>(state.range(0));
   const std::string value(100, 'v');

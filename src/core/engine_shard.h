@@ -82,7 +82,7 @@ class EngineShard {
   /// A media-recovery backup: a sharp snapshot of the stable pages plus the
   /// log position and checkpoint it reflects.
   struct BackupImage {
-    std::unordered_map<PageId, std::string> pages;
+    PageImages pages;
     Lsn master_record = 0;
     Lsn backup_end_lsn = 0;  ///< log was durable through here at backup time
     /// Serialized images of the log records the backup's checkpoint replays

@@ -204,8 +204,8 @@ Status EosEngine::Recover() {
   const Lsn snapshot_through = disk_->master_record();
   if (snapshot_through > 0) {
     for (PageId id : disk_->StablePageIds()) {
-      ARIESRH_ASSIGN_OR_RETURN(std::string image, disk_->ReadPage(id));
-      ARIESRH_ASSIGN_OR_RETURN(Page page, Page::Deserialize(image));
+      ARIESRH_ASSIGN_OR_RETURN(const PageImage image, disk_->ReadPage(id));
+      ARIESRH_ASSIGN_OR_RETURN(Page page, Page::Deserialize(*image));
       for (uint32_t slot = 0; slot < kObjectsPerPage; ++slot) {
         const int64_t value = page.Get(slot);
         if (value != 0) {

@@ -22,26 +22,29 @@ namespace {
 /// test histories fully resident.
 constexpr size_t kScratchPoolFrames = 256;
 
-/// Flushes `pool` and `heap` to `disk` and merges every non-zero cell and
-/// table record into `out` — the one extraction StateAt and the oracle's
-/// CaptureCommittedState share, so their images compare byte-for-byte.
-Status ExtractInto(BufferPool* pool, table::TableHeap* heap,
-                   SimulatedDisk* disk, StateImage* out) {
-  ARIESRH_RETURN_IF_ERROR(pool->FlushAll());
-  ARIESRH_RETURN_IF_ERROR(heap->FlushAll());
-  for (PageId id : disk->StablePageIds()) {
-    if (id >= table::kHeapPageBase) continue;  // heap pages go through Scan
-    ARIESRH_ASSIGN_OR_RETURN(std::string image, disk->ReadPage(id));
-    ARIESRH_ASSIGN_OR_RETURN(Page page, Page::Deserialize(image));
-    for (uint32_t slot = 0; slot < kObjectsPerPage; ++slot) {
-      const int64_t value = page.Get(slot);
-      if (value == 0) continue;  // zero == never written (canonical absence)
-      out->objects[static_cast<ObjectId>(id) * kObjectsPerPage + slot] = value;
-    }
-  }
-  ARIESRH_ASSIGN_OR_RETURN(auto records, heap->Scan("", 0));
-  for (auto& [key, value] : records) out->records[key] = std::move(value);
-  return Status::OK();
+/// Merges every non-zero cell and table record of one shard into `out`,
+/// reading each page where it is (pool frame, heap frame, or the stable
+/// image of a plain page the pool does not hold) and writing nothing back.
+/// The one extraction StateAt and the oracle's CaptureCommittedState
+/// share, so their images compare byte-for-byte.
+Status ExtractInto(BufferPool* pool, table::TableHeap* heap, StateImage* out) {
+  ARIESRH_RETURN_IF_ERROR(
+      pool->ForEachPage(table::kHeapPageBase, [out](const Page& page) {
+        for (uint32_t slot = 0; slot < kObjectsPerPage; ++slot) {
+          const int64_t value = page.Get(slot);
+          if (value == 0) continue;  // zero == never written (canonical)
+          out->objects[static_cast<ObjectId>(page.id()) * kObjectsPerPage +
+                       slot] = value;
+        }
+      }));
+  // Keys arrive in order, so each lands next to the one before it (other
+  // shards' keys aside): the hint saves the map a descent per record.
+  auto hint = out->records.end();
+  return heap->ForEachRecord(
+      "", [&](std::string_view key, std::string_view value) {
+        hint = std::next(out->records.emplace_hint(hint, key, value));
+        return true;
+      });
 }
 
 /// True for record types that change database state when replayed forward.
@@ -214,18 +217,14 @@ Status Reenactor::InitShardSource(const Options& options, ShardSource* src) {
   // The base pages may already reflect records past CKPT_END (STEAL writes
   // back whenever it likes), and the page-LSN redo check cannot "un-apply"
   // them for an earlier cut. The earliest honest cut is therefore the
-  // newest thing the anchor already reflects.
+  // newest thing the anchor already reflects. Each page's LSN comes from
+  // its header, CRC-checked, so a corrupt base page still fails the open.
   Lsn earliest = ckpt_end;
   for (const auto& [id, image] : src->base_pages) {
-    Lsn page_lsn = 0;
-    if (id >= table::kHeapPageBase) {
-      ARIESRH_ASSIGN_OR_RETURN(table::HeapPage page,
-                               table::HeapPage::Deserialize(image));
-      page_lsn = page.page_lsn();
-    } else {
-      ARIESRH_ASSIGN_OR_RETURN(Page page, Page::Deserialize(image));
-      page_lsn = page.page_lsn();
-    }
+    ARIESRH_ASSIGN_OR_RETURN(const Lsn page_lsn,
+                             id >= table::kHeapPageBase
+                                 ? table::HeapPage::PeekLsn(*image)
+                                 : Page::PeekLsn(*image));
     earliest = std::max(earliest, page_lsn);
   }
   src->earliest = earliest;
@@ -420,7 +419,7 @@ Result<StateImage> Reenactor::StateAt(Lsn cut) {
     ARIESRH_ASSIGN_OR_RETURN(ShardFold fold,
                              FoldShard(shard, eff, /*materialize=*/true));
     ARIESRH_RETURN_IF_ERROR(
-        ExtractInto(fold.pool.get(), fold.heap.get(), fold.disk.get(), &img));
+        ExtractInto(fold.pool.get(), fold.heap.get(), &img));
     img.cuts.push_back(eff);
   }
   ObserveQuery(start_ns);
@@ -673,9 +672,8 @@ Result<StateImage> CaptureCommittedState(Database* db) {
   StateImage img;
   for (size_t s = 0; s < db->num_shards(); ++s) {
     EngineShard* shard = db->shard(s);
-    ARIESRH_RETURN_IF_ERROR(ExtractInto(shard->buffer_pool(),
-                                        shard->table_heap(), shard->disk(),
-                                        &img));
+    ARIESRH_RETURN_IF_ERROR(
+        ExtractInto(shard->buffer_pool(), shard->table_heap(), &img));
     img.cuts.push_back(shard->log_manager()->flushed_lsn());
   }
   return img;

@@ -37,7 +37,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -212,7 +211,7 @@ class Reenactor {
     bool anchored = false;
     CheckpointData ckpt;
     Lsn ckpt_end_lsn = 0;
-    std::unordered_map<PageId, std::string> base_pages;
+    PageImages base_pages;  ///< shared with the disk, never copied
     Lsn earliest = 0;  ///< earliest replayable cut (0 = any)
   };
 
@@ -271,7 +270,8 @@ class Reenactor {
 };
 
 /// Captures a live database's committed state through the same extraction
-/// StateAt uses (flush pools, enumerate non-zero cells and table records).
+/// StateAt uses (non-zero cells and table records, read in memory; nothing
+/// is written back, so the engine's stable pages do not move).
 /// The oracle tests compare this against StateAt(tail) byte-for-byte. The
 /// database must be quiescent and fully recovered.
 Result<StateImage> CaptureCommittedState(Database* db);

@@ -35,8 +35,8 @@ Result<Page*> BufferPool::FetchLocked(PageId id) {
 
   Frame frame;
   if (disk_->HasPage(id)) {
-    ARIESRH_ASSIGN_OR_RETURN(std::string image, disk_->ReadPage(id));
-    ARIESRH_ASSIGN_OR_RETURN(frame.page, Page::Deserialize(image));
+    ARIESRH_ASSIGN_OR_RETURN(const PageImage image, disk_->ReadPage(id));
+    ARIESRH_ASSIGN_OR_RETURN(frame.page, Page::Deserialize(*image));
   } else {
     frame.page = Page(id);
   }
@@ -107,6 +107,22 @@ std::map<PageId, Lsn> BufferPool::DirtyPageTable() const {
     if (frame.dirty) dpt[id] = frame.rec_lsn;
   }
   return dpt;
+}
+
+Status BufferPool::ForEachPage(
+    PageId below, const std::function<void(const Page&)>& fn) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [id, frame] : frames_) {
+    if (id < below) fn(frame.page);
+  }
+  for (PageId id : disk_->StablePageIds()) {
+    if (id >= below) break;  // the ids come sorted
+    if (frames_.contains(id)) continue;
+    ARIESRH_ASSIGN_OR_RETURN(const PageImage image, disk_->ReadPage(id));
+    ARIESRH_ASSIGN_OR_RETURN(const Page page, Page::Deserialize(*image));
+    fn(page);
+  }
+  return Status::OK();
 }
 
 void BufferPool::Reset() {

@@ -89,6 +89,14 @@ class BufferPool {
   /// Dirty page table: page id -> recovery LSN. Snapshot for checkpoints.
   std::map<PageId, Lsn> DirtyPageTable() const;
 
+  /// Runs `fn` on every page with an id below `below` as a Fetch would see
+  /// it: a cached frame as it is, dirty or clean, and a stable page the
+  /// pool does not hold decoded from its image. Writes nothing back and
+  /// caches nothing; holds the pool latch throughout, so `fn` must not
+  /// call back into the pool. Fails if a stable image does not decode.
+  Status ForEachPage(PageId below,
+                     const std::function<void(const Page&)>& fn) const;
+
   /// Crash: discards every frame, including dirty ones.
   void Reset();
 

@@ -5,6 +5,22 @@
 
 namespace ariesrh {
 
+namespace {
+
+/// Verifies an image's trailing masked CRC and returns the length of the
+/// body it covers.
+Result<size_t> CheckedBodyLength(const std::string& image) {
+  if (image.size() < 8) return Status::Corruption("page image too short");
+  const size_t body_len = image.size() - 4;
+  const uint32_t stored_crc = DecodeFixed32(image.data() + body_len);
+  if (crc32c::Unmask(stored_crc) != crc32c::Value(image.data(), body_len)) {
+    return Status::Corruption("page CRC mismatch");
+  }
+  return body_len;
+}
+
+}  // namespace
+
 std::string Page::Serialize() const {
   std::string out;
   PutFixed32(&out, id_);
@@ -17,29 +33,27 @@ std::string Page::Serialize() const {
 }
 
 Result<Page> Page::Deserialize(const std::string& image) {
-  if (image.size() < 8) return Status::Corruption("page image too short");
-  const size_t body_len = image.size() - 4;
-  Decoder crc_dec(image.data() + body_len, 4);
-  uint32_t stored_crc = 0;
-  ARIESRH_RETURN_IF_ERROR(crc_dec.GetFixed32(&stored_crc));
-  if (crc32c::Unmask(stored_crc) != crc32c::Value(image.data(), body_len)) {
-    return Status::Corruption("page CRC mismatch");
+  ARIESRH_ASSIGN_OR_RETURN(const size_t body_len, CheckedBodyLength(image));
+  // A fixed layout: id, page LSN, then every cell.
+  constexpr size_t kBodyLen = 4 + 8 + 8 * kObjectsPerPage;
+  if (body_len != kBodyLen) {
+    return Status::Corruption(body_len < kBodyLen
+                                  ? "truncated page image"
+                                  : "trailing bytes in page image");
   }
-
-  Decoder dec(image.data(), body_len);
-  uint32_t id = 0;
-  uint64_t page_lsn = 0;
-  ARIESRH_RETURN_IF_ERROR(dec.GetFixed32(&id));
-  ARIESRH_RETURN_IF_ERROR(dec.GetFixed64(&page_lsn));
-  Page page(id);
-  page.set_page_lsn(page_lsn);
+  const char* p = image.data();
+  Page page(DecodeFixed32(p));
+  page.set_page_lsn(DecodeFixed64(p + 4));
   for (uint32_t slot = 0; slot < kObjectsPerPage; ++slot) {
-    uint64_t cell = 0;
-    ARIESRH_RETURN_IF_ERROR(dec.GetFixed64(&cell));
-    page.Set(slot, static_cast<int64_t>(cell));
+    page.cells_[slot] = static_cast<int64_t>(DecodeFixed64(p + 12 + 8 * slot));
   }
-  if (!dec.empty()) return Status::Corruption("trailing bytes in page image");
   return page;
+}
+
+Result<Lsn> Page::PeekLsn(const std::string& image) {
+  ARIESRH_ASSIGN_OR_RETURN(const size_t body_len, CheckedBodyLength(image));
+  if (body_len < 12) return Status::Corruption("truncated page image");
+  return DecodeFixed64(image.data() + 4);
 }
 
 }  // namespace ariesrh

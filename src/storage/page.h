@@ -41,6 +41,10 @@ class Page {
   /// Rebuilds a page from a stable image, verifying the CRC.
   static Result<Page> Deserialize(const std::string& image);
 
+  /// The page LSN of a stable image, read from its header after the CRC is
+  /// verified; the cells are not decoded.
+  static Result<Lsn> PeekLsn(const std::string& image);
+
  private:
   PageId id_;
   Lsn page_lsn_;

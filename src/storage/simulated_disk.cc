@@ -15,13 +15,13 @@ namespace ariesrh {
 Status SimulatedDisk::WritePage(PageId id, std::string image) {
   {
     std::lock_guard lock(pages_mu_);
-    pages_[id] = std::move(image);
+    pages_[id] = std::make_shared<const std::string>(std::move(image));
   }
   ++stats_->page_writes;
   return Status::OK();
 }
 
-Result<std::string> SimulatedDisk::ReadPage(PageId id) const {
+Result<PageImage> SimulatedDisk::ReadPage(PageId id) const {
   std::lock_guard lock(pages_mu_);
   auto it = pages_.find(id);
   if (it == pages_.end()) {
@@ -153,7 +153,7 @@ Status SimulatedDisk::SaveTo(const std::string& path) const {
     PutVarint64(&out, pages_.size());
     for (const auto& [id, image] : pages_) {
       PutVarint64(&out, id);
-      PutLengthPrefixed(&out, image);
+      PutLengthPrefixed(&out, *image);
     }
   }
   PutVarint64(&out, records_.size());
@@ -210,7 +210,8 @@ Result<SimulatedDisk> SimulatedDisk::LoadFrom(const std::string& path,
     std::string image;
     ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&id));
     ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&image));
-    disk.pages_[static_cast<PageId>(id)] = std::move(image);
+    disk.pages_[static_cast<PageId>(id)] =
+        std::make_shared<const std::string>(std::move(image));
   }
   uint64_t record_count = 0;
   ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&record_count));

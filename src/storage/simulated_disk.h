@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -29,6 +30,14 @@
 #include "util/types.h"
 
 namespace ariesrh {
+
+/// An immutable stable page image. Images are shared, never copied: a
+/// write installs a new image, so a snapshot (ClonePages) and every reader
+/// holding an image keep the bytes they saw.
+using PageImage = std::shared_ptr<const std::string>;
+
+/// Every stable page, by id.
+using PageImages = std::unordered_map<PageId, PageImage>;
 
 /// Stable pages + stable log with access accounting. Not thread-safe in
 /// general; the exceptions are
@@ -77,7 +86,7 @@ class SimulatedDisk {
   Status WritePage(PageId id, std::string image);
 
   /// Reads a page image; NotFound if the page was never written.
-  Result<std::string> ReadPage(PageId id) const;
+  Result<PageImage> ReadPage(PageId id) const;
 
   bool HasPage(PageId id) const {
     std::lock_guard lock(pages_mu_);
@@ -87,15 +96,17 @@ class SimulatedDisk {
   /// Ids of every page ever written (for snapshot loading).
   std::vector<PageId> StablePageIds() const;
 
-  /// Snapshot of all stable page images (for backups). Not counted as page
-  /// I/O: backups stream the device, not the database path.
-  std::unordered_map<PageId, std::string> ClonePages() const {
+  /// Snapshot of all stable page images (backups, anchored reenactment).
+  /// The images are shared, not copied, and later writes do not move the
+  /// snapshot. Not counted as page I/O: backups stream the device, not the
+  /// database path.
+  PageImages ClonePages() const {
     std::lock_guard lock(pages_mu_);
     return pages_;
   }
 
   /// Replaces the stable pages wholesale (restore from backup).
-  void RestorePages(std::unordered_map<PageId, std::string> pages) {
+  void RestorePages(PageImages pages) {
     std::lock_guard lock(pages_mu_);
     pages_ = std::move(pages);
   }
@@ -227,7 +238,7 @@ class SimulatedDisk {
   Stats* stats_;
   /// Guards pages_. Not moved: a disk is moved only while nothing uses it.
   mutable std::mutex pages_mu_;
-  std::unordered_map<PageId, std::string> pages_;
+  PageImages pages_;
   std::vector<std::string> records_;
   uint64_t log_random_read_stall_ns_ = 0;
   uint64_t log_force_stall_ns_ = 0;

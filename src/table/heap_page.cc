@@ -1,5 +1,7 @@
 #include "table/heap_page.h"
 
+#include <algorithm>
+
 #include "util/coding.h"
 #include "util/crc32c.h"
 
@@ -94,32 +96,41 @@ uint32_t HeapPage::TakeSlot() {
   return static_cast<uint32_t>(slots_.size() - 1);
 }
 
+namespace {
+
+/// Verifies an image's trailing masked CRC and returns the length of the
+/// body it covers.
+Result<size_t> CheckedBodyLength(const std::string& image) {
+  if (image.size() < 4) return Status::Corruption("heap page too short");
+  const size_t body_len = image.size() - 4;
+  const uint32_t stored = DecodeFixed32(image.data() + body_len);
+  if (crc32c::Unmask(stored) != crc32c::Value(image.data(), body_len)) {
+    return Status::Corruption("heap page CRC mismatch");
+  }
+  return body_len;
+}
+
+}  // namespace
+
 std::string HeapPage::Serialize() const {
   std::string out;
+  // Header and CRC, plus at most three 5-byte varints per live record.
+  out.reserve(4 + 2 * 10 + live_records_ * 15 + live_bytes_ + 4);
   PutFixed32(&out, id_);
   PutVarint64(&out, page_lsn_);
   PutVarint64(&out, live_records_);
   for (uint32_t i = 0; i < slots_.size(); ++i) {
     if (!slots_[i].live) continue;
     PutVarint64(&out, i);
-    PutLengthPrefixed(&out, std::string(KeyAt(i)));
-    PutLengthPrefixed(&out, std::string(ValueAt(i)));
+    PutLengthPrefixed(&out, KeyAt(i));
+    PutLengthPrefixed(&out, ValueAt(i));
   }
   PutFixed32(&out, crc32c::Mask(crc32c::Value(out)));
   return out;
 }
 
 Result<HeapPage> HeapPage::Deserialize(const std::string& image) {
-  if (image.size() < 4) return Status::Corruption("heap page too short");
-  const size_t body_len = image.size() - 4;
-  {
-    Decoder crc_dec(image.data() + body_len, 4);
-    uint32_t stored = 0;
-    ARIESRH_RETURN_IF_ERROR(crc_dec.GetFixed32(&stored));
-    if (crc32c::Unmask(stored) != crc32c::Value(image.data(), body_len)) {
-      return Status::Corruption("heap page CRC mismatch");
-    }
-  }
+  ARIESRH_ASSIGN_OR_RETURN(const size_t body_len, CheckedBodyLength(image));
   Decoder dec(image.data(), body_len);
   HeapPage page;
   uint32_t id = 0;
@@ -128,9 +139,13 @@ Result<HeapPage> HeapPage::Deserialize(const std::string& image) {
   ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&page.page_lsn_));
   uint64_t count = 0;
   ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&count));
+  // The records' bytes are a subset of the body: one reservation holds
+  // them all, and each record takes at least three bytes of it.
+  page.payload_.reserve(dec.remaining());
+  page.slots_.reserve(std::min<uint64_t>(count, dec.remaining() / 3));
   for (uint64_t n = 0; n < count; ++n) {
     uint64_t slot = 0;
-    std::string key, value;
+    std::string_view key, value;
     ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&slot));
     ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&key));
     ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&value));
@@ -153,6 +168,16 @@ Result<HeapPage> HeapPage::Deserialize(const std::string& image) {
     return Status::Corruption("heap page payload overflow");
   }
   return page;
+}
+
+Result<Lsn> HeapPage::PeekLsn(const std::string& image) {
+  ARIESRH_ASSIGN_OR_RETURN(const size_t body_len, CheckedBodyLength(image));
+  Decoder dec(image.data(), body_len);
+  uint32_t id = 0;
+  uint64_t page_lsn = 0;
+  ARIESRH_RETURN_IF_ERROR(dec.GetFixed32(&id));
+  ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&page_lsn));
+  return page_lsn;
 }
 
 }  // namespace ariesrh::table

@@ -72,6 +72,10 @@ class HeapPage {
   /// Rebuilds a page from a stable image, verifying the CRC.
   static Result<HeapPage> Deserialize(const std::string& image);
 
+  /// The page LSN of a stable image, read from its header after the CRC is
+  /// verified; the records are not decoded.
+  static Result<Lsn> PeekLsn(const std::string& image);
+
  private:
   struct Slot {
     uint32_t offset = 0;

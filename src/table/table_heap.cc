@@ -64,6 +64,19 @@ std::vector<std::unique_lock<std::mutex>> TableHeap::LatchAll() {
 
 Result<std::vector<std::pair<std::string, std::string>>> TableHeap::Scan(
     const std::string& start_key, size_t limit) {
+  std::vector<std::pair<std::string, std::string>> out;
+  ARIESRH_RETURN_IF_ERROR(ForEachRecord(
+      start_key, [&out, limit](std::string_view key, std::string_view value) {
+        out.emplace_back(key, value);
+        return limit == 0 || out.size() < limit;
+      }));
+  return out;
+}
+
+Status TableHeap::ForEachRecord(
+    std::string_view start_key,
+    const std::function<bool(std::string_view key, std::string_view value)>&
+        fn) {
   const std::vector<std::unique_lock<std::mutex>> latches = LatchAll();
   for (size_t b = 0; b < kTableBuckets; ++b) {
     ARIESRH_RETURN_IF_ERROR(DrainBucketLocked(b));
@@ -73,29 +86,29 @@ Result<std::vector<std::pair<std::string, std::string>>> TableHeap::Scan(
   struct Cursor {
     const Bucket* bucket;
     KeyIndex::const_iterator it;
+    std::string_view key;  // it->first, kept beside the heap's comparisons
   };
   std::vector<Cursor> cursors;
   for (const Bucket& bucket : buckets_) {
     const auto it = bucket.index.lower_bound(start_key);
-    if (it != bucket.index.end()) cursors.push_back({&bucket, it});
+    if (it != bucket.index.end()) cursors.push_back({&bucket, it, it->first});
   }
   const auto later = [](const Cursor& a, const Cursor& b) {
-    return a.it->first > b.it->first;
+    return a.key > b.key;
   };
   std::make_heap(cursors.begin(), cursors.end(), later);
-  std::vector<std::pair<std::string, std::string>> out;
-  while (!cursors.empty() && (limit == 0 || out.size() < limit)) {
+  while (!cursors.empty()) {
     std::pop_heap(cursors.begin(), cursors.end(), later);
     Cursor& cursor = cursors.back();
-    out.emplace_back(cursor.it->first,
-                     std::string(ValueAt(*cursor.bucket, cursor.it->second)));
+    if (!fn(cursor.key, ValueAt(*cursor.bucket, cursor.it->second))) break;
     if (++cursor.it == cursor.bucket->index.end()) {
       cursors.pop_back();
     } else {
+      cursor.key = cursor.it->first;
       std::push_heap(cursors.begin(), cursors.end(), later);
     }
   }
-  return out;
+  return Status::OK();
 }
 
 Status TableHeap::ApplyLogical(const LogRecord& rec) {
@@ -234,32 +247,48 @@ Status TableHeap::LoadBucketLocked(size_t bucket) {
   const std::vector<PageId>& chain = stable_chains_[bucket];
   std::vector<Frame> frames;
   frames.reserve(chain.size());
-  KeyIndex index;
   for (PageId id : chain) {
-    auto corrupt = [id](const std::string& what) {
-      return Status::Corruption("heap page " + std::to_string(id) + " " +
-                                what);
-    };
-    ARIESRH_ASSIGN_OR_RETURN(std::string image, disk_->ReadPage(id));
-    ARIESRH_ASSIGN_OR_RETURN(HeapPage page, HeapPage::Deserialize(image));
+    ARIESRH_ASSIGN_OR_RETURN(const PageImage image, disk_->ReadPage(id));
+    ARIESRH_ASSIGN_OR_RETURN(HeapPage page, HeapPage::Deserialize(*image));
     if (page.id() != id) {
-      return corrupt("holds the image of page " + std::to_string(page.id()));
+      return Status::Corruption("heap page " + std::to_string(id) +
+                                " holds the image of page " +
+                                std::to_string(page.id()));
     }
-    const auto frame = static_cast<uint32_t>(frames.size());
+    frames.push_back({std::move(page)});
+  }
+  // The keys are gathered once the frames are in place (a short payload
+  // lives inside its string, so a view taken before a move would dangle)
+  // and indexed in key order: each index insert is then an append, and a
+  // later in-order walk visits adjacent nodes.
+  size_t live = 0;
+  for (const Frame& frame : frames) live += frame.page.live_records();
+  std::vector<std::pair<std::string_view, RecordLocation>> located;
+  located.reserve(live);
+  for (uint32_t frame = 0; frame < frames.size(); ++frame) {
+    const HeapPage& page = frames[frame].page;
     for (uint32_t slot = 0; slot < page.slot_count(); ++slot) {
       if (!page.SlotLive(slot)) continue;
       const std::string_view key = page.KeyAt(slot);
       if (BucketOfKey(key) != bucket) {
-        return corrupt("of bucket " + std::to_string(bucket) +
-                       " holds a key of bucket " +
-                       std::to_string(BucketOfKey(key)));
+        return Status::Corruption(
+            "heap page " + std::to_string(page.id()) + " of bucket " +
+            std::to_string(bucket) + " holds a key of bucket " +
+            std::to_string(BucketOfKey(key)));
       }
-      if (!index.try_emplace(std::string(key), RecordLocation{frame, slot})
-               .second) {
-        return corrupt("holds a key already stable in its chain");
-      }
+      located.emplace_back(key, RecordLocation{frame, slot});
     }
-    frames.push_back({std::move(page)});
+  }
+  std::sort(located.begin(), located.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  KeyIndex index;
+  for (const auto& [key, at] : located) {
+    if (!index.empty() && std::prev(index.end())->first == key) {
+      return Status::Corruption(
+          "heap page " + std::to_string(frames[at.frame].page.id()) +
+          " holds a key already stable in its chain");
+    }
+    index.emplace_hint(index.end(), key, at);
   }
   entry.frames = std::move(frames);
   entry.index = std::move(index);

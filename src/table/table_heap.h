@@ -151,6 +151,15 @@ class TableHeap {
   Result<std::vector<std::pair<std::string, std::string>>> Scan(
       const std::string& start_key, size_t limit);
 
+  /// Visits the records with key >= start_key in key order, in place,
+  /// while `fn` returns true. Touches every bucket, and holds every bucket
+  /// latch while it visits, so the visit is one atomic snapshot; `fn` must
+  /// not call back into the heap, and its views die with the call.
+  Status ForEachRecord(
+      std::string_view start_key,
+      const std::function<bool(std::string_view key, std::string_view value)>&
+          fn);
+
   /// State-based logical replay of a table record (redo pass, and CLR
   /// application during undo): TBL_INSERT/TBL_UPDATE and restoring TBL_CLRs
   /// upsert the after image, TBL_DELETE and removing TBL_CLRs drop the key.
@@ -212,8 +221,9 @@ class TableHeap {
   };
   using KeyIndex = std::map<std::string, RecordLocation, std::less<>>;
   /// One hash bucket: its latch, its page chain in memory and the key index
-  /// over it.
-  struct Bucket {
+  /// over it. Each starts its own cache line, so writers on neighbouring
+  /// buckets do not contend for their latches' line.
+  struct alignas(64) Bucket {
     mutable std::mutex mu;
     /// The chain in allocation order. Page ids encode their bucket
     /// (kHeapPageBase + bucket + kTableBuckets * n), so the stable chain is

@@ -24,7 +24,7 @@ void PutVarint64(std::string* dst, uint64_t v) {
   dst->push_back(static_cast<char>(v));
 }
 
-void PutLengthPrefixed(std::string* dst, const std::string& value) {
+void PutLengthPrefixed(std::string* dst, std::string_view value) {
   PutVarint64(dst, value.size());
   dst->append(value);
 }
@@ -35,44 +35,10 @@ Status Decoder::GetFixed8(uint8_t* v) {
   return Status::OK();
 }
 
-Status Decoder::GetFixed32(uint32_t* v) {
-  if (remaining() < 4) return Status::Corruption("truncated fixed32");
-  const auto* u = reinterpret_cast<const unsigned char*>(p_);
-  *v = static_cast<uint32_t>(u[0]) | (static_cast<uint32_t>(u[1]) << 8) |
-       (static_cast<uint32_t>(u[2]) << 16) |
-       (static_cast<uint32_t>(u[3]) << 24);
-  p_ += 4;
-  return Status::OK();
-}
-
-Status Decoder::GetFixed64(uint64_t* v) {
-  uint32_t lo = 0, hi = 0;
-  ARIESRH_RETURN_IF_ERROR(GetFixed32(&lo));
-  ARIESRH_RETURN_IF_ERROR(GetFixed32(&hi));
-  *v = (static_cast<uint64_t>(hi) << 32) | lo;
-  return Status::OK();
-}
-
-Status Decoder::GetVarint64(uint64_t* v) {
-  uint64_t result = 0;
-  for (int shift = 0; shift <= 63; shift += 7) {
-    if (empty()) return Status::Corruption("truncated varint64");
-    uint64_t byte = static_cast<unsigned char>(*p_++);
-    result |= (byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *v = result;
-      return Status::OK();
-    }
-  }
-  return Status::Corruption("varint64 too long");
-}
-
 Status Decoder::GetLengthPrefixed(std::string* value) {
-  uint64_t len = 0;
-  ARIESRH_RETURN_IF_ERROR(GetVarint64(&len));
-  if (remaining() < len) return Status::Corruption("truncated string");
-  value->assign(p_, len);
-  p_ += len;
+  std::string_view view;
+  ARIESRH_RETURN_IF_ERROR(GetLengthPrefixed(&view));
+  value->assign(view);
   return Status::OK();
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "util/status.h"
 
@@ -29,9 +30,23 @@ void PutFixed64(std::string* dst, uint64_t v);
 void PutVarint64(std::string* dst, uint64_t v);
 
 /// Appends a length-prefixed byte string.
-void PutLengthPrefixed(std::string* dst, const std::string& value);
+void PutLengthPrefixed(std::string* dst, std::string_view value);
 
-/// A bounds-checked sequential decoder over a byte buffer.
+/// Reads a 4-/8-byte little-endian value from `p`; the caller has checked
+/// that the bytes are there.
+inline uint32_t DecodeFixed32(const char* p) {
+  const auto* u = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<uint32_t>(u[0]) | (static_cast<uint32_t>(u[1]) << 8) |
+         (static_cast<uint32_t>(u[2]) << 16) |
+         (static_cast<uint32_t>(u[3]) << 24);
+}
+inline uint64_t DecodeFixed64(const char* p) {
+  return (static_cast<uint64_t>(DecodeFixed32(p + 4)) << 32) |
+         DecodeFixed32(p);
+}
+
+/// A bounds-checked sequential decoder over a byte buffer. The per-field
+/// getters are inline: page and record decoders call them for every field.
 class Decoder {
  public:
   Decoder(const char* data, size_t size) : p_(data), end_(data + size) {}
@@ -45,11 +60,51 @@ class Decoder {
   Status GetFixed64(uint64_t* v);
   Status GetVarint64(uint64_t* v);
   Status GetLengthPrefixed(std::string* value);
+  /// As above, but the view points into the decoded buffer, which must
+  /// outlive it.
+  Status GetLengthPrefixed(std::string_view* value);
 
  private:
   const char* p_;
   const char* end_;
 };
+
+inline Status Decoder::GetFixed32(uint32_t* v) {
+  if (remaining() < 4) return Status::Corruption("truncated fixed32");
+  *v = DecodeFixed32(p_);
+  p_ += 4;
+  return Status::OK();
+}
+
+inline Status Decoder::GetFixed64(uint64_t* v) {
+  if (remaining() < 8) return Status::Corruption("truncated fixed64");
+  *v = DecodeFixed64(p_);
+  p_ += 8;
+  return Status::OK();
+}
+
+inline Status Decoder::GetVarint64(uint64_t* v) {
+  uint64_t result = 0;
+  for (int shift = 0; shift <= 63; shift += 7) {
+    if (empty()) return Status::Corruption("truncated varint64");
+    const uint64_t byte = static_cast<unsigned char>(*p_++);
+    result |= (byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      *v = result;
+      return Status::OK();
+    }
+  }
+  return Status::Corruption("varint64 too long");
+}
+
+inline Status Decoder::GetLengthPrefixed(std::string_view* value) {
+  uint64_t len = 0;
+  ARIESRH_RETURN_IF_ERROR(GetVarint64(&len));
+  if (remaining() < len) return Status::Corruption("truncated string");
+  *value = std::string_view(p_, len);
+  p_ += len;
+  return Status::OK();
+}
 
 /// Zig-zag maps signed to unsigned so small-magnitude negatives stay short
 /// under varint encoding.

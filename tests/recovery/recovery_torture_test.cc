@@ -222,9 +222,9 @@ std::optional<std::vector<int64_t>> RecoverPrefix(Database* source,
   Database copy;
   copy.SimulateCrash();
   if (stable_pages) {
-    std::unordered_map<PageId, std::string> pages;
+    PageImages pages;
     for (auto& [id, image] : source->shard(0)->disk()->ClonePages()) {
-      Result<Page> page = Page::Deserialize(image);
+      Result<Page> page = Page::Deserialize(*image);
       if (!page.ok()) {
         ADD_FAILURE() << "page " << id << ": " << page.status().ToString();
         return std::nullopt;

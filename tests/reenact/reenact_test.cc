@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,35 @@ TEST(ReenactStateTest, TailMatchesLiveCommittedState) {
   EXPECT_EQ(reenacted->ValueOf(2), 7);
   ASSERT_TRUE(reenacted->RecordOf("alpha").has_value());
   EXPECT_EQ(*reenacted->RecordOf("alpha"), "one");
+}
+
+TEST(ReenactStateTest, CaptureReadsThePagesInMemoryAndWritesNone) {
+  // A four-frame pool over ten pages: some pages are dirty in the pool,
+  // some were evicted to the disk. The capture reads both where they are
+  // and writes nothing back.
+  Options options;
+  options.buffer_pool_pages = 4;
+  Database db(options);
+  TxnId t = *db.Begin();
+  for (ObjectId page = 0; page < 10; ++page) {
+    ASSERT_TRUE(db.Set(t, page * kObjectsPerPage + 1, 10 + page).ok());
+  }
+  ASSERT_TRUE(db.TablePut(t, "alpha", "one").ok());
+  ASSERT_TRUE(db.Commit(t).ok());
+
+  const uint64_t writes_before = db.shard(0)->stats().page_writes;
+  Result<StateImage> live = reenact::CaptureCommittedState(&db);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_EQ(db.shard(0)->stats().page_writes, writes_before);
+  EXPECT_EQ(live->objects.size(), 10u);
+  for (ObjectId page = 0; page < 10; ++page) {
+    EXPECT_EQ(live->ValueOf(page * kObjectsPerPage + 1),
+              static_cast<int64_t>(10 + page));
+  }
+  EXPECT_EQ(live->RecordOf("alpha"), std::optional<std::string>("one"));
+  Result<StateImage> reenacted = db.ReenactStateAt();
+  ASSERT_TRUE(reenacted.ok()) << reenacted.status().ToString();
+  EXPECT_EQ(reenacted->Serialize(), live->Serialize());
 }
 
 TEST(ReenactStateTest, CutRewindsToPastCommittedState) {
@@ -466,6 +497,89 @@ TEST(ReenactArchiveTest, AnchoredReplayDoesNotDoubleApplyBasePages) {
   Result<StateImage> state = db.ReenactStateAt();
   ASSERT_TRUE(state.ok()) << state.status().ToString();
   EXPECT_EQ(state->ValueOf(1), 9);
+}
+
+/// Commits plain-object adds and table puts, then checkpoints and archives
+/// the log prefix, so a reenactor anchors at the stable pages.
+void BuildAnchoredHistory(Database* db) {
+  for (int i = 0; i < 6; ++i) {
+    TxnId t = *db->Begin();
+    ASSERT_TRUE(db->Add(t, 1 + i * kObjectsPerPage, 1).ok());
+    ASSERT_TRUE(db->TablePut(t, "k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(db->Commit(t).ok());
+  }
+  ASSERT_TRUE(db->shard(0)->buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db->shard(0)->table_heap()->FlushAll().ok());
+  ASSERT_TRUE(db->Checkpoint().ok());
+  ASSERT_TRUE(db->ArchiveLog().ok());
+  ASSERT_GT(db->shard(0)->disk()->first_retained_lsn(), kFirstLsn);
+}
+
+TEST(ReenactArchiveTest, CorruptBasePageFailsTheOpen) {
+  // An anchored open reads each base page's LSN from its header; the CRC
+  // over the whole image is still checked, so one flipped byte anywhere in
+  // a plain or a heap page fails the open with Corruption.
+  for (const bool heap_page : {false, true}) {
+    SCOPED_TRACE(heap_page ? "heap page" : "plain page");
+    const std::string path = TempPath("reenact_corrupt_base");
+    Options options;
+    Database db(options);
+    BuildAnchoredHistory(&db);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    SimulatedDisk* disk = db.shard(0)->disk();
+    const std::vector<PageId> ids = disk->StablePageIds();
+    const auto victim =
+        std::find_if(ids.begin(), ids.end(), [heap_page](PageId id) {
+          return (id >= table::kHeapPageBase) == heap_page;
+        });
+    ASSERT_NE(victim, ids.end());
+    std::string image = **disk->ReadPage(*victim);
+    image[image.size() / 2] ^= 0x10;
+    ASSERT_TRUE(disk->WritePage(*victim, std::move(image)).ok());
+
+    Result<Reenactor> live = Reenactor::OpenLive(&db);
+    ASSERT_FALSE(live.ok());
+    EXPECT_TRUE(live.status().IsCorruption()) << live.status().ToString();
+    ASSERT_TRUE(db.SaveTo(path).ok());
+    Result<Reenactor> archive = Reenactor::OpenArchive(options, path);
+    ASSERT_FALSE(archive.ok());
+    EXPECT_TRUE(archive.status().IsCorruption())
+        << archive.status().ToString();
+  }
+}
+
+TEST(ReenactLiveTest, SnapshotDoesNotMoveWhenTheEngineWritesBack) {
+  // An anchored live reenactor shares the engine's page images. Commits,
+  // a checkpoint and a write-back after the open install new images on the
+  // engine's disk; the reenactor's snapshot keeps the ones it saw, so the
+  // same cut reenacts byte for byte the same state.
+  Database db;
+  BuildAnchoredHistory(&db);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  Result<Reenactor> r = Reenactor::OpenLive(&db);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const Lsn cut = r->tail_lsn(0);
+  Result<StateImage> first = r->StateAt(cut);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->ValueOf(1), 1);
+
+  for (int i = 0; i < 6; ++i) {
+    TxnId t = *db.Begin();
+    ASSERT_TRUE(db.Add(t, 1 + i * kObjectsPerPage, 100).ok());
+    ASSERT_TRUE(db.TablePut(t, "k" + std::to_string(i), "later").ok());
+    ASSERT_TRUE(db.TablePut(t, "new" + std::to_string(i), "x").ok());
+    ASSERT_TRUE(db.Commit(t).ok());
+  }
+  const uint64_t writes_before = db.shard(0)->stats().page_writes;
+  ASSERT_TRUE(db.shard(0)->buffer_pool()->FlushAll().ok());
+  ASSERT_TRUE(db.shard(0)->table_heap()->FlushAll().ok());
+  ASSERT_TRUE(db.Checkpoint().ok());
+  ASSERT_GT(db.shard(0)->stats().page_writes, writes_before);
+
+  Result<StateImage> again = r->StateAt(cut);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->Serialize(), first->Serialize());
+  EXPECT_EQ(again->ValueOf(1), 1);
 }
 
 TEST(ReenactCheckpointTest, CutsInsideTheCheckpointWindowAreExact) {

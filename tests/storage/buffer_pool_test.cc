@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 namespace ariesrh {
@@ -46,6 +47,37 @@ TEST_F(BufferPoolTest, FetchReadsExistingPageFromDisk) {
   EXPECT_EQ((*got)->Get(3), 77);
 }
 
+TEST_F(BufferPoolTest, ForEachPageSeesFramesAndStablePagesWritingNothing) {
+  // Page 1 is stable only, page 2 stable with a newer dirty frame, page 3 a
+  // frame only, and page 50 lies past the bound.
+  for (PageId id : {PageId{1}, PageId{2}, PageId{50}}) {
+    Page page(id);
+    page.Set(0, 10 + id);
+    ASSERT_TRUE(disk_.WritePage(id, page.Serialize()).ok());
+  }
+  ASSERT_TRUE(pool_.WithPage(2, [](Page* page) {
+                      page->Set(0, 200);
+                      return Lsn{5};
+                    })
+                  .ok());
+  ASSERT_TRUE(pool_.WithPage(3, [](Page* page) {
+                      page->Set(0, 300);
+                      return Lsn{6};
+                    })
+                  .ok());
+  const uint64_t writes = stats_.page_writes;
+  std::map<PageId, int64_t> seen;
+  ASSERT_TRUE(pool_
+                  .ForEachPage(10, [&seen](const Page& page) {
+                    EXPECT_TRUE(seen.emplace(page.id(), page.Get(0)).second);
+                  })
+                  .ok());
+  EXPECT_EQ(seen, (std::map<PageId, int64_t>{{1, 11}, {2, 200}, {3, 300}}));
+  EXPECT_EQ(stats_.page_writes, writes);
+  EXPECT_EQ(pool_.cached_pages(), 2u);
+  EXPECT_EQ(pool_.DirtyPageTable().size(), 2u);
+}
+
 TEST_F(BufferPoolTest, EvictionWritesBackDirtyPages) {
   for (PageId id = 0; id < 4; ++id) {
     Page* page = *pool_.Fetch(id);
@@ -58,7 +90,7 @@ TEST_F(BufferPoolTest, EvictionWritesBackDirtyPages) {
   (void)*pool_.Fetch(4);
   EXPECT_EQ(pool_.cached_pages(), 4u);
   ASSERT_TRUE(disk_.HasPage(0));
-  Result<Page> back = Page::Deserialize(*disk_.ReadPage(0));
+  Result<Page> back = Page::Deserialize(**disk_.ReadPage(0));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->Get(0), 100);
 }

@@ -59,6 +59,20 @@ TEST(PageTest, TruncatedImageDetected) {
   EXPECT_TRUE(Page::Deserialize("").status().IsCorruption());
 }
 
+TEST(PageTest, PeekLsnReadsTheHeaderAndChecksTheCrc) {
+  Page page(4);
+  page.set_page_lsn(77);
+  page.Set(1, 5);
+  std::string image = page.Serialize();
+  Result<Lsn> lsn = Page::PeekLsn(image);
+  ASSERT_TRUE(lsn.ok()) << lsn.status().ToString();
+  EXPECT_EQ(*lsn, 77u);
+  // A flip in the cells, which the peek never decodes, still fails it.
+  image[image.size() - 8] ^= 0x01;
+  EXPECT_TRUE(Page::PeekLsn(image).status().IsCorruption());
+  EXPECT_TRUE(Page::PeekLsn("").status().IsCorruption());
+}
+
 TEST(PageTest, ObjectToPageMapping) {
   EXPECT_EQ(PageOf(0), 0u);
   EXPECT_EQ(PageOf(kObjectsPerPage - 1), 0u);

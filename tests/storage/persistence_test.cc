@@ -30,7 +30,7 @@ TEST(DiskPersistenceTest, RoundTripsPagesLogAndMetadata) {
   Stats stats2;
   Result<SimulatedDisk> back = SimulatedDisk::LoadFrom(path, &stats2);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(*back->ReadPage(3), "image-three");
+  EXPECT_EQ(**back->ReadPage(3), "image-three");
   EXPECT_EQ(back->master_record(), 2u);
   EXPECT_EQ(back->first_retained_lsn(), 2u);
   EXPECT_EQ(back->stable_end_lsn(), 3u);

@@ -15,9 +15,9 @@ TEST_F(SimulatedDiskTest, PageRoundTrip) {
   ASSERT_TRUE(disk_.WritePage(5, "image-5").ok());
   EXPECT_TRUE(disk_.HasPage(5));
   EXPECT_FALSE(disk_.HasPage(6));
-  Result<std::string> got = disk_.ReadPage(5);
+  Result<PageImage> got = disk_.ReadPage(5);
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, "image-5");
+  EXPECT_EQ(**got, "image-5");
   EXPECT_EQ(stats_.page_writes, 1u);
   EXPECT_EQ(stats_.page_reads, 1u);
 }
@@ -29,7 +29,7 @@ TEST_F(SimulatedDiskTest, MissingPageIsNotFound) {
 TEST_F(SimulatedDiskTest, PageOverwrite) {
   ASSERT_TRUE(disk_.WritePage(1, "v1").ok());
   ASSERT_TRUE(disk_.WritePage(1, "v2").ok());
-  EXPECT_EQ(*disk_.ReadPage(1), "v2");
+  EXPECT_EQ(**disk_.ReadPage(1), "v2");
 }
 
 TEST_F(SimulatedDiskTest, LogAppendAssignsSequentialLsns) {
