@@ -29,7 +29,14 @@
 //   * BM_TableHeapPut/threads:<n>: one TableHeap::WithRecord overwrite of
 //     a 100-byte value (no log), from n threads at once, each over its own
 //     heap buckets: what the write path pays under its bucket latch, and
-//     whether writers to distinct buckets scale.
+//     whether writers to distinct buckets scale. The parallelism counter is
+//     the threads' summed CPU time over the loop's wall time: near n when
+//     the threads ran side by side, near 1 when the host ran them one at a
+//     time (a row that reads 1 says nothing about scaling).
+//   * BM_TableHeapScan/<limit>: one TableHeap::Scan of up to that many
+//     records from a key spread over a 25,000-key table whose buckets are
+//     all loaded: the latch-all, per-bucket seek and merge a range read
+//     pays, with no load in the loop.
 //   * BM_TableHeapBootstrap/<keys>: a restart's heap load with every bucket
 //     touched — every stable heap page read, checked and indexed — for a
 //     table of that many keys with kv_durable's 100-byte values. Each
@@ -51,6 +58,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <time.h>
+
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -64,6 +73,7 @@
 
 #include "bench_util.h"
 #include "coord/coordinator_log.h"
+#include "obs/clock.h"
 #include "recovery/analysis.h"
 #include "recovery/undo_rh.h"
 #include "table/heap_page.h"
@@ -77,6 +87,14 @@ namespace {
 void AddCpuCounter(benchmark::State& state) {
   state.counters["num_cpus"] =
       benchmark::Counter(static_cast<double>(NumCpus()));
+}
+
+/// CPU time the calling thread has used, in ns.
+uint64_t ThreadCpuNanos() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
+         static_cast<uint64_t>(ts.tv_nsec);
 }
 
 void BM_Crc32c(benchmark::State& state) {
@@ -434,11 +452,25 @@ void BM_TableHeapPut(benchmark::State& state) {
     return lsn++;
   };
   size_t next = 0;
+  // Both clocks start once every thread has passed the loop's start
+  // barrier, and stop after its stop barrier, so each thread's wall window
+  // is the whole run's.
+  uint64_t cpu_start = 0;
+  uint64_t wall_start = 0;
   for (auto _ : state) {
+    if (wall_start == 0) {
+      cpu_start = ThreadCpuNanos();
+      wall_start = obs::MonotonicNanos();
+    }
     Check(fixture->heap.WithRecord(keys[next], overwrite).status(),
           "WithRecord");
     if (++next == keys.size()) next = 0;
   }
+  const uint64_t wall = obs::MonotonicNanos() - wall_start;
+  // Summed over the threads by the report.
+  state.counters["parallelism"] = benchmark::Counter(
+      static_cast<double>(ThreadCpuNanos() - cpu_start) /
+      static_cast<double>(std::max<uint64_t>(wall, 1)));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   if (state.thread_index() == 0) {
     AddCpuCounter(state);
@@ -446,6 +478,31 @@ void BM_TableHeapPut(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TableHeapPut)->Threads(1)->Threads(4)->UseRealTime();
+
+void BM_TableHeapScan(benchmark::State& state) {
+  constexpr int kKeys = 25000;
+  const auto limit = static_cast<size_t>(state.range(0));
+  const std::unique_ptr<Database> db = StableTable(kKeys);
+  Stats stats;
+  table::TableHeap heap(db->shard(0)->disk(), &stats, /*wal_flush=*/nullptr);
+  // A scan touches every bucket: this one loads them all.
+  Check(heap.Scan("", 1).status(), "Scan");
+  // Start keys spread over the table, visited in a fixed order.
+  std::vector<std::string> starts;
+  for (int i = 0; i < kKeys; i += 97) starts.push_back(HeapKey(i));
+  size_t next = 0;
+  uint64_t rows = 0;
+  for (auto _ : state) {
+    const auto out = CheckResult(heap.Scan(starts[next], limit), "Scan");
+    benchmark::DoNotOptimize(out.data());
+    rows += out.size();
+    if (++next == starts.size()) next = 0;
+  }
+  state.counters["rows"] = benchmark::Counter(
+      static_cast<double>(rows) / static_cast<double>(state.iterations()));
+  AddCpuCounter(state);
+}
+BENCHMARK(BM_TableHeapScan)->Arg(10)->Arg(100);
 
 void BM_TableHeapBootstrap(benchmark::State& state) {
   const int keys = static_cast<int>(state.range(0));

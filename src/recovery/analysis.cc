@@ -65,7 +65,7 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
   const ForwardPassKind kind = opts.kind;
   RecoveryFaultBudget* redo_budget = opts.redo_budget;
   const coord::Resolution* resolution = opts.resolution;
-  table::TableHeap* heap = opts.heap;
+  table::ReplayTarget* table = opts.table;
   const AnalysisHooks* hooks = opts.hooks;
   // Both redo flavors need the scan to reach back to the redo point.
   const bool redo_bounds = kind != ForwardPassKind::kAnalysisOnly;
@@ -142,7 +142,7 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
     ARIESRH_RETURN_IF_ERROR(SpendRedoBudget(redo_budget));
     bool applied = false;
     ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(
-        pool, rec, /*check_page_lsn=*/true, &applied, heap));
+        pool, rec, /*check_page_lsn=*/true, &applied, table));
     if (applied) {
       ++stats->recovery_redos;
       ++result.records_redone;

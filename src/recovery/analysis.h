@@ -110,8 +110,9 @@ struct ForwardPassOptions {
   RecoveryFaultBudget* redo_budget = nullptr;
   /// Coordinator verdicts for csn-stamped DELEGATE legs (see ForwardPass).
   const coord::Resolution* resolution = nullptr;
-  /// Table heap logical records replay into (redo-bearing kinds).
-  table::TableHeap* heap = nullptr;
+  /// What logical table records replay into (redo-bearing kinds): the
+  /// engine's TableHeap, or a reenactment fold's overlay.
+  table::ReplayTarget* table = nullptr;
   /// Stop the scan after this LSN — the reenactment cut. kInvalidLsn (the
   /// default) scans to the flushed tail, which is recovery's behavior.
   Lsn scan_cut = kInvalidLsn;
@@ -132,9 +133,10 @@ struct ForwardPassOptions {
 /// voids it (the record stays in both backward chains but its scopes never
 /// transfer, so undo targets the original invoker). nullptr treats every
 /// csn-stamped DELEGATE as uncommitted, which is exactly presumed abort.
-/// `heap` (optional) is the table heap logical table records replay into
-/// (redo-bearing kinds) and whose rids the rebuilt Ob_Lists cover; engines
-/// without a table layer pass nullptr and table records are then corruption.
+/// `opts.table` (optional) is what logical table records replay into
+/// (redo-bearing kinds); engines without a table layer pass nullptr and a
+/// table record to redo is then an error. `pool` is touched only by the
+/// redo-bearing kinds: a kAnalysisOnly pass may pass nullptr for it.
 Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
                                       BufferPool* pool, Stats* stats,
                                       const CheckpointData* ckpt,

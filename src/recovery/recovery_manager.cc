@@ -184,7 +184,7 @@ Result<RecoveryManager::Plan> RecoveryManager::BuildPlan(
   opts.kind = kind;
   opts.redo_budget = redo_budget;
   opts.resolution = resolution;
-  opts.heap = heap_;
+  opts.table = heap_;
   ARIESRH_ASSIGN_OR_RETURN(
       plan.fwd, ForwardPass(options_.delegation_mode, log_, pool_, stats_,
                             ckpt_end_lsn != 0 ? &ckpt : nullptr, ckpt_end_lsn,

@@ -30,15 +30,15 @@ bool ApplyPageAction(const Rec& rec, Page* page, bool check_page_lsn) {
 // ApplyRecordToPage for either form.
 template <typename Rec>
 Status ApplyAction(BufferPool* pool, const Rec& rec, bool check_page_lsn,
-                   bool* applied, table::TableHeap* heap) {
+                   bool* applied, table::ReplayTarget* table) {
   if (applied != nullptr) *applied = false;
   if (IsTableRecord(rec.type)) {
-    if (heap == nullptr) {
+    if (table == nullptr) {
       return Status::IllegalState("table log record without a table heap");
     }
     // Logical replay is state-based: idempotence comes from replaying each
     // key's records in LSN order, not from a page-LSN check.
-    ARIESRH_RETURN_IF_ERROR(heap->ApplyLogical(rec));
+    ARIESRH_RETURN_IF_ERROR(table->ApplyLogical(rec));
     if (applied != nullptr) *applied = true;
     return Status::OK();
   }
@@ -55,14 +55,14 @@ Status ApplyAction(BufferPool* pool, const Rec& rec, bool check_page_lsn,
 
 Status ApplyRecordToPage(BufferPool* pool, const LogRecord& rec,
                          bool check_page_lsn, bool* applied,
-                         table::TableHeap* heap) {
-  return ApplyAction(pool, rec, check_page_lsn, applied, heap);
+                         table::ReplayTarget* table) {
+  return ApplyAction(pool, rec, check_page_lsn, applied, table);
 }
 
 Status ApplyRecordToPage(BufferPool* pool, const RedoEntry& entry,
                          bool check_page_lsn, bool* applied,
-                         table::TableHeap* heap) {
-  return ApplyAction(pool, entry, check_page_lsn, applied, heap);
+                         table::ReplayTarget* table) {
+  return ApplyAction(pool, entry, check_page_lsn, applied, table);
 }
 
 bool ApplyToPage(const RedoEntry& entry, Page* page, bool check_page_lsn) {
@@ -133,7 +133,7 @@ Status ScratchUndoSink::Undo(const LogRecord& update_rec, TxnId responsible,
   LogRecord clr = CompensationFor(update_rec, responsible, kInvalidLsn);
   clr.lsn = update_rec.lsn;
   return ApplyRecordToPage(pool_, clr, /*check_page_lsn=*/false,
-                           /*applied=*/nullptr, heap_);
+                           /*applied=*/nullptr, table_);
 }
 
 Status PartitionedRedo(const RedoPlan& plan, size_t threads, BufferPool* pool,

@@ -27,7 +27,7 @@ namespace ariesrh {
 bool ApplyToPage(const RedoEntry& entry, Page* page, bool check_page_lsn);
 
 /// Applies an UPDATE or CLR record to its page, or a logical table record
-/// to the table heap.
+/// to the table replay target.
 ///
 /// With `check_page_lsn` (the redo pass), a page record is applied only if
 /// the page LSN is older than the record's LSN — ARIES "repeating history"
@@ -35,17 +35,18 @@ bool ApplyToPage(const RedoEntry& entry, Page* page, bool check_page_lsn);
 /// Either way the page LSN advances to the record's LSN on application and
 /// the page is marked dirty. The fetch + apply runs atomically under the
 /// pool latch, so concurrent recovery workers can share the pool.
-/// Table records replay state-based through `heap` (idempotent by per-key
-/// LSN order rather than page LSN); engines without a table heap pass
-/// nullptr and encountering a table record is then an error.
+/// Table records replay state-based through `table` (idempotent by per-key
+/// LSN order rather than page LSN): the engine's TableHeap, or a
+/// reenactment fold's overlay. Engines without a table layer pass nullptr
+/// and encountering a table record is then an error.
 /// `applied` (optional) reports whether state was actually modified.
 /// The RedoEntry form replays a redo plan's entry the same way.
 Status ApplyRecordToPage(BufferPool* pool, const LogRecord& rec,
                          bool check_page_lsn, bool* applied = nullptr,
-                         table::TableHeap* heap = nullptr);
+                         table::ReplayTarget* table = nullptr);
 Status ApplyRecordToPage(BufferPool* pool, const RedoEntry& entry,
                          bool check_page_lsn, bool* applied = nullptr,
-                         table::TableHeap* heap = nullptr);
+                         table::ReplayTarget* table = nullptr);
 
 /// Where a backward pass sends its compensations. ScopeSweepUndo,
 /// FullScanUndo and ChainUndo decide *which* updates roll back; the sink
@@ -99,11 +100,12 @@ class LoggingUndoSink final : public UndoSink {
 };
 
 /// The time-travel sink: applies each compensation to scratch components
-/// and logs nothing — the source log is read-only by design.
+/// (the fold's pool and its table overlay) and logs nothing — the source
+/// log is read-only by design.
 class ScratchUndoSink final : public UndoSink {
  public:
-  ScratchUndoSink(BufferPool* pool, table::TableHeap* heap)
-      : pool_(pool), heap_(heap) {}
+  ScratchUndoSink(BufferPool* pool, table::ReplayTarget* table)
+      : pool_(pool), table_(table) {}
 
   Status Undo(const LogRecord& update_rec, TxnId responsible,
               std::unordered_map<TxnId, Lsn>* heads) override;
@@ -111,7 +113,7 @@ class ScratchUndoSink final : public UndoSink {
 
  private:
   BufferPool* pool_;
-  table::TableHeap* heap_;
+  table::ReplayTarget* table_;
 };
 
 /// The redo work a collecting forward sweep discovered, keyed by the page

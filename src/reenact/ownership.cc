@@ -5,9 +5,6 @@
 #include <utility>
 
 #include "recovery/checkpoint.h"
-#include "storage/buffer_pool.h"
-#include "storage/simulated_disk.h"
-#include "table/table_heap.h"
 #include "util/stats.h"
 #include "wal/log_record.h"
 
@@ -160,11 +157,6 @@ Result<OwnershipIndex> BuildOwnershipIndex(
   }
 
   Stats stats;
-  SimulatedDisk scratch_disk(&stats);
-  const auto no_wal = [](Lsn) { return Status::OK(); };
-  BufferPool scratch_pool(&scratch_disk, /*capacity=*/8, no_wal, &stats);
-  table::TableHeap scratch_heap(&scratch_disk, &stats, no_wal);
-
   OwnershipCollector collector(mode);
   AnalysisHooks hooks;
   hooks.on_record = [&collector](const LogRecord& rec, bool applied,
@@ -179,12 +171,13 @@ Result<OwnershipIndex> BuildOwnershipIndex(
   ForwardPassOptions opts;
   opts.kind = ForwardPassKind::kAnalysisOnly;
   opts.resolution = resolution;
-  opts.heap = &scratch_heap;
   opts.scan_cut = hi;
   opts.hooks = &hooks;
+  // An analysis-only pass touches no page and replays no table record, so
+  // it needs no scratch pool or table.
   ARIESRH_ASSIGN_OR_RETURN(
       ForwardPassResult fwd,
-      ForwardPass(mode, mlog, &scratch_pool, &stats,
+      ForwardPass(mode, mlog, /*pool=*/nullptr, &stats,
                   ckpt_end != 0 ? &ckpt : nullptr, ckpt_end, opts));
   return collector.Finish(&fwd, resolution, hi);
 }

@@ -22,29 +22,19 @@ namespace {
 /// test histories fully resident.
 constexpr size_t kScratchPoolFrames = 256;
 
-/// Merges every non-zero cell and table record of one shard into `out`,
-/// reading each page where it is (pool frame, heap frame, or the stable
-/// image of a plain page the pool does not hold) and writing nothing back.
-/// The one extraction StateAt and the oracle's CaptureCommittedState
-/// share, so their images compare byte-for-byte.
-Status ExtractInto(BufferPool* pool, table::TableHeap* heap, StateImage* out) {
-  ARIESRH_RETURN_IF_ERROR(
-      pool->ForEachPage(table::kHeapPageBase, [out](const Page& page) {
-        for (uint32_t slot = 0; slot < kObjectsPerPage; ++slot) {
-          const int64_t value = page.Get(slot);
-          if (value == 0) continue;  // zero == never written (canonical)
-          out->objects[static_cast<ObjectId>(page.id()) * kObjectsPerPage +
-                       slot] = value;
-        }
-      }));
-  // Keys arrive in order, so each lands next to the one before it (other
-  // shards' keys aside): the hint saves the map a descent per record.
-  auto hint = out->records.end();
-  return heap->ForEachRecord(
-      "", [&](std::string_view key, std::string_view value) {
-        hint = std::next(out->records.emplace_hint(hint, key, value));
-        return true;
-      });
+/// Merges every non-zero cell of one shard into `out`, reading each page
+/// where it is (a pool frame, or the stable image of a page the pool does
+/// not hold) and writing nothing back. StateAt and the oracle's
+/// CaptureCommittedState share it, so their images compare byte-for-byte.
+Status ExtractObjects(BufferPool* pool, StateImage* out) {
+  return pool->ForEachPage(table::kHeapPageBase, [out](const Page& page) {
+    for (uint32_t slot = 0; slot < kObjectsPerPage; ++slot) {
+      const int64_t value = page.Get(slot);
+      if (value == 0) continue;  // zero == never written (canonical)
+      out->objects[static_cast<ObjectId>(page.id()) * kObjectsPerPage +
+                   slot] = value;
+    }
+  });
 }
 
 /// True for record types that change database state when replayed forward.
@@ -337,16 +327,25 @@ Result<Reenactor::ShardFold> Reenactor::FoldShard(size_t shard, Lsn cut,
   ShardFold fold;
   fold.cut = cut;
   fold.stats = std::make_unique<Stats>();
-  fold.disk = std::make_unique<SimulatedDisk>(fold.stats.get());
-  if (src.anchored) fold.disk->RestorePages(src.base_pages);
-  // Nothing is ever logged by a reenactment fold, so the WAL hook is a
-  // no-op: write-back ordering against a log we never write is vacuous.
-  const WalFlushFn no_wal = [](Lsn) { return Status::OK(); };
-  fold.pool = std::make_unique<BufferPool>(fold.disk.get(), kScratchPoolFrames,
-                                           no_wal, fold.stats.get());
-  fold.heap =
-      std::make_unique<table::TableHeap>(fold.disk.get(), fold.stats.get(),
-                                         no_wal);
+  if (materialize) {
+    // The scratch disk holds the base plain pages; the table reads the base
+    // heap images where they are.
+    fold.disk = std::make_unique<SimulatedDisk>(fold.stats.get());
+    if (src.anchored) {
+      PageImages plain;
+      for (const auto& [id, image] : src.base_pages) {
+        if (id < table::kHeapPageBase) plain.emplace(id, image);
+      }
+      fold.disk->RestorePages(std::move(plain));
+    }
+    // Nothing is ever logged by a reenactment fold, so the WAL hook is a
+    // no-op: write-back ordering against a log we never write is vacuous.
+    const WalFlushFn no_wal = [](Lsn) { return Status::OK(); };
+    fold.pool = std::make_unique<BufferPool>(
+        fold.disk.get(), kScratchPoolFrames, no_wal, fold.stats.get());
+    fold.table =
+        std::make_unique<FoldTable>(src.anchored ? &src.base_pages : nullptr);
+  }
 
   OwnershipCollector collector(options_.delegation_mode);
   AnalysisHooks hooks;
@@ -369,7 +368,7 @@ Result<Reenactor::ShardFold> Reenactor::FoldShard(size_t shard, Lsn cut,
   opts.kind =
       materialize ? ForwardPassKind::kMerged : ForwardPassKind::kAnalysisOnly;
   opts.resolution = &resolution_;
-  opts.heap = fold.heap.get();
+  opts.table = fold.table.get();
   opts.scan_cut = cut;
   opts.hooks = &hooks;
   ARIESRH_ASSIGN_OR_RETURN(
@@ -402,7 +401,7 @@ Result<Reenactor::ShardFold> Reenactor::FoldShard(size_t shard, Lsn cut,
         std::to_string(stop) + ", archived before the retained head LSN " +
         std::to_string(src.first_retained));
   }
-  ScratchUndoSink sink(fold.pool.get(), fold.heap.get());
+  ScratchUndoSink sink(fold.pool.get(), fold.table.get());
   ARIESRH_RETURN_IF_ERROR(UndoGroups(options_, fold.fwd, &groups, src.log,
                                      fold.stats.get(), &sink));
   return fold;
@@ -418,8 +417,8 @@ Result<StateImage> Reenactor::StateAt(Lsn cut) {
     ARIESRH_RETURN_IF_ERROR(ClampCut(shard, &eff));
     ARIESRH_ASSIGN_OR_RETURN(ShardFold fold,
                              FoldShard(shard, eff, /*materialize=*/true));
-    ARIESRH_RETURN_IF_ERROR(
-        ExtractInto(fold.pool.get(), fold.heap.get(), &img));
+    ARIESRH_RETURN_IF_ERROR(ExtractObjects(fold.pool.get(), &img));
+    ARIESRH_RETURN_IF_ERROR(fold.table->ExtractInto(&img.records));
     img.cuts.push_back(eff);
   }
   ObserveQuery(start_ns);
@@ -625,7 +624,7 @@ Result<ReplayResult> Reenactor::ReplayTxn(TxnId txn, Lsn cut) {
     }
     for (const std::string& touched : touched_keys) {
       ARIESRH_ASSIGN_OR_RETURN(std::optional<std::string> before,
-                               fold.heap->Read(touched));
+                               fold.table->Read(touched));
       out.records[touched] = {std::move(before), std::nullopt};
     }
 
@@ -634,7 +633,7 @@ Result<ReplayResult> Reenactor::ReplayTxn(TxnId txn, Lsn cut) {
     for (const LogRecord& rec : mine) {
       ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(fold.pool.get(), rec,
                                                 /*check_page_lsn=*/false,
-                                                nullptr, fold.heap.get()));
+                                                nullptr, fold.table.get()));
       ++out.records_applied;
     }
 
@@ -644,7 +643,7 @@ Result<ReplayResult> Reenactor::ReplayTxn(TxnId txn, Lsn cut) {
     }
     for (const std::string& touched : touched_keys) {
       ARIESRH_ASSIGN_OR_RETURN(out.records[touched].second,
-                               fold.heap->Read(touched));
+                               fold.table->Read(touched));
     }
   }
   if (!found) {
@@ -672,8 +671,16 @@ Result<StateImage> CaptureCommittedState(Database* db) {
   StateImage img;
   for (size_t s = 0; s < db->num_shards(); ++s) {
     EngineShard* shard = db->shard(s);
-    ARIESRH_RETURN_IF_ERROR(
-        ExtractInto(shard->buffer_pool(), shard->table_heap(), &img));
+    ARIESRH_RETURN_IF_ERROR(ExtractObjects(shard->buffer_pool(), &img));
+    // The live heap visits its records in key order, so each lands next to
+    // the one before it (other shards' keys aside): the hint saves the map
+    // a descent per record.
+    auto hint = img.records.end();
+    ARIESRH_RETURN_IF_ERROR(shard->table_heap()->ForEachRecord(
+        "", [&](std::string_view key, std::string_view value) {
+          hint = std::next(img.records.emplace_hint(hint, key, value));
+          return true;
+        }));
     img.cuts.push_back(shard->log_manager()->flushed_lsn());
   }
   return img;

@@ -46,10 +46,10 @@
 #include "obs/trace.h"
 #include "recovery/analysis.h"
 #include "recovery/checkpoint.h"
+#include "reenact/fold_table.h"
 #include "reenact/ownership.h"
 #include "storage/buffer_pool.h"
 #include "storage/simulated_disk.h"
-#include "table/table_heap.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -216,8 +216,9 @@ class Reenactor {
   };
 
   /// The product of replaying one shard to a cut: the ownership index and
-  /// (for state-bearing folds) scratch components holding the replayed
-  /// pages and table heap. Member order: stats outlives disk/pool/heap.
+  /// (for state-bearing folds only) scratch components holding the replayed
+  /// plain pages and the table's key overlay over the shard's base images.
+  /// Member order: stats outlives disk/pool.
   struct ShardFold {
     Lsn cut = 0;
     OwnershipIndex ownership;
@@ -225,7 +226,7 @@ class Reenactor {
     std::unique_ptr<Stats> stats;
     std::unique_ptr<SimulatedDisk> disk;
     std::unique_ptr<BufferPool> pool;
-    std::unique_ptr<table::TableHeap> heap;
+    std::unique_ptr<FoldTable> table;
     /// Writes to the tracked object/key, oldest first (lsn, txn, type).
     std::vector<std::tuple<Lsn, TxnId, LogRecordType>> tracked;
   };
@@ -240,12 +241,14 @@ class Reenactor {
   /// with kOutOfRange below the earliest replayable cut.
   Status ClampCut(size_t shard, Lsn* cut) const;
 
-  /// Replays shard `shard` up to `cut`; analysis only unless
-  /// `materialize`. A materializing fold is a restart at the cut in scratch
-  /// components: the merged forward pass, then every transaction
-  /// uncommitted at the cut rolled back by restart's own undo executor
-  /// through a sink that logs nothing (the source log is read-only here by
-  /// design). `track_ob` / `track_key` (optional) collect that object's /
+  /// Replays shard `shard` up to `cut`; analysis only (no scratch
+  /// component at all) unless `materialize`. A materializing fold is a
+  /// restart at the cut in scratch components: the merged forward pass,
+  /// then every transaction uncommitted at the cut rolled back by restart's
+  /// own undo executor through a sink that logs nothing (the source log is
+  /// read-only here by design). Plain pages replay into a scratch pool over
+  /// the base pages; table records into a FoldTable over the base heap
+  /// images. `track_ob` / `track_key` (optional) collect that object's /
   /// key's write history into ShardFold::tracked.
   Result<ShardFold> FoldShard(size_t shard, Lsn cut, bool materialize,
                               ObjectId track_ob = kInvalidObject,

@@ -1,6 +1,7 @@
 #include "table/heap_page.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/coding.h"
 #include "util/crc32c.h"
@@ -96,22 +97,6 @@ uint32_t HeapPage::TakeSlot() {
   return static_cast<uint32_t>(slots_.size() - 1);
 }
 
-namespace {
-
-/// Verifies an image's trailing masked CRC and returns the length of the
-/// body it covers.
-Result<size_t> CheckedBodyLength(const std::string& image) {
-  if (image.size() < 4) return Status::Corruption("heap page too short");
-  const size_t body_len = image.size() - 4;
-  const uint32_t stored = DecodeFixed32(image.data() + body_len);
-  if (crc32c::Unmask(stored) != crc32c::Value(image.data(), body_len)) {
-    return Status::Corruption("heap page CRC mismatch");
-  }
-  return body_len;
-}
-
-}  // namespace
-
 std::string HeapPage::Serialize() const {
   std::string out;
   // Header and CRC, plus at most three 5-byte varints per live record.
@@ -130,54 +115,86 @@ std::string HeapPage::Serialize() const {
 }
 
 Result<HeapPage> HeapPage::Deserialize(const std::string& image) {
-  ARIESRH_ASSIGN_OR_RETURN(const size_t body_len, CheckedBodyLength(image));
-  Decoder dec(image.data(), body_len);
-  HeapPage page;
-  uint32_t id = 0;
-  ARIESRH_RETURN_IF_ERROR(dec.GetFixed32(&id));
-  page.id_ = id;
-  ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&page.page_lsn_));
-  uint64_t count = 0;
-  ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&count));
-  // The records' bytes are a subset of the body: one reservation holds
+  ARIESRH_ASSIGN_OR_RETURN(HeapImageCursor cursor,
+                           HeapImageCursor::Open(image));
+  HeapPage page(cursor.page_id());
+  page.page_lsn_ = cursor.page_lsn();
+  // The records' bytes are a subset of the image: one reservation holds
   // them all, and each record takes at least three bytes of it.
-  page.payload_.reserve(dec.remaining());
-  page.slots_.reserve(std::min<uint64_t>(count, dec.remaining() / 3));
-  for (uint64_t n = 0; n < count; ++n) {
-    uint64_t slot = 0;
-    std::string_view key, value;
-    ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&slot));
-    ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&key));
-    ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&value));
+  page.payload_.reserve(image.size());
+  page.slots_.reserve(std::min<uint64_t>(cursor.records(), image.size() / 3));
+  while (cursor.Next()) {
+    const uint32_t slot = cursor.slot();
     if (slot >= page.slots_.size()) page.slots_.resize(slot + 1);
-    if (page.slots_[slot].live) {
-      return Status::Corruption("heap page duplicate slot");
-    }
     Slot& s = page.slots_[slot];
     s.offset = static_cast<uint32_t>(page.payload_.size());
-    s.key_len = static_cast<uint32_t>(key.size());
-    s.val_len = static_cast<uint32_t>(value.size());
+    s.key_len = static_cast<uint32_t>(cursor.key().size());
+    s.val_len = static_cast<uint32_t>(cursor.value().size());
     s.live = true;
-    page.payload_.append(key);
-    page.payload_.append(value);
-    page.live_bytes_ += key.size() + value.size();
+    page.payload_.append(cursor.key());
+    page.payload_.append(cursor.value());
+    page.live_bytes_ += s.key_len + s.val_len;
     ++page.live_records_;
   }
-  if (!dec.empty()) return Status::Corruption("trailing bytes in heap page");
-  if (page.live_bytes_ > kPayloadCapacity) {
-    return Status::Corruption("heap page payload overflow");
-  }
+  ARIESRH_RETURN_IF_ERROR(cursor.status());
   return page;
 }
 
 Result<Lsn> HeapPage::PeekLsn(const std::string& image) {
-  ARIESRH_ASSIGN_OR_RETURN(const size_t body_len, CheckedBodyLength(image));
-  Decoder dec(image.data(), body_len);
+  ARIESRH_ASSIGN_OR_RETURN(const HeapImageCursor cursor,
+                           HeapImageCursor::Open(image));
+  return cursor.page_lsn();
+}
+
+Result<HeapImageCursor> HeapImageCursor::Open(const std::string& image) {
+  if (image.size() < 4) return Status::Corruption("heap page too short");
+  const size_t body_len = image.size() - 4;
+  const uint32_t stored = DecodeFixed32(image.data() + body_len);
+  if (crc32c::Unmask(stored) != crc32c::Value(image.data(), body_len)) {
+    return Status::Corruption("heap page CRC mismatch");
+  }
+  HeapImageCursor cursor(image.data(), body_len);
   uint32_t id = 0;
-  uint64_t page_lsn = 0;
-  ARIESRH_RETURN_IF_ERROR(dec.GetFixed32(&id));
-  ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&page_lsn));
-  return page_lsn;
+  ARIESRH_RETURN_IF_ERROR(cursor.dec_.GetFixed32(&id));
+  cursor.id_ = id;
+  ARIESRH_RETURN_IF_ERROR(cursor.dec_.GetVarint64(&cursor.page_lsn_));
+  ARIESRH_RETURN_IF_ERROR(cursor.dec_.GetVarint64(&cursor.count_));
+  return cursor;
+}
+
+bool HeapImageCursor::Next() {
+  if (!status_.ok()) return false;
+  if (read_ == count_) {
+    if (!dec_.empty()) {
+      status_ = Status::Corruption("trailing bytes in heap page");
+    }
+    return false;
+  }
+  Status read = ReadRecord();
+  if (!read.ok()) {
+    status_ = std::move(read);
+    return false;
+  }
+  return true;
+}
+
+Status HeapImageCursor::ReadRecord() {
+  uint64_t slot = 0;
+  ARIESRH_RETURN_IF_ERROR(dec_.GetVarint64(&slot));
+  ARIESRH_RETURN_IF_ERROR(dec_.GetLengthPrefixed(&key_));
+  ARIESRH_RETURN_IF_ERROR(dec_.GetLengthPrefixed(&value_));
+  // Serialize writes slots in increasing order, which also rules out a slot
+  // listed twice.
+  if ((read_ > 0 && slot <= slot_) || slot > UINT32_MAX) {
+    return Status::Corruption("heap page slots out of order");
+  }
+  live_bytes_ += key_.size() + value_.size();
+  if (live_bytes_ > HeapPage::kPayloadCapacity) {
+    return Status::Corruption("heap page payload overflow");
+  }
+  slot_ = static_cast<uint32_t>(slot);
+  ++read_;
+  return Status::OK();
 }
 
 }  // namespace ariesrh::table

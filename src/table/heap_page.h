@@ -18,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/coding.h"
 #include "util/status.h"
 #include "util/types.h"
 
@@ -69,7 +70,8 @@ class HeapPage {
   /// yields a compact page with identical slot indices.
   std::string Serialize() const;
 
-  /// Rebuilds a page from a stable image, verifying the CRC.
+  /// Rebuilds a page from a stable image, verifying the CRC (through a
+  /// HeapImageCursor, so both reject the same images).
   static Result<HeapPage> Deserialize(const std::string& image);
 
   /// The page LSN of a stable image, read from its header after the CRC is
@@ -95,6 +97,46 @@ class HeapPage {
   std::vector<Slot> slots_;
   size_t live_bytes_ = 0;
   size_t live_records_ = 0;
+};
+
+/// Reads a stable heap image's live records in place, in slot order, the
+/// way a LogCursor reads the log: Next() steps to the next record and is
+/// false at the end or on an error, which status() then holds. Keys and
+/// values are views into the image, which must outlive the cursor. Open
+/// verifies the CRC and reads the header; a malformed body (a truncated
+/// field, slots out of order, a payload over capacity, trailing bytes)
+/// fails with Corruption.
+class HeapImageCursor {
+ public:
+  static Result<HeapImageCursor> Open(const std::string& image);
+
+  PageId page_id() const { return id_; }
+  Lsn page_lsn() const { return page_lsn_; }
+  /// Live records the header announces.
+  uint64_t records() const { return count_; }
+
+  bool Next();
+  const Status& status() const { return status_; }
+
+  /// The current record (valid after Next() returned true).
+  uint32_t slot() const { return slot_; }
+  std::string_view key() const { return key_; }
+  std::string_view value() const { return value_; }
+
+ private:
+  HeapImageCursor(const char* body, size_t body_len) : dec_(body, body_len) {}
+  Status ReadRecord();
+
+  Decoder dec_;
+  Status status_;
+  PageId id_ = kInvalidPage;
+  Lsn page_lsn_ = 0;
+  uint64_t count_ = 0;
+  uint64_t read_ = 0;
+  size_t live_bytes_ = 0;
+  uint32_t slot_ = 0;
+  std::string_view key_;
+  std::string_view value_;
 };
 
 }  // namespace ariesrh::table

@@ -133,18 +133,15 @@ Status TableHeap::ApplyLogical(const RedoEntry& entry) {
 Status TableHeap::ApplyLogicalLocked(Bucket& bucket, LogRecordType type,
                                      bool remove, std::string_view key,
                                      std::string_view after_image, Lsn lsn) {
-  switch (type) {
-    case LogRecordType::kTableInsert:
-    case LogRecordType::kTableUpdate:
+  switch (ReplayOpOf(type, remove)) {
+    case RecordOp::kUpsert:
       return UpsertLocked(bucket, key, after_image, lsn);
-    case LogRecordType::kTableDelete:
+    case RecordOp::kRemove:
       return RemoveLocked(bucket, key, lsn);
-    case LogRecordType::kTableClr:
-      if (remove) return RemoveLocked(bucket, key, lsn);
-      return UpsertLocked(bucket, key, after_image, lsn);
-    default:
-      return Status::IllegalState("not a table log record");
+    case RecordOp::kNone:
+      break;
   }
+  return Status::IllegalState("not a table log record");
 }
 
 Status TableHeap::DrainBucketLocked(size_t bucket) {

@@ -118,12 +118,42 @@ struct RecordMutation {
   std::string value;
 };
 
+/// What replaying a logical table record does to its key: TBL_INSERT,
+/// TBL_UPDATE and restoring TBL_CLRs upsert the after image, TBL_DELETE and
+/// removing TBL_CLRs drop the key; kNone for a record of any other type.
+inline RecordOp ReplayOpOf(LogRecordType type, bool table_remove) {
+  switch (type) {
+    case LogRecordType::kTableInsert:
+    case LogRecordType::kTableUpdate:
+      return RecordOp::kUpsert;
+    case LogRecordType::kTableDelete:
+      return RecordOp::kRemove;
+    case LogRecordType::kTableClr:
+      return table_remove ? RecordOp::kRemove : RecordOp::kUpsert;
+    default:
+      return RecordOp::kNone;
+  }
+}
+
+/// What logical table replay writes into: restart's redo and undo replay
+/// into the engine's TableHeap, a reenactment fold into its own key overlay
+/// (reenact/fold_table.h). Replay is state-based (ReplayOpOf), idempotent
+/// in per-key LSN order; a record that is not a table record fails with
+/// IllegalState.
+class ReplayTarget {
+ public:
+  virtual ~ReplayTarget() = default;
+  virtual Status ApplyLogical(const LogRecord& rec) = 0;
+  /// Replays a redo plan's entry the same way.
+  virtual Status ApplyLogical(const RedoEntry& entry) = 0;
+};
+
 /// Instant-restart hook: removes and returns a bucket's pending logical
 /// redo entries (in LSN order) for the heap to replay before it serves the
 /// bucket. Runs under the bucket's latch.
 using BucketResolveFn = std::function<std::vector<RedoEntry>(size_t bucket)>;
 
-class TableHeap {
+class TableHeap final : public ReplayTarget {
  public:
   /// `wal_flush` enforces the WAL rule on write-back (flush the log through
   /// a page's LSN before the page image hits the disk).
@@ -160,14 +190,11 @@ class TableHeap {
       const std::function<bool(std::string_view key, std::string_view value)>&
           fn);
 
-  /// State-based logical replay of a table record (redo pass, and CLR
-  /// application during undo): TBL_INSERT/TBL_UPDATE and restoring TBL_CLRs
-  /// upsert the after image, TBL_DELETE and removing TBL_CLRs drop the key.
-  /// Idempotent in per-key LSN order; thread-safe for concurrent redo
-  /// workers on different buckets. The RedoEntry form replays a redo plan's
-  /// entry the same way.
-  Status ApplyLogical(const LogRecord& rec);
-  Status ApplyLogical(const RedoEntry& entry);
+  /// Logical replay of a table record (redo pass, and CLR application
+  /// during undo) into the key's bucket, after the bucket drains.
+  /// Thread-safe for concurrent redo workers on different buckets.
+  Status ApplyLogical(const LogRecord& rec) override;
+  Status ApplyLogical(const RedoEntry& entry) override;
 
   /// Writes every dirty heap page to the stable store (WAL rule enforced)
   /// and marks it clean, one bucket chain at a time.

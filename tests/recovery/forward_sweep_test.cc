@@ -66,7 +66,7 @@ class ForwardSweepTest : public ::testing::Test {
     ForwardPassOptions opts;
     opts.kind = ForwardPassKind::kMerged;
     opts.redo_budget = &redo_budget;
-    opts.heap = &heap;
+    opts.table = &heap;
     Stats pass_stats;
     Reposition();
     const Stats before = db_.stats();

@@ -1,12 +1,14 @@
 // Slotted heap page unit tests: slot-index stability across compaction,
 // capacity accounting, the serialize/deserialize round trip with CRC
-// verification, and the page LSN read from the header.
+// verification, the page LSN read from the header, and the cursor that
+// reads a stable image in place.
 
 #include "table/heap_page.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "util/coding.h"
 #include "util/crc32c.h"
@@ -181,6 +183,56 @@ TEST(HeapPageTest, BinaryKeysAndValuesSurvive) {
   ASSERT_TRUE(copy.ok());
   EXPECT_EQ(copy->KeyAt(slot), key);
   EXPECT_EQ(copy->ValueAt(slot), value);
+}
+
+TEST(HeapImageCursorTest, ReadsTheLiveRecordsInPlace) {
+  HeapPage page(9);
+  page.set_page_lsn(77);
+  for (const char* key : {"a", "b", "c"}) {
+    ASSERT_TRUE(page.Insert(key, std::string("v-") + key).ok());
+  }
+  ASSERT_TRUE(page.Remove(1).ok());
+  const std::string image = page.Serialize();
+
+  Result<HeapImageCursor> cursor = HeapImageCursor::Open(image);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  EXPECT_EQ(cursor->page_id(), 9u);
+  EXPECT_EQ(cursor->page_lsn(), 77u);
+  EXPECT_EQ(cursor->records(), 2u);
+  std::vector<uint32_t> slots;
+  while (cursor->Next()) {
+    slots.push_back(cursor->slot());
+    // Views into the image, not copies.
+    EXPECT_GE(cursor->key().data(), image.data());
+    EXPECT_LT(cursor->value().data(), image.data() + image.size());
+    EXPECT_EQ(cursor->value(), "v-" + std::string(cursor->key()));
+  }
+  EXPECT_TRUE(cursor->status().ok()) << cursor->status().ToString();
+  EXPECT_EQ(slots, (std::vector<uint32_t>{0, 2}));
+}
+
+TEST(HeapImageCursorTest, SlotsOutOfOrderFailTheReadAndTheDecode) {
+  // Serialize lists slots in increasing order; an image listing slot 3
+  // before slot 1 (or one slot twice) is malformed under a valid CRC.
+  for (const uint64_t second : {1u, 3u}) {
+    std::string image;
+    PutFixed32(&image, 4);   // page id
+    PutVarint64(&image, 1);  // page LSN
+    PutVarint64(&image, 2);  // two records
+    PutVarint64(&image, 3);
+    PutLengthPrefixed(&image, "x");
+    PutLengthPrefixed(&image, "1");
+    PutVarint64(&image, second);
+    PutLengthPrefixed(&image, "y");
+    PutLengthPrefixed(&image, "2");
+    PutFixed32(&image, crc32c::Mask(crc32c::Value(image)));
+    Result<HeapImageCursor> cursor = HeapImageCursor::Open(image);
+    ASSERT_TRUE(cursor.ok());
+    EXPECT_TRUE(cursor->Next());
+    EXPECT_FALSE(cursor->Next());
+    EXPECT_TRUE(cursor->status().IsCorruption());
+    EXPECT_TRUE(HeapPage::Deserialize(image).status().IsCorruption());
+  }
 }
 
 }  // namespace
