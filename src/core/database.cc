@@ -31,6 +31,12 @@ Database::Database(Options options) : options_(options) {
   if (shards_.size() > 1) {
     coord_ = std::make_unique<coord::CoordinatorLog>(&obs_.registry,
                                                      options_.sim_log_force_ns);
+    twopc_prepare_ns_ = obs_.registry.GetHistogram("ariesrh_2pc_prepare_ns");
+    twopc_coord_force_ns_ =
+        obs_.registry.GetHistogram("ariesrh_2pc_coord_force_ns");
+    twopc_finish_ns_ = obs_.registry.GetHistogram("ariesrh_2pc_finish_ns");
+    commit_latency_ns_ =
+        obs_.registry.GetHistogram("ariesrh_commit_latency_ns");
   }
 }
 
@@ -105,11 +111,6 @@ Status Database::EnlistLocked(TxnRoute* route, TxnId txn, size_t shard) {
       shards_[shard]->txn_manager()->BeginWithId(txn).status());
   route->shards |= uint64_t{1} << shard;
   return Status::OK();
-}
-
-Status Database::ProtocolPoint(const std::string& point) {
-  if (!protocol_hook_) return Status::OK();
-  return protocol_hook_(point);
 }
 
 Status Database::PoisonOnError(Status status) {
@@ -327,7 +328,8 @@ Status Database::Delegate(TxnId from, TxnId to, const DelegationSpec& spec) {
   }
 
   // Nothing is mutated yet, so a stop here is a clean refusal.
-  ARIESRH_RETURN_IF_ERROR(ProtocolPoint("xdel:before-coord-prepare"));
+  ARIESRH_RETURN_IF_ERROR(
+      RunTestPoint(&test_hook_, "xdel:before-coord-prepare"));
   coord_->Append(open);
 
   // Apply the legs, then force them in one concurrent round: every
@@ -340,16 +342,18 @@ Status Database::Delegate(TxnId from, TxnId to, const DelegationSpec& spec) {
   applied.reserve(legs.size());
   for (auto& [s, leg] : legs) {
     ARIESRH_RETURN_IF_ERROR(PoisonOnError(
-        ProtocolPoint("xdel:before-apply:" + std::to_string(s))));
+        RunTestPoint(&test_hook_, "xdel:before-apply", s)));
     Result<Lsn> lsn =
         shards_[s]->txn_manager()->ApplyDelegation(leg.guard, leg.spec, csn);
     ARIESRH_RETURN_IF_ERROR(PoisonOnError(lsn.status()));
     applied.emplace_back(s, *lsn);
   }
-  ARIESRH_RETURN_IF_ERROR(PoisonOnError(ProtocolPoint("xdel:legs-appended")));
+  ARIESRH_RETURN_IF_ERROR(
+      PoisonOnError(RunTestPoint(&test_hook_, "xdel:legs-appended")));
   ARIESRH_RETURN_IF_ERROR(PoisonOnError(ForceShardLogs(applied)));
 
-  ARIESRH_RETURN_IF_ERROR(PoisonOnError(ProtocolPoint("xdel:before-decision")));
+  ARIESRH_RETURN_IF_ERROR(
+      PoisonOnError(RunTestPoint(&test_hook_, "xdel:before-decision")));
   coord::CoordRecord decision = open;
   decision.type = coord::CoordRecordType::kCommit;
   coord_->Append(decision);
@@ -357,7 +361,8 @@ Status Database::Delegate(TxnId from, TxnId to, const DelegationSpec& spec) {
   // it, recovery voids every leg (presumed abort); after it, recovery
   // applies them all.
   ARIESRH_RETURN_IF_ERROR(PoisonOnError(coord_->Force()));
-  ARIESRH_RETURN_IF_ERROR(PoisonOnError(ProtocolPoint("xdel:after-decision")));
+  ARIESRH_RETURN_IF_ERROR(
+      PoisonOnError(RunTestPoint(&test_hook_, "xdel:after-decision")));
   return Status::OK();
 }
 
@@ -551,18 +556,19 @@ Status Database::TwoPhaseCommit(TxnId txn, const std::vector<size_t>& parts) {
   votes.reserve(parts.size());
   for (size_t s : parts) {
     ARIESRH_RETURN_IF_ERROR(PoisonOnError(
-        ProtocolPoint("2pc:before-prepare:" + std::to_string(s))));
+        RunTestPoint(&test_hook_, "2pc:before-prepare", s)));
     Result<Lsn> vote = shards_[s]->txn_manager()->Prepare(txn, csn);
     ARIESRH_RETURN_IF_ERROR(PoisonOnError(vote.status()));
     votes.emplace_back(s, *vote);
   }
-  ARIESRH_RETURN_IF_ERROR(PoisonOnError(ProtocolPoint("2pc:votes-appended")));
+  ARIESRH_RETURN_IF_ERROR(
+      PoisonOnError(RunTestPoint(&test_hook_, "2pc:votes-appended")));
   ARIESRH_RETURN_IF_ERROR(PoisonOnError(ForceShardLogs(votes)));
   const uint64_t votes_durable = obs::MonotonicNanos();
-  obs_.registry.GetHistogram("ariesrh_2pc_prepare_ns")
-      ->Observe(votes_durable - commit_requested);
+  twopc_prepare_ns_->Observe(votes_durable - commit_requested);
 
-  ARIESRH_RETURN_IF_ERROR(PoisonOnError(ProtocolPoint("2pc:before-decision")));
+  ARIESRH_RETURN_IF_ERROR(
+      PoisonOnError(RunTestPoint(&test_hook_, "2pc:before-decision")));
   coord::CoordRecord decision = open;
   decision.type = coord::CoordRecordType::kCommit;
   coord_->Append(decision);
@@ -572,22 +578,20 @@ Status Database::TwoPhaseCommit(TxnId txn, const std::vector<size_t>& parts) {
   // Durable ack: the user-visible commit latency ends here, not after the
   // lazy phase 2 below. The two phase histograms split it exactly.
   const uint64_t acked = obs::MonotonicNanos();
-  obs_.registry.GetHistogram("ariesrh_2pc_coord_force_ns")
-      ->Observe(acked - votes_durable);
-  obs_.registry.GetHistogram("ariesrh_commit_latency_ns")
-      ->Observe(acked - commit_requested);
-  ARIESRH_RETURN_IF_ERROR(PoisonOnError(ProtocolPoint("2pc:after-decision")));
+  twopc_coord_force_ns_->Observe(acked - votes_durable);
+  commit_latency_ns_->Observe(acked - commit_requested);
+  ARIESRH_RETURN_IF_ERROR(
+      PoisonOnError(RunTestPoint(&test_hook_, "2pc:after-decision")));
 
   // Phase 2: deliberately lazy — the shard COMMIT/END records ride out with
   // future forces; a crash first is resolved in-doubt-committed at restart.
   for (size_t s : parts) {
     ARIESRH_RETURN_IF_ERROR(PoisonOnError(
-        ProtocolPoint("2pc:before-finish:" + std::to_string(s))));
+        RunTestPoint(&test_hook_, "2pc:before-finish", s)));
     ARIESRH_RETURN_IF_ERROR(
         PoisonOnError(shards_[s]->txn_manager()->FinishCommit(txn)));
   }
-  obs_.registry.GetHistogram("ariesrh_2pc_finish_ns")
-      ->Observe(obs::MonotonicNanos() - acked);
+  twopc_finish_ns_->Observe(obs::MonotonicNanos() - acked);
   return Status::OK();
 }
 
@@ -911,8 +915,18 @@ Result<std::vector<reenact::TransferHop>> Database::ReenactTransferChainKey(
   return r.TransferChainKey(key);
 }
 
-void Database::set_checkpoint_test_hooks(CheckpointTestHooks hooks) {
-  for (auto& shard : shards_) shard->set_checkpoint_test_hooks(hooks);
+void Database::set_test_hook(TestHook hook) {
+  // Each shard names its points with its own index.
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    TestHook shard_hook;
+    if (hook) {
+      shard_hook = [hook, s](std::string_view point) {
+        return RunTestPoint(&hook, point, s);
+      };
+    }
+    shards_[s]->set_test_hook(std::move(shard_hook));
+  }
+  test_hook_ = std::move(hook);
 }
 
 }  // namespace ariesrh

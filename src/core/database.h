@@ -69,6 +69,7 @@
 #include "util/flat_map.h"
 #include "util/stats.h"
 #include "util/status.h"
+#include "util/test_hook.h"
 #include "util/types.h"
 
 namespace ariesrh {
@@ -319,18 +320,7 @@ class Database {
   obs::MetricsRegistry* metrics() { return &obs_.registry; }
   obs::EventTrace* trace() { return &obs_.trace; }
 
-  const Options& options() const {
-    return shards_.empty() ? options_ : shards_[0]->options();
-  }
-
-  /// Mutable access for test knobs (fault injection, undo strategy). Do not
-  /// change the delegation mode mid-run: the log would mix conventions.
-  /// Aliases shard 0's copy so single-shard knob twiddling reaches the
-  /// engine that acts on it; with several shards, knobs for the others are
-  /// set through shard(i)->mutable_options().
-  Options* mutable_options() {
-    return shards_.empty() ? &options_ : shards_[0]->mutable_options();
-  }
+  const Options& options() const { return options_; }
 
   // --- sharding ---
 
@@ -346,28 +336,36 @@ class Database {
   /// The cross-shard decision log; nullptr for a 1-shard engine.
   coord::CoordinatorLog* coordinator_log() { return coord_.get(); }
 
-  // --- test hooks ---
+  // --- test hook ---
 
-  using CheckpointTestHooks = EngineShard::CheckpointTestHooks;
-
-  /// Installs the fuzzy-checkpoint interception hooks on every shard.
-  /// Install before any concurrent Checkpoint() call; not synchronized.
-  void set_checkpoint_test_hooks(CheckpointTestHooks hooks);
-
-  /// Test-only interception inside the cross-shard protocols. Called at
-  /// named points — "2pc:before-prepare:<shard>", "2pc:votes-appended",
-  /// "2pc:before-decision", "2pc:after-decision",
+  /// Installs the test hook (nullptr removes it). It runs at each named
+  /// point below with the point's name; a returned error stops the
+  /// operation there, modelling a crash at that point. Names ending in
+  /// <shard> or <bucket> carry that index. Every shard keeps a copy, so the
+  /// hook survives SimulateCrash. Install it while no cross-shard protocol
+  /// runs and no restart is starting; a restart keeps the hook it started
+  /// with.
+  ///
+  /// Cross-shard protocols (never at one shard): "2pc:before-prepare:<shard>",
+  /// "2pc:votes-appended", "2pc:before-decision", "2pc:after-decision",
   /// "2pc:before-finish:<shard>", "xdel:before-coord-prepare",
   /// "xdel:before-apply:<shard>", "xdel:legs-appended",
-  /// "xdel:before-decision", "xdel:after-decision" — a returned error stops
-  /// the protocol there, modelling a crash at that point (the crash-matrix
-  /// tests then SimulateCrash + StartRecovery). A mid-protocol stop leaves
-  /// the volatile state half-applied, so the facade poisons itself: every
-  /// subsequent call fails until SimulateCrash()+StartRecovery().
-  using ProtocolHook = std::function<Status(const std::string& point)>;
-  void set_protocol_test_hook(ProtocolHook hook) {
-    protocol_hook_ = std::move(hook);
-  }
+  /// "xdel:before-decision", "xdel:after-decision". A stop after the first
+  /// mutation leaves the volatile state half-applied, so the facade poisons
+  /// itself: every later call fails until SimulateCrash()+StartRecovery().
+  ///
+  /// Checkpoints: "checkpoint:after-begin:<shard>" after the CKPT_BEGIN
+  /// append; during a write-back (a checkpoint with a predecessor)
+  /// "checkpoint:after-bucket:<bucket>:<shard>" after each heap bucket
+  /// chain's turn; "checkpoint:after-snapshot:<shard>" before the CKPT_END
+  /// append. A stop leaves no CKPT_END.
+  ///
+  /// Restart: "recovery:redo:<shard>" before each redo application, inline
+  /// in the merged sweep or on a redo worker (on-demand redo fires none),
+  /// and "recovery:undo:<shard>" before each restart compensation, where a
+  /// stop first makes the CLRs written so far durable. Hooks run on redo
+  /// workers and restart threads, so they must be thread-safe.
+  void set_test_hook(TestHook hook);
 
   /// True after a cross-shard protocol stopped mid-flight (test hook or
   /// component failure), cleared by SimulateCrash()+StartRecovery() — or
@@ -455,8 +453,6 @@ class Database {
   /// `txn` just aborted: forgets its dependency edges and aborts its abort
   /// and strong-commit dependents. Caller holds no route mutex.
   Status CascadeAbort(TxnId txn);
-  /// Runs the named protocol test point; OK when no hook is installed.
-  Status ProtocolPoint(const std::string& point);
   /// Marks the facade poisoned when `status` is an error; returns it.
   Status PoisonOnError(Status status);
   /// Makes each (shard, lsn) leg durable in one round: requests a force on
@@ -502,7 +498,14 @@ class Database {
   mutable std::mutex deps_mu_;
   DependencyGraph deps_;
 
-  ProtocolHook protocol_hook_;
+  TestHook test_hook_;
+
+  /// The cross-shard commit's histograms, resolved once; nullptr at one
+  /// shard, which never runs the protocol.
+  obs::Histogram* twopc_prepare_ns_ = nullptr;
+  obs::Histogram* twopc_coord_force_ns_ = nullptr;
+  obs::Histogram* twopc_finish_ns_ = nullptr;
+  obs::Histogram* commit_latency_ns_ = nullptr;
 };
 
 }  // namespace ariesrh

@@ -1,6 +1,7 @@
 #include "core/engine_shard.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/checkpoint_daemon.h"
 #include "obs/metrics.h"
@@ -105,7 +106,7 @@ Status EngineShard::Checkpoint() {
   // window [begin_lsn, end_lsn] that recovery's analysis re-scans, so it
   // must ride in the CKPT_END payload rather than be discarded.
   const Lsn begin_lsn = log_->Append(std::move(begin));
-  if (ckpt_hooks_.after_begin) ckpt_hooks_.after_begin();
+  ARIESRH_RETURN_IF_ERROR(RunTestPoint(&test_hook_, "checkpoint:after-begin"));
 
   // The penultimate-checkpoint rule: a page dirty since before the previous
   // checkpoint's CKPT_BEGIN goes out now, so the dirty page table below —
@@ -122,8 +123,7 @@ Status EngineShard::Checkpoint() {
     Status wrote = log_->FlushWait(log_->end_lsn());
     if (wrote.ok()) wrote = pool_->FlushOlderThan(older_than, &written);
     if (wrote.ok()) {
-      wrote = heap_->WriteBackOlderThan(
-          older_than, ckpt_hooks_.after_bucket_written, &written);
+      wrote = heap_->WriteBackOlderThan(older_than, &test_hook_, &written);
     }
     stats_.checkpoint_pages_written += written;  // what reached the disk
     ARIESRH_RETURN_IF_ERROR(wrote);
@@ -156,7 +156,8 @@ Status EngineShard::Checkpoint() {
   for (const auto& [page_id, rec_lsn] : heap_->DirtyPageTable()) {
     data.dirty_pages[page_id] = rec_lsn;
   }
-  if (ckpt_hooks_.after_snapshot) ckpt_hooks_.after_snapshot();
+  ARIESRH_RETURN_IF_ERROR(
+      RunTestPoint(&test_hook_, "checkpoint:after-snapshot"));
 
   LogRecord end;
   end.type = LogRecordType::kCkptEnd;
@@ -170,6 +171,11 @@ Status EngineShard::Checkpoint() {
   obs::Emit(&obs_->trace, obs::TraceEventType::kCheckpoint, end_lsn,
             data.active_txns.size(), data.dirty_pages.size());
   return Status::OK();
+}
+
+void EngineShard::set_test_hook(TestHook hook) {
+  std::lock_guard admin(admin_mu_);
+  test_hook_ = std::move(hook);
 }
 
 Result<Lsn> EngineShard::PreviousCheckpointBegin() {
@@ -335,7 +341,8 @@ Status EngineShard::Restart(const coord::Resolution* resolution,
     if (options_.recovery_mode == RecoveryMode::kInstant) {
       instant_ = std::make_unique<InstantRestart>(
           options_, disk_.get(), log_.get(), pool_.get(), &stats_, heap_.get(),
-          obs_->registry.GetGauge("ariesrh_undo_backlog", labels_));
+          obs_->registry.GetGauge("ariesrh_undo_backlog", labels_),
+          test_hook_);
       // Flipped before Start spawns the background worker: on a very fast
       // drain, on_complete's checkpoint would otherwise race this write (and
       // bounce off EnsureUsable). Nothing else can reach the shard yet — the
@@ -355,7 +362,7 @@ Status EngineShard::Restart(const coord::Resolution* resolution,
     }
     // kFull: every pass runs here, before the shard opens.
     RecoveryManager recovery(options_, disk_.get(), log_.get(), pool_.get(),
-                             &stats_, heap_.get());
+                             &stats_, heap_.get(), test_hook_);
     ARIESRH_ASSIGN_OR_RETURN(RecoveryManager::Outcome outcome,
                              recovery.Recover(resolution));
     txn_manager_->SetNextTxnId(outcome.next_txn_id);

@@ -15,7 +15,6 @@
 #ifndef ARIESRH_CORE_ENGINE_SHARD_H_
 #define ARIESRH_CORE_ENGINE_SHARD_H_
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -36,6 +35,7 @@
 #include "txn/txn_manager.h"
 #include "util/stats.h"
 #include "util/status.h"
+#include "util/test_hook.h"
 #include "util/types.h"
 #include "wal/log_manager.h"
 
@@ -154,7 +154,6 @@ class EngineShard {
   const std::string& metric_labels() const { return labels_; }
 
   const Options& options() const { return options_; }
-  Options* mutable_options() { return &options_; }
 
   TxnManager* txn_manager() { return txn_manager_.get(); }
   table::TableHeap* table_heap() { return heap_.get(); }
@@ -164,21 +163,10 @@ class EngineShard {
   SimulatedDisk* disk() { return disk_.get(); }
   CheckpointDaemon* checkpoint_daemon() { return daemon_.get(); }
 
-  /// Test-only interception points inside the fuzzy-checkpoint window.
-  struct CheckpointTestHooks {
-    /// After the CKPT_BEGIN append, before the table snapshot.
-    std::function<void()> after_begin;
-    /// After the table snapshot, before the CKPT_END append.
-    std::function<void()> after_snapshot;
-    /// Inside the write-back, after heap bucket `b`'s chain had its turn
-    /// (written or not due); a checkpoint without a predecessor writes
-    /// nothing back and never calls it. An error stops the checkpoint there,
-    /// before CKPT_END: the crash point "after bucket b of kTableBuckets".
-    std::function<Status(size_t b)> after_bucket_written;
-  };
-  void set_checkpoint_test_hooks(CheckpointTestHooks hooks) {
-    ckpt_hooks_ = std::move(hooks);
-  }
+  /// Installs the hook this shard's checkpoints and restarts run at their
+  /// named points (Database::set_test_hook lists them); nullptr removes it.
+  /// It survives SimulateCrash. A restart keeps the hook it started with.
+  void set_test_hook(TestHook hook);
 
  private:
   /// "database crashed; call StartRecovery() first" when crashed.
@@ -212,7 +200,10 @@ class EngineShard {
   /// fuzzy windows, and archive must not race the master-record update.
   std::mutex admin_mu_;
   obs::Histogram* checkpoint_ns_ = nullptr;
-  CheckpointTestHooks ckpt_hooks_;
+  /// Written under admin_mu_, which checkpoints (the daemon's too) hold
+  /// while they run it. Restart copies it unlocked, so it is not installed
+  /// while a restart starts.
+  TestHook test_hook_;
   /// CKPT_BEGIN of the last checkpoint this shard completed since it was
   /// built or restarted; kInvalidLsn = not known yet (seed from the master
   /// record). Guarded by admin_mu_.

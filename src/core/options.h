@@ -81,20 +81,6 @@ const char* GroupCommitPolicyName(GroupCommitPolicy policy);
 /// spawning thousands of them.
 inline constexpr size_t kMaxShards = 64;
 
-/// Test-only fault injection knobs.
-struct FaultInjection {
-  /// When non-zero, recovery's undo pass "crashes" (flushes the log written
-  /// so far and fails with IOError) after undoing this many updates. Used
-  /// to prove recovery is idempotent when interrupted mid-undo.
-  uint64_t crash_after_undo_steps = 0;
-
-  /// When non-zero, recovery's redo work "crashes" (fails with IOError)
-  /// after applying this many records. Redo never writes the log, so
-  /// nothing needs flushing — the stable state is simply left mid-redo.
-  /// With recovery_threads > 1 the budget is shared across redo workers.
-  uint64_t crash_after_redo_records = 0;
-};
-
 /// Knobs for Database construction. Defaults give a small, fully-functional
 /// engine suitable for tests; benches widen the pool and the object space.
 struct Options {
@@ -214,9 +200,6 @@ struct Options {
   /// slot overhead) must fit a heap page, so the bound must leave room for
   /// the largest permitted key.
   size_t table_max_value_bytes = 1024;
-
-  /// Test-only fault injection.
-  FaultInjection faults;
 
   /// Checks the knobs for internal consistency. Called by the Database
   /// constructor and Database::Open; a failed validation leaves the

@@ -48,13 +48,6 @@ obs::RecoveryPassKind PassKindOf(ForwardPassKind kind) {
              : obs::RecoveryPassKind::kAnalysis;
 }
 
-// Spends one unit of the injected redo-fault budget before a page
-// application; returns the injected-crash error when exhausted.
-Status SpendRedoBudget(RecoveryFaultBudget* budget) {
-  if (budget == nullptr || budget->Spend()) return Status::OK();
-  return Status::IOError("injected crash during recovery redo");
-}
-
 }  // namespace
 
 Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
@@ -63,7 +56,6 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
                                       Lsn ckpt_end_lsn,
                                       const ForwardPassOptions& opts) {
   const ForwardPassKind kind = opts.kind;
-  RecoveryFaultBudget* redo_budget = opts.redo_budget;
   const coord::Resolution* resolution = opts.resolution;
   table::ReplayTarget* table = opts.table;
   const AnalysisHooks* hooks = opts.hooks;
@@ -139,7 +131,7 @@ Result<ForwardPassResult> ForwardPass(DelegationMode mode, LogManager* log,
                                              : PageOf(rec.object);
       return Status::OK();
     }
-    ARIESRH_RETURN_IF_ERROR(SpendRedoBudget(redo_budget));
+    ARIESRH_RETURN_IF_ERROR(RunTestPoint(opts.hook, "recovery:redo"));
     bool applied = false;
     ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(
         pool, rec, /*check_page_lsn=*/true, &applied, table));

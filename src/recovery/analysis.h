@@ -26,6 +26,7 @@
 #include "txn/scope.h"
 #include "util/stats.h"
 #include "util/status.h"
+#include "util/test_hook.h"
 #include "util/types.h"
 #include "wal/log_manager.h"
 
@@ -106,8 +107,9 @@ struct AnalysisHooks {
 /// log inspection) do not keep growing the positional signature.
 struct ForwardPassOptions {
   ForwardPassKind kind = ForwardPassKind::kMerged;
-  /// Test-only crash injection for kMerged's page applications.
-  RecoveryFaultBudget* redo_budget = nullptr;
+  /// Runs at "recovery:redo" before each of kMerged's redo applications;
+  /// its error stops the pass (may be nullptr).
+  const TestHook* hook = nullptr;
   /// Coordinator verdicts for csn-stamped DELEGATE legs (see ForwardPass).
   const coord::Resolution* resolution = nullptr;
   /// What logical table records replay into (redo-bearing kinds): the
@@ -125,8 +127,6 @@ struct ForwardPassOptions {
 /// nullptr to scan from the log head. In kLazyRewrite mode the
 /// analysis-bearing pass also physically applies each DELEGATE record via
 /// chain surgery (the baseline the paper contrasts with RH).
-/// `redo_budget` (test-only) injects a crash in kMerged after that many page
-/// applications.
 /// `resolution` (sharded engines) carries the coordinator's committed-csn
 /// set: a csn-stamped DELEGATE record whose csn is not committed is one leg
 /// of a cross-shard transfer that never reached its commit point — the pass

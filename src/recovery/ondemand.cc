@@ -1,6 +1,7 @@
 #include "recovery/ondemand.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/clock.h"
 #include "obs/trace.h"
@@ -243,14 +244,14 @@ void RecoveryHandle::MergeLocked(const Outcome& outcome) {
 InstantRestart::InstantRestart(const Options& options, SimulatedDisk* disk,
                                LogManager* log, BufferPool* pool, Stats* stats,
                                table::TableHeap* heap,
-                               obs::Gauge* backlog_gauge)
+                               obs::Gauge* backlog_gauge, TestHook hook)
     : options_(options),
       log_(log),
       pool_(pool),
       stats_(stats),
       heap_(heap),
       backlog_gauge_(backlog_gauge),
-      recovery_(options_, disk, log, pool, stats, heap) {}
+      recovery_(options_, disk, log, pool, stats, heap, std::move(hook)) {}
 
 InstantRestart::~InstantRestart() {
   Cancel(Status::Aborted("instant restart torn down"));

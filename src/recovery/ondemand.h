@@ -217,10 +217,11 @@ class RecoveryHandle {
 class InstantRestart {
  public:
   /// `backlog_gauge` (optional) is the shard's "ariesrh_undo_backlog"
-  /// gauge, kept at the live unresolved-group count.
+  /// gauge, kept at the live unresolved-group count. `hook` (optional) runs
+  /// at the background undo's "recovery:undo" points (RecoveryManager).
   InstantRestart(const Options& options, SimulatedDisk* disk, LogManager* log,
                  BufferPool* pool, Stats* stats, table::TableHeap* heap,
-                 obs::Gauge* backlog_gauge);
+                 obs::Gauge* backlog_gauge, TestHook hook);
   ~InstantRestart();
 
   InstantRestart(const InstantRestart&) = delete;

@@ -1,6 +1,7 @@
 #include "recovery/parallel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <thread>
 #include <vector>

@@ -11,7 +11,6 @@
 #ifndef ARIESRH_RECOVERY_PARALLEL_H_
 #define ARIESRH_RECOVERY_PARALLEL_H_
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 
@@ -26,31 +25,6 @@ namespace ariesrh {
 /// failure observed (remaining unclaimed tasks are skipped).
 Status RunOnWorkers(size_t threads, size_t num_tasks,
                     const std::function<Status(size_t)>& task);
-
-/// Shared fault-injection budget for crash-point tests. Workers spend units
-/// concurrently; the worker that finds the budget exhausted reports the
-/// injected crash. Wraps the CAS loop so the undo/redo paths share one
-/// implementation.
-class RecoveryFaultBudget {
- public:
-  explicit RecoveryFaultBudget(uint64_t units) : remaining_(units) {}
-
-  /// Spends one unit. Returns false when the budget was already exhausted —
-  /// the caller must then simulate the crash.
-  bool Spend() {
-    uint64_t cur = remaining_.load(std::memory_order_relaxed);
-    while (true) {
-      if (cur == 0) return false;
-      if (remaining_.compare_exchange_weak(cur, cur - 1,
-                                           std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-  }
-
- private:
-  std::atomic<uint64_t> remaining_;
-};
 
 }  // namespace ariesrh
 

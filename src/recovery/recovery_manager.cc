@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <sstream>
 #include <unordered_set>
+#include <utility>
 
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "recovery/parallel.h"
 #include "recovery/undo_conventional.h"
 #include "wal/log_record.h"
 
@@ -27,13 +27,15 @@ void ObservePass(Stats* stats, const char* name, uint64_t ns) {
 
 RecoveryManager::RecoveryManager(const Options& options, SimulatedDisk* disk,
                                  LogManager* log, BufferPool* pool,
-                                 Stats* stats, table::TableHeap* heap)
+                                 Stats* stats, table::TableHeap* heap,
+                                 TestHook hook)
     : options_(options),
       disk_(disk),
       log_(log),
       pool_(pool),
       stats_(stats),
-      heap_(heap) {}
+      heap_(heap),
+      hook_(std::move(hook)) {}
 
 Status RecoveryManager::TruncateTornTail(SimulatedDisk* disk) {
   while (disk->stable_end_lsn() >= kFirstLsn) {
@@ -164,8 +166,7 @@ Status UndoGroups(const Options& options, const ForwardPassResult& fwd,
 }
 
 Result<RecoveryManager::Plan> RecoveryManager::BuildPlan(
-    const coord::Resolution* resolution, ForwardPassKind kind,
-    RecoveryFaultBudget* redo_budget) {
+    const coord::Resolution* resolution, ForwardPassKind kind) {
   Plan plan;
   Outcome& outcome = plan.outcome;
   CheckpointData ckpt;
@@ -182,7 +183,7 @@ Result<RecoveryManager::Plan> RecoveryManager::BuildPlan(
   const uint64_t start = obs::MonotonicNanos();
   ForwardPassOptions opts;
   opts.kind = kind;
-  opts.redo_budget = redo_budget;
+  opts.hook = &hook_;
   opts.resolution = resolution;
   opts.table = heap_;
   ARIESRH_ASSIGN_OR_RETURN(
@@ -242,11 +243,7 @@ Status RecoveryManager::Undo(
   const uint64_t examined_before = stats_->recovery_backward_examined;
   const uint64_t undo_start = obs::MonotonicNanos();
 
-  // Test-only: simulate a crash in the middle of the undo pass.
-  RecoveryFaultBudget budget(options_.faults.crash_after_undo_steps);
-  LoggingUndoSink sink(
-      log_, pool_, stats_, heap_,
-      options_.faults.crash_after_undo_steps > 0 ? &budget : nullptr);
+  LoggingUndoSink sink(log_, pool_, stats_, heap_, &hook_);
   Outcome& outcome = plan->outcome;
   const Status status =
       UndoGroups(options_, plan->fwd, &plan->groups, log_, stats_, &sink,
@@ -267,10 +264,6 @@ Status RecoveryManager::Undo(
 Result<RecoveryManager::Outcome> RecoveryManager::Recover(
     const coord::Resolution* resolution) {
   const size_t threads = std::max<size_t>(1, options_.recovery_threads);
-  // Test-only crash injection, shared across redo workers.
-  RecoveryFaultBudget redo_budget(options_.faults.crash_after_redo_records);
-  RecoveryFaultBudget* redo_budget_ptr =
-      options_.faults.crash_after_redo_records > 0 ? &redo_budget : nullptr;
 
   // One thread repeats history inside the paper's single merged sweep; more
   // threads collect the redo plan there (analysis is inherently sequential —
@@ -279,8 +272,7 @@ Result<RecoveryManager::Outcome> RecoveryManager::Recover(
       Plan plan,
       BuildPlan(resolution,
                 threads > 1 ? ForwardPassKind::kAnalysisCollectRedo
-                            : ForwardPassKind::kMerged,
-                redo_budget_ptr));
+                            : ForwardPassKind::kMerged));
   if (threads > 1) {
     const RedoPlan& redo_plan = plan.fwd.redo_plan;
     ++stats_->recovery_passes;
@@ -290,7 +282,7 @@ Result<RecoveryManager::Outcome> RecoveryManager::Recover(
     const uint64_t redo_start = obs::MonotonicNanos();
     uint64_t applied = 0;
     Status redo_status = PartitionedRedo(redo_plan, threads, pool_, stats_,
-                                         redo_budget_ptr, &applied, heap_);
+                                         &hook_, &applied, heap_);
     plan.outcome.redo_ns = obs::MonotonicNanos() - redo_start;
     plan.outcome.records_redone = applied;
     ObservePass(stats_, "ariesrh_recovery_redo_ns", plan.outcome.redo_ns);

@@ -30,6 +30,7 @@
 #include "table/table_heap.h"
 #include "util/stats.h"
 #include "util/status.h"
+#include "util/test_hook.h"
 #include "util/types.h"
 #include "wal/log_manager.h"
 
@@ -64,10 +65,13 @@ class RecoveryManager {
  public:
   /// `heap` (optional) is the shard's table heap; logical table records
   /// replay into it and table undo compensates through it. Engines without
-  /// a table layer pass nullptr.
+  /// a table layer pass nullptr. `hook` (optional) runs at "recovery:redo"
+  /// before each redo application, inline or on a redo worker, and at
+  /// "recovery:undo" before each compensation, where its error flushes the
+  /// log first (LoggingUndoSink).
   RecoveryManager(const Options& options, SimulatedDisk* disk,
                   LogManager* log, BufferPool* pool, Stats* stats,
-                  table::TableHeap* heap = nullptr);
+                  table::TableHeap* heap = nullptr, TestHook hook = nullptr);
 
   /// What restart recovery did — enough for operators (the shell's
   /// `recover` command prints it) and for tests to assert equivalence
@@ -123,16 +127,13 @@ class RecoveryManager {
   /// The restart front half both modes share: checkpoint lookup, the
   /// forward sweep, in-doubt resolution (see Recover), the undo groups, and
   /// END records for winners and for losers with nothing to undo. `kind` is
-  /// kMerged (redo applied inline, drawing on `redo_budget`) or
-  /// kAnalysisCollectRedo (redo left in fwd.redo_plan). Appends but does not
-  /// flush.
+  /// kMerged (redo applied inline) or kAnalysisCollectRedo (redo left in
+  /// fwd.redo_plan). Appends but does not flush.
   Result<Plan> BuildPlan(const coord::Resolution* resolution,
-                         ForwardPassKind kind,
-                         RecoveryFaultBudget* redo_budget = nullptr);
+                         ForwardPassKind kind);
 
   /// The undo pass: UndoGroups over `plan`'s groups through the logging
-  /// sink (armed with the crash_after_undo_steps budget), wrapped in the
-  /// pass's trace pair, timers and Outcome fields.
+  /// sink, wrapped in the pass's trace pair, timers and Outcome fields.
   Status Undo(Plan* plan,
               const std::function<Status(size_t)>& on_group_done = nullptr);
 
@@ -156,6 +157,7 @@ class RecoveryManager {
   BufferPool* pool_;
   Stats* stats_;
   table::TableHeap* heap_;
+  const TestHook hook_;
 };
 
 }  // namespace ariesrh

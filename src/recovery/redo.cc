@@ -1,7 +1,10 @@
 #include "recovery/redo.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+
+#include "recovery/parallel.h"
 
 namespace ariesrh {
 
@@ -28,9 +31,9 @@ bool ApplyPageAction(const Rec& rec, Page* page, bool check_page_lsn) {
 }
 
 // ApplyRecordToPage for either form.
-template <typename Rec>
+template <typename Rec, typename Table>
 Status ApplyAction(BufferPool* pool, const Rec& rec, bool check_page_lsn,
-                   bool* applied, table::ReplayTarget* table) {
+                   bool* applied, Table* table) {
   if (applied != nullptr) *applied = false;
   if (IsTableRecord(rec.type)) {
     if (table == nullptr) {
@@ -61,7 +64,7 @@ Status ApplyRecordToPage(BufferPool* pool, const LogRecord& rec,
 
 Status ApplyRecordToPage(BufferPool* pool, const RedoEntry& entry,
                          bool check_page_lsn, bool* applied,
-                         table::ReplayTarget* table) {
+                         table::TableHeap* table) {
   return ApplyAction(pool, entry, check_page_lsn, applied, table);
 }
 
@@ -99,11 +102,11 @@ LogRecord CompensationFor(const LogRecord& update_rec, TxnId responsible,
 
 Status LoggingUndoSink::Undo(const LogRecord& update_rec, TxnId responsible,
                              std::unordered_map<TxnId, Lsn>* heads) {
-  if (undo_budget_ != nullptr && !undo_budget_->Spend()) {
+  if (Status crash = RunTestPoint(hook_, "recovery:undo"); !crash.ok()) {
     // Model the crash point: whatever undo work was logged becomes durable
     // up to here, then the system dies.
     ARIESRH_RETURN_IF_ERROR(log_->FlushAll());
-    return Status::IOError("injected crash during recovery undo");
+    return crash;
   }
   if (IsTableWrite(update_rec.type) && heap_ == nullptr) {
     return Status::IllegalState("table undo without a table heap");
@@ -137,8 +140,8 @@ Status ScratchUndoSink::Undo(const LogRecord& update_rec, TxnId responsible,
 }
 
 Status PartitionedRedo(const RedoPlan& plan, size_t threads, BufferPool* pool,
-                       Stats* stats, RecoveryFaultBudget* redo_budget,
-                       uint64_t* applied, table::TableHeap* heap) {
+                       Stats* stats, const TestHook* hook, uint64_t* applied,
+                       table::TableHeap* heap) {
   if (applied != nullptr) *applied = 0;
   // Largest pages first: the work queue then back-fills small pages behind
   // the stragglers.
@@ -152,9 +155,7 @@ Status PartitionedRedo(const RedoPlan& plan, size_t threads, BufferPool* pool,
   Status status =
       RunOnWorkers(threads, pages.size(), [&](size_t p) -> Status {
         for (const RedoEntry& entry : *pages[p]) {
-          if (redo_budget != nullptr && !redo_budget->Spend()) {
-            return Status::IOError("injected crash during recovery redo");
-          }
+          ARIESRH_RETURN_IF_ERROR(RunTestPoint(hook, "recovery:redo"));
           bool did = false;
           ARIESRH_RETURN_IF_ERROR(ApplyRecordToPage(
               pool, entry, /*check_page_lsn=*/true, &did, heap));

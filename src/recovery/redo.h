@@ -9,11 +9,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "recovery/parallel.h"
 #include "storage/buffer_pool.h"
 #include "table/table_heap.h"
 #include "util/stats.h"
 #include "util/status.h"
+#include "util/test_hook.h"
 #include "util/types.h"
 #include "wal/log_manager.h"
 #include "wal/log_record.h"
@@ -40,13 +40,14 @@ bool ApplyToPage(const RedoEntry& entry, Page* page, bool check_page_lsn);
 /// reenactment fold's overlay. Engines without a table layer pass nullptr
 /// and encountering a table record is then an error.
 /// `applied` (optional) reports whether state was actually modified.
-/// The RedoEntry form replays a redo plan's entry the same way.
+/// The RedoEntry form replays a redo plan's entry the same way; only
+/// restart replays a plan, so its table is always the engine's heap.
 Status ApplyRecordToPage(BufferPool* pool, const LogRecord& rec,
                          bool check_page_lsn, bool* applied = nullptr,
                          table::ReplayTarget* table = nullptr);
 Status ApplyRecordToPage(BufferPool* pool, const RedoEntry& entry,
                          bool check_page_lsn, bool* applied = nullptr,
-                         table::ReplayTarget* table = nullptr);
+                         table::TableHeap* table = nullptr);
 
 /// Where a backward pass sends its compensations. ScopeSweepUndo,
 /// FullScanUndo and ChainUndo decide *which* updates roll back; the sink
@@ -69,19 +70,15 @@ class UndoSink {
 /// applied to the page — or, for a logical table write, a TBL_CLR carrying
 /// the compensating action (remove for an insert, restore the before image
 /// otherwise) applied to `heap`. End appends the END record.
-/// `undo_budget` (optional, test-only) injects a crash: when it is exhausted
-/// before an undo, the sink flushes the log and fails with IOError, modeling
-/// a failure in the middle of the undo pass.
+/// `hook` (restart only; optional) runs at "recovery:undo" before each
+/// compensation. When it fails, the sink flushes the log and returns its
+/// error: a crash in the middle of the undo pass with its CLRs durable.
 class LoggingUndoSink final : public UndoSink {
  public:
   LoggingUndoSink(LogManager* log, BufferPool* pool, Stats* stats,
                   table::TableHeap* heap = nullptr,
-                  RecoveryFaultBudget* undo_budget = nullptr)
-      : log_(log),
-        pool_(pool),
-        stats_(stats),
-        heap_(heap),
-        undo_budget_(undo_budget) {}
+                  const TestHook* hook = nullptr)
+      : log_(log), pool_(pool), stats_(stats), heap_(heap), hook_(hook) {}
 
   Status Undo(const LogRecord& update_rec, TxnId responsible,
               std::unordered_map<TxnId, Lsn>* heads) override;
@@ -95,7 +92,7 @@ class LoggingUndoSink final : public UndoSink {
   BufferPool* pool_;
   Stats* stats_;
   table::TableHeap* heap_;
-  RecoveryFaultBudget* undo_budget_;
+  const TestHook* hook_;
   uint64_t clrs_written_ = 0;
 };
 
@@ -134,11 +131,11 @@ struct RedoPlan {
 
 /// Partitioned parallel redo: replays `plan`'s pages on up to `threads`
 /// workers, one page per work unit, each page's records in plan order.
-/// `redo_budget` (optional, test-only) injects a crash after that many
-/// applications. Returns the number of records actually applied through
-/// `applied` (optional).
+/// `hook` (optional) runs at "recovery:redo" before each application; its
+/// error stops the pass. Returns the number of records actually applied
+/// through `applied` (optional).
 Status PartitionedRedo(const RedoPlan& plan, size_t threads, BufferPool* pool,
-                       Stats* stats, RecoveryFaultBudget* redo_budget = nullptr,
+                       Stats* stats, const TestHook* hook = nullptr,
                        uint64_t* applied = nullptr,
                        table::TableHeap* heap = nullptr);
 

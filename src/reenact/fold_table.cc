@@ -24,28 +24,16 @@ uint64_t KeyPrefix(std::string_view key) {
 }  // namespace
 
 Status FoldTable::ApplyLogical(const LogRecord& rec) {
-  return Apply(table::ReplayOpOf(rec.type, rec.table_remove), rec.key,
-               rec.after_image);
-}
-
-Status FoldTable::ApplyLogical(const RedoEntry& entry) {
-  const table::RecordOp op = table::ReplayOpOf(entry.type, entry.table_remove);
-  // A non-table entry carries no key to read.
-  if (op == table::RecordOp::kNone) return Apply(op, {}, {});
-  return Apply(op, entry.key(), entry.after_image());
-}
-
-Status FoldTable::Apply(table::RecordOp op, std::string_view key,
-                        std::string_view after_image) {
+  const table::RecordOp op = table::ReplayOpOf(rec.type, rec.table_remove);
   if (op == table::RecordOp::kNone) {
     return Status::IllegalState("not a table log record");
   }
-  auto it = overlay_.lower_bound(key);
-  if (it == overlay_.end() || it->first != key) {
-    it = overlay_.emplace_hint(it, key, std::nullopt);
+  auto it = overlay_.lower_bound(rec.key);
+  if (it == overlay_.end() || it->first != rec.key) {
+    it = overlay_.emplace_hint(it, rec.key, std::nullopt);
   }
   if (op == table::RecordOp::kUpsert) {
-    it->second.emplace(after_image);
+    it->second.emplace(rec.after_image);
   } else {
     it->second.reset();
   }

@@ -44,7 +44,6 @@ class FoldTable final : public table::ReplayTarget {
   explicit FoldTable(const PageImages* base) : base_(base) {}
 
   Status ApplyLogical(const LogRecord& rec) override;
-  Status ApplyLogical(const RedoEntry& entry) override;
 
   /// The key's value at this point of the replay (nullopt = absent): the
   /// overlay's action on it, else its base chain's record. The key's whole
@@ -72,8 +71,6 @@ class FoldTable final : public table::ReplayTarget {
   /// when nullopt), checked, into `out` in key order.
   Status ReadBase(std::optional<size_t> bucket,
                   std::vector<BaseRecord>* out) const;
-  Status Apply(table::RecordOp op, std::string_view key,
-               std::string_view after_image);
 
   const PageImages* base_;
   /// The last replayed action per key: its after image, or nullopt once

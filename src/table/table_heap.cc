@@ -166,16 +166,15 @@ Status TableHeap::Drain(size_t bucket) {
   return DrainBucketLocked(bucket);
 }
 
-Status TableHeap::WriteBackOlderThan(
-    Lsn older_than, const std::function<Status(size_t bucket)>& after_bucket,
-    uint64_t* written) {
+Status TableHeap::WriteBackOlderThan(Lsn older_than, const TestHook* hook,
+                                     uint64_t* written) {
   for (size_t b = 0; b < kTableBuckets; ++b) {
     {
       const std::lock_guard<std::mutex> lock(buckets_[b].mu);
       ARIESRH_RETURN_IF_ERROR(
           WriteBackChainLocked(buckets_[b], older_than, written));
     }
-    if (after_bucket) ARIESRH_RETURN_IF_ERROR(after_bucket(b));
+    ARIESRH_RETURN_IF_ERROR(RunTestPoint(hook, "checkpoint:after-bucket", b));
   }
   return Status::OK();
 }

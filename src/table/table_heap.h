@@ -60,6 +60,7 @@
 #include "table/heap_page.h"
 #include "util/stats.h"
 #include "util/status.h"
+#include "util/test_hook.h"
 #include "util/types.h"
 #include "wal/log_record.h"
 
@@ -144,8 +145,6 @@ class ReplayTarget {
  public:
   virtual ~ReplayTarget() = default;
   virtual Status ApplyLogical(const LogRecord& rec) = 0;
-  /// Replays a redo plan's entry the same way.
-  virtual Status ApplyLogical(const RedoEntry& entry) = 0;
 };
 
 /// Instant-restart hook: removes and returns a bucket's pending logical
@@ -194,7 +193,8 @@ class TableHeap final : public ReplayTarget {
   /// during undo) into the key's bucket, after the bucket drains.
   /// Thread-safe for concurrent redo workers on different buckets.
   Status ApplyLogical(const LogRecord& rec) override;
-  Status ApplyLogical(const RedoEntry& entry) override;
+  /// Replays a redo plan's entry the same way.
+  Status ApplyLogical(const RedoEntry& entry);
 
   /// Writes every dirty heap page to the stable store (WAL rule enforced)
   /// and marks it clean, one bucket chain at a time.
@@ -205,13 +205,11 @@ class TableHeap final : public ReplayTarget {
   /// dirty pages, under one hold of that bucket's latch, after one log flush
   /// through the newest of their page LSNs (the WAL rule). Chains go one at
   /// a time, so a record access waits only when it hits the chain being
-  /// written. `after_bucket(b)`, when set, runs after bucket b's turn
-  /// without the latch; an error from it stops the write-back there (a
-  /// test's crash point). `written` counts pages.
-  Status WriteBackOlderThan(
-      Lsn older_than,
-      const std::function<Status(size_t bucket)>& after_bucket = {},
-      uint64_t* written = nullptr);
+  /// written. `hook` (optional) runs at "checkpoint:after-bucket:<b>" after
+  /// bucket b's turn, without the latch; its error stops the write-back
+  /// there (a test's crash point). `written` counts pages.
+  Status WriteBackOlderThan(Lsn older_than, const TestHook* hook = nullptr,
+                            uint64_t* written = nullptr);
 
   /// Dirty heap pages -> recovery LSN (first LSN that dirtied each since it
   /// was last clean). Checkpoints merge this into the engine's dirty page

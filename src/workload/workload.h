@@ -67,8 +67,9 @@ class WorkloadDriver {
   Status CrashRecoverVerify();
 
   /// Crashes the database and mirrors the crash into the oracle WITHOUT
-  /// recovering — for tests that want to interfere with recovery (fault
-  /// injection, media failure) before calling Verify() themselves.
+  /// recovering — for tests that want to interfere with recovery (a crash
+  /// point installed with Database::set_test_hook, media failure) before
+  /// calling Verify() themselves.
   void CrashOnly();
 
   /// Verifies committed state against the oracle without crashing (only

@@ -8,8 +8,10 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/database.h"
@@ -327,12 +329,12 @@ TEST(ShardedDatabaseTest, PoisonedFacadeDemandsCrashRecovery) {
   TxnId tee = *db.Begin();
   ASSERT_TRUE(db.Set(tor, a, 1).ok());
   ASSERT_TRUE(db.Set(tor, b, 2).ok());
-  db.set_protocol_test_hook([](const std::string& point) {
+  db.set_test_hook([](std::string_view point) {
     return point == "xdel:before-decision" ? Status::IllegalState("crash here")
                                            : Status::OK();
   });
   EXPECT_FALSE(db.Delegate(tor, tee, DelegationSpec::All()).ok());
-  db.set_protocol_test_hook(nullptr);
+  db.set_test_hook(nullptr);
   EXPECT_TRUE(db.poisoned());
   // Half-transferred volatile state: everything refuses until restart.
   EXPECT_TRUE(db.Begin().status().IsIllegalState());
@@ -403,14 +405,14 @@ TEST_P(ShardedRestartRetryTest, FailedRestartOnOneShardIsRetried) {
   ASSERT_TRUE(db.Sync().ok());
   db.SimulateCrash();
 
-  db.shard(1)->mutable_options()->faults.crash_after_undo_steps = 1;
+  db.set_test_hook(CrashAt("recovery:undo:1", 1));
   Result<RecoveryManager::Outcome> first = RestartAndAwait(db);
   ASSERT_FALSE(first.ok());
   EXPECT_TRUE(first.status().IsIOError()) << first.status().ToString();
   EXPECT_TRUE(db.NeedsRecovery());
   EXPECT_TRUE(db.Begin().status().IsIllegalState());
 
-  db.shard(1)->mutable_options()->faults.crash_after_undo_steps = 0;
+  db.set_test_hook(nullptr);
   Result<RecoveryManager::Outcome> retry = RestartAndAwait(db);
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
   EXPECT_FALSE(db.NeedsRecovery());
@@ -695,6 +697,85 @@ TEST(ShardedStandbyTest, BackupSeedingIsSingleShardOnly) {
   replication::StandbyReplica standby(ShardedOptions(2));
   Database::BackupImage backup;
   EXPECT_TRUE(standby.SeedFromBackup(backup).IsNotSupported());
+}
+
+// The names Database::set_test_hook documents, shard and bucket indices
+// stripped. A point that is dropped or renamed fails the test below.
+const std::set<std::string> kDocumentedTestPoints = {
+    "2pc:before-prepare",        "2pc:votes-appended",
+    "2pc:before-decision",       "2pc:after-decision",
+    "2pc:before-finish",         "xdel:before-coord-prepare",
+    "xdel:before-apply",         "xdel:legs-appended",
+    "xdel:before-decision",      "xdel:after-decision",
+    "checkpoint:after-begin",    "checkpoint:after-bucket",
+    "checkpoint:after-snapshot", "recovery:redo",
+    "recovery:undo"};
+
+/// `point` without its trailing ":<index>" parts.
+std::string WithoutIndices(std::string_view point) {
+  while (true) {
+    const size_t colon = point.rfind(':');
+    if (colon == std::string_view::npos || colon + 1 == point.size() ||
+        point.find_first_not_of("0123456789", colon + 1) !=
+            std::string_view::npos) {
+      return std::string(point);
+    }
+    point.remove_suffix(point.size() - colon);
+  }
+}
+
+TEST(TestHookTest, EveryDocumentedPointFires) {
+  // A kFull restart at one recovery thread redoes inline, at two on redo
+  // workers: each run must reach every point.
+  for (size_t threads : {1u, 2u}) {
+    Options options = ShardedOptions(2);
+    options.recovery_threads = threads;
+    Database db(options);
+    std::mutex mu;
+    std::set<std::string> seen;
+    db.set_test_hook([&](std::string_view point) {
+      std::lock_guard lock(mu);
+      seen.insert(WithoutIndices(point));
+      return Status::OK();
+    });
+    const ObjectId a = ObOnShard(db, 0);
+    const ObjectId b = ObOnShard(db, 1);
+
+    // A 2PC commit, and a cross-shard delegation.
+    TxnId t = *db.Begin();
+    ASSERT_TRUE(db.Set(t, a, 1).ok());
+    ASSERT_TRUE(db.Set(t, b, 2).ok());
+    ASSERT_TRUE(db.Commit(t).ok());
+    TxnId tor = *db.Begin();
+    TxnId tee = *db.Begin();
+    ASSERT_TRUE(db.Add(tor, a, 3).ok());
+    ASSERT_TRUE(db.Add(tor, b, 4).ok());
+    ASSERT_TRUE(db.Delegate(tor, tee, DelegationSpec::Objects({a, b})).ok());
+    ASSERT_TRUE(db.Commit(tee).ok());
+    ASSERT_TRUE(db.Commit(tor).ok());
+
+    // The second checkpoint has a predecessor, so it writes back.
+    for (int round = 0; round < 2; ++round) {
+      TxnId put = *db.Begin();
+      for (int k = 0; k < 8; ++k) {
+        ASSERT_TRUE(db.TablePut(put, "key" + std::to_string(k), "v").ok());
+      }
+      ASSERT_TRUE(db.Commit(put).ok());
+      ASSERT_TRUE(db.Checkpoint().ok());
+    }
+
+    // A crash with a durable loser on both shards: redo and undo.
+    TxnId loser = *db.Begin();
+    ASSERT_TRUE(db.Set(loser, a, 9).ok());
+    ASSERT_TRUE(db.Set(loser, b, 9).ok());
+    ASSERT_TRUE(db.Sync().ok());
+    db.SimulateCrash();
+    Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome->losers, 2u);  // one per shard
+    db.set_test_hook(nullptr);
+    EXPECT_EQ(seen, kDocumentedTestPoints) << "recovery_threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -21,16 +21,15 @@ using workload::WorkloadOptions;
 void RecoverThroughInterruptions(Database* db, Random* chaos,
                                  int max_interruptions) {
   for (int i = 0; i < max_interruptions; ++i) {
-    db->mutable_options()->faults.crash_after_undo_steps =
-        1 + chaos->Uniform(4);
+    db->set_test_hook(CrashAt("recovery:undo", 1 + chaos->Uniform(4)));
     Result<RecoveryManager::Outcome> attempt = RestartAndAwait(*db);
     if (attempt.ok()) {
-      db->mutable_options()->faults.crash_after_undo_steps = 0;
+      db->set_test_hook(nullptr);
       return;  // recovery finished within the budget
     }
     ASSERT_TRUE(attempt.status().IsIOError()) << attempt.status().ToString();
   }
-  db->mutable_options()->faults.crash_after_undo_steps = 0;
+  db->set_test_hook(nullptr);
   ASSERT_TRUE(RestartAndAwait(*db).ok());
 }
 

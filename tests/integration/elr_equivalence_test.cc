@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -146,7 +147,7 @@ TEST_P(ElrEquivalenceTest, PreparedShardRetainsLocksUntilDecisionDurable) {
   for (ObjectId ob : obs) ASSERT_TRUE(db.Set(t, ob, 7).ok());
 
   bool fired = false;
-  db.set_protocol_test_hook([&](const std::string& at) {
+  db.set_test_hook([&](std::string_view at) {
     if (at != "2pc:before-decision") return Status::OK();
     fired = true;
     // Every shard is now prepared. Probe each participant's lock table.
@@ -162,7 +163,7 @@ TEST_P(ElrEquivalenceTest, PreparedShardRetainsLocksUntilDecisionDurable) {
     return Status::OK();
   });
   ASSERT_TRUE(db.Commit(t).ok());
-  db.set_protocol_test_hook(nullptr);
+  db.set_test_hook(nullptr);
   ASSERT_TRUE(fired) << "2pc:before-decision never reached";
 
   // After the decision is durable and the shards finished, the locks are

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 
 #include "core/database.h"
 #include "wal/log_record.h"
@@ -269,9 +273,17 @@ TEST(CheckpointTest, CkptEndCarriesItsBeginLsn) {
   EXPECT_EQ(data->AnalysisStart(master), master - 1);
 }
 
-// The fuzzy window, made deterministic: the checkpoint test hooks run work
-// between CKPT_BEGIN, the table snapshot, and CKPT_END, pinning exactly the
-// interleavings the begin-anchored analysis must reconcile.
+// The fuzzy window, made deterministic: the checkpoint's test points run
+// work between CKPT_BEGIN, the table snapshot, and CKPT_END, pinning exactly
+// the interleavings the begin-anchored analysis must reconcile.
+
+// A test hook that runs `fn` at `point`; it stops no point.
+TestHook RunAt(std::string point, std::function<void()> fn) {
+  return [point = std::move(point), fn = std::move(fn)](std::string_view at) {
+    if (at == point) fn();
+    return Status::OK();
+  };
+}
 
 TEST(CheckpointWindowTest, CommitInsideWindowSurvives) {
   // The protocol bug this PR fixes: a transaction that commits after the
@@ -281,11 +293,11 @@ TEST(CheckpointWindowTest, CommitInsideWindowSurvives) {
   Database db;
   TxnId t = *db.Begin();
   ASSERT_TRUE(db.Set(t, 1, 11).ok());
-  Database::CheckpointTestHooks hooks;
-  hooks.after_snapshot = [&db, t] { ASSERT_TRUE(db.Commit(t).ok()); };
-  db.set_checkpoint_test_hooks(hooks);
+  db.set_test_hook(RunAt("checkpoint:after-snapshot:0", [&db, t] {
+    ASSERT_TRUE(db.Commit(t).ok());
+  }));
   ASSERT_TRUE(db.Checkpoint().ok());
-  db.set_checkpoint_test_hooks({});
+  db.set_test_hook(nullptr);
 
   db.SimulateCrash();
   Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
@@ -328,11 +340,11 @@ TEST(CheckpointWindowTest, AbortInsideWindowStaysAborted) {
   Database db;
   TxnId t = *db.Begin();
   ASSERT_TRUE(db.Set(t, 1, 11).ok());
-  Database::CheckpointTestHooks hooks;
-  hooks.after_snapshot = [&db, t] { ASSERT_TRUE(db.Abort(t).ok()); };
-  db.set_checkpoint_test_hooks(hooks);
+  db.set_test_hook(RunAt("checkpoint:after-snapshot:0", [&db, t] {
+    ASSERT_TRUE(db.Abort(t).ok());
+  }));
   ASSERT_TRUE(db.Checkpoint().ok());
-  db.set_checkpoint_test_hooks({});
+  db.set_test_hook(nullptr);
 
   db.SimulateCrash();
   Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
@@ -349,11 +361,11 @@ TEST(CheckpointWindowTest, UpdateInsideWindowBySnapshottedLoserIsUndone) {
   Database db;
   TxnId t = *db.Begin();
   ASSERT_TRUE(db.Set(t, 1, 11).ok());
-  Database::CheckpointTestHooks hooks;
-  hooks.after_snapshot = [&db, t] { ASSERT_TRUE(db.Set(t, 2, 22).ok()); };
-  db.set_checkpoint_test_hooks(hooks);
+  db.set_test_hook(RunAt("checkpoint:after-snapshot:0", [&db, t] {
+    ASSERT_TRUE(db.Set(t, 2, 22).ok());
+  }));
   ASSERT_TRUE(db.Checkpoint().ok());
-  db.set_checkpoint_test_hooks({});
+  db.set_test_hook(nullptr);
 
   db.SimulateCrash();
   Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
@@ -367,11 +379,11 @@ TEST(CheckpointWindowTest, UpdateInsideWindowThenCommitSurvives) {
   Database db;
   TxnId t = *db.Begin();
   ASSERT_TRUE(db.Set(t, 1, 11).ok());
-  Database::CheckpointTestHooks hooks;
-  hooks.after_snapshot = [&db, t] { ASSERT_TRUE(db.Set(t, 2, 22).ok()); };
-  db.set_checkpoint_test_hooks(hooks);
+  db.set_test_hook(RunAt("checkpoint:after-snapshot:0", [&db, t] {
+    ASSERT_TRUE(db.Set(t, 2, 22).ok());
+  }));
   ASSERT_TRUE(db.Checkpoint().ok());
-  db.set_checkpoint_test_hooks({});
+  db.set_test_hook(nullptr);
   ASSERT_TRUE(db.Commit(t).ok());
 
   db.SimulateCrash();
@@ -386,14 +398,12 @@ TEST(CheckpointWindowTest, BeginInsideWindowIsRecovered) {
   // not hand its id out again.
   Database db;
   TxnId inside = 0;
-  Database::CheckpointTestHooks hooks;
-  hooks.after_snapshot = [&db, &inside] {
+  db.set_test_hook(RunAt("checkpoint:after-snapshot:0", [&db, &inside] {
     inside = *db.Begin();
     ASSERT_TRUE(db.Set(inside, 3, 33).ok());
-  };
-  db.set_checkpoint_test_hooks(hooks);
+  }));
   ASSERT_TRUE(db.Checkpoint().ok());
-  db.set_checkpoint_test_hooks({});
+  db.set_test_hook(nullptr);
 
   db.SimulateCrash();
   Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
@@ -412,13 +422,11 @@ TEST(CheckpointWindowTest, DelegateAfterSnapshotIsReplayed) {
   TxnId t0 = *db.Begin();
   TxnId t1 = *db.Begin();
   ASSERT_TRUE(db.Set(t0, 5, 42).ok());
-  Database::CheckpointTestHooks hooks;
-  hooks.after_snapshot = [&db, t0, t1] {
+  db.set_test_hook(RunAt("checkpoint:after-snapshot:0", [&db, t0, t1] {
     ASSERT_TRUE(db.Delegate(t0, t1, DelegationSpec::Objects({5})).ok());
-  };
-  db.set_checkpoint_test_hooks(hooks);
+  }));
   ASSERT_TRUE(db.Checkpoint().ok());
-  db.set_checkpoint_test_hooks({});
+  db.set_test_hook(nullptr);
   ASSERT_TRUE(db.Commit(t1).ok());
   ASSERT_TRUE(db.Abort(t0).ok());
 
@@ -436,13 +444,11 @@ TEST(CheckpointWindowTest, DelegateBeforeSnapshotIsNotReplayedTwice) {
   TxnId t0 = *db.Begin();
   TxnId t1 = *db.Begin();
   ASSERT_TRUE(db.Set(t0, 5, 42).ok());
-  Database::CheckpointTestHooks hooks;
-  hooks.after_begin = [&db, t0, t1] {
+  db.set_test_hook(RunAt("checkpoint:after-begin:0", [&db, t0, t1] {
     ASSERT_TRUE(db.Delegate(t0, t1, DelegationSpec::Objects({5})).ok());
-  };
-  db.set_checkpoint_test_hooks(hooks);
+  }));
   ASSERT_TRUE(db.Checkpoint().ok());
-  db.set_checkpoint_test_hooks({});
+  db.set_test_hook(nullptr);
   ASSERT_TRUE(db.Commit(t1).ok());
   ASSERT_TRUE(db.Abort(t0).ok());
 
@@ -455,13 +461,11 @@ TEST(CheckpointWindowTest, DelegateBeforeSnapshotIsNotReplayedTwice) {
   TxnId s0 = *db2.Begin();
   TxnId s1 = *db2.Begin();
   ASSERT_TRUE(db2.Set(s0, 5, 42).ok());
-  Database::CheckpointTestHooks hooks2;
-  hooks2.after_begin = [&db2, s0, s1] {
+  db2.set_test_hook(RunAt("checkpoint:after-begin:0", [&db2, s0, s1] {
     ASSERT_TRUE(db2.Delegate(s0, s1, DelegationSpec::Objects({5})).ok());
-  };
-  db2.set_checkpoint_test_hooks(hooks2);
+  }));
   ASSERT_TRUE(db2.Checkpoint().ok());
-  db2.set_checkpoint_test_hooks({});
+  db2.set_test_hook(nullptr);
   ASSERT_TRUE(db2.Commit(s0).ok());
 
   db2.SimulateCrash();  // s1 is the loser; the delegated update dies
@@ -483,11 +487,11 @@ TEST(CheckpointWindowTest, CrashBeforeCkptEndIgnoresTheHalfCheckpoint) {
 
   TxnId t2 = *db.Begin();
   ASSERT_TRUE(db.Set(t2, 2, 22).ok());
-  Database::CheckpointTestHooks hooks;
-  hooks.after_snapshot = [&db, t2] { ASSERT_TRUE(db.Set(t2, 3, 33).ok()); };
-  db.set_checkpoint_test_hooks(hooks);
+  db.set_test_hook(RunAt("checkpoint:after-snapshot:0", [&db, t2] {
+    ASSERT_TRUE(db.Set(t2, 3, 33).ok());
+  }));
   ASSERT_TRUE(db.Checkpoint().ok());
-  db.set_checkpoint_test_hooks({});
+  db.set_test_hook(nullptr);
   const Lsn second_master = db.shard(0)->disk()->master_record();
   ASSERT_TRUE(db.Sync().ok());
 

@@ -11,6 +11,7 @@
 #include "recovery/analysis.h"
 #include "table/table_heap.h"
 #include "util/random.h"
+#include "restart_util.h"
 
 namespace ariesrh {
 namespace {
@@ -62,10 +63,10 @@ class ForwardSweepTest : public ::testing::Test {
     const auto no_wal = [](Lsn) { return Status::OK(); };
     BufferPool pool(&scratch_disk, /*capacity=*/64, no_wal, &scratch_stats);
     table::TableHeap heap(&scratch_disk, &scratch_stats, no_wal);
-    RecoveryFaultBudget redo_budget(budget);
+    const TestHook crash = CrashAt("recovery:redo", budget);
     ForwardPassOptions opts;
     opts.kind = ForwardPassKind::kMerged;
-    opts.redo_budget = &redo_budget;
+    opts.hook = &crash;
     opts.table = &heap;
     Stats pass_stats;
     Reposition();

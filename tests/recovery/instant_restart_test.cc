@@ -15,8 +15,10 @@
 
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -244,25 +246,21 @@ TEST(InstantRestartTest, BlockedTablePutWaitsForTheClusterSweep) {
 }
 
 TEST(InstantRestartTest, FailedBackgroundUndoPoisonsTheFacade) {
-  const std::string path = TempPath("instant_poison");
-  std::map<ObjectId, int64_t> truth;
-  {
-    Database db;
-    truth = BuildClusteredHistory(&db, 3, 16);
-    ASSERT_FALSE(::testing::Test::HasFatalFailure());
-    ASSERT_TRUE(db.SaveTo(path).ok());
-  }
-  Options options = InstantOptions();
-  options.faults.crash_after_undo_steps = 3;
-  Result<Database::OpenResult> opened = Database::Open(options, path);
-  // The front half (analysis) succeeds, so the open itself succeeds; the
-  // background undo then hits the injected fault.
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  Database& db = *opened->db;
-  Result<RecoveryManager::Outcome> awaited = opened->recovery->Await();
+  // The history is built in the instant-mode engine itself, so the crash
+  // point is installed before its restart starts.
+  Database db(InstantOptions());
+  const std::map<ObjectId, int64_t> truth = BuildClusteredHistory(&db, 3, 16);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  db.SimulateCrash();
+  db.set_test_hook(CrashAt("recovery:undo", 3));
+  Result<std::shared_ptr<RecoveryHandle>> recovery = db.StartRecovery();
+  // The front half (analysis) succeeds, so the restart opens the engine;
+  // the background undo then hits the injected fault.
+  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
+  Result<RecoveryManager::Outcome> awaited = (*recovery)->Await();
   ASSERT_FALSE(awaited.ok());
   EXPECT_TRUE(awaited.status().IsIOError()) << awaited.status().ToString();
-  EXPECT_TRUE(opened->recovery->failed());
+  EXPECT_TRUE((*recovery)->failed());
   // The facade is poisoned: NeedsRecovery demands a restart and every
   // entry point refuses.
   EXPECT_TRUE(db.NeedsRecovery());
@@ -272,12 +270,11 @@ TEST(InstantRestartTest, FailedBackgroundUndoPoisonsTheFacade) {
 
   // The documented remedy converges to the kFull ground truth.
   db.SimulateCrash();
-  db.mutable_options()->faults = FaultInjection{};
+  db.set_test_hook(nullptr);
   ASSERT_TRUE(RestartAndAwait(db).ok());
   for (const auto& [ob, expected] : truth) {
     EXPECT_EQ(*db.ReadCommitted(ob), expected) << "ob " << ob;
   }
-  std::remove(path.c_str());
 }
 
 TEST(InstantRestartTest, MidProtocolStopDuringBackgroundUndoPoisons) {
@@ -314,7 +311,7 @@ TEST(InstantRestartTest, MidProtocolStopDuringBackgroundUndoPoisons) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   Database& db = *opened->db;
 
-  db.set_protocol_test_hook([](const std::string& at) {
+  db.set_test_hook([](std::string_view at) {
     return at == "2pc:before-decision" ? Status::IOError("injected stop")
                                        : Status::OK();
   });
@@ -322,7 +319,7 @@ TEST(InstantRestartTest, MidProtocolStopDuringBackgroundUndoPoisons) {
   ASSERT_TRUE(db.Set(t, a, 7).ok());
   ASSERT_TRUE(db.Set(t, b, 7).ok());
   EXPECT_FALSE(db.Commit(t).ok());
-  db.set_protocol_test_hook(nullptr);
+  db.set_test_hook(nullptr);
   EXPECT_TRUE(db.poisoned());
   EXPECT_TRUE(db.Begin().status().IsIllegalState());
 

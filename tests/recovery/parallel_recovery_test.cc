@@ -206,18 +206,15 @@ TEST_P(ParallelCrashMatrixTest, InterruptedParallelRecoveryConverges) {
 
   // First attempt dies at the injected point (redo touches every logged
   // update here — the stable pages are empty — so any small budget hits).
-  if (crash_in_redo) {
-    db->mutable_options()->faults.crash_after_redo_records = crash_after;
-  } else {
-    db->mutable_options()->faults.crash_after_undo_steps = crash_after;
-  }
+  db->set_test_hook(
+      CrashAt(crash_in_redo ? "recovery:redo" : "recovery:undo", crash_after));
   Result<RecoveryManager::Outcome> first = RestartAndAwait(*db);
   ASSERT_FALSE(first.ok());
   EXPECT_TRUE(first.status().IsIOError()) << first.status().ToString();
   EXPECT_TRUE(db->NeedsRecovery());
 
   // Clean retry converges to the serial state.
-  db->mutable_options()->faults = FaultInjection{};
+  db->set_test_hook(nullptr);
   Result<RecoveryManager::Outcome> second = RestartAndAwait(*db);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->winners, serial.outcome.winners);

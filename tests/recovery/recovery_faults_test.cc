@@ -97,14 +97,14 @@ TEST_P(CrashDuringRecoveryTest, InterruptedUndoConverges) {
   oracle.Crash();
 
   // First recovery attempt dies mid-undo.
-  db.mutable_options()->faults.crash_after_undo_steps = crash_after;
+  db.set_test_hook(CrashAt("recovery:undo", crash_after));
   Result<RecoveryManager::Outcome> first = RestartAndAwait(db);
   ASSERT_FALSE(first.ok());
   EXPECT_TRUE(first.status().IsIOError());
   EXPECT_TRUE(db.NeedsRecovery());
 
   // Second attempt runs to completion and must converge to the oracle.
-  db.mutable_options()->faults.crash_after_undo_steps = 0;
+  db.set_test_hook(nullptr);
   Result<RecoveryManager::Outcome> second = RestartAndAwait(db);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   VerifyAgainstOracle(&db, oracle);
@@ -127,13 +127,13 @@ TEST_P(CrashDuringRecoveryTest, RepeatedlyInterruptedUndoConverges) {
   int attempts = 0;
   while (true) {
     ASSERT_LT(attempts, 100) << "recovery is not making progress";
-    db.mutable_options()->faults.crash_after_undo_steps = crash_after;
+    db.set_test_hook(CrashAt("recovery:undo", crash_after));
     Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
     ++attempts;
     if (outcome.ok()) break;
     ASSERT_TRUE(outcome.status().IsIOError());
   }
-  db.mutable_options()->faults.crash_after_undo_steps = 0;
+  db.set_test_hook(nullptr);
   VerifyAgainstOracle(&db, oracle);
 }
 
@@ -190,9 +190,9 @@ TEST(UndoStrategyAblationTest, InterruptedFullScanAlsoConverges) {
   ASSERT_FALSE(::testing::Test::HasFatalFailure());
   db.SimulateCrash();
   oracle.Crash();
-  db.mutable_options()->faults.crash_after_undo_steps = 2;
+  db.set_test_hook(CrashAt("recovery:undo", 2));
   ASSERT_FALSE(RestartAndAwait(db).ok());
-  db.mutable_options()->faults.crash_after_undo_steps = 0;
+  db.set_test_hook(nullptr);
   ASSERT_TRUE(RestartAndAwait(db).ok());
   VerifyAgainstOracle(&db, oracle);
 }

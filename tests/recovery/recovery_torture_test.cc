@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
@@ -284,13 +285,14 @@ TEST(ConcurrentCheckpointWindowTest, CrashAtEveryWindowLsnMatchesLogHead) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   };
-  Database::CheckpointTestHooks hooks;
-  hooks.after_begin = [&] {
-    window_open.store(true);
-    wait_for_growth(16);
-  };
-  hooks.after_snapshot = [&] { wait_for_growth(16); };
-  db.set_checkpoint_test_hooks(hooks);
+  db.set_test_hook([&](std::string_view at) {
+    if (at == "checkpoint:after-begin:0") {
+      window_open.store(true);
+      wait_for_growth(16);
+    }
+    if (at == "checkpoint:after-snapshot:0") wait_for_growth(16);
+    return Status::OK();
+  });
 
   Status ckpt_status;
   std::thread checkpointer([&db, &ckpt_status] {
@@ -326,7 +328,7 @@ TEST(ConcurrentCheckpointWindowTest, CrashAtEveryWindowLsnMatchesLogHead) {
   for (std::thread& worker : workers) worker.join();
   workers_done.store(true);
   checkpointer.join();
-  db.set_checkpoint_test_hooks({});
+  db.set_test_hook(nullptr);
   ASSERT_EQ(failures.load(), 0);
   ASSERT_TRUE(ckpt_status.ok()) << ckpt_status.ToString();
   ASSERT_TRUE(db.Sync().ok());
@@ -438,15 +440,17 @@ TEST_P(WriteBackCrashMatrixTest, CrashAfterBucketMatchesTheCommittedState) {
   ASSERT_TRUE(db.Add(loser, 1, 50).ok());
 
   bool fired = false;
-  Database::CheckpointTestHooks hooks;
-  hooks.after_bucket_written = [&](size_t b) {
-    if (b != crash_bucket || fired) return Status::OK();
+  // The first shard to finish the bucket stops the whole checkpoint.
+  const std::string crash_point =
+      "checkpoint:after-bucket:" + std::to_string(crash_bucket) + ":";
+  db.set_test_hook([&](std::string_view at) {
+    if (!at.starts_with(crash_point) || fired) return Status::OK();
     fired = true;
-    return Status::IOError("injected crash after bucket " + std::to_string(b));
-  };
-  db.set_checkpoint_test_hooks(hooks);
+    return Status::IOError("injected crash after bucket " +
+                           std::to_string(crash_bucket));
+  });
   const Status ckpt = db.Checkpoint();
-  db.set_checkpoint_test_hooks({});
+  db.set_test_hook(nullptr);
   ASSERT_TRUE(fired);
   ASSERT_FALSE(ckpt.ok());
   ASSERT_GT(db.stats().checkpoint_pages_written.value(), 0u);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/database.h"
@@ -374,13 +375,13 @@ TEST(ReenactChainTest, VoidedCrossShardLegIsMarked) {
   TxnId tee = *db.Begin();
   ASSERT_TRUE(db.Set(tor, a, 1).ok());
   ASSERT_TRUE(db.Set(tor, b, 2).ok());
-  db.set_protocol_test_hook([](const std::string& point) {
+  db.set_test_hook([](std::string_view point) {
     return point == "xdel:before-decision"
                ? Status::IllegalState("crash injected before the decision")
                : Status::OK();
   });
   ASSERT_FALSE(db.Delegate(tor, tee, DelegationSpec::Objects({a, b})).ok());
-  db.set_protocol_test_hook(nullptr);
+  db.set_test_hook(nullptr);
   db.SimulateCrash();
   ASSERT_TRUE(RestartAndAwait(db).ok());
 
@@ -595,12 +596,13 @@ TEST(ReenactCheckpointTest, CutsInsideTheCheckpointWindowAreExact) {
     ASSERT_TRUE(db.Commit(t).ok());
   };
   committed_add(1);
-  Database::CheckpointTestHooks hooks;
-  hooks.after_begin = [&] { committed_add(10); };
-  hooks.after_snapshot = [&] { committed_add(100); };
-  db.set_checkpoint_test_hooks(hooks);
+  db.set_test_hook([&](std::string_view point) {
+    if (point == "checkpoint:after-begin:0") committed_add(10);
+    if (point == "checkpoint:after-snapshot:0") committed_add(100);
+    return Status::OK();
+  });
   ASSERT_TRUE(db.Checkpoint().ok());
-  db.set_checkpoint_test_hooks({});
+  db.set_test_hook(nullptr);
   committed_add(1000);
 
   // Walk the object's history and reenact a cut right before each add: the

@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
@@ -189,15 +190,15 @@ TEST_P(TableCrashMatrixTest, MixedFatesResolvePerKey) {
 // TBL_CLRs persist the undo pass's progress.
 TEST_P(TableCrashMatrixTest, InterruptedRecoveryConverges) {
   struct FaultShape {
-    uint64_t redo_budget;
-    uint64_t undo_budget;
+    uint64_t redo_after;
+    uint64_t undo_after;
   };
   for (const FaultShape& shape :
        {FaultShape{1, 0}, FaultShape{3, 0}, FaultShape{0, 1},
         FaultShape{0, 2}, FaultShape{2, 2}}) {
     const std::string label =
-        "redo_budget=" + std::to_string(shape.redo_budget) +
-        " undo_budget=" + std::to_string(shape.undo_budget);
+        "redo_after=" + std::to_string(shape.redo_after) +
+        " undo_after=" + std::to_string(shape.undo_after);
     Database db(MatrixOptions(shards(), threads(), mode()));
     InstallBase(&db);
     if (::testing::Test::HasFatalFailure()) return;
@@ -207,12 +208,14 @@ TEST_P(TableCrashMatrixTest, InterruptedRecoveryConverges) {
     }
     db.SimulateCrash();
 
-    for (size_t s = 0; s < db.num_shards(); ++s) {
-      db.shard(s)->mutable_options()->faults.crash_after_redo_records =
-          shape.redo_budget;
-      db.shard(s)->mutable_options()->faults.crash_after_undo_steps =
-          shape.undo_budget;
+    TestHook crash;
+    if (shape.undo_after > 0) {
+      crash = CrashAt("recovery:undo", shape.undo_after);
     }
+    if (shape.redo_after > 0) {
+      crash = CrashAt("recovery:redo", shape.redo_after, std::move(crash));
+    }
+    db.set_test_hook(std::move(crash));
     Result<RecoveryManager::Outcome> first = RestartAndAwait(db);
     if (!first.ok()) {
       // The injected mid-recovery crash fired (with several shards a small
@@ -221,10 +224,7 @@ TEST_P(TableCrashMatrixTest, InterruptedRecoveryConverges) {
       EXPECT_TRUE(first.status().IsIOError()) << label;
       db.SimulateCrash();
     }
-    for (size_t s = 0; s < db.num_shards(); ++s) {
-      db.shard(s)->mutable_options()->faults.crash_after_redo_records = 0;
-      db.shard(s)->mutable_options()->faults.crash_after_undo_steps = 0;
-    }
+    db.set_test_hook(nullptr);
     if (db.NeedsRecovery()) {
       ASSERT_TRUE(RestartAndAwait(db).ok()) << label;
     }
@@ -248,18 +248,14 @@ TEST_P(TableCrashMatrixTest, RepeatedUndoInterruptionConverges) {
   int attempts = 0;
   while (true) {
     ASSERT_LT(attempts, 100) << "undo is not making progress";
-    for (size_t s = 0; s < db.num_shards(); ++s) {
-      db.shard(s)->mutable_options()->faults.crash_after_undo_steps = 1;
-    }
+    db.set_test_hook(CrashAt("recovery:undo", 1));
     Result<RecoveryManager::Outcome> outcome = RestartAndAwait(db);
     ++attempts;
     if (outcome.ok()) break;
     ASSERT_TRUE(outcome.status().IsIOError()) << outcome.status().ToString();
     db.SimulateCrash();
   }
-  for (size_t s = 0; s < db.num_shards(); ++s) {
-    db.shard(s)->mutable_options()->faults.crash_after_undo_steps = 0;
-  }
+  db.set_test_hook(nullptr);
   VerifyState(&db, BaseState(), "repeated undo interruption");
 }
 

@@ -8,6 +8,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -137,13 +138,18 @@ std::map<ObjectId, int64_t> RunAndRecover(size_t workers,
 
   db.SimulateCrash();
   if (crash_after_redo > 0 || crash_after_undo > 0) {
-    db.mutable_options()->faults.crash_after_redo_records = crash_after_redo;
-    db.mutable_options()->faults.crash_after_undo_steps = crash_after_undo;
+    TestHook crash;
+    if (crash_after_undo > 0) {
+      crash = CrashAt("recovery:undo", crash_after_undo);
+    }
+    if (crash_after_redo > 0) {
+      crash = CrashAt("recovery:redo", crash_after_redo, std::move(crash));
+    }
+    db.set_test_hook(std::move(crash));
     Result<RecoveryManager::Outcome> first = RestartAndAwait(db);
     EXPECT_FALSE(first.ok());
     EXPECT_TRUE(first.status().IsIOError()) << first.status().ToString();
-    db.mutable_options()->faults.crash_after_redo_records = 0;
-    db.mutable_options()->faults.crash_after_undo_steps = 0;
+    db.set_test_hook(nullptr);
   }
   EXPECT_TRUE(RestartAndAwait(db).ok());
 
