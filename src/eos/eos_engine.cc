@@ -22,7 +22,7 @@ std::string SerializeCommitUnit(TxnId txn,
   return out;
 }
 
-Status DeserializeCommitUnit(const std::string& image, TxnId* txn,
+Status DeserializeCommitUnit(std::string_view image, TxnId* txn,
                              std::vector<PrivateLogEntry>* entries) {
   if (image.size() < 5) return Status::Corruption("commit unit too short");
   const size_t body_len = image.size() - 4;
@@ -136,7 +136,8 @@ Status EosEngine::Commit(TxnId txn) {
   std::string unit = SerializeCommitUnit(txn, entries);
   ++stats_.log_appends;
   stats_.log_bytes_appended += unit.size();
-  disk_->AppendLogRecords({std::move(unit)});
+  disk_->AppendLogRecord(unit);
+  disk_->ForceLog();
 
   ARIESRH_RETURN_IF_ERROR(ApplyEntries(entries));
   locks_.ReleaseAll(txn);
@@ -221,17 +222,28 @@ Status EosEngine::Recover() {
   const uint64_t redos_before = stats_.recovery_redos;
   uint64_t pass_records = 0;
   TxnId max_txn = 0;
-  for (Lsn lsn = snapshot_through + 1; lsn <= disk_->stable_end_lsn();
-       ++lsn) {
-    ARIESRH_ASSIGN_OR_RETURN(std::string image, disk_->ReadLogRecord(lsn));
-    ++stats_.recovery_forward_records;
-    ++pass_records;
-    TxnId txn = kInvalidTxn;
-    std::vector<PrivateLogEntry> entries;
-    ARIESRH_RETURN_IF_ERROR(DeserializeCommitUnit(image, &txn, &entries));
-    stats_.recovery_redos += entries.size();
-    ARIESRH_RETURN_IF_ERROR(ApplyEntries(entries));
-    max_txn = std::max(max_txn, txn);
+  // Run reads of up to 64 commit units, each unit accounted as it is
+  // replayed.
+  const Lsn end = disk_->stable_end_lsn();
+  std::string bytes;
+  std::vector<uint32_t> ends;
+  for (Lsn lo = snapshot_through + 1; lo <= end; lo += ends.size()) {
+    bytes.clear();
+    ends.clear();
+    disk_->ReadLogRun(lo, std::min<Lsn>(end, lo + 63), &bytes, &ends);
+    for (size_t i = 0; i < ends.size(); ++i) {
+      const uint32_t from = i == 0 ? 0 : ends[i - 1];
+      const std::string_view image(bytes.data() + from, ends[i] - from);
+      disk_->CountLogRead(lo + i, image.size());
+      ++stats_.recovery_forward_records;
+      ++pass_records;
+      TxnId txn = kInvalidTxn;
+      std::vector<PrivateLogEntry> entries;
+      ARIESRH_RETURN_IF_ERROR(DeserializeCommitUnit(image, &txn, &entries));
+      stats_.recovery_redos += entries.size();
+      ARIESRH_RETURN_IF_ERROR(ApplyEntries(entries));
+      max_txn = std::max(max_txn, txn);
+    }
   }
   obs::Emit(&obs_.trace, obs::TraceEventType::kRecoveryPassEnd,
             static_cast<uint64_t>(obs::RecoveryPassKind::kEosRedo),

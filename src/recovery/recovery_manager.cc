@@ -38,12 +38,19 @@ RecoveryManager::RecoveryManager(const Options& options, SimulatedDisk* disk,
       hook_(std::move(hook)) {}
 
 Status RecoveryManager::TruncateTornTail(SimulatedDisk* disk) {
-  while (disk->stable_end_lsn() >= kFirstLsn) {
+  std::string image;
+  std::vector<uint32_t> ends;
+  LogRecord rec;
+  while (disk->stable_end_lsn() >= disk->first_retained_lsn()) {
     const Lsn last = disk->stable_end_lsn();
-    Result<std::string> image = disk->ReadLogRecord(last);
-    if (!image.ok()) return image.status();
-    Result<LogRecord> rec = LogRecord::Deserialize(*image);
-    if (rec.ok() && rec->lsn == last) return Status::OK();
+    image.clear();
+    ends.clear();
+    disk->ReadLogRun(last, last, &image, &ends);
+    disk->CountLogRead(last, image.size());
+    if (LogRecord::DecodeInto(image.data(), image.size(), &rec).ok() &&
+        rec.lsn == last) {
+      return Status::OK();
+    }
     // Torn or misplaced record: drop it and keep probing backwards.
     ARIESRH_RETURN_IF_ERROR(disk->DropLastLogRecord());
   }

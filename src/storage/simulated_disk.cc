@@ -42,11 +42,29 @@ std::vector<PageId> SimulatedDisk::StablePageIds() const {
   return ids;
 }
 
-void SimulatedDisk::AppendLogRecords(const std::vector<std::string>& records,
-                                     uint64_t* stall_ns) {
-  for (const std::string& rec : records) {
-    records_.push_back(rec);
+size_t SimulatedDisk::SegmentOf(Lsn lsn) const {
+  const auto it = std::upper_bound(
+      segments_.begin(), segments_.end(), lsn,
+      [](Lsn l, const LogSegment& seg) { return l < seg.first; });
+  assert(it != segments_.begin());
+  return static_cast<size_t>(it - segments_.begin()) - 1;
+}
+
+void SimulatedDisk::AppendLogRecord(std::string_view record) {
+  if (segments_.empty() ||
+      segments_.back().bytes->size() + record.size() > kLogSegmentBytes) {
+    const Lsn first = stable_end_lsn() + 1;
+    LogSegment& seg = segments_.emplace_back();
+    seg.bytes = std::make_shared<std::string>();
+    seg.bytes->reserve(std::max(kLogSegmentBytes, record.size()));
+    seg.first = first;
   }
+  LogSegment& seg = segments_.back();
+  seg.bytes->append(record);
+  seg.ends.push_back(static_cast<uint32_t>(seg.bytes->size()));
+}
+
+void SimulatedDisk::ForceLog(uint64_t* stall_ns) {
   ++stats_->log_flushes;
   if (stall_ns != nullptr) {
     *stall_ns = log_force_stall_ns_;  // the caller pays, outside its locks
@@ -56,15 +74,27 @@ void SimulatedDisk::AppendLogRecords(const std::vector<std::string>& records,
   }
 }
 
+void SimulatedDisk::AppendLogRecords(const std::vector<std::string>& records,
+                                     uint64_t* stall_ns) {
+  for (const std::string& rec : records) AppendLogRecord(rec);
+  ForceLog(stall_ns);
+}
+
 void SimulatedDisk::TruncateLog(Lsn new_end) {
-  if (new_end < base_lsn_) new_end = base_lsn_;
-  if (new_end < stable_end_lsn()) {
-    records_.resize(new_end - base_lsn_);
+  new_end = std::max(new_end, base_lsn_);
+  while (!segments_.empty() && segments_.back().first > new_end) {
+    segments_.pop_back();
   }
+  if (segments_.empty()) return;
+  // The new last segment keeps only its records up to new_end, and its
+  // buffer ends with them, so appends continue right after.
+  LogSegment& seg = segments_.back();
+  if (seg.last() > new_end) seg.ends.resize(new_end - seg.first + 1);
+  seg.bytes->resize(seg.ends.back());
 }
 
 Status SimulatedDisk::SetLogBase(Lsn base) {
-  if (!records_.empty() || base_lsn_ != 0) {
+  if (stable_end_lsn() != 0) {
     return Status::IllegalState("log base can only be set on an empty log");
   }
   base_lsn_ = base;
@@ -74,9 +104,10 @@ Status SimulatedDisk::SetLogBase(Lsn base) {
 uint64_t SimulatedDisk::ArchiveLogPrefix(Lsn keep_from) {
   if (keep_from <= base_lsn_ + 1) return 0;
   const Lsn new_base = std::min<Lsn>(keep_from - 1, stable_end_lsn());
+  while (!segments_.empty() && segments_.front().last() <= new_base) {
+    segments_.pop_front();
+  }
   const uint64_t dropped = new_base - base_lsn_;
-  records_.erase(records_.begin(),
-                 records_.begin() + static_cast<ptrdiff_t>(dropped));
   base_lsn_ = new_base;
   return dropped;
 }
@@ -90,29 +121,41 @@ Result<std::string> SimulatedDisk::ReadLogRecord(Lsn lsn,
     return Status::NotFound("LSN " + std::to_string(lsn) +
                             " not in stable log");
   }
+  const LogSegment& seg = segments_[SegmentOf(lsn)];
+  const std::string_view rec = seg.record(lsn - seg.first);
+  CountLogRead(lsn, rec.size(), stall_ns);
+  return std::string(rec);
+}
+
+void SimulatedDisk::CountLogRead(Lsn lsn, size_t bytes,
+                                 uint64_t* stall_ns) const {
   const bool sequential = NoteLogRead(lsn);
   if (sequential) {
     ++stats_->log_seq_reads;
   } else {
     ++stats_->log_random_reads;
   }
+  stats_->log_bytes_read += bytes;
   const uint64_t stall = sequential ? 0 : log_random_read_stall_ns_;
   if (stall_ns != nullptr) {
     *stall_ns = stall;  // the caller pays, outside its locks
   } else if (stall > 0) {
     std::this_thread::sleep_for(std::chrono::nanoseconds(stall));
   }
-  const std::string& rec = records_[lsn - base_lsn_ - 1];
-  stats_->log_bytes_read += rec.size();
-  return rec;
 }
 
 void SimulatedDisk::ReadLogRun(Lsn first, Lsn last, std::string* bytes,
                                std::vector<uint32_t>* ends) const {
   assert(first > base_lsn_ && last <= stable_end_lsn());
-  for (Lsn lsn = first; lsn <= last; ++lsn) {
-    bytes->append(records_[lsn - base_lsn_ - 1]);
-    ends->push_back(static_cast<uint32_t>(bytes->size()));
+  for (size_t s = SegmentOf(first); first <= last; ++s) {
+    const LogSegment& seg = segments_[s];
+    const size_t i = first - seg.first;
+    const size_t j = std::min(last, seg.last()) - seg.first;
+    const uint32_t from = seg.start(i);
+    const uint32_t base = static_cast<uint32_t>(bytes->size());
+    bytes->append(*seg.bytes, from, seg.ends[j] - from);
+    for (size_t k = i; k <= j; ++k) ends->push_back(seg.ends[k] - from + base);
+    first = seg.first + j + 1;
   }
 }
 
@@ -121,24 +164,56 @@ Status SimulatedDisk::RewriteLogRecord(Lsn lsn, std::string record) {
     return Status::InvalidArgument("rewrite of non-durable LSN " +
                                    std::to_string(lsn));
   }
-  records_[lsn - base_lsn_ - 1] = std::move(record);
   ++stats_->log_rewrites;
+  const size_t s = SegmentOf(lsn);
+  LogSegment& seg = segments_[s];
+  const size_t i = lsn - seg.first;
+  const uint32_t from = seg.start(i);
+  if (record.size() == seg.ends[i] - from) {
+    record.copy(seg.bytes->data() + from, record.size());
+    return Status::OK();
+  }
+  // Split around the record: [first, lsn) keeps the segment, the new image
+  // is a segment of its own, and (lsn, last] shares the old buffer.
+  LogSegment rest;
+  if (i + 1 < seg.ends.size()) {
+    rest = LogSegment{seg.bytes, lsn + 1, seg.ends[i],
+                      std::vector<uint32_t>(seg.ends.begin() + i + 1,
+                                            seg.ends.end())};
+  }
+  const uint32_t size = static_cast<uint32_t>(record.size());
+  LogSegment mine{std::make_shared<std::string>(std::move(record)), lsn, 0,
+                  {size}};
+  auto at = segments_.begin() + static_cast<ptrdiff_t>(s);
+  if (i == 0) {
+    *at = std::move(mine);
+  } else {
+    seg.ends.resize(i);
+    at = segments_.insert(at + 1, std::move(mine));
+  }
+  if (!rest.ends.empty()) segments_.insert(at + 1, std::move(rest));
   return Status::OK();
 }
 
 Status SimulatedDisk::CorruptLogTail(size_t n) {
-  if (records_.empty()) return Status::IllegalState("stable log is empty");
-  std::string& rec = records_.back();
-  if (n == 0 || n > rec.size()) n = rec.size();
-  for (size_t i = rec.size() - n; i < rec.size(); ++i) {
-    rec[i] = static_cast<char>(~rec[i]);
+  if (stable_end_lsn() == base_lsn_) {
+    return Status::IllegalState("stable log is empty");
+  }
+  LogSegment& seg = segments_.back();
+  const uint32_t from = seg.start(seg.ends.size() - 1);
+  const uint32_t to = seg.ends.back();
+  if (n == 0 || n > to - from) n = to - from;
+  for (size_t i = to - n; i < to; ++i) {
+    (*seg.bytes)[i] = static_cast<char>(~(*seg.bytes)[i]);
   }
   return Status::OK();
 }
 
 Status SimulatedDisk::DropLastLogRecord() {
-  if (records_.empty()) return Status::IllegalState("stable log is empty");
-  records_.pop_back();
+  if (stable_end_lsn() == base_lsn_) {
+    return Status::IllegalState("stable log is empty");
+  }
+  TruncateLog(stable_end_lsn() - 1);
   return Status::OK();
 }
 
@@ -156,9 +231,11 @@ Status SimulatedDisk::SaveTo(const std::string& path) const {
       PutLengthPrefixed(&out, *image);
     }
   }
-  PutVarint64(&out, records_.size());
-  for (const std::string& rec : records_) {
-    PutLengthPrefixed(&out, rec);
+  PutVarint64(&out, stable_end_lsn() - base_lsn_);
+  for (const LogSegment& seg : segments_) {
+    for (size_t i = 0; i < seg.ends.size(); ++i) {
+      if (seg.first + i > base_lsn_) PutLengthPrefixed(&out, seg.record(i));
+    }
   }
   PutFixed32(&out, crc32c::Mask(crc32c::Value(out)));
 
@@ -215,11 +292,10 @@ Result<SimulatedDisk> SimulatedDisk::LoadFrom(const std::string& path,
   }
   uint64_t record_count = 0;
   ARIESRH_RETURN_IF_ERROR(dec.GetVarint64(&record_count));
-  disk.records_.reserve(record_count);
   for (uint64_t i = 0; i < record_count; ++i) {
-    std::string rec;
+    std::string_view rec;
     ARIESRH_RETURN_IF_ERROR(dec.GetLengthPrefixed(&rec));
-    disk.records_.push_back(std::move(rec));
+    disk.AppendLogRecord(rec);
   }
   if (!dec.empty()) {
     return Status::Corruption("trailing bytes in disk image");

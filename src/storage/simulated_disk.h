@@ -11,17 +11,22 @@
 // volatile state (buffer pool, log tail, transaction tables) lives elsewhere
 // and is discarded by the crash.
 //
-// The stable log is record-addressed: the record with LSN L lives at index
-// L-1, matching the paper's LOG[K] array model (Figure 1).
+// The stable log is record-addressed, matching the paper's LOG[K] array
+// model (Figure 1), and stored as bytes: records lie back to back in
+// append-only segments of about kLogSegmentBytes, each with one end offset
+// per record. A run read copies each segment's share of the run at once,
+// and archiving drops whole segments.
 
 #ifndef ARIESRH_STORAGE_SIMULATED_DISK_H_
 #define ARIESRH_STORAGE_SIMULATED_DISK_H_
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -44,10 +49,11 @@ using PageImages = std::unordered_map<PageId, PageImage>;
 ///   - the page calls, which share one mutex: the buffer pool and the table
 ///     heap write pages back under their own latches, and a checkpoint's
 ///     heap write-back runs beside the pool's evictions and misses;
-///   - ReadLogRecord, which parallel recovery invokes concurrently (under
-///     the log manager's shared lock) — its sequential/random
-///     classification cursor is atomic so concurrent readers only perturb
-///     the access-pattern accounting, never the data.
+///   - the log reads (ReadLogRecord, ReadLogRun and the read accounting),
+///     which readers invoke concurrently under the log manager's shared
+///     lock while every log write holds it exclusively — the
+///     sequential/random classification cursor is atomic so concurrent
+///     readers only perturb the access-pattern accounting, never the data.
 class SimulatedDisk {
  public:
   /// `stats` must outlive the disk; counters are shared with the engine.
@@ -61,7 +67,7 @@ class SimulatedDisk {
         base_lsn_(other.base_lsn_),
         stats_(other.stats_),
         pages_(std::move(other.pages_)),
-        records_(std::move(other.records_)),
+        segments_(std::move(other.segments_)),
         log_random_read_stall_ns_(other.log_random_read_stall_ns_),
         log_force_stall_ns_(other.log_force_stall_ns_),
         last_read_lsn_(
@@ -71,7 +77,7 @@ class SimulatedDisk {
     base_lsn_ = other.base_lsn_;
     stats_ = other.stats_;
     pages_ = std::move(other.pages_);
-    records_ = std::move(other.records_);
+    segments_ = std::move(other.segments_);
     log_random_read_stall_ns_ = other.log_random_read_stall_ns_;
     log_force_stall_ns_ = other.log_force_stall_ns_;
     last_read_lsn_.store(
@@ -131,27 +137,43 @@ class SimulatedDisk {
 
   // --- stable log ---
 
-  /// Durably appends serialized records; the first one receives LSN
-  /// `stable_end_lsn() + 1`. Called by the log manager on flush.
-  ///
-  /// A force is charged the configured device stall (see
-  /// set_log_force_stall_ns). When `stall_ns` is provided the charge is
-  /// returned for the caller to pay — the log manager pays it outside its
-  /// tail lock so appenders keep running during the force; otherwise the
-  /// disk stalls in place.
+  /// Appends go to the last segment while it stays within this many bytes;
+  /// a record larger than a segment gets a segment of its own.
+  static constexpr size_t kLogSegmentBytes = size_t{64} << 10;
+
+  /// Appends one serialized record; it receives LSN `stable_end_lsn() + 1`.
+  /// A batch of appends ends with one ForceLog.
+  void AppendLogRecord(std::string_view record);
+
+  /// The force that ends a batch of appends (counted in `log_flushes`). It
+  /// is charged the configured device stall (see set_log_force_stall_ns).
+  /// When `stall_ns` is provided the charge is returned for the caller to
+  /// pay — the log manager pays it outside its tail lock so appenders keep
+  /// running during the force; otherwise the disk stalls in place.
+  void ForceLog(uint64_t* stall_ns = nullptr);
+
+  /// AppendLogRecord for each record, then one ForceLog.
   void AppendLogRecords(const std::vector<std::string>& records,
                         uint64_t* stall_ns = nullptr);
 
   /// LSN of the last durable record; 0 if the stable log is empty.
-  Lsn stable_end_lsn() const { return base_lsn_ + records_.size(); }
+  Lsn stable_end_lsn() const {
+    return segments_.empty() ? base_lsn_ : segments_.back().last();
+  }
+
+  /// Segments holding the retained log (the first may also hold archived
+  /// records, which stay until its last record is archived).
+  size_t log_segment_count() const { return segments_.size(); }
 
   /// First LSN still present (older records were archived); equals
   /// kFirstLsn until ArchiveLogPrefix runs.
   Lsn first_retained_lsn() const { return base_lsn_ + 1; }
 
-  /// Archives (drops) every record with LSN < keep_from. Returns the number
-  /// of records archived. The caller (Database::ArchiveLog) is responsible
-  /// for proving recovery will never need them again.
+  /// Archives every record with LSN < keep_from: they read as NotFound
+  /// from then on, and each segment whose records are all archived is
+  /// dropped, so the cost grows with the segments dropped. Returns the
+  /// number of records archived. The caller (Database::ArchiveLog) is
+  /// responsible for proving recovery will never need them again.
   uint64_t ArchiveLogPrefix(Lsn keep_from);
 
   /// Positions an EMPTY log so the next appended record receives LSN
@@ -172,12 +194,19 @@ class SimulatedDisk {
                                     uint64_t* stall_ns = nullptr) const;
 
   /// Run read, the sequential scan's half of ReadLogRecord: appends the
-  /// images of the durable records [first, last] to `bytes` and the offset
-  /// just past each to `ends`, with no per-record string. It counts
-  /// nothing: the reader accounts each record as it consumes it, through
-  /// NoteLogRead. Precondition: the whole run is retained and durable.
+  /// images of the durable records [first, last] to `bytes` (one copy per
+  /// segment the run crosses) and the offset just past each to `ends`. It
+  /// counts nothing: the reader accounts each record as it consumes it,
+  /// through NoteLogRead or CountLogRead. Precondition: the whole run is
+  /// retained and durable.
   void ReadLogRun(Lsn first, Lsn last, std::string* bytes,
                   std::vector<uint32_t>* ends) const;
+
+  /// ReadLogRecord's accounting for one read of `lsn`, whose image is
+  /// `bytes` long, by a reader that took it from a run read: classified
+  /// (NoteLogRead), counted, and a random read's seek stall returned in
+  /// `stall_ns` or paid in place.
+  void CountLogRead(Lsn lsn, size_t bytes, uint64_t* stall_ns = nullptr) const;
 
   /// ReadLogRecord's access classification for one read of `lsn`: true
   /// (sequential) when it is adjacent to the previous read, in either
@@ -207,9 +236,12 @@ class SimulatedDisk {
   void set_log_force_stall_ns(uint64_t ns) { log_force_stall_ns_ = ns; }
   uint64_t log_force_stall_ns() const { return log_force_stall_ns_; }
 
-  /// Overwrites a durable record in place. Only the history-rewriting
-  /// baselines (Section 3.2's straw men) use this; ARIES/RH never does.
-  /// Counted as a random write (`log_rewrites`).
+  /// Overwrites a durable record. Only the history-rewriting baselines
+  /// (Section 3.2's straw men) use this; ARIES/RH never does. Counted as a
+  /// random write (`log_rewrites`). An image of the old length is patched
+  /// in place; one of another length (the fields are varints) takes its own
+  /// segment, splitting the one that held it around it, so no other
+  /// record's bytes move.
   Status RewriteLogRecord(Lsn lsn, std::string record);
 
   /// Discards every durable record with LSN greater than `new_end`. Used by
@@ -239,7 +271,29 @@ class SimulatedDisk {
   /// Guards pages_. Not moved: a disk is moved only while nothing uses it.
   mutable std::mutex pages_mu_;
   PageImages pages_;
-  std::vector<std::string> records_;
+
+  /// Records [first, last()] stored back to back in `*bytes`, the first at
+  /// `begin`. Appends extend only the last segment, whose records always
+  /// end at the end of its buffer. The pieces of a segment a rewrite split
+  /// share its buffer, each owning a disjoint range of it.
+  struct LogSegment {
+    std::shared_ptr<std::string> bytes;
+    Lsn first = kInvalidLsn;
+    uint32_t begin = 0;
+    std::vector<uint32_t> ends;  ///< offset in *bytes just past each record
+
+    Lsn last() const { return first + ends.size() - 1; }
+    /// Offset in *bytes of record `i` (0-based within the segment).
+    uint32_t start(size_t i) const { return i == 0 ? begin : ends[i - 1]; }
+    std::string_view record(size_t i) const {
+      return std::string_view(*bytes).substr(start(i), ends[i] - start(i));
+    }
+  };
+
+  /// Index in segments_ of the segment holding retained record `lsn`.
+  size_t SegmentOf(Lsn lsn) const;
+
+  std::deque<LogSegment> segments_;  ///< the stable log, in LSN order
   uint64_t log_random_read_stall_ns_ = 0;
   uint64_t log_force_stall_ns_ = 0;
   mutable std::atomic<Lsn> last_read_lsn_{kInvalidLsn};

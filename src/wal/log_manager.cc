@@ -75,7 +75,7 @@ Status LogManager::Flush(Lsn lsn) {
   obs::ScopedLatencyTimer timer(flush_ns_);
   uint64_t stall_ns = 0;
   while (true) {
-    std::vector<std::string> batch;
+    uint64_t batch = 0;
     std::unique_lock lock(mu_);
     const Lsn flushed = flushed_lsn_.load(std::memory_order_relaxed);
     // Clamp instead of asserting: a group-commit request can race with
@@ -88,16 +88,17 @@ Status LogManager::Flush(Lsn lsn) {
     while (!tail_.empty() && tail_.front().filled &&
            tail_.front().record.lsn <= lsn) {
       durable = tail_.front().record.lsn;
-      batch.push_back(std::move(tail_.front().image));
+      disk_->AppendLogRecord(tail_.front().image);
+      ++batch;
       tail_.pop_front();
     }
-    if (!batch.empty()) {
+    if (batch > 0) {
       uint64_t force_stall_ns = 0;
-      disk_->AppendLogRecords(batch, &force_stall_ns);
+      disk_->ForceLog(&force_stall_ns);
       stall_ns += force_stall_ns;
       flushed_lsn_.store(durable, std::memory_order_release);
       obs::Emit(stats_->trace(), obs::TraceEventType::kLogFlush, durable,
-                batch.size());
+                batch);
     }
     if (durable >= lsn) break;
     // A hole below `lsn`: its appender has reserved the slot but not yet
@@ -129,7 +130,10 @@ LogManager::FlushTicket LogManager::RequestFlush(Lsn lsn) {
     return ticket;
   }
   ticket.epoch = flusher_epoch_;
-  if (lsn > acked_lsn_) {
+  // A record past the end of the log was discarded before this request. No
+  // force can cover it, and a queued request for it would keep the flusher
+  // forcing in a loop while AwaitFlush never wakes.
+  if (lsn > acked_lsn_ && lsn <= end_lsn()) {
     requested_lsn_ = std::max(requested_lsn_, lsn);
     ++pending_requests_;
     flush_cv_.notify_one();
@@ -148,12 +152,15 @@ Status LogManager::AwaitFlush(const FlushTicket& ticket) {
   if (ticket.epoch == 0) {
     const Status status = Flush(ticket.lsn);
     std::unique_lock lock(flush_mu_);
-    return LostToDiscard(ticket) ? discarded : status;
+    // Flush clamps to the end of the log: a record it left above
+    // flushed_lsn() was discarded before this request.
+    const bool lost = status.ok() && ticket.lsn > flushed_lsn();
+    return lost || LostToDiscard(ticket) ? discarded : status;
   }
   std::unique_lock lock(flush_mu_);
   if (queue_depth_ != nullptr) queue_depth_->Add(1);
   acked_cv_.wait(lock, [&] {
-    return acked_lsn_ >= ticket.lsn ||
+    return acked_lsn_ >= ticket.lsn || ticket.lsn > end_lsn() ||
            discard_floors_.size() != ticket.generation || stop_flusher_ ||
            flusher_epoch_ != ticket.epoch || !flusher_status_.ok();
   });
@@ -166,6 +173,7 @@ Status LogManager::AwaitFlush(const FlushTicket& ticket) {
     return flusher_status_;
   }
   if (acked_lsn_ >= ticket.lsn) return Status::OK();
+  if (ticket.lsn > end_lsn()) return discarded;  // gone before its request
   return Status::IllegalState("log flusher stopped during commit flush");
 }
 
@@ -289,8 +297,8 @@ Status LogManager::Rewrite(Lsn lsn, LogRecord rec) {
 }
 
 uint64_t LogManager::ArchivePrefix(Lsn keep_from) {
-  // The prefix drop edits the same stable-log vector a force appends to, so
-  // it takes the force channel and then the exclusive lock, like a force.
+  // The prefix drop edits the same stable-log segments a force appends to,
+  // so it takes the force channel and then the exclusive lock, like a force.
   std::unique_lock force_lock(force_mu_);
   std::unique_lock lock(mu_);
   return disk_->ArchiveLogPrefix(keep_from);

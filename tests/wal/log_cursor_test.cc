@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "table/table_heap.h"
 #include "util/random.h"
 #include "wal/log_manager.h"
 #include "wal/log_record.h"
@@ -321,6 +322,102 @@ TEST(LogCursorEdgeTest, RangeOutsideTheLogIsNotFound) {
   LogCursor empty(*log, 5, 4);
   EXPECT_FALSE(empty.Next());
   EXPECT_TRUE(empty.status().ok());
+}
+
+// A durable log whose stable segments hold a few records each: table
+// updates with images of 1.5-18 KB, so every cursor batch spans several
+// segment boundaries.
+class SegmentedLogCursorTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (int i = 0; i < 300; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      const size_t size = 1000 + static_cast<size_t>(i) * 7919 % 12000;
+      log_.Append(LogRecord::MakeTableUpdate(
+          1, log_.end_lsn(), table::TableRid(key), key,
+          std::string(size, 'a'), std::string(size / 2, 'b')));
+    }
+    ASSERT_TRUE(log_.FlushAll().ok());
+    ASSERT_GT(disk_.log_segment_count(), 40u);
+  }
+
+  /// Point reads of [from, to] in the given order, and their counts.
+  std::vector<std::string> PointReads(Lsn from, Lsn to, bool backward,
+                                      SweepCounts* counts) {
+    Reposition();
+    const Stats before = stats_;
+    std::vector<std::string> images;
+    for (Lsn i = 0; i <= to - from; ++i) {
+      Result<LogRecord> rec = log_.Read(backward ? to - i : from + i);
+      EXPECT_TRUE(rec.ok()) << rec.status().ToString();
+      images.push_back(rec.ok() ? rec->Serialize() : "");
+    }
+    *counts = CountsSince(stats_, before);
+    return images;
+  }
+
+  std::vector<std::string> CursorReads(Lsn from, Lsn to, bool backward,
+                                       SweepCounts* counts) {
+    Reposition();
+    const Stats before = stats_;
+    std::vector<std::string> images;
+    {
+      LogCursor cursor(log_, from, to,
+                       backward ? LogCursor::Direction::kBackward
+                                : LogCursor::Direction::kForward);
+      while (cursor.Next()) {
+        EXPECT_EQ(cursor.record().lsn, cursor.lsn());
+        images.push_back(cursor.record().Serialize());
+      }
+      EXPECT_TRUE(cursor.status().ok()) << cursor.status().ToString();
+    }
+    *counts = CountsSince(stats_, before);
+    return images;
+  }
+
+  void Reposition() { ASSERT_TRUE(log_.Read(150).ok()); }
+
+  Stats stats_;
+  SimulatedDisk disk_{&stats_};
+  LogManager log_{&disk_, &stats_};
+};
+
+TEST_F(SegmentedLogCursorTest, RunsAcrossSegmentsMatchPointReads) {
+  for (const bool backward : {false, true}) {
+    SweepCounts by_read;
+    SweepCounts by_cursor;
+    const std::vector<std::string> want = PointReads(2, 297, backward, &by_read);
+    EXPECT_EQ(CursorReads(2, 297, backward, &by_cursor), want)
+        << (backward ? "backward" : "forward");
+    EXPECT_EQ(by_cursor.seq, by_read.seq);
+    EXPECT_EQ(by_cursor.random, by_read.random);
+    EXPECT_EQ(by_cursor.bytes, by_read.bytes);
+  }
+}
+
+TEST_F(SegmentedLogCursorTest, SkipToAcrossSegments) {
+  // Stall 0 jumps; a 25 us stall reads the 100-record gap through.
+  for (const uint64_t stall : {uint64_t{0}, uint64_t{25'000}}) {
+    disk_.set_log_random_read_stall_ns(stall);
+    for (const bool backward : {false, true}) {
+      const Lsn start = backward ? 280 : 20;
+      const Lsn target = backward ? 180 : 120;
+      LogCursor cursor(log_, 10, 290,
+                       backward ? LogCursor::Direction::kBackward
+                                : LogCursor::Direction::kForward);
+      while (cursor.Next() && cursor.lsn() != start) {
+      }
+      const uint64_t read = cursor.SkipTo(target);
+      EXPECT_EQ(read, stall == 0 ? 0u : 99u);
+      ASSERT_TRUE(cursor.Next()) << cursor.status().ToString();
+      EXPECT_EQ(cursor.lsn(), target);
+      EXPECT_EQ(cursor.record().Serialize(), log_.Read(target)->Serialize());
+      ASSERT_TRUE(cursor.Next());  // and on past it, in its direction
+      EXPECT_EQ(cursor.lsn(), backward ? target - 1 : target + 1);
+      EXPECT_EQ(cursor.record().Serialize(),
+                log_.Read(cursor.lsn())->Serialize());
+    }
+  }
 }
 
 }  // namespace

@@ -10,8 +10,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "table/table_heap.h"
 
 #include <gtest/gtest.h>
 
@@ -56,6 +59,111 @@ TEST(LogFlusherRaceTest, DiscardTailConcurrentWithInFlightForce) {
     }
   }
   EXPECT_EQ(log.end_lsn(), log.flushed_lsn());
+}
+
+// A committer whose record a crash discarded before it asked for the flush:
+// no force can cover that LSN. The wait fails at once, with the flusher and
+// without it, instead of parking while the flusher re-forces the missing
+// LSN in a loop (with the flusher) or acking it (without).
+TEST(LogFlusherRaceTest, RequestForAnAlreadyDiscardedRecordFails) {
+  for (const bool flusher : {true, false}) {
+    Stats stats;
+    SimulatedDisk disk(&stats);
+    LogManager log(&disk, &stats);
+    if (flusher) log.StartGroupCommit({.window_us = 0});
+    ASSERT_TRUE(log.FlushWait(log.Append(LogRecord::MakeBegin(1))).ok());
+    const Lsn lost = log.Append(LogRecord::MakeBegin(2));
+    log.DiscardTail();
+    const Status status = log.FlushWait(lost);
+    EXPECT_EQ(status.code(), StatusCode::kIllegalState)
+        << (flusher ? "flusher: " : "direct: ") << status.ToString();
+    EXPECT_EQ(log.flushed_lsn(), 1u);
+    // Nothing is left to force: the flusher idles instead of re-forcing.
+    const uint64_t forces = stats.log_group_forces.value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(stats.log_group_forces.value(), forces);
+    // The log goes on: the record that reuses the LSN commits normally.
+    EXPECT_TRUE(log.FlushWait(log.Append(LogRecord::MakeBegin(3))).ok());
+    EXPECT_EQ(log.flushed_lsn(), 2u);
+  }
+}
+
+// Cursors sweep the durable log, forward and backward, while the flusher
+// appends into the open stable segment (and opens new ones) and an
+// archiver drops whole segments behind them. A cursor reads each record of
+// its range intact or stops with NotFound on one archived under it; no
+// record it returns is torn or misplaced.
+TEST(LogFlusherRaceTest, CursorsReadWhileFlusherAppendsAndArchiveDrops) {
+  Stats stats;
+  SimulatedDisk disk(&stats);
+  LogManager log(&disk, &stats);
+  log.StartGroupCommit({.window_us = 0});
+  // Record LSN i carries a value of ValueSize(i) bytes: about 1.3 MB in
+  // all, some twenty segments.
+  const auto value_size = [](Lsn lsn) { return 300 + lsn * 37 % 1200; };
+  constexpr Lsn kRecords = 1500;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (Lsn i = 1; i <= kRecords; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      const Lsn lsn = log.Append(LogRecord::MakeTableInsert(
+          1, kInvalidLsn, table::TableRid(key), key,
+          std::string(value_size(i), 'v')));
+      if (i % 8 == 0) EXPECT_TRUE(log.FlushWait(lsn).ok());
+    }
+    EXPECT_TRUE(log.FlushAll().ok());
+    done = true;
+  });
+  uint64_t archived = 0;
+  std::thread archiver([&] {
+    while (!done) {
+      const Lsn flushed = log.flushed_lsn();
+      if (flushed > 300) archived += log.ArchivePrefix(flushed - 300);
+      std::this_thread::yield();
+    }
+  });
+  std::atomic<uint64_t> read{0};
+  std::vector<std::thread> readers;
+  for (const auto direction :
+       {LogCursor::Direction::kForward, LogCursor::Direction::kBackward}) {
+    readers.emplace_back([&, direction] {
+      while (!done) {
+        const Lsn from = log.first_retained_lsn();
+        const Lsn to = log.flushed_lsn();
+        LogCursor cursor(log, from, to, direction);
+        while (cursor.Next()) {
+          const LogRecord& rec = cursor.record();
+          if (rec.lsn != cursor.lsn() ||
+              rec.after_image.size() != value_size(rec.lsn)) {
+            ADD_FAILURE() << "LSN " << cursor.lsn() << " read as "
+                          << rec.ToString();
+            return;
+          }
+          ++read;
+        }
+        if (!cursor.status().ok() && !cursor.status().IsNotFound()) {
+          ADD_FAILURE() << cursor.status().ToString();
+          return;
+        }
+      }
+    });
+  }
+  writer.join();
+  archiver.join();
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_GT(read.load(), 0u);
+  EXPECT_GT(archived, 0u);
+  // What is left reads back whole.
+  const Lsn from = log.first_retained_lsn();
+  LogCursor cursor(log, from, kRecords);
+  Lsn next = from;
+  while (cursor.Next()) {
+    EXPECT_EQ(cursor.lsn(), next++);
+    EXPECT_EQ(cursor.record().after_image.size(), value_size(cursor.lsn()));
+  }
+  EXPECT_TRUE(cursor.status().ok()) << cursor.status().ToString();
+  EXPECT_EQ(next, kRecords + 1);
 }
 
 TEST(LogFlusherRaceTest, DiscardTailWakesCommitterParkedInWindow) {
