@@ -56,6 +56,9 @@
 //     a sidecar of that many records (PREPARE/COMMIT pairs of 2-shard
 //     rounds) read into a fresh coordinator log, and its in-doubt verdicts
 //     taken.
+//   * BM_LockAcquireRelease/<objects>: one transaction's exclusive
+//     LockManager::Acquire on that many objects, then its ReleaseAll,
+//     uncontended and without stats: the lock table's share of a commit.
 //   * BM_DelegateTransfer/<objects>: one shard-local Database::Delegate of
 //     that many objects: guard, check, one DELEGATE append, and the scope
 //     and lock moves.
@@ -81,6 +84,7 @@
 
 #include "bench_util.h"
 #include "coord/coordinator_log.h"
+#include "lock/lock_manager.h"
 #include "obs/clock.h"
 #include "recovery/analysis.h"
 #include "recovery/undo_rh.h"
@@ -670,6 +674,22 @@ void BM_CoordResolution(benchmark::State& state) {
   AddCpuCounter(state);
 }
 BENCHMARK(BM_CoordResolution)->Arg(12000)->Unit(benchmark::kMillisecond);
+
+void BM_LockAcquireRelease(benchmark::State& state) {
+  const int64_t objects = state.range(0);
+  LockManager locks;
+  TxnId txn = 1;
+  for (auto _ : state) {
+    for (ObjectId ob = 0; ob < static_cast<ObjectId>(objects); ++ob) {
+      Check(locks.Acquire(txn, ob, LockMode::kExclusive), "Acquire");
+    }
+    locks.ReleaseAll(txn++);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          objects);
+  AddCpuCounter(state);
+}
+BENCHMARK(BM_LockAcquireRelease)->Arg(1)->Arg(16);
 
 /// Ping-pongs `objects` between two live transactions, one Delegate per
 /// iteration, so the setup (begins, updates) stays out of the timing.

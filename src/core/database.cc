@@ -71,8 +71,8 @@ Status Database::EnsureUsable() const {
 std::shared_ptr<Database::TxnRoute> Database::LookupRoute(TxnId txn) const {
   const RouteStripe& stripe = StripeOf(txn);
   std::shared_lock lock(stripe.mu);
-  const std::shared_ptr<TxnRoute>* route = stripe.routes.Find(txn);
-  return route != nullptr ? *route : nullptr;
+  auto route = stripe.routes.find(txn);
+  return route != stripe.routes.end() ? route->second : nullptr;
 }
 
 Result<std::shared_ptr<Database::TxnRoute>> Database::FindRoute(
@@ -501,7 +501,7 @@ Status Database::Commit(TxnId txn) {
   {
     RouteStripe& stripe = StripeOf(txn);
     std::unique_lock stripe_lock(stripe.mu);
-    stripe.routes.Erase(txn);
+    stripe.routes.erase(txn);
   }
   ObserveFirstCommit();
   return Status::OK();

@@ -54,6 +54,7 @@
 #include <shared_mutex>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -66,7 +67,6 @@
 #include "reenact/reenact.h"
 #include "txn/delegation_spec.h"
 #include "txn/dependency_graph.h"
-#include "util/flat_map.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/test_hook.h"
@@ -417,7 +417,7 @@ class Database {
   static constexpr size_t kRouteStripes = 64;
   struct alignas(64) RouteStripe {
     mutable std::shared_mutex mu;
-    OpenHashMap<TxnId, std::shared_ptr<TxnRoute>> routes;
+    std::unordered_map<TxnId, std::shared_ptr<TxnRoute>> routes;
   };
   RouteStripe& StripeOf(TxnId txn) { return routes_[txn % kRouteStripes]; }
   const RouteStripe& StripeOf(TxnId txn) const {

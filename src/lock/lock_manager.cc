@@ -77,7 +77,7 @@ Status LockManager::Acquire(TxnId txn, ObjectId ob, LockMode mode,
     shard.held[txn].push_back(ob);
   }
   if (elr_deps != nullptr) {
-    for (const CommitDependency& dep : picked_up) elr_deps->push_back(dep);
+    elr_deps->insert(elr_deps->end(), picked_up.begin(), picked_up.end());
   }
   if (stats_ != nullptr) {
     ++stats_->lock_acquires;
@@ -108,12 +108,12 @@ bool LockManager::ConflictsIgnoringPermits(
 void LockManager::MarkEarlyReleased(TxnId txn, Lsn commit_lsn) {
   for (Shard& shard : shards_) {
     std::lock_guard lock(shard.mu);
-    auto* held = shard.held.Find(txn);
-    if (held == nullptr) continue;
-    for (ObjectId ob : *held) {
-      ObjectLocks* locks = shard.table.Find(ob);
-      if (locks == nullptr) continue;
-      if (Holder* h = locks->FindHolder(txn)) {
+    auto held = shard.held.find(txn);
+    if (held == shard.held.end()) continue;
+    for (ObjectId ob : held->second) {
+      auto locks = shard.table.find(ob);
+      if (locks == shard.table.end()) continue;
+      if (Holder* h = locks->second.FindHolder(txn)) {
         h->early_released = true;
         h->commit_lsn = commit_lsn;
       }
@@ -126,44 +126,42 @@ void LockManager::ReleaseAll(TxnId txn) {
   // consistent under its own mutex.
   for (Shard& shard : shards_) {
     std::lock_guard lock(shard.mu);
-    auto* held = shard.held.Find(txn);
-    if (held == nullptr) continue;
-    for (ObjectId ob : *held) {
-      ObjectLocks* locks = shard.table.Find(ob);
-      if (locks == nullptr) continue;
-      for (auto it = locks->holders.begin(); it != locks->holders.end();) {
-        it = (it->txn == txn) ? locks->holders.erase(it) : it + 1;
-      }
+    auto held = shard.held.find(txn);
+    if (held == shard.held.end()) continue;
+    for (ObjectId ob : held->second) {
+      auto locks = shard.table.find(ob);
+      if (locks == shard.table.end()) continue;
+      std::erase_if(locks->second.holders,
+                    [txn](const Holder& h) { return h.txn == txn; });
       // Permits granted by a terminated owner are moot; drop them.
-      for (auto it = locks->permits.begin(); it != locks->permits.end();) {
-        it = (it->owner == txn) ? locks->permits.erase(it) : it + 1;
-      }
-      if (locks->holders.empty() && locks->permits.empty()) {
-        shard.table.Erase(ob);
+      std::erase_if(locks->second.permits,
+                    [txn](const PermitPair& p) { return p.owner == txn; });
+      if (locks->second.holders.empty() && locks->second.permits.empty()) {
+        shard.table.erase(locks);
       }
     }
-    shard.held.Erase(txn);
+    shard.held.erase(held);
   }
 }
 
 void LockManager::DropFromHeld(Shard& shard, TxnId txn, ObjectId ob) {
-  auto* held = shard.held.Find(txn);
-  if (held == nullptr) return;
-  auto it = std::find(held->begin(), held->end(), ob);
-  if (it != held->end()) held->erase(it);
-  if (held->empty()) shard.held.Erase(txn);
+  auto held = shard.held.find(txn);
+  if (held == shard.held.end()) return;
+  std::vector<ObjectId>& obs = held->second;
+  auto it = std::find(obs.begin(), obs.end(), ob);
+  if (it != obs.end()) obs.erase(it);
+  if (obs.empty()) shard.held.erase(held);
 }
 
 void LockManager::Release(TxnId txn, ObjectId ob) {
   Shard& shard = ShardFor(ob);
   std::lock_guard lock(shard.mu);
-  ObjectLocks* locks = shard.table.Find(ob);
-  if (locks != nullptr) {
-    for (auto it = locks->holders.begin(); it != locks->holders.end();) {
-      it = (it->txn == txn) ? locks->holders.erase(it) : it + 1;
-    }
-    if (locks->holders.empty() && locks->permits.empty()) {
-      shard.table.Erase(ob);
+  auto locks = shard.table.find(ob);
+  if (locks != shard.table.end()) {
+    std::erase_if(locks->second.holders,
+                  [txn](const Holder& h) { return h.txn == txn; });
+    if (locks->second.holders.empty() && locks->second.permits.empty()) {
+      shard.table.erase(locks);
     }
   }
   DropFromHeld(shard, txn, ob);
@@ -172,19 +170,21 @@ void LockManager::Release(TxnId txn, ObjectId ob) {
 void LockManager::Transfer(TxnId from, TxnId to, ObjectId ob) {
   Shard& shard = ShardFor(ob);
   std::lock_guard lock(shard.mu);
-  ObjectLocks* locks = shard.table.Find(ob);
-  if (locks == nullptr) return;
-  Holder* source = locks->FindHolder(from);
-  if (source == nullptr) return;
+  auto locks = shard.table.find(ob);
+  if (locks == shard.table.end()) return;
+  std::vector<Holder>& holders = locks->second.holders;
+  auto source = std::find_if(holders.begin(), holders.end(),
+                             [from](const Holder& h) { return h.txn == from; });
+  if (source == holders.end()) return;
   if (stats_ != nullptr) ++stats_->lock_transfers;
-  LockMode mode = source->mode;
-  locks->holders.erase(source);
+  const LockMode mode = source->mode;
+  holders.erase(source);
   DropFromHeld(shard, from, ob);
 
-  if (Holder* target = locks->FindHolder(to)) {
+  if (Holder* target = locks->second.FindHolder(to)) {
     target->mode = std::max(target->mode, mode);
   } else {
-    locks->holders.push_back(Holder{to, mode, false, kInvalidLsn});
+    holders.push_back(Holder{to, mode, false, kInvalidLsn});
     shard.held[to].push_back(ob);
   }
 }
@@ -202,9 +202,9 @@ void LockManager::Permit(TxnId owner, TxnId grantee, ObjectId ob) {
 bool LockManager::Holds(TxnId txn, ObjectId ob, LockMode mode) const {
   const Shard& shard = ShardFor(ob);
   std::lock_guard lock(shard.mu);
-  const ObjectLocks* locks = shard.table.Find(ob);
-  if (locks == nullptr) return false;
-  const Holder* holder = locks->FindHolder(txn);
+  auto locks = shard.table.find(ob);
+  if (locks == shard.table.end()) return false;
+  const Holder* holder = locks->second.FindHolder(txn);
   return holder != nullptr && !holder->early_released && holder->mode >= mode;
 }
 
@@ -212,12 +212,12 @@ std::map<ObjectId, LockMode> LockManager::HeldLocks(TxnId txn) const {
   std::map<ObjectId, LockMode> out;
   for (const Shard& shard : shards_) {
     std::lock_guard lock(shard.mu);
-    const auto* held = shard.held.Find(txn);
-    if (held == nullptr) continue;
-    for (ObjectId ob : *held) {
-      const ObjectLocks* locks = shard.table.Find(ob);
-      if (locks == nullptr) continue;
-      if (const Holder* holder = locks->FindHolder(txn)) {
+    auto held = shard.held.find(txn);
+    if (held == shard.held.end()) continue;
+    for (ObjectId ob : held->second) {
+      auto locks = shard.table.find(ob);
+      if (locks == shard.table.end()) continue;
+      if (const Holder* holder = locks->second.FindHolder(txn)) {
         out[ob] = holder->mode;
       }
     }
@@ -231,53 +231,6 @@ void LockManager::Reset() {
     shard.table.clear();
     shard.held.clear();
   }
-}
-
-void WaitForGraph::AddEdge(TxnId waiter, TxnId holder) {
-  if (waiter != holder) edges_[waiter].insert(holder);
-}
-
-void WaitForGraph::RemoveEdge(TxnId waiter, TxnId holder) {
-  auto it = edges_.find(waiter);
-  if (it == edges_.end()) return;
-  it->second.erase(holder);
-  if (it->second.empty()) edges_.erase(it);
-}
-
-void WaitForGraph::RemoveTxn(TxnId txn) {
-  edges_.erase(txn);
-  for (auto it = edges_.begin(); it != edges_.end();) {
-    it->second.erase(txn);
-    it = it->second.empty() ? edges_.erase(it) : std::next(it);
-  }
-}
-
-bool WaitForGraph::WouldDeadlock(TxnId waiter, TxnId holder) const {
-  return waiter == holder || Reaches(holder, waiter);
-}
-
-bool WaitForGraph::HasCycle() const {
-  for (const auto& [from, tos] : edges_) {
-    for (TxnId to : tos) {
-      if (Reaches(to, from)) return true;
-    }
-  }
-  return false;
-}
-
-bool WaitForGraph::Reaches(TxnId from, TxnId to) const {
-  std::vector<TxnId> stack = {from};
-  std::set<TxnId> seen;
-  while (!stack.empty()) {
-    TxnId cur = stack.back();
-    stack.pop_back();
-    if (cur == to) return true;
-    if (!seen.insert(cur).second) continue;
-    auto it = edges_.find(cur);
-    if (it == edges_.end()) continue;
-    stack.insert(stack.end(), it->second.begin(), it->second.end());
-  }
-  return false;
 }
 
 }  // namespace ariesrh

@@ -21,8 +21,8 @@
 // ReleaseAll once the commit completes (or aborts on the crash path).
 //
 // Acquisition policy is no-wait: a conflicting request returns kBusy and the
-// caller decides (retry, abort, restructure). A standalone wait-for graph
-// with cycle detection is provided for callers that implement waiting.
+// caller decides (retry, abort, restructure), so no transaction ever waits
+// for another and there is no deadlock to detect.
 //
 // Thread safety: every operation is safe under concurrent callers. State is
 // partitioned into shards by object id; a shard bundles its slice of the
@@ -33,10 +33,9 @@
 // shard mutexes are ever held together, so there is no lock-ordering concern
 // and shard mutexes are leaves under every engine lock.
 //
-// Hot-path structures are flat: holder and permit lists are inline vectors
-// (one or two holders is the overwhelmingly common case) and both the lock
-// table and the held-object index are open-addressed hash maps — the
-// per-commit sweep walks contiguous memory instead of node-based sets.
+// Each shard's lock table and held-object index are std::unordered_maps;
+// holder and permit lists are std::vectors scanned linearly (one or two
+// holders is the overwhelmingly common case).
 
 #ifndef ARIESRH_LOCK_LOCK_MANAGER_H_
 #define ARIESRH_LOCK_LOCK_MANAGER_H_
@@ -44,12 +43,9 @@
 #include <array>
 #include <map>
 #include <mutex>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
-#include "util/flat_map.h"
-#include "util/inline_vector.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -77,7 +73,7 @@ class LockManager {
     TxnId on = kInvalidTxn;
     Lsn commit_lsn = kInvalidLsn;
   };
-  using CommitDependencyList = InlineVector<CommitDependency, 2>;
+  using CommitDependencyList = std::vector<CommitDependency>;
 
   /// `stats`, when given, receives acquire/conflict/transfer/permit counts
   /// and lock trace events; it must outlive the manager. Unit tests that
@@ -147,9 +143,9 @@ class LockManager {
 
   struct ObjectLocks {
     /// One holder (or two, briefly, under ELR or increment sharing) is the
-    /// common case: inline slots, linear scan.
-    InlineVector<Holder, 2> holders;
-    InlineVector<PermitPair, 1> permits;
+    /// common case, so both lists are scanned linearly.
+    std::vector<Holder> holders;
+    std::vector<PermitPair> permits;
 
     Holder* FindHolder(TxnId txn);
     const Holder* FindHolder(TxnId txn) const;
@@ -157,13 +153,13 @@ class LockManager {
   };
 
   /// One partition: its objects' lock state plus the per-transaction index
-  /// of objects held *within this shard*. Both sides are open-addressed —
-  /// the commit-path sweeps (ReleaseAll, MarkEarlyReleased) walk flat
-  /// arrays, never node-based sets.
+  /// of objects held *within this shard*, so the commit-path sweeps
+  /// (ReleaseAll, MarkEarlyReleased) visit only the transaction's own
+  /// objects.
   struct Shard {
     mutable std::mutex mu;
-    OpenHashMap<ObjectId, ObjectLocks> table;
-    OpenHashMap<TxnId, InlineVector<ObjectId, 4>> held;
+    std::unordered_map<ObjectId, ObjectLocks> table;
+    std::unordered_map<TxnId, std::vector<ObjectId>> held;
   };
 
   static constexpr size_t kShards = 16;
@@ -191,31 +187,6 @@ class LockManager {
 
   Stats* stats_ = nullptr;
   std::array<Shard, kShards> shards_;
-};
-
-/// Wait-for graph with cycle detection, for deadlock analysis in callers
-/// that queue conflicting requests instead of failing fast.
-class WaitForGraph {
- public:
-  /// Records that `waiter` waits for `holder`.
-  void AddEdge(TxnId waiter, TxnId holder);
-
-  /// Removes one edge.
-  void RemoveEdge(TxnId waiter, TxnId holder);
-
-  /// Removes a terminated transaction and all its edges.
-  void RemoveTxn(TxnId txn);
-
-  /// True if adding waiter->holder would close a cycle (deadlock).
-  bool WouldDeadlock(TxnId waiter, TxnId holder) const;
-
-  /// True if the current graph contains a cycle.
-  bool HasCycle() const;
-
- private:
-  bool Reaches(TxnId from, TxnId to) const;
-
-  std::unordered_map<TxnId, std::set<TxnId>> edges_;
 };
 
 }  // namespace ariesrh

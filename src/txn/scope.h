@@ -22,13 +22,12 @@
 #ifndef ARIESRH_TXN_SCOPE_H_
 #define ARIESRH_TXN_SCOPE_H_
 
+#include <map>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "util/flat_map.h"
-#include "util/inline_vector.h"
 #include "util/types.h"
 
 namespace ariesrh {
@@ -54,9 +53,8 @@ struct Scope {
 /// (if anyone), and the scopes this transaction is responsible for.
 struct ObjectEntry {
   /// A transaction's own entry holds exactly one scope; only delegation
-  /// targets accumulate more, so two inline slots cover the common cases
-  /// without heap traffic on the update path.
-  using ScopeList = InlineVector<Scope, 2>;
+  /// targets accumulate more.
+  using ScopeList = std::vector<Scope>;
 
   /// Most recent delegator, kInvalidTxn when the object was never delegated
   /// to this transaction (paper: Ob_List(t2)[ob].deleg <- t1).
@@ -85,11 +83,8 @@ struct ObjectEntry {
 
 /// An Ob_List: object -> entry, iterated in ascending ObjectId order (the
 /// checkpoint serializer and the cross-engine equivalence tests depend on
-/// the deterministic order, exactly as they did on std::map's). Flat sorted
-/// storage with four inline slots: the common transaction touches a handful
-/// of objects, so scope lookups on the update path stay allocation-free and
-/// cache-resident instead of chasing map nodes.
-using ObList = FlatMap<ObjectId, ObjectEntry, 4>;
+/// the deterministic order).
+using ObList = std::map<ObjectId, ObjectEntry>;
 
 /// Operation-granularity delegation (paper Section 2.1: "a transaction
 /// delegates a single operation with each invocation of delegate"): moves
@@ -102,7 +97,7 @@ size_t TransferScopeRange(ObjectEntry* src, ObjectEntry* dst, Lsn first,
                           Lsn last);
 
 /// The objects whose delegator entries one TransferObjects call erased.
-using ErasedObjects = InlineVector<ObjectId, 8>;
+using ErasedObjects = std::vector<ObjectId>;
 
 /// TRANSFER RESPONSIBILITY for one delegation (paper Section 3.5, delegate
 /// step 3), as normal processing and the restart forward pass both perform
@@ -111,9 +106,9 @@ using ErasedObjects = InlineVector<ObjectId, 8>;
 /// to `objects`) a valid (first, last) moves only the scopes in that LSN
 /// range (TransferScopeRange); every other object moves whole (MergeFrom).
 /// A delegator entry left with no scope is erased, and its object listed in
-/// `erased` (optional), ascending. Both lists are sorted by object, so each
-/// side takes one merge pass: O(|from| + |to| + k log k) for k objects.
-/// Returns the number of scopes moved.
+/// `erased` (optional), in the order of `objects`. An object listed twice
+/// moves again only what its first move left behind. Returns the number of
+/// scopes moved.
 size_t TransferObjects(ObList* from, ObList* to, TxnId tor,
                        std::span<const ObjectId> objects,
                        std::span<const std::pair<Lsn, Lsn>> ranges,

@@ -63,9 +63,8 @@ struct Transaction {
   Lsn last_lsn = kInvalidLsn;
 
   /// Ob_List: objects this transaction is currently responsible for, with
-  /// the scopes identifying exactly which updates (paper Section 3.4).
-  /// Flat sorted storage (see ObList): scope lookups on the update path are
-  /// a binary search over contiguous entries, not a map-node walk.
+  /// the scopes identifying exactly which updates (paper Section 3.4),
+  /// in ascending object order (see ObList).
   ObList ob_list;
 
   /// True once RollbackTo has compensated part of this transaction's

@@ -816,8 +816,9 @@ Status TxnManager::RollBack(Transaction* tx, Lsn savepoint) {
       for (auto entry_it = tx->ob_list.begin();
            entry_it != tx->ob_list.end();) {
         ObjectEntry::ScopeList& scopes = entry_it->second.scopes;
-        scopes.EraseIf(
-            [savepoint](const Scope& s) { return s.first > savepoint; });
+        std::erase_if(scopes, [savepoint](const Scope& scope) {
+          return scope.first > savepoint;
+        });
         for (Scope& scope : scopes) {
           scope.last = std::min(scope.last, savepoint);
         }
